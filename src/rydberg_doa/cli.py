@@ -51,8 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int,
                        help="base seed (overrides config)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="max parallel trials within a sweep cell")
         p.add_argument("--order", type=int,
                        help="prediction order override")
         p.add_argument("--format", choices=("csv", "json"),
@@ -195,7 +193,7 @@ def cmd_crlb(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig, threads: int) -> int:
+def cmd_sweep(cfg: RunConfig) -> int:
     sc = cfg.scenario
     if sc.sweep is None:
         raise ConfigParseError("missing required key 'sweep'")
@@ -222,12 +220,12 @@ def cmd_sweep(cfg: RunConfig, threads: int) -> int:
         print(f"normalized RMS residual ratio (weak {ratios[0]:g} / strong "
               f"{ratios[-1]:g}): {check.residual_ratio:.3f}")
     elif kind == "rmse" and sc.sweep.axis == "lo_ratio":
-        result = run_lo_ratio_sweep(sc, threads=threads)
+        result = run_lo_ratio_sweep(sc)
         path = out / "lo_ratio_sweep.csv"
         serialize.write_sweep_csv(result, path)
         written.append(path)
     elif kind == "rmse" and sc.sweep.axis == "snr_db":
-        results = run_snr_sweep(sc, threads=threads)
+        results = run_snr_sweep(sc)
         for name, result in results.items():
             path = out / f"snr_sweep_{name}.csv"
             serialize.write_sweep_csv(result, path)
@@ -252,7 +250,6 @@ def cmd_sweep(cfg: RunConfig, threads: int) -> int:
         "code_version": __version__,
         "wall_time_s": wall,
         "outputs": [str(p) for p in written],
-        "threads": threads,
     }
     serialize.write_manifest_json(manifest, out / "manifest.json")
     for path in written:
@@ -280,7 +277,7 @@ def main(argv=None) -> int:
         if args.command == "crlb":
             return cmd_crlb(cfg)
         if args.command == "sweep":
-            return cmd_sweep(cfg, max(1, args.threads))
+            return cmd_sweep(cfg)
         if args.command == "check-sampling":
             return cmd_check_sampling(cfg)
         raise AssertionError(f"unhandled command {args.command}")

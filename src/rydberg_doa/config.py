@@ -18,7 +18,12 @@ import numpy as np
 
 from .errors import ConfigParseError, RydbergDoaError
 from .estimation import FIXED_ORDER, SV_THRESHOLD, PronyConfig
-from .experiments import SWEEP_AXES, ScenarioConfig, SweepSpec
+from .experiments import (
+    CELL_SEED_STRIDE,
+    SWEEP_AXES,
+    ScenarioConfig,
+    SweepSpec,
+)
 from .physics import AtomicParams, PlaneWave, RfScene
 from .sensing import SensorGeometry
 
@@ -294,6 +299,10 @@ def parse_config(doc: dict) -> RunConfig:
     _check_keys(run_doc, {"trials", "base_seed", "output_dir", "format",
                           "verbosity", "absorption_model"}, "run.")
     trials = _integer(run_doc.get("trials", 100), "run.trials")
+    if trials >= CELL_SEED_STRIDE:
+        raise ConfigParseError(
+            f"'run.trials' must be below {CELL_SEED_STRIDE}: the noise "
+            "seeds of neighbouring sweep cells would overlap")
     base_seed = _integer(run_doc.get("base_seed", 0), "run.base_seed")
     fmt = run_doc.get("format", "csv")
     if fmt not in ("csv", "json"):

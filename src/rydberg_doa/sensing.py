@@ -107,19 +107,24 @@ class FluorescenceProfile:
 
 @dataclass(frozen=True)
 class MeasurementVector:
-    """Calibrated virtual-channel samples with their noise metadata."""
+    """Calibrated virtual-channel samples with their noise metadata.
+
+    values is one vector (K,), or a (T, K) stack of T Monte Carlo trials
+    of one vector, with rng_seed then holding the T noise seeds.
+    """
 
     values: np.ndarray
     geometry: SensorGeometry
     noise_sigma: float = 0.0
-    rng_seed: int | None = None
+    rng_seed: int | tuple | None = None
     source: str = ANALYTIC_MODEL
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        if len(values) != self.geometry.channel_count:
+        if values.ndim not in (1, 2) or \
+                values.shape[-1] != self.geometry.channel_count:
             raise ValueError("values length must equal channel_count")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
@@ -274,24 +279,34 @@ def signal_power(values: np.ndarray) -> float:
 
 
 def add_noise(measurement: MeasurementVector, snr_db: float,
-              seed: int) -> MeasurementVector:
+              seed) -> MeasurementVector:
     """Add i.i.d. Gaussian noise at the given per-sample SNR (dB).
 
     SNR is defined against the variance of the noiseless vector across
-    channels. Deterministic for a fixed (input, snr_db, seed) triple.
+    channels. seed is one int, or a sequence of T ints for a (T, K) stack
+    of noisy copies whose row t is exactly the single-seed draw of
+    seed[t]. Deterministic for a fixed (input, snr_db, seed) triple.
     """
     if measurement.noise_sigma != 0:
         raise ValueError("input measurement already carries noise")
+    single = np.ndim(seed) == 0
+    seeds = [seed] if single else list(seed)
+    k = measurement.values.shape[-1]
     if np.isinf(snr_db):
-        return measurement
-    power = signal_power(measurement.values)
-    if power == 0:
-        raise ZeroSignalPower("constant measurement vector has no signal power")
-    sigma = float(np.sqrt(power / 10 ** (snr_db / 10)))
-    rng = np.random.default_rng(seed)
-    noisy = measurement.values + rng.normal(0.0, sigma, len(measurement.values))
-    return MeasurementVector(values=noisy, geometry=measurement.geometry,
-                             noise_sigma=sigma, rng_seed=seed,
+        sigma, noise = 0.0, np.zeros((len(seeds), k))
+    else:
+        power = signal_power(measurement.values)
+        if power == 0:
+            raise ZeroSignalPower(
+                "constant measurement vector has no signal power")
+        sigma = float(np.sqrt(power / 10 ** (snr_db / 10)))
+        noise = sigma * np.array([np.random.default_rng(s).standard_normal(k)
+                                  for s in seeds])
+    noisy = measurement.values + noise
+    return MeasurementVector(values=noisy[0] if single else noisy,
+                             geometry=measurement.geometry,
+                             noise_sigma=sigma,
+                             rng_seed=seed if single else tuple(seeds),
                              source=measurement.source)
 
 

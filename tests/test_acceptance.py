@@ -285,7 +285,7 @@ def test_criterion_8_numerical_integrity(setup):
         noisy = sensing.add_noise(mv, 30.0, 9)
         matrix, rhs = build_hankel(noisy.values, 4)
         coeffs, _, _ = solve_lpc(matrix, rhs)
-        roots = char_poly_roots(coeffs)
+        roots, _ = char_poly_roots(coeffs)
         monic = np.concatenate(([1.0], coeffs))
         residuals = np.abs(np.polyval(monic, roots)) / (
             1.0 + np.abs(roots) ** len(coeffs))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rydberg_doa import cli, serialize
+from rydberg_doa import cli, experiments, serialize
 from rydberg_doa.errors import SchemaError
 
 
@@ -61,6 +61,16 @@ class TestConfigErrors:
     def test_missing_file_exit_2(self, tmp_path):
         assert cli.main(["simulate", "--config",
                          str(tmp_path / "nope.json")]) == 2
+
+    def test_trials_overlapping_cell_seeds_exit_2(self, tmp_path, capsys):
+        doc = base_doc(tmp_path / "out")
+        doc["run"]["trials"] = experiments.CELL_SEED_STRIDE
+        assert cli.main(["check-sampling", "--config",
+                         write_config(tmp_path, doc)]) == 2
+        assert "run.trials" in capsys.readouterr().err
+        doc["run"]["trials"] = experiments.CELL_SEED_STRIDE - 1
+        assert cli.main(["check-sampling", "--config",
+                         write_config(tmp_path, doc)]) == 0
 
     def test_ambiguous_units_exit_2(self, tmp_path, capsys):
         doc = base_doc(tmp_path / "out")
@@ -232,15 +242,13 @@ class TestSweepCommand:
         assert (out / "linearization_check.csv").exists()
         assert "residual ratio" in capsys.readouterr().out
 
-    def test_threads_flag_identical_csv(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        doc = self.sweep_doc(out1, "lo_ratio", [5, 20])
-        cfg = write_config(tmp_path, doc, "c1.json")
-        assert cli.main(["sweep", "--config", cfg]) == 0
-        assert cli.main(["sweep", "--config", cfg, "--out", str(out2),
-                         "--threads", "4"]) == 0
-        assert (out1 / "lo_ratio_sweep.csv").read_bytes() == \
-            (out2 / "lo_ratio_sweep.csv").read_bytes()
+    def test_removed_parallel_flag_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path,
+                           self.sweep_doc(tmp_path / "a", "lo_ratio", [5]))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--config", cfg, "--threads", "4"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "a").exists()
 
 
 class TestCheckSampling:

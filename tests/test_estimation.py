@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rydberg_doa import estimation, scenarios, sensing
+from rydberg_doa import estimation, experiments, scenarios, sensing
 from rydberg_doa.errors import (
     InsufficientSamples,
     InsufficientSignalRoots,
+    RootfindingFailure,
+    RydbergDoaError,
 )
 from rydberg_doa.estimation import (
     EstimationResult,
@@ -16,6 +18,7 @@ from rydberg_doa.estimation import (
     char_poly_roots,
     doa_from_frequency,
     estimate_doa,
+    estimate_doa_batch,
     frequencies_from_roots,
     select_signal_roots,
     solve_lpc,
@@ -93,18 +96,18 @@ class TestSolveLpc:
 
 class TestCharPolyRoots:
     def test_conjugate_pair_on_unit_circle(self):
-        roots = char_poly_roots(np.array([-2 * np.cos(0.5), 1.0]))
+        roots, _ = char_poly_roots(np.array([-2 * np.cos(0.5), 1.0]))
         expected = np.array([np.exp(0.5j), np.exp(-0.5j)])
         got = roots[np.argsort(roots.imag)][::-1]
         np.testing.assert_allclose(got, expected, atol=1e-9)
 
     def test_zero_coefficients_give_origin_roots(self):
-        np.testing.assert_array_equal(char_poly_roots(np.zeros(2)), 0.0)
+        np.testing.assert_array_equal(char_poly_roots(np.zeros(2))[0], 0.0)
 
     @given(coeffs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6))
     def test_vieta_product(self, coeffs):
         coeffs = np.asarray(coeffs)
-        roots = char_poly_roots(coeffs)
+        roots, _ = char_poly_roots(coeffs)
         product = np.prod(roots) if len(roots) else 1.0
         expected = (-1) ** len(coeffs) * coeffs[-1]
         assert abs(product - expected) <= 1e-8 * max(
@@ -251,6 +254,74 @@ class TestEstimateDoa:
             estimate_doa(mv, (scene.wavenumber, scene.lo.angle), cfg)
 
 
+def reference_doas(values, spacing, scene_meta, cfg):
+    """Serial Prony estimate through np.linalg.lstsq, np.roots and an
+    np.polyval Newton polish, the textbook path the batched stages
+    replace."""
+    wavenumber, lo_angle = scene_meta
+    p, k = cfg.model_order, len(values)
+    idx = p + np.arange(k - p)[:, None] - (1 + np.arange(p))[None, :]
+    coeffs = np.linalg.lstsq(values[idx], -values[p:], rcond=None)[0]
+    monic = np.concatenate(([1.0], coeffs))
+    roots = np.roots(monic)
+    deriv = np.polyder(monic)
+    with np.errstate(all="ignore"):
+        for _ in range(2):
+            dp = np.polyval(deriv, roots)
+            step = np.where(dp != 0, np.polyval(monic, roots)
+                            / np.where(dp == 0, 1.0, dp), 0.0)
+            refined = roots - step
+            keep = np.isfinite(refined) & (
+                np.abs(np.polyval(monic, refined))
+                <= np.abs(np.polyval(monic, roots)))
+            roots = np.where(keep, refined, roots)
+    residual = np.abs(np.polyval(monic, roots)) / (1 + np.abs(roots) ** p)
+    if residual.max() > estimation.ROOT_RESIDUAL_TOL * max(
+            1.0, np.abs(coeffs).max()):
+        raise RootfindingFailure("reference root residual")
+    reps = select_signal_roots(
+        roots, cfg.target_count, cfg.unit_circle_tolerance,
+        2 * np.pi * estimation.DC_GUARD_CYCLES / k)
+    freqs = np.sort(np.abs(np.angle(reps)) / spacing)
+    return np.arcsin(np.clip(np.sin(lo_angle) - freqs / wavenumber,
+                             -1.0, 1.0))
+
+
+class TestBatchKernel:
+    def test_matches_textbook_reference(self, params, geometry):
+        outcomes = set()
+        for angles in experiments.SNR_PRESETS.values():
+            scene = scenarios.scene_from_angles(angles)
+            meta = (scene.wavenumber, scene.lo.angle)
+            n = len(angles)
+            cfg = PronyConfig(model_order=2 * n, target_count=n)
+            clean = sensing.predicted_measurements(scene, geometry, params)
+            for snr in range(10, 55, 10):
+                stack = sensing.add_noise(clean, float(snr), range(50))
+                batch = estimate_doa_batch(stack, meta, cfg)
+                for t, values in enumerate(stack.values):
+                    try:
+                        want = reference_doas(values, geometry.spacing,
+                                              meta, cfg)
+                    except RydbergDoaError as exc:
+                        assert type(batch.errors[t]) is type(exc)
+                        outcomes.add(type(exc))
+                        continue
+                    assert batch.errors[t] is None
+                    np.testing.assert_allclose(batch.doas[t], want,
+                                               rtol=0, atol=1e-9)
+                    outcomes.add(None)
+        assert {None, InsufficientSignalRoots} <= outcomes
+
+    def test_estimate_doa_rejects_a_stack(self, params, two_target,
+                                          geometry):
+        clean = sensing.predicted_measurements(two_target, geometry, params)
+        stack = sensing.add_noise(clean, 30.0, [1, 2])
+        with pytest.raises(ValueError):
+            estimate_doa(stack, (two_target.wavenumber, two_target.lo.angle),
+                         PronyConfig(model_order=4, target_count=2))
+
+
 @st.composite
 def sinusoid_scenarios(draw):
     n = draw(st.integers(1, 4))
@@ -278,7 +349,7 @@ class TestProperties:
                           unit_circle_tolerance=0.5)
         matrix, rhs = build_hankel(mv.values, cfg.model_order)
         coeffs, _, _ = solve_lpc(matrix, rhs)
-        roots = char_poly_roots(coeffs)
+        roots, _ = char_poly_roots(coeffs)
         reps = select_signal_roots(roots, n, cfg.unit_circle_tolerance)
         got = np.sort(frequencies_from_roots(reps, spacing))
         expected = np.sort(np.asarray(omegas)) / spacing
@@ -313,7 +384,7 @@ class TestProperties:
         y = y + np.random.default_rng(0).normal(0, 0.05, len(y))
         matrix, rhs = build_hankel(y, 6)
         coeffs, _, _ = solve_lpc(matrix, rhs)
-        roots = char_poly_roots(coeffs)
+        roots, _ = char_poly_roots(coeffs)
         conj_sorted = np.sort_complex(np.conj(roots))
         np.testing.assert_allclose(np.sort_complex(roots), conj_sorted,
                                    atol=1e-12)

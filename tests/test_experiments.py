@@ -1,8 +1,19 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from rydberg_doa import experiments, physics, scenarios, sensing, serialize
-from rydberg_doa.estimation import PronyConfig
+from rydberg_doa import (
+    estimation,
+    experiments,
+    physics,
+    scenarios,
+    sensing,
+    serialize,
+)
+from rydberg_doa.errors import RydbergDoaError
+from rydberg_doa.estimation import PronyConfig, estimate_doa
 from rydberg_doa.experiments import (
     ScenarioConfig,
     SweepSpec,
@@ -51,11 +62,86 @@ class TestMcRmse:
         permuted = np.sort(match_errors(est, truth[::-1]))
         np.testing.assert_allclose(direct, permuted)
 
-    def test_threads_do_not_change_results(self, base_config):
-        serial = mc_rmse(base_config, threads=1)
-        parallel = mc_rmse(base_config, threads=4)
-        assert serial.rmse_rad == parallel.rmse_rad
-        assert serial.failures == parallel.failures
+    def test_matching_against_brute_force(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 3):
+            truth = rng.uniform(-1.0, 1.0, n)
+            est = rng.uniform(-1.0, 1.0, (200, n))
+            got = match_errors(est, truth)
+            assert got.shape == (200, n)
+            for row, errors in zip(est, got):
+                best = None
+                for perm in itertools.permutations(range(n)):
+                    cand = [abs(e - truth[p]) for e, p in zip(row, perm)]
+                    if best is None or sum(cand) < sum(best):
+                        best = cand
+                np.testing.assert_array_equal(errors, best)
+
+    def test_matching_tie_keeps_first_pairing(self):
+        # both estimates beyond both truths: every pairing totals 2.25
+        got = match_errors(np.array([[1.0, 2.0]]), np.array([0.25, 0.5]))
+        np.testing.assert_array_equal(got, [[0.75, 1.5]])
+
+    def test_matching_fewer_estimates_than_truths(self):
+        got = match_errors(np.array([0.42]), np.array([-0.3, 0.4]))
+        np.testing.assert_allclose(got, [0.02])
+
+    def test_batch_matches_serial_estimates(self, params, geometry,
+                                           monkeypatch):
+        """One batched solve agrees with estimate_doa row by row: the
+        same failing rows and exception classes, DoAs within 1e-9 rad."""
+        prony = PronyConfig(model_order=4, target_count=2)
+        classes = set()
+        for name in ("wide_pair", "close_pair"):
+            scene = scenarios.scene_from_angles(
+                experiments.SNR_PRESETS[name])
+            meta = (scene.wavenumber, scene.lo.angle)
+            clean = sensing.predicted_measurements(scene, geometry, params)
+            for snr in range(10, 55, 5):
+                stack = sensing.add_noise(clean, float(snr),
+                                          range(1000 * snr, 1000 * snr + 100))
+                classes |= assert_rows_match(stack, meta, prony)
+        assert {None, "InsufficientSignalRoots"} <= classes
+
+        # Three tones exactly on the unit circle and two targets: every
+        # candidate distance ties, so the serial tie rule must choose.
+        k = geometry.channel_count
+        tones = sum(np.cos(w * np.arange(k) + 0.3) for w in (0.6, 0.8, 1.0))
+        noisy = tones + np.random.default_rng(1).normal(0.0, 0.01, (2, k))
+        stack = sensing.MeasurementVector(
+            values=np.vstack([noisy[0], tones, noisy[1]]), geometry=geometry)
+        serial_rule = estimation.select_signal_roots
+        tied_calls = []
+
+        def counting(roots, *args):
+            tied_calls.append(roots)
+            return serial_rule(roots, *args)
+
+        monkeypatch.setattr(estimation, "select_signal_roots", counting)
+        assert_rows_match(stack, (500.0, np.pi / 2),
+                          PronyConfig(model_order=6, target_count=2))
+        assert len(tied_calls) == 2  # the tied row, batched and alone
+
+
+def assert_rows_match(stack, meta, prony) -> set:
+    """Batched estimate vs estimate_doa on each row; returns the outcome
+    classes seen (None for success)."""
+    batch = estimation.estimate_doa_batch(stack, meta, prony)
+    seen = set()
+    for t, values in enumerate(stack.values):
+        try:
+            serial = estimate_doa(replace(stack, values=values, rng_seed=None),
+                                  meta, prony)
+        except RydbergDoaError as exc:
+            assert type(batch.errors[t]) is type(exc), t
+            seen.add(type(exc).__name__)
+            continue
+        assert batch.errors[t] is None, t
+        got = batch.result(t)
+        np.testing.assert_allclose(got.doas, serial.doas, rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(got.clamped_flags, serial.clamped_flags)
+        seen.add(None)
+    return seen
 
 
 class TestLinearizationCheck:

@@ -329,6 +329,16 @@ class TestAddNoise:
                 - mv.values
         assert draws.var() == pytest.approx(sigma2, rel=0.02)
 
+    def test_seed_sequence_stacks_single_seed_draws(self, geometry):
+        mv = self.make_measurement(geometry)
+        stack = sensing.add_noise(mv, 20.0, [5, 6, 7])
+        assert stack.values.shape == (3, geometry.channel_count)
+        assert stack.rng_seed == (5, 6, 7)
+        for row, seed in zip(stack.values, (5, 6, 7)):
+            single = sensing.add_noise(mv, 20.0, seed)
+            np.testing.assert_array_equal(row, single.values)
+            assert single.noise_sigma == stack.noise_sigma
+
     def test_constant_vector_rejected(self, geometry):
         mv = MeasurementVector(
             values=np.full(geometry.channel_count, 1.5), geometry=geometry)
