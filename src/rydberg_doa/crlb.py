@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .errors import (
     EndFireSingularity,
@@ -106,25 +105,6 @@ def window_integrals(geometry: SensorGeometry, dk: float, dphi: float
     return cos_vec, sin_vec, pos_sin_vec
 
 
-def window_integrals_quadrature(geometry: SensorGeometry, dk: float,
-                                dphi: float, points: int = 10_001
-                                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trapezoid-rule evaluation of the same integrals; oracle path kept
-    for non-rectangular windows and for testing the closed forms."""
-    k = geometry.channel_count
-    cos_vec = np.empty(k)
-    sin_vec = np.empty(k)
-    pos_sin_vec = np.empty(k)
-    for j in range(k):
-        a, b = geometry.window_edges(j)
-        x = np.linspace(a, b, points)
-        phase = dk * x - dphi
-        cos_vec[j] = np.trapezoid(np.cos(phase), x)
-        sin_vec[j] = np.trapezoid(np.sin(phase), x)
-        pos_sin_vec[j] = -np.trapezoid(x * np.sin(phase), x)
-    return cos_vec, sin_vec, pos_sin_vec
-
-
 def mean_jacobian(inputs: FimInputs) -> np.ndarray:
     """K x 3N Jacobian of the mean vector: columns are A_i*t_i for the
     frequencies, A_i*s_i for the phases, and c_i for the amplitudes."""
@@ -143,51 +123,16 @@ def mean_jacobian(inputs: FimInputs) -> np.ndarray:
 
 def fisher_information(jacobian: np.ndarray,
                        noise_cov: np.ndarray) -> np.ndarray:
-    """J^T Sigma^-1 J through a Cholesky factorization of Sigma."""
+    """J^T Sigma^-1 J through a Cholesky factorization Sigma = L L^T."""
     jacobian = np.asarray(jacobian, dtype=float)
     try:
-        factor = cho_factor(np.asarray(noise_cov, dtype=float), lower=True)
-    except LinAlgError as exc:
+        lower = np.linalg.cholesky(np.asarray(noise_cov, dtype=float))
+    except np.linalg.LinAlgError as exc:
         raise SingularCovariance("noise covariance is not positive definite"
                                  ) from exc
-    fim = jacobian.T @ cho_solve(factor, jacobian)
+    fim = jacobian.T @ np.linalg.solve(lower.T,
+                                       np.linalg.solve(lower, jacobian))
     return (fim + fim.T) / 2
-
-
-def fisher_information_blocks(inputs: FimInputs) -> np.ndarray:
-    """Assemble the FIM from its 3x3 block structure of weighted inner
-    products; independent of the Jacobian path, used for cross-checking."""
-    n = inputs.n_targets
-    try:
-        factor = cho_factor(inputs.noise_cov, lower=True)
-    except LinAlgError as exc:
-        raise SingularCovariance("noise covariance is not positive definite"
-                                 ) from exc
-    cs, ss, ts = [], [], []
-    for i in range(n):
-        c_vec, s_vec, t_vec = window_integrals(
-            inputs.geometry, inputs.delta_ks[i], inputs.delta_phis[i])
-        cs.append(c_vec)
-        ss.append(s_vec)
-        ts.append(t_vec)
-
-    def inner(a, b):
-        return float(a @ cho_solve(factor, b))
-
-    amp = inputs.amplitudes
-    fim = np.zeros((3 * n, 3 * n))
-    for i in range(n):
-        for m in range(n):
-            fim[i, m] = amp[i] * amp[m] * inner(ts[i], ts[m])
-            fim[n + i, n + m] = amp[i] * amp[m] * inner(ss[i], ss[m])
-            fim[2 * n + i, 2 * n + m] = inner(cs[i], cs[m])
-            fim[2 * n + i, n + m] = amp[m] * inner(cs[i], ss[m])
-            fim[n + m, 2 * n + i] = fim[2 * n + i, n + m]
-            fim[2 * n + i, m] = amp[m] * inner(cs[i], ts[m])
-            fim[m, 2 * n + i] = fim[2 * n + i, m]
-            fim[n + i, m] = amp[i] * amp[m] * inner(ss[i], ts[m])
-            fim[m, n + i] = fim[n + i, m]
-    return fim
 
 
 def effective_fim(fim: np.ndarray, n_interest: int) -> np.ndarray:

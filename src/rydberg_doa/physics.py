@@ -12,11 +12,13 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import constants
 
 from .errors import DegenerateDetuning, LoDominanceWarning, SingularPoint
 
-SPEED_OF_LIGHT = constants.c
+# CODATA 2022 values; c and h are exact in the SI.
+SPEED_OF_LIGHT = 299_792_458.0
+VACUUM_PERMITTIVITY = 8.8541878188e-12
+REDUCED_PLANCK = 6.62607015e-34 / (2 * np.pi)
 
 # LO-to-signal amplitude ratio below which the linearized model is dubious.
 LO_RATIO_WARN_THRESHOLD = 10.0
@@ -40,8 +42,8 @@ class AtomicParams:
     coupling_detuning: float = 2 * np.pi * 10e3
     rf_detuning: float = 0.0
     probe_wavelength: float = 780.24e-9
-    vacuum_permittivity: float = constants.epsilon_0
-    reduced_planck: float = constants.hbar
+    vacuum_permittivity: float = VACUUM_PERMITTIVITY
+    reduced_planck: float = REDUCED_PLANCK
 
     def __post_init__(self):
         for name in ("atom_density", "probe_dipole", "rf_dipole", "decay_21",

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from . import physics
 from .errors import (
@@ -155,6 +154,12 @@ class SamplingReport:
         return self.spacing_ok and self.width_ok
 
 
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x, starting at 0 at x[0]."""
+    steps = np.diff(x) * (y[1:] + y[:-1]) / 2.0
+    return np.concatenate(([0.0], np.cumsum(steps)))
+
+
 def propagate_probe(alpha_profile: Callable[[np.ndarray], np.ndarray],
                     geometry: SensorGeometry, rf_wavelength: float,
                     input_power: float = 1.0,
@@ -168,7 +173,7 @@ def propagate_probe(alpha_profile: Callable[[np.ndarray], np.ndarray],
         raise ValueError("input_power must be strictly positive")
     x = geometry.grid(rf_wavelength)
     alpha = np.asarray(alpha_profile(x), dtype=float)
-    optical_depth = cumulative_trapezoid(alpha, x, initial=0.0)
+    optical_depth = cumulative_trapezoid(alpha, x)
     power = input_power * np.exp(-optical_depth)
     return FluorescenceProfile(positions=x, probe_power=power,
                                fluorescence=kappa * power, kappa=kappa)

@@ -50,10 +50,13 @@ def _csv_text(header: list[str], rows) -> str:
 
 def write_fluorescence_csv(profile: FluorescenceProfile,
                            path: str | Path) -> None:
-    rows = ((_fmt(x), _fmt(p), _fmt(f)) for x, p, f in
-            zip(profile.positions, profile.probe_power, profile.fluorescence))
-    atomic_write_text(path, _csv_text(["x_m", "probe_power", "fluorescence"],
-                                      rows))
+    # one format pass over Python floats: the same text as _csv_text with
+    # _fmt, at a fraction of the cost on a full-resolution profile
+    rows = "".join(
+        f"{x:.17g},{p:.17g},{f:.17g}\n" for x, p, f in
+        zip(profile.positions.tolist(), profile.probe_power.tolist(),
+            profile.fluorescence.tolist()))
+    atomic_write_text(path, "x_m,probe_power,fluorescence\n" + rows)
 
 
 def write_measurement_csv(measurement: MeasurementVector,

@@ -1,0 +1,75 @@
+"""Independent reference computations that the tests check the runtime
+paths against. They are deliberately slower or built on other libraries
+(scipy's Cholesky solve, trapezoid quadrature) so that they share no code
+path with what they check.
+"""
+
+import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
+from rydberg_doa.crlb import FimInputs, window_integrals
+from rydberg_doa.errors import SingularCovariance
+from rydberg_doa.sensing import SensorGeometry
+
+
+def window_integrals_quadrature(geometry: SensorGeometry, dk: float,
+                                dphi: float, points: int = 10_001
+                                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trapezoid-rule evaluation of crlb.window_integrals, for testing the
+    closed forms."""
+    k = geometry.channel_count
+    cos_vec = np.empty(k)
+    sin_vec = np.empty(k)
+    pos_sin_vec = np.empty(k)
+    for j in range(k):
+        a, b = geometry.window_edges(j)
+        x = np.linspace(a, b, points)
+        phase = dk * x - dphi
+        cos_vec[j] = np.trapezoid(np.cos(phase), x)
+        sin_vec[j] = np.trapezoid(np.sin(phase), x)
+        pos_sin_vec[j] = -np.trapezoid(x * np.sin(phase), x)
+    return cos_vec, sin_vec, pos_sin_vec
+
+
+def fisher_information_blocks(inputs: FimInputs) -> np.ndarray:
+    """Assemble the FIM from its 3x3 block structure of weighted inner
+    products; independent of the Jacobian path, used for cross-checking."""
+    n = inputs.n_targets
+    try:
+        factor = cho_factor(inputs.noise_cov, lower=True)
+    except LinAlgError as exc:
+        raise SingularCovariance("noise covariance is not positive definite"
+                                 ) from exc
+    cs, ss, ts = [], [], []
+    for i in range(n):
+        c_vec, s_vec, t_vec = window_integrals(
+            inputs.geometry, inputs.delta_ks[i], inputs.delta_phis[i])
+        cs.append(c_vec)
+        ss.append(s_vec)
+        ts.append(t_vec)
+
+    def inner(a, b):
+        return float(a @ cho_solve(factor, b))
+
+    amp = inputs.amplitudes
+    fim = np.zeros((3 * n, 3 * n))
+    for i in range(n):
+        for m in range(n):
+            fim[i, m] = amp[i] * amp[m] * inner(ts[i], ts[m])
+            fim[n + i, n + m] = amp[i] * amp[m] * inner(ss[i], ss[m])
+            fim[2 * n + i, 2 * n + m] = inner(cs[i], cs[m])
+            fim[2 * n + i, n + m] = amp[m] * inner(cs[i], ss[m])
+            fim[n + m, 2 * n + i] = fim[2 * n + i, n + m]
+            fim[2 * n + i, m] = amp[m] * inner(cs[i], ts[m])
+            fim[m, 2 * n + i] = fim[2 * n + i, m]
+            fim[n + i, m] = amp[i] * amp[m] * inner(ss[i], ts[m])
+            fim[m, n + i] = fim[n + i, m]
+    return fim
+
+
+def fisher_information_scipy(jacobian: np.ndarray,
+                             noise_cov: np.ndarray) -> np.ndarray:
+    """J^T Sigma^-1 J through scipy's cho_factor/cho_solve, symmetrized as
+    crlb.fisher_information does."""
+    fim = jacobian.T @ cho_solve(cho_factor(noise_cov, lower=True), jacobian)
+    return (fim + fim.T) / 2

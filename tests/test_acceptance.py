@@ -17,7 +17,6 @@ from rydberg_doa.crlb import (
     fisher_information,
     mean_jacobian,
     window_integrals,
-    window_integrals_quadrature,
 )
 from rydberg_doa.estimation import (
     PronyConfig,
@@ -37,6 +36,8 @@ from rydberg_doa.experiments import (
     run_sampling_demo,
     run_snr_sweep,
 )
+
+from oracles import window_integrals_quadrature
 
 
 class Criterion:

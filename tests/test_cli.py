@@ -1,11 +1,16 @@
+import csv
+import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rydberg_doa import cli, experiments, serialize
+from rydberg_doa import cli, experiments, sensing, serialize
 from rydberg_doa.errors import SchemaError
 
 
@@ -119,6 +124,24 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", cfg, "--format",
                          "json"]) == 0
         assert (out / "measurement.json").exists()
+
+
+class TestFluorescenceCsv:
+    def test_matches_csv_writer_bytes(self, tmp_path):
+        positions = np.array([0.0, 1.0, 2.5e-3, 7.0, 1e-36, 3.0])
+        power = np.array([1.0, -0.25, 1.2345678901234567e-36, -1e-36,
+                          0.1, 2.0**60])
+        profile = sensing.FluorescenceProfile(
+            positions=positions, probe_power=power,
+            fluorescence=-3.0 * power)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["x_m", "probe_power", "fluorescence"])
+        writer.writerows([f"{v:.17g}" for v in row] for row in zip(
+            profile.positions, profile.probe_power, profile.fluorescence))
+        path = tmp_path / "fluorescence.csv"
+        serialize.write_fluorescence_csv(profile, path)
+        assert path.read_bytes() == buf.getvalue().encode()
 
 
 class TestEstimate:
@@ -278,6 +301,17 @@ class TestIoErrors:
 
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = ("import sys, rydberg_doa.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+            "'scipy'))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True, env=env)
+    assert done.stdout.strip() == "[]"
 
 
 class TestBundledConfigs:

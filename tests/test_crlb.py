@@ -8,15 +8,19 @@ from rydberg_doa.crlb import (
     crlb_report,
     effective_fim,
     fisher_information,
-    fisher_information_blocks,
     mean_jacobian,
     window_integrals,
-    window_integrals_quadrature,
 )
 from rydberg_doa.errors import (
     EndFireSingularity,
     SingularCovariance,
     SingularNuisanceBlock,
+)
+
+from oracles import (
+    fisher_information_blocks,
+    fisher_information_scipy,
+    window_integrals_quadrature,
 )
 
 
@@ -119,6 +123,25 @@ class TestFisherInformation:
         jac = mean_jacobian(inputs)
         fim = fisher_information(jac, inputs.noise_cov)
         np.testing.assert_allclose(fim, jac.T @ jac / 0.3**2, rtol=1e-10)
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.3, 2.5e-3])
+    def test_white_noise_equals_scipy_cholesky_exactly(self, geometry,
+                                                         sigma):
+        inputs = random_inputs(3, geometry, seed=5, sigma=sigma)
+        jac = mean_jacobian(inputs)
+        np.testing.assert_array_equal(
+            fisher_information(jac, inputs.noise_cov),
+            fisher_information_scipy(jac, inputs.noise_cov))
+
+    def test_coloured_noise_matches_scipy_cholesky(self, geometry):
+        inputs = random_inputs(2, geometry, seed=6)
+        k = geometry.channel_count
+        mixing = np.random.default_rng(6).standard_normal((k, k))
+        cov = mixing @ mixing.T + 0.5 * np.eye(k)
+        jac = mean_jacobian(inputs)
+        np.testing.assert_allclose(fisher_information(jac, cov),
+                                   fisher_information_scipy(jac, cov),
+                                   rtol=1e-12, atol=0)
 
     def test_block_assembly_agrees(self, geometry):
         inputs = random_inputs(3, geometry, seed=2)

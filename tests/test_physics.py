@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import constants
 
 from rydberg_doa import physics, scenarios
 from rydberg_doa.errors import (
@@ -25,6 +26,12 @@ def scenes(draw, max_signals=4):
         PlaneWave(draw(amplitudes), draw(phases), draw(angles))
         for _ in range(n))
     return RfScene(lo=lo, signals=signals, carrier_freq=2.03e9)
+
+
+def test_constants_equal_scipy():
+    assert physics.SPEED_OF_LIGHT == constants.c
+    assert AtomicParams().vacuum_permittivity == constants.epsilon_0
+    assert AtomicParams().reduced_planck == constants.hbar
 
 
 class TestRabiFrequency:

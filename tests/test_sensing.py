@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import cumulative_trapezoid, quad
 
 from rydberg_doa import physics, scenarios, sensing
 from rydberg_doa.errors import (
@@ -40,6 +40,14 @@ class TestGeometry:
 
 
 class TestPropagateProbe:
+    def test_cumulative_trapezoid_equals_scipy(self):
+        rng = np.random.default_rng(3)
+        x = np.cumsum(rng.uniform(1e-4, 2e-3, 513))
+        y = rng.standard_normal(513) * np.exp(rng.uniform(-30, 5, 513))
+        got = sensing.cumulative_trapezoid(y, x)
+        np.testing.assert_array_equal(
+            got, cumulative_trapezoid(y, x, initial=0.0))
+
     def test_transparent_cell(self, geometry, rf_wavelength):
         profile = sensing.propagate_probe(lambda x: np.zeros_like(x),
                                           geometry, rf_wavelength)
