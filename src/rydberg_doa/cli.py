@@ -105,18 +105,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     out = Path(cfg.output_dir)
     report = sensing.check_sampling(sc.geometry, sc.scene.rf_wavelength)
     _print_compliance(report)
-    if cfg.absorption_model == "linearized":
-        def alpha(x):
-            return physics.absorption_linearized(sc.params, sc.scene, x)
-    else:
-        def alpha(x):
-            return physics.absorption_exact(sc.params, sc.scene, x)
-    profile = sensing.propagate_probe(alpha, sc.geometry,
-                                      sc.scene.rf_wavelength)
-    alpha_hat = sensing.recover_alpha(profile)
-    raw = sensing.channel_measurements(alpha_hat, sc.geometry)
-    measurement = sensing.calibrate(
-        raw, sc.geometry, physics.absorption_dc(sc.params, sc.scene))
+    profile, measurement = sensing.fluorescence_readout(
+        sc.scene, sc.geometry, sc.params, cfg.absorption_model)
     if sc.snr_db is not None:
         measurement = sensing.add_noise(measurement, sc.snr_db, sc.base_seed)
     serialize.write_fluorescence_csv(profile, out / "fluorescence.csv")

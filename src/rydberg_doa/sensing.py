@@ -54,9 +54,8 @@ class SensorGeometry:
         if self.grid_points_per_rf_wavelength < 2:
             raise ValueError("grid density must be at least 2 points")
         tol = 1e-12 * self.cell_length
-        lo = self.centers[0] - self.window_width / 2
-        hi = self.centers[-1] + self.window_width / 2
-        if lo < -tol or hi > self.cell_length + tol:
+        lo, hi = self.window_edges
+        if lo[0] < -tol or hi[-1] > self.cell_length + tol:
             raise ValueError("window supports must lie inside the cell")
 
     @classmethod
@@ -74,9 +73,10 @@ class SensorGeometry:
     def centers(self) -> np.ndarray:
         return self.first_center + self.spacing * np.arange(self.channel_count)
 
-    def window_edges(self, j: int) -> tuple[float, float]:
-        c = self.first_center + self.spacing * j
-        return c - self.window_width / 2, c + self.window_width / 2
+    @property
+    def window_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        centers, half = self.centers, self.window_width / 2
+        return centers - half, centers + half
 
     def grid(self, rf_wavelength: float) -> np.ndarray:
         """Uniform simulation grid over [0, cell_length]."""
@@ -191,26 +191,29 @@ def recover_alpha(profile: FluorescenceProfile) -> SampledAbsorption:
     return SampledAbsorption(profile.positions, alpha)
 
 
-def _window_integral(x: np.ndarray, v: np.ndarray, a: float, b: float) -> float:
-    """Trapezoid of samples (x, v) over [a, b], interpolating the edges."""
-    inside = (x > a) & (x < b)
-    xs = np.concatenate(([a], x[inside], [b]))
-    vs = np.concatenate(([np.interp(a, x, v)], v[inside], [np.interp(b, x, v)]))
-    return float(np.trapezoid(vs, xs))
-
-
 def channel_measurements(alpha_sampled: SampledAbsorption,
                          geometry: SensorGeometry) -> np.ndarray:
-    """Integrate the sampled absorption over each rectangular window."""
+    """Trapezoid of the sampled absorption over each window, batched by
+    interior-sample count so each row sums as a one-window call would."""
     x, v = alpha_sampled
     tol = 1e-9 * geometry.cell_length
+    lo, hi = geometry.window_edges
+    bad = np.flatnonzero((lo < x[0] - tol) | (hi > x[-1] + tol))
+    if bad.size:
+        j = bad[0]
+        raise WindowOutOfCell(
+            f"window {j + 1} [{lo[j]:g}, {hi[j]:g}] outside sampled domain")
+    a, b = np.maximum(lo, x[0]), np.minimum(hi, x[-1])
+    first = np.searchsorted(x, a, side="right")
+    count = np.searchsorted(x, b, side="left") - first
+    va, vb = np.interp(a, x, v), np.interp(b, x, v)
     out = np.empty(geometry.channel_count)
-    for j in range(geometry.channel_count):
-        a, b = geometry.window_edges(j)
-        if a < x[0] - tol or b > x[-1] + tol:
-            raise WindowOutOfCell(
-                f"window {j + 1} [{a:g}, {b:g}] outside sampled domain")
-        out[j] = _window_integral(x, v, max(a, x[0]), min(b, x[-1]))
+    for m in np.unique(count):
+        rows = np.flatnonzero(count == m)
+        inner = first[rows, None] + np.arange(m)
+        xs = np.column_stack((a[rows], x[inner], b[rows]))
+        vs = np.column_stack((va[rows], v[inner], vb[rows]))
+        out[rows] = np.trapezoid(vs, xs, axis=1)
     return out
 
 
@@ -231,8 +234,7 @@ def window_transform(window_width: float, omega) -> np.ndarray | float:
     if window_width <= 0:
         raise ValueError("window_width must be strictly positive")
     omega = np.asarray(omega, dtype=float)
-    half = window_width / 2
-    u = omega * half
+    u = omega * (window_width / 2)
     small = np.abs(u) < 1e-8
     safe = np.where(small, 1.0, omega)
     out = np.where(small, window_width * (1 - u**2 / 6),
@@ -265,16 +267,24 @@ def predicted_measurements(scene: physics.RfScene, geometry: SensorGeometry,
                              noise_sigma=0.0, source=ANALYTIC_MODEL)
 
 
+def fluorescence_readout(scene: physics.RfScene, geometry: SensorGeometry,
+                         params: physics.AtomicParams,
+                         absorption_model: str = "exact"
+                         ) -> tuple[FluorescenceProfile, MeasurementVector]:
+    """Propagate, recover, window, calibrate; returns (image, measurements)."""
+    model = (physics.absorption_linearized
+             if absorption_model == "linearized" else physics.absorption_exact)
+    profile = propagate_probe(lambda x: model(params, scene, x), geometry,
+                              scene.rf_wavelength)
+    raw = channel_measurements(recover_alpha(profile), geometry)
+    return profile, calibrate(raw, geometry,
+                              physics.absorption_dc(params, scene))
+
+
 def simulate_measurements(scene: physics.RfScene, geometry: SensorGeometry,
                           params: physics.AtomicParams) -> MeasurementVector:
-    """Full-pipeline measurements from the exact nonlinear absorption:
-    propagate, recover, window, calibrate."""
-    profile = propagate_probe(
-        lambda x: physics.absorption_exact(params, scene, x),
-        geometry, scene.rf_wavelength)
-    alpha_hat = recover_alpha(profile)
-    raw = channel_measurements(alpha_hat, geometry)
-    return calibrate(raw, geometry, physics.absorption_dc(params, scene))
+    """Full-pipeline measurements from the exact nonlinear absorption."""
+    return fluorescence_readout(scene, geometry, params)[1]
 
 
 def signal_power(values: np.ndarray) -> float:

@@ -8,8 +8,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from rydberg_doa.crlb import FimInputs, window_integrals
-from rydberg_doa.errors import SingularCovariance
-from rydberg_doa.sensing import SensorGeometry
+from rydberg_doa.errors import SingularCovariance, WindowOutOfCell
+from rydberg_doa.sensing import SampledAbsorption, SensorGeometry
 
 
 def window_integrals_quadrature(geometry: SensorGeometry, dk: float,
@@ -21,14 +21,39 @@ def window_integrals_quadrature(geometry: SensorGeometry, dk: float,
     cos_vec = np.empty(k)
     sin_vec = np.empty(k)
     pos_sin_vec = np.empty(k)
-    for j in range(k):
-        a, b = geometry.window_edges(j)
+    for j, (a, b) in enumerate(zip(*geometry.window_edges)):
         x = np.linspace(a, b, points)
         phase = dk * x - dphi
         cos_vec[j] = np.trapezoid(np.cos(phase), x)
         sin_vec[j] = np.trapezoid(np.sin(phase), x)
         pos_sin_vec[j] = -np.trapezoid(x * np.sin(phase), x)
     return cos_vec, sin_vec, pos_sin_vec
+
+
+def _window_integral(x: np.ndarray, v: np.ndarray, a: float, b: float) -> float:
+    """Trapezoid of samples (x, v) over [a, b], interpolating the edges."""
+    inside = (x > a) & (x < b)
+    xs = np.concatenate(([a], x[inside], [b]))
+    vs = np.concatenate(([np.interp(a, x, v)], v[inside], [np.interp(b, x, v)]))
+    return float(np.trapezoid(vs, xs))
+
+
+def channel_measurements_per_window(alpha_sampled: SampledAbsorption,
+                                    geometry: SensorGeometry) -> np.ndarray:
+    """sensing.channel_measurements one window at a time: scalar edges,
+    a boolean interior mask and a 1-D np.trapezoid per window."""
+    x, v = alpha_sampled
+    tol = 1e-9 * geometry.cell_length
+    half = geometry.window_width / 2
+    out = np.empty(geometry.channel_count)
+    for j in range(geometry.channel_count):
+        c = geometry.first_center + geometry.spacing * j
+        a, b = c - half, c + half
+        if a < x[0] - tol or b > x[-1] + tol:
+            raise WindowOutOfCell(
+                f"window {j + 1} [{a:g}, {b:g}] outside sampled domain")
+        out[j] = _window_integral(x, v, max(a, x[0]), min(b, x[-1]))
+    return out
 
 
 def fisher_information_blocks(inputs: FimInputs) -> np.ndarray:

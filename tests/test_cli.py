@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from rydberg_doa import cli, experiments, sensing, serialize
+from rydberg_doa.config import load_config
 from rydberg_doa.errors import SchemaError
 
 
@@ -105,6 +106,22 @@ class TestSimulate:
         result = json.loads((out / "estimation.json").read_text())
         got = np.sort(result["doas_deg"])
         np.testing.assert_allclose(got, [-30.0, 45.0], atol=1e-4)
+
+    @pytest.mark.parametrize("model", ["exact", "linearized"])
+    def test_measurement_is_the_library_readout(self, tmp_path, model):
+        out = tmp_path / "out"
+        doc = base_doc(out)
+        doc["run"]["absorption_model"] = model
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["simulate", "--config", cfg]) == 0
+        sc = load_config(cfg).scenario
+        _, want = sensing.fluorescence_readout(sc.scene, sc.geometry,
+                                               sc.params, model)
+        _, got = serialize.read_measurement_csv(out / "measurement.csv")
+        np.testing.assert_array_equal(got, want.values)
+        exact = sensing.simulate_measurements(sc.scene, sc.geometry,
+                                              sc.params)
+        assert np.array_equal(got, exact.values) == (model == "exact")
 
     def test_noise_seed_flag_changes_output(self, tmp_path):
         out = tmp_path / "out"

@@ -1,13 +1,13 @@
 """Regression of every bundled figure sweep against committed outputs.
 
 tests/golden holds one CSV per file that `scripts/run_figures.py` writes,
-named <figure>_<file>. The fig3c and fig4 sweeps are as the serial
-per-trial estimator wrote them; the fig2, fig6, fig7a and fig7b files are
-the output of the commit before the runtime dropped scipy. Headers, the
-first (key) column, empty fields and integer fields such as trial and
-failure counts must match exactly; every other numeric field within
-RECOMPUTE_RTOL, which allows for the batched least-squares solve summing
-in another order than LAPACK's lstsq.
+named <figure>_<file>. Every file is the byte-exact output of the
+batched Monte Carlo estimator and the numpy-only runtime; regenerate them
+with that script and copy its out/ files here only when a change is meant
+to alter the output. Headers, the first (key) column, empty fields and
+integer fields such as trial and failure counts must match exactly; every
+other numeric field within RECOMPUTE_RTOL, so that a BLAS or numpy build
+that sums in another order still passes.
 """
 
 import csv

@@ -15,6 +15,8 @@ from rydberg_doa.sensing import (
     SensorGeometry,
 )
 
+from oracles import channel_measurements_per_window
+
 
 def lo_only_scene(amplitude=4e-5):
     return RfScene(lo=PlaneWave(amplitude, 0.0, np.pi / 2))
@@ -37,6 +39,14 @@ class TestGeometry:
         with pytest.raises(ValueError):
             SensorGeometry(cell_length=1.0, window_width=0.1,
                            first_center=0.5, spacing=0.1, channel_count=1)
+
+    def test_window_edges_are_centers_minus_plus_half_width(self, geometry):
+        lo, hi = geometry.window_edges
+        assert lo.shape == hi.shape == (geometry.channel_count,)
+        for j in range(geometry.channel_count):
+            center = geometry.first_center + geometry.spacing * j
+            assert lo[j] == center - geometry.window_width / 2
+            assert hi[j] == center + geometry.window_width / 2
 
 
 class TestPropagateProbe:
@@ -171,8 +181,7 @@ class TestChannelMeasurements:
         sampled = sensing.SampledAbsorption(
             profile.positions, alpha(profile.positions))
         values = sensing.channel_measurements(sampled, geom)
-        for j in range(geom.channel_count):
-            a, b = geom.window_edges(j)
+        for j, (a, b) in enumerate(zip(*geom.window_edges)):
             p_in = np.interp(a, profile.positions, profile.probe_power)
             p_out = np.interp(b, profile.positions, profile.probe_power)
             assert values[j] == pytest.approx(-np.log(p_out / p_in),
@@ -183,16 +192,73 @@ class TestChannelMeasurements:
         x = np.linspace(0, geometry.cell_length, 300_001)
         sampled = sensing.SampledAbsorption(x, amp * np.cos(dk * x - dphi))
         values = sensing.channel_measurements(sampled, geometry)
-        for j in range(geometry.channel_count):
-            a, b = geometry.window_edges(j)
+        for j, (a, b) in enumerate(zip(*geometry.window_edges)):
             exact = amp * (np.sin(dk * b - dphi) - np.sin(dk * a - dphi)) / dk
             assert values[j] == pytest.approx(exact, rel=1e-8)
 
     def test_window_outside_sampled_domain(self, geometry):
-        x = np.linspace(0.1, geometry.cell_length, 101)  # misses the start
-        sampled = sensing.SampledAbsorption(x, np.ones_like(x))
-        with pytest.raises(WindowOutOfCell):
-            sensing.channel_measurements(sampled, geometry)
+        lo, hi = geometry.window_edges
+        # missing the start puts windows 1-3 outside, the end windows 14-16
+        for start, stop, first_bad in ((0.1, 0.0, 0), (0.0, 0.1, 13)):
+            x = np.linspace(start, geometry.cell_length - stop, 101)
+            sampled = sensing.SampledAbsorption(x, np.ones_like(x))
+            with pytest.raises(WindowOutOfCell) as batched:
+                sensing.channel_measurements(sampled, geometry)
+            assert str(batched.value).startswith(
+                f"window {first_bad + 1} [{lo[first_bad]:g}, "
+                f"{hi[first_bad]:g}]")
+            with pytest.raises(WindowOutOfCell) as per_window:
+                channel_measurements_per_window(sampled, geometry)
+            assert str(batched.value) == str(per_window.value)
+
+    @staticmethod
+    def assert_matches_per_window(x, values, geometry):
+        sampled = sensing.SampledAbsorption(x, values)
+        np.testing.assert_array_equal(
+            sensing.channel_measurements(sampled, geometry),
+            channel_measurements_per_window(sampled, geometry), strict=True)
+
+    @pytest.mark.parametrize("cell_wavelengths", [8, 11, 16])
+    def test_fluorescence_scene_bit_exact(self, params, cell_wavelengths):
+        # the shape of an LO-ratio sweep cell: exact absorption of three
+        # targets, recovered from the fluorescence at 256 points per lambda
+        scene = scenarios.scene_from_angles((-30.0, 5.0, 40.0),
+                                            lo_ratio=7.0)
+        lam = scene.rf_wavelength
+        geom = scenarios.default_geometry(lam, cell_wavelengths)
+        profile = sensing.propagate_probe(
+            lambda x: physics.absorption_exact(params, scene, x), geom, lam)
+        recovered = sensing.recover_alpha(profile)
+        self.assert_matches_per_window(*recovered, geom)
+
+    @pytest.mark.parametrize("points_per_wavelength", [2, 3, 5, 16, 257])
+    def test_coarse_and_odd_grids_bit_exact(self, rf_wavelength,
+                                            points_per_wavelength):
+        # at 2-5 points per lambda a quarter-wave window holds 0 or 1
+        # interior samples, and edges can fall on grid points
+        geom = scenarios.default_geometry(
+            rf_wavelength, cell_wavelengths=6.0, window_wavelengths=0.3,
+            spacing_wavelengths=0.2,
+            grid_points_per_rf_wavelength=points_per_wavelength)
+        x = geom.grid(rf_wavelength)
+        values = 2.0 + np.cos(37.0 * x - 0.4) + 0.1 * np.sin(91.0 * x)
+        self.assert_matches_per_window(x, values, geom)
+
+    def test_non_uniform_positions_bit_exact(self, geometry):
+        rng = np.random.default_rng(11)
+        inner = rng.uniform(0.0, geometry.cell_length, 700)
+        x = np.sort(np.concatenate(([0.0, geometry.cell_length], inner)))
+        self.assert_matches_per_window(x, rng.standard_normal(x.size),
+                                       geometry)
+
+    def test_windows_clipped_at_domain_ends_bit_exact(self, geometry):
+        # the first and last windows overhang the samples by less than
+        # the 1e-9 * cell_length tolerance, so both get clipped
+        overhang = 4e-10 * geometry.cell_length
+        x = np.linspace(overhang, geometry.cell_length - overhang, 1001)
+        lo, hi = geometry.window_edges
+        assert lo[0] < x[0] and hi[-1] > x[-1]
+        self.assert_matches_per_window(x, np.exp(np.sin(30.0 * x)), geometry)
 
 
 class TestCalibrate:
