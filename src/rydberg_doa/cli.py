@@ -74,6 +74,8 @@ def _resolve(args) -> RunConfig:
     cfg = load_config(args.config)
     scenario = cfg.scenario
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigParseError("--seed must be nonnegative")
         scenario = replace(scenario, base_seed=args.seed)
     if args.order is not None:
         try:

@@ -304,6 +304,8 @@ def parse_config(doc: dict) -> RunConfig:
             f"'run.trials' must be below {CELL_SEED_STRIDE}: the noise "
             "seeds of neighbouring sweep cells would overlap")
     base_seed = _integer(run_doc.get("base_seed", 0), "run.base_seed")
+    if base_seed < 0:
+        raise ConfigParseError("'run.base_seed' must be nonnegative")
     fmt = run_doc.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigParseError("'run.format' must be 'csv' or 'json'")

@@ -5,9 +5,11 @@ a cell draws its noise with seed cell_seed + t, and cell c of a sweep has
 cell_seed = base_seed + CELL_SEED_STRIDE * c, counting the cells of
 run_snr_sweep preset by preset. Seed streams therefore stay apart while
 a cell has fewer than CELL_SEED_STRIDE trials, which config parsing
-enforces. All trials of a cell run as one batched estimate. Trial
-failures (estimation errors) are counted per cell, never silently
-dropped.
+enforces. All trials of a cell draw their noise as one stack (its
+seeds hashed in one vectorised pass, each row bit-identical to the
+single-seed draw; see sensing.standard_normal_rows) and run as one
+batched estimate. Trial failures (estimation errors) are counted per
+cell, never silently dropped.
 """
 
 from __future__ import annotations

@@ -68,6 +68,20 @@ class TestConfigErrors:
         assert cli.main(["simulate", "--config",
                          str(tmp_path / "nope.json")]) == 2
 
+    def test_negative_base_seed_exit_2(self, tmp_path, capsys):
+        doc = base_doc(tmp_path / "out")
+        doc["run"]["base_seed"] = -5
+        assert cli.main(["sweep", "--config",
+                         write_config(tmp_path, doc)]) == 2
+        assert "run.base_seed" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
+        assert cli.main(["simulate", "--config",
+                         write_config(tmp_path, base_doc(tmp_path / "out")),
+                         "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_trials_overlapping_cell_seeds_exit_2(self, tmp_path, capsys):
         doc = base_doc(tmp_path / "out")
         doc["run"]["trials"] = experiments.CELL_SEED_STRIDE
@@ -321,14 +335,26 @@ REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_cli_import_leaves_scipy_unloaded():
+    # numpy.random is imported on first use: loading it costs about 12 ms
+    # of every CLI start.
     code = ("import sys, rydberg_doa.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == "
-            "'scipy'))")
+            "'scipy' or m.startswith('numpy.random')))")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], check=True,
                           capture_output=True, text=True, env=env)
     assert done.stdout.strip() == "[]"
+
+
+def test_demo_pipeline_script_runs():
+    script = REPO_CONFIGS.parent / "scripts" / "demo_pipeline.py"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "estimated bearings:" in done.stdout
 
 
 class TestBundledConfigs:

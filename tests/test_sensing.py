@@ -8,6 +8,7 @@ from rydberg_doa.errors import (
     WindowOutOfCell,
     ZeroSignalPower,
 )
+from rydberg_doa.experiments import CELL_SEED_STRIDE
 from rydberg_doa.physics import PlaneWave, RfScene
 from rydberg_doa.sensing import (
     FluorescenceProfile,
@@ -397,10 +398,9 @@ class TestAddNoise:
         mv = self.make_measurement(geometry)
         snr_db = 17.0
         sigma2 = sensing.signal_power(mv.values) / 10 ** (snr_db / 10)
-        draws = np.empty((100_000, geometry.channel_count))
-        for seed in range(draws.shape[0]):
-            draws[seed] = sensing.add_noise(mv, snr_db, seed).values \
-                - mv.values
+        # One stack of seeds 0..99,999: row t is the single-seed draw of t.
+        draws = sensing.add_noise(mv, snr_db, range(100_000)).values \
+            - mv.values
         assert draws.var() == pytest.approx(sigma2, rel=0.02)
 
     def test_seed_sequence_stacks_single_seed_draws(self, geometry):
@@ -412,6 +412,50 @@ class TestAddNoise:
             single = sensing.add_noise(mv, 20.0, seed)
             np.testing.assert_array_equal(row, single.values)
             assert single.noise_sigma == stack.noise_sigma
+
+    def assert_rows_are_single_seed_draws(self, mv, seeds, snr_db=20.0):
+        stack = sensing.add_noise(mv, snr_db, seeds)
+        assert stack.values.shape == (len(seeds), mv.geometry.channel_count)
+        k = mv.geometry.channel_count
+        expected = [mv.values + stack.noise_sigma
+                    * np.random.default_rng(s).standard_normal(k)
+                    for s in seeds]
+        np.testing.assert_array_equal(stack.values, np.array(expected))
+
+    def test_seed_words_match_seed_sequence(self):
+        rng = np.random.default_rng(2024)
+        seeds = [0, 1, 2**32 - 1] + \
+            [int(s) for s in rng.integers(0, 2**32, 10_000)]
+        expected = [np.random.SeedSequence(s).generate_state(4, np.uint64)
+                    for s in seeds]
+        words = sensing.seed_words(seeds)
+        assert words.dtype == np.uint64
+        np.testing.assert_array_equal(words, np.array(expected))
+
+    @pytest.mark.parametrize("rows", [
+        1, sensing.BATCH_SEED_MIN_ROWS - 1, sensing.BATCH_SEED_MIN_ROWS,
+        1000])
+    @pytest.mark.parametrize("cell", [0, 1, 37, 4294])
+    def test_stack_rows_are_single_seed_draws(self, geometry, rows, cell):
+        # Cell seeds cell_seed + t, as the Monte Carlo sweeps use them;
+        # cell 4294 sits just below 2**32.
+        cell_seed = 11 + CELL_SEED_STRIDE * cell
+        self.assert_rows_are_single_seed_draws(
+            self.make_measurement(geometry),
+            list(range(cell_seed, cell_seed + rows)))
+
+    @pytest.mark.parametrize("seeds", [
+        list(range(100)) + [2**32, 2**32 - 1],
+        list(range(100)) + [2**64 + 5, 2**32 - 1],
+        list(range(2**32 - 50, 2**32 + 50))])
+    def test_multi_word_seeds_fall_back(self, geometry, seeds):
+        self.assert_rows_are_single_seed_draws(
+            self.make_measurement(geometry), seeds)
+
+    @pytest.mark.parametrize("seed", [-1, [-1], list(range(99)) + [-1]])
+    def test_negative_seed_rejected(self, geometry, seed):
+        with pytest.raises(ValueError):
+            sensing.add_noise(self.make_measurement(geometry), 20.0, seed)
 
     def test_constant_vector_rejected(self, geometry):
         mv = MeasurementVector(
