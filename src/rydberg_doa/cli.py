@@ -17,18 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, physics, scenarios, sensing, serialize
+from . import __version__, sensing, serialize
 from .config import RunConfig, load_config
-from .crlb import FimInputs, crlb_report
 from .errors import ConfigParseError, RydbergDoaError, SchemaError
 from .estimation import estimate_doa
-from .experiments import (
-    run_length_sweep,
-    run_linearization_check,
-    run_lo_ratio_sweep,
-    run_sampling_demo,
-    run_snr_sweep,
-)
+from .experiments import LinearizationCheck, bound_report, run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,12 +77,11 @@ def _resolve(args) -> RunConfig:
                                         model_order=args.order))
         except ValueError as exc:
             raise ConfigParseError(f"--order: {exc}") from exc
-    out = args.out if args.out is not None else cfg.output_dir
-    fmt = args.format if args.format is not None else cfg.output_format
-    return RunConfig(scenario=scenario, sweep_kind=cfg.sweep_kind,
-                     output_dir=out, output_format=fmt,
-                     verbosity=cfg.verbosity, echo=cfg.echo,
-                     absorption_model=cfg.absorption_model)
+    return replace(
+        cfg, scenario=scenario,
+        output_dir=args.out if args.out is not None else cfg.output_dir,
+        output_format=(args.format if args.format is not None
+                       else cfg.output_format))
 
 
 def _print_compliance(report) -> None:
@@ -154,19 +146,11 @@ def cmd_crlb(cfg: RunConfig) -> int:
     if sc.snr_db is None:
         raise ConfigParseError("missing required key 'noise.snr_db' "
                                "(the bound needs a noise level)")
-    scene, geometry, params = sc.scene, sc.geometry, sc.params
-    clean = sensing.predicted_measurements(scene, geometry, params)
-    sigma2 = sensing.signal_power(clean.values) / 10 ** (sc.snr_db / 10)
-    inputs = FimInputs(
-        geometry=geometry, delta_ks=scene.delta_ks,
-        delta_phis=scene.delta_phis,
-        amplitudes=physics.modulation_amplitudes(params, scene),
-        noise_cov=sigma2 * np.eye(geometry.channel_count))
-    thetas = np.array([s.angle for s in scene.signals])
-    report = crlb_report(inputs, thetas, scene.wavenumber)
-    if scene.n_signals == 1:
+    report = bound_report(sc.scene, sc.geometry, sc.params, sc.snr_db)
+    thetas = np.array([s.angle for s in sc.scene.signals])
+    if sc.scene.n_signals == 1:
         # closed-form single-target cross-check
-        geom_factor = 1.0 / (scene.wavenumber**2 * np.cos(thetas[0])**2)
+        geom_factor = 1.0 / (sc.scene.wavenumber**2 * np.cos(thetas[0])**2)
         closed = np.sqrt(geom_factor / report.effective_fim_dk[0, 0])
         rel = abs(closed - report.per_target_std[0]) / closed
         print(f"single-target closed form: {np.rad2deg(closed):.6g} deg "
@@ -196,46 +180,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
         _print_compliance(report)
         print("warning: geometry violates sampling constraints; "
               "proceeding (demo configs do this on purpose)")
-    kind = cfg.sweep_kind
     written: list[Path] = []
-    if kind == "linearization_check":
-        ratios = sorted(sc.sweep.values)
-        grid = sc.geometry.grid(sc.scene.rf_wavelength)
-        check = run_linearization_check(
-            sc.params,
-            scenarios.with_lo_ratio(sc.scene, ratios[0]),
-            scenarios.with_lo_ratio(sc.scene, ratios[-1]),
-            grid)
-        path = out / "linearization_check.csv"
-        serialize.write_linearization_csv(check, path)
+    for stem, result in run_sweep(sc).items():
+        path = out / f"{stem}.csv"
+        serialize.write_result(result, path)
         written.append(path)
-        print(f"normalized RMS residual ratio (weak {ratios[0]:g} / strong "
-              f"{ratios[-1]:g}): {check.residual_ratio:.3f}")
-    elif kind == "rmse" and sc.sweep.axis == "lo_ratio":
-        result = run_lo_ratio_sweep(sc)
-        path = out / "lo_ratio_sweep.csv"
-        serialize.write_sweep_csv(result, path)
-        written.append(path)
-    elif kind == "rmse" and sc.sweep.axis == "snr_db":
-        results = run_snr_sweep(sc)
-        for name, result in results.items():
-            path = out / f"snr_sweep_{name}.csv"
-            serialize.write_sweep_csv(result, path)
-            written.append(path)
-    elif kind == "crlb_length":
-        results = run_length_sweep(sc)
-        for angle, result in results.items():
-            path = out / f"length_sweep_theta{angle:g}.csv"
-            serialize.write_sweep_csv(result, path)
-            written.append(path)
-    elif kind == "sampling_demo":
-        result = run_sampling_demo(sc)
-        path = out / f"sampling_demo_{result.case}.csv"
-        serialize.write_sampling_demo_csv(result, path)
-        written.append(path)
-    else:
-        raise ConfigParseError(
-            f"sweep axis {sc.sweep.axis!r} has no runner for kind {kind!r}")
+        if isinstance(result, LinearizationCheck):
+            ratios = sorted(sc.sweep.values)
+            print(f"normalized RMS residual ratio (weak {ratios[0]:g} / "
+                  f"strong {ratios[-1]:g}): {result.residual_ratio:.3f}")
     wall = time.perf_counter() - started
     manifest = {
         "config": cfg.echo,

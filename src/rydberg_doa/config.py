@@ -18,32 +18,9 @@ import numpy as np
 
 from .errors import ConfigParseError, RydbergDoaError
 from .estimation import FIXED_ORDER, SV_THRESHOLD, PronyConfig
-from .experiments import (
-    CELL_SEED_STRIDE,
-    SWEEP_AXES,
-    ScenarioConfig,
-    SweepSpec,
-)
+from .experiments import CELL_SEED_STRIDE, ScenarioConfig, SweepSpec
 from .physics import AtomicParams, PlaneWave, RfScene
 from .sensing import SensorGeometry
-
-SWEEP_KINDS = ("rmse", "linearization_check", "crlb_length", "sampling_demo")
-
-DEFAULT_KIND_BY_AXIS = {
-    "lo_ratio": "rmse",
-    "snr_db": "rmse",
-    "cell_length": "crlb_length",
-    "sampling_interval": "sampling_demo",
-    "window_width": "sampling_demo",
-}
-
-KINDS_BY_AXIS = {
-    "lo_ratio": ("rmse", "linearization_check"),
-    "snr_db": ("rmse",),
-    "cell_length": ("crlb_length",),
-    "sampling_interval": ("sampling_demo",),
-    "window_width": ("sampling_demo",),
-}
 
 
 @dataclass(frozen=True)
@@ -51,7 +28,6 @@ class RunConfig:
     """Fully resolved run settings plus the raw document for manifests."""
 
     scenario: ScenarioConfig
-    sweep_kind: str | None
     output_dir: str
     output_format: str
     verbosity: int
@@ -256,26 +232,16 @@ def _parse_prony(doc: dict, n_signals: int) -> PronyConfig:
         raise ConfigParseError(f"'prony': {exc}") from exc
 
 
-def _parse_sweep(doc: dict) -> tuple[SweepSpec, str]:
+def _parse_sweep(doc: dict) -> SweepSpec:
+    """Types only: SweepSpec checks the axis, kind and value ranges."""
     _check_keys(doc, {"axis", "values", "kind"}, "sweep.")
     axis = _require(doc, "axis", "sweep.")
-    if axis not in SWEEP_AXES:
-        raise ConfigParseError(
-            f"'sweep.axis' must be one of {', '.join(SWEEP_AXES)}")
     values = _require(doc, "values", "sweep.")
     if not isinstance(values, list) or not values:
         raise ConfigParseError("'sweep.values' must be a nonempty list")
     values = tuple(_number(v, f"sweep.values[{i}]")
                    for i, v in enumerate(values))
-    kind = doc.get("kind", DEFAULT_KIND_BY_AXIS[axis])
-    if kind not in SWEEP_KINDS:
-        raise ConfigParseError(
-            f"'sweep.kind' must be one of {', '.join(SWEEP_KINDS)}")
-    if kind not in KINDS_BY_AXIS[axis]:
-        raise ConfigParseError(
-            f"'sweep.kind' {kind!r} does not apply to axis {axis!r} "
-            f"(allowed: {', '.join(KINDS_BY_AXIS[axis])})")
-    return SweepSpec(axis=axis, values=values), kind
+    return SweepSpec(axis=axis, values=values, kind=doc.get("kind"))
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -318,18 +284,14 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigParseError(
             "'run.absorption_model' must be 'exact' or 'linearized'")
 
-    sweep, kind = (None, None)
-    if "sweep" in doc:
-        sweep, kind = _parse_sweep(doc["sweep"])
-
     try:
+        sweep = _parse_sweep(doc["sweep"]) if "sweep" in doc else None
         scenario = ScenarioConfig(
             scene=scene, geometry=geometry, prony=prony, params=params,
             snr_db=snr_db, trials=trials, base_seed=base_seed, sweep=sweep)
     except ValueError as exc:
         raise ConfigParseError(str(exc)) from exc
-    return RunConfig(scenario=scenario, sweep_kind=kind,
-                     output_dir=output_dir,
+    return RunConfig(scenario=scenario, output_dir=output_dir,
                      output_format=fmt, verbosity=verbosity, echo=doc,
                      absorption_model=absorption_model)
 

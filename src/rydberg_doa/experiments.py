@@ -1,14 +1,17 @@
 """Monte Carlo harness and the desk-scale simulation studies.
 
-Each runner is deterministic for a fixed (config, base_seed): trial t of
-a cell draws its noise with seed cell_seed + t, and cell c of a sweep has
-cell_seed = base_seed + CELL_SEED_STRIDE * c, counting the cells of
-run_snr_sweep preset by preset. Seed streams therefore stay apart while
-a cell has fewer than CELL_SEED_STRIDE trials, which config parsing
-enforces. All trials of a cell draw their noise as one stack (its
-seeds hashed in one vectorised pass, each row bit-identical to the
-single-seed draw; see sensing.standard_normal_rows) and run as one
-batched estimate. Trial failures (estimation errors) are counted per
+SWEEP_KINDS lists the studies of each sweep axis; run_sweep runs the
+configured one, and every bound comes from bound_report. Each runner is
+deterministic for a fixed (config, base_seed): trial t of a cell draws
+its noise with seed cell_seed + t, and cell c of a sweep has cell_seed =
+base_seed + CELL_SEED_STRIDE * c, counting the cells of run_snr_sweep
+preset by preset. _mc_sweep, the cell loop of run_lo_ratio_sweep and
+run_snr_sweep, is the only code that applies this rule. Seed streams
+stay apart while a cell has fewer than CELL_SEED_STRIDE trials, which
+config parsing enforces. All trials of a cell draw their noise as one
+stack (its seeds hashed in one vectorised pass, each row bit-identical
+to the single-seed draw; see sensing.standard_normal_rows) and run as
+one batched estimate. Trial failures (estimation errors) are counted per
 cell, never silently dropped.
 """
 
@@ -20,8 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import physics, scenarios, sensing
-from .crlb import FimInputs, crlb_report
-from .errors import RydbergDoaError
+from .crlb import CrlbReport, FimInputs, crlb_report
+from .errors import ConfigParseError, RydbergDoaError
 # estimate_doa stays bound here: perfbench's tracer wraps it at every
 # binding and its self-test expects this one.
 from .estimation import (  # noqa: F401
@@ -37,28 +40,45 @@ from .sensing import (
     SensorGeometry,
 )
 
-SWEEP_AXES = ("lo_ratio", "snr_db", "cell_length", "sampling_interval",
-              "window_width")
+# The studies each sweep axis can run, its default first.
+SWEEP_KINDS = {
+    "lo_ratio": ("rmse", "linearization_check"),
+    "snr_db": ("rmse",),
+    "cell_length": ("crlb_length",),
+    "sampling_interval": ("sampling_demo",),
+    "window_width": ("sampling_demo",),
+}
 
 CELL_SEED_STRIDE = 1_000_000
 
 DEMO_ANGLE_STEP_DEG = 0.25
 
-LO_RATIO_GRID = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
-SNR_GRID_DB = tuple(float(s) for s in range(10, 55, 5))
-LENGTH_GRID_WL = (1.0, 2.0, 4.0, 8.0)
 LENGTH_SWEEP_ANGLES_DEG = (0.0, 30.0, 60.0)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """Axis, values and study (None: the axis's default) of a sweep."""
+
     axis: str
     values: tuple
+    kind: str | None = None
 
     def __post_init__(self):
-        if self.axis not in SWEEP_AXES:
-            raise ValueError(f"sweep axis must be one of {SWEEP_AXES}")
-        object.__setattr__(self, "values", tuple(self.values))
+        if not isinstance(self.axis, str) or self.axis not in SWEEP_KINDS:
+            raise ValueError(
+                f"'sweep.axis' must be one of {', '.join(SWEEP_KINDS)}")
+        kinds = SWEEP_KINDS[self.axis]
+        kind = kinds[0] if self.kind is None else self.kind
+        if kind not in kinds:
+            raise ValueError(f"'sweep.kind' {kind!r} does not apply to axis "
+                             f"{self.axis!r} (allowed: {', '.join(kinds)})")
+        values = tuple(self.values)
+        bad = [i for i, value in enumerate(values) if not value > 0]
+        if bad and self.axis != "snr_db":
+            raise ValueError(f"'sweep.values[{bad[0]}]' must be positive")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -85,17 +105,11 @@ class McResult:
     """Per-cell Monte Carlo outcome; RMSE is over successful trials only."""
 
     rmse_rad: float
-    trials: int
     failures: int
-
-    @property
-    def successes(self) -> int:
-        return self.trials - self.failures
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    axis: str
     values: tuple
     rmse_rad: tuple
     crlb_std_rad: tuple | None
@@ -128,7 +142,6 @@ class LinearizationCheck:
 @dataclass(frozen=True)
 class SamplingDemoCurve:
     label: str
-    value_wavelengths: float
     power: np.ndarray  # normalized to the common max across the case
 
 
@@ -198,7 +211,7 @@ def mc_rmse(scenario: ScenarioConfig) -> McResult:
                 range(scenario.base_seed, scenario.base_seed + trials))
         batch = estimate_doa_batch(stack, meta, scenario.prony)
     except RydbergDoaError:
-        return McResult(rmse_rad=np.inf, trials=trials, failures=trials)
+        return McResult(rmse_rad=np.inf, failures=trials)
     ok = ~batch.failed
     doas, counts = batch.doas[ok], batch.target_counts[ok]
     # Singular-value order selection may vary the target count by trial.
@@ -206,8 +219,7 @@ def mc_rmse(scenario: ScenarioConfig) -> McResult:
               for n in np.unique(counts)]
     rmse = float(np.sqrt((np.concatenate(errors) ** 2).mean())) if errors \
         else np.inf
-    return McResult(rmse_rad=rmse, trials=trials,
-                    failures=trials - int(ok.sum()))
+    return McResult(rmse_rad=rmse, failures=trials - int(ok.sum()))
 
 
 def run_linearization_check(params: AtomicParams, scene_weak: RfScene,
@@ -245,6 +257,44 @@ def run_linearization_check(params: AtomicParams, scene_weak: RfScene,
         normalized_rms_weak=norm_w, normalized_rms_strong=norm_s)
 
 
+def _mc_sweep(config: ScenarioConfig, cells, first_cell: int = 0
+              ) -> SweepResult:
+    """Monte Carlo RMSE of one cell per sweep value; cells yields the
+    ScenarioConfig fields each cell overrides, and cell c runs at
+    base_seed + CELL_SEED_STRIDE * (first_cell + c)."""
+    results = [mc_rmse(replace(
+        config, base_seed=config.base_seed + CELL_SEED_STRIDE * c,
+        sweep=None, **overrides))
+        for c, overrides in enumerate(cells, start=first_cell)]
+    return SweepResult(
+        values=config.sweep.values, crlb_std_rad=None, trials=config.trials,
+        rmse_rad=tuple(r.rmse_rad for r in results),
+        failures=tuple(r.failures for r in results))
+
+
+def _preset_scene(config: ScenarioConfig, angles_deg) -> RfScene:
+    """Targets at the given bearings at the default LO ratio, on the
+    configured carrier and LO bearing."""
+    return scenarios.scene_from_angles(
+        angles_deg, lo_ratio=scenarios.DEFAULT_LO_RATIO,
+        carrier_freq=config.scene.carrier_freq,
+        lo_angle=config.scene.lo.angle)
+
+
+def _axis_geometries(config: ScenarioConfig, keyword: str, **fixed) -> list:
+    """One default geometry per sweep value, set as keyword; a value that
+    leaves no room for two windows is a config error naming it."""
+    geometries = []
+    for i, value in enumerate(config.sweep.values):
+        try:
+            geometries.append(scenarios.default_geometry(
+                config.scene.rf_wavelength, **fixed,
+                **{keyword: float(value)}))
+        except ValueError as exc:
+            raise ConfigParseError(f"'sweep.values[{i}]': {exc}") from exc
+    return geometries
+
+
 def run_lo_ratio_sweep(config: ScenarioConfig) -> SweepResult:
     """DoA RMSE versus LO-to-signal amplitude ratio.
 
@@ -252,21 +302,10 @@ def run_lo_ratio_sweep(config: ScenarioConfig) -> SweepResult:
     analytic path is linearization-exact by construction and cannot show
     the weak-LO breakdown this sweep demonstrates.
     """
-    values = config.sweep.values if config.sweep else LO_RATIO_GRID
-    rmses, failures = [], []
-    for idx, ratio in enumerate(values):
-        cell = replace(
-            config,
-            scene=scenarios.with_lo_ratio(config.scene, float(ratio)),
-            source=SIMULATED_FLUORESCENCE,
-            base_seed=config.base_seed + CELL_SEED_STRIDE * idx,
-            sweep=None)
-        res = mc_rmse(cell)
-        rmses.append(res.rmse_rad)
-        failures.append(res.failures)
-    return SweepResult(axis="lo_ratio", values=tuple(values),
-                       rmse_rad=tuple(rmses), crlb_std_rad=None,
-                       trials=config.trials, failures=tuple(failures))
+    return _mc_sweep(config, (
+        {"scene": scenarios.with_lo_ratio(config.scene, float(ratio)),
+         "source": SIMULATED_FLUORESCENCE}
+        for ratio in config.sweep.values))
 
 
 SNR_PRESETS = {
@@ -284,57 +323,58 @@ def run_snr_sweep(config: ScenarioConfig) -> dict[str, SweepResult]:
     repeats through the full fluorescence pipeline as a smoke check. The
     single-target sweep carries the CRLB overlay.
     """
-    values = config.sweep.values if config.sweep else SNR_GRID_DB
+    values = config.sweep.values
     smoke_idx = int(np.argmin(values))
     results: dict[str, SweepResult] = {}
     for preset_idx, (name, angles) in enumerate(SNR_PRESETS.items()):
-        scene = scenarios.scene_from_angles(
-            angles, lo_ratio=scenarios.DEFAULT_LO_RATIO,
-            carrier_freq=config.scene.carrier_freq,
-            lo_angle=config.scene.lo.angle)
+        scene = _preset_scene(config, angles)
         n = len(angles)
         prony = replace(config.prony, model_order=2 * n, target_count=n)
-        rmses, failures, bounds = [], [], []
-        for idx, snr in enumerate(values):
-            source = ANALYTIC_MODEL
-            if name == "single_15" and idx == smoke_idx:
-                source = SIMULATED_FLUORESCENCE  # smoke cell
-            cell_seed = config.base_seed + CELL_SEED_STRIDE * (
-                preset_idx * len(values) + idx)
-            cell = replace(config, scene=scene, prony=prony,
-                           snr_db=float(snr), source=source,
-                           base_seed=cell_seed, sweep=None)
-            res = mc_rmse(cell)
-            rmses.append(res.rmse_rad)
-            failures.append(res.failures)
-            if name == "single_15":
-                bounds.append(crlb_std_for(
-                    cell.scene, cell.geometry, cell.params, float(snr))[0])
-        results[name] = SweepResult(
-            axis="snr_db", values=tuple(values), rmse_rad=tuple(rmses),
-            crlb_std_rad=tuple(bounds) if bounds else None,
-            trials=config.trials, failures=tuple(failures))
+        single = name == "single_15"
+        result = _mc_sweep(config, (
+            {"scene": scene, "prony": prony, "snr_db": float(snr),
+             "source": SIMULATED_FLUORESCENCE if single and idx == smoke_idx
+             else ANALYTIC_MODEL}
+            for idx, snr in enumerate(values)), preset_idx * len(values))
+        if single:
+            result = replace(result, crlb_std_rad=tuple(
+                crlb_std_for(scene, config.geometry, config.params,
+                             float(snr))[0] for snr in values))
+        results[name] = result
     return results
+
+
+def bound_report(scene: RfScene, geometry: SensorGeometry,
+                 params: AtomicParams, snr_db: float | None = None,
+                 sigma2: float | None = None) -> CrlbReport:
+    """Angle-domain CRLB report; the noise variance is sigma2, or else
+    sensing.noise_variance of the scene's noiseless analytic measurement.
+    Scenes whose FIM is singular (targets sharing a beat wavenumber or at
+    the LO bearing, zero-amplitude targets) raise a domain error."""
+    if not scene.is_identifiable():
+        raise RydbergDoaError("targets share a beat wavenumber or sit at "
+                              "the LO bearing: the bound is undefined")
+    if sigma2 is None:
+        clean = sensing.predicted_measurements(scene, geometry, params)
+        sigma2 = sensing.noise_variance(clean.values, snr_db)
+    try:
+        inputs = FimInputs(
+            geometry=geometry, delta_ks=scene.delta_ks,
+            delta_phis=scene.delta_phis,
+            amplitudes=physics.modulation_amplitudes(params, scene),
+            noise_cov=sigma2 * np.eye(geometry.channel_count))
+    except ValueError as exc:
+        raise RydbergDoaError(str(exc)) from exc
+    thetas = np.array([s.angle for s in scene.signals])
+    return crlb_report(inputs, thetas, scene.wavenumber)
 
 
 def crlb_std_for(scene: RfScene, geometry: SensorGeometry,
                  params: AtomicParams, snr_db: float | None = None,
                  sigma2: float | None = None) -> np.ndarray:
-    """Angle-bound standard deviations; the noise variance comes either
-    from an explicit sigma2 or from the SNR definition applied to the
-    scene's own noiseless analytic measurement."""
-    if sigma2 is None:
-        if snr_db is None:
-            raise ValueError("need snr_db or sigma2")
-        clean = sensing.predicted_measurements(scene, geometry, params)
-        sigma2 = sensing.signal_power(clean.values) / 10 ** (snr_db / 10)
-    inputs = FimInputs(
-        geometry=geometry, delta_ks=scene.delta_ks,
-        delta_phis=scene.delta_phis,
-        amplitudes=physics.modulation_amplitudes(params, scene),
-        noise_cov=sigma2 * np.eye(geometry.channel_count))
-    thetas = np.array([s.angle for s in scene.signals])
-    return crlb_report(inputs, thetas, scene.wavenumber).per_target_std
+    """Per-target angle-bound standard deviations of bound_report."""
+    return bound_report(scene, geometry, params, snr_db,
+                        sigma2).per_target_std
 
 
 def run_length_sweep(config: ScenarioConfig) -> dict[float, SweepResult]:
@@ -346,40 +386,23 @@ def run_length_sweep(config: ScenarioConfig) -> dict[float, SweepResult]:
     ordering reflects the estimation geometry rather than per-scene noise
     renormalization.
     """
-    values = config.sweep.values if config.sweep else LENGTH_GRID_WL
-    lam = config.scene.rf_wavelength
+    values = config.sweep.values
     snr = config.snr_db if config.snr_db is not None else 30.0
-
-    def angle_scene(angle):
-        return scenarios.scene_from_angles(
-            (angle,), lo_ratio=scenarios.DEFAULT_LO_RATIO,
-            carrier_freq=config.scene.carrier_freq,
-            lo_angle=config.scene.lo.angle)
-
-    sigma2_by_length = {}
-    for length_wl in values:
-        geometry = scenarios.default_geometry(
-            lam, cell_wavelengths=float(length_wl))
-        clean = sensing.predicted_measurements(angle_scene(0.0), geometry,
-                                               config.params)
-        sigma2_by_length[length_wl] = \
-            sensing.signal_power(clean.values) / 10 ** (snr / 10)
-
+    geometries = _axis_geometries(config, "cell_wavelengths")
+    broadside = _preset_scene(config, (0.0,))
+    sigma2s = [sensing.noise_variance(sensing.predicted_measurements(
+        broadside, geometry, config.params).values, snr)
+        for geometry in geometries]
     out: dict[float, SweepResult] = {}
     for angle in LENGTH_SWEEP_ANGLES_DEG:
-        scene = angle_scene(angle)
-        bounds = []
-        for length_wl in values:
-            geometry = scenarios.default_geometry(
-                lam, cell_wavelengths=float(length_wl))
-            bounds.append(crlb_std_for(
-                scene, geometry, config.params,
-                sigma2=sigma2_by_length[length_wl])[0])
+        scene = _preset_scene(config, (angle,))
         out[angle] = SweepResult(
-            axis="cell_length", values=tuple(values),
-            rmse_rad=tuple(np.full(len(values), np.nan)),
-            crlb_std_rad=tuple(bounds), trials=0,
-            failures=tuple([0] * len(values)))
+            values=values, rmse_rad=tuple(np.full(len(values), np.nan)),
+            crlb_std_rad=tuple(
+                crlb_std_for(scene, geometry, config.params,
+                             sigma2=sigma2)[0]
+                for geometry, sigma2 in zip(geometries, sigma2s)),
+            trials=0, failures=(0,) * len(values))
     return out
 
 
@@ -403,41 +426,45 @@ def run_sampling_demo(config: ScenarioConfig) -> SamplingDemoResult:
     are normalized by the common maximum across the case so a suppressed
     target shows up as low power rather than being renormalized away.
     """
-    axis = config.sweep.axis if config.sweep else "sampling_interval"
-    lam = config.scene.rf_wavelength
-    cell_wl = config.geometry.cell_length / lam
+    axis = config.sweep.axis
+    target_deg, label, keyword = (
+        (60.0, "dx", "spacing_wavelengths") if axis == "sampling_interval"
+        else (0.0, "width", "window_wavelengths"))
+    geometries = _axis_geometries(
+        config, keyword, cell_wavelengths=config.geometry.cell_length
+        / config.scene.rf_wavelength)
     angles_deg = np.arange(-90.0, 90.0 + DEMO_ANGLE_STEP_DEG / 2,
                            DEMO_ANGLE_STEP_DEG)
-    if axis == "sampling_interval":
-        target_deg = 60.0
-        values = config.sweep.values if config.sweep else (0.25, 0.5)
-        geometries = [scenarios.default_geometry(lam, cell_wavelengths=cell_wl,
-                                                 spacing_wavelengths=v)
-                      for v in values]
-        labels = [f"dx_{v:g}wl" for v in values]
-    elif axis == "window_width":
-        target_deg = 0.0
-        values = config.sweep.values if config.sweep else (0.25, 1.0)
-        geometries = [scenarios.default_geometry(lam, cell_wavelengths=cell_wl,
-                                                 window_wavelengths=v)
-                      for v in values]
-        labels = [f"width_{v:g}wl" for v in values]
-    else:
-        raise ValueError(f"sampling demo does not handle axis {axis!r}")
-    scene = scenarios.scene_from_angles(
-        (target_deg,), lo_ratio=scenarios.DEFAULT_LO_RATIO,
-        carrier_freq=config.scene.carrier_freq,
-        lo_angle=config.scene.lo.angle)
+    scene = _preset_scene(config, (target_deg,))
     meta = (scene.wavenumber, scene.lo.angle)
-    raw = []
-    for geometry in geometries:
-        clean = sensing.predicted_measurements(scene, geometry,
-                                               config.params)
-        raw.append(spectral_power(clean, meta, angles_deg))
+    raw = [spectral_power(sensing.predicted_measurements(
+        scene, geometry, config.params), meta, angles_deg)
+        for geometry in geometries]
     common_max = max(float(p.max()) for p in raw)
     curves = tuple(
-        SamplingDemoCurve(label=label, value_wavelengths=float(v),
-                          power=p / common_max)
-        for label, v, p in zip(labels, values, raw))
+        SamplingDemoCurve(label=f"{label}_{v:g}wl", power=p / common_max)
+        for v, p in zip(config.sweep.values, raw))
     return SamplingDemoResult(case=axis, angles_deg=angles_deg,
                               curves=curves)
+
+
+def run_sweep(config: ScenarioConfig) -> dict:
+    """Run the configured sweep study: {output file stem: result}, in the
+    order the files are written."""
+    sweep = config.sweep
+    if sweep.kind == "linearization_check":
+        ratios = sorted(sweep.values)
+        return {"linearization_check": run_linearization_check(
+            config.params, scenarios.with_lo_ratio(config.scene, ratios[0]),
+            scenarios.with_lo_ratio(config.scene, ratios[-1]),
+            config.geometry.grid(config.scene.rf_wavelength))}
+    if sweep.kind == "crlb_length":
+        return {f"length_sweep_theta{angle:g}": result
+                for angle, result in run_length_sweep(config).items()}
+    if sweep.kind == "sampling_demo":
+        result = run_sampling_demo(config)
+        return {f"sampling_demo_{result.case}": result}
+    if sweep.axis == "lo_ratio":
+        return {"lo_ratio_sweep": run_lo_ratio_sweep(config)}
+    return {f"snr_sweep_{name}": result
+            for name, result in run_snr_sweep(config).items()}

@@ -294,6 +294,12 @@ def signal_power(values: np.ndarray) -> float:
     return float(np.mean((values - values.mean()) ** 2))
 
 
+def noise_variance(values: np.ndarray, snr_db: float) -> float:
+    """Noise variance at the given per-sample SNR (dB) against the signal
+    power of values: the one SNR rule of noise draws and bounds."""
+    return signal_power(values) / 10 ** (snr_db / 10)
+
+
 # numpy.random.SeedSequence hash constants (bit_generator.pyx). NumPy's
 # RNG policy (NEP 19) keeps the SeedSequence and PCG64 streams stable.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -420,11 +426,11 @@ def add_noise(measurement: MeasurementVector, snr_db: float,
     if np.isinf(snr_db):
         sigma, noise = 0.0, np.zeros((len(seeds), k))
     else:
-        power = signal_power(measurement.values)
-        if power == 0:
+        sigma2 = noise_variance(measurement.values, snr_db)
+        if sigma2 == 0:
             raise ZeroSignalPower(
                 "constant measurement vector has no signal power")
-        sigma = float(np.sqrt(power / 10 ** (snr_db / 10)))
+        sigma = float(np.sqrt(sigma2))
         noise = sigma * standard_normal_rows(seeds, k)
     noisy = measurement.values + noise
     return MeasurementVector(values=noisy[0] if single else noisy,

@@ -98,6 +98,43 @@ class TestConfigErrors:
         assert cli.main(["simulate", "--config",
                          write_config(tmp_path, doc)]) == 2
 
+    @pytest.mark.parametrize("sweep, named", [
+        ({"axis": "frequency", "values": [1]}, "'sweep.axis'"),
+        ({"axis": ["lo_ratio"], "values": [1]}, "'sweep.axis'"),
+        ({"axis": "lo_ratio", "values": [1], "kind": "histogram"},
+         "'sweep.kind'"),
+        ({"axis": "snr_db", "values": [10], "kind": "crlb_length"},
+         "'sweep.kind' 'crlb_length' does not apply to axis 'snr_db'"),
+    ])
+    def test_bad_sweep_axis_or_kind_exit_2(self, tmp_path, capsys, sweep,
+                                           named):
+        out = tmp_path / "out"
+        doc = base_doc(out, sweep=sweep)
+        assert cli.main(["sweep", "--config",
+                         write_config(tmp_path, doc)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis, values, index", [
+        ("lo_ratio", [0, 1], 0),
+        ("lo_ratio", [-2, 1], 0),
+        ("cell_length", [0, 1], 0),
+        ("sampling_interval", [0, 0.25], 0),
+        ("window_width", [40, 0.25], 0),
+        ("cell_length", [1, 0.1], 1),
+    ])
+    def test_out_of_range_sweep_value_exit_2(self, tmp_path, capsys, axis,
+                                             values, index):
+        out = tmp_path / "out"
+        doc = json.loads((REPO_CONFIGS / "fig3c.json").read_text())
+        doc["sweep"] = {"axis": axis, "values": values}
+        assert cli.main(["sweep", "--config", write_config(tmp_path, doc),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"sweep.values[{index}]" in err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_creates_outputs(self, tmp_path, capsys):
@@ -240,6 +277,33 @@ class TestCrlbCommand:
         doc["noise"]["snr_db"] = 30
         assert cli.main(["crlb", "--config",
                          write_config(tmp_path, doc)]) == 3
+
+    @pytest.mark.parametrize("phases", [(0, 90), (0, 180)])
+    def test_same_bearing_exit_3(self, tmp_path, capsys, phases):
+        # The FIM is singular to rounding here, so any bound printed would
+        # be noise (about 0.1 deg for phases 0/90, 1e-10 deg for 0/180).
+        out = tmp_path / "out"
+        doc = base_doc(out)
+        doc["scene"]["signals"] = [
+            {"amplitude_v_per_m": 1e-6, "phase_deg": ph, "angle_deg": -30}
+            for ph in phases]
+        doc["noise"]["snr_db"] = 30
+        assert cli.main(["crlb", "--config",
+                         write_config(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bound is undefined" in err
+        assert not out.exists()
+
+    def test_zero_amplitude_signal_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = base_doc(out)
+        doc["scene"]["signals"][1]["amplitude_v_per_m"] = 0
+        doc["noise"]["snr_db"] = 30
+        assert cli.main(["crlb", "--config",
+                         write_config(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: zero-amplitude targets make the FIM singular\n"
+        assert not out.exists()
 
     def test_two_target_fim_dimensions(self, tmp_path):
         out = tmp_path / "out"

@@ -17,6 +17,8 @@ from pathlib import Path
 import pytest
 
 from rydberg_doa import cli
+from rydberg_doa.config import load_config
+from rydberg_doa.experiments import SWEEP_KINDS
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -51,6 +53,15 @@ def assert_field(got, want, where):
         return
     assert math.isclose(float(got), float(want), rel_tol=RECOMPUTE_RTOL,
                         abs_tol=0), f"{where}: {got} vs {want}"
+
+
+def test_every_sweep_kind_has_a_golden_figure():
+    pairs = set()
+    for figure in CASES:
+        sweep = load_config(ROOT / "configs" / f"{figure}.json").scenario.sweep
+        pairs.add((sweep.axis, sweep.kind))
+    assert pairs == {(axis, kind) for axis, kinds in SWEEP_KINDS.items()
+                     for kind in kinds}
 
 
 def test_every_figure_output_has_a_golden_file():
