@@ -3,12 +3,14 @@
 Subcommands: simulate, estimate, crlb, sweep, check-sampling. All runs are
 driven by a JSON config (see config.py for the schema); flags override the
 config's run section. Exit codes: 0 success, 2 config error, 3 domain
-error, 4 I/O error.
+error, 4 I/O error. main may be called any number of times in one
+process: the first call builds the parser and later calls reuse it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -21,7 +23,12 @@ from . import __version__, sensing, serialize
 from .config import RunConfig, load_config
 from .errors import ConfigParseError, RydbergDoaError, SchemaError
 from .estimation import estimate_doa
-from .experiments import LinearizationCheck, bound_report, run_sweep
+from .experiments import (
+    LinearizationCheck,
+    bound_report,
+    required_snr,
+    run_sweep,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -29,7 +36,10 @@ EXIT_DOMAIN = 3
 EXIT_IO = 4
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process on first use; each
+    parse_args call returns a fresh Namespace, and no default is mutable."""
     parser = argparse.ArgumentParser(
         prog="rydberg-doa",
         description="Multi-target DoA estimation with a single Rydberg "
@@ -66,6 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve(args) -> RunConfig:
     cfg = load_config(args.config)
     scenario = cfg.scenario
+    if args.out == "":
+        raise ConfigParseError("--out must be a nonempty path")
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigParseError("--seed must be nonnegative")
@@ -143,10 +155,8 @@ def cmd_estimate(cfg: RunConfig, measurement_path: str) -> int:
 
 def cmd_crlb(cfg: RunConfig) -> int:
     sc = cfg.scenario
-    if sc.snr_db is None:
-        raise ConfigParseError("missing required key 'noise.snr_db' "
-                               "(the bound needs a noise level)")
-    report = bound_report(sc.scene, sc.geometry, sc.params, sc.snr_db)
+    report = bound_report(sc.scene, sc.geometry, sc.params,
+                          required_snr(sc))
     thetas = np.array([s.angle for s in sc.scene.signals])
     if sc.scene.n_signals == 1:
         # closed-form single-target cross-check

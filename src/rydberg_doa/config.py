@@ -20,7 +20,7 @@ from .errors import ConfigParseError, RydbergDoaError
 from .estimation import FIXED_ORDER, SV_THRESHOLD, PronyConfig
 from .experiments import CELL_SEED_STRIDE, ScenarioConfig, SweepSpec
 from .physics import AtomicParams, PlaneWave, RfScene
-from .sensing import SensorGeometry
+from .sensing import SensorGeometry, snr_ratio
 
 
 @dataclass(frozen=True)
@@ -260,6 +260,10 @@ def parse_config(doc: dict) -> RunConfig:
     snr_db = noise_doc.get("snr_db")
     if snr_db is not None:
         snr_db = _number(snr_db, "noise.snr_db")
+        try:
+            snr_ratio(snr_db)
+        except ValueError as exc:
+            raise ConfigParseError(f"'noise.snr_db': {exc}") from exc
 
     run_doc = doc.get("run", {})
     _check_keys(run_doc, {"trials", "base_seed", "output_dir", "format",

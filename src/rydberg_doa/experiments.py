@@ -74,9 +74,14 @@ class SweepSpec:
             raise ValueError(f"'sweep.kind' {kind!r} does not apply to axis "
                              f"{self.axis!r} (allowed: {', '.join(kinds)})")
         values = tuple(self.values)
-        bad = [i for i, value in enumerate(values) if not value > 0]
-        if bad and self.axis != "snr_db":
-            raise ValueError(f"'sweep.values[{bad[0]}]' must be positive")
+        for i, value in enumerate(values):
+            if self.axis == "snr_db":
+                try:
+                    sensing.snr_ratio(value)
+                except ValueError as exc:
+                    raise ValueError(f"'sweep.values[{i}]': {exc}") from None
+            elif not value > 0:
+                raise ValueError(f"'sweep.values[{i}]' must be positive")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "values", values)
 
@@ -344,6 +349,14 @@ def run_snr_sweep(config: ScenarioConfig) -> dict[str, SweepResult]:
     return results
 
 
+def required_snr(config: ScenarioConfig) -> float:
+    """The configured SNR of a bound; a config error when it is unset."""
+    if config.snr_db is None:
+        raise ConfigParseError("missing required key 'noise.snr_db' "
+                               "(the bound needs a noise level)")
+    return config.snr_db
+
+
 def bound_report(scene: RfScene, geometry: SensorGeometry,
                  params: AtomicParams, snr_db: float | None = None,
                  sigma2: float | None = None) -> CrlbReport:
@@ -387,7 +400,7 @@ def run_length_sweep(config: ScenarioConfig) -> dict[float, SweepResult]:
     renormalization.
     """
     values = config.sweep.values
-    snr = config.snr_db if config.snr_db is not None else 30.0
+    snr = required_snr(config)
     geometries = _axis_geometries(config, "cell_wavelengths")
     broadside = _preset_scene(config, (0.0,))
     sigma2s = [sensing.noise_variance(sensing.predicted_measurements(

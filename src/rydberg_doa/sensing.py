@@ -294,10 +294,23 @@ def signal_power(values: np.ndarray) -> float:
     return float(np.mean((values - values.mean()) ** 2))
 
 
+def snr_ratio(snr_db: float) -> float:
+    """Linear power ratio of an SNR in dB; a ValueError unless it is a
+    finite positive float (roughly -3,233 dB to 3,082 dB)."""
+    try:
+        ratio = 10 ** (snr_db / 10)
+    except OverflowError:
+        ratio = np.inf
+    if not 0 < ratio < np.inf:
+        raise ValueError(f"{snr_db:g} dB has no finite positive linear "
+                         "power ratio")
+    return ratio
+
+
 def noise_variance(values: np.ndarray, snr_db: float) -> float:
     """Noise variance at the given per-sample SNR (dB) against the signal
     power of values: the one SNR rule of noise draws and bounds."""
-    return signal_power(values) / 10 ** (snr_db / 10)
+    return signal_power(values) / snr_ratio(snr_db)
 
 
 # numpy.random.SeedSequence hash constants (bit_generator.pyx). NumPy's

@@ -122,6 +122,8 @@ class TestConfigErrors:
         ("sampling_interval", [0, 0.25], 0),
         ("window_width", [40, 0.25], 0),
         ("cell_length", [1, 0.1], 1),
+        ("snr_db", [10, 4000], 1),
+        ("snr_db", [-4000, 10], 0),
     ])
     def test_out_of_range_sweep_value_exit_2(self, tmp_path, capsys, axis,
                                              values, index):
@@ -133,6 +135,45 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"sweep.values[{index}]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "crlb", "sweep",
+                                         "check-sampling"])
+    def test_empty_out_flag_exit_2(self, tmp_path, capsys, monkeypatch,
+                                   command):
+        monkeypatch.chdir(tmp_path)
+        doc = base_doc(tmp_path / "out",
+                       sweep={"axis": "cell_length", "values": [1]})
+        doc["noise"]["snr_db"] = 30
+        cfg = write_config(tmp_path, doc)
+        assert cli.main([command, "--config", cfg, "--out", ""]) == 2
+        assert capsys.readouterr().err == (
+            "error: --out must be a nonempty path\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("snr_db", [4000, -4000])
+    @pytest.mark.parametrize("command", ["simulate", "crlb"])
+    def test_snr_beyond_float_range_exit_2(self, tmp_path, capsys, command,
+                                           snr_db):
+        out = tmp_path / "out"
+        doc = base_doc(out)
+        doc["noise"]["snr_db"] = snr_db
+        assert cli.main([command, "--config",
+                         write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: 'noise.snr_db': {snr_db} dB has no finite positive "
+            "linear power ratio\n")
+        assert not out.exists()
+
+    def test_length_sweep_requires_snr(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = json.loads((REPO_CONFIGS / "fig6.json").read_text())
+        doc["noise"]["snr_db"] = None
+        assert cli.main(["sweep", "--config", write_config(tmp_path, doc),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: missing required key 'noise.snr_db' (the "
+                       "bound needs a noise level)\n")
         assert not out.exists()
 
 
@@ -409,6 +450,119 @@ def test_cli_import_leaves_scipy_unloaded():
     done = subprocess.run([sys.executable, "-c", code], check=True,
                           capture_output=True, text=True, env=env)
     assert done.stdout.strip() == "[]"
+
+
+def test_parser_built_on_first_main_call_only():
+    # Counts top-level parsers in a fresh interpreter: none at import, one
+    # after any number of main calls.
+    code = f"""
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    if kwargs.get("prog") == "rydberg-doa":
+        built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import rydberg_doa.cli as cli
+print(len(built))
+with contextlib.redirect_stdout(io.StringIO()):
+    for _ in range(3):
+        assert cli.main(["check-sampling", "--config",
+                         {str(REPO_CONFIGS / "default.json")!r}]) == 0
+print(len(built))
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True, env=env)
+    assert done.stdout.split() == ["0", "1"]
+
+
+def _run_captured(capsys, run, argv):
+    """(exit code, stdout, stderr) of run(argv); a SystemExit is a code."""
+    capsys.readouterr()
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    """main reuses one parser per process: its text, exit codes and parsed
+    values must equal those of a freshly built parser on every call."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["simulate", "--help"],
+        ["estimate", "--help"],
+        ["crlb", "--help"],
+        ["sweep", "--help"],
+        ["check-sampling", "--help"],
+        ["--version"],
+        [],
+        ["frobnicate", "--config", "x.json"],
+        ["crlb"],
+        ["estimate", "--config", "x.json"],
+        ["crlb", "--config", "x.json", "--bogus"],
+        ["sweep", "--config", "x.json", "--seed", "two"],
+        ["simulate", "--config", "x.json", "--format", "xml"],
+    ], ids=lambda argv: " ".join(argv) or "no-args")
+    def test_text_and_exit_code_match_fresh_parser(self, capsys, argv):
+        fresh = getattr(cli.build_parser, "__wrapped__", cli.build_parser)
+        want = _run_captured(capsys, lambda a: fresh().parse_args(a), argv)
+        assert want[0] in (0, 2)
+        for _ in range(2):
+            assert _run_captured(capsys, cli.main, argv) == want
+
+    def test_no_value_carries_over_between_calls(self, tmp_path, capsys,
+                                                 monkeypatch):
+        doc = base_doc("out")
+        doc["noise"]["snr_db"] = 30
+        doc["run"]["absorption_model"] = "linearized"
+        assert cli.main(["simulate", "--config", write_config(tmp_path, doc),
+                         "--out", str(tmp_path / "source")]) == 0
+        csv_path = str(tmp_path / "source" / "measurement.csv")
+        sequence = [
+            ["estimate", csv_path, "--config", "config.json"],
+            ["crlb", "--config", "config.json"],
+            ["simulate", "--config", "config.json", "--seed", "7",
+             "--order", "6", "--out", "flags", "--format", "json"],
+            ["estimate", csv_path, "--config", "config.json", "--order", "6",
+             "--out", "flags"],
+            ["simulate", "--config", "config.json"],
+            ["estimate", csv_path, "--config", "config.json"],
+        ]
+
+        def outputs():
+            return {str(p.relative_to(tmp_path)): p.read_bytes()
+                    for d in ("out", "flags")
+                    for p in sorted((tmp_path / d).iterdir())}
+
+        with monkeypatch.context() as patch:
+            patch.chdir(tmp_path)
+            one_process = [_run_captured(capsys, cli.main, argv)
+                           for argv in sequence]
+        files = outputs()
+        assert len(files) == 8
+        for d in ("out", "flags"):
+            for path in (tmp_path / d).iterdir():
+                path.unlink()
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        separate = []
+        for argv in sequence:
+            done = subprocess.run(
+                [sys.executable, "-m", "rydberg_doa.cli", *argv],
+                capture_output=True, text=True, env=env, cwd=tmp_path)
+            separate.append((done.returncode, done.stdout, done.stderr))
+        assert one_process == separate
+        assert outputs() == files
+        estimation = json.loads(files["out/estimation.json"])
+        assert len(estimation["lpc_coefficients"]) == 4
 
 
 def test_demo_pipeline_script_runs():

@@ -403,6 +403,14 @@ class TestAddNoise:
             - mv.values
         assert draws.var() == pytest.approx(sigma2, rel=0.02)
 
+    def test_snr_without_finite_positive_ratio_rejected(self, geometry):
+        assert sensing.snr_ratio(17.0) == 10 ** 1.7
+        assert 0 < sensing.snr_ratio(-3200.0) < sensing.snr_ratio(3000.0)
+        mv = self.make_measurement(geometry)
+        for snr_db in (3090.0, -3240.0, 4000.0, -4000.0, np.nan):
+            with pytest.raises(ValueError, match="finite positive"):
+                sensing.add_noise(mv, snr_db, 0)
+
     def test_seed_sequence_stacks_single_seed_draws(self, geometry):
         mv = self.make_measurement(geometry)
         stack = sensing.add_noise(mv, 20.0, [5, 6, 7])
