@@ -5,14 +5,18 @@ configured one, and every bound comes from bound_report. Each runner is
 deterministic for a fixed (config, base_seed): trial t of a cell draws
 its noise with seed cell_seed + t, and cell c of a sweep has cell_seed =
 base_seed + CELL_SEED_STRIDE * c, counting the cells of run_snr_sweep
-preset by preset. _mc_sweep, the cell loop of run_lo_ratio_sweep and
-run_snr_sweep, is the only code that applies this rule. Seed streams
-stay apart while a cell has fewer than CELL_SEED_STRIDE trials, which
-config parsing enforces. All trials of a cell draw their noise as one
-stack (its seeds hashed in one vectorised pass, each row bit-identical
-to the single-seed draw; see sensing.standard_normal_rows) and run as
-one batched estimate. Trial failures (estimation errors) are counted per
-cell, never silently dropped.
+preset by preset. _mc_sweep, the Monte Carlo engine of mc_rmse,
+run_lo_ratio_sweep and run_snr_sweep, is the only code that applies this
+rule. Seed streams stay apart while a cell has fewer than
+CELL_SEED_STRIDE trials, which config parsing enforces. All trials of a
+cell draw their noise as one stack (its seeds hashed in one vectorised
+pass, each row bit-identical to the single-seed draw; see
+sensing.standard_normal_rows). The stacks of all cells of a sweep that
+share a prediction system (Prony config, channel count, window pitch,
+carrier wavenumber and LO bearing) run as one batched estimate of at
+most MC_STACK_ROWS rows, never splitting a cell; rows are independent,
+so every cell's result equals its own solve. Trial failures (estimation
+errors) are counted per cell, never silently dropped.
 """
 
 from __future__ import annotations
@@ -50,6 +54,10 @@ SWEEP_KINDS = {
 }
 
 CELL_SEED_STRIDE = 1_000_000
+
+# Rows of one batched Prony solve shared by several Monte Carlo cells; it
+# bounds the stacked noise samples held at once.
+MC_STACK_ROWS = 4096
 
 DEMO_ANGLE_STEP_DEG = 0.25
 
@@ -195,36 +203,10 @@ def match_errors(estimated: np.ndarray, truth: np.ndarray) -> np.ndarray:
 
 
 def mc_rmse(scenario: ScenarioConfig) -> McResult:
-    """Monte Carlo RMSE of the DoA estimate for one scenario cell.
-
-    The noiseless vector is synthesized once (the scene is deterministic);
-    trial t adds noise with seed base_seed + t, and the (trials, K) stack
-    of noisy vectors is estimated in one batched Prony solve. Errors are
-    matched to the true bearings trial by trial.
-    """
-    clean = synthesize(scenario)
-    truth = scenarios.true_doas(scenario.scene)
-    meta = (scenario.scene.wavenumber, scenario.scene.lo.angle)
-    trials = scenario.trials
-    try:
-        if scenario.snr_db is None:
-            stack = replace(clean, values=np.broadcast_to(
-                clean.values, (trials, len(clean.values))))
-        else:
-            stack = sensing.add_noise(
-                clean, scenario.snr_db,
-                range(scenario.base_seed, scenario.base_seed + trials))
-        batch = estimate_doa_batch(stack, meta, scenario.prony)
-    except RydbergDoaError:
-        return McResult(rmse_rad=np.inf, failures=trials)
-    ok = ~batch.failed
-    doas, counts = batch.doas[ok], batch.target_counts[ok]
-    # Singular-value order selection may vary the target count by trial.
-    errors = [match_errors(doas[counts == n, :n], truth).ravel()
-              for n in np.unique(counts)]
-    rmse = float(np.sqrt((np.concatenate(errors) ** 2).mean())) if errors \
-        else np.inf
-    return McResult(rmse_rad=rmse, failures=trials - int(ok.sum()))
+    """Monte Carlo RMSE of the DoA estimate for one scenario cell: the
+    one-cell case of _mc_sweep, so trial t draws its noise with seed
+    base_seed + t."""
+    return _mc_sweep(scenario, ({},))[0]
 
 
 def run_linearization_check(params: AtomicParams, scene_weak: RfScene,
@@ -262,15 +244,93 @@ def run_linearization_check(params: AtomicParams, scene_weak: RfScene,
         normalized_rms_weak=norm_w, normalized_rms_strong=norm_s)
 
 
-def _mc_sweep(config: ScenarioConfig, cells, first_cell: int = 0
-              ) -> SweepResult:
-    """Monte Carlo RMSE of one cell per sweep value; cells yields the
-    ScenarioConfig fields each cell overrides, and cell c runs at
-    base_seed + CELL_SEED_STRIDE * (first_cell + c)."""
-    results = [mc_rmse(replace(
-        config, base_seed=config.base_seed + CELL_SEED_STRIDE * c,
-        sweep=None, **overrides))
-        for c, overrides in enumerate(cells, start=first_cell)]
+def _mc_sweep(config: ScenarioConfig, cells) -> list[McResult]:
+    """Monte Carlo outcome of each cell: cells yields the ScenarioConfig
+    fields each cell overrides, and cell c runs at base_seed +
+    CELL_SEED_STRIDE * c.
+
+    Each cell is synthesized once (the scene is deterministic) and draws
+    its (trials, K) noise stack. The stacks of cells that share a
+    prediction system (Prony config, channel count, window pitch, carrier
+    wavenumber and LO bearing) run as one batched Prony solve of at most
+    MC_STACK_ROWS rows; a cell is never split, and a larger one runs
+    alone. Rows are independent, so each cell gets the result of its
+    own solve. A cell whose noise draw raises a domain error fails whole.
+    """
+    seeded = [replace(config, sweep=None,
+                      base_seed=config.base_seed + CELL_SEED_STRIDE * c,
+                      **overrides) for c, overrides in enumerate(cells)]
+    # Cells grouped by everything estimate_doa_batch reads besides values.
+    groups: dict[tuple, list[int]] = {}
+    for i, cell in enumerate(seeded):
+        groups.setdefault((cell.prony, cell.geometry.channel_count,
+                           cell.geometry.spacing, cell.scene.wavenumber,
+                           cell.scene.lo.angle), []).append(i)
+    results: list = [None] * len(seeded)
+    for members in groups.values():
+        stack, rows = [], 0
+        for i in members:
+            if stack and rows + seeded[i].trials > MC_STACK_ROWS:
+                _solve_stack(seeded, stack, results)
+                stack, rows = [], 0
+            values = _trial_values(seeded[i])
+            if values is None:
+                results[i] = McResult(rmse_rad=np.inf,
+                                      failures=seeded[i].trials)
+            else:
+                stack.append((i, values))
+                rows += len(values)
+        if stack:
+            _solve_stack(seeded, stack, results)
+    return results
+
+
+def _trial_values(cell: ScenarioConfig) -> np.ndarray | None:
+    """The cell's (trials, K) noisy samples; None when the noise draw
+    raises a domain error (a scene without signal power)."""
+    clean = synthesize(cell)
+    if cell.snr_db is None:
+        return np.broadcast_to(clean.values, (cell.trials, len(clean.values)))
+    try:
+        return sensing.add_noise(clean, cell.snr_db, range(
+            cell.base_seed, cell.base_seed + cell.trials)).values
+    except RydbergDoaError:
+        return None
+
+
+def _solve_stack(cells: list, stack: list, results: list) -> None:
+    """One batched estimate of the (cell index, values) stack, whose cells
+    share a prediction system; each cell's rows give its results entry."""
+    first = cells[stack[0][0]]
+    values = stack[0][1] if len(stack) == 1 else \
+        np.concatenate([v for _, v in stack])
+    try:
+        batch = estimate_doa_batch(
+            MeasurementVector(values=values, geometry=first.geometry),
+            (first.scene.wavenumber, first.scene.lo.angle), first.prony)
+    except RydbergDoaError:
+        # Only an order K cannot support, which every cell here shares.
+        for i, v in stack:
+            results[i] = McResult(rmse_rad=np.inf, failures=len(v))
+        return
+    ok = ~batch.failed
+    start = 0
+    for i, v in stack:
+        rows = slice(start, start + len(v))
+        start = rows.stop
+        kept = ok[rows]
+        doas, counts = batch.doas[rows][kept], batch.target_counts[rows][kept]
+        truth = scenarios.true_doas(cells[i].scene)
+        # Singular-value order selection may vary the target count by trial.
+        errors = [match_errors(doas[counts == n, :n], truth).ravel()
+                  for n in np.unique(counts)]
+        rmse = float(np.sqrt((np.concatenate(errors) ** 2).mean())) \
+            if errors else np.inf
+        results[i] = McResult(rmse_rad=rmse,
+                              failures=len(v) - int(kept.sum()))
+
+
+def _sweep_result(config: ScenarioConfig, results: list) -> SweepResult:
     return SweepResult(
         values=config.sweep.values, crlb_std_rad=None, trials=config.trials,
         rmse_rad=tuple(r.rmse_rad for r in results),
@@ -307,10 +367,10 @@ def run_lo_ratio_sweep(config: ScenarioConfig) -> SweepResult:
     analytic path is linearization-exact by construction and cannot show
     the weak-LO breakdown this sweep demonstrates.
     """
-    return _mc_sweep(config, (
+    return _sweep_result(config, _mc_sweep(config, (
         {"scene": scenarios.with_lo_ratio(config.scene, float(ratio)),
          "source": SIMULATED_FLUORESCENCE}
-        for ratio in config.sweep.values))
+        for ratio in config.sweep.values)))
 
 
 SNR_PRESETS = {
@@ -330,18 +390,22 @@ def run_snr_sweep(config: ScenarioConfig) -> dict[str, SweepResult]:
     """
     values = config.sweep.values
     smoke_idx = int(np.argmin(values))
-    results: dict[str, SweepResult] = {}
-    for preset_idx, (name, angles) in enumerate(SNR_PRESETS.items()):
-        scene = _preset_scene(config, angles)
+    scenes, cells = {}, []
+    for name, angles in SNR_PRESETS.items():
+        scenes[name] = scene = _preset_scene(config, angles)
         n = len(angles)
         prony = replace(config.prony, model_order=2 * n, target_count=n)
-        single = name == "single_15"
-        result = _mc_sweep(config, (
+        cells += [
             {"scene": scene, "prony": prony, "snr_db": float(snr),
-             "source": SIMULATED_FLUORESCENCE if single and idx == smoke_idx
-             else ANALYTIC_MODEL}
-            for idx, snr in enumerate(values)), preset_idx * len(values))
-        if single:
+             "source": SIMULATED_FLUORESCENCE
+             if name == "single_15" and idx == smoke_idx else ANALYTIC_MODEL}
+            for idx, snr in enumerate(values)]
+    mc = _mc_sweep(config, cells)
+    results: dict[str, SweepResult] = {}
+    for preset_idx, (name, scene) in enumerate(scenes.items()):
+        result = _sweep_result(config, mc[preset_idx * len(values):
+                                          (preset_idx + 1) * len(values)])
+        if name == "single_15":
             result = replace(result, crlb_std_rad=tuple(
                 crlb_std_for(scene, config.geometry, config.params,
                              float(snr))[0] for snr in values))

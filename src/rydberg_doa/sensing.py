@@ -429,14 +429,14 @@ def add_noise(measurement: MeasurementVector, snr_db: float,
     channels. seed is one int, or a sequence of T ints for a (T, K) stack
     of noisy copies whose row t is exactly the single-seed draw of
     seed[t] (see standard_normal_rows). Deterministic for a fixed
-    (input, snr_db, seed) triple.
+    (input, snr_db, seed) triple. Only +inf dB is noiseless.
     """
     if measurement.noise_sigma != 0:
         raise ValueError("input measurement already carries noise")
     single = np.ndim(seed) == 0
     seeds = [seed] if single else list(seed)
     k = measurement.values.shape[-1]
-    if np.isinf(snr_db):
+    if snr_db == np.inf:
         sigma, noise = 0.0, np.zeros((len(seeds), k))
     else:
         sigma2 = noise_variance(measurement.values, snr_db)

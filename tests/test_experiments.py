@@ -225,6 +225,122 @@ class TestSnrSweep:
         assert np.all(rmse[finite] >= 0.7 * np.array(single.crlb_std_rad)[finite])
 
 
+def seeded_cell(config, c, **overrides):
+    """Cell c of a sweep of config, seeded explicitly."""
+    return replace(config, sweep=None, **overrides,
+                   base_seed=config.base_seed
+                   + experiments.CELL_SEED_STRIDE * c)
+
+
+@pytest.fixture()
+def solve_rows(monkeypatch):
+    """Row counts of every batched solve the Monte Carlo engine makes."""
+    rows = []
+    solve = experiments.estimate_doa_batch
+
+    def recording(measurements, *args):
+        rows.append(len(measurements.values))
+        return solve(measurements, *args)
+
+    monkeypatch.setattr(experiments, "estimate_doa_batch", recording)
+    return rows
+
+
+class TestMcSweepStacking:
+    """Cells that share a prediction system run as one solve, and every
+    cell keeps exactly the result of its own mc_rmse."""
+
+    def test_fluorescence_cells_share_one_solve(self, base_config,
+                                                solve_rows):
+        ratios = (1.0, 3.0, 20.0, 50.0)
+        cfg = replace(base_config, trials=1, base_seed=4,
+                      sweep=SweepSpec(axis="lo_ratio", values=ratios))
+        result = run_lo_ratio_sweep(cfg)
+        assert solve_rows == [len(ratios)]
+        cells = [mc_rmse(seeded_cell(
+            cfg, c, scene=scenarios.with_lo_ratio(cfg.scene, ratio),
+            source=sensing.SIMULATED_FLUORESCENCE))
+            for c, ratio in enumerate(ratios)]
+        assert len(set(result.rmse_rad)) == len(ratios)
+        assert result.rmse_rad == tuple(r.rmse_rad for r in cells)
+        assert result.failures == tuple(r.failures for r in cells)
+
+    def test_snr_presets_share_solves_by_order(self, base_config,
+                                               solve_rows):
+        values = (25.0, 10.0, 40.0)
+        cfg = replace(base_config, trials=40, base_seed=11,
+                      sweep=SweepSpec(axis="snr_db", values=values))
+        results = run_snr_sweep(cfg)
+        # single_15 (p = 2) in one solve, wide_pair and close_pair
+        # (p = 4) in another.
+        assert solve_rows == [3 * 40, 6 * 40]
+        self.assert_matches_cells(cfg, results)
+        failures = results["close_pair"].failures
+        assert any(0 < f < cfg.trials for f in failures)
+
+    def test_whole_cell_failure_inside_a_stack(self, base_config,
+                                               solve_rows):
+        scene = base_config.scene
+        silent = replace(scene, signals=tuple(
+            replace(s, amplitude=0.0) for s in scene.signals))
+        close = scenarios.scene_from_angles(experiments.SNR_PRESETS[
+            "close_pair"], lo_angle=scene.lo.angle)
+        cells = ({"scene": scene}, {"scene": silent},
+                 {"scene": close, "snr_db": 35.0}, {"scene": scene})
+        results = experiments._mc_sweep(base_config, cells)
+        assert solve_rows == [3 * base_config.trials]
+        assert results[1] == experiments.McResult(
+            rmse_rad=np.inf, failures=base_config.trials)
+        assert 0 < results[2].failures < base_config.trials
+        assert results == [mc_rmse(seeded_cell(base_config, c, **o))
+                           for c, o in enumerate(cells)]
+
+    def test_stacks_stay_within_the_row_budget(self, base_config,
+                                               solve_rows):
+        budget = experiments.MC_STACK_ROWS
+        values = (20.0, 30.0, 40.0)
+        trials = budget // 3 + 7
+        cfg = replace(base_config, trials=trials, base_seed=2,
+                      sweep=SweepSpec(axis="snr_db", values=values))
+        results = run_snr_sweep(cfg)
+        assert sum(solve_rows) == 3 * len(values) * trials
+        assert len(solve_rows) > 2
+        assert max(solve_rows) <= budget
+        self.assert_matches_cells(cfg, results)
+
+    def test_cells_are_never_split(self, base_config, solve_rows,
+                                   monkeypatch):
+        monkeypatch.setattr(experiments, "MC_STACK_ROWS", 100)
+        sizes = (30, 50, 40, 150, 10, 60)
+        cells = tuple({"trials": n, "snr_db": 15.0} for n in sizes)
+        results = experiments._mc_sweep(base_config, cells)
+        assert solve_rows == [80, 40, 150, 70]
+        assert results == [mc_rmse(seeded_cell(base_config, c, **o))
+                           for c, o in enumerate(cells)]
+
+    @staticmethod
+    def assert_matches_cells(cfg, results):
+        smoke = int(np.argmin(cfg.sweep.values))
+        c = 0
+        for name, angles in experiments.SNR_PRESETS.items():
+            n = len(angles)
+            scene = experiments._preset_scene(cfg, angles)
+            cells = []
+            for idx, snr in enumerate(cfg.sweep.values):
+                cells.append(mc_rmse(seeded_cell(
+                    cfg, c, scene=scene, snr_db=snr,
+                    prony=replace(cfg.prony, model_order=2 * n,
+                                  target_count=n),
+                    source=sensing.SIMULATED_FLUORESCENCE
+                    if name == "single_15" and idx == smoke
+                    else sensing.ANALYTIC_MODEL)))
+                c += 1
+            assert results[name].rmse_rad == tuple(
+                r.rmse_rad for r in cells), name
+            assert results[name].failures == tuple(
+                r.failures for r in cells), name
+
+
 class TestLengthSweep:
     def test_monotone_and_angle_ordering(self, base_config):
         cfg = ScenarioConfig(

@@ -411,6 +411,13 @@ class TestAddNoise:
             with pytest.raises(ValueError, match="finite positive"):
                 sensing.add_noise(mv, snr_db, 0)
 
+    def test_minus_infinite_snr_rejected(self, geometry):
+        # -inf dB is pure noise, not the noiseless +inf case.
+        mv = self.make_measurement(geometry)
+        for seed in (0, range(20)):
+            with pytest.raises(ValueError, match="finite positive"):
+                sensing.add_noise(mv, -np.inf, seed)
+
     def test_seed_sequence_stacks_single_seed_draws(self, geometry):
         mv = self.make_measurement(geometry)
         stack = sensing.add_noise(mv, 20.0, [5, 6, 7])
