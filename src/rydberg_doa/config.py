@@ -295,6 +295,11 @@ def parse_config(doc: dict) -> RunConfig:
             snr_db=snr_db, trials=trials, base_seed=base_seed, sweep=sweep)
     except ValueError as exc:
         raise ConfigParseError(str(exc)) from exc
+    if sweep is not None and sweep.axis == "lo_ratio" and not any(
+            s.amplitude for s in scene.signals):
+        raise ConfigParseError(
+            "'sweep.axis' lo_ratio needs at least one signal with nonzero "
+            "amplitude")
     return RunConfig(scenario=scenario, output_dir=output_dir,
                      output_format=fmt, verbosity=verbosity, echo=doc,
                      absorption_model=absorption_model)

@@ -34,7 +34,7 @@ class InsufficientSamples(RydbergDoaError):
 
 
 class RootfindingFailure(RydbergDoaError):
-    """Polynomial root residuals stayed above tolerance after refinement."""
+    """Polynomial root residuals stayed above tolerance."""
 
 
 class InsufficientSignalRoots(RydbergDoaError):

@@ -131,12 +131,12 @@ def _polyval(poly: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def char_poly_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of z^p + a_1 z^(p-1) + ... + a_p via companion eigenvalues,
-    polished with two Newton steps; leading axes of coeffs stack
-    independent polynomials.
+    """Roots of z^p + a_1 z^(p-1) + ... + a_p as the eigenvalues of its
+    companion matrix; leading axes of coeffs stack independent polynomials.
 
-    Returns (roots, residual): residual is each polynomial's worst
-    |P(z)| / (1 + |z|^p) over its polished roots.
+    Companion eigenvalues are backward stable, so the roots are used as
+    computed. Returns (roots, residual): residual is each polynomial's
+    worst |P(z)| / (1 + |z|^p) over its roots, for the caller's gate.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if not np.all(np.isfinite(coeffs)):
@@ -148,17 +148,6 @@ def char_poly_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     companion[..., 0, :] = -coeffs
     companion[..., np.arange(1, order), np.arange(order - 1)] = 1.0
     roots = np.linalg.eigvals(companion).astype(complex)
-    deriv = monic[..., :-1] * np.arange(order, 0, -1)
-    with np.errstate(all="ignore"):
-        for _ in range(2):
-            value = _polyval(monic, roots)
-            dp = _polyval(deriv, roots)
-            step = np.where(dp != 0, value / np.where(dp == 0, 1.0, dp),
-                            0.0)
-            refined = roots - step
-            keep = np.isfinite(refined) & (
-                np.abs(_polyval(monic, refined)) <= np.abs(value))
-            roots = np.where(keep, refined, roots)
     residual = np.abs(_polyval(monic, roots)) / (1.0 + np.abs(roots) ** order)
     return roots, residual.max(axis=-1, initial=0.0)
 
@@ -271,7 +260,8 @@ class BatchEstimate:
 
     Arrays have T rows. Columns beyond a row's target count, and every
     column of a failed row, hold NaN (clamped flags hold False). errors[t]
-    is the exception row t raised, or None when it succeeded.
+    is the exception row t raised, or None when it succeeded; failed[t] is
+    True exactly where errors[t] is not None.
     """
 
     spatial_frequencies: np.ndarray
@@ -283,10 +273,7 @@ class BatchEstimate:
     rank_deficient: np.ndarray
     target_counts: np.ndarray
     errors: tuple
-
-    @property
-    def failed(self) -> np.ndarray:
-        return np.array([e is not None for e in self.errors], dtype=bool)
+    failed: np.ndarray
 
     def result(self, row: int) -> EstimationResult:
         """Row as an EstimationResult; raises the row's failure."""
@@ -336,19 +323,18 @@ def estimate_doa_batch(measurements, scene_meta: tuple[float, float],
     freqs = np.take_along_axis(freqs, order, axis=-1)
     reps = np.take_along_axis(reps, order, axis=-1)
     doas, clamped = doa_from_frequency(freqs, wavenumber, lo_angle)
-    errors = tuple(
-        RootfindingFailure(
-            f"root residual {root_residual[t]:.3e} above tolerance")
-        if root_failed[t] else
-        InsufficientSignalRoots(
+    failed = root_failed | (found < n_targets)
+    errors = [None] * n_rows
+    for t in np.flatnonzero(failed):
+        errors[t] = RootfindingFailure(
+            f"root residual {root_residual[t]:.3e} above tolerance"
+        ) if root_failed[t] else InsufficientSignalRoots(
             f"found {found[t]} usable root pairs, need {n_targets[t]}")
-        if found[t] < n_targets[t] else None
-        for t in range(n_rows))
     return BatchEstimate(
         spatial_frequencies=freqs, doas=doas, roots=reps,
         lpc_coefficients=coeffs, lpc_residual_norm=residual,
         clamped_flags=clamped, rank_deficient=rank_deficient,
-        target_counts=n_targets, errors=errors)
+        target_counts=n_targets, errors=tuple(errors), failed=failed)
 
 
 def estimate_doa(measurement, scene_meta: tuple[float, float],

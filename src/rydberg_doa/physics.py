@@ -138,27 +138,6 @@ class RfScene:
         return True
 
 
-def rabi_frequency(params: AtomicParams, field_magnitude) -> np.ndarray | float:
-    """RF Rabi frequency mu_RF*|E|/hbar for a field magnitude in V/m."""
-    field_magnitude = np.asarray(field_magnitude, dtype=float)
-    if np.any(field_magnitude < 0):
-        raise ValueError("field magnitude must be nonnegative")
-    out = params.rf_dipole * field_magnitude / params.reduced_planck
-    return out if out.ndim else float(out)
-
-
-def rf_field(scene: RfScene, x) -> np.ndarray | complex:
-    """Total complex RF field at position(s) x: direct phasor sum."""
-    x = np.asarray(x, dtype=float)
-    k = scene.wavenumber
-    total = scene.lo.amplitude * np.exp(
-        1j * (k * x * np.sin(scene.lo.angle) + scene.lo.phase))
-    for s in scene.signals:
-        total = total + s.amplitude * np.exp(
-            1j * (k * x * np.sin(s.angle) + s.phase))
-    return total if np.ndim(total) else complex(total)
-
-
 def field_intensity(scene: RfScene, x) -> np.ndarray | float:
     """|E_RF(x)|^2 expanded term by term: LO self-term, signal self-terms,
     signal-LO beats, and all signal-signal cross-terms."""
@@ -314,17 +293,6 @@ def absorption_linearized(params: AtomicParams, scene: RfScene,
     mods = modulation_amplitudes(params, scene)
     for a_mod, dk, dphi in zip(mods, scene.delta_ks, scene.delta_phis):
         out = out + a_mod * np.cos(dk * x - dphi)
-    return out if out.ndim else float(out)
-
-
-def scattering_rate(gamma: float, intensity_ratio,
-                    detuning_ratio=0.0) -> np.ndarray | float:
-    """Two-level photon scattering rate for I/I_sat and Delta/Gamma inputs."""
-    intensity_ratio = np.asarray(intensity_ratio, dtype=float)
-    if np.any(intensity_ratio < 0):
-        raise ValueError("intensity ratio must be nonnegative")
-    out = (gamma / 2) * intensity_ratio / (
-        1 + intensity_ratio + 4 * np.asarray(detuning_ratio, dtype=float)**2)
     return out if out.ndim else float(out)
 
 

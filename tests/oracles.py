@@ -1,7 +1,9 @@
 """Independent reference computations that the tests check the runtime
 paths against. They are deliberately slower or built on other libraries
 (scipy's Cholesky solve, trapezoid quadrature) so that they share no code
-path with what they check.
+path with what they check. The closed forms at the end (Rabi frequency,
+phasor field sum, two-level scattering rate) are textbook formulas that
+only the tests evaluate.
 """
 
 import numpy as np
@@ -9,6 +11,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from rydberg_doa.crlb import FimInputs, window_integrals
 from rydberg_doa.errors import SingularCovariance, WindowOutOfCell
+from rydberg_doa.physics import AtomicParams, RfScene
 from rydberg_doa.sensing import SampledAbsorption, SensorGeometry
 
 
@@ -98,3 +101,35 @@ def fisher_information_scipy(jacobian: np.ndarray,
     crlb.fisher_information does."""
     fim = jacobian.T @ cho_solve(cho_factor(noise_cov, lower=True), jacobian)
     return (fim + fim.T) / 2
+
+
+def rabi_frequency(params: AtomicParams, field_magnitude) -> np.ndarray | float:
+    """RF Rabi frequency mu_RF*|E|/hbar for a field magnitude in V/m."""
+    field_magnitude = np.asarray(field_magnitude, dtype=float)
+    if np.any(field_magnitude < 0):
+        raise ValueError("field magnitude must be nonnegative")
+    out = params.rf_dipole * field_magnitude / params.reduced_planck
+    return out if out.ndim else float(out)
+
+
+def rf_field(scene: RfScene, x) -> np.ndarray | complex:
+    """Total complex RF field at position(s) x: direct phasor sum."""
+    x = np.asarray(x, dtype=float)
+    k = scene.wavenumber
+    total = scene.lo.amplitude * np.exp(
+        1j * (k * x * np.sin(scene.lo.angle) + scene.lo.phase))
+    for s in scene.signals:
+        total = total + s.amplitude * np.exp(
+            1j * (k * x * np.sin(s.angle) + s.phase))
+    return total if np.ndim(total) else complex(total)
+
+
+def scattering_rate(gamma: float, intensity_ratio,
+                    detuning_ratio=0.0) -> np.ndarray | float:
+    """Two-level photon scattering rate for I/I_sat and Delta/Gamma inputs."""
+    intensity_ratio = np.asarray(intensity_ratio, dtype=float)
+    if np.any(intensity_ratio < 0):
+        raise ValueError("intensity ratio must be nonnegative")
+    out = (gamma / 2) * intensity_ratio / (
+        1 + intensity_ratio + 4 * np.asarray(detuning_ratio, dtype=float)**2)
+    return out if out.ndim else float(out)

@@ -176,6 +176,23 @@ class TestConfigErrors:
                        "bound needs a noise level)\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["rmse", "linearization_check"])
+    def test_lo_ratio_sweep_without_signal_power_exit_2(self, tmp_path,
+                                                        capsys, kind):
+        out = tmp_path / "out"
+        doc = json.loads((REPO_CONFIGS / "fig3c.json").read_text())
+        doc["scene"]["lo"] = {"amplitude_v_per_m": 2e-5, "phase_deg": 0,
+                              "angle_deg": 90}
+        for signal in doc["scene"]["signals"]:
+            signal["amplitude_v_per_m"] = 0
+        doc["sweep"]["kind"] = kind
+        assert cli.main(["sweep", "--config", write_config(tmp_path, doc),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: 'sweep.axis' lo_ratio needs at least one signal with "
+            "nonzero amplitude\n")
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_creates_outputs(self, tmp_path, capsys):

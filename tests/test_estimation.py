@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rydberg_doa import estimation, experiments, scenarios, sensing
 from rydberg_doa.errors import (
@@ -112,6 +112,18 @@ class TestCharPolyRoots:
         expected = (-1) ** len(coeffs) * coeffs[-1]
         assert abs(product - expected) <= 1e-8 * max(
             1.0, np.abs(coeffs).max())
+
+    # Repeated roots: (z-1)^4, (z+0.5)^3 and a double unit-circle pair.
+    @example(coeffs=list(np.poly([1.0] * 4)[1:]))
+    @example(coeffs=list(np.poly([-0.5] * 3)[1:]))
+    @example(coeffs=list(np.poly(np.exp([1j, 1j, -1j, -1j])).real[1:]))
+    @given(coeffs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8))
+    def test_residual_far_inside_gate(self, coeffs):
+        # The batch kernel fails a row above ROOT_RESIDUAL_TOL * max(1, |a|);
+        # companion eigenvalues, used as computed, must sit far inside it.
+        coeffs = np.asarray(coeffs)
+        gate = estimation.ROOT_RESIDUAL_TOL * max(1.0, np.abs(coeffs).max())
+        assert char_poly_roots(coeffs)[1] <= 1e-3 * gate
 
 
 class TestSelectSignalRoots:
@@ -256,7 +268,7 @@ class TestEstimateDoa:
 
 def reference_doas(values, spacing, scene_meta, cfg):
     """Serial Prony estimate through np.linalg.lstsq, np.roots and an
-    np.polyval Newton polish, the textbook path the batched stages
+    np.polyval residual gate, the textbook path the batched stages
     replace."""
     wavenumber, lo_angle = scene_meta
     p, k = cfg.model_order, len(values)
@@ -264,17 +276,6 @@ def reference_doas(values, spacing, scene_meta, cfg):
     coeffs = np.linalg.lstsq(values[idx], -values[p:], rcond=None)[0]
     monic = np.concatenate(([1.0], coeffs))
     roots = np.roots(monic)
-    deriv = np.polyder(monic)
-    with np.errstate(all="ignore"):
-        for _ in range(2):
-            dp = np.polyval(deriv, roots)
-            step = np.where(dp != 0, np.polyval(monic, roots)
-                            / np.where(dp == 0, 1.0, dp), 0.0)
-            refined = roots - step
-            keep = np.isfinite(refined) & (
-                np.abs(np.polyval(monic, refined))
-                <= np.abs(np.polyval(monic, roots)))
-            roots = np.where(keep, refined, roots)
     residual = np.abs(np.polyval(monic, roots)) / (1 + np.abs(roots) ** p)
     if residual.max() > estimation.ROOT_RESIDUAL_TOL * max(
             1.0, np.abs(coeffs).max()):
@@ -312,6 +313,34 @@ class TestBatchKernel:
                                                rtol=0, atol=1e-9)
                     outcomes.add(None)
         assert {None, InsufficientSignalRoots} <= outcomes
+
+    def test_failed_matches_errors(self, params, geometry, monkeypatch):
+        scene = scenarios.scene_from_angles(experiments.SNR_PRESETS[
+            "close_pair"])
+        meta = (scene.wavenumber, scene.lo.angle)
+        cfg = PronyConfig(model_order=4, target_count=2)
+        clean = sensing.predicted_measurements(scene, geometry, params)
+        stack = sensing.add_noise(clean, 20.0, range(200))
+        coeffs = solve_lpc(*build_hankel(stack.values, 4))[0]
+        ratio = char_poly_roots(coeffs)[1] / np.maximum(
+            1.0, np.abs(coeffs).max(axis=-1))
+        # A gate at the median residual fails about half the rows on it.
+        tol = float(np.median(ratio))
+        monkeypatch.setattr(estimation, "ROOT_RESIDUAL_TOL", tol)
+        batch = estimate_doa_batch(stack, meta, cfg)
+        assert batch.failed.dtype == bool
+        np.testing.assert_array_equal(
+            batch.failed, [e is not None for e in batch.errors])
+        np.testing.assert_array_equal(
+            [isinstance(e, RootfindingFailure) for e in batch.errors],
+            ratio > tol)
+        assert np.isnan(batch.doas[batch.failed]).all()
+        assert np.isfinite(batch.doas[~batch.failed]).all()
+        assert {type(e) for e in batch.errors} == {
+            type(None), RootfindingFailure, InsufficientSignalRoots}
+        for t in np.flatnonzero(batch.failed)[:5]:
+            with pytest.raises(type(batch.errors[t])):
+                batch.result(t)
 
     def test_estimate_doa_rejects_a_stack(self, params, two_target,
                                           geometry):
