@@ -295,8 +295,9 @@ def estimate_doa_batch(measurements, scene_meta: tuple[float, float],
 
     measurements.values is (T, K), or (K,) for one vector. Each stage runs
     once over the whole stack, and row t equals the pipeline on row t
-    alone. A row whose roots fail the residual check or that has too few
-    signal roots records its exception instead of raising.
+    alone. A row whose prediction coefficients are not finite, whose roots
+    fail the residual check or that has too few signal roots records its
+    exception instead of raising.
     """
     wavenumber, lo_angle = scene_meta
     values = np.atleast_2d(measurements.values)
@@ -307,9 +308,14 @@ def estimate_doa_batch(measurements, scene_meta: tuple[float, float],
             f"K={k_samples} samples cannot support order p={config.model_order}")
     matrix, rhs = build_hankel(values, config.model_order)
     coeffs, residual, rank_deficient = solve_lpc(matrix, rhs)
-    roots, root_residual = char_poly_roots(coeffs)
-    root_failed = root_residual > ROOT_RESIDUAL_TOL * np.maximum(
-        1.0, np.abs(coeffs).max(axis=-1, initial=0.0))
+    # A row whose coefficients overflowed has no polynomial to root: it
+    # roots zeros in their place and fails alone, and finite rows are
+    # rooted exactly as they would be without it.
+    finite = np.isfinite(coeffs).all(axis=-1)
+    roots, root_residual = char_poly_roots(
+        np.where(finite[:, None], coeffs, 0.0))
+    root_failed = ~finite | (root_residual > ROOT_RESIDUAL_TOL * np.maximum(
+        1.0, np.abs(coeffs).max(axis=-1, initial=0.0)))
     if config.order_selection == SV_THRESHOLD:
         n_targets = estimate_target_count(matrix, config.sv_threshold)
     else:
@@ -328,6 +334,7 @@ def estimate_doa_batch(measurements, scene_meta: tuple[float, float],
     for t in np.flatnonzero(failed):
         errors[t] = RootfindingFailure(
             f"root residual {root_residual[t]:.3e} above tolerance"
+            if finite[t] else "prediction coefficients are not finite"
         ) if root_failed[t] else InsufficientSignalRoots(
             f"found {found[t]} usable root pairs, need {n_targets[t]}")
     return BatchEstimate(

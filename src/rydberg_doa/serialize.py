@@ -1,13 +1,12 @@
-"""File formats: CSV/JSON writers for profiles, measurements, estimation
-results, bound reports, and sweep outputs. All writes are atomic
-(write-then-rename) and floats carry 17 significant digits so identical
-runs produce byte-identical files.
+"""File formats: CSV/JSON writers, all atomic (write-then-rename), for
+profiles, measurements, estimation results, bound reports and sweeps.
+One column formatter, _fmt, writes CSV floats with 17 significant digits,
+once per bit-identical column of a file; identical runs give equal bytes.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import tempfile
@@ -22,8 +21,10 @@ from .experiments import LinearizationCheck, SamplingDemoResult, SweepResult
 from .sensing import FluorescenceProfile, MeasurementVector, SensorGeometry
 
 
-def _fmt(value: float) -> str:
-    return f"{float(value):.17g}"
+def _fmt(values) -> list[str]:
+    """Each value's .17g text, made by one %-format call for the column."""
+    values = np.asarray(values, dtype=float).tolist()
+    return ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -40,31 +41,35 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def _csv_text(header: list[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _csv_text(header: str, *columns) -> str:
+    """The header line, then one line per row of the columns. A list column
+    holds field text; any other holds numbers for _fmt, formatted once per
+    byte pattern (not per value: 0.0 and -0.0 print apart)."""
+    done: dict[bytes, list[str]] = {}
+    texts = []
+    for col in columns:
+        if not isinstance(col, list):
+            key = np.asarray(col, dtype=float).tobytes()
+            if key not in done:
+                done[key] = _fmt(col)
+            col = done[key]
+        texts.append(col)
+    return "\n".join([header, *map(",".join, zip(*texts))]) + "\n"
 
 
 def write_fluorescence_csv(profile: FluorescenceProfile,
                            path: str | Path) -> None:
-    # one format pass over Python floats: the same text as _csv_text with
-    # _fmt, at a fraction of the cost on a full-resolution profile
-    rows = "".join(
-        f"{x:.17g},{p:.17g},{f:.17g}\n" for x, p, f in
-        zip(profile.positions.tolist(), profile.probe_power.tolist(),
-            profile.fluorescence.tolist()))
-    atomic_write_text(path, "x_m,probe_power,fluorescence\n" + rows)
+    atomic_write_text(path, _csv_text(
+        "x_m,probe_power,fluorescence", profile.positions,
+        profile.probe_power, profile.fluorescence))
 
 
 def write_measurement_csv(measurement: MeasurementVector,
                           path: str | Path) -> None:
-    centers = measurement.geometry.centers
-    rows = ((str(j + 1), _fmt(x), _fmt(v)) for j, (x, v) in
-            enumerate(zip(centers, measurement.values)))
-    atomic_write_text(path, _csv_text(["j", "x_j_m", "y_tilde"], rows))
+    values = measurement.values
+    atomic_write_text(path, _csv_text(
+        "j,x_j_m,y_tilde", [str(j + 1) for j in range(len(values))],
+        measurement.geometry.centers, values))
 
 
 def read_measurement_csv(path: str | Path
@@ -86,11 +91,14 @@ def read_measurement_csv(path: str | Path
             if len(row) != 3:
                 raise SchemaError(f"{path}: row {lineno} has {len(row)} "
                                   "fields, expected 3")
-            try:
-                centers.append(float(row[1]))
-                values.append(float(row[2]))
-            except ValueError as exc:
-                raise SchemaError(f"{path}: row {lineno}: {exc}") from None
+            for field, column in zip(row[1:], (centers, values)):
+                try:
+                    column.append(float(field))
+                    if not abs(column[-1]) < np.inf:  # nan and +-inf
+                        raise ValueError("could not convert string to "
+                                         f"finite float: {field!r}")
+                except ValueError as exc:
+                    raise SchemaError(f"{path}: row {lineno}: {exc}") from None
     if len(values) < 2:
         raise SchemaError(f"{path}: need at least two channels")
     return np.array(centers), np.array(values)
@@ -160,44 +168,35 @@ def write_crlb_json(report: CrlbReport, path: str | Path) -> None:
 
 def write_crlb_csv(report: CrlbReport, thetas_rad: np.ndarray,
                    path: str | Path) -> None:
-    rows = ((str(i + 1), _fmt(np.rad2deg(t)), _fmt(np.rad2deg(s)))
-            for i, (t, s) in enumerate(zip(thetas_rad,
-                                           report.per_target_std)))
+    std = report.per_target_std
     atomic_write_text(path, _csv_text(
-        ["target", "theta_deg", "crlb_std_deg"], rows))
+        "target,theta_deg,crlb_std_deg", [str(i + 1) for i in range(len(std))],
+        np.rad2deg(thetas_rad), np.rad2deg(std)))
 
 
 def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
-    rows = []
-    bounds = result.crlb_std_rad or (None,) * len(result.values)
-    for value, rmse, bound, fails in zip(result.values, result.rmse_rad,
-                                         bounds, result.failures):
-        rmse_txt = "" if np.isnan(rmse) else _fmt(np.rad2deg(rmse))
-        bound_txt = "" if bound is None else _fmt(np.rad2deg(bound))
-        rows.append((_fmt(value), rmse_txt, bound_txt,
-                     str(result.trials), str(fails)))
+    n = len(result.values)
+    rmse = np.rad2deg(result.rmse_rad)
     atomic_write_text(path, _csv_text(
-        ["axis_value", "rmse_deg", "crlb_deg", "trials", "failures"], rows))
+        "axis_value,rmse_deg,crlb_deg,trials,failures", result.values,
+        ["" if nan else t for t, nan in zip(_fmt(rmse), np.isnan(rmse))],
+        np.rad2deg(result.crlb_std_rad) if result.crlb_std_rad else [""] * n,
+        [str(result.trials)] * n, [str(f) for f in result.failures]))
 
 
 def write_linearization_csv(check: LinearizationCheck,
                             path: str | Path) -> None:
-    rows = ((_fmt(x), _fmt(ew), _fmt(lw), _fmt(es), _fmt(ls))
-            for x, ew, lw, es, ls in zip(
-                check.positions, check.exact_weak, check.linear_weak,
-                check.exact_strong, check.linear_strong))
     atomic_write_text(path, _csv_text(
-        ["x_m", "alpha_exact_weak", "alpha_lin_weak",
-         "alpha_exact_strong", "alpha_lin_strong"], rows))
+        "x_m,alpha_exact_weak,alpha_lin_weak,alpha_exact_strong,"
+        "alpha_lin_strong", check.positions, check.exact_weak,
+        check.linear_weak, check.exact_strong, check.linear_strong))
 
 
 def write_sampling_demo_csv(result: SamplingDemoResult,
                             path: str | Path) -> None:
-    header = ["angle_deg"] + [f"power_{c.label}" for c in result.curves]
-    columns = [c.power for c in result.curves]
-    rows = ([_fmt(a)] + [_fmt(col[i]) for col in columns]
-            for i, a in enumerate(result.angles_deg))
-    atomic_write_text(path, _csv_text(header, rows))
+    atomic_write_text(path, _csv_text(
+        ",".join(["angle_deg"] + [f"power_{c.label}" for c in result.curves]),
+        result.angles_deg, *(c.power for c in result.curves)))
 
 
 def write_result(result, path: str | Path) -> None:

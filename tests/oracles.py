@@ -1,10 +1,15 @@
 """Independent reference computations that the tests check the runtime
 paths against. They are deliberately slower or built on other libraries
-(scipy's Cholesky solve, trapezoid quadrature) so that they share no code
-path with what they check. The closed forms at the end (Rabi frequency,
-phasor field sum, two-level scattering rate) are textbook formulas that
-only the tests evaluate.
+(scipy's Cholesky solve, trapezoid quadrature, csv.writer) so that they
+share no code path with what they check. The closed forms (Rabi
+frequency, phasor field sum, two-level scattering rate) are textbook
+formulas that only the tests evaluate. The CSV renderers at the end build
+each output file row by row, one f-string .17g per value, as the writers
+did before they formatted whole columns at once.
 """
+
+import csv
+import io
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -133,3 +138,67 @@ def scattering_rate(gamma: float, intensity_ratio,
     out = (gamma / 2) * intensity_ratio / (
         1 + intensity_ratio + 4 * np.asarray(detuning_ratio, dtype=float)**2)
     return out if out.ndim else float(out)
+
+
+def _fmt(value) -> str:
+    return f"{float(value):.17g}"
+
+
+def _csv_text(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def fluorescence_csv_rowwise(profile) -> str:
+    """serialize.write_fluorescence_csv's text, one row at a time."""
+    rows = "".join(
+        f"{x:.17g},{p:.17g},{f:.17g}\n" for x, p, f in
+        zip(profile.positions.tolist(), profile.probe_power.tolist(),
+            profile.fluorescence.tolist()))
+    return "x_m,probe_power,fluorescence\n" + rows
+
+
+def measurement_csv_rowwise(measurement) -> str:
+    rows = ((str(j + 1), _fmt(x), _fmt(v)) for j, (x, v) in
+            enumerate(zip(measurement.geometry.centers, measurement.values)))
+    return _csv_text(["j", "x_j_m", "y_tilde"], rows)
+
+
+def crlb_csv_rowwise(report, thetas_rad) -> str:
+    rows = ((str(i + 1), _fmt(np.rad2deg(t)), _fmt(np.rad2deg(s)))
+            for i, (t, s) in enumerate(zip(thetas_rad,
+                                           report.per_target_std)))
+    return _csv_text(["target", "theta_deg", "crlb_std_deg"], rows)
+
+
+def sweep_csv_rowwise(result) -> str:
+    rows = []
+    bounds = result.crlb_std_rad or (None,) * len(result.values)
+    for value, rmse, bound, fails in zip(result.values, result.rmse_rad,
+                                         bounds, result.failures):
+        rmse_txt = "" if np.isnan(rmse) else _fmt(np.rad2deg(rmse))
+        bound_txt = "" if bound is None else _fmt(np.rad2deg(bound))
+        rows.append((_fmt(value), rmse_txt, bound_txt,
+                     str(result.trials), str(fails)))
+    return _csv_text(
+        ["axis_value", "rmse_deg", "crlb_deg", "trials", "failures"], rows)
+
+
+def linearization_csv_rowwise(check) -> str:
+    rows = ((_fmt(x), _fmt(ew), _fmt(lw), _fmt(es), _fmt(ls))
+            for x, ew, lw, es, ls in zip(
+                check.positions, check.exact_weak, check.linear_weak,
+                check.exact_strong, check.linear_strong))
+    return _csv_text(["x_m", "alpha_exact_weak", "alpha_lin_weak",
+                      "alpha_exact_strong", "alpha_lin_strong"], rows)
+
+
+def sampling_demo_csv_rowwise(result) -> str:
+    header = ["angle_deg"] + [f"power_{c.label}" for c in result.curves]
+    columns = [c.power for c in result.curves]
+    rows = ([_fmt(a)] + [_fmt(col[i]) for col in columns]
+            for i, a in enumerate(result.angles_deg))
+    return _csv_text(header, rows)

@@ -1,4 +1,3 @@
-import csv
 import io
 import json
 import os
@@ -252,24 +251,6 @@ class TestSimulate:
         assert (out / "measurement.json").exists()
 
 
-class TestFluorescenceCsv:
-    def test_matches_csv_writer_bytes(self, tmp_path):
-        positions = np.array([0.0, 1.0, 2.5e-3, 7.0, 1e-36, 3.0])
-        power = np.array([1.0, -0.25, 1.2345678901234567e-36, -1e-36,
-                          0.1, 2.0**60])
-        profile = sensing.FluorescenceProfile(
-            positions=positions, probe_power=power,
-            fluorescence=-3.0 * power)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["x_m", "probe_power", "fluorescence"])
-        writer.writerows([f"{v:.17g}" for v in row] for row in zip(
-            profile.positions, profile.probe_power, profile.fluorescence))
-        path = tmp_path / "fluorescence.csv"
-        serialize.write_fluorescence_csv(profile, path)
-        assert path.read_bytes() == buf.getvalue().encode()
-
-
 class TestEstimate:
     def test_malformed_csv_names_row(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -279,6 +260,38 @@ class TestEstimate:
         code = cli.main(["estimate", str(bad), "--config", cfg])
         assert code == 2
         assert "row 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["2,0.02,nan", "2,0.02,inf",
+                                     "2,-inf,0.4", "2,NaN,-Infinity"])
+    def test_non_finite_field_names_row(self, tmp_path, capsys, row):
+        cfg = write_config(tmp_path, base_doc(tmp_path / "out"))
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"j,x_j_m,y_tilde\n1,0.01,0.5\n{row}\n3,0.03,0.1\n")
+        code = cli.main(["estimate", str(bad), "--config", cfg])
+        assert code == 2
+        field = next(f for f in row.split(",")[1:]
+                     if not np.isfinite(float(f)))
+        assert (f"row 3: could not convert string to finite float: "
+                f"'{field}'") in capsys.readouterr().err
+
+    def test_overflowing_coefficients_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_doc(out))
+        assert cli.main(["simulate", "--config", cfg]) == 0
+        lines = (out / "measurement.csv").read_text().splitlines()
+        for i in range(1, len(lines), 2):
+            j, x, _ = lines[i].split(",")
+            lines[i] = f"{j},{x},1e308"
+        big = tmp_path / "big.csv"
+        big.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            code = cli.main(["estimate", str(big), "--config", cfg,
+                             "--out", str(tmp_path / "est")])
+        assert code == 3
+        assert "error: prediction coefficients are not finite" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "est" / "estimation.json").exists()
 
     def test_order_flag_overrides(self, tmp_path):
         out = tmp_path / "out"

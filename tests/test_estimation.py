@@ -342,6 +342,26 @@ class TestBatchKernel:
             with pytest.raises(type(batch.errors[t])):
                 batch.result(t)
 
+    def test_overflowing_row_fails_alone(self, params, geometry):
+        scene = scenarios.scene_from_angles((20.0,))
+        meta = (scene.wavenumber, scene.lo.angle)
+        cfg = PronyConfig(model_order=2, target_count=1)
+        clean = sensing.predicted_measurements(scene, geometry, params)
+        good = clean.values / np.abs(clean.values).max()
+        stack = MeasurementVector(values=np.stack([good * 1e308, good]),
+                                  geometry=geometry)
+        with np.errstate(all="ignore"):
+            batch = estimate_doa_batch(stack, meta, cfg)
+        assert not np.isfinite(batch.lpc_coefficients[0]).all()
+        assert isinstance(batch.errors[0], RootfindingFailure)
+        assert "not finite" in str(batch.errors[0])
+        np.testing.assert_array_equal(batch.failed, [True, False])
+        assert np.isnan(batch.doas[0]).all()
+        alone = estimate_doa(MeasurementVector(values=good,
+                                               geometry=geometry), meta, cfg)
+        np.testing.assert_array_equal(batch.result(1).doas, alone.doas)
+        np.testing.assert_array_equal(batch.result(1).roots, alone.roots)
+
     def test_estimate_doa_rejects_a_stack(self, params, two_target,
                                           geometry):
         clean = sensing.predicted_measurements(two_target, geometry, params)
