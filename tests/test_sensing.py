@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, quad
@@ -5,6 +7,7 @@ from scipy.integrate import cumulative_trapezoid, quad
 from rydberg_doa import physics, scenarios, sensing
 from rydberg_doa.errors import (
     NonPositiveFluorescence,
+    SingularPoint,
     WindowOutOfCell,
     ZeroSignalPower,
 )
@@ -16,7 +19,16 @@ from rydberg_doa.sensing import (
     SensorGeometry,
 )
 
-from oracles import channel_measurements_per_window
+from oracles import (
+    absorption_exact_per_scene,
+    channel_measurements_per_scene,
+    channel_measurements_per_window,
+    field_intensity_per_scene,
+    fluorescence_readout_per_scene,
+    integrated_power_transmission,
+    monotonic_length_bound,
+    sinc_response,
+)
 
 
 def lo_only_scene(amplitude=4e-5):
@@ -291,6 +303,145 @@ class TestCalibrate:
             eps_lin + 1e-3 * scale
 
 
+class TestStackedReadout:
+    """A stack of scenes that differ only in LO amplitude reads out in one
+    call, and every row equals the per-scene readout bit for bit."""
+
+    RATIOS = (2.0, 4.7, 13.0, 50.0)
+    BEARINGS = {1: (-35.0,), 2: (-20.0, 25.0), 3: (-50.0, 5.0, 40.0)}
+
+    @staticmethod
+    def stack(n_targets, ratios):
+        base = scenarios.scene_from_angles(
+            TestStackedReadout.BEARINGS[n_targets],
+            phases=(0.3, 3.5, 5.4)[:n_targets])
+        return [scenarios.with_lo_ratio(base, r) for r in ratios]
+
+    @staticmethod
+    def assert_rows_match(scenes, geometry, params):
+        profile, measurement = sensing.fluorescence_readout(
+            scenes, geometry, params)
+        assert measurement.values.shape == (len(scenes),
+                                            geometry.channel_count)
+        for c, scene in enumerate(scenes):
+            want_profile, want = fluorescence_readout_per_scene(
+                scene, geometry, params)
+            assert np.array_equal(profile.positions, want_profile.positions)
+            assert np.array_equal(profile.probe_power[c],
+                                  want_profile.probe_power)
+            assert np.array_equal(profile.fluorescence[c],
+                                  want_profile.fluorescence)
+            assert np.array_equal(measurement.values[c], want.values)
+
+    @pytest.mark.parametrize("points_per_wavelength", [3, 257])
+    @pytest.mark.parametrize("cell_wavelengths", [8, 11, 16])
+    @pytest.mark.parametrize("n_targets", [1, 2, 3])
+    def test_rows_equal_per_scene_readout(self, params, n_targets,
+                                          cell_wavelengths,
+                                          points_per_wavelength):
+        scenes = self.stack(n_targets, self.RATIOS)
+        geom = scenarios.default_geometry(
+            scenes[0].rf_wavelength, cell_wavelengths,
+            grid_points_per_rf_wavelength=points_per_wavelength)
+        self.assert_rows_match(scenes, geom, params)
+
+    @pytest.mark.parametrize("n_targets", [1, 2, 3])
+    def test_physics_rows_equal_per_scene(self, params, n_targets):
+        scenes = self.stack(n_targets, self.RATIOS)
+        x = np.linspace(-0.3, 0.9, 1001)
+        field = physics.field_intensity(scenes, x)
+        alpha = physics.absorption_exact(params, scenes, x)
+        assert field.shape == alpha.shape == (len(scenes), x.size)
+        for c, scene in enumerate(scenes):
+            assert np.array_equal(field[c],
+                                  field_intensity_per_scene(scene, x))
+            assert np.array_equal(alpha[c], absorption_exact_per_scene(
+                params, scene, x))
+        assert physics.field_intensity(scenes[:1], 0.25).shape == (1,)
+        assert isinstance(physics.field_intensity(scenes[0], 0.25), float)
+
+    @pytest.mark.parametrize("model", ["exact", "linearized"])
+    def test_single_scene_is_the_per_scene_readout(self, params, geometry,
+                                                   two_target, model):
+        profile, got = sensing.fluorescence_readout(two_target, geometry,
+                                                    params, model)
+        want_profile, want = fluorescence_readout_per_scene(
+            two_target, geometry, params, model)
+        assert profile.probe_power.shape == want_profile.probe_power.shape
+        assert np.array_equal(profile.fluorescence, want_profile.fluorescence)
+        assert np.array_equal(got.values, want.values)
+        assert got.values.shape == want.values.shape
+        assert got.source == want.source
+
+    def test_stack_of_one(self, params, geometry, two_target):
+        self.assert_rows_match([two_target], geometry, params)
+
+    @pytest.mark.parametrize("points_per_wavelength", [2, 3, 5, 257])
+    def test_channel_rows_equal_per_scene(self, rf_wavelength,
+                                          points_per_wavelength):
+        geom = scenarios.default_geometry(
+            rf_wavelength, grid_points_per_rf_wavelength=points_per_wavelength)
+        x = geom.grid(rf_wavelength)
+        rng = np.random.default_rng(points_per_wavelength)
+        values = rng.standard_normal((3, x.size)) * 10.0 ** rng.uniform(
+            -6, 6, (3, 1))
+        got = sensing.channel_measurements(
+            sensing.SampledAbsorption(x, values), geom)
+        for row, want in zip(got, values):
+            assert np.array_equal(row, channel_measurements_per_scene(
+                sensing.SampledAbsorption(x, want), geom))
+
+    def test_window_out_of_cell_names_first_bad_window(self, geometry):
+        x = np.linspace(0.0, geometry.cell_length - 0.1, 101)
+        values = np.ones((3, x.size))
+        with pytest.raises(WindowOutOfCell) as stacked:
+            sensing.channel_measurements(
+                sensing.SampledAbsorption(x, values), geometry)
+        with pytest.raises(WindowOutOfCell) as single:
+            channel_measurements_per_scene(
+                sensing.SampledAbsorption(x, values[0]), geometry)
+        assert str(stacked.value) == str(single.value)
+        assert str(stacked.value).startswith("window 14 ")
+
+    def test_nonpositive_row_rejects_the_stack(self):
+        x = np.linspace(0, 1, 11)
+        power = np.ones((3, 11))
+        power[1, -1] = 0.0
+        profile = FluorescenceProfile(positions=x, probe_power=power,
+                                      fluorescence=power)
+        with pytest.raises(NonPositiveFluorescence,
+                           match="fluorescence must be strictly positive"):
+            sensing.recover_alpha(profile)
+
+    def test_singular_row_rejects_the_stack(self, params, geometry):
+        _, beta = physics.linearization_constants(params)
+        amplitude = np.sqrt(params.coupling_detuning / beta)
+        while params.coupling_detuning - beta * amplitude**2 != 0:
+            amplitude = np.nextafter(amplitude, 1.0)
+        singular = lo_only_scene(float(amplitude))
+        with pytest.raises(SingularPoint) as single:
+            fluorescence_readout_per_scene(singular, geometry, params)
+        with pytest.raises(SingularPoint) as stacked:
+            sensing.fluorescence_readout(
+                [lo_only_scene(), singular], geometry, params)
+        assert str(stacked.value) == str(single.value)
+
+    def test_scenes_must_differ_only_in_lo_amplitude(self, params, geometry,
+                                                     two_target):
+        other = scenarios.with_lo_ratio(two_target, 7.0)
+        lo = two_target.lo
+        for bad in (replace(other, signals=other.signals[:1]),
+                    replace(other, carrier_freq=2.1e9),
+                    replace(other, lo=replace(lo, phase=0.5)),
+                    replace(other, lo=replace(lo, angle=0.5))):
+            with pytest.raises(ValueError, match="only in LO amplitude"):
+                sensing.fluorescence_readout([two_target, bad], geometry,
+                                             params)
+        with pytest.raises(ValueError, match="one scene"):
+            sensing.fluorescence_readout([two_target, other], geometry,
+                                         params, "linearized")
+
+
 class TestPredictedMeasurements:
     def test_window_null_hides_target(self, params, rf_wavelength):
         # window width lambda puts a transform null exactly at dk = k
@@ -494,21 +645,21 @@ class TestIntegratedPower:
         mod = physics.modulation_amplitudes(params, scene)[0]
         dc = physics.absorption_dc(params, scene)
         expected = np.exp(-(dc + mod) * length)
-        got = sensing.integrated_power_transmission(scene, params, length)
+        got = integrated_power_transmission(scene, params, length)
         assert got == pytest.approx(expected, rel=1e-9)
 
     def test_monotone_length_bound_value(self, rf_wavelength):
-        bound = sensing.monotonic_length_bound(rf_wavelength)
+        bound = monotonic_length_bound(rf_wavelength)
         assert bound == pytest.approx(0.0528022, rel=1e-4)
         assert abs(bound - 0.358 * rf_wavelength) < 1e-3 * rf_wavelength
 
     def test_sinc_response_limits(self):
         length = 0.3
-        assert sensing.sinc_response(0.0, length) == pytest.approx(length)
+        assert sinc_response(0.0, length) == pytest.approx(length)
         dk = 17.0
         x = np.linspace(0.0, length, 200_001)
         oracle = np.trapezoid(np.cos(dk * x), x)
-        assert sensing.sinc_response(dk, length) == pytest.approx(
+        assert sinc_response(dk, length) == pytest.approx(
             oracle, rel=1e-9)
 
     @pytest.mark.parametrize("length_wl,monotone", [(0.3, True),
@@ -524,7 +675,7 @@ class TestIntegratedPower:
                             signals=(PlaneWave(1.4e-3, 0.0, theta),),
                             carrier_freq=2.03e9)
             values.append(
-                sensing.integrated_power_transmission(scene, params, length))
+                integrated_power_transmission(scene, params, length))
         diffs = np.diff(values)
         if monotone:
             assert np.all(diffs < 0) or np.all(diffs > 0)
@@ -533,7 +684,7 @@ class TestIntegratedPower:
 
     def test_requires_single_target(self, params, two_target):
         with pytest.raises(ValueError):
-            sensing.integrated_power_transmission(two_target, params, 0.05)
+            integrated_power_transmission(two_target, params, 0.05)
 
 
 class TestSerializationRoundtrip:
