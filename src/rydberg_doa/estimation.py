@@ -152,74 +152,47 @@ def char_poly_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return roots, residual.max(axis=-1, initial=0.0)
 
 
-def select_signal_roots(roots: np.ndarray, n_targets: int, delta: float,
-                        angle_floor: float = 0.0) -> np.ndarray:
-    """Pick one representative per conjugate pair for the N signal roots.
+def select_signal_roots(roots: np.ndarray, n_targets, delta: float,
+                        angle_floor: float = 0.0
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Pick one representative per conjugate pair for the N signal roots,
+    over leading axes of stacked root sets; n_targets is an int or one
+    count per set.
 
-    Roots are ranked by distance from the unit circle; the DC guard
-    rejects |arg z| below angle_floor. Ties on circle distance prefer the
-    candidate farthest in angle from those already chosen.
+    Usable roots are pair representatives (positive imaginary part, or
+    real and negative: self-conjugate at the folding frequency) within
+    delta of the unit circle and clear of the DC guard, |arg z| >=
+    angle_floor. Each step takes the usable root nearest the circle; of
+    those within 1e-12 of that distance, the one farthest in |arg z| from
+    the roots already chosen, then the lowest index. Returns
+    (representatives, usable counts): max(n_targets) columns, NaN beyond
+    a set's count and on sets with fewer usable roots than targets.
     """
     roots = np.asarray(roots, dtype=complex)
-    angles = np.angle(roots)
-    # One representative per conjugate pair: the positive-imag member, plus
-    # real negative roots (self-conjugate at the folding frequency).
-    is_rep = (roots.imag > 0) | ((roots.imag == 0) & (roots.real < 0))
-    keep = is_rep & (np.abs(angles) >= angle_floor) \
-        & (np.abs(np.abs(roots) - 1.0) <= delta)
-    candidates = roots[keep]
-    if len(candidates) < n_targets:
-        raise InsufficientSignalRoots(
-            f"found {len(candidates)} usable root pairs, need {n_targets}")
-    dist = np.abs(np.abs(candidates) - 1.0)
-    chosen: list[complex] = []
-    remaining = list(range(len(candidates)))
-    while len(chosen) < n_targets:
-        best = min(dist[i] for i in remaining)
-        tied = [i for i in remaining if dist[i] <= best + 1e-12]
-        if len(tied) > 1 and chosen:
-            sep = [min(abs(abs(np.angle(candidates[i]))
-                           - abs(np.angle(c))) for c in chosen)
-                   for i in tied]
-            pick = tied[int(np.argmax(sep))]
-        else:
-            pick = tied[0]
-        chosen.append(candidates[pick])
-        remaining.remove(pick)
-    reps = np.array(chosen)
-    return np.where(reps.imag < 0, reps.conj(), reps)
-
-
-def _select_rows(roots: np.ndarray, n_targets: np.ndarray, delta: float,
-                 angle_floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """select_signal_roots over a (T, p) stack of root sets, row t taking
-    n_targets[t] representatives.
-
-    Without ties the greedy rule takes candidates in order of circle
-    distance, which one stable sort gives for every row; rows whose
-    candidate distances tie within 1e-12 take the serial rule. Returns
-    (representatives, usable candidate counts): representatives has
-    max(n_targets) columns, NaN beyond a row's count and on rows with
-    fewer candidates than targets.
-    """
-    is_rep = (roots.imag > 0) | ((roots.imag == 0) & (roots.real < 0))
-    dist = np.abs(np.abs(roots) - 1.0)
-    usable = is_rep & (np.abs(np.angle(roots)) >= angle_floor) \
-        & (dist <= delta)
-    dist = np.where(usable, dist, np.inf)
-    ranked_idx = np.argsort(dist, axis=-1, kind="stable")
-    ranked = np.take_along_axis(dist, ranked_idx, axis=-1)
+    lead, order = roots.shape[:-1], roots.shape[-1]
+    n_targets = np.broadcast_to(n_targets, lead).reshape(-1)
+    z = roots.reshape(-1, order)
+    dist = np.abs(np.abs(z) - 1.0)
+    arg = np.abs(np.angle(z))
+    usable = ((z.imag > 0) | ((z.imag == 0) & (z.real < 0))) \
+        & (arg >= angle_floor) & (dist <= delta)
     found = usable.sum(axis=-1)
+    dist = np.where(usable, dist, np.inf)
     width = int(n_targets.max(initial=0))
-    reps = np.take_along_axis(roots, ranked_idx[:, :width], axis=-1)
+    rows = np.arange(len(z))
+    reps = np.empty((len(z), width), dtype=complex)
+    # Separation from the chosen roots; infinite before the first pick, so
+    # that step takes the lowest tied index.
+    sep = np.full(z.shape, np.inf)
+    for j in range(width):
+        tied = dist <= dist.min(axis=-1, keepdims=True) + 1e-12
+        pick = np.where(tied, sep, -1.0).argmax(axis=-1)
+        sep = np.minimum(sep, np.abs(arg - arg[rows, pick, None]))
+        reps[:, j] = z[rows, pick]
+        dist[rows, pick] = np.inf
     reps[(np.arange(width) >= n_targets[:, None])
          | (found < n_targets)[:, None]] = np.nan
-    tied = (np.isfinite(ranked[:, 1:])
-            & (ranked[:, 1:] <= ranked[:, :-1] + 1e-12)).any(axis=-1)
-    for t in np.flatnonzero(tied & (found >= n_targets)):
-        reps[t, :n_targets[t]] = select_signal_roots(
-            roots[t], n_targets[t], delta, angle_floor)
-    return reps, found
+    return reps.reshape(lead + (width,)), found.reshape(lead)
 
 
 def frequencies_from_roots(representatives: np.ndarray,
@@ -324,8 +297,9 @@ def estimate_doa_batch(measurements, scene_meta: tuple[float, float],
     else:
         n_targets = np.full(n_rows, config.target_count)
     angle_floor = 2 * np.pi * DC_GUARD_CYCLES / k_samples
-    reps, found = _select_rows(roots, n_targets,
-                               config.unit_circle_tolerance, angle_floor)
+    reps, found = select_signal_roots(roots, n_targets,
+                                      config.unit_circle_tolerance,
+                                      angle_floor)
     reps[root_failed] = np.nan
     freqs = frequencies_from_roots(reps, spacing)
     order = np.argsort(freqs, axis=-1)

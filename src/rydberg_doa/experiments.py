@@ -242,24 +242,19 @@ def run_linearization_check(params: AtomicParams, scene_weak: RfScene,
     regime's total modulation amplitude, the scale on which the
     1/ratio error model is comparable across LO levels.
     """
-    if scene_weak.signals != scene_strong.signals or \
-            scene_weak.carrier_freq != scene_strong.carrier_freq or \
-            (scene_weak.lo.phase, scene_weak.lo.angle) != \
-            (scene_strong.lo.phase, scene_strong.lo.angle):
-        raise ValueError("scenes must share signals and differ only in "
-                         "LO amplitude")
     grid = np.asarray(grid, dtype=float)
+    ew, es = physics.absorption_exact(params, [scene_weak, scene_strong],
+                                      grid)
 
-    def profiles(scene):
-        exact = physics.absorption_exact(params, scene, grid)
+    def profiles(scene, exact):
         linear = physics.absorption_linearized(params, scene, grid)
         rms = float(np.sqrt(np.mean((exact - linear) ** 2)))
         mods = float(np.abs(physics.modulation_amplitudes(params,
                                                           scene)).sum())
-        return exact, linear, rms, (rms / mods if mods > 0 else 0.0)
+        return linear, rms, (rms / mods if mods > 0 else 0.0)
 
-    ew, lw, rms_w, norm_w = profiles(scene_weak)
-    es, ls, rms_s, norm_s = profiles(scene_strong)
+    lw, rms_w, norm_w = profiles(scene_weak, ew)
+    ls, rms_s, norm_s = profiles(scene_strong, es)
     return LinearizationCheck(
         positions=grid, exact_weak=ew, linear_weak=lw,
         exact_strong=es, linear_strong=ls,

@@ -457,10 +457,13 @@ def add_noise(measurement: MeasurementVector, snr_db: float,
     channels. seed is one int, or a sequence of T ints for a (T, K) stack
     of noisy copies whose row t is exactly the single-seed draw of
     seed[t] (see standard_normal_rows). Deterministic for a fixed
-    (input, snr_db, seed) triple. Only +inf dB is noiseless.
+    (input, snr_db, seed) triple. Only +inf dB is noiseless. The input is
+    one noiseless vector; a stack is rejected.
     """
     if measurement.noise_sigma != 0:
         raise ValueError("input measurement already carries noise")
+    if np.ndim(measurement.values) != 1:
+        raise ValueError("add_noise takes one vector, not a stack")
     single = np.ndim(seed) == 0
     seeds = [seed] if single else list(seed)
     k = measurement.values.shape[-1]

@@ -107,8 +107,9 @@ def read_measurement_csv(path: str | Path
 def geometry_from_centers(centers: np.ndarray) -> SensorGeometry:
     """Minimal geometry consistent with a list of window centers.
 
-    Estimation needs only the pitch; the window width is nominal, chosen
-    so the supports stay inside the reconstructed cell.
+    Prony is shift invariant and estimation reads only the pitch and the
+    channel count, so the windows are placed flush with x = 0 at the same
+    pitch, whatever the first center; the window width is nominal.
     """
     centers = np.asarray(centers, dtype=float)
     diffs = np.diff(centers)
@@ -116,12 +117,8 @@ def geometry_from_centers(centers: np.ndarray) -> SensorGeometry:
     if spacing <= 0 or not np.allclose(diffs, spacing,
                                        rtol=1e-6, atol=1e-12 * abs(spacing)):
         raise SchemaError("window centers must be uniformly increasing")
-    width = min(spacing, 2 * centers[0]) if centers[0] > 0 else spacing / 2
-    first = centers[0] if centers[0] > 0 else width / 2
-    return SensorGeometry(
-        cell_length=float(centers[-1]) + width / 2,
-        window_width=width, first_center=float(first), spacing=spacing,
-        channel_count=len(centers))
+    return SensorGeometry.from_cell(spacing * len(centers), spacing / 2,
+                                    spacing)
 
 
 def estimation_to_dict(result: EstimationResult) -> dict:

@@ -5,10 +5,12 @@ share no code path with what they check. The closed forms (Rabi
 frequency, phasor field sum, two-level scattering rate, four-level
 susceptibility, whole-cell integrated power) are textbook formulas that
 only the tests evaluate. The per-scene readout reads one scene at a time,
-as the fluorescence pipeline did before it read stacks of scenes. The CSV
-renderers at the end build each output file row by row, one f-string
-.17g per value, as the writers did before they formatted whole columns
-at once.
+as the fluorescence pipeline did before it read stacks of scenes. The
+greedy signal-root selection picks one root set's representatives one
+at a time in Python, as the estimator did before it selected over whole
+stacks. The CSV renderers at the end build each output file row by row,
+one f-string .17g per value, as the writers did before they formatted
+whole columns at once.
 """
 
 import csv
@@ -378,6 +380,45 @@ def fluorescence_readout_per_scene(
                                          geometry)
     return profile, calibrate_per_scene(raw, geometry,
                                         physics.absorption_dc(params, scene))
+
+
+def greedy_signal_roots(roots: np.ndarray, n_targets: int, delta: float,
+                        angle_floor: float = 0.0
+                        ) -> tuple[np.ndarray, int]:
+    """estimation.select_signal_roots on one root set, one pick at a time.
+
+    Roots are ranked by distance from the unit circle; the DC guard
+    rejects |arg z| below angle_floor. Ties on circle distance prefer the
+    candidate farthest in angle from those already chosen. Returns
+    (representatives, usable count); the representatives are all NaN when
+    fewer than n_targets roots are usable.
+    """
+    roots = np.asarray(roots, dtype=complex)
+    angles = np.angle(roots)
+    # One representative per conjugate pair: the positive-imag member, plus
+    # real negative roots (self-conjugate at the folding frequency).
+    is_rep = (roots.imag > 0) | ((roots.imag == 0) & (roots.real < 0))
+    keep = is_rep & (np.abs(angles) >= angle_floor) \
+        & (np.abs(np.abs(roots) - 1.0) <= delta)
+    candidates = roots[keep]
+    if len(candidates) < n_targets:
+        return np.full(n_targets, np.nan, dtype=complex), len(candidates)
+    dist = np.abs(np.abs(candidates) - 1.0)
+    chosen: list[complex] = []
+    remaining = list(range(len(candidates)))
+    while len(chosen) < n_targets:
+        best = min(dist[i] for i in remaining)
+        tied = [i for i in remaining if dist[i] <= best + 1e-12]
+        if len(tied) > 1 and chosen:
+            sep = [min(abs(abs(np.angle(candidates[i]))
+                           - abs(np.angle(c))) for c in chosen)
+                   for i in tied]
+            pick = tied[int(np.argmax(sep))]
+        else:
+            pick = tied[0]
+        chosen.append(candidates[pick])
+        remaining.remove(pick)
+    return np.array(chosen, dtype=complex), len(candidates)
 
 
 def _fmt(value) -> str:

@@ -274,6 +274,32 @@ class TestEstimate:
         assert (f"row 3: could not convert string to finite float: "
                 f"'{field}'") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("first", [0.0, -0.05])
+    def test_first_center_at_or_below_zero(self, tmp_path, first):
+        # Prony reads only the pitch and K: shifting every center leaves
+        # the estimate unchanged, up to the rounding of the shifted pitch.
+        out = tmp_path / "out"
+        doc = base_doc(out)
+        doc["noise"]["snr_db"] = 30
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["simulate", "--config", cfg]) == 0
+        csv_path = out / "measurement.csv"
+        assert cli.main(["estimate", str(csv_path), "--config", cfg]) == 0
+        want = json.loads((out / "estimation.json").read_text())
+        header, *rows = csv_path.read_text().splitlines()
+        x0 = float(rows[0].split(",")[1])
+        shifted = [header]
+        for row in rows:
+            j, x, y = row.split(",")
+            shifted.append(f"{j},{float(x) - x0 + first!r},{y}")
+        moved = tmp_path / "shifted.csv"
+        moved.write_text("\n".join(shifted) + "\n")
+        assert cli.main(["estimate", str(moved), "--config", cfg,
+                         "--out", str(tmp_path / "moved")]) == 0
+        got = json.loads((tmp_path / "moved" / "estimation.json").read_text())
+        np.testing.assert_allclose(got["doas_rad"], want["doas_rad"],
+                                   rtol=1e-12)
+
     def test_overflowing_coefficients_exit_3(self, tmp_path):
         # The overflowing rows are classified failures: stderr holds the
         # error line alone, with no numpy RuntimeWarning before it.

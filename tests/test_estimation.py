@@ -25,6 +25,8 @@ from rydberg_doa.estimation import (
 )
 from rydberg_doa.sensing import MeasurementVector, SensorGeometry
 
+from oracles import greedy_signal_roots
+
 
 def make_geometry(k_channels, spacing=0.01, first=None):
     first = spacing if first is None else first
@@ -130,31 +132,34 @@ class TestSelectSignalRoots:
     def test_ranked_by_circle_distance(self):
         roots = np.array([0.99 * np.exp(0.5j), 0.99 * np.exp(-0.5j),
                           0.3, -0.2])
-        reps = select_signal_roots(roots, 1, delta=0.2)
+        reps, found = select_signal_roots(roots, 1, delta=0.2)
         assert reps[0] == pytest.approx(0.99 * np.exp(0.5j))
+        assert found == 1
 
     def test_conjugate_symmetric_input(self):
         roots = np.array([np.exp(1.0j), np.exp(-1.0j),
                           np.exp(2.0j), np.exp(-2.0j)])
-        reps = select_signal_roots(roots, 2, delta=0.1)
+        reps, _ = select_signal_roots(roots, 2, delta=0.1)
         assert len(reps) == 2
         assert np.all(reps.imag > 0)
 
     def test_insufficient_pairs(self):
         roots = np.array([0.99 * np.exp(0.7j), 0.99 * np.exp(-0.7j),
                           0.4, 0.1])
-        with pytest.raises(InsufficientSignalRoots):
-            select_signal_roots(roots, 2, delta=0.2)
+        reps, found = select_signal_roots(roots, 2, delta=0.2)
+        assert found < 2
+        assert reps.shape == (2,)
+        assert np.isnan(reps).all()
 
     def test_dc_guard_rejects_near_real_roots(self):
         roots = np.array([np.exp(0.01j), np.exp(-0.01j),
                           0.97 * np.exp(1.2j), 0.97 * np.exp(-1.2j)])
-        reps = select_signal_roots(roots, 1, delta=0.2, angle_floor=0.1)
+        reps, _ = select_signal_roots(roots, 1, delta=0.2, angle_floor=0.1)
         assert abs(np.angle(reps[0])) == pytest.approx(1.2)
 
     def test_nyquist_edge_real_negative_root(self):
         roots = np.array([-0.995, 0.5, 0.2, 0.1])
-        reps = select_signal_roots(roots, 1, delta=0.2)
+        reps, _ = select_signal_roots(roots, 1, delta=0.2)
         assert reps[0] == pytest.approx(-0.995)
 
     def test_tie_break_prefers_angular_separation(self):
@@ -163,9 +168,88 @@ class TestSelectSignalRoots:
         roots = np.array([np.exp(1.0j), np.exp(-1.0j),
                           np.exp(1.1j), np.exp(-1.1j),
                           np.exp(2.5j), np.exp(-2.5j)])
-        reps = select_signal_roots(roots, 2, delta=0.2)
+        reps, _ = select_signal_roots(roots, 2, delta=0.2)
         got = np.sort(np.abs(np.angle(reps)))
         np.testing.assert_allclose(got, [1.0, 2.5])
+
+    def test_tie_window_is_inclusive(self):
+        # |z| - 1 is exact on these real roots: 1.0 for -2 and, for the
+        # first root, exactly the rounded 1.0 + 1e-12 that bounds the tie
+        # window. Inside the window the lower index wins.
+        edge = 1.0 + 1e-12
+        roots = np.array([-(1.0 + edge), -2.0])
+        assert np.abs(roots[0]) - 1.0 == edge
+        reps, _ = select_signal_roots(roots, 1, delta=1.5)
+        assert reps[0] == roots[0]
+        reps, _ = select_signal_roots(roots[::-1], 1, delta=1.5)
+        assert reps[0] == -2.0
+
+    def test_equal_separation_takes_lowest_index(self):
+        # -1.25 and -0.75 tie on circle distance (0.25) and on separation
+        # (both at |arg z| = pi): the lower index wins at every step.
+        roots = np.array([-1.25, -0.75, np.exp(0.5j), -1.25, -0.75])
+        reps, _ = select_signal_roots(roots, 2, delta=0.3)
+        np.testing.assert_array_equal(reps, [np.exp(0.5j), -1.25])
+        reps, _ = select_signal_roots(roots[::-1], 2, delta=0.3)
+        np.testing.assert_array_equal(reps, [np.exp(0.5j), -0.75])
+
+    def test_stack_takes_one_count_per_row(self):
+        roots = np.array([[np.exp(1.0j), np.exp(-1.0j), np.exp(2.0j),
+                           np.exp(-2.0j)],
+                          [0.9 * np.exp(1.5j), 0.9 * np.exp(-1.5j), 0.1,
+                           0.2]])
+        reps, found = select_signal_roots(roots[None], [[2, 1]], delta=0.2)
+        assert reps.shape == (1, 2, 2)
+        np.testing.assert_array_equal(found, [[2, 1]])
+        np.testing.assert_array_equal(
+            reps[0], [[np.exp(1.0j), np.exp(2.0j)],
+                      [0.9 * np.exp(1.5j), np.nan]])
+
+
+@st.composite
+def tied_root_stacks(draw):
+    """A (T, p) root stack built to tie: exact unit-circle roots, shared
+    radii and angles, real negative roots at mirrored distances, and
+    random roots, with or without conjugate closure; plus one target
+    count per row, some beyond what the row can give."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rows = draw(st.integers(1, 60))
+    order = draw(st.integers(1, 10))
+    rng = np.random.default_rng(seed)
+    shape = (rows, order)
+    angles = rng.choice([0.05, 0.3, 0.7, 1.0, 1.5, 2.0, 2.5, np.pi - 0.1],
+                        shape) * rng.choice([-1.0, 1.0], shape)
+    radii = rng.choice([0.75, 0.9, 0.95, 1.0, 1.05, 1.1, 1.25], shape)
+    kind = rng.integers(0, 5, shape)
+    roots = np.select(
+        [kind == 0, kind == 1, kind == 2, kind == 3],
+        [np.exp(1j * angles), radii * np.exp(1j * angles), -radii + 0j,
+         rng.normal(size=shape) + 1j * rng.normal(size=shape)],
+        radii + 0j)
+    half = order // 2
+    closed = rng.random(rows) < 0.5
+    roots[closed, half:2 * half] = np.conj(roots[closed, :half])
+    n_targets = rng.integers(0, half + 2, rows)
+    delta = draw(st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5]))
+    angle_floor = draw(st.sampled_from([0.0, 0.1, 0.3]))
+    return roots, n_targets, delta, angle_floor
+
+
+class TestSelectionMatchesGreedy:
+    @given(case=tied_root_stacks())
+    @settings(max_examples=60, deadline=None)
+    def test_stage_equals_serial_greedy(self, case):
+        roots, n_targets, delta, angle_floor = case
+        reps, found = select_signal_roots(roots, n_targets, delta,
+                                          angle_floor)
+        width = n_targets.max(initial=0)
+        assert reps.shape == (len(roots), width)
+        for t, row in enumerate(roots):
+            want, want_found = greedy_signal_roots(
+                row, n_targets[t], delta, angle_floor)
+            assert found[t] == want_found
+            assert reps[t, :n_targets[t]].tobytes() == want.tobytes()
+            assert np.isnan(reps[t, n_targets[t]:]).all()
 
 
 class TestFrequencyMaps:
@@ -267,9 +351,9 @@ class TestEstimateDoa:
 
 
 def reference_doas(values, spacing, scene_meta, cfg):
-    """Serial Prony estimate through np.linalg.lstsq, np.roots and an
-    np.polyval residual gate, the textbook path the batched stages
-    replace."""
+    """Serial Prony estimate through np.linalg.lstsq, np.roots, an
+    np.polyval residual gate and the one-at-a-time greedy root selection,
+    the textbook path the batched stages replace."""
     wavenumber, lo_angle = scene_meta
     p, k = cfg.model_order, len(values)
     idx = p + np.arange(k - p)[:, None] - (1 + np.arange(p))[None, :]
@@ -280,9 +364,11 @@ def reference_doas(values, spacing, scene_meta, cfg):
     if residual.max() > estimation.ROOT_RESIDUAL_TOL * max(
             1.0, np.abs(coeffs).max()):
         raise RootfindingFailure("reference root residual")
-    reps = select_signal_roots(
+    reps, found = greedy_signal_roots(
         roots, cfg.target_count, cfg.unit_circle_tolerance,
         2 * np.pi * estimation.DC_GUARD_CYCLES / k)
+    if found < cfg.target_count:
+        raise InsufficientSignalRoots("reference root count")
     freqs = np.sort(np.abs(np.angle(reps)) / spacing)
     return np.arcsin(np.clip(np.sin(lo_angle) - freqs / wavenumber,
                              -1.0, 1.0))
@@ -362,6 +448,37 @@ class TestBatchKernel:
         np.testing.assert_array_equal(batch.result(1).doas, alone.doas)
         np.testing.assert_array_equal(batch.result(1).roots, alone.roots)
 
+    def test_short_row_records_insufficient_roots(self, params, geometry):
+        # zero beat frequency: the target's pair sits inside the DC guard
+        scene = scenarios.scene_from_angles((90.0,))
+        clean = sensing.predicted_measurements(scene, geometry, params)
+        batch = estimate_doa_batch(
+            clean, (scene.wavenumber, scene.lo.angle),
+            PronyConfig(model_order=2, target_count=1))
+        assert isinstance(batch.errors[0], InsufficientSignalRoots)
+        assert str(batch.errors[0]) == "found 0 usable root pairs, need 1"
+        assert np.isnan(batch.roots[0]).all()
+
+    def test_each_stage_runs_once_per_batch(self, params, two_target,
+                                            geometry, monkeypatch):
+        # The per-layer tracer wraps these module bindings; each stage is
+        # one call over the whole stack, whatever its row count.
+        calls = {}
+        for name in ("build_hankel", "solve_lpc", "char_poly_roots",
+                     "select_signal_roots"):
+            def counting(*args, _fn=getattr(estimation, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(estimation, name, counting)
+        clean = sensing.predicted_measurements(two_target, geometry, params)
+        meta = (two_target.wavenumber, two_target.lo.angle)
+        cfg = PronyConfig(model_order=4, target_count=2)
+        for rows in (1, 64):
+            calls.clear()
+            estimate_doa_batch(sensing.add_noise(clean, 30.0, range(rows)),
+                               meta, cfg)
+            assert calls == dict.fromkeys(calls, 1) and len(calls) == 4
+
     def test_estimate_doa_rejects_a_stack(self, params, two_target,
                                           geometry):
         clean = sensing.predicted_measurements(two_target, geometry, params)
@@ -399,7 +516,7 @@ class TestProperties:
         matrix, rhs = build_hankel(mv.values, cfg.model_order)
         coeffs, _, _ = solve_lpc(matrix, rhs)
         roots, _ = char_poly_roots(coeffs)
-        reps = select_signal_roots(roots, n, cfg.unit_circle_tolerance)
+        reps, _ = select_signal_roots(roots, n, cfg.unit_circle_tolerance)
         got = np.sort(frequencies_from_roots(reps, spacing))
         expected = np.sort(np.asarray(omegas)) / spacing
         np.testing.assert_allclose(got, expected, rtol=1e-8)

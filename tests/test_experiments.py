@@ -27,6 +27,8 @@ from rydberg_doa.experiments import (
 )
 from rydberg_doa.physics import PlaneWave, RfScene
 
+from oracles import greedy_signal_roots
+
 
 @pytest.fixture()
 def base_config(params, two_target, geometry):
@@ -86,8 +88,7 @@ class TestMcRmse:
         got = match_errors(np.array([0.42]), np.array([-0.3, 0.4]))
         np.testing.assert_allclose(got, [0.02])
 
-    def test_batch_matches_serial_estimates(self, params, geometry,
-                                           monkeypatch):
+    def test_batch_matches_serial_estimates(self, params, geometry):
         """One batched solve agrees with estimate_doa row by row: the
         same failing rows and exception classes, DoAs within 1e-9 rad."""
         prony = PronyConfig(model_order=4, target_count=2)
@@ -104,23 +105,24 @@ class TestMcRmse:
         assert {None, "InsufficientSignalRoots"} <= classes
 
         # Three tones exactly on the unit circle and two targets: every
-        # candidate distance ties, so the serial tie rule must choose.
+        # candidate distance ties, so the tie rule must choose, as the
+        # one-at-a-time greedy selection does.
         k = geometry.channel_count
         tones = sum(np.cos(w * np.arange(k) + 0.3) for w in (0.6, 0.8, 1.0))
         noisy = tones + np.random.default_rng(1).normal(0.0, 0.01, (2, k))
         stack = sensing.MeasurementVector(
             values=np.vstack([noisy[0], tones, noisy[1]]), geometry=geometry)
-        serial_rule = estimation.select_signal_roots
-        tied_calls = []
-
-        def counting(roots, *args):
-            tied_calls.append(roots)
-            return serial_rule(roots, *args)
-
-        monkeypatch.setattr(estimation, "select_signal_roots", counting)
-        assert_rows_match(stack, (500.0, np.pi / 2),
-                          PronyConfig(model_order=6, target_count=2))
-        assert len(tied_calls) == 2  # the tied row, batched and alone
+        prony = PronyConfig(model_order=6, target_count=2)
+        assert_rows_match(stack, (500.0, np.pi / 2), prony)
+        roots, _ = estimation.char_poly_roots(estimation.solve_lpc(
+            *estimation.build_hankel(stack.values[1], 6))[0])
+        floor = 2 * np.pi * estimation.DC_GUARD_CYCLES / k
+        want, found = greedy_signal_roots(roots, 2, 0.2, floor)
+        assert found == 3
+        want = want[np.argsort(np.abs(np.angle(want)))]
+        batch = estimation.estimate_doa_batch(stack, (500.0, np.pi / 2),
+                                              prony)
+        np.testing.assert_array_equal(batch.roots[1], want)
 
 
 def assert_rows_match(stack, meta, prony) -> set:

@@ -629,6 +629,15 @@ class TestAddNoise:
         with pytest.raises(ZeroSignalPower):
             sensing.add_noise(mv, 20.0, 0)
 
+    def test_rejects_a_stack(self, geometry):
+        # Row 0 alone used to come back, with sigma set by all three rows.
+        mv = self.make_measurement(geometry)
+        stack = MeasurementVector(
+            values=np.vstack([mv.values, 2 * mv.values, 3 * mv.values]),
+            geometry=geometry)
+        with pytest.raises(ValueError, match="not a stack"):
+            sensing.add_noise(stack, 20.0, 0)
+
     def test_rejects_already_noisy_input(self, geometry):
         noisy = sensing.add_noise(self.make_measurement(geometry), 20.0, 0)
         with pytest.raises(ValueError):
