@@ -1,20 +1,18 @@
 """Command-line entry point.
 
 Subcommands: simulate, estimate, crlb, sweep, check-sampling. All runs are
-driven by a JSON config (see config.py for the schema); flags override the
-config's run section. Exit codes: 0 success, 2 config error, 3 domain
-error, 4 I/O error. main may be called any number of times in one
-process: the first call builds the parser and later calls reuse it.
+driven by a JSON config (see config.py for the schema); flags set their
+config.FLAG_KEYS keys before parsing. Exit codes: 0 success, 2 config
+error, 3 domain error, 4 I/O error. main may be called any number of times
+in one process: the first call builds the parser and later calls reuse it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -51,13 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, config_required=True):
         p.add_argument("--config", required=config_required,
                        help="JSON run configuration")
-        p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int,
-                       help="base seed (overrides config)")
+        p.add_argument("--out", help="output directory (run.output_dir)")
+        p.add_argument("--seed", type=int, help="base seed (run.base_seed)")
         p.add_argument("--order", type=int,
-                       help="prediction order override")
+                       help="prediction order (prony.model_order)")
         p.add_argument("--format", choices=("csv", "json"),
-                       help="measurement output format (overrides config)")
+                       help="measurement output format (run.format)")
 
     common(sub.add_parser("simulate",
                           help="run the fluorescence pipeline and write "
@@ -74,26 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args) -> RunConfig:
-    cfg = load_config(args.config)
-    scenario = cfg.scenario
-    if args.out == "":
-        raise ConfigParseError("--out must be a nonempty path")
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigParseError("--seed must be nonnegative")
-        scenario = replace(scenario, base_seed=args.seed)
-    if args.order is not None:
-        try:
-            scenario = replace(
-                scenario, prony=replace(scenario.prony,
-                                        model_order=args.order))
-        except ValueError as exc:
-            raise ConfigParseError(f"--order: {exc}") from exc
-    return replace(
-        cfg, scenario=scenario,
-        output_dir=args.out if args.out is not None else cfg.output_dir,
-        output_format=(args.format if args.format is not None
-                       else cfg.output_format))
+    return load_config(args.config, vars(args))
 
 
 def _print_compliance(report) -> None:
@@ -117,14 +95,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         measurement = sensing.add_noise(measurement, sc.snr_db, sc.base_seed)
     serialize.write_fluorescence_csv(profile, out / "fluorescence.csv")
     if cfg.output_format == "json":
-        payload = {
-            "centers_m": [float(v) for v in sc.geometry.centers],
-            "y_tilde": [float(v) for v in measurement.values],
-            "noise_sigma": measurement.noise_sigma,
-            "source": measurement.source,
-        }
-        serialize.atomic_write_text(out / "measurement.json",
-                                    json.dumps(payload, indent=2) + "\n")
+        serialize.write_measurement_json(measurement, out / "measurement.json")
     else:
         serialize.write_measurement_csv(measurement, out / "measurement.csv")
     print(f"wrote {out / 'fluorescence.csv'} "

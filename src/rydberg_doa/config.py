@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigParseError, RydbergDoaError
-from .estimation import FIXED_ORDER, SV_THRESHOLD, PronyConfig
+from .estimation import FIXED_ORDER, PronyConfig
 from .experiments import CELL_SEED_STRIDE, ScenarioConfig, SweepSpec
 from .physics import AtomicParams, PlaneWave, RfScene
 from .sensing import SensorGeometry, snr_ratio
@@ -25,7 +25,7 @@ from .sensing import SensorGeometry, snr_ratio
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run settings plus the raw document for manifests."""
+    """Fully resolved run settings plus the parsed document for manifests."""
 
     scenario: ScenarioConfig
     output_dir: str
@@ -202,10 +202,6 @@ def _parse_prony(doc: dict, n_signals: int) -> PronyConfig:
                "order_selection", "sv_threshold"}
     _check_keys(doc, allowed, "prony.")
     selection = doc.get("order_selection", FIXED_ORDER)
-    if selection not in (FIXED_ORDER, SV_THRESHOLD):
-        raise ConfigParseError(
-            f"'prony.order_selection' must be '{FIXED_ORDER}' or "
-            f"'{SV_THRESHOLD}'")
     target = doc.get("target_count", n_signals if n_signals else None)
     if target is not None:
         target = _integer(target, "prony.target_count")
@@ -305,7 +301,14 @@ def parse_config(doc: dict) -> RunConfig:
                      absorption_model=absorption_model)
 
 
-def load_config(path: str | Path) -> RunConfig:
+# Each CLI flag (by argparse dest) and the (section, key) it sets.
+FLAG_KEYS = {"out": ("run", "output_dir"), "seed": ("run", "base_seed"),
+             "order": ("prony", "model_order"), "format": ("run", "format")}
+
+
+def load_config(path: str | Path, flags: dict | None = None) -> RunConfig:
+    """Parse the config at path with each FLAG_KEYS flag in flags that is
+    not None set under its key first: echo is the document that ran."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -317,4 +320,9 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column "
             f"{exc.colno}: {exc.msg}") from exc
+    for flag, (section, key) in FLAG_KEYS.items():
+        value = (flags or {}).get(flag)
+        if value is not None and isinstance(doc, dict) and isinstance(
+                doc.setdefault(section, {}), dict):
+            doc[section][key] = value
     return parse_config(doc)

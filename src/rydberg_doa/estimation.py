@@ -46,7 +46,8 @@ class PronyConfig:
         if not 0 < self.unit_circle_tolerance < 1:
             raise ValueError("unit_circle_tolerance must lie in (0, 1)")
         if self.order_selection not in (FIXED_ORDER, SV_THRESHOLD):
-            raise ValueError("unknown order_selection mode")
+            raise ValueError(f"order_selection must be '{FIXED_ORDER}' or "
+                             f"'{SV_THRESHOLD}'")
         if self.order_selection == FIXED_ORDER:
             if self.target_count is None:
                 raise ValueError("fixed order selection needs target_count")
@@ -276,9 +277,6 @@ def estimate_doa_batch(measurements, scene_meta: tuple[float, float],
     values = np.atleast_2d(measurements.values)
     spacing = measurements.geometry.spacing
     n_rows, k_samples = values.shape
-    if k_samples <= config.model_order:
-        raise InsufficientSamples(
-            f"K={k_samples} samples cannot support order p={config.model_order}")
     matrix, rhs = build_hankel(values, config.model_order)
     # A row whose coefficients overflowed has no polynomial to root: it
     # roots zeros in their place and fails alone as a RootfindingFailure,

@@ -444,10 +444,12 @@ def required_snr(config: ScenarioConfig) -> float:
 def bound_report(scene: RfScene, geometry: SensorGeometry,
                  params: AtomicParams, snr_db: float | None = None,
                  sigma2: float | None = None) -> CrlbReport:
-    """Angle-domain CRLB report; the noise variance is sigma2, or else
-    sensing.noise_variance of the scene's noiseless analytic measurement.
+    """Angle-domain CRLB report at noise variance sigma2 or, given snr_db
+    instead, sensing.noise_variance of the noiseless analytic measurement.
     Scenes whose FIM is singular (targets sharing a beat wavenumber or at
     the LO bearing, zero-amplitude targets) raise a domain error."""
+    if (snr_db is None) == (sigma2 is None):
+        raise ValueError("give exactly one of snr_db and sigma2")
     if not scene.is_identifiable():
         raise RydbergDoaError("targets share a beat wavenumber or sit at "
                               "the LO bearing: the bound is undefined")

@@ -202,8 +202,6 @@ def linearization_constants(params: AtomicParams) -> tuple[float, float]:
     the two-photon resonance (rad/s).
     """
     d_cr = params.coupling_detuning + params.rf_detuning
-    if d_cr == 0:
-        raise DegenerateDetuning("coupling_detuning + rf_detuning vanishes")
     c_scale = (2 * np.pi * params.atom_density * params.probe_dipole**2
                * params.probe_wavenumber * params.decay_21
                / (params.vacuum_permittivity * params.reduced_planck))

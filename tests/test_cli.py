@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 from rydberg_doa import cli, experiments, sensing, serialize
-from rydberg_doa.config import load_config
-from rydberg_doa.errors import SchemaError
+from rydberg_doa.config import FLAG_KEYS, load_config, parse_config
+from rydberg_doa.errors import ConfigParseError, SchemaError
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -78,7 +79,41 @@ class TestConfigErrors:
         assert cli.main(["simulate", "--config",
                          write_config(tmp_path, base_doc(tmp_path / "out")),
                          "--seed", "-1"]) == 2
-        assert "--seed" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: 'run.base_seed' must be nonnegative\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "top-level config must be an object"),
+        (json.dumps({**base_doc("out"), "run": 5}),
+         "'run' must be an object"),
+    ])
+    def test_flag_on_a_malformed_document_exit_2(self, tmp_path, capsys,
+                                                  text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert cli.main(["simulate", "--config", str(path), "--seed", "1",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_order_flag_exit_2(self, tmp_path, capsys):
+        assert cli.main(["simulate", "--config",
+                         write_config(tmp_path, base_doc(tmp_path / "out")),
+                         "--order", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: 'prony': model_order must be at least 1\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_order_selection_names_both_values(self, tmp_path,
+                                                       capsys):
+        doc = base_doc(tmp_path / "out")
+        doc["prony"]["order_selection"] = "x"
+        assert cli.main(["simulate", "--config",
+                         write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == (
+            "error: 'prony': order_selection must be 'fixed' or "
+            "'singular_value_threshold'\n")
         assert not (tmp_path / "out").exists()
 
     def test_trials_overlapping_cell_seeds_exit_2(self, tmp_path, capsys):
@@ -147,7 +182,7 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, doc)
         assert cli.main([command, "--config", cfg, "--out", ""]) == 2
         assert capsys.readouterr().err == (
-            "error: --out must be a nonempty path\n")
+            "error: 'run.output_dir' must be a nonempty string\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize("snr_db", [4000, -4000])
@@ -335,6 +370,17 @@ class TestEstimate:
         result = json.loads((out / "estimation.json").read_text())
         assert len(result["lpc_coefficients"]) == 6
 
+    def test_order_above_channel_count_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_doc(out))
+        assert cli.main(["simulate", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert cli.main(["estimate", str(out / "measurement.csv"),
+                         "--config", cfg, "--order", "20"]) == 3
+        assert capsys.readouterr().err == (
+            "error: need K > p >= 1, got K=16, p=20\n")
+        assert not (out / "estimation.json").exists()
+
     def test_read_measurement_roundtrip(self, tmp_path, geometry):
         from rydberg_doa.sensing import MeasurementVector
         values = np.sin(0.7 * np.arange(geometry.channel_count))
@@ -443,6 +489,25 @@ class TestSweepCommand:
         assert manifest["config"] == doc
         assert "code_version" in manifest and "wall_time_s" in manifest
 
+    def test_manifest_replays_the_flags(self, tmp_path, monkeypatch):
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        first.mkdir()
+        replay.mkdir()
+        cfg = write_config(tmp_path,
+                           self.sweep_doc("elsewhere", "lo_ratio", [1, 20]))
+        monkeypatch.chdir(first)
+        assert cli.main(["sweep", "--config", cfg]) == 0
+        assert cli.main(["sweep", "--config", cfg, "--seed", "7",
+                         "--order", "6", "--out", "a"]) == 0
+        want = (first / "a" / "lo_ratio_sweep.csv").read_bytes()
+        assert want != (first / "elsewhere" / "lo_ratio_sweep.csv"
+                        ).read_bytes()
+        manifest = json.loads((first / "a" / "manifest.json").read_text())
+        monkeypatch.chdir(replay)
+        assert cli.main(["sweep", "--config", write_config(
+            replay, manifest["config"], "manifest_config.json")]) == 0
+        assert (replay / "a" / "lo_ratio_sweep.csv").read_bytes() == want
+
     def test_violating_geometry_warns_but_runs(self, tmp_path, capsys):
         out = tmp_path / "out"
         doc = self.sweep_doc(out, "sampling_interval", [0.25, 0.5])
@@ -537,6 +602,22 @@ print(len(built))
     done = subprocess.run([sys.executable, "-c", code], check=True,
                           capture_output=True, text=True, env=env)
     assert done.stdout.split() == ["0", "1"]
+
+
+def test_every_flag_sets_a_parsed_config_key():
+    # A flag reaches a command only as the config key it sets, so that key
+    # is checked by parse_config and echoed in the manifest.
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    dests = {action.dest for command in sub.choices.values()
+             for action in command._actions if action.option_strings}
+    assert dests - {"config", "help", "version"} == set(FLAG_KEYS)
+    for section, key in FLAG_KEYS.values():
+        doc = base_doc("out")
+        doc.setdefault(section, {})[key] = []
+        with pytest.raises(ConfigParseError,
+                           match=f"^'{section}.{key}' must be "):
+            parse_config(doc)
 
 
 def _run_captured(capsys, run, argv):

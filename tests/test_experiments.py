@@ -395,6 +395,20 @@ class TestLengthSweep:
         broadside = np.array(results[0.0].crlb_std_rad)
         assert np.all(wide > broadside)
 
+    def test_bound_needs_exactly_one_noise_argument(self, params,
+                                                    geometry):
+        scene = scenarios.scene_from_angles((15.0,))
+        with pytest.raises(ValueError, match="exactly one of snr_db"):
+            experiments.crlb_std_for(scene, geometry, params)
+        with pytest.raises(ValueError, match="exactly one of snr_db"):
+            experiments.bound_report(scene, geometry, params, snr_db=10.0,
+                                     sigma2=1e-40)
+        sigma2 = sensing.noise_variance(sensing.predicted_measurements(
+            scene, geometry, params).values, 10.0)
+        np.testing.assert_array_equal(
+            experiments.crlb_std_for(scene, geometry, params, snr_db=10.0),
+            experiments.crlb_std_for(scene, geometry, params, sigma2=sigma2))
+
     def test_channel_count_tracks_length(self, rf_wavelength):
         for length_wl in (1.0, 2.0, 4.0, 8.0):
             geom = scenarios.default_geometry(rf_wavelength,
