@@ -53,8 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="base seed (run.base_seed)")
         p.add_argument("--order", type=int,
                        help="prediction order (prony.model_order)")
-        p.add_argument("--format", choices=("csv", "json"),
-                       help="measurement output format (run.format)")
+        p.add_argument("--format", help="measurement output format, csv "
+                       "or json (run.format)")
 
     common(sub.add_parser("simulate",
                           help="run the fluorescence pipeline and write "

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigParseError, RydbergDoaError
-from .estimation import FIXED_ORDER, PronyConfig
+from .estimation import PronyConfig
 from .experiments import CELL_SEED_STRIDE, ScenarioConfig, SweepSpec
 from .physics import AtomicParams, PlaneWave, RfScene
 from .sensing import SensorGeometry, snr_ratio
@@ -198,32 +198,24 @@ def _parse_geometry(doc: dict, rf_wavelength: float) -> SensorGeometry:
 
 
 def _parse_prony(doc: dict, n_signals: int) -> PronyConfig:
-    allowed = {"model_order", "target_count", "unit_circle_tolerance",
-               "order_selection", "sv_threshold"}
-    _check_keys(doc, allowed, "prony.")
-    selection = doc.get("order_selection", FIXED_ORDER)
-    target = doc.get("target_count", n_signals if n_signals else None)
-    if target is not None:
-        target = _integer(target, "prony.target_count")
-    if selection == FIXED_ORDER and target is None:
+    _check_keys(doc, {"model_order", "target_count",
+                      "unit_circle_tolerance"}, "prony.")
+    target = doc.get("target_count", n_signals or None)
+    if target is None:
         raise ConfigParseError(
             "missing required key 'prony.target_count' (no scene signals "
             "to infer it from)")
+    target = _integer(target, "prony.target_count")
     order = doc.get("model_order")
-    if order is None:
-        order = 2 * target if target else 2
-    else:
-        order = _integer(order, "prony.model_order")
+    order = max(2 * target, 2) if order is None else _integer(
+        order, "prony.model_order")
     try:
         return PronyConfig(
             model_order=order,
             target_count=target,
             unit_circle_tolerance=_number(
                 doc.get("unit_circle_tolerance", 0.2),
-                "prony.unit_circle_tolerance"),
-            order_selection=selection,
-            sv_threshold=_number(doc.get("sv_threshold", 1e-3),
-                                 "prony.sv_threshold"))
+                "prony.unit_circle_tolerance"))
     except ValueError as exc:
         raise ConfigParseError(f"'prony': {exc}") from exc
 

@@ -15,9 +15,6 @@ from .errors import (
     RootfindingFailure,
 )
 
-FIXED_ORDER = "fixed"
-SV_THRESHOLD = "singular_value_threshold"
-
 # Roots within this |arg z| band of DC are calibration-residual leakage,
 # not resolvable signal frequencies; the guard scales as 2*pi/(4K).
 DC_GUARD_CYCLES = 0.25
@@ -28,33 +25,26 @@ CLAMP_TOL = 1e-6
 
 @dataclass(frozen=True)
 class PronyConfig:
-    """Model order and root-selection settings.
+    """Model order, target count and root-selection settings.
 
-    model_order p must satisfy 2N <= p < K. target_count may be an integer
-    or None for singular-value-based order selection.
+    Every estimate holds target_count N bearings, so a Monte Carlo RMSE
+    scores all N targets of each successful trial. model_order p must
+    satisfy 2N <= p < K.
     """
 
     model_order: int
-    target_count: int | None = None
+    target_count: int
     unit_circle_tolerance: float = 0.2
-    order_selection: str = FIXED_ORDER
-    sv_threshold: float = 1e-3
 
     def __post_init__(self):
         if self.model_order < 1:
             raise ValueError("model_order must be at least 1")
         if not 0 < self.unit_circle_tolerance < 1:
             raise ValueError("unit_circle_tolerance must lie in (0, 1)")
-        if self.order_selection not in (FIXED_ORDER, SV_THRESHOLD):
-            raise ValueError(f"order_selection must be '{FIXED_ORDER}' or "
-                             f"'{SV_THRESHOLD}'")
-        if self.order_selection == FIXED_ORDER:
-            if self.target_count is None:
-                raise ValueError("fixed order selection needs target_count")
-            if self.target_count < 1:
-                raise ValueError("target_count must be at least 1")
-            if self.model_order < 2 * self.target_count:
-                raise ValueError("model_order must be at least 2*target_count")
+        if self.target_count < 1:
+            raise ValueError("target_count must be at least 1")
+        if self.model_order < 2 * self.target_count:
+            raise ValueError("model_order must be at least 2*target_count")
 
 
 @dataclass(frozen=True)
@@ -153,12 +143,11 @@ def char_poly_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return roots, residual.max(axis=-1, initial=0.0)
 
 
-def select_signal_roots(roots: np.ndarray, n_targets, delta: float,
+def select_signal_roots(roots: np.ndarray, n_targets: int, delta: float,
                         angle_floor: float = 0.0
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Pick one representative per conjugate pair for the N signal roots,
-    over leading axes of stacked root sets; n_targets is an int or one
-    count per set.
+    """Pick one representative per conjugate pair for the N = n_targets
+    signal roots of each set, over leading axes of stacked root sets.
 
     Usable roots are pair representatives (positive imaginary part, or
     real and negative: self-conjugate at the folding frequency) within
@@ -166,12 +155,11 @@ def select_signal_roots(roots: np.ndarray, n_targets, delta: float,
     angle_floor. Each step takes the usable root nearest the circle; of
     those within 1e-12 of that distance, the one farthest in |arg z| from
     the roots already chosen, then the lowest index. Returns
-    (representatives, usable counts): max(n_targets) columns, NaN beyond
-    a set's count and on sets with fewer usable roots than targets.
+    (representatives, usable counts): N columns per set, all NaN on sets
+    with fewer usable roots than targets, so no set is scored on fewer.
     """
     roots = np.asarray(roots, dtype=complex)
     lead, order = roots.shape[:-1], roots.shape[-1]
-    n_targets = np.broadcast_to(n_targets, lead).reshape(-1)
     z = roots.reshape(-1, order)
     dist = np.abs(np.abs(z) - 1.0)
     arg = np.abs(np.angle(z))
@@ -179,21 +167,19 @@ def select_signal_roots(roots: np.ndarray, n_targets, delta: float,
         & (arg >= angle_floor) & (dist <= delta)
     found = usable.sum(axis=-1)
     dist = np.where(usable, dist, np.inf)
-    width = int(n_targets.max(initial=0))
     rows = np.arange(len(z))
-    reps = np.empty((len(z), width), dtype=complex)
+    reps = np.empty((len(z), n_targets), dtype=complex)
     # Separation from the chosen roots; infinite before the first pick, so
     # that step takes the lowest tied index.
     sep = np.full(z.shape, np.inf)
-    for j in range(width):
+    for j in range(n_targets):
         tied = dist <= dist.min(axis=-1, keepdims=True) + 1e-12
         pick = np.where(tied, sep, -1.0).argmax(axis=-1)
         sep = np.minimum(sep, np.abs(arg - arg[rows, pick, None]))
         reps[:, j] = z[rows, pick]
         dist[rows, pick] = np.inf
-    reps[(np.arange(width) >= n_targets[:, None])
-         | (found < n_targets)[:, None]] = np.nan
-    return reps.reshape(lead + (width,)), found.reshape(lead)
+    reps[found < n_targets] = np.nan
+    return reps.reshape(lead + (n_targets,)), found.reshape(lead)
 
 
 def frequencies_from_roots(representatives: np.ndarray,
@@ -217,25 +203,15 @@ def doa_from_frequency(delta_k, wavenumber: float, lo_angle: float
     return np.arcsin(np.clip(arg, -1.0, 1.0)), clamped
 
 
-def estimate_target_count(matrix: np.ndarray, threshold: float
-                          ) -> np.ndarray:
-    """Half the count of Hankel singular values above threshold * largest
-    (each real sinusoid contributes a rank-2 pair), per stacked matrix;
-    zero for an all-zero matrix."""
-    sv = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
-    significant = (sv > threshold * sv[..., :1]).sum(axis=-1)
-    return np.where(sv[..., 0] == 0, 0,
-                    np.maximum(1, np.round(significant / 2))).astype(int)
-
-
 @dataclass(frozen=True)
 class BatchEstimate:
     """Prony results for a stack of T measurement vectors, row by row.
 
-    Arrays have T rows. Columns beyond a row's target count, and every
-    column of a failed row, hold NaN (clamped flags hold False). errors[t]
-    is the exception row t raised, or None when it succeeded; failed[t] is
-    True exactly where errors[t] is not None.
+    Arrays have T rows, and the per-target ones the config's target_count
+    N columns: a successful row holds all N bearings, a failed row NaN
+    (clamped flags False), so an RMSE over the successful rows scores all
+    N targets. errors[t] is the exception row t raised, or None when it
+    succeeded; failed[t] is True exactly where errors[t] is not None.
     """
 
     spatial_frequencies: np.ndarray
@@ -245,7 +221,6 @@ class BatchEstimate:
     lpc_residual_norm: np.ndarray
     clamped_flags: np.ndarray
     rank_deficient: np.ndarray
-    target_counts: np.ndarray
     errors: tuple
     failed: np.ndarray
 
@@ -253,13 +228,12 @@ class BatchEstimate:
         """Row as an EstimationResult; raises the row's failure."""
         if self.errors[row] is not None:
             raise self.errors[row]
-        n = self.target_counts[row]
         return EstimationResult(
-            spatial_frequencies=self.spatial_frequencies[row, :n],
-            doas=self.doas[row, :n], roots=self.roots[row, :n],
+            spatial_frequencies=self.spatial_frequencies[row],
+            doas=self.doas[row], roots=self.roots[row],
             lpc_coefficients=self.lpc_coefficients[row],
             lpc_residual_norm=float(self.lpc_residual_norm[row]),
-            clamped_flags=self.clamped_flags[row, :n],
+            clamped_flags=self.clamped_flags[row],
             rank_deficient=bool(self.rank_deficient[row]))
 
 
@@ -290,10 +264,7 @@ def estimate_doa_batch(measurements, scene_meta: tuple[float, float],
         root_failed = ~finite | (root_residual > ROOT_RESIDUAL_TOL
                                  * np.maximum(1.0, np.abs(coeffs).max(
                                      axis=-1, initial=0.0)))
-    if config.order_selection == SV_THRESHOLD:
-        n_targets = estimate_target_count(matrix, config.sv_threshold)
-    else:
-        n_targets = np.full(n_rows, config.target_count)
+    n_targets = config.target_count
     angle_floor = 2 * np.pi * DC_GUARD_CYCLES / k_samples
     reps, found = select_signal_roots(roots, n_targets,
                                       config.unit_circle_tolerance,
@@ -311,12 +282,12 @@ def estimate_doa_batch(measurements, scene_meta: tuple[float, float],
             f"root residual {root_residual[t]:.3e} above tolerance"
             if finite[t] else "prediction coefficients are not finite"
         ) if root_failed[t] else InsufficientSignalRoots(
-            f"found {found[t]} usable root pairs, need {n_targets[t]}")
+            f"found {found[t]} usable root pairs, need {n_targets}")
     return BatchEstimate(
         spatial_frequencies=freqs, doas=doas, roots=reps,
         lpc_coefficients=coeffs, lpc_residual_norm=residual,
         clamped_flags=clamped, rank_deficient=rank_deficient,
-        target_counts=n_targets, errors=tuple(errors), failed=failed)
+        errors=tuple(errors), failed=failed)
 
 
 def estimate_doa(measurement, scene_meta: tuple[float, float],

@@ -123,7 +123,8 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class McResult:
-    """Per-cell Monte Carlo outcome; RMSE is over successful trials only."""
+    """Per-cell Monte Carlo outcome: the RMSE is over all N targets of the
+    successful trials, N the scene's signal count."""
 
     rmse_rad: float
     failures: int
@@ -202,19 +203,20 @@ def synthesize(cells: list[ScenarioConfig]) -> list[MeasurementVector]:
 def match_errors(estimated: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """Per-target absolute angle errors under minimum-total-error pairing.
 
-    estimated is one (M,) row or a (T, M) stack, paired row by row with
-    the N truths; min(M, N) errors per row, in estimate order when M <= N.
-    Pairings are tried in itertools.permutations order and a tie keeps
-    the first.
+    estimated is one (N,) row or a (T, N) stack, paired row by row with
+    the N truths, so every target is scored; N errors per row, in
+    estimate order. Pairings are tried in itertools.permutations order and
+    a tie keeps the first.
     """
     cost = np.abs(np.asarray(estimated, dtype=float)[..., :, None]
                   - np.asarray(truth, dtype=float))
-    if cost.shape[-2] > cost.shape[-1]:
-        cost = np.swapaxes(cost, -1, -2)
-    rows, cols = cost.shape[-2:]
+    n = cost.shape[-1]
+    if cost.shape[-2] != n:
+        raise ValueError(f"need one estimate per truth, got "
+                         f"{cost.shape[-2]} for {n}")
     best = best_total = None
-    for perm in itertools.permutations(range(cols), rows):
-        errors = cost[..., np.arange(rows), perm]
+    for perm in itertools.permutations(range(n)):
+        errors = cost[..., np.arange(n), perm]
         total = errors.sum(axis=-1)
         if best is None:
             best, best_total = errors, total
@@ -274,11 +276,18 @@ def _mc_sweep(config: ScenarioConfig, cells) -> list[McResult]:
     bearing) run as one batched Prony solve of at most MC_STACK_ROWS rows;
     a cell is never split, and a larger one runs alone. Rows are
     independent, so each cell gets the result of its own solve. A cell
-    whose noise draw raises a domain error fails whole.
+    whose noise draw raises a domain error fails whole. A cell whose
+    prony.target_count differs from its scene's signal count is a config
+    error before any synthesis: its RMSE would not score every target.
     """
     seeded = [replace(config, sweep=None,
                       base_seed=config.base_seed + CELL_SEED_STRIDE * c,
                       **overrides) for c, overrides in enumerate(cells)]
+    for cell in seeded:
+        if cell.prony.target_count != cell.scene.n_signals:
+            raise ConfigParseError(
+                f"'prony.target_count' must equal the scene's signal count "
+                f"{cell.scene.n_signals}, got {cell.prony.target_count}")
     clean = synthesize(seeded)
     # Cells grouped by everything estimate_doa_batch reads besides values.
     groups: dict[tuple, list[int]] = {}
@@ -339,13 +348,10 @@ def _solve_stack(cells: list, stack: list, results: list) -> None:
         rows = slice(start, start + len(v))
         start = rows.stop
         kept = ok[rows]
-        doas, counts = batch.doas[rows][kept], batch.target_counts[rows][kept]
-        truth = scenarios.true_doas(cells[i].scene)
-        # Singular-value order selection may vary the target count by trial.
-        errors = [match_errors(doas[counts == n, :n], truth).ravel()
-                  for n in np.unique(counts)]
-        rmse = float(np.sqrt((np.concatenate(errors) ** 2).mean())) \
-            if errors else np.inf
+        # Raveled: the mean of the 2-D array would sum in another order.
+        errors = match_errors(batch.doas[rows][kept],
+                              scenarios.true_doas(cells[i].scene)).ravel()
+        rmse = float(np.sqrt((errors ** 2).mean())) if errors.size else np.inf
         results[i] = McResult(rmse_rad=rmse,
                               failures=len(v) - int(kept.sum()))
 

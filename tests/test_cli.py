@@ -1,7 +1,9 @@
 import argparse
+import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,6 +15,7 @@ import pytest
 from rydberg_doa import cli, experiments, sensing, serialize
 from rydberg_doa.config import FLAG_KEYS, load_config, parse_config
 from rydberg_doa.errors import ConfigParseError, SchemaError
+from rydberg_doa.estimation import PronyConfig
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -105,15 +108,25 @@ class TestConfigErrors:
             "error: 'prony': model_order must be at least 1\n")
         assert not (tmp_path / "out").exists()
 
-    def test_unknown_order_selection_names_both_values(self, tmp_path,
-                                                       capsys):
+    @pytest.mark.parametrize("key, value", [
+        ("order_selection", "singular_value_threshold"),
+        ("sv_threshold", 1e-3)])
+    def test_removed_order_selection_keys_are_unknown(self, tmp_path,
+                                                      capsys, key, value):
         doc = base_doc(tmp_path / "out")
-        doc["prony"]["order_selection"] = "x"
+        doc["prony"][key] = value
         assert cli.main(["simulate", "--config",
                          write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: unknown key 'prony.{key}' (allowed: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_format_flag_has_the_config_key_error(self, tmp_path, capsys):
+        assert cli.main(["simulate", "--config",
+                         write_config(tmp_path, base_doc(tmp_path / "out")),
+                         "--format", "xml"]) == 2
         assert capsys.readouterr().err == (
-            "error: 'prony': order_selection must be 'fixed' or "
-            "'singular_value_threshold'\n")
+            "error: 'run.format' must be 'csv' or 'json'\n")
         assert not (tmp_path / "out").exists()
 
     def test_trials_overlapping_cell_seeds_exit_2(self, tmp_path, capsys):
@@ -526,6 +539,21 @@ class TestSweepCommand:
         assert (out / "linearization_check.csv").exists()
         assert "residual ratio" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("count, order", [(1, 4), (3, 6)])
+    def test_target_count_other_than_the_scene_exit_2(self, tmp_path,
+                                                      capsys, count, order):
+        # An RMSE scored on fewer targets than the scene holds (or with
+        # spurious ones) would not mean what its header says.
+        out = tmp_path / "out"
+        doc = self.sweep_doc(out, "lo_ratio", [1, 20])
+        doc["prony"] = {"model_order": order, "target_count": count}
+        assert cli.main(["sweep", "--config",
+                         write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == (
+            "error: 'prony.target_count' must equal the scene's signal "
+            f"count 2, got {count}\n")
+        assert not out.exists()
+
     def test_removed_parallel_flag_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path,
                            self.sweep_doc(tmp_path / "a", "lo_ratio", [5]))
@@ -620,6 +648,18 @@ def test_every_flag_sets_a_parsed_config_key():
             parse_config(doc)
 
 
+def test_every_prony_field_is_a_config_key():
+    # A PronyConfig field that no config can set is dead.
+    doc = base_doc("out")
+    doc["prony"]["?"] = 0
+    with pytest.raises(ConfigParseError) as exc:
+        parse_config(doc)
+    allowed = re.fullmatch(r"unknown key 'prony\.\?' \(allowed: (.*)\)",
+                           str(exc.value)).group(1)
+    assert set(allowed.split(", ")) == {
+        f.name for f in dataclasses.fields(PronyConfig)}
+
+
 def _run_captured(capsys, run, argv):
     """(exit code, stdout, stderr) of run(argv); a SystemExit is a code."""
     capsys.readouterr()
@@ -649,7 +689,7 @@ class TestParserReuse:
         ["estimate", "--config", "x.json"],
         ["crlb", "--config", "x.json", "--bogus"],
         ["sweep", "--config", "x.json", "--seed", "two"],
-        ["simulate", "--config", "x.json", "--format", "xml"],
+        ["simulate", "--config", "x.json", "--order", "two"],
     ], ids=lambda argv: " ".join(argv) or "no-args")
     def test_text_and_exit_code_match_fresh_parser(self, capsys, argv):
         fresh = getattr(cli.build_parser, "__wrapped__", cli.build_parser)

@@ -193,25 +193,13 @@ class TestSelectSignalRoots:
         reps, _ = select_signal_roots(roots[::-1], 2, delta=0.3)
         np.testing.assert_array_equal(reps, [np.exp(0.5j), -0.75])
 
-    def test_stack_takes_one_count_per_row(self):
-        roots = np.array([[np.exp(1.0j), np.exp(-1.0j), np.exp(2.0j),
-                           np.exp(-2.0j)],
-                          [0.9 * np.exp(1.5j), 0.9 * np.exp(-1.5j), 0.1,
-                           0.2]])
-        reps, found = select_signal_roots(roots[None], [[2, 1]], delta=0.2)
-        assert reps.shape == (1, 2, 2)
-        np.testing.assert_array_equal(found, [[2, 1]])
-        np.testing.assert_array_equal(
-            reps[0], [[np.exp(1.0j), np.exp(2.0j)],
-                      [0.9 * np.exp(1.5j), np.nan]])
-
 
 @st.composite
 def tied_root_stacks(draw):
     """A (T, p) root stack built to tie: exact unit-circle roots, shared
     radii and angles, real negative roots at mirrored distances, and
     random roots, with or without conjugate closure; plus one target
-    count per row, some beyond what the row can give."""
+    count for the stack, which some rows may not be able to give."""
     seed = draw(st.integers(0, 2**32 - 1))
     rows = draw(st.integers(1, 60))
     order = draw(st.integers(1, 10))
@@ -229,7 +217,7 @@ def tied_root_stacks(draw):
     half = order // 2
     closed = rng.random(rows) < 0.5
     roots[closed, half:2 * half] = np.conj(roots[closed, :half])
-    n_targets = rng.integers(0, half + 2, rows)
+    n_targets = int(rng.integers(0, half + 2))
     delta = draw(st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5]))
     angle_floor = draw(st.sampled_from([0.0, 0.1, 0.3]))
     return roots, n_targets, delta, angle_floor
@@ -242,14 +230,12 @@ class TestSelectionMatchesGreedy:
         roots, n_targets, delta, angle_floor = case
         reps, found = select_signal_roots(roots, n_targets, delta,
                                           angle_floor)
-        width = n_targets.max(initial=0)
-        assert reps.shape == (len(roots), width)
+        assert reps.shape == (len(roots), n_targets)
         for t, row in enumerate(roots):
             want, want_found = greedy_signal_roots(
-                row, n_targets[t], delta, angle_floor)
+                row, n_targets, delta, angle_floor)
             assert found[t] == want_found
-            assert reps[t, :n_targets[t]].tobytes() == want.tobytes()
-            assert np.isnan(reps[t, n_targets[t]:]).all()
+            assert reps[t].tobytes() == want.tobytes()
 
 
 class TestFrequencyMaps:
@@ -330,16 +316,6 @@ class TestEstimateDoa:
         with pytest.raises(InsufficientSamples):
             estimate_doa(mv, (two_target.wavenumber, two_target.lo.angle),
                          cfg)
-
-    def test_auto_order_selection(self, params, two_target, geometry):
-        mv = sensing.predicted_measurements(two_target, geometry, params)
-        cfg = PronyConfig(model_order=6, target_count=None,
-                          order_selection=estimation.SV_THRESHOLD)
-        result = estimate_doa(mv, (two_target.wavenumber,
-                                   two_target.lo.angle), cfg)
-        assert len(result.doas) == 2
-        truth = scenarios.true_doas(two_target)
-        assert np.max(np.abs(np.sort(result.doas) - truth)) < 1e-6
 
     def test_target_at_lo_angle_surfaces_cleanly(self, params, geometry):
         # zero beat frequency: the target is invisible after calibration

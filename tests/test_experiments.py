@@ -12,7 +12,7 @@ from rydberg_doa import (
     sensing,
     serialize,
 )
-from rydberg_doa.errors import RydbergDoaError
+from rydberg_doa.errors import ConfigParseError, RydbergDoaError
 from rydberg_doa.estimation import PronyConfig, estimate_doa
 from rydberg_doa.experiments import (
     ScenarioConfig,
@@ -84,9 +84,20 @@ class TestMcRmse:
         got = match_errors(np.array([[1.0, 2.0]]), np.array([0.25, 0.5]))
         np.testing.assert_array_equal(got, [[0.75, 1.5]])
 
-    def test_matching_fewer_estimates_than_truths(self):
-        got = match_errors(np.array([0.42]), np.array([-0.3, 0.4]))
-        np.testing.assert_allclose(got, [0.02])
+    @pytest.mark.parametrize("estimated", [[0.42], [[0.1, 0.2, 0.3]]])
+    def test_matching_needs_one_estimate_per_truth(self, estimated):
+        with pytest.raises(ValueError, match="one estimate per truth"):
+            match_errors(np.array(estimated), np.array([-0.3, 0.4]))
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_target_count_other_than_the_scene_is_a_config_error(
+            self, base_config, count):
+        cell = replace(base_config, prony=PronyConfig(
+            model_order=2 * count, target_count=count))
+        with pytest.raises(ConfigParseError, match=(
+                "^'prony.target_count' must equal the scene's signal count "
+                f"2, got {count}$")):
+            mc_rmse(cell)
 
     def test_batch_matches_serial_estimates(self, params, geometry):
         """One batched solve agrees with estimate_doa row by row: the
