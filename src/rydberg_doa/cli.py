@@ -53,8 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="base seed (run.base_seed)")
         p.add_argument("--order", type=int,
                        help="prediction order (prony.model_order)")
-        p.add_argument("--format", help="measurement output format, csv "
-                       "or json (run.format)")
 
     common(sub.add_parser("simulate",
                           help="run the fluorescence pipeline and write "
@@ -94,10 +92,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if sc.snr_db is not None:
         measurement = sensing.add_noise(measurement, sc.snr_db, sc.base_seed)
     serialize.write_fluorescence_csv(profile, out / "fluorescence.csv")
-    if cfg.output_format == "json":
-        serialize.write_measurement_json(measurement, out / "measurement.json")
-    else:
-        serialize.write_measurement_csv(measurement, out / "measurement.csv")
+    serialize.write_measurement_csv(measurement, out / "measurement.csv")
     print(f"wrote {out / 'fluorescence.csv'} "
           f"({len(profile.positions)} samples) and measurement "
           f"({sc.geometry.channel_count} channels)")

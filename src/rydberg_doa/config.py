@@ -29,7 +29,6 @@ class RunConfig:
 
     scenario: ScenarioConfig
     output_dir: str
-    output_format: str
     verbosity: int
     echo: dict
     absorption_model: str = "exact"
@@ -254,8 +253,8 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigParseError(f"'noise.snr_db': {exc}") from exc
 
     run_doc = doc.get("run", {})
-    _check_keys(run_doc, {"trials", "base_seed", "output_dir", "format",
-                          "verbosity", "absorption_model"}, "run.")
+    _check_keys(run_doc, {"trials", "base_seed", "output_dir", "verbosity",
+                          "absorption_model"}, "run.")
     trials = _integer(run_doc.get("trials", 100), "run.trials")
     if trials >= CELL_SEED_STRIDE:
         raise ConfigParseError(
@@ -264,9 +263,6 @@ def parse_config(doc: dict) -> RunConfig:
     base_seed = _integer(run_doc.get("base_seed", 0), "run.base_seed")
     if base_seed < 0:
         raise ConfigParseError("'run.base_seed' must be nonnegative")
-    fmt = run_doc.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigParseError("'run.format' must be 'csv' or 'json'")
     verbosity = _integer(run_doc.get("verbosity", 1), "run.verbosity")
     output_dir = run_doc.get("output_dir", "out")
     if not isinstance(output_dir, str) or not output_dir:
@@ -289,13 +285,13 @@ def parse_config(doc: dict) -> RunConfig:
             "'sweep.axis' lo_ratio needs at least one signal with nonzero "
             "amplitude")
     return RunConfig(scenario=scenario, output_dir=output_dir,
-                     output_format=fmt, verbosity=verbosity, echo=doc,
+                     verbosity=verbosity, echo=doc,
                      absorption_model=absorption_model)
 
 
 # Each CLI flag (by argparse dest) and the (section, key) it sets.
 FLAG_KEYS = {"out": ("run", "output_dir"), "seed": ("run", "base_seed"),
-             "order": ("prony", "model_order"), "format": ("run", "format")}
+             "order": ("prony", "model_order")}
 
 
 def load_config(path: str | Path, flags: dict | None = None) -> RunConfig:

@@ -1,11 +1,13 @@
 """Fluorescence readout and virtual-array sampling.
 
-Simulates probe attenuation through the cell (Beer-Lambert), recovers the
-local absorption coefficient from the fluorescence profile, reduces it to
-K virtual-channel measurements through shifted rectangular windows,
-calibrates away the LO-only background, and injects measurement noise.
-The readout stages take one profile, or a stack of profiles with leading
-axes, one row per scene; every row equals the readout of its scene alone.
+Simulates probe attenuation through the cell (Beer-Lambert), reads K
+virtual-channel measurements from the fluorescence image through shifted
+rectangular windows, calibrates away the LO-only background, and injects
+measurement noise. As alpha = -d/dx log F, the absorption integral over
+a window is a log-difference of the image, read with no numerical
+derivative. The readout stages take one profile, or a stack of profiles
+with leading axes, one row per scene; every row equals the readout of
+its scene alone.
 """
 
 from __future__ import annotations
@@ -130,7 +132,10 @@ class MeasurementVector:
             raise ValueError(f"source must be one of {_SOURCES}")
 
 
-class SampledAbsorption(NamedTuple):
+class PanelAbsorption(NamedTuple):
+    """Mean absorption on each grid panel: values[..., i] is the mean over
+    [positions[i], positions[i + 1]], one fewer column than positions."""
+
     positions: np.ndarray
     values: np.ndarray
 
@@ -153,12 +158,12 @@ class SamplingReport:
         return self.spacing_ok and self.width_ok
 
 
-def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral of y over x along the last axis, starting
-    at 0 at x[0]."""
-    out = np.zeros(y.shape)
-    np.cumsum(np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1,
-              out=out[..., 1:])
+def running_integral(panel_values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running integral along the last axis of a function that is constant
+    on each panel [x[i], x[i + 1]], starting at 0 at x[0]: one more column
+    than panel_values."""
+    out = np.zeros(panel_values.shape[:-1] + x.shape)
+    np.cumsum(np.diff(x) * panel_values, axis=-1, out=out[..., 1:])
     return out
 
 
@@ -168,40 +173,43 @@ def propagate_probe(alpha_profile: Callable[[np.ndarray], np.ndarray],
                     kappa: float = 1.0) -> FluorescenceProfile:
     """Attenuate the probe through the cell and emit the fluorescence image.
 
-    P(x) = P_in * exp(-integral_0^x alpha), cumulative trapezoid on the
-    geometry grid; fluorescence is kappa * P(x) (weak-probe proportionality).
+    P(x) = P_in * exp(-integral_0^x alpha), trapezoid rule on the geometry
+    grid; fluorescence is kappa * P(x) (weak-probe proportionality).
     alpha_profile may return a stack (..., n) of profiles on the grid.
     """
     if input_power <= 0:
         raise ValueError("input_power must be strictly positive")
     x = geometry.grid(rf_wavelength)
     alpha = np.asarray(alpha_profile(x), dtype=float)
-    optical_depth = cumulative_trapezoid(alpha, x)
+    optical_depth = running_integral((alpha[..., 1:] + alpha[..., :-1]) / 2,
+                                     x)
     power = input_power * np.exp(-optical_depth)
     return FluorescenceProfile(positions=x, probe_power=power,
                                fluorescence=kappa * power, kappa=kappa)
 
 
-def recover_alpha(profile: FluorescenceProfile) -> SampledAbsorption:
-    """Absorption coefficient from the log-derivative of the fluorescence.
+def recover_alpha(profile: FluorescenceProfile) -> PanelAbsorption:
+    """Mean absorption on each grid panel, read from the image exactly.
 
-    Second-order central differences, one-sided at the cell ends. The
-    fluorescence proportionality constant cancels in the log derivative.
+    alpha = -d/dx log F, so its mean over [x_i, x_i+1] is
+    -(log F_i+1 - log F_i) / (x_i+1 - x_i): no derivative estimate, and
+    the fluorescence proportionality constant cancels in the difference.
     """
     if np.any(profile.fluorescence <= 0):
         raise NonPositiveFluorescence("fluorescence must be strictly positive")
-    alpha = -np.gradient(np.log(profile.fluorescence), profile.positions,
-                         axis=-1)
-    return SampledAbsorption(profile.positions, alpha)
+    x = profile.positions
+    return PanelAbsorption(
+        x, -np.diff(np.log(profile.fluorescence), axis=-1) / np.diff(x))
 
 
-def channel_measurements(alpha_sampled: SampledAbsorption,
+def channel_measurements(alpha_sampled: PanelAbsorption,
                          geometry: SensorGeometry) -> np.ndarray:
-    """Trapezoid of the sampled absorption over each window, batched by
-    interior-sample count so each row sums as a one-window call would.
+    """Integral of the panel-constant absorption over each window: the
+    running integral C, linear between grid points, read at the window
+    edges as C(b) - C(a).
 
-    The values may be a stack (..., n) over the positions (n,); the window
-    indices are found once, and the result is (..., K).
+    The values may be a stack (..., n - 1) over the positions (n,); the
+    result is (..., K).
     """
     x, v = alpha_sampled
     tol = 1e-9 * geometry.cell_length
@@ -211,25 +219,11 @@ def channel_measurements(alpha_sampled: SampledAbsorption,
         j = bad[0]
         raise WindowOutOfCell(
             f"window {j + 1} [{lo[j]:g}, {hi[j]:g}] outside sampled domain")
-    a, b = np.maximum(lo, x[0]), np.minimum(hi, x[-1])
-    first = np.searchsorted(x, a, side="right")
-    count = np.searchsorted(x, b, side="left") - first
-    edges = np.concatenate((a, b))
+    edges = np.concatenate((np.maximum(lo, x[0]), np.minimum(hi, x[-1])))
     ends = np.array([np.interp(edges, x, row) for row in
-                     v.reshape(-1, len(x))]).reshape(v.shape[:-1] + (2, -1))
-    out = np.empty(v.shape[:-1] + (geometry.channel_count,))
-    for m in np.unique(count):
-        rows = np.flatnonzero(count == m)
-        inner = first[rows, None] + np.arange(m)
-        xs = np.column_stack((a[rows], x[inner], b[rows]))
-        # vs is C-ordered, so each window's samples are one contiguous
-        # row and the trapezoid sums it as a one-profile call does.
-        vs = np.empty(v.shape[:-1] + xs.shape)
-        vs[..., 1:-1] = np.take(v, inner, axis=-1)
-        # Columns 0 and m + 1 hold the values at the window edges.
-        vs[..., ::m + 1] = np.take(ends, rows, axis=-1).swapaxes(-1, -2)
-        out[..., rows] = np.trapezoid(vs, xs, axis=-1)
-    return out
+                     running_integral(v, x).reshape(-1, len(x))])
+    ends = ends.reshape(v.shape[:-1] + (2, -1))
+    return ends[..., 1, :] - ends[..., 0, :]
 
 
 def calibrate(values: np.ndarray, geometry: SensorGeometry, alpha_dc,

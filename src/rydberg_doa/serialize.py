@@ -72,17 +72,6 @@ def write_measurement_csv(measurement: MeasurementVector,
         measurement.geometry.centers, values))
 
 
-def write_measurement_json(measurement: MeasurementVector,
-                           path: str | Path) -> None:
-    payload = {
-        "centers_m": [float(v) for v in measurement.geometry.centers],
-        "y_tilde": [float(v) for v in measurement.values],
-        "noise_sigma": measurement.noise_sigma,
-        "source": measurement.source,
-    }
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
-
-
 def read_measurement_csv(path: str | Path
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Parse a measurement CSV back into (window centers, values)."""

@@ -5,12 +5,14 @@ share no code path with what they check. The closed forms (Rabi
 frequency, phasor field sum, two-level scattering rate, four-level
 susceptibility, whole-cell integrated power) are textbook formulas that
 only the tests evaluate. The per-scene readout reads one scene at a time,
-as the fluorescence pipeline did before it read stacks of scenes. The
-greedy signal-root selection picks one root set's representatives one
-at a time in Python, as the estimator did before it selected over whole
-stacks. The CSV renderers at the end build each output file row by row,
-one f-string .17g per value, as the writers did before they formatted
-whole columns at once.
+as the fluorescence pipeline did before it read stacks of scenes and
+before it read each window as a log-difference of the image: it
+differentiates log F with np.gradient and integrates the samples back
+over each window with a trapezoid. The greedy signal-root selection
+picks one root set's representatives one at a time in Python, as the
+estimator did before it selected over whole stacks. The CSV renderers
+at the end build each output file row by row, one f-string .17g per
+value, as the writers did before they formatted whole columns at once.
 """
 
 import csv
@@ -38,7 +40,6 @@ from rydberg_doa.sensing import (
     SIMULATED_FLUORESCENCE,
     FluorescenceProfile,
     MeasurementVector,
-    SampledAbsorption,
     SensorGeometry,
 )
 
@@ -73,11 +74,11 @@ def _window_integral(x: np.ndarray, v: np.ndarray, a: float, b: float) -> float:
     return float(np.trapezoid(vs, xs))
 
 
-def channel_measurements_per_window(alpha_sampled: SampledAbsorption,
+def channel_measurements_per_window(x: np.ndarray, v: np.ndarray,
                                     geometry: SensorGeometry) -> np.ndarray:
-    """sensing.channel_measurements one window at a time: scalar edges,
-    a boolean interior mask and a 1-D np.trapezoid per window."""
-    x, v = alpha_sampled
+    """Trapezoid of point samples v of the absorption over each window, one
+    window at a time: scalar edges, a boolean interior mask and a 1-D
+    np.trapezoid per window, interpolating v at the window edges."""
     tol = 1e-9 * geometry.cell_length
     half = geometry.window_width / 2
     out = np.empty(geometry.channel_count)
@@ -315,42 +316,12 @@ def propagate_probe_per_scene(
                                fluorescence=kappa * power, kappa=kappa)
 
 
-def recover_alpha_per_scene(profile: FluorescenceProfile) -> SampledAbsorption:
-    """Absorption coefficient from the log-derivative of the fluorescence.
-
-    Second-order central differences, one-sided at the cell ends. The
-    fluorescence proportionality constant cancels in the log derivative.
-    """
+def recover_alpha_gradient(profile: FluorescenceProfile) -> np.ndarray:
+    """Point samples of the absorption coefficient, -d/dx log F by
+    second-order central differences, one-sided at the cell ends."""
     if np.any(profile.fluorescence <= 0):
         raise NonPositiveFluorescence("fluorescence must be strictly positive")
-    alpha = -np.gradient(np.log(profile.fluorescence), profile.positions)
-    return SampledAbsorption(profile.positions, alpha)
-
-
-def channel_measurements_per_scene(alpha_sampled: SampledAbsorption,
-                                   geometry: SensorGeometry) -> np.ndarray:
-    """Trapezoid of the sampled absorption over each window, batched by
-    interior-sample count so each row sums as a one-window call would."""
-    x, v = alpha_sampled
-    tol = 1e-9 * geometry.cell_length
-    lo, hi = geometry.window_edges
-    bad = np.flatnonzero((lo < x[0] - tol) | (hi > x[-1] + tol))
-    if bad.size:
-        j = bad[0]
-        raise WindowOutOfCell(
-            f"window {j + 1} [{lo[j]:g}, {hi[j]:g}] outside sampled domain")
-    a, b = np.maximum(lo, x[0]), np.minimum(hi, x[-1])
-    first = np.searchsorted(x, a, side="right")
-    count = np.searchsorted(x, b, side="left") - first
-    va, vb = np.interp(a, x, v), np.interp(b, x, v)
-    out = np.empty(geometry.channel_count)
-    for m in np.unique(count):
-        rows = np.flatnonzero(count == m)
-        inner = first[rows, None] + np.arange(m)
-        xs = np.column_stack((a[rows], x[inner], b[rows]))
-        vs = np.column_stack((va[rows], v[inner], vb[rows]))
-        out[rows] = np.trapezoid(vs, xs, axis=1)
-    return out
+    return -np.gradient(np.log(profile.fluorescence), profile.positions)
 
 
 def calibrate_per_scene(values: np.ndarray, geometry: SensorGeometry,
@@ -371,13 +342,15 @@ def fluorescence_readout_per_scene(
         absorption_model: str = "exact"
 ) -> tuple[FluorescenceProfile, MeasurementVector]:
     """Propagate, recover, window, calibrate; returns (image, measurements).
-    The fluorescence readout of one scene, before readouts took stacks."""
+    The fluorescence readout of one scene as it was before readouts took
+    stacks and read windows as log-differences: point samples of alpha
+    from np.gradient, then a trapezoid over each window."""
     model = (physics.absorption_linearized if absorption_model == "linearized"
              else absorption_exact_per_scene)
     profile = propagate_probe_per_scene(lambda x: model(params, scene, x),
                                         geometry, scene.rf_wavelength)
-    raw = channel_measurements_per_scene(recover_alpha_per_scene(profile),
-                                         geometry)
+    raw = channel_measurements_per_window(
+        profile.positions, recover_alpha_gradient(profile), geometry)
     return profile, calibrate_per_scene(raw, geometry,
                                         physics.absorption_dc(params, scene))
 

@@ -121,12 +121,13 @@ class TestConfigErrors:
             f"error: unknown key 'prony.{key}' (allowed: ")
         assert not (tmp_path / "out").exists()
 
-    def test_format_flag_has_the_config_key_error(self, tmp_path, capsys):
+    def test_removed_format_key_is_unknown(self, tmp_path, capsys):
+        doc = base_doc(tmp_path / "out")
+        doc["run"]["format"] = "csv"
         assert cli.main(["simulate", "--config",
-                         write_config(tmp_path, base_doc(tmp_path / "out")),
-                         "--format", "xml"]) == 2
-        assert capsys.readouterr().err == (
-            "error: 'run.format' must be 'csv' or 'json'\n")
+                         write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown key 'run.format' (allowed: ")
         assert not (tmp_path / "out").exists()
 
     def test_trials_overlapping_cell_seeds_exit_2(self, tmp_path, capsys):
@@ -292,11 +293,14 @@ class TestSimulate:
         assert (out / "measurement.csv").read_bytes() != first
 
     def test_json_format_flag(self, tmp_path):
+        # measurement.csv is the only measurement file estimate reads, so
+        # simulate has no --format flag
         out = tmp_path / "out"
         cfg = write_config(tmp_path, base_doc(out))
-        assert cli.main(["simulate", "--config", cfg, "--format",
-                         "json"]) == 0
-        assert (out / "measurement.json").exists()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--config", cfg, "--format", "json"])
+        assert exc.value.code == 2
+        assert not out.exists()
 
 
 class TestEstimate:
@@ -710,7 +714,7 @@ class TestParserReuse:
             ["estimate", csv_path, "--config", "config.json"],
             ["crlb", "--config", "config.json"],
             ["simulate", "--config", "config.json", "--seed", "7",
-             "--order", "6", "--out", "flags", "--format", "json"],
+             "--order", "6", "--out", "flags"],
             ["estimate", csv_path, "--config", "config.json", "--order", "6",
              "--out", "flags"],
             ["simulate", "--config", "config.json"],

@@ -6,8 +6,14 @@ batched Monte Carlo estimator and the numpy-only runtime; regenerate them
 with that script and copy its out/ files here only when a change is meant
 to alter the output. Headers, the first (key) column, empty fields and
 integer fields such as trial and failure counts must match exactly; every
-other numeric field within RECOMPUTE_RTOL, so that a BLAS or numpy build
-that sums in another order still passes.
+other numeric field within RECOMPUTE_RTOL.
+
+The determinism contract is byte-exact output for a fixed numpy and BLAS
+kernel. RECOMPUTE_RTOL does not extend it to other kernels: with
+OpenBLAS told to use another kernel (OPENBLAS_CORETYPE=Prescott on an
+x86-64 DYNAMIC_ARCH build), fig7b fails, because its fields at the
+window-width null are rounding noise that moves by far more than
+RECOMPUTE_RTOL.
 """
 
 import csv

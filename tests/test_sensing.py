@@ -1,10 +1,12 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, quad
 
 from rydberg_doa import physics, scenarios, sensing
+from rydberg_doa.config import load_config
 from rydberg_doa.errors import (
     NonPositiveFluorescence,
     SingularPoint,
@@ -21,7 +23,6 @@ from rydberg_doa.sensing import (
 
 from oracles import (
     absorption_exact_per_scene,
-    channel_measurements_per_scene,
     channel_measurements_per_window,
     field_intensity_per_scene,
     fluorescence_readout_per_scene,
@@ -31,8 +32,24 @@ from oracles import (
 )
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+# Largest gap between the log-difference readout and the gradient-and-
+# trapezoid readout it replaced (oracles.fluorescence_readout_per_scene),
+# as a share of the channel std, at 256-257 points per lambda: measured
+# 2.8e-4 on the two-target scene and at most 4.5e-4 over 1-3 targets, LO
+# ratios 2-50 and 8-16 lambda cells. Most of it is the old readout's own
+# error against quadrature (see TestReadoutAccuracy).
+GRADIENT_READOUT_TOL = 5e-4
+
+
 def lo_only_scene(amplitude=4e-5):
     return RfScene(lo=PlaneWave(amplitude, 0.0, np.pi / 2))
+
+
+def panel_means(alpha):
+    """Trapezoid mean of point samples over each grid panel."""
+    return (alpha[..., 1:] + alpha[..., :-1]) / 2
 
 
 class TestGeometry:
@@ -64,10 +81,12 @@ class TestGeometry:
 
 class TestPropagateProbe:
     def test_cumulative_trapezoid_equals_scipy(self):
+        # the probe's optical depth: the running integral of trapezoid
+        # panel means is scipy's cumulative trapezoid, bit for bit
         rng = np.random.default_rng(3)
         x = np.cumsum(rng.uniform(1e-4, 2e-3, 513))
         y = rng.standard_normal(513) * np.exp(rng.uniform(-30, 5, 513))
-        got = sensing.cumulative_trapezoid(y, x)
+        got = sensing.running_integral(panel_means(y), x)
         np.testing.assert_array_equal(
             got, cumulative_trapezoid(y, x, initial=0.0))
 
@@ -130,6 +149,7 @@ class TestRecoverAlpha:
                                       probe_power=np.full(101, 0.8),
                                       fluorescence=np.full(101, 0.8))
         recovered = sensing.recover_alpha(profile)
+        assert recovered.values.shape == (100,)
         np.testing.assert_allclose(recovered.values, 0.0, atol=1e-12)
 
     def test_roundtrip_recovers_exact_absorption(self, params, two_target,
@@ -140,14 +160,15 @@ class TestRecoverAlpha:
         profile = sensing.propagate_probe(alpha, geometry,
                                           two_target.rf_wavelength)
         recovered = sensing.recover_alpha(profile)
-        truth = alpha(recovered.positions)
+        x = recovered.positions
+        # a panel mean sits within the midpoint rule's error of the
+        # absorption at the panel midpoint, on every panel
+        truth = alpha((x[1:] + x[:-1]) / 2)
         err = np.abs(recovered.values - truth)
         assert err.max() / np.abs(truth).max() < 1e-3
-        # away from the one-sided boundary stencils the differencing error
-        # stays well below the modulation amplitude
         scale = np.abs(
             physics.modulation_amplitudes(params, two_target)).sum()
-        assert err[1:-1].max() / scale < 5e-4
+        assert err.max() / scale < 5e-4
 
     def test_kappa_cancels(self, params, two_target, geometry):
         def alpha(x):
@@ -158,7 +179,7 @@ class TestRecoverAlpha:
             profile = sensing.propagate_probe(
                 alpha, geometry, two_target.rf_wavelength, kappa=kappa)
             outs.append(sensing.recover_alpha(profile).values)
-        # log(kappa*P) - log(P) leaves only rounding noise in the gradient
+        # log(kappa*P) - log(P) leaves only rounding noise in the difference
         tol = 1e-5 * np.abs(outs[1]).max()
         np.testing.assert_allclose(outs[0], outs[1], atol=tol, rtol=0)
         np.testing.assert_allclose(outs[2], outs[1], atol=tol, rtol=0)
@@ -172,12 +193,21 @@ class TestRecoverAlpha:
             sensing.recover_alpha(profile)
 
 
+def tau_test(x):
+    """Analytic optical depth of alpha = 2 + cos(37x - 0.4) + 0.1 sin(91x)."""
+    return 2.0 * x + np.sin(37.0 * x - 0.4) / 37.0 \
+        - 0.1 * np.cos(91.0 * x) / 91.0
+
+
+TAU_TEST_CURVATURE = 37.0 + 9.1  # bound on |tau''| = |alpha'|
+
+
 class TestChannelMeasurements:
     def test_constant_absorption_window_area(self, geometry):
         x = np.linspace(0, geometry.cell_length, 2001)
         alpha_dc = 3.7
-        sampled = sensing.SampledAbsorption(x, np.full_like(x, alpha_dc))
-        values = sensing.channel_measurements(sampled, geometry)
+        panels = sensing.PanelAbsorption(x, np.full(x.size - 1, alpha_dc))
+        values = sensing.channel_measurements(panels, geometry)
         np.testing.assert_allclose(values,
                                    alpha_dc * geometry.window_width,
                                    rtol=1e-12)
@@ -191,9 +221,9 @@ class TestChannelMeasurements:
             return physics.absorption_exact(params, two_target, x)
 
         profile = sensing.propagate_probe(alpha, geom, lam)
-        sampled = sensing.SampledAbsorption(
-            profile.positions, alpha(profile.positions))
-        values = sensing.channel_measurements(sampled, geom)
+        panels = sensing.PanelAbsorption(
+            profile.positions, panel_means(alpha(profile.positions)))
+        values = sensing.channel_measurements(panels, geom)
         for j, (a, b) in enumerate(zip(*geom.window_edges)):
             p_in = np.interp(a, profile.positions, profile.probe_power)
             p_out = np.interp(b, profile.positions, profile.probe_power)
@@ -203,8 +233,10 @@ class TestChannelMeasurements:
     def test_single_cosine_matches_antiderivative(self, geometry):
         dk, dphi, amp = 40.0, 0.6, 2.0
         x = np.linspace(0, geometry.cell_length, 300_001)
-        sampled = sensing.SampledAbsorption(x, amp * np.cos(dk * x - dphi))
-        values = sensing.channel_measurements(sampled, geometry)
+        midpoints = (x[1:] + x[:-1]) / 2
+        panels = sensing.PanelAbsorption(
+            x, amp * np.cos(dk * midpoints - dphi))
+        values = sensing.channel_measurements(panels, geometry)
         for j, (a, b) in enumerate(zip(*geometry.window_edges)):
             exact = amp * (np.sin(dk * b - dphi) - np.sin(dk * a - dphi)) / dk
             assert values[j] == pytest.approx(exact, rel=1e-8)
@@ -214,35 +246,73 @@ class TestChannelMeasurements:
         # missing the start puts windows 1-3 outside, the end windows 14-16
         for start, stop, first_bad in ((0.1, 0.0, 0), (0.0, 0.1, 13)):
             x = np.linspace(start, geometry.cell_length - stop, 101)
-            sampled = sensing.SampledAbsorption(x, np.ones_like(x))
+            panels = sensing.PanelAbsorption(x, np.ones(x.size - 1))
             with pytest.raises(WindowOutOfCell) as batched:
-                sensing.channel_measurements(sampled, geometry)
+                sensing.channel_measurements(panels, geometry)
             assert str(batched.value).startswith(
                 f"window {first_bad + 1} [{lo[first_bad]:g}, "
                 f"{hi[first_bad]:g}]")
             with pytest.raises(WindowOutOfCell) as per_window:
-                channel_measurements_per_window(sampled, geometry)
+                channel_measurements_per_window(x, np.ones_like(x), geometry)
             assert str(batched.value) == str(per_window.value)
 
     @staticmethod
-    def assert_matches_per_window(x, values, geometry):
-        sampled = sensing.SampledAbsorption(x, values)
-        np.testing.assert_array_equal(
-            sensing.channel_measurements(sampled, geometry),
-            channel_measurements_per_window(sampled, geometry), strict=True)
+    def assert_stack_reads_tau_difference(x, geometry, tau, curvature):
+        """Read the images F = exp(-s * tau), s = 0.5, 1 and 2, as one
+        stack. Each row equals the call on its image alone, bit for bit.
+        Channel j of a row is s * (tau(b) - tau(a)) over its window [a, b]
+        clipped to the positions: within rounding when both edges fall on
+        grid points, and otherwise within the linear-interpolation error
+        of s * tau at an edge e inside panel i, |(e - x_i)(x_i+1 - e)| / 2
+        times a bound on |s * tau''|."""
+        scales = np.array([[0.5], [1.0], [2.0]])
+        images = np.exp(-scales * tau(x))
+        stack = FluorescenceProfile(positions=x, probe_power=images,
+                                    fluorescence=images)
+        values = sensing.channel_measurements(sensing.recover_alpha(stack),
+                                              geometry)
+        for row, image in zip(values, images):
+            one = FluorescenceProfile(positions=x, probe_power=image,
+                                      fluorescence=image)
+            assert np.array_equal(row, sensing.channel_measurements(
+                sensing.recover_alpha(one), geometry))
+        lo, hi = geometry.window_edges
+        a, b = np.maximum(lo, x[0]), np.minimum(hi, x[-1])
+
+        def interpolation_error(edge):
+            i = np.clip(np.searchsorted(x, edge) - 1, 0, x.size - 2)
+            return np.abs((edge - x[i]) * (x[i + 1] - edge)) / 2 * curvature
+
+        # the panel differences telescope; each one rounds in the log, the
+        # division and the multiplication, and the running sum adds one
+        # rounding a panel
+        rounding = 8 * x.size * np.finfo(float).eps * \
+            max(1.0, np.abs(scales * tau(x)).max())
+        err = np.abs(values - scales * (tau(b) - tau(a)))
+        bound = scales * (interpolation_error(a) + interpolation_error(b)) \
+            + rounding
+        assert np.all(err <= bound), np.max(err / bound)
 
     @pytest.mark.parametrize("cell_wavelengths", [8, 11, 16])
     def test_fluorescence_scene_bit_exact(self, params, cell_wavelengths):
-        # the shape of an LO-ratio sweep cell: exact absorption of three
-        # targets, recovered from the fluorescence at 256 points per lambda
+        # the grid of an LO-ratio sweep cell, 256 points per lambda, where
+        # every window edge falls on a grid point; tau is the optical depth
+        # of the linearized absorption of three targets, a closed form
         scene = scenarios.scene_from_angles((-30.0, 5.0, 40.0),
                                             lo_ratio=7.0)
-        lam = scene.rf_wavelength
-        geom = scenarios.default_geometry(lam, cell_wavelengths)
-        profile = sensing.propagate_probe(
-            lambda x: physics.absorption_exact(params, scene, x), geom, lam)
-        recovered = sensing.recover_alpha(profile)
-        self.assert_matches_per_window(*recovered, geom)
+        geom = scenarios.default_geometry(scene.rf_wavelength,
+                                          cell_wavelengths)
+        dc = physics.absorption_dc(params, scene)
+        mods = physics.modulation_amplitudes(params, scene)
+        dks, dphis = scene.delta_ks, scene.delta_phis
+
+        def tau(x):
+            return dc * x + sum(m * np.sin(dk * x - dphi) / dk
+                                for m, dk, dphi in zip(mods, dks, dphis))
+
+        self.assert_stack_reads_tau_difference(
+            geom.grid(scene.rf_wavelength), geom, tau,
+            np.abs(mods * dks).sum())
 
     @pytest.mark.parametrize("points_per_wavelength", [2, 3, 5, 16, 257])
     def test_coarse_and_odd_grids_bit_exact(self, rf_wavelength,
@@ -253,16 +323,15 @@ class TestChannelMeasurements:
             rf_wavelength, cell_wavelengths=6.0, window_wavelengths=0.3,
             spacing_wavelengths=0.2,
             grid_points_per_rf_wavelength=points_per_wavelength)
-        x = geom.grid(rf_wavelength)
-        values = 2.0 + np.cos(37.0 * x - 0.4) + 0.1 * np.sin(91.0 * x)
-        self.assert_matches_per_window(x, values, geom)
+        self.assert_stack_reads_tau_difference(
+            geom.grid(rf_wavelength), geom, tau_test, TAU_TEST_CURVATURE)
 
     def test_non_uniform_positions_bit_exact(self, geometry):
         rng = np.random.default_rng(11)
         inner = rng.uniform(0.0, geometry.cell_length, 700)
         x = np.sort(np.concatenate(([0.0, geometry.cell_length], inner)))
-        self.assert_matches_per_window(x, rng.standard_normal(x.size),
-                                       geometry)
+        self.assert_stack_reads_tau_difference(x, geometry, tau_test,
+                                               TAU_TEST_CURVATURE)
 
     def test_windows_clipped_at_domain_ends_bit_exact(self, geometry):
         # the first and last windows overhang the samples by less than
@@ -271,7 +340,31 @@ class TestChannelMeasurements:
         x = np.linspace(overhang, geometry.cell_length - overhang, 1001)
         lo, hi = geometry.window_edges
         assert lo[0] < x[0] and hi[-1] > x[-1]
-        self.assert_matches_per_window(x, np.exp(np.sin(30.0 * x)), geometry)
+        self.assert_stack_reads_tau_difference(x, geometry, tau_test,
+                                               TAU_TEST_CURVATURE)
+
+
+class TestReadoutAccuracy:
+    """The full readout against scipy.quad window integrals of the exact
+    absorption above its LO-only background, on fig3c's scene."""
+
+    @pytest.mark.parametrize("points_per_wavelength, bound",
+                             [(256, 2e-4), (16, 5e-2)])
+    @pytest.mark.parametrize("ratio", [2.0, 20.0])
+    def test_windows_match_quadrature(self, ratio, points_per_wavelength,
+                                      bound):
+        scenario = load_config(ROOT / "configs" / "fig3c.json").scenario
+        params = scenario.params
+        scene = scenarios.with_lo_ratio(scenario.scene, ratio)
+        geom = replace(scenario.geometry,
+                       grid_points_per_rf_wavelength=points_per_wavelength)
+        got = sensing.simulate_measurements(scene, geom, params).values
+        dc = physics.absorption_dc(params, scene)
+        truth = np.array([
+            quad(lambda x: physics.absorption_exact(params, scene, x) - dc,
+                 a, b, epsabs=0, epsrel=1e-10, limit=200)[0]
+            for a, b in zip(*geom.window_edges)])
+        assert np.abs(got - truth).max() <= bound * truth.std()
 
 
 class TestCalibrate:
@@ -305,7 +398,9 @@ class TestCalibrate:
 
 class TestStackedReadout:
     """A stack of scenes that differ only in LO amplitude reads out in one
-    call, and every row equals the per-scene readout bit for bit."""
+    call, and every row equals the readout of its scene alone bit for bit:
+    the image equals the per-scene oracle's, and the measurements equal a
+    one-scene call."""
 
     RATIOS = (2.0, 4.7, 13.0, 50.0)
     BEARINGS = {1: (-35.0,), 2: (-20.0, 25.0), 3: (-50.0, 5.0, 40.0)}
@@ -324,13 +419,14 @@ class TestStackedReadout:
         assert measurement.values.shape == (len(scenes),
                                             geometry.channel_count)
         for c, scene in enumerate(scenes):
-            want_profile, want = fluorescence_readout_per_scene(
+            want_profile, _ = fluorescence_readout_per_scene(
                 scene, geometry, params)
             assert np.array_equal(profile.positions, want_profile.positions)
             assert np.array_equal(profile.probe_power[c],
                                   want_profile.probe_power)
             assert np.array_equal(profile.fluorescence[c],
                                   want_profile.fluorescence)
+            _, want = sensing.fluorescence_readout(scene, geometry, params)
             assert np.array_equal(measurement.values[c], want.values)
 
     @pytest.mark.parametrize("points_per_wavelength", [3, 257])
@@ -369,7 +465,8 @@ class TestStackedReadout:
             two_target, geometry, params, model)
         assert profile.probe_power.shape == want_profile.probe_power.shape
         assert np.array_equal(profile.fluorescence, want_profile.fluorescence)
-        assert np.array_equal(got.values, want.values)
+        assert np.abs(got.values - want.values).max() <= \
+            GRADIENT_READOUT_TOL * want.values.std()
         assert got.values.shape == want.values.shape
         assert got.source == want.source
 
@@ -383,23 +480,23 @@ class TestStackedReadout:
             rf_wavelength, grid_points_per_rf_wavelength=points_per_wavelength)
         x = geom.grid(rf_wavelength)
         rng = np.random.default_rng(points_per_wavelength)
-        values = rng.standard_normal((3, x.size)) * 10.0 ** rng.uniform(
+        values = rng.standard_normal((3, x.size - 1)) * 10.0 ** rng.uniform(
             -6, 6, (3, 1))
         got = sensing.channel_measurements(
-            sensing.SampledAbsorption(x, values), geom)
+            sensing.PanelAbsorption(x, values), geom)
         for row, want in zip(got, values):
-            assert np.array_equal(row, channel_measurements_per_scene(
-                sensing.SampledAbsorption(x, want), geom))
+            assert np.array_equal(row, sensing.channel_measurements(
+                sensing.PanelAbsorption(x, want), geom))
 
     def test_window_out_of_cell_names_first_bad_window(self, geometry):
         x = np.linspace(0.0, geometry.cell_length - 0.1, 101)
-        values = np.ones((3, x.size))
+        values = np.ones((3, x.size - 1))
         with pytest.raises(WindowOutOfCell) as stacked:
             sensing.channel_measurements(
-                sensing.SampledAbsorption(x, values), geometry)
+                sensing.PanelAbsorption(x, values), geometry)
         with pytest.raises(WindowOutOfCell) as single:
-            channel_measurements_per_scene(
-                sensing.SampledAbsorption(x, values[0]), geometry)
+            sensing.channel_measurements(
+                sensing.PanelAbsorption(x, values[0]), geometry)
         assert str(stacked.value) == str(single.value)
         assert str(stacked.value).startswith("window 14 ")
 
@@ -457,10 +554,10 @@ class TestPredictedMeasurements:
         fine = scenarios.default_geometry(
             lam, grid_points_per_rf_wavelength=65536)
         x = fine.grid(lam)
-        sampled = sensing.SampledAbsorption(
-            x, physics.absorption_linearized(params, two_target, x))
+        panels = sensing.PanelAbsorption(x, panel_means(
+            physics.absorption_linearized(params, two_target, x)))
         integrated = sensing.calibrate(
-            sensing.channel_measurements(sampled, fine), fine,
+            sensing.channel_measurements(panels, fine), fine,
             physics.absorption_dc(params, two_target))
         predicted = sensing.predicted_measurements(two_target, fine, params)
         scale = np.max(np.abs(predicted.values))
