@@ -176,22 +176,14 @@ def _parse_geometry(doc: dict, rf_wavelength: float) -> SensorGeometry:
                       default=rf_wavelength / 4)
     grid = doc.get("grid_points_per_rf_wavelength", 256)
     grid = _integer(grid, "geometry.grid_points_per_rf_wavelength")
+    first = _number(doc.get("first_center_m", width / 2),
+                    "geometry.first_center_m")
+    count = _integer(doc["channel_count"], "geometry.channel_count") \
+        if "channel_count" in doc else None
     try:
-        if "first_center_m" in doc or "channel_count" in doc:
-            first = _number(doc.get("first_center_m", width / 2),
-                            "geometry.first_center_m")
-            if "channel_count" in doc:
-                count = _integer(doc["channel_count"],
-                                 "geometry.channel_count")
-            else:
-                count = int(np.floor((cell - first - width / 2)
-                                     / spacing + 1e-9)) + 1
-            return SensorGeometry(cell_length=cell, window_width=width,
-                                  first_center=first, spacing=spacing,
-                                  channel_count=count,
-                                  grid_points_per_rf_wavelength=grid)
-        return SensorGeometry.from_cell(cell, width, spacing,
-                                        grid_points_per_rf_wavelength=grid)
+        return SensorGeometry.from_cell(cell, width, spacing, grid,
+                                        first_center=first,
+                                        channel_count=count)
     except ValueError as exc:
         raise ConfigParseError(f"'geometry': {exc}") from exc
 

@@ -6,29 +6,26 @@ Parameter ordering throughout is (dk_1..dk_N, dphi_1..dphi_N, A_1..A_N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EndFireSingularity,
-    SingularCovariance,
-    SingularNuisanceBlock,
-)
-from .sensing import SensorGeometry
+from .errors import EndFireSingularity, RydbergDoaError, SingularNuisanceBlock
+from .sensing import SensorGeometry, window_integrals
 
 END_FIRE_GUARD = 1e-9
 
 
 @dataclass(frozen=True)
 class FimInputs:
-    """Geometry, sinusoid parameters, and noise covariance for the FIM."""
+    """Geometry, sinusoid parameters, and the variance sigma2 of the white
+    noise on every channel."""
 
     geometry: SensorGeometry
     delta_ks: np.ndarray
     delta_phis: np.ndarray
     amplitudes: np.ndarray
-    noise_cov: np.ndarray = field(default=None)  # defaults to identity
+    sigma2: float = 1.0
 
     def __post_init__(self):
         for name in ("delta_ks", "delta_phis", "amplitudes"):
@@ -40,16 +37,8 @@ class FimInputs:
             raise ValueError("parameter lists must share a length")
         if np.any(self.amplitudes == 0):
             raise ValueError("zero-amplitude targets make the FIM singular")
-        k = self.geometry.channel_count
-        cov = self.noise_cov
-        cov = np.eye(k) if cov is None else np.asarray(cov, dtype=float)
-        if cov.shape != (k, k):
-            raise ValueError("noise covariance must be K x K")
-        if not np.allclose(cov, cov.T, rtol=1e-12, atol=0):
-            raise ValueError("noise covariance must be symmetric")
-        cov = cov.copy()
-        cov.flags.writeable = False
-        object.__setattr__(self, "noise_cov", cov)
+        if not 0 < self.sigma2 < np.inf:
+            raise ValueError("noise variance must be positive and finite")
 
     @property
     def n_targets(self) -> int:
@@ -74,37 +63,6 @@ class CrlbReport:
             object.__setattr__(self, name, arr)
 
 
-def _window_kernels(dk: float, half_width: float) -> tuple[float, float]:
-    """(even, odd) moments of a centered window of half-width h:
-    integral of cos(dk*u) du and of u*sin(dk*u) du over [-h, h]."""
-    u = dk * half_width
-    if abs(u) < 1e-6:
-        even = 2 * half_width * (1 - u**2 / 6 + u**4 / 120)
-        odd = 2 * half_width**2 * (u / 3 - u**3 / 30)
-    else:
-        even = 2 * np.sin(u) / dk
-        odd = 2 * half_width**2 * (np.sin(u) - u * np.cos(u)) / u**2
-    return even, odd
-
-
-def window_integrals(geometry: SensorGeometry, dk: float, dphi: float
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form per-window integrals of cos(dk*x - dphi),
-    sin(dk*x - dphi), and -x*sin(dk*x - dphi).
-
-    These are the building blocks of the mean-vector Jacobian. The dk -> 0
-    limit is handled by series expansion of the window kernels.
-    """
-    centers = geometry.centers
-    half = geometry.window_width / 2
-    even, odd = _window_kernels(dk, half)
-    psi = dk * centers - dphi
-    cos_vec = even * np.cos(psi)
-    sin_vec = even * np.sin(psi)
-    pos_sin_vec = -(centers * even * np.sin(psi) + odd * np.cos(psi))
-    return cos_vec, sin_vec, pos_sin_vec
-
-
 def mean_jacobian(inputs: FimInputs) -> np.ndarray:
     """K x 3N Jacobian of the mean vector: columns are A_i*t_i for the
     frequencies, A_i*s_i for the phases, and c_i for the amplitudes."""
@@ -121,17 +79,14 @@ def mean_jacobian(inputs: FimInputs) -> np.ndarray:
     return jac
 
 
-def fisher_information(jacobian: np.ndarray,
-                       noise_cov: np.ndarray) -> np.ndarray:
-    """J^T Sigma^-1 J through a Cholesky factorization Sigma = L L^T."""
+def fisher_information(jacobian: np.ndarray, sigma2: float) -> np.ndarray:
+    """J^T J / sigma2: the FIM of the mean under white noise."""
     jacobian = np.asarray(jacobian, dtype=float)
-    try:
-        lower = np.linalg.cholesky(np.asarray(noise_cov, dtype=float))
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance("noise covariance is not positive definite"
-                                 ) from exc
-    fim = jacobian.T @ np.linalg.solve(lower.T,
-                                       np.linalg.solve(lower, jacobian))
+    # Weighting J by w twice rounds as the Cholesky solve of sigma2 * I
+    # (factor sqrt(sigma2) * I) that it replaces, so every bound keeps its
+    # bits; J.T @ J / sigma2 would move their last digits.
+    w = 1 / np.sqrt(sigma2)
+    fim = jacobian.T @ (jacobian * w * w)
     return (fim + fim.T) / 2
 
 
@@ -168,12 +123,22 @@ def angle_crlb(effective_fim_dk: np.ndarray, thetas: np.ndarray,
     return bound, np.sqrt(np.diag(bound))
 
 
+def _finite(matrix: np.ndarray) -> np.ndarray:
+    if not np.isfinite(matrix).all():
+        raise RydbergDoaError("the Fisher information or its bound is not "
+                              "finite: the noise variance is out of range")
+    return matrix
+
+
 def crlb_report(inputs: FimInputs, thetas: np.ndarray,
                 wavenumber: float) -> CrlbReport:
-    """Full bound pipeline: FIM, Schur marginalization, angle bound."""
-    fim = fisher_information(mean_jacobian(inputs), inputs.noise_cov)
-    eff = effective_fim(fim, inputs.n_targets)
-    bound, stds = angle_crlb(eff, thetas, wavenumber)
-    return CrlbReport(fim=fim, effective_fim_dk=eff, crlb_theta=bound,
-                      per_target_std=stds,
+    """Full bound pipeline: FIM, Schur marginalization, angle bound. An
+    FIM, effective FIM, bound or bound std that is not finite (a negative
+    variance makes a NaN std) is a domain error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fim = _finite(fisher_information(mean_jacobian(inputs), inputs.sigma2))
+        eff = _finite(effective_fim(fim, inputs.n_targets))
+        bound, stds = angle_crlb(eff, thetas, wavenumber)
+    return CrlbReport(fim=fim, effective_fim_dk=eff, crlb_theta=_finite(bound),
+                      per_target_std=_finite(stds),
                       condition_number=float(np.linalg.cond(eff)))

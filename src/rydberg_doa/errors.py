@@ -41,10 +41,6 @@ class InsufficientSignalRoots(RydbergDoaError):
     """Fewer near-unit-circle root pairs than requested targets."""
 
 
-class SingularCovariance(RydbergDoaError):
-    """Noise covariance is not positive definite."""
-
-
 class SingularNuisanceBlock(RydbergDoaError):
     """Nuisance block of the Fisher matrix cannot be inverted."""
 

@@ -467,7 +467,7 @@ def bound_report(scene: RfScene, geometry: SensorGeometry,
             geometry=geometry, delta_ks=scene.delta_ks,
             delta_phis=scene.delta_phis,
             amplitudes=physics.modulation_amplitudes(params, scene),
-            noise_cov=sigma2 * np.eye(geometry.channel_count))
+            sigma2=sigma2)
     except ValueError as exc:
         raise RydbergDoaError(str(exc)) from exc
     thetas = np.array([s.angle for s in scene.signals])

@@ -60,13 +60,20 @@ class SensorGeometry:
 
     @classmethod
     def from_cell(cls, cell_length: float, window_width: float,
-                  spacing: float, grid_points_per_rf_wavelength: int = 256
-                  ) -> "SensorGeometry":
-        """Pack as many windows as fit, first window flush with x=0."""
-        count = int(np.floor((cell_length - window_width) / spacing + 1e-9)) + 1
+                  spacing: float, grid_points_per_rf_wavelength: int = 256,
+                  first_center: float | None = None,
+                  channel_count: int | None = None) -> "SensorGeometry":
+        """Windows from first_center (default: the first window flush with
+        x=0) on the given pitch: channel_count of them, or as many as fit."""
+        if first_center is None:
+            first_center = window_width / 2
+        if channel_count is None:
+            end = first_center + window_width / 2
+            channel_count = int(np.floor((cell_length - end) / spacing
+                                         + 1e-9)) + 1
         return cls(cell_length=cell_length, window_width=window_width,
-                   first_center=window_width / 2, spacing=spacing,
-                   channel_count=count,
+                   first_center=first_center, spacing=spacing,
+                   channel_count=channel_count,
                    grid_points_per_rf_wavelength=grid_points_per_rf_wavelength)
 
     @property
@@ -93,7 +100,6 @@ class FluorescenceProfile:
     positions: np.ndarray
     probe_power: np.ndarray
     fluorescence: np.ndarray
-    kappa: float = 1.0
 
     def __post_init__(self):
         for name in ("positions", "probe_power", "fluorescence"):
@@ -109,14 +115,12 @@ class FluorescenceProfile:
 class MeasurementVector:
     """Calibrated virtual-channel samples with their noise metadata.
 
-    values is one vector (K,), or a (T, K) stack of T Monte Carlo trials
-    of one vector, with rng_seed then holding the T noise seeds.
+    values is one vector (K,) or a (T, K) stack of T Monte Carlo trials.
     """
 
     values: np.ndarray
     geometry: SensorGeometry
     noise_sigma: float = 0.0
-    rng_seed: int | tuple | None = None
     source: str = ANALYTIC_MODEL
 
     def __post_init__(self):
@@ -168,24 +172,22 @@ def running_integral(panel_values: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def propagate_probe(alpha_profile: Callable[[np.ndarray], np.ndarray],
-                    geometry: SensorGeometry, rf_wavelength: float,
-                    input_power: float = 1.0,
-                    kappa: float = 1.0) -> FluorescenceProfile:
-    """Attenuate the probe through the cell and emit the fluorescence image.
+                    geometry: SensorGeometry,
+                    rf_wavelength: float) -> FluorescenceProfile:
+    """Attenuate a unit-power probe through the cell and emit the image.
 
-    P(x) = P_in * exp(-integral_0^x alpha), trapezoid rule on the geometry
-    grid; fluorescence is kappa * P(x) (weak-probe proportionality).
+    P(x) = exp(-integral_0^x alpha), trapezoid rule on the geometry grid.
+    The fluorescence is proportional to P(x) (weak probe); its scale
+    cancels in recover_alpha, so it is taken equal to P(x).
     alpha_profile may return a stack (..., n) of profiles on the grid.
     """
-    if input_power <= 0:
-        raise ValueError("input_power must be strictly positive")
     x = geometry.grid(rf_wavelength)
     alpha = np.asarray(alpha_profile(x), dtype=float)
     optical_depth = running_integral((alpha[..., 1:] + alpha[..., :-1]) / 2,
                                      x)
-    power = input_power * np.exp(-optical_depth)
+    power = np.exp(-optical_depth)
     return FluorescenceProfile(positions=x, probe_power=power,
-                               fluorescence=kappa * power, kappa=kappa)
+                               fluorescence=power)
 
 
 def recover_alpha(profile: FluorescenceProfile) -> PanelAbsorption:
@@ -236,35 +238,51 @@ def calibrate(values: np.ndarray, geometry: SensorGeometry, alpha_dc,
     background = np.asarray(alpha_dc)[..., None] * geometry.window_width
     return MeasurementVector(
         values=values - background, geometry=geometry, noise_sigma=0.0,
-        rng_seed=None, source=source)
+        source=source)
 
 
-def window_transform(window_width: float, omega) -> np.ndarray | float:
-    """Spatial Fourier transform of the centered rectangular mother window:
-    2*sin(omega*l/2)/omega, with the DC limit equal to the window area."""
-    if window_width <= 0:
-        raise ValueError("window_width must be strictly positive")
-    omega = np.asarray(omega, dtype=float)
-    u = omega * (window_width / 2)
-    small = np.abs(u) < 1e-8
-    safe = np.where(small, 1.0, omega)
-    out = np.where(small, window_width * (1 - u**2 / 6),
-                   2 * np.sin(u) / safe)
-    return out if out.ndim else float(out)
+def _window_kernels(dk: float, half_width: float) -> tuple[float, float]:
+    """(even, odd) moments of a centered window of half-width h: integral
+    of cos(dk*u) du (the window's Fourier transform) and of u*sin(dk*u) du
+    over [-h, h]. Below |dk*h| = 0.03 both take their series, which
+    truncates below 2e-13 relative; there the closed odd moment would lose
+    about 2e-16/(dk*h)**2 of itself to cancellation."""
+    u = dk * half_width
+    if abs(u) < 0.03:
+        even = 2 * half_width * (1 - u**2 / 6 + u**4 / 120)
+        odd = 2 * half_width**2 * (u / 3 - u**3 / 30 + u**5 / 840)
+    else:
+        even = 2 * np.sin(u) / dk
+        odd = 2 * half_width**2 * (np.sin(u) - u * np.cos(u)) / u**2
+    return even, odd
+
+
+def window_integrals(geometry: SensorGeometry, dk: float, dphi: float
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form per-window integrals of cos(dk*x - dphi),
+    sin(dk*x - dphi), and -x*sin(dk*x - dphi): the building blocks of the
+    bound's mean-vector Jacobian."""
+    centers = geometry.centers
+    even, odd = _window_kernels(dk, geometry.window_width / 2)
+    psi = dk * centers - dphi
+    cos_vec = even * np.cos(psi)
+    sin_vec = even * np.sin(psi)
+    pos_sin_vec = -(centers * even * np.sin(psi) + odd * np.cos(psi))
+    return cos_vec, sin_vec, pos_sin_vec
 
 
 def sinusoid_measurements(geometry: SensorGeometry, delta_ks, delta_phis,
                           amplitudes) -> np.ndarray:
     """Noiseless channel model: y_j = sum_i Re[b_i exp(i dk_i x_j)] with
-    b_i = A_i * w0_hat(dk_i) * exp(-i dphi_i)."""
+    b_i = A_i * w0_hat(dk_i) * exp(-i dphi_i), w0_hat the even moment."""
     delta_ks = np.atleast_1d(np.asarray(delta_ks, dtype=float))
     delta_phis = np.atleast_1d(np.asarray(delta_phis, dtype=float))
     amplitudes = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     centers = geometry.centers
     out = np.zeros(geometry.channel_count)
     for dk, dphi, amp in zip(delta_ks, delta_phis, amplitudes):
-        gain = window_transform(geometry.window_width, dk)
-        out = out + amp * gain * np.cos(dk * centers - dphi)
+        even, _ = _window_kernels(dk, geometry.window_width / 2)
+        out = out + amp * even * np.cos(dk * centers - dphi)
     return out
 
 
@@ -474,7 +492,6 @@ def add_noise(measurement: MeasurementVector, snr_db: float,
     return MeasurementVector(values=noisy[0] if single else noisy,
                              geometry=measurement.geometry,
                              noise_sigma=sigma,
-                             rng_seed=seed if single else tuple(seeds),
                              source=measurement.source)
 
 

@@ -20,14 +20,13 @@ import io
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve
 
 from rydberg_doa import physics
-from rydberg_doa.crlb import FimInputs, window_integrals
+from rydberg_doa.crlb import FimInputs
 from rydberg_doa.errors import (
     DegenerateDetuning,
     NonPositiveFluorescence,
-    SingularCovariance,
     WindowOutOfCell,
 )
 from rydberg_doa.physics import (
@@ -41,6 +40,7 @@ from rydberg_doa.sensing import (
     FluorescenceProfile,
     MeasurementVector,
     SensorGeometry,
+    window_integrals,
 )
 
 # First positive root of u = tan(u); edge of the monotone main lobe of
@@ -51,8 +51,8 @@ SINC_MONOTONE_ROOT = 4.493
 def window_integrals_quadrature(geometry: SensorGeometry, dk: float,
                                 dphi: float, points: int = 10_001
                                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trapezoid-rule evaluation of crlb.window_integrals, for testing the
-    closed forms."""
+    """Trapezoid-rule evaluation of sensing.window_integrals, for testing
+    the closed forms."""
     k = geometry.channel_count
     cos_vec = np.empty(k)
     sin_vec = np.empty(k)
@@ -96,11 +96,6 @@ def fisher_information_blocks(inputs: FimInputs) -> np.ndarray:
     """Assemble the FIM from its 3x3 block structure of weighted inner
     products; independent of the Jacobian path, used for cross-checking."""
     n = inputs.n_targets
-    try:
-        factor = cho_factor(inputs.noise_cov, lower=True)
-    except LinAlgError as exc:
-        raise SingularCovariance("noise covariance is not positive definite"
-                                 ) from exc
     cs, ss, ts = [], [], []
     for i in range(n):
         c_vec, s_vec, t_vec = window_integrals(
@@ -110,7 +105,7 @@ def fisher_information_blocks(inputs: FimInputs) -> np.ndarray:
         ts.append(t_vec)
 
     def inner(a, b):
-        return float(a @ cho_solve(factor, b))
+        return float(a @ b) / inputs.sigma2
 
     amp = inputs.amplitudes
     fim = np.zeros((3 * n, 3 * n))
@@ -298,22 +293,19 @@ def cumulative_trapezoid_per_scene(y: np.ndarray,
 
 def propagate_probe_per_scene(
         alpha_profile: Callable[[np.ndarray], np.ndarray],
-        geometry: SensorGeometry, rf_wavelength: float,
-        input_power: float = 1.0,
-        kappa: float = 1.0) -> FluorescenceProfile:
-    """Attenuate the probe through the cell and emit the fluorescence image.
+        geometry: SensorGeometry, rf_wavelength: float
+) -> FluorescenceProfile:
+    """Attenuate a unit-power probe through the cell and emit the image.
 
-    P(x) = P_in * exp(-integral_0^x alpha), cumulative trapezoid on the
-    geometry grid; fluorescence is kappa * P(x) (weak-probe proportionality).
+    P(x) = exp(-integral_0^x alpha), cumulative trapezoid on the geometry
+    grid; the fluorescence equals P(x) (weak-probe proportionality).
     """
-    if input_power <= 0:
-        raise ValueError("input_power must be strictly positive")
     x = geometry.grid(rf_wavelength)
     alpha = np.asarray(alpha_profile(x), dtype=float)
     optical_depth = cumulative_trapezoid_per_scene(alpha, x)
-    power = input_power * np.exp(-optical_depth)
+    power = np.exp(-optical_depth)
     return FluorescenceProfile(positions=x, probe_power=power,
-                               fluorescence=kappa * power, kappa=kappa)
+                               fluorescence=power)
 
 
 def recover_alpha_gradient(profile: FluorescenceProfile) -> np.ndarray:
@@ -334,7 +326,7 @@ def calibrate_per_scene(values: np.ndarray, geometry: SensorGeometry,
         raise ValueError("values length must equal channel_count")
     return MeasurementVector(
         values=values - alpha_dc * geometry.window_width,
-        geometry=geometry, noise_sigma=0.0, rng_seed=None, source=source)
+        geometry=geometry, noise_sigma=0.0, source=source)
 
 
 def fluorescence_readout_per_scene(

@@ -16,7 +16,6 @@ from rydberg_doa.crlb import (
     effective_fim,
     fisher_information,
     mean_jacobian,
-    window_integrals,
 )
 from rydberg_doa.estimation import (
     PronyConfig,
@@ -36,6 +35,7 @@ from rydberg_doa.experiments import (
     run_sampling_demo,
     run_snr_sweep,
 )
+from rydberg_doa.sensing import window_integrals
 
 from oracles import (
     integrated_power_transmission,
@@ -266,7 +266,7 @@ def test_criterion_8_numerical_integrity(setup):
                 assert np.max(np.abs(col - fd)) < 1e-6 * scale
 
         # Schur complement vs inverse-of-inverse
-        fim = fisher_information(jac, inputs.noise_cov)
+        fim = fisher_information(jac, inputs.sigma2)
         eff = effective_fim(fim, n)
         via_inverse = np.linalg.inv(np.linalg.inv(fim)[:n, :n])
         assert np.max(np.abs(eff - via_inverse)) < 1e-8 * np.abs(eff).max()

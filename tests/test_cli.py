@@ -469,6 +469,21 @@ class TestCrlbCommand:
         assert err == "error: zero-amplitude targets make the FIM singular\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("snr_db", [2900.0, -3100.0, -3200.0])
+    def test_non_finite_information_exit_3(self, tmp_path, capsys, snr_db):
+        # Each SNR has a finite linear ratio, so the config accepts it, but
+        # the FIM (2900 dB), the bound (-3100 dB) or the Schur complement
+        # (-3200 dB) leaves the float range.
+        out = tmp_path / "out"
+        doc = base_doc(out)
+        doc["noise"]["snr_db"] = snr_db
+        assert cli.main(["crlb", "--config",
+                         write_config(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Fisher information or its bound is not finite" in err
+        assert not out.exists()
+
     def test_two_target_fim_dimensions(self, tmp_path):
         out = tmp_path / "out"
         doc = base_doc(out)
@@ -542,6 +557,22 @@ class TestSweepCommand:
                          write_config(tmp_path, doc)]) == 0
         assert (out / "linearization_check.csv").exists()
         assert "residual ratio" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("values", [[30, 2900], [-3200, 30]])
+    def test_snr_sweep_with_non_finite_bound_exit_3(self, tmp_path, capsys,
+                                                    values):
+        # The bound overlay of the single-target preset overflows at
+        # 2900 dB and has a negative variance at -3200 dB, values the
+        # config accepts.
+        out = tmp_path / "out"
+        doc = self.sweep_doc(out, "snr_db", values)
+        doc["run"]["trials"] = 2
+        assert cli.main(["sweep", "--config",
+                         write_config(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Fisher information or its bound is not finite" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("count, order", [(1, 4), (3, 6)])
     def test_target_count_other_than_the_scene_exit_2(self, tmp_path,

@@ -9,13 +9,9 @@ from rydberg_doa.crlb import (
     effective_fim,
     fisher_information,
     mean_jacobian,
-    window_integrals,
 )
-from rydberg_doa.errors import (
-    EndFireSingularity,
-    SingularCovariance,
-    SingularNuisanceBlock,
-)
+from rydberg_doa.errors import EndFireSingularity, SingularNuisanceBlock
+from rydberg_doa.sensing import window_integrals
 
 from oracles import (
     fisher_information_blocks,
@@ -36,7 +32,7 @@ def random_inputs(n_targets, geometry, seed=0, sigma=1.0):
         delta_ks=dks,
         delta_phis=rng.uniform(-np.pi, np.pi, n_targets),
         amplitudes=rng.uniform(0.5, 2.0, n_targets),
-        noise_cov=sigma**2 * np.eye(geometry.channel_count))
+        sigma2=sigma**2)
 
 
 class TestWindowIntegrals:
@@ -102,7 +98,7 @@ class TestMeanJacobian:
         scaled = FimInputs(geometry=geometry, delta_ks=base.delta_ks,
                            delta_phis=base.delta_phis,
                            amplitudes=2 * base.amplitudes,
-                           noise_cov=base.noise_cov)
+                           sigma2=base.sigma2)
         jac0, jac1 = mean_jacobian(base), mean_jacobian(scaled)
         n = base.n_targets
         np.testing.assert_allclose(jac1[:, :n], 2 * jac0[:, :n], rtol=1e-12)
@@ -121,7 +117,7 @@ class TestFisherInformation:
     def test_white_noise_reduces_to_gram(self, geometry):
         inputs = random_inputs(2, geometry, seed=1, sigma=0.3)
         jac = mean_jacobian(inputs)
-        fim = fisher_information(jac, inputs.noise_cov)
+        fim = fisher_information(jac, inputs.sigma2)
         np.testing.assert_allclose(fim, jac.T @ jac / 0.3**2, rtol=1e-10)
 
     @pytest.mark.parametrize("sigma", [1.0, 0.3, 2.5e-3])
@@ -130,22 +126,13 @@ class TestFisherInformation:
         inputs = random_inputs(3, geometry, seed=5, sigma=sigma)
         jac = mean_jacobian(inputs)
         np.testing.assert_array_equal(
-            fisher_information(jac, inputs.noise_cov),
-            fisher_information_scipy(jac, inputs.noise_cov))
-
-    def test_coloured_noise_matches_scipy_cholesky(self, geometry):
-        inputs = random_inputs(2, geometry, seed=6)
-        k = geometry.channel_count
-        mixing = np.random.default_rng(6).standard_normal((k, k))
-        cov = mixing @ mixing.T + 0.5 * np.eye(k)
-        jac = mean_jacobian(inputs)
-        np.testing.assert_allclose(fisher_information(jac, cov),
-                                   fisher_information_scipy(jac, cov),
-                                   rtol=1e-12, atol=0)
+            fisher_information(jac, inputs.sigma2),
+            fisher_information_scipy(
+                jac, inputs.sigma2 * np.eye(geometry.channel_count)))
 
     def test_block_assembly_agrees(self, geometry):
         inputs = random_inputs(3, geometry, seed=2)
-        fim = fisher_information(mean_jacobian(inputs), inputs.noise_cov)
+        fim = fisher_information(mean_jacobian(inputs), inputs.sigma2)
         blocks = fisher_information_blocks(inputs)
         np.testing.assert_allclose(fim, blocks, rtol=1e-10,
                                    atol=1e-12 * np.abs(fim).max())
@@ -154,23 +141,23 @@ class TestFisherInformation:
         inputs = random_inputs(1, geometry, seed=4, sigma=1.0)
         doubled = FimInputs(geometry=geometry, delta_ks=inputs.delta_ks,
                             delta_phis=inputs.delta_phis,
-                            amplitudes=inputs.amplitudes,
-                            noise_cov=4.0 * np.eye(geometry.channel_count))
+                            amplitudes=inputs.amplitudes, sigma2=4.0)
         jac = mean_jacobian(inputs)
         np.testing.assert_allclose(
-            fisher_information(jac, doubled.noise_cov),
-            fisher_information(jac, inputs.noise_cov) / 4, rtol=1e-12)
+            fisher_information(jac, doubled.sigma2),
+            fisher_information(jac, inputs.sigma2) / 4, rtol=1e-12)
 
-    def test_singular_covariance_rejected(self, geometry):
-        inputs = random_inputs(1, geometry)
-        bad = np.zeros((geometry.channel_count, geometry.channel_count))
-        with pytest.raises(SingularCovariance):
-            fisher_information(mean_jacobian(inputs), bad)
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, np.nan, np.inf])
+    def test_noise_variance_must_be_positive_and_finite(self, geometry,
+                                                        sigma2):
+        with pytest.raises(ValueError, match="positive and finite"):
+            FimInputs(geometry=geometry, delta_ks=[1.0], delta_phis=[0.0],
+                      amplitudes=[1.0], sigma2=sigma2)
 
     @pytest.mark.parametrize("n_targets", [1, 2, 3])
     def test_symmetric_positive_semidefinite(self, geometry, n_targets):
         inputs = random_inputs(n_targets, geometry, seed=n_targets)
-        fim = fisher_information(mean_jacobian(inputs), inputs.noise_cov)
+        fim = fisher_information(mean_jacobian(inputs), inputs.sigma2)
         np.testing.assert_allclose(fim, fim.T, rtol=1e-12)
         eigs = np.linalg.eigvalsh(fim)
         assert eigs.min() >= -1e-10 * np.trace(fim)
@@ -185,7 +172,7 @@ class TestEffectiveFim:
     @pytest.mark.parametrize("n_targets", [1, 2, 3])
     def test_schur_matches_full_inverse(self, geometry, n_targets):
         inputs = random_inputs(n_targets, geometry, seed=10 + n_targets)
-        fim = fisher_information(mean_jacobian(inputs), inputs.noise_cov)
+        fim = fisher_information(mean_jacobian(inputs), inputs.sigma2)
         eff = effective_fim(fim, n_targets)
         via_inverse = np.linalg.inv(
             np.linalg.inv(fim)[:n_targets, :n_targets])
@@ -193,7 +180,7 @@ class TestEffectiveFim:
 
     def test_information_loss_is_psd(self, geometry):
         inputs = random_inputs(2, geometry, seed=8)
-        fim = fisher_information(mean_jacobian(inputs), inputs.noise_cov)
+        fim = fisher_information(mean_jacobian(inputs), inputs.sigma2)
         loss = fim[:2, :2] - effective_fim(fim, 2)
         assert np.linalg.eigvalsh(loss).min() >= -1e-10 * np.trace(fim)
 
@@ -207,7 +194,7 @@ class TestEffectiveFim:
 class TestAngleBound:
     def test_single_target_closed_form(self, geometry):
         inputs = random_inputs(1, geometry, seed=6, sigma=0.2)
-        fim = fisher_information(mean_jacobian(inputs), inputs.noise_cov)
+        fim = fisher_information(mean_jacobian(inputs), inputs.sigma2)
         eff = effective_fim(fim, 1)
         theta = np.deg2rad(25.0)
         k = 42.5
@@ -272,7 +259,7 @@ class TestReportAndConditioning:
             geometry=geometry, delta_ks=scene.delta_ks,
             delta_phis=scene.delta_phis,
             amplitudes=physics.modulation_amplitudes(params, scene),
-            noise_cov=sigma2 * np.eye(geometry.channel_count))
+            sigma2=sigma2)
         report = crlb_report(inputs, [scene.signals[0].angle],
                              scene.wavenumber)
         cfg = PronyConfig(model_order=2, target_count=1)

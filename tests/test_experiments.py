@@ -143,7 +143,7 @@ def assert_rows_match(stack, meta, prony) -> set:
     seen = set()
     for t, values in enumerate(stack.values):
         try:
-            serial = estimate_doa(replace(stack, values=values, rng_seed=None),
+            serial = estimate_doa(replace(stack, values=values),
                                   meta, prony)
         except RydbergDoaError as exc:
             assert type(batch.errors[t]) is type(exc), t

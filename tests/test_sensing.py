@@ -60,6 +60,16 @@ class TestGeometry:
         assert geom.centers[-1] + geom.window_width / 2 == \
             pytest.approx(4 * rf_wavelength)
 
+    @pytest.mark.parametrize("first", [None, 0.05, 0.13])
+    def test_from_cell_packs_as_many_windows_as_fit(self, first):
+        geom = SensorGeometry.from_cell(1.0, 0.1, 0.07, first_center=first)
+        assert geom.first_center == (0.05 if first is None else first)
+        last_edge = geom.window_edges[1][-1]
+        assert last_edge <= 1.0 < last_edge + geom.spacing
+        fixed = SensorGeometry.from_cell(1.0, 0.1, 0.07, first_center=first,
+                                         channel_count=3)
+        assert fixed.channel_count == 3
+
     def test_windows_must_fit(self):
         with pytest.raises(ValueError):
             SensorGeometry(cell_length=1.0, window_width=0.3,
@@ -98,9 +108,8 @@ class TestPropagateProbe:
     def test_uniform_absorber_closed_form(self, geometry, rf_wavelength):
         alpha = 2.5
         profile = sensing.propagate_probe(
-            lambda x: np.full_like(x, alpha), geometry, rf_wavelength,
-            input_power=0.7)
-        expected = 0.7 * np.exp(-alpha * geometry.cell_length)
+            lambda x: np.full_like(x, alpha), geometry, rf_wavelength)
+        expected = np.exp(-alpha * geometry.cell_length)
         assert profile.probe_power[-1] == pytest.approx(expected, rel=1e-8)
 
     def test_transmission_matches_quadrature(self, params, two_target,
@@ -116,11 +125,11 @@ class TestPropagateProbe:
                                                         rel=1e-6)
 
     def test_fluorescence_proportional(self, geometry, rf_wavelength):
+        # the image's scale cancels in recover_alpha, so it is taken as 1
         profile = sensing.propagate_probe(
-            lambda x: np.full_like(x, 1.0), geometry, rf_wavelength,
-            kappa=0.25)
-        np.testing.assert_allclose(profile.fluorescence,
-                                   0.25 * profile.probe_power)
+            lambda x: np.full_like(x, 1.0), geometry, rf_wavelength)
+        np.testing.assert_array_equal(profile.fluorescence,
+                                      profile.probe_power)
 
     def test_profile_matches_ode_solver(self, params, two_target, geometry):
         from scipy.integrate import solve_ivp
@@ -174,11 +183,14 @@ class TestRecoverAlpha:
         def alpha(x):
             return physics.absorption_exact(params, two_target, x)
 
+        profile = sensing.propagate_probe(alpha, geometry,
+                                          two_target.rf_wavelength)
         outs = []
         for kappa in (0.1, 1.0, 10.0):
-            profile = sensing.propagate_probe(
-                alpha, geometry, two_target.rf_wavelength, kappa=kappa)
-            outs.append(sensing.recover_alpha(profile).values)
+            scaled = FluorescenceProfile(
+                positions=profile.positions, probe_power=profile.probe_power,
+                fluorescence=kappa * profile.fluorescence)
+            outs.append(sensing.recover_alpha(scaled).values)
         # log(kappa*P) - log(P) leaves only rounding noise in the difference
         tol = 1e-5 * np.abs(outs[1]).max()
         np.testing.assert_allclose(outs[0], outs[1], atol=tol, rtol=0)
@@ -583,24 +595,47 @@ class TestPredictedMeasurements:
 
 
 class TestWindowTransform:
+    """The even moment of the one window kernel is the spatial Fourier
+    transform of the rectangular mother window, 2*sin(omega*l/2)/omega."""
+
+    @staticmethod
+    def transform(ell, omega):
+        return sensing._window_kernels(omega, ell / 2)[0]
+
     def test_dc_gain_is_area(self):
-        assert sensing.window_transform(0.25, 0.0) == pytest.approx(0.25)
+        assert self.transform(0.25, 0.0) == pytest.approx(0.25)
 
     def test_first_null(self):
         ell = 0.3
-        assert sensing.window_transform(ell, 2 * np.pi / ell) == \
+        assert self.transform(ell, 2 * np.pi / ell) == \
             pytest.approx(0.0, abs=1e-15)
 
     def test_half_null_frequency(self):
         ell = 0.3
-        assert sensing.window_transform(ell, np.pi / ell) == \
+        assert self.transform(ell, np.pi / ell) == \
             pytest.approx(2 * ell / np.pi, rel=1e-12)
 
     def test_continuity_near_zero(self):
         ell = 0.25
-        omega = np.array([1e-12, 1e-9, 1e-7, 1e-5])
-        got = sensing.window_transform(ell, omega)
-        np.testing.assert_allclose(got, ell, rtol=1e-9)
+        for omega in (1e-12, 1e-9, 1e-7, 1e-5):
+            assert self.transform(ell, omega) == pytest.approx(ell, rel=1e-9)
+
+    # Each side of the series switch at |u| = 0.03, and of the 1e-6 switch
+    # the bound's kernel used to have: there the closed odd moment was off
+    # by 8e-5 relative, lost to cancellation.
+    @pytest.mark.parametrize("u", [1e-6 * (1 - 1e-9), 1e-6 * (1 + 1e-9),
+                                   0.03 * (1 - 1e-9), 0.03 * (1 + 1e-9),
+                                   -0.03 * (1 + 1e-9)])
+    def test_moments_match_quadrature_across_series_switch(self, u):
+        h = 0.125
+        dk = u / h
+        even, odd = sensing._window_kernels(dk, h)
+        # both integrands keep one sign on the window: no cancellation
+        opts = {"epsabs": 0.0, "epsrel": 1e-13}
+        even_ref = quad(lambda x: np.cos(dk * x), -h, h, **opts)[0]
+        odd_ref = quad(lambda x: x * np.sin(dk * x), -h, h, **opts)[0]
+        assert even == pytest.approx(even_ref, rel=1e-12, abs=0)
+        assert odd == pytest.approx(odd_ref, rel=1e-12, abs=0)
 
 
 class TestCheckSampling:
@@ -670,7 +705,6 @@ class TestAddNoise:
         mv = self.make_measurement(geometry)
         stack = sensing.add_noise(mv, 20.0, [5, 6, 7])
         assert stack.values.shape == (3, geometry.channel_count)
-        assert stack.rng_seed == (5, 6, 7)
         for row, seed in zip(stack.values, (5, 6, 7)):
             single = sensing.add_noise(mv, 20.0, seed)
             np.testing.assert_array_equal(row, single.values)

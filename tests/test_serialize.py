@@ -54,7 +54,7 @@ def _power(n=257, seed=0):
 def _profile(kappa):
     power = _power()
     return FluorescenceProfile(positions=_grid(), probe_power=power,
-                               fluorescence=kappa * power, kappa=kappa)
+                               fluorescence=kappa * power)
 
 
 def _signed_zero_profile():
