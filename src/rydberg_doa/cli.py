@@ -88,8 +88,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
     report = sensing.check_sampling(sc.geometry, sc.scene.rf_wavelength)
     _print_compliance(report)
     profile, measurement = sensing.fluorescence_readout(
-        sc.scene, sc.geometry, sc.params, cfg.absorption_model)
+        sc.scene, sc.geometry, sc.params)
     if sc.snr_db is not None:
+        sensing.require_signal(sc.scene)
         measurement = sensing.add_noise(measurement, sc.snr_db, sc.base_seed)
     serialize.write_fluorescence_csv(profile, out / "fluorescence.csv")
     serialize.write_measurement_csv(measurement, out / "measurement.csv")
@@ -103,8 +104,7 @@ def cmd_estimate(cfg: RunConfig, measurement_path: str) -> int:
     sc = cfg.scenario
     centers, values = serialize.read_measurement_csv(measurement_path)
     geometry = serialize.geometry_from_centers(centers)
-    mv = sensing.MeasurementVector(values=values, geometry=geometry,
-                                   source=sensing.SIMULATED_FLUORESCENCE)
+    mv = sensing.MeasurementVector(values=values, geometry=geometry)
     result = estimate_doa(mv, (sc.scene.wavenumber, sc.scene.lo.angle),
                           sc.prony)
     out = Path(cfg.output_dir)

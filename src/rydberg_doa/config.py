@@ -31,7 +31,6 @@ class RunConfig:
     output_dir: str
     verbosity: int
     echo: dict
-    absorption_model: str = "exact"
 
 
 def _require(mapping: dict, key: str, path: str):
@@ -166,7 +165,6 @@ def _parse_geometry(doc: dict, rf_wavelength: float) -> SensorGeometry:
     allowed = {"cell_length_m", "cell_length_wavelengths",
                "window_width_m", "window_width_wavelengths",
                "spacing_m", "spacing_wavelengths",
-               "first_center_m", "channel_count",
                "grid_points_per_rf_wavelength"}
     _check_keys(doc, allowed, "geometry.")
     cell = _length(doc, "cell_length", rf_wavelength, "geometry.")
@@ -176,14 +174,8 @@ def _parse_geometry(doc: dict, rf_wavelength: float) -> SensorGeometry:
                       default=rf_wavelength / 4)
     grid = doc.get("grid_points_per_rf_wavelength", 256)
     grid = _integer(grid, "geometry.grid_points_per_rf_wavelength")
-    first = _number(doc.get("first_center_m", width / 2),
-                    "geometry.first_center_m")
-    count = _integer(doc["channel_count"], "geometry.channel_count") \
-        if "channel_count" in doc else None
     try:
-        return SensorGeometry.from_cell(cell, width, spacing, grid,
-                                        first_center=first,
-                                        channel_count=count)
+        return SensorGeometry.from_cell(cell, width, spacing, grid)
     except ValueError as exc:
         raise ConfigParseError(f"'geometry': {exc}") from exc
 
@@ -245,8 +237,8 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigParseError(f"'noise.snr_db': {exc}") from exc
 
     run_doc = doc.get("run", {})
-    _check_keys(run_doc, {"trials", "base_seed", "output_dir", "verbosity",
-                          "absorption_model"}, "run.")
+    _check_keys(run_doc, {"trials", "base_seed", "output_dir", "verbosity"},
+                "run.")
     trials = _integer(run_doc.get("trials", 100), "run.trials")
     if trials >= CELL_SEED_STRIDE:
         raise ConfigParseError(
@@ -259,10 +251,6 @@ def parse_config(doc: dict) -> RunConfig:
     output_dir = run_doc.get("output_dir", "out")
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigParseError("'run.output_dir' must be a nonempty string")
-    absorption_model = run_doc.get("absorption_model", "exact")
-    if absorption_model not in ("exact", "linearized"):
-        raise ConfigParseError(
-            "'run.absorption_model' must be 'exact' or 'linearized'")
 
     try:
         sweep = _parse_sweep(doc["sweep"]) if "sweep" in doc else None
@@ -271,14 +259,13 @@ def parse_config(doc: dict) -> RunConfig:
             snr_db=snr_db, trials=trials, base_seed=base_seed, sweep=sweep)
     except ValueError as exc:
         raise ConfigParseError(str(exc)) from exc
-    if sweep is not None and sweep.axis == "lo_ratio" and not any(
-            s.amplitude for s in scene.signals):
+    if sweep is not None and sweep.axis == "lo_ratio" and \
+            scene.total_signal_amplitude == 0:
         raise ConfigParseError(
             "'sweep.axis' lo_ratio needs at least one signal with nonzero "
             "amplitude")
     return RunConfig(scenario=scenario, output_dir=output_dir,
-                     verbosity=verbosity, echo=doc,
-                     absorption_model=absorption_model)
+                     verbosity=verbosity, echo=doc)
 
 
 # Each CLI flag (by argparse dest) and the (section, key) it sets.

@@ -45,12 +45,11 @@ from .estimation import (  # noqa: F401
     estimate_doa_batch,
 )
 from .physics import AtomicParams, RfScene
-from .sensing import (
-    ANALYTIC_MODEL,
-    SIMULATED_FLUORESCENCE,
-    MeasurementVector,
-    SensorGeometry,
-)
+from .sensing import MeasurementVector, SensorGeometry
+
+# The synthesis path of a cell (ScenarioConfig.source).
+ANALYTIC_MODEL = "analytic_model"
+SIMULATED_FLUORESCENCE = "simulated_fluorescence"
 
 # The studies each sweep axis can run, its default first.
 SWEEP_KINDS = {
@@ -460,6 +459,7 @@ def bound_report(scene: RfScene, geometry: SensorGeometry,
         raise RydbergDoaError("targets share a beat wavenumber or sit at "
                               "the LO bearing: the bound is undefined")
     if sigma2 is None:
+        sensing.require_signal(scene)
         clean = sensing.predicted_measurements(scene, geometry, params)
         sigma2 = sensing.noise_variance(clean.values, snr_db)
     try:

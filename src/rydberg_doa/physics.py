@@ -108,8 +108,13 @@ class RfScene:
         return len(self.signals)
 
     @property
+    def total_signal_amplitude(self) -> float:
+        """Sum of the (nonnegative) signal amplitudes: 0 means no signal."""
+        return sum(s.amplitude for s in self.signals)
+
+    @property
     def lo_dominance_ratio(self) -> float:
-        total = sum(s.amplitude for s in self.signals)
+        total = self.total_signal_amplitude
         return np.inf if total == 0 else self.lo.amplitude / total
 
     @property

@@ -53,7 +53,7 @@ def two_target_scene(lo_ratio: float = DEFAULT_LO_RATIO,
 
 def with_lo_ratio(scene: RfScene, lo_ratio: float) -> RfScene:
     """Same signals, LO amplitude rescaled to the requested ratio."""
-    total = sum(s.amplitude for s in scene.signals)
+    total = scene.total_signal_amplitude
     if total == 0:
         raise ValueError("scene has no signals to set a ratio against")
     lo = PlaneWave(lo_ratio * total, scene.lo.phase, scene.lo.angle)

@@ -25,10 +25,6 @@ from .errors import (
     ZeroSignalPower,
 )
 
-ANALYTIC_MODEL = "analytic_model"
-SIMULATED_FLUORESCENCE = "simulated_fluorescence"
-_SOURCES = (ANALYTIC_MODEL, SIMULATED_FLUORESCENCE)
-
 
 @dataclass(frozen=True)
 class SensorGeometry:
@@ -60,19 +56,14 @@ class SensorGeometry:
 
     @classmethod
     def from_cell(cls, cell_length: float, window_width: float,
-                  spacing: float, grid_points_per_rf_wavelength: int = 256,
-                  first_center: float | None = None,
-                  channel_count: int | None = None) -> "SensorGeometry":
-        """Windows from first_center (default: the first window flush with
-        x=0) on the given pitch: channel_count of them, or as many as fit."""
-        if first_center is None:
-            first_center = window_width / 2
-        if channel_count is None:
-            end = first_center + window_width / 2
-            channel_count = int(np.floor((cell_length - end) / spacing
-                                         + 1e-9)) + 1
+                  spacing: float, grid_points_per_rf_wavelength: int = 256
+                  ) -> "SensorGeometry":
+        """As many windows as fit on the given pitch, the first flush with
+        x=0."""
+        channel_count = int(np.floor((cell_length - window_width) / spacing
+                                     + 1e-9)) + 1
         return cls(cell_length=cell_length, window_width=window_width,
-                   first_center=first_center, spacing=spacing,
+                   first_center=window_width / 2, spacing=spacing,
                    channel_count=channel_count,
                    grid_points_per_rf_wavelength=grid_points_per_rf_wavelength)
 
@@ -121,7 +112,6 @@ class MeasurementVector:
     values: np.ndarray
     geometry: SensorGeometry
     noise_sigma: float = 0.0
-    source: str = ANALYTIC_MODEL
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -132,8 +122,6 @@ class MeasurementVector:
             raise ValueError("values length must equal channel_count")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
-        if self.source not in _SOURCES:
-            raise ValueError(f"source must be one of {_SOURCES}")
 
 
 class PanelAbsorption(NamedTuple):
@@ -228,17 +216,15 @@ def channel_measurements(alpha_sampled: PanelAbsorption,
     return ends[..., 1, :] - ends[..., 0, :]
 
 
-def calibrate(values: np.ndarray, geometry: SensorGeometry, alpha_dc,
-              source: str = SIMULATED_FLUORESCENCE) -> MeasurementVector:
+def calibrate(values: np.ndarray, geometry: SensorGeometry,
+              alpha_dc) -> MeasurementVector:
     """Subtract the LO-only background alpha_dc * window area per channel;
     a stack (..., K) of values takes one alpha_dc per row."""
     values = np.asarray(values, dtype=float)
     if values.shape[-1:] != (geometry.channel_count,):
         raise ValueError("values length must equal channel_count")
     background = np.asarray(alpha_dc)[..., None] * geometry.window_width
-    return MeasurementVector(
-        values=values - background, geometry=geometry, noise_sigma=0.0,
-        source=source)
+    return MeasurementVector(values=values - background, geometry=geometry)
 
 
 def _window_kernels(dk: float, half_width: float) -> tuple[float, float]:
@@ -292,29 +278,22 @@ def predicted_measurements(scene: physics.RfScene, geometry: SensorGeometry,
     mods = physics.modulation_amplitudes(params, scene)
     values = sinusoid_measurements(geometry, scene.delta_ks,
                                    scene.delta_phis, mods)
-    return MeasurementVector(values=values, geometry=geometry,
-                             noise_sigma=0.0, source=ANALYTIC_MODEL)
+    return MeasurementVector(values=values, geometry=geometry)
 
 
 def fluorescence_readout(scene, geometry: SensorGeometry,
-                         params: physics.AtomicParams,
-                         absorption_model: str = "exact"
+                         params: physics.AtomicParams
                          ) -> tuple[FluorescenceProfile, MeasurementVector]:
     """Propagate, recover, window, calibrate; returns (image, measurements).
 
     scene is one RfScene, or a stack of scenes that differ only in LO
     amplitude (physics.scene_stack): the profile arrays and measurement
     values then gain a leading axis, and row c equals the readout of scene
-    c alone bit for bit. The linearized model reads one scene.
+    c alone bit for bit.
     """
     scenes = physics.scene_stack(scene)
-    model = physics.absorption_exact
-    if absorption_model == "linearized":
-        if not isinstance(scene, physics.RfScene):
-            raise ValueError("the linearized model reads one scene")
-        model = physics.absorption_linearized
-    profile = propagate_probe(lambda x: model(params, scene, x), geometry,
-                              scenes[0].rf_wavelength)
+    profile = propagate_probe(lambda x: physics.absorption_exact(
+        params, scene, x), geometry, scenes[0].rf_wavelength)
     raw = channel_measurements(recover_alpha(profile), geometry)
     alpha_dc = [physics.absorption_dc(params, s) for s in scenes]
     return profile, calibrate(raw, geometry,
@@ -351,6 +330,14 @@ def noise_variance(values: np.ndarray, snr_db: float) -> float:
     """Noise variance at the given per-sample SNR (dB) against the signal
     power of values: the one SNR rule of noise draws and bounds."""
     return signal_power(values) / snr_ratio(snr_db)
+
+
+def require_signal(scene: physics.RfScene) -> None:
+    """An SNR needs a signal to reference: a domain error for a scene whose
+    targets have no amplitude, whose readout is rounding residue."""
+    if scene.total_signal_amplitude == 0:
+        raise ZeroSignalPower("no target has a nonzero amplitude_v_per_m: "
+                              "the SNR has no signal to reference")
 
 
 # numpy.random.SeedSequence hash constants (bit_generator.pyx). NumPy's
@@ -491,8 +478,7 @@ def add_noise(measurement: MeasurementVector, snr_db: float,
     noisy = measurement.values + noise
     return MeasurementVector(values=noisy[0] if single else noisy,
                              geometry=measurement.geometry,
-                             noise_sigma=sigma,
-                             source=measurement.source)
+                             noise_sigma=sigma)
 
 
 def check_sampling(geometry: SensorGeometry,

@@ -36,7 +36,6 @@ from rydberg_doa.physics import (
     linearization_constants,
 )
 from rydberg_doa.sensing import (
-    SIMULATED_FLUORESCENCE,
     FluorescenceProfile,
     MeasurementVector,
     SensorGeometry,
@@ -317,30 +316,26 @@ def recover_alpha_gradient(profile: FluorescenceProfile) -> np.ndarray:
 
 
 def calibrate_per_scene(values: np.ndarray, geometry: SensorGeometry,
-                        alpha_dc: float,
-                        source: str = SIMULATED_FLUORESCENCE
-                        ) -> MeasurementVector:
+                        alpha_dc: float) -> MeasurementVector:
     """Subtract the LO-only background alpha_dc * window area per channel."""
     values = np.asarray(values, dtype=float)
     if len(values) != geometry.channel_count:
         raise ValueError("values length must equal channel_count")
     return MeasurementVector(
         values=values - alpha_dc * geometry.window_width,
-        geometry=geometry, noise_sigma=0.0, source=source)
+        geometry=geometry, noise_sigma=0.0)
 
 
 def fluorescence_readout_per_scene(
-        scene: RfScene, geometry: SensorGeometry, params: AtomicParams,
-        absorption_model: str = "exact"
+        scene: RfScene, geometry: SensorGeometry, params: AtomicParams
 ) -> tuple[FluorescenceProfile, MeasurementVector]:
     """Propagate, recover, window, calibrate; returns (image, measurements).
     The fluorescence readout of one scene as it was before readouts took
     stacks and read windows as log-differences: point samples of alpha
     from np.gradient, then a trapezoid over each window."""
-    model = (physics.absorption_linearized if absorption_model == "linearized"
-             else absorption_exact_per_scene)
-    profile = propagate_probe_per_scene(lambda x: model(params, scene, x),
-                                        geometry, scene.rf_wavelength)
+    profile = propagate_probe_per_scene(
+        lambda x: absorption_exact_per_scene(params, scene, x), geometry,
+        scene.rf_wavelength)
     raw = channel_measurements_per_window(
         profile.positions, recover_alpha_gradient(profile), geometry)
     return profile, calibrate_per_scene(raw, geometry,

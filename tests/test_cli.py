@@ -15,7 +15,7 @@ import pytest
 from rydberg_doa import cli, experiments, sensing, serialize
 from rydberg_doa.config import FLAG_KEYS, load_config, parse_config
 from rydberg_doa.errors import ConfigParseError, SchemaError
-from rydberg_doa.estimation import PronyConfig
+from rydberg_doa.estimation import PronyConfig, estimate_doa
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -128,6 +128,22 @@ class TestConfigErrors:
                          write_config(tmp_path, doc)]) == 2
         assert capsys.readouterr().err.startswith(
             "error: unknown key 'run.format' (allowed: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("run", "absorption_model", "exact"),
+        ("geometry", "first_center_m", 0.01),
+        ("geometry", "channel_count", 16)])
+    def test_removed_readout_keys_are_unknown(self, tmp_path, capsys,
+                                              section, key, value):
+        # simulate images the exact absorption, and the windows are packed
+        # flush from x = 0, so none of these keys selects anything.
+        doc = base_doc(tmp_path / "out")
+        doc[section][key] = value
+        assert cli.main(["simulate", "--config",
+                         write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: unknown key '{section}.{key}' (allowed: ")
         assert not (tmp_path / "out").exists()
 
     def test_trials_overlapping_cell_seeds_exit_2(self, tmp_path, capsys):
@@ -253,32 +269,31 @@ class TestSimulate:
         assert "sampling compliance" in capsys.readouterr().out
 
     def test_roundtrip_estimate_recovers_angles(self, tmp_path, capsys):
+        # estimate reads the written readout to the library's bearings,
+        # bit for bit.
         out = tmp_path / "out"
-        doc = base_doc(out)
-        doc["run"]["absorption_model"] = "linearized"
-        cfg = write_config(tmp_path, doc)
+        cfg = write_config(tmp_path, base_doc(out))
         assert cli.main(["simulate", "--config", cfg]) == 0
         assert cli.main(["estimate", str(out / "measurement.csv"),
                          "--config", cfg, "--out", str(out)]) == 0
         result = json.loads((out / "estimation.json").read_text())
-        got = np.sort(result["doas_deg"])
-        np.testing.assert_allclose(got, [-30.0, 45.0], atol=1e-4)
+        sc = load_config(cfg).scenario
+        _, measurement = sensing.fluorescence_readout(sc.scene, sc.geometry,
+                                                      sc.params)
+        want = estimate_doa(measurement, (sc.scene.wavenumber,
+                                          sc.scene.lo.angle), sc.prony)
+        assert result["doas_rad"] == want.doas.tolist()
 
-    @pytest.mark.parametrize("model", ["exact", "linearized"])
+    @pytest.mark.parametrize("model", ["exact"])
     def test_measurement_is_the_library_readout(self, tmp_path, model):
         out = tmp_path / "out"
-        doc = base_doc(out)
-        doc["run"]["absorption_model"] = model
-        cfg = write_config(tmp_path, doc)
+        cfg = write_config(tmp_path, base_doc(out))
         assert cli.main(["simulate", "--config", cfg]) == 0
         sc = load_config(cfg).scenario
         _, want = sensing.fluorescence_readout(sc.scene, sc.geometry,
-                                               sc.params, model)
+                                               sc.params)
         _, got = serialize.read_measurement_csv(out / "measurement.csv")
         np.testing.assert_array_equal(got, want.values)
-        exact = sensing.simulate_measurements(sc.scene, sc.geometry,
-                                              sc.params)
-        assert np.array_equal(got, exact.values) == (model == "exact")
 
     def test_noise_seed_flag_changes_output(self, tmp_path):
         out = tmp_path / "out"
@@ -301,6 +316,25 @@ class TestSimulate:
             cli.main(["simulate", "--config", cfg, "--format", "json"])
         assert exc.value.code == 2
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "crlb"])
+@pytest.mark.parametrize("amplitudes", [(), (0, 0)], ids=["none", "zero"])
+def test_snr_without_signal_amplitude_exit_3(tmp_path, capsys, command,
+                                             amplitudes):
+    # The exact readout of such a scene is rounding residue (about 1e-17),
+    # so noise referenced to its power would be referenced to nothing.
+    out = tmp_path / "out"
+    doc = base_doc(out)
+    doc["scene"]["lo"] = {"amplitude_v_per_m": 2e-5, "angle_deg": 90}
+    doc["scene"]["signals"] = [{"amplitude_v_per_m": a, "angle_deg": angle}
+                               for a, angle in zip(amplitudes, (-30, 45))]
+    doc["noise"]["snr_db"] = 30
+    assert cli.main([command, "--config", write_config(tmp_path, doc)]) == 3
+    assert capsys.readouterr().err == (
+        "error: no target has a nonzero amplitude_v_per_m: the SNR has no "
+        "signal to reference\n")
+    assert not out.exists()
 
 
 class TestEstimate:
@@ -377,9 +411,7 @@ class TestEstimate:
 
     def test_order_flag_overrides(self, tmp_path):
         out = tmp_path / "out"
-        doc = base_doc(out)
-        doc["run"]["absorption_model"] = "linearized"
-        cfg = write_config(tmp_path, doc)
+        cfg = write_config(tmp_path, base_doc(out))
         cli.main(["simulate", "--config", cfg])
         assert cli.main(["estimate", str(out / "measurement.csv"),
                          "--config", cfg, "--out", str(out),
@@ -737,7 +769,6 @@ class TestParserReuse:
                                                  monkeypatch):
         doc = base_doc("out")
         doc["noise"]["snr_db"] = 30
-        doc["run"]["absorption_model"] = "linearized"
         assert cli.main(["simulate", "--config", write_config(tmp_path, doc),
                          "--out", str(tmp_path / "source")]) == 0
         csv_path = str(tmp_path / "source" / "measurement.csv")
@@ -779,6 +810,14 @@ class TestParserReuse:
         assert outputs() == files
         estimation = json.loads(files["out/estimation.json"])
         assert len(estimation["lpc_coefficients"]) == 4
+
+
+def test_readme_config_example_parses():
+    # README's schema example, less its // comments, is a config that
+    # parses: the docs name no key that the parser rejects.
+    readme = (REPO_CONFIGS.parent / "README.md").read_text()
+    block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    parse_config(json.loads(re.sub(r"//.*", "", block)))
 
 
 def test_demo_pipeline_script_runs():

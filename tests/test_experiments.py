@@ -288,7 +288,7 @@ class TestMcSweepStacking:
         assert readout_stacks == [len(ratios)]
         cells = [mc_rmse(seeded_cell(
             cfg, c, scene=scenarios.with_lo_ratio(cfg.scene, ratio),
-            source=sensing.SIMULATED_FLUORESCENCE))
+            source=experiments.SIMULATED_FLUORESCENCE))
             for c, ratio in enumerate(ratios)]
         assert len(set(result.rmse_rad)) == len(ratios)
         assert result.rmse_rad == tuple(r.rmse_rad for r in cells)
@@ -303,7 +303,7 @@ class TestMcSweepStacking:
         fine = scenarios.default_geometry(base_config.scene.rf_wavelength,
                                           grid_points_per_rf_wavelength=300)
         cells = [{"scene": scenarios.with_lo_ratio(scene, ratio),
-                  "source": sensing.SIMULATED_FLUORESCENCE}
+                  "source": experiments.SIMULATED_FLUORESCENCE}
                  for ratio in (2.0, 9.0, 50.0)
                  for scene in (base_config.scene, wide)]
         cells.append(dict(cells[0], geometry=fine))
@@ -380,9 +380,9 @@ class TestMcSweepStacking:
                     cfg, c, scene=scene, snr_db=snr,
                     prony=replace(cfg.prony, model_order=2 * n,
                                   target_count=n),
-                    source=sensing.SIMULATED_FLUORESCENCE
+                    source=experiments.SIMULATED_FLUORESCENCE
                     if name == "single_15" and idx == smoke
-                    else sensing.ANALYTIC_MODEL)))
+                    else experiments.ANALYTIC_MODEL)))
                 c += 1
             assert results[name].rmse_rad == tuple(
                 r.rmse_rad for r in cells), name
