@@ -175,7 +175,7 @@ def _parse_geometry(doc: dict, rf_wavelength: float) -> SensorGeometry:
     grid = doc.get("grid_points_per_rf_wavelength", 256)
     grid = _integer(grid, "geometry.grid_points_per_rf_wavelength")
     try:
-        return SensorGeometry.from_cell(cell, width, spacing, grid)
+        return SensorGeometry(cell, width, spacing, grid)
     except ValueError as exc:
         raise ConfigParseError(f"'geometry': {exc}") from exc
 

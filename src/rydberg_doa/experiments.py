@@ -1,23 +1,22 @@
 """Monte Carlo harness and the desk-scale simulation studies.
 
 SWEEP_KINDS lists the studies of each sweep axis; run_sweep runs the
-configured one, and every bound comes from bound_report. Each runner is
-deterministic for a fixed (config, base_seed): trial t of a cell draws
-its noise with seed cell_seed + t, and cell c of a sweep has cell_seed =
-base_seed + CELL_SEED_STRIDE * c, counting the cells of run_snr_sweep
-preset by preset. _mc_sweep, the Monte Carlo engine of mc_rmse,
-run_lo_ratio_sweep and run_snr_sweep, is the only code that applies this
-rule. Seed streams stay apart while a cell has fewer than
-CELL_SEED_STRIDE trials, which config parsing enforces. All trials of a
-cell draw their noise as one stack (its seeds hashed in one vectorised
-pass, each row bit-identical to the single-seed draw; see
+configured one, and every bound comes from bound_report. A length or
+sampling sweep runs the configured geometry with the swept length
+replaced. Each runner is deterministic for a fixed (config, base_seed):
+trial t of a cell draws its noise with seed cell_seed + t, and cell c of
+a sweep has cell_seed = base_seed + CELL_SEED_STRIDE * c, counting the
+cells of run_snr_sweep preset by preset. _mc_sweep, the Monte Carlo
+engine of mc_rmse, run_lo_ratio_sweep and run_snr_sweep, is the only
+code that applies this rule. Seed streams stay apart while a cell has
+fewer than CELL_SEED_STRIDE trials, which config parsing enforces. All
+trials of a cell draw their noise as one stack (its seeds hashed in one
+vectorised pass, each row bit-identical to the single-seed draw; see
 sensing.standard_normal_rows). Two stacking rules, both exact row by
 row, make a sweep's cells share work:
-- synthesis: the fluorescence cells that share geometry, atomic
-  parameters and every scene field but the LO amplitude (carrier,
-  signals, LO phase and bearing), as all cells of an LO-ratio sweep do,
-  are read out as one stack that computes the signal terms once
-  (synthesize);
+- synthesis: the analytic model per cell or, for the cells of an
+  LO-ratio sweep (which differ only in LO amplitude), one fluorescence
+  readout of all of them as a stack (synthesize);
 - estimation: the noise stacks of all cells that share a prediction
   system (Prony config, channel count, window pitch, carrier wavenumber
   and LO bearing) run as one batched estimate of at most MC_STACK_ROWS
@@ -46,10 +45,6 @@ from .estimation import (  # noqa: F401
 )
 from .physics import AtomicParams, RfScene
 from .sensing import MeasurementVector, SensorGeometry
-
-# The synthesis path of a cell (ScenarioConfig.source).
-ANALYTIC_MODEL = "analytic_model"
-SIMULATED_FLUORESCENCE = "simulated_fluorescence"
 
 # The studies each sweep axis can run, its default first.
 SWEEP_KINDS = {
@@ -112,7 +107,6 @@ class ScenarioConfig:
     snr_db: float | None = 30.0
     trials: int = 100
     base_seed: int = 0
-    source: str = ANALYTIC_MODEL
     sweep: SweepSpec | None = None
 
     def __post_init__(self):
@@ -173,30 +167,20 @@ class SamplingDemoResult:
     curves: tuple
 
 
-def synthesize(cells: list[ScenarioConfig]) -> list[MeasurementVector]:
-    """Noiseless measurement vector of each cell, by its synthesis path.
-
-    Fluorescence cells that share geometry, atomic parameters and all of
-    the scene but the LO amplitude are read out as one stack; each row
-    equals the readout of its cell alone.
-    """
-    clean: list = [None] * len(cells)
-    stacks: dict[tuple, list[int]] = {}
-    for i, cell in enumerate(cells):
-        if cell.source == ANALYTIC_MODEL:
-            clean[i] = sensing.predicted_measurements(
-                cell.scene, cell.geometry, cell.params)
-        elif cell.source == SIMULATED_FLUORESCENCE:
-            stacks.setdefault((cell.geometry, cell.params,
-                               cell.scene.stack_key), []).append(i)
-        else:
-            raise ValueError(f"unknown synthesis source {cell.source!r}")
-    for (geometry, params, _), members in stacks.items():
-        stack = sensing.simulate_measurements(
-            [cells[i].scene for i in members], geometry, params)
-        for i, values in zip(members, stack.values):
-            clean[i] = replace(stack, values=values)
-    return clean
+def synthesize(cells: list[ScenarioConfig],
+               fluorescence: bool) -> list[MeasurementVector]:
+    """Noiseless measurement vector of each cell: the analytic model per
+    cell or, with fluorescence, one readout of all cells as a stack on the
+    first cell's geometry and atomic parameters; their scenes must differ
+    only in LO amplitude (physics.scene_stack). Each row equals the
+    readout of its cell alone."""
+    if not fluorescence:
+        return [sensing.predicted_measurements(c.scene, c.geometry, c.params)
+                for c in cells]
+    first = cells[0]
+    stack = sensing.simulate_measurements([c.scene for c in cells],
+                                          first.geometry, first.params)
+    return [replace(stack, values=values) for values in stack.values]
 
 
 def match_errors(estimated: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -263,17 +247,19 @@ def run_linearization_check(params: AtomicParams, scene_weak: RfScene,
         normalized_rms_weak=norm_w, normalized_rms_strong=norm_s)
 
 
-def _mc_sweep(config: ScenarioConfig, cells) -> list[McResult]:
+def _mc_sweep(config: ScenarioConfig, cells,
+              fluorescence: bool = False) -> list[McResult]:
     """Monte Carlo outcome of each cell: cells yields the ScenarioConfig
     fields each cell overrides, and cell c runs at base_seed +
     CELL_SEED_STRIDE * c.
 
-    Each cell is synthesized once (the scene is deterministic; synthesize
-    reads fluorescence cells out in stacks) and draws its (trials, K)
-    noise stack. The stacks of cells that share a prediction system
-    (Prony config, channel count, window pitch, carrier wavenumber and LO
-    bearing) run as one batched Prony solve of at most MC_STACK_ROWS rows;
-    a cell is never split, and a larger one runs alone. Rows are
+    Each cell is synthesized once (the scene is deterministic), by the
+    analytic model or, with fluorescence, in one fluorescence stack
+    (synthesize), and draws its (trials, K) noise stack. The stacks of
+    cells that share a prediction system (Prony config, channel count,
+    window pitch, carrier wavenumber and LO bearing) run as one batched
+    Prony solve of at most MC_STACK_ROWS rows; a cell is never split,
+    and a larger one runs alone. Rows are
     independent, so each cell gets the result of its own solve. A cell
     whose noise draw raises a domain error fails whole. A cell whose
     prony.target_count differs from its scene's signal count is a config
@@ -287,7 +273,7 @@ def _mc_sweep(config: ScenarioConfig, cells) -> list[McResult]:
             raise ConfigParseError(
                 f"'prony.target_count' must equal the scene's signal count "
                 f"{cell.scene.n_signals}, got {cell.prony.target_count}")
-    clean = synthesize(seeded)
+    clean = synthesize(seeded, fluorescence)
     # Cells grouped by everything estimate_doa_batch reads besides values.
     groups: dict[tuple, list[int]] = {}
     for i, cell in enumerate(seeded):
@@ -371,15 +357,16 @@ def _preset_scene(config: ScenarioConfig, angles_deg) -> RfScene:
         lo_angle=config.scene.lo.angle)
 
 
-def _axis_geometries(config: ScenarioConfig, keyword: str, **fixed) -> list:
-    """One default geometry per sweep value, set as keyword; a value that
-    leaves no room for two windows is a config error naming it."""
+def _axis_geometries(config: ScenarioConfig, field: str) -> list:
+    """The configured geometry with field set to each sweep value, in RF
+    wavelengths; a value that leaves no room for two windows is a config
+    error naming it."""
     geometries = []
     for i, value in enumerate(config.sweep.values):
         try:
-            geometries.append(scenarios.default_geometry(
-                config.scene.rf_wavelength, **fixed,
-                **{keyword: float(value)}))
+            geometries.append(replace(
+                config.geometry,
+                **{field: value * config.scene.rf_wavelength}))
         except ValueError as exc:
             raise ConfigParseError(f"'sweep.values[{i}]': {exc}") from exc
     return geometries
@@ -393,9 +380,8 @@ def run_lo_ratio_sweep(config: ScenarioConfig) -> SweepResult:
     the weak-LO breakdown this sweep demonstrates.
     """
     return _sweep_result(config, _mc_sweep(config, (
-        {"scene": scenarios.with_lo_ratio(config.scene, float(ratio)),
-         "source": SIMULATED_FLUORESCENCE}
-        for ratio in config.sweep.values)))
+        {"scene": scenarios.with_lo_ratio(config.scene, float(ratio))}
+        for ratio in config.sweep.values), fluorescence=True))
 
 
 SNR_PRESETS = {
@@ -408,23 +394,18 @@ SNR_PRESETS = {
 def run_snr_sweep(config: ScenarioConfig) -> dict[str, SweepResult]:
     """DoA RMSE versus SNR for one single-target and two two-target scenes.
 
-    Synthesis uses the analytic channel model (matching the additive-noise
-    model the CRLB is computed under); the lowest-SNR single-target cell
-    repeats through the full fluorescence pipeline as a smoke check. The
-    single-target sweep carries the CRLB overlay.
+    Synthesis uses the analytic channel model, matching the additive-noise
+    model the CRLB is computed under. The single-target sweep carries the
+    CRLB overlay.
     """
     values = config.sweep.values
-    smoke_idx = int(np.argmin(values))
     scenes, cells = {}, []
     for name, angles in SNR_PRESETS.items():
         scenes[name] = scene = _preset_scene(config, angles)
         n = len(angles)
         prony = replace(config.prony, model_order=2 * n, target_count=n)
-        cells += [
-            {"scene": scene, "prony": prony, "snr_db": float(snr),
-             "source": SIMULATED_FLUORESCENCE
-             if name == "single_15" and idx == smoke_idx else ANALYTIC_MODEL}
-            for idx, snr in enumerate(values)]
+        cells += [{"scene": scene, "prony": prony, "snr_db": float(snr)}
+                  for snr in values]
     mc = _mc_sweep(config, cells)
     results: dict[str, SweepResult] = {}
     for preset_idx, (name, scene) in enumerate(scenes.items()):
@@ -483,8 +464,9 @@ def crlb_std_for(scene: RfScene, geometry: SensorGeometry,
 
 
 def run_length_sweep(config: ScenarioConfig) -> dict[float, SweepResult]:
-    """CRLB-derived RMSE versus cell length in RF wavelengths, one sweep
-    per target bearing; channel count grows with the cell at fixed pitch.
+    """CRLB-derived RMSE versus cell length in RF wavelengths on the
+    configured geometry, one sweep per target bearing; channel count grows
+    with the cell at the configured pitch.
 
     The noise level is set once per cell length from the broadside scene
     at the configured SNR and shared by all bearings, so the angle
@@ -493,7 +475,7 @@ def run_length_sweep(config: ScenarioConfig) -> dict[float, SweepResult]:
     """
     values = config.sweep.values
     snr = required_snr(config)
-    geometries = _axis_geometries(config, "cell_wavelengths")
+    geometries = _axis_geometries(config, "cell_length")
     broadside = _preset_scene(config, (0.0,))
     sigma2s = [sensing.noise_variance(sensing.predicted_measurements(
         broadside, geometry, config.params).values, snr)
@@ -524,23 +506,23 @@ def spectral_power(measurement: MeasurementVector, scene_meta,
 
 
 def run_sampling_demo(config: ScenarioConfig) -> SamplingDemoResult:
-    """Aliasing and window-null demonstrations on noiseless data.
+    """Aliasing and window-null demonstrations on the configured scene's
+    noiseless analytic measurements.
 
-    sampling_interval case: one target at 60 deg, swept window pitch;
-    window_width case: one target at 0 deg, swept window width. Curves
-    are normalized by the common maximum across the case so a suppressed
-    target shows up as low power rather than being renormalized away.
+    sampling_interval case: the configured geometry with its window pitch
+    swept; window_width case: with its window width swept. Curves are
+    normalized by the common maximum across the case so a suppressed
+    target shows up as low power rather than being renormalized away. A
+    scene whose targets have no amplitude is a domain error.
     """
+    scene = config.scene
+    sensing.require_signal(scene)
     axis = config.sweep.axis
-    target_deg, label, keyword = (
-        (60.0, "dx", "spacing_wavelengths") if axis == "sampling_interval"
-        else (0.0, "width", "window_wavelengths"))
-    geometries = _axis_geometries(
-        config, keyword, cell_wavelengths=config.geometry.cell_length
-        / config.scene.rf_wavelength)
+    label, field = (("dx", "spacing") if axis == "sampling_interval"
+                    else ("width", "window_width"))
+    geometries = _axis_geometries(config, field)
     angles_deg = np.arange(-90.0, 90.0 + DEMO_ANGLE_STEP_DEG / 2,
                            DEMO_ANGLE_STEP_DEG)
-    scene = _preset_scene(config, (target_deg,))
     meta = (scene.wavenumber, scene.lo.angle)
     raw = [spectral_power(sensing.predicted_measurements(
         scene, geometry, config.params), meta, angles_deg)

@@ -67,11 +67,10 @@ def default_geometry(rf_wavelength: float, cell_wavelengths: float = 4.0,
                      grid_points_per_rf_wavelength: int = 256
                      ) -> SensorGeometry:
     """Compliant geometry: quarter-wave windows on a quarter-wave pitch."""
-    return SensorGeometry.from_cell(
-        cell_wavelengths * rf_wavelength,
-        window_wavelengths * rf_wavelength,
-        spacing_wavelengths * rf_wavelength,
-        grid_points_per_rf_wavelength=grid_points_per_rf_wavelength)
+    return SensorGeometry(cell_wavelengths * rf_wavelength,
+                          window_wavelengths * rf_wavelength,
+                          spacing_wavelengths * rf_wavelength,
+                          grid_points_per_rf_wavelength)
 
 
 def true_doas(scene: RfScene) -> np.ndarray:

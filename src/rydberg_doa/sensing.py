@@ -13,7 +13,7 @@ its scene alone.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -28,48 +28,37 @@ from .errors import (
 
 @dataclass(frozen=True)
 class SensorGeometry:
-    """Cell length, rectangular mother window, and K shifted window centers.
+    """Cell length and K rectangular windows on a pitch, the first flush
+    with x = 0.
 
-    Window j (1-based) is centered at first_center + (j-1)*spacing and must
-    lie inside [0, cell_length]. grid_points_per_rf_wavelength sets the
-    simulation grid density used by the fluorescence pipeline.
+    channel_count K is derived: as many windows as fit in the cell, so
+    every window lies inside [0, cell_length] (to 1e-9 of a pitch).
+    Window j (0-based) is centered at window_width/2 + j*spacing.
+    grid_points_per_rf_wavelength sets the simulation grid density used
+    by the fluorescence pipeline.
     """
 
     cell_length: float
     window_width: float
-    first_center: float
     spacing: float
-    channel_count: int
     grid_points_per_rf_wavelength: int = 256
+    channel_count: int = field(init=False)
 
     def __post_init__(self):
         if self.cell_length <= 0 or self.window_width <= 0 or self.spacing <= 0:
             raise ValueError("lengths and spacing must be strictly positive")
-        if self.channel_count < 2:
-            raise ValueError("need at least two channels")
         if self.grid_points_per_rf_wavelength < 2:
             raise ValueError("grid density must be at least 2 points")
-        tol = 1e-12 * self.cell_length
-        lo, hi = self.window_edges
-        if lo[0] < -tol or hi[-1] > self.cell_length + tol:
-            raise ValueError("window supports must lie inside the cell")
-
-    @classmethod
-    def from_cell(cls, cell_length: float, window_width: float,
-                  spacing: float, grid_points_per_rf_wavelength: int = 256
-                  ) -> "SensorGeometry":
-        """As many windows as fit on the given pitch, the first flush with
-        x=0."""
-        channel_count = int(np.floor((cell_length - window_width) / spacing
-                                     + 1e-9)) + 1
-        return cls(cell_length=cell_length, window_width=window_width,
-                   first_center=window_width / 2, spacing=spacing,
-                   channel_count=channel_count,
-                   grid_points_per_rf_wavelength=grid_points_per_rf_wavelength)
+        count = int(np.floor((self.cell_length - self.window_width)
+                             / self.spacing + 1e-9)) + 1
+        if count < 2:
+            raise ValueError("need at least two channels")
+        object.__setattr__(self, "channel_count", count)
 
     @property
     def centers(self) -> np.ndarray:
-        return self.first_center + self.spacing * np.arange(self.channel_count)
+        return self.window_width / 2 + self.spacing * np.arange(
+            self.channel_count)
 
     @property
     def window_edges(self) -> tuple[np.ndarray, np.ndarray]:

@@ -117,8 +117,7 @@ def geometry_from_centers(centers: np.ndarray) -> SensorGeometry:
     if spacing <= 0 or not np.allclose(diffs, spacing,
                                        rtol=1e-6, atol=1e-12 * abs(spacing)):
         raise SchemaError("window centers must be uniformly increasing")
-    return SensorGeometry.from_cell(spacing * len(centers), spacing / 2,
-                                    spacing)
+    return SensorGeometry(spacing * len(centers), spacing / 2, spacing)
 
 
 def estimation_to_dict(result: EstimationResult) -> dict:

@@ -81,8 +81,7 @@ def channel_measurements_per_window(x: np.ndarray, v: np.ndarray,
     tol = 1e-9 * geometry.cell_length
     half = geometry.window_width / 2
     out = np.empty(geometry.channel_count)
-    for j in range(geometry.channel_count):
-        c = geometry.first_center + geometry.spacing * j
+    for j, c in enumerate(geometry.centers):
         a, b = c - half, c + half
         if a < x[0] - tol or b > x[-1] + tol:
             raise WindowOutOfCell(

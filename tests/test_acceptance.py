@@ -175,7 +175,7 @@ def test_criterion_6_sampling_demos(setup):
         lam = scene.rf_wavelength
         demo_geom = scenarios.default_geometry(lam, cell_wavelengths=16.0)
         alias_cfg = ScenarioConfig(
-            scene=scene, geometry=demo_geom,
+            scene=scenarios.scene_from_angles((60.0,)), geometry=demo_geom,
             prony=PronyConfig(model_order=2, target_count=1),
             params=params, snr_db=None, trials=1, base_seed=0,
             sweep=SweepSpec(axis="sampling_interval", values=(0.25, 0.5)))
@@ -190,7 +190,7 @@ def test_criterion_6_sampling_demos(setup):
         assert abs(peak - 60.0) <= 1.0, f"compliant peak at {peak} deg"
 
         null_cfg = ScenarioConfig(
-            scene=scene, geometry=demo_geom,
+            scene=scenarios.scene_from_angles((0.0,)), geometry=demo_geom,
             prony=PronyConfig(model_order=2, target_count=1),
             params=params, snr_db=None, trials=1, base_seed=0,
             sweep=SweepSpec(axis="window_width", values=(0.25, 1.0)))

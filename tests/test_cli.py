@@ -581,6 +581,48 @@ class TestSweepCommand:
                          write_config(tmp_path, doc)]) == 0
         assert "proceeding" in capsys.readouterr().out
 
+    def test_length_sweep_runs_the_configured_geometry(self, tmp_path):
+        doc = json.loads((REPO_CONFIGS / "fig6.json").read_text())
+        assert cli.main(["sweep", "--config", write_config(tmp_path, doc),
+                         "--out", str(tmp_path / "default")]) == 0
+        doc["geometry"].update(spacing_wavelengths=0.2,
+                               window_width_wavelengths=0.15)
+        cfg = write_config(tmp_path, doc, "edited.json")
+        assert cli.main(["sweep", "--config", cfg,
+                         "--out", str(tmp_path / "edited")]) == 0
+        sc = load_config(cfg).scenario
+        lam = sc.scene.rf_wavelength
+        broadside = experiments._preset_scene(sc, (0.0,))
+        for angle in experiments.LENGTH_SWEEP_ANGLES_DEG:
+            name = f"length_sweep_theta{angle:g}.csv"
+            text = (tmp_path / "edited" / name).read_text()
+            assert text != (tmp_path / "default" / name).read_text()
+            scene = experiments._preset_scene(sc, (angle,))
+            for row in text.splitlines()[1:]:
+                value, _, bound = row.split(",")[:3]
+                geometry = dataclasses.replace(
+                    sc.geometry, cell_length=float(value) * lam)
+                sigma2 = sensing.noise_variance(sensing.predicted_measurements(
+                    broadside, geometry, sc.params).values, sc.snr_db)
+                assert float(bound) == np.rad2deg(experiments.crlb_std_for(
+                    scene, geometry, sc.params, sigma2=sigma2)[0])
+
+    @pytest.mark.parametrize("axis", ["sampling_interval", "window_width"])
+    def test_sampling_demo_without_signal_amplitude_exit_3(self, tmp_path,
+                                                           capsys, axis):
+        # Normalising by the spectrum's maximum would divide by 0.
+        out = tmp_path / "out"
+        doc = self.sweep_doc(out, axis, [0.25, 0.5])
+        doc["scene"]["lo"] = {"amplitude_v_per_m": 2e-5, "angle_deg": 90}
+        doc["scene"]["signals"] = [{"amplitude_v_per_m": 0, "angle_deg": 0}]
+        doc["prony"] = {"model_order": 2, "target_count": 1}
+        assert cli.main(["sweep", "--config",
+                         write_config(tmp_path, doc)]) == 3
+        assert capsys.readouterr().err == (
+            "error: no target has a nonzero amplitude_v_per_m: the SNR has no "
+            "signal to reference\n")
+        assert not out.exists()
+
     def test_linearization_kind(self, tmp_path, capsys):
         out = tmp_path / "out"
         doc = self.sweep_doc(out, "lo_ratio", [1, 10],

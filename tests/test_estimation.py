@@ -29,11 +29,11 @@ from oracles import greedy_signal_roots
 
 
 def make_geometry(k_channels, spacing=0.01, first=None):
-    first = spacing if first is None else first
-    return SensorGeometry(
-        cell_length=first + spacing * (k_channels - 1) + spacing / 2,
-        window_width=spacing / 2, first_center=first, spacing=spacing,
-        channel_count=k_channels)
+    """k_channels windows on the pitch, the first centered at first: the
+    windows are 2 * first wide, as the first sits flush with x = 0."""
+    width = 2 * (spacing if first is None else first)
+    return SensorGeometry(cell_length=width + spacing * (k_channels - 0.5),
+                          window_width=width, spacing=spacing)
 
 
 def sinusoid_samples(omegas, phis, amps, k_samples):

@@ -237,6 +237,22 @@ class TestSnrSweep:
         finite = np.isfinite(rmse)
         assert np.all(rmse[finite] >= 0.7 * np.array(single.crlb_std_rad)[finite])
 
+    def test_lowest_snr_cell_is_analytic(self, base_config, readout_stacks):
+        # Every single_15 cell, the lowest SNR's included, is the analytic
+        # mc_rmse cell: no fluorescence readout runs.
+        values = (30.0, 10.0, 20.0)
+        cfg = replace(base_config, trials=30, base_seed=3,
+                      sweep=SweepSpec(axis="snr_db", values=values))
+        single = run_snr_sweep(cfg)["single_15"]
+        assert readout_stacks == []
+        scene = experiments._preset_scene(cfg, (15.0,))
+        prony = replace(cfg.prony, model_order=2, target_count=1)
+        cells = [mc_rmse(seeded_cell(cfg, c, scene=scene, prony=prony,
+                                     snr_db=snr))
+                 for c, snr in enumerate(values)]
+        assert single.rmse_rad == tuple(r.rmse_rad for r in cells)
+        assert single.failures == tuple(r.failures for r in cells)
+
 
 def seeded_cell(config, c, **overrides):
     """Cell c of a sweep of config, seeded explicitly."""
@@ -274,9 +290,9 @@ def readout_stacks(monkeypatch):
 
 
 class TestMcSweepStacking:
-    """Cells that share a prediction system run as one solve, fluorescence
-    cells that share all but the LO amplitude as one readout, and every
-    cell keeps exactly the result of its own mc_rmse."""
+    """Cells that share a prediction system run as one solve, the cells of
+    an LO-ratio sweep as one fluorescence readout, and every cell keeps
+    exactly the result of its own one-cell run."""
 
     def test_fluorescence_cells_share_one_solve(self, base_config,
                                                 solve_rows, readout_stacks):
@@ -286,33 +302,12 @@ class TestMcSweepStacking:
         result = run_lo_ratio_sweep(cfg)
         assert solve_rows == [len(ratios)]
         assert readout_stacks == [len(ratios)]
-        cells = [mc_rmse(seeded_cell(
-            cfg, c, scene=scenarios.with_lo_ratio(cfg.scene, ratio),
-            source=experiments.SIMULATED_FLUORESCENCE))
-            for c, ratio in enumerate(ratios)]
+        cells = [experiments._mc_sweep(seeded_cell(
+            cfg, c, scene=scenarios.with_lo_ratio(cfg.scene, ratio)), ({},),
+            fluorescence=True)[0] for c, ratio in enumerate(ratios)]
         assert len(set(result.rmse_rad)) == len(ratios)
         assert result.rmse_rad == tuple(r.rmse_rad for r in cells)
         assert result.failures == tuple(r.failures for r in cells)
-
-    def test_readouts_stack_by_signal_set(self, base_config,
-                                          readout_stacks):
-        # Two signal sets at interleaved LO ratios, and one cell of the
-        # first set on a finer grid: one readout per shared key.
-        wide = scenarios.scene_from_angles(
-            (-40.0, 35.0), lo_angle=base_config.scene.lo.angle)
-        fine = scenarios.default_geometry(base_config.scene.rf_wavelength,
-                                          grid_points_per_rf_wavelength=300)
-        cells = [{"scene": scenarios.with_lo_ratio(scene, ratio),
-                  "source": experiments.SIMULATED_FLUORESCENCE}
-                 for ratio in (2.0, 9.0, 50.0)
-                 for scene in (base_config.scene, wide)]
-        cells.append(dict(cells[0], geometry=fine))
-        cfg = replace(base_config, trials=5)
-        results = experiments._mc_sweep(cfg, cells)
-        assert readout_stacks == [3, 3, 1]
-        assert len({r.rmse_rad for r in results}) == len(cells)
-        assert results == [mc_rmse(seeded_cell(cfg, c, **o))
-                           for c, o in enumerate(cells)]
 
     def test_snr_presets_share_solves_by_order(self, base_config,
                                                solve_rows):
@@ -369,20 +364,16 @@ class TestMcSweepStacking:
 
     @staticmethod
     def assert_matches_cells(cfg, results):
-        smoke = int(np.argmin(cfg.sweep.values))
         c = 0
         for name, angles in experiments.SNR_PRESETS.items():
             n = len(angles)
             scene = experiments._preset_scene(cfg, angles)
             cells = []
-            for idx, snr in enumerate(cfg.sweep.values):
+            for snr in cfg.sweep.values:
                 cells.append(mc_rmse(seeded_cell(
                     cfg, c, scene=scene, snr_db=snr,
                     prony=replace(cfg.prony, model_order=2 * n,
-                                  target_count=n),
-                    source=experiments.SIMULATED_FLUORESCENCE
-                    if name == "single_15" and idx == smoke
-                    else experiments.ANALYTIC_MODEL)))
+                                  target_count=n))))
                 c += 1
             assert results[name].rmse_rad == tuple(
                 r.rmse_rad for r in cells), name
@@ -431,10 +422,12 @@ class TestLengthSweep:
 
 
 class TestSamplingDemo:
-    def demo_config(self, base_config, axis, values, cell_wl=16.0):
+    def demo_config(self, base_config, axis, values, target_deg,
+                    cell_wl=16.0):
         lam = base_config.scene.rf_wavelength
         return ScenarioConfig(
-            scene=base_config.scene,
+            scene=scenarios.scene_from_angles(
+                (target_deg,), lo_angle=base_config.scene.lo.angle),
             geometry=scenarios.default_geometry(lam,
                                                 cell_wavelengths=cell_wl),
             prony=base_config.prony, params=base_config.params,
@@ -442,7 +435,8 @@ class TestSamplingDemo:
             sweep=SweepSpec(axis=axis, values=values))
 
     def test_aliasing_case(self, base_config):
-        cfg = self.demo_config(base_config, "sampling_interval", (0.25, 0.5))
+        cfg = self.demo_config(base_config, "sampling_interval", (0.25, 0.5),
+                               60.0)
         result = run_sampling_demo(cfg)
         angles = result.angles_deg
         compliant, violated = result.curves
@@ -455,7 +449,7 @@ class TestSamplingDemo:
         assert compliant.power[near_mirror].max() < 0.1
 
     def test_window_null_case(self, base_config):
-        cfg = self.demo_config(base_config, "window_width", (0.25, 1.0))
+        cfg = self.demo_config(base_config, "window_width", (0.25, 1.0), 0.0)
         result = run_sampling_demo(cfg)
         angles = result.angles_deg
         compliant, violated = result.curves
@@ -463,8 +457,18 @@ class TestSamplingDemo:
         assert compliant.power[at_zero] == pytest.approx(1.0, abs=0.05)
         assert violated.power[at_zero] < 0.01
 
+    @pytest.mark.parametrize("axis", ["sampling_interval", "window_width"])
+    @pytest.mark.parametrize("target_deg", [20.0, -35.0])
+    def test_compliant_peak_on_the_configured_target(self, base_config, axis,
+                                                     target_deg):
+        cfg = self.demo_config(base_config, axis, (0.25, 0.5), target_deg)
+        result = run_sampling_demo(cfg)
+        compliant = result.curves[0].power
+        assert abs(result.angles_deg[np.argmax(compliant)] - target_deg) \
+            <= experiments.DEMO_ANGLE_STEP_DEG
+
     def test_demo_csv_schema(self, base_config, tmp_path):
-        cfg = self.demo_config(base_config, "window_width", (0.25, 1.0))
+        cfg = self.demo_config(base_config, "window_width", (0.25, 1.0), 0.0)
         result = run_sampling_demo(cfg)
         path = tmp_path / "demo.csv"
         serialize.write_sampling_demo_csv(result, path)

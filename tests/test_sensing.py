@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 from pathlib import Path
 
@@ -53,44 +54,57 @@ def panel_means(alpha):
 
 
 class TestGeometry:
-    def test_from_cell_channel_count(self, rf_wavelength):
+    def test_derived_channel_count(self, rf_wavelength):
         geom = scenarios.default_geometry(rf_wavelength)
         assert geom.channel_count == 16
         assert geom.centers[0] == pytest.approx(rf_wavelength / 8)
         assert geom.centers[-1] + geom.window_width / 2 == \
             pytest.approx(4 * rf_wavelength)
 
-    @pytest.mark.parametrize("first", [None, 0.05, 0.13])
-    def test_from_cell_packs_as_many_windows_as_fit(self, first):
-        # from_cell places the first window flush with x=0; a geometry
-        # placed elsewhere is built directly and must still fit the cell.
-        geom = SensorGeometry.from_cell(1.0, 0.1, 0.07)
-        if first is not None:
-            count = int((1.0 - first - 0.05) / 0.07) + 1
-            geom = SensorGeometry(cell_length=1.0, window_width=0.1,
-                                  first_center=first, spacing=0.07,
-                                  channel_count=count)
-            with pytest.raises(ValueError, match="inside the cell"):
-                replace(geom, channel_count=count + 1)
-        assert geom.first_center == (0.05 if first is None else first)
+    @pytest.mark.parametrize("width, count", [(0.1, 13), (0.26, 11),
+                                              (0.5, 8)])
+    def test_packs_as_many_windows_as_fit(self, width, count):
+        # The first window sits flush with x = 0, and one more window on
+        # the pitch would leave the cell.
+        geom = SensorGeometry(cell_length=1.0, window_width=width,
+                              spacing=0.07)
+        assert geom.channel_count == count
+        np.testing.assert_array_equal(
+            geom.centers, width / 2 + 0.07 * np.arange(count))
         last_edge = geom.window_edges[1][-1]
         assert last_edge <= 1.0 < last_edge + geom.spacing
 
-    def test_windows_must_fit(self):
-        with pytest.raises(ValueError):
-            SensorGeometry(cell_length=1.0, window_width=0.3,
-                           first_center=0.1, spacing=0.2, channel_count=5)
+    def test_count_is_not_an_argument_and_follows_replace(self):
+        geom = SensorGeometry(cell_length=1.0, window_width=0.1,
+                              spacing=0.07)
+        with pytest.raises(TypeError):
+            SensorGeometry(cell_length=1.0, window_width=0.1, spacing=0.07,
+                           channel_count=5)
+        longer = replace(geom, cell_length=2.0)
+        assert longer.channel_count == 28
+        assert longer == SensorGeometry(cell_length=2.0, window_width=0.1,
+                                        spacing=0.07)
+
+    def test_windows_must_fit(self, rf_wavelength):
+        # Every window lies inside the cell; contiguous windows end on the
+        # cell edge, up to rounding.
+        for cells, width, pitch in itertools.product(
+                (1.5, 4.0, 16.0), (0.25, 0.1, 1.0, 0.15), (0.25, 0.15, 0.2)):
+            geom = scenarios.default_geometry(rf_wavelength, cells, width,
+                                              pitch)
+            lo, hi = geom.window_edges
+            assert lo[0] == 0.0
+            assert hi[-1] <= geom.cell_length * (1 + 1e-12)
 
     def test_needs_two_channels(self):
-        with pytest.raises(ValueError):
-            SensorGeometry(cell_length=1.0, window_width=0.1,
-                           first_center=0.5, spacing=0.1, channel_count=1)
+        with pytest.raises(ValueError, match="two channels"):
+            SensorGeometry(cell_length=1.0, window_width=0.6, spacing=0.5)
 
     def test_window_edges_are_centers_minus_plus_half_width(self, geometry):
         lo, hi = geometry.window_edges
         assert lo.shape == hi.shape == (geometry.channel_count,)
         for j in range(geometry.channel_count):
-            center = geometry.first_center + geometry.spacing * j
+            center = geometry.window_width / 2 + geometry.spacing * j
             assert lo[j] == center - geometry.window_width / 2
             assert hi[j] == center + geometry.window_width / 2
 
@@ -580,18 +594,19 @@ class TestPredictedMeasurements:
 
     def test_aliased_frequencies_indistinguishable_with_point_windows(
             self, rf_wavelength):
-        # centers on integer multiples of the pitch, so a 2*pi*q/spacing
-        # frequency shift leaves every sample identical
+        # centers sit half a window width past integer multiples of the
+        # pitch, so a 2*pi*q/spacing frequency shift turns every sample's
+        # phase by the same (shifted - dk) * width/2; with that phase
+        # offset the samples are identical
         geom = SensorGeometry(
             cell_length=5 * rf_wavelength,
-            window_width=1e-7 * rf_wavelength,
-            first_center=rf_wavelength / 4, spacing=rf_wavelength / 4,
-            channel_count=16)
+            window_width=1e-7 * rf_wavelength, spacing=rf_wavelength / 4)
         dk = 0.4 * 2 * np.pi / rf_wavelength
         base = sensing.sinusoid_measurements(geom, [dk], [0.3], [1.0])
         for q in (1, 2):
             shifted = dk + q * 2 * np.pi / geom.spacing
-            alias = sensing.sinusoid_measurements(geom, [shifted], [0.3],
+            phase = 0.3 + (shifted - dk) * geom.window_width / 2
+            alias = sensing.sinusoid_measurements(geom, [shifted], [phase],
                                                   [1.0])
             np.testing.assert_allclose(alias, base, rtol=1e-7)
 
