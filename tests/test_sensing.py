@@ -61,14 +61,23 @@ class TestGeometry:
         assert geom.centers[-1] + geom.window_width / 2 == \
             pytest.approx(4 * rf_wavelength)
 
-    @pytest.mark.parametrize("width, count", [(0.1, 13), (0.26, 11),
-                                              (0.5, 8)])
-    def test_packs_as_many_windows_as_fit(self, width, count):
-        # The first window sits flush with x = 0, and one more window on
-        # the pitch would leave the cell.
-        geom = SensorGeometry(cell_length=1.0, window_width=width,
-                              spacing=0.07)
+    # First window center -> windows that fit a unit cell on a 0.07 pitch.
+    # None is the 0.1-wide geometry reached by replace from a longer cell.
+    PACKED = {None: 13, 0.05: 13, 0.13: 11, 0.25: 8}
+
+    @pytest.mark.parametrize("first", list(PACKED))
+    def test_from_cell_packs_as_many_windows_as_fit(self, first):
+        # The windows follow from the cell: the first sits flush with
+        # x = 0, its center half a width in, and one more window on the
+        # pitch would leave the cell.
+        width = 0.1 if first is None else 2 * first
+        geom = SensorGeometry(cell_length=1.0 if first else 2.0,
+                              window_width=width, spacing=0.07)
+        if first is None:
+            geom = replace(geom, cell_length=1.0)
+        count = self.PACKED[first]
         assert geom.channel_count == count
+        assert geom.centers[0] == (0.05 if first is None else first)
         np.testing.assert_array_equal(
             geom.centers, width / 2 + 0.07 * np.arange(count))
         last_edge = geom.window_edges[1][-1]
