@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
-"""Run every bundled figure config and collect the CSVs under out/.
+"""Run the bundled figure configs and collect their CSVs under one directory.
 
-Each sub-run is equivalent to `rydberg-doa sweep --config configs/<name>.json`.
+Each sub-run is equivalent to
+`rydberg-doa sweep --config configs/<name>.json --out <out>/<name>`.
+
+    python scripts/run_figures.py [--out DIR]
 """
+import argparse
 import sys
 import time
 from pathlib import Path
@@ -13,19 +17,23 @@ ROOT = Path(__file__).resolve().parent.parent
 FIGURES = ["fig2", "fig3c", "fig4", "fig6", "fig7a", "fig7b"]
 
 
-def main() -> int:
-    out_root = ROOT / "out"
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--out", type=Path, default=ROOT / "out",
+                        help="output directory (default: out/ under the "
+                             "repository root)")
+    args = parser.parse_args(argv)
     for name in FIGURES:
         config = ROOT / "configs" / f"{name}.json"
         print(f"--- {name} ---")
         started = time.perf_counter()
         code = cli.main(["sweep", "--config", str(config),
-                         "--out", str(out_root / name)])
+                         "--out", str(args.out / name)])
         if code != 0:
             print(f"{name} failed with exit code {code}", file=sys.stderr)
             return code
         print(f"{name} done in {time.perf_counter() - started:.1f}s\n")
-    print(f"all figure data written under {out_root}")
+    print(f"figure data written under {args.out}")
     return 0
 
 

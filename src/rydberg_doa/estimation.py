@@ -88,19 +88,11 @@ def build_hankel(values: np.ndarray, order: int
     return y[..., idx], -y[..., order:]
 
 
-def solve_lpc(matrix: np.ndarray, rhs: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least-squares prediction coefficients via SVD, per stacked system.
-
-    Minimum-norm when a system is rank deficient, with the default cutoff
-    of np.linalg.lstsq: singular values at or below eps * max(rows, p)
-    times the largest are dropped. Returns (a, residual_norm,
-    rank_deficient) with the leading axes of matrix.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if matrix.size == 0:
-        raise InsufficientSamples("empty prediction system")
+def _svd_lpc(matrix: np.ndarray, rhs: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least squares via SVD, minimum-norm when a system is rank deficient,
+    with the default cutoff of np.linalg.lstsq: singular values at or below
+    eps * max(rows, p) times the largest are dropped."""
     u, s, vh = np.linalg.svd(matrix, full_matrices=False)
     rows, order = matrix.shape[-2:]
     kept = s > np.finfo(float).eps * max(rows, order) * s[..., :1]
@@ -112,35 +104,160 @@ def solve_lpc(matrix: np.ndarray, rhs: np.ndarray
     return coeffs, residual, kept.sum(axis=-1) < order
 
 
+def solve_lpc(matrix: np.ndarray, rhs: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares prediction coefficients per stacked system, by
+    modified Gram-Schmidt on [A | b] over the whole stack (Bjorck, BIT 7,
+    1967): R and Q^T b come out of its projections, and the residual is the
+    last column left. A system is certified full rank when sigma_min(R) >=
+    |det R| ((p-1) / |R|_F^2)^((p-1)/2) exceeds 1e3 eps max(rows, p) |R|_F
+    and no pivot's square is below tiny / eps, where underflow eats digits;
+    every other system takes the SVD rule (_svd_lpc), so rank_deficient and
+    the minimum-norm solution are the SVD's wherever a system could be
+    deficient. Returns (a, residual_norm, rank_deficient) with the leading
+    axes of matrix."""
+    matrix = np.asarray(matrix, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    if matrix.size == 0:
+        raise InsufficientSamples("empty prediction system")
+    lead, (rows, order) = matrix.shape[:-2], matrix.shape[-2:]
+    matrix, rhs = matrix.reshape(-1, rows, order), rhs.reshape(-1, rows)
+    # Column j of every [A | b] in one C-ordered (p+1, T, rows) buffer: sums
+    # run along contiguous rows in one order whatever the stack size or the
+    # input's layout, and every other step is elementwise.
+    cols = np.empty((order + 1, len(matrix), rows))
+    cols[:order], cols[order] = matrix.transpose(2, 0, 1), rhs
+    tri = np.zeros((order, order + 1, len(matrix)))  # [R | Q^T b]
+    with np.errstate(all="ignore"):
+        for k in range(order):
+            tri[k, k] = np.sqrt(np.add.reduce(cols[k] ** 2, axis=-1))
+            unit = cols[k] / tri[k, k, :, None]
+            tri[k, k + 1:] = np.add.reduce(unit * cols[k + 1:], axis=-1)
+            cols[k + 1:] -= tri[k, k + 1:, :, None] * unit
+        coeffs = tri[:, order].copy()
+        for k in range(order - 1, -1, -1):
+            coeffs[k] /= tri[k, k]
+            coeffs[:k] -= tri[:k, k] * coeffs[k]
+        residual = np.sqrt(np.add.reduce(cols[order] ** 2, axis=-1))
+        # The bound divided through by |R|_F, so that it cannot overflow;
+        # accumulate runs along p in one order at any stack size.
+        frob = np.sqrt(np.add.accumulate(
+            (tri[:, :order] ** 2).reshape(order * order, -1))[-1])
+        diag = tri[np.arange(order), np.arange(order)]
+        bound = np.multiply.accumulate(diag / frob)[-1]
+        # A pivot squared near the subnormal range has lost digits.
+        tiny = np.finfo(float).tiny / np.finfo(float).eps
+        redo = ~(bound * (order - 1) ** ((order - 1) / 2)
+                 > 1e3 * np.finfo(float).eps * max(rows, order)) \
+            | (diag.min(axis=0) ** 2 < tiny)
+    coeffs, deficient = coeffs.T.copy(), np.zeros(len(matrix), dtype=bool)
+    if redo.any():
+        coeffs[redo], residual[redo], deficient[redo] = _svd_lpc(
+            matrix[redo], rhs[redo])
+    return (coeffs.reshape(lead + (order,)), residual.reshape(lead),
+            deficient.reshape(lead))
+
+
 def _polyval(poly: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """np.polyval row by row: poly (..., n) at x (..., m), by Horner's rule
+    """np.polyval lane by lane: poly (n, T) at x (m, T), by Horner's rule
     in np.polyval's operation order."""
     y = np.zeros_like(x)
-    for j in range(poly.shape[-1]):
-        y = y * x + poly[..., j, None]
+    for coeff in poly:
+        y = y * x + coeff
     return y
 
 
-def char_poly_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of z^p + a_1 z^(p-1) + ... + a_p as the eigenvalues of its
-    companion matrix; leading axes of coeffs stack independent polynomials.
+def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each polynomial's companion matrix."""
+    order = coeffs.shape[-1]
+    companion = np.zeros(coeffs.shape + (order,))
+    companion[..., 0, :] = -coeffs
+    companion[..., np.arange(1, order), np.arange(order - 1)] = 1.0
+    return np.linalg.eigvals(companion).astype(complex)
 
-    Companion eigenvalues are backward stable, so the roots are used as
-    computed. Returns (roots, residual): residual is each polynomial's
-    worst |P(z)| / (1 + |z|^p) over its roots, for the caller's gate.
-    """
+
+def _quadratic_roots(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Roots of z^2 + b z + c by the stable formula, elementwise, along a
+    new leading axis of 2."""
+    disc = b * b - 4.0 * c
+    root, half_b, real = np.sqrt(np.abs(disc)), -0.5 * b, disc >= 0
+    q = half_b - 0.5 * np.copysign(root, b)
+    out = np.empty((2,) + b.shape, dtype=complex)
+    out.real[0] = np.where(real, q, half_b)
+    out.real[1] = np.where(real, c / q, half_b)
+    out.imag[0] = np.where(real, 0.0, 0.5 * root)
+    out.imag[1] = -out.imag[0]
+    return out
+
+
+def _closed_form_roots(lanes: np.ndarray) -> np.ndarray:
+    """Roots (p, T) of the monic polynomials with coefficients lanes (p, T)
+    for p in (2, 4): the quadratic formula, or Ferrari's method polished by
+    two Newton steps."""
+    if len(lanes) == 2:
+        return _quadratic_roots(*lanes)
+    # z = y - shift gives the depressed quartic y^4 + p y^2 + q y + r.
+    shift, (b, c, d) = lanes[0] * 0.25, lanes[1:]
+    shift2 = shift * shift
+    p = b - 6 * shift2
+    q = c - 2 * shift * (b - 4 * shift2)
+    r = d - shift * (c - shift * (b - 3 * shift2))
+    # Largest root m of the resolvent m^3 + p m^2 + (p^2/4 - r) m - q^2/8:
+    # m = t - p/3 for the largest root t of t^3 + 3 g t + 2 h, by Cardano's
+    # formula where that cubic has one real root, else the cosine formula.
+    p3 = p / 3
+    g = -0.25 * p3 * p3 - r / 3
+    h = 0.5 * p3 * (r - 0.25 * p3 * p3) - 0.0625 * q * q
+    disc = h * h + g * g * g
+    u = np.cbrt(-h - np.copysign(np.sqrt(np.maximum(disc, 0.0)), h))
+    rho = np.sqrt(-g)
+    m = np.where(disc > 0, u - g / u, 2 * rho * np.cos(np.arccos(np.clip(
+        -h / (rho * rho * rho), -1.0, 1.0)) / 3)) - p3
+    # y^4 + p y^2 + q y + r = (y^2 + p/2 + m)^2 - (s y - q / (2 s))^2.
+    s = np.sqrt(2 * m) * np.array([[-1.0], [1.0]])
+    z = _quadratic_roots(s, 0.5 * (p - q / s) + m).reshape(4, -1) - shift
+    for _ in range(2):
+        # Horner's rule for P(z) and P'(z) together.
+        val, der = z + lanes[0], 1.0
+        for coeff in lanes[1:]:
+            der = der * z + val
+            val = val * z + coeff
+        z = z - val / der
+    return z
+
+
+def char_poly_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of z^p + a_1 z^(p-1) + ... + a_p; leading axes of coeffs stack
+    independent polynomials. Orders 2 and 4 are rooted in closed form
+    over the whole stack, certified when the polynomial rebuilt from the
+    roots (Vieta) is within 1e-13 max(1, |a_j|) of every a_j; every other
+    polynomial and order takes the companion eigenvalues, which are
+    backward stable. Roots are used as computed. Returns (roots, residual):
+    each polynomial's worst |P(z)| / (1 + |z|^p), for the caller's gate."""
     coeffs = np.asarray(coeffs, dtype=float)
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("prediction coefficients must be finite")
     order = coeffs.shape[-1]
-    monic = np.concatenate((np.ones(coeffs.shape[:-1] + (1,)), coeffs),
-                           axis=-1)
-    companion = np.zeros(coeffs.shape + (order,))
-    companion[..., 0, :] = -coeffs
-    companion[..., np.arange(1, order), np.arange(order - 1)] = 1.0
-    roots = np.linalg.eigvals(companion).astype(complex)
+    flat = coeffs.reshape(int(np.prod(coeffs.shape[:-1])), order)
+    # Polynomial t in lane t, so every step runs along contiguous lanes.
+    lanes = np.ascontiguousarray(flat.T)
+    if order in (2, 4):
+        with np.errstate(all="ignore"):
+            roots = _closed_form_roots(lanes)
+            rebuilt = np.zeros((order + 1, len(flat)), dtype=complex)
+            rebuilt[0] = 1.0
+            for j in range(order):
+                rebuilt[1:j + 2] -= roots[j] * rebuilt[:j + 1]
+            redo = ~np.all(np.abs(rebuilt[1:] - lanes)
+                           <= 1e-13 * np.maximum(1.0, np.abs(lanes)), axis=0)
+        if redo.any():
+            roots[:, redo] = _companion_roots(flat[redo]).T
+    else:
+        roots = _companion_roots(flat).T
+    monic = np.concatenate((np.ones((1, len(flat))), lanes))
     residual = np.abs(_polyval(monic, roots)) / (1.0 + np.abs(roots) ** order)
-    return roots, residual.max(axis=-1, initial=0.0)
+    return (np.ascontiguousarray(roots.T).reshape(coeffs.shape),
+            residual.max(axis=0, initial=0.0).reshape(coeffs.shape[:-1]))
 
 
 def select_signal_roots(roots: np.ndarray, n_targets: int, delta: float,
@@ -277,12 +394,14 @@ def estimate_doa_batch(measurements, scene_meta: tuple[float, float],
     doas, clamped = doa_from_frequency(freqs, wavenumber, lo_angle)
     failed = root_failed | (found < n_targets)
     errors = [None] * n_rows
-    for t in np.flatnonzero(failed):
+    # Python ints format far faster than numpy scalars in an f-string.
+    counts = found.tolist()
+    for t in np.flatnonzero(failed).tolist():
         errors[t] = RootfindingFailure(
             f"root residual {root_residual[t]:.3e} above tolerance"
             if finite[t] else "prediction coefficients are not finite"
         ) if root_failed[t] else InsufficientSignalRoots(
-            f"found {found[t]} usable root pairs, need {n_targets}")
+            f"found {counts[t]} usable root pairs, need {n_targets}")
     return BatchEstimate(
         spatial_frequencies=freqs, doas=doas, roots=reps,
         lpc_coefficients=coeffs, lpc_residual_norm=residual,

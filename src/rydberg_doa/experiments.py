@@ -516,7 +516,7 @@ def run_sampling_demo(config: ScenarioConfig) -> SamplingDemoResult:
     scene whose targets have no amplitude is a domain error.
     """
     scene = config.scene
-    sensing.require_signal(scene)
+    sensing.require_signal(scene, "the demo has no response to normalize")
     axis = config.sweep.axis
     label, field = (("dx", "spacing") if axis == "sampling_interval"
                     else ("width", "window_width"))

@@ -321,12 +321,13 @@ def noise_variance(values: np.ndarray, snr_db: float) -> float:
     return signal_power(values) / snr_ratio(snr_db)
 
 
-def require_signal(scene: physics.RfScene) -> None:
-    """An SNR needs a signal to reference: a domain error for a scene whose
-    targets have no amplitude, whose readout is rounding residue."""
+def require_signal(scene: physics.RfScene,
+                   reason: str = "the SNR has no signal to reference") -> None:
+    """A domain error, naming the caller's reason, for a scene whose targets
+    have no amplitude, whose readout is rounding residue."""
     if scene.total_signal_amplitude == 0:
-        raise ZeroSignalPower("no target has a nonzero amplitude_v_per_m: "
-                              "the SNR has no signal to reference")
+        raise ZeroSignalPower(
+            f"no target has a nonzero amplitude_v_per_m: {reason}")
 
 
 # numpy.random.SeedSequence hash constants (bit_generator.pyx). NumPy's

@@ -619,8 +619,8 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--config",
                          write_config(tmp_path, doc)]) == 3
         assert capsys.readouterr().err == (
-            "error: no target has a nonzero amplitude_v_per_m: the SNR has no "
-            "signal to reference\n")
+            "error: no target has a nonzero amplitude_v_per_m: the demo has "
+            "no response to normalize\n")
         assert not out.exists()
 
     def test_linearization_kind(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -126,6 +127,144 @@ class TestCharPolyRoots:
         coeffs = np.asarray(coeffs)
         gate = estimation.ROOT_RESIDUAL_TOL * max(1.0, np.abs(coeffs).max())
         assert char_poly_roots(coeffs)[1] <= 1e-3 * gate
+
+
+def prediction_stack(rows, order, seed):
+    """A (rows, K - p, p) stack of noisy two-tone prediction systems, K =
+    2p + 8, with the data of row 0 zeroed when there are other rows: that
+    row takes the SVD rule, and at p = 2 and 4 the companion roots."""
+    rng = np.random.default_rng(seed)
+    n = np.arange(2 * order + 8)
+    y = (np.cos(np.outer(rng.uniform(0.3, 1.4, rows), n))
+         + np.cos(np.outer(rng.uniform(1.6, 2.8, rows), n) + 1.0)
+         + 0.1 * rng.normal(size=(rows, len(n))))
+    if rows > 1:
+        y[0] = 0.0
+    return build_hankel(y, order)
+
+
+def transposed(a):
+    """The values of a in the reverse memory order, as a view."""
+    return np.ascontiguousarray(a.T).T
+
+
+def assert_same_roots(got, want):
+    """got matches want as a multiset, each within 1e-12 * max(1, |z|)."""
+    want = list(want)
+    assert len(got) == len(want)
+    for z in got:
+        j = int(np.argmin(np.abs(np.asarray(want) - z)))
+        assert abs(want.pop(j) - z) <= 1e-12 * max(1.0, abs(z)), (got, z)
+
+
+def stage_outputs_equal(got, want):
+    for g, w in zip(got, want):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+class TestStackedKernels:
+    @pytest.mark.parametrize("order", range(1, 9))
+    @pytest.mark.parametrize("rows", [1, 2, 7, 300])
+    def test_every_row_equals_the_row_alone(self, rows, order):
+        matrix, rhs = prediction_stack(rows, order, seed=10 * rows + order)
+        lpc = solve_lpc(matrix, rhs)
+        stage_outputs_equal(solve_lpc(transposed(matrix), transposed(rhs)),
+                            lpc)
+        roots = char_poly_roots(lpc[0])
+        stage_outputs_equal(char_poly_roots(transposed(lpc[0])), roots)
+        for t in range(rows):
+            stage_outputs_equal(solve_lpc(matrix[t], rhs[t]),
+                                [out[t] for out in lpc])
+            stage_outputs_equal(char_poly_roots(lpc[0][t]),
+                                [out[t] for out in roots])
+
+    def test_deficient_rows_take_the_svd_rule(self):
+        rng = np.random.default_rng(5)
+        good = rng.normal(size=(3, 16))
+        one_tone = sinusoid_samples([0.9], [0.3], [1.0], 16)
+        values = np.stack([good[0], np.zeros(16), good[1], one_tone, good[2]])
+        matrix, rhs = build_hankel(values, 4)
+        twin = matrix[0].copy()
+        twin[:, 1] = twin[:, 0]
+        matrix = np.concatenate([matrix, twin[None]])
+        rhs = np.concatenate([rhs, rhs[:1]])
+        coeffs, residual, deficient = solve_lpc(matrix, rhs)
+        np.testing.assert_array_equal(deficient, [0, 1, 0, 1, 0, 1])
+        # The helper takes the rows as the copy a gather makes.
+        svd = estimation._svd_lpc(matrix[[1, 3, 5]], rhs[[1, 3, 5]])
+        stage_outputs_equal((coeffs[1::2], residual[1::2], deficient[1::2]),
+                            svd)
+        svd = estimation._svd_lpc(matrix[::2], rhs[::2])
+        np.testing.assert_allclose(coeffs[::2], svd[0], rtol=1e-10)
+        np.testing.assert_allclose(residual[::2], svd[1], rtol=1e-10)
+
+    @given(seed=st.integers(0, 2**32 - 1), order=st.integers(2, 8),
+           extra=st.integers(0, 20))
+    @settings(max_examples=40, deadline=None)
+    def test_certified_rows_are_full_rank(self, seed, order, extra):
+        # Eight systems with condition numbers from 1e2 to 1e16.
+        rng = np.random.default_rng(seed)
+        conds = 10.0 ** rng.uniform(2, 16, 8)
+        basis = np.linalg.qr(rng.normal(size=(8, order + extra, order)))[0]
+        turn = np.linalg.qr(rng.normal(size=(8, order, order)))[0]
+        scales = np.exp(-np.log(conds)[:, None]
+                        * np.linspace(0, 1, order))[:, None, :]
+        matrix = (basis * scales) @ turn
+        rhs = rng.normal(size=(8, order + extra))
+        with mock.patch.object(estimation, "_svd_lpc",
+                               wraps=estimation._svd_lpc) as svd:
+            solve_lpc(matrix, rhs)
+        redone = svd.call_args[0][0] if svd.called else matrix[:0]
+        for t in range(8):
+            if not (redone == matrix[t]).all(axis=(1, 2)).any():
+                assert not estimation._svd_lpc(matrix[t], rhs[t])[2]
+
+    @pytest.mark.parametrize("roots", [
+        [0.5, -2.0], [1.0, 1.0], [0.0, 0.0], np.exp([0.7j, -0.7j]),
+        [1e-3, 1e3], [-1e-4, 3e4],
+        [0.3, -0.7, 1.2, 2.5], [1.0] * 4, np.exp([1j, 1j, -1j, -1j]),
+        [0.0] * 4, [1e-3, -2.0, 50.0, 1e3], [1e-2, 1e2, 3j, -3j],
+        [0.5, 20.0, 0.9 * np.exp(1j), 0.9 * np.exp(-1j)],
+        0.98 * np.exp([0.5j, -0.5j, 0.6j, -0.6j])])
+    def test_closed_forms_match_np_roots(self, roots):
+        coeffs = np.poly(roots).real[1:]
+        assert_same_roots(char_poly_roots(coeffs)[0],
+                          np.roots(np.r_[1.0, coeffs]))
+
+    def test_failed_certificate_takes_companion_roots(self, monkeypatch):
+        coeffs = np.array([np.poly(r).real[1:] for r in (
+            np.exp([0.4j, -0.4j, 2j, -2j]), [0.5, -0.5, 0.9j, -0.9j],
+            np.exp([1j, -1j, 3j, -3j]))])
+        want = char_poly_roots(coeffs)
+        closed = estimation._closed_form_roots
+
+        def off_in_lane_1(lanes):
+            roots = closed(lanes)
+            roots[0, 1] += 1e-9
+            return roots
+
+        monkeypatch.setattr(estimation, "_closed_form_roots", off_in_lane_1)
+        got = char_poly_roots(coeffs)
+        assert got[0][1].tobytes() == estimation._companion_roots(
+            coeffs[1:2])[0].tobytes()
+        for t in (0, 2):
+            stage_outputs_equal([out[t] for out in got],
+                                [out[t] for out in want])
+
+    def test_noisy_presets_take_no_fallback(self, params, geometry,
+                                            monkeypatch):
+        def refuse(*args):
+            raise AssertionError("fallback taken")
+        monkeypatch.setattr(estimation, "_svd_lpc", refuse)
+        monkeypatch.setattr(estimation, "_companion_roots", refuse)
+        for angles in experiments.SNR_PRESETS.values():
+            scene = scenarios.scene_from_angles(angles)
+            clean = sensing.predicted_measurements(scene, geometry, params)
+            for snr in (0.0, 20.0, 40.0, 150.0):
+                stack = sensing.add_noise(clean, snr, range(100))
+                coeffs = solve_lpc(*build_hankel(stack.values,
+                                                 2 * len(angles)))[0]
+                char_poly_roots(coeffs)
 
 
 class TestSelectSignalRoots:
@@ -309,6 +448,27 @@ class TestEstimateDoa:
         result = estimate_doa(mv, (scene.wavenumber, scene.lo.angle), cfg)
         assert result.doas[0] == pytest.approx(np.deg2rad(15.0), abs=1e-9)
         assert not result.clamped_flags[0]
+
+    @pytest.mark.parametrize("scale", [1e-140, 1e-158, 1e-200])
+    def test_tiny_measurement_matches_unscaled(self, params, two_target,
+                                               geometry, scale):
+        # Squares of samples near 1e-158 are subnormal, so Gram-Schmidt
+        # loses digits there; such a row must still be solved in full.
+        clean = sensing.predicted_measurements(two_target, geometry, params)
+        values = sensing.add_noise(clean, 30.0, 1).values
+        unit = MeasurementVector(values=values / np.abs(values).max(),
+                                 geometry=geometry)
+        tiny = MeasurementVector(values=unit.values * scale,
+                                 geometry=geometry)
+        meta = (two_target.wavenumber, two_target.lo.angle)
+        cfg = PronyConfig(model_order=4, target_count=2)
+        want, got = estimate_doa(unit, meta, cfg), estimate_doa(tiny, meta,
+                                                                cfg)
+        np.testing.assert_allclose(got.lpc_coefficients,
+                                   want.lpc_coefficients, rtol=1e-12)
+        np.testing.assert_allclose(got.doas, want.doas, rtol=1e-12)
+        assert got.lpc_residual_norm == pytest.approx(
+            want.lpc_residual_norm * scale, rel=1e-12)
 
     def test_order_exceeding_samples(self, params, two_target, geometry):
         mv = sensing.predicted_measurements(two_target, geometry, params)

@@ -3,8 +3,9 @@
 tests/golden holds one CSV per file that `scripts/run_figures.py` writes,
 named <figure>_<file>. Every file is the byte-exact output of the
 batched Monte Carlo estimator and the numpy-only runtime; regenerate them
-with that script and copy its out/ files here only when a change is meant
-to alter the output. Headers, the first (key) column, empty fields and
+with `python scripts/run_figures.py --out DIR` and copy each DIR/<figure>/
+<file> here as <figure>_<file>, only when a change is meant to alter the
+output. Headers, the first (key) column, empty fields and
 integer fields such as trial and failure counts must match exactly; every
 other numeric field within RECOMPUTE_RTOL.
 
@@ -17,6 +18,7 @@ RECOMPUTE_RTOL.
 """
 
 import csv
+import importlib.util
 import math
 from pathlib import Path
 
@@ -95,3 +97,43 @@ def test_sweep_matches_golden(tmp_path, figure):
                                                      w[1:]):
                 assert_field(got_field, want_field,
                              f"{figure}/{name} {column} at {w[0]}")
+
+
+def load_run_figures():
+    spec = importlib.util.spec_from_file_location(
+        "run_figures", ROOT / "scripts" / "run_figures.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRunFigures:
+    @pytest.fixture
+    def script(self, monkeypatch):
+        module = load_run_figures()
+        self.sweeps = []
+        monkeypatch.setattr(module.cli, "main",
+                            lambda argv: self.sweeps.append(argv) or 0)
+        return module
+
+    def test_help_exits_0_and_writes_nothing(self, script, tmp_path,
+                                             monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            script.main(["--help", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 0
+        assert "--out" in capsys.readouterr().out
+        assert self.sweeps == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--bogus"], ["fig2"]])
+    def test_bad_argument_exits_2_before_any_sweep(self, script, argv):
+        with pytest.raises(SystemExit) as exc:
+            script.main(argv)
+        assert exc.value.code == 2
+        assert self.sweeps == []
+
+    def test_every_figure_runs_under_out(self, script, tmp_path):
+        assert script.main(["--out", str(tmp_path)]) == 0
+        assert self.sweeps == [
+            ["sweep", "--config", str(ROOT / "configs" / f"{name}.json"),
+             "--out", str(tmp_path / name)] for name in script.FIGURES]
