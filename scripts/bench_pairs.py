@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Benchmark a parent revision against the working tree in alternating pairs.
+
+    python scripts/bench_pairs.py PARENT_REV --workload W --seeds A-B --out DIR
+
+Builds two fresh sibling copies under DIR: `parent/` from `git archive
+PARENT_REV`, and `change/` from the files `git ls-files` lists (tracked,
+and untracked but not ignored), as they are in the working tree. Pair i
+runs perfbench/run.py on seed A + i in each copy, the parent first when
+i is even, and saves each run's stdout as DIR/<side>-<seed>.txt. Then it
+prints perfbench/compare.py's table of all the runs. Every run lasts
+BENCHMARK.json's run_seconds. Both sides run from copies because runs
+from the checkout itself have read about 14% faster than runs from a
+copy of the same tree.
+"""
+import argparse
+import io
+import json
+import shutil
+import subprocess
+import sys
+import tarfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def seed_range(text: str) -> range:
+    first, _, last = text.partition("-")
+    try:
+        seeds = range(int(first), int(last or first) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected A-B, got {text!r}")
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True).stdout
+
+
+def build_copies(parent_rev: str, out: Path) -> dict[str, Path]:
+    """Fresh parent/ and change/ trees under out, replacing old ones."""
+    copies = {side: out / side for side in SIDES}
+    for path in copies.values():
+        shutil.rmtree(path, ignore_errors=True)
+        path.mkdir(parents=True)
+    archive = git("archive", "--format=tar", parent_rev)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(copies["parent"], filter="data")
+    listed = git("ls-files", "-z", "--cached", "--others",
+                 "--exclude-standard")
+    for name in listed.decode().split("\0"):
+        if name and (ROOT / name).is_file():
+            target = copies["change"] / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, target)
+    return copies
+
+
+def run(copy: Path, workload: str, seed: int, seconds: float,
+        saved: Path) -> None:
+    """One perfbench run in copy; its stdout goes to saved."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=copy, capture_output=True, text=True)
+    saved.write_text(done.stdout)
+    if done.returncode != 0:
+        sys.exit(f"{saved.name}: perfbench/run.py exited "
+                 f"{done.returncode}\n{done.stderr}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("parent_rev", help="git revision to compare against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=seed_range, required=True,
+                        help="inclusive seed range A-B, one pair per seed")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    copies = build_copies(args.parent_rev, args.out)
+    for i, seed in enumerate(args.seeds):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            saved = args.out / f"{side}-{seed}.txt"
+            run(copies[side], args.workload, seed, seconds, saved)
+            print(f"pair {i} seed {seed}: {side} done", flush=True)
+    runs = {side: [str(args.out / f"{side}-{seed}.txt")
+                   for seed in args.seeds] for side in SIDES}
+    return subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "compare.py"),
+         "--base", *runs["parent"], "--new", *runs["change"]]).returncode
+
+
+if __name__ == "__main__":
+    sys.exit(main())

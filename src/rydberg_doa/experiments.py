@@ -10,9 +10,9 @@ cells of run_snr_sweep preset by preset. _mc_sweep, the Monte Carlo
 engine of mc_rmse, run_lo_ratio_sweep and run_snr_sweep, is the only
 code that applies this rule. Seed streams stay apart while a cell has
 fewer than CELL_SEED_STRIDE trials, which config parsing enforces. All
-trials of a cell draw their noise as one stack (its seeds hashed in one
-vectorised pass, each row bit-identical to the single-seed draw; see
-sensing.standard_normal_rows). Two stacking rules, both exact row by
+trials of a cell draw their noise as one stack, from about one generator
+per 32 consecutive seeds, each row bit-identical to the single-seed draw
+(see sensing.NOISE_BLOCK_ROWS). Two stacking rules, both exact row by
 row, make a sweep's cells share work:
 - synthesis: the analytic model per cell or, for the cells of an
   LO-ratio sweep (which differ only in LO amplitude), one fluorescence

@@ -12,7 +12,7 @@ its scene alone.
 
 from __future__ import annotations
 
-import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -330,112 +330,37 @@ def require_signal(scene: physics.RfScene,
             f"no target has a nonzero amplitude_v_per_m: {reason}")
 
 
-# numpy.random.SeedSequence hash constants (bit_generator.pyx). NumPy's
-# RNG policy (NEP 19) keeps the SeedSequence and PCG64 streams stable.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_POOL_SIZE = 4
-
-# Stacks of fewer rows seed each row with default_rng. The batched hash
-# costs a fixed 60-90 us a stack plus about 4 us a row, against 15-18 us
-# a row per seed: on a 2-core x86 host the two break even somewhere in
-# 6-12 rows (timing noise), batched wins 1.9x at 16 rows and 3.8x at
-# 100, and a 1-row call (cli simulate, fluorescence cells) would be 5x
-# slower batched.
-BATCH_SEED_MIN_ROWS = 16
+# Noise rule: seed s draws row s % NOISE_BLOCK_ROWS of the block that
+# default_rng(s // NOISE_BLOCK_ROWS).standard_normal fills row by row. A
+# block is one PCG64 stream filled in C order, so its first r + 1 rows are
+# the same however many rows are drawn: a stack row equals the single-seed
+# draw bit for bit, and a stack of T seeds builds about T / 32 generators.
+NOISE_BLOCK_ROWS = 32
 
 
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """(2, count) xor and multiplier words of successive hashmix calls:
-    call n xors with the running constant, then multiplies by its next
-    value (the constant times mult, mod 2**32)."""
-    words = [init]
-    for _ in range(count):
-        words.append(words[-1] * mult & 0xFFFFFFFF)
-    return np.array([words[:-1], words[1:]], dtype=np.uint32)
+def _block_rows(block: int, rows: int, k: int) -> np.ndarray:
+    """The first rows of noise block block, (rows, k)."""
+    return np.random.default_rng(block).standard_normal((rows, k))
 
 
-def _hashmix(value: np.ndarray, xor: np.ndarray,
-             mult: np.ndarray) -> np.ndarray:
-    value = (value ^ xor) * mult
-    return value ^ (value >> 16)
-
-
-# mix_entropy makes 4 + 4*3 hashmix calls; generate_state(4, uint64)
-# draws 8 uint32 words.
-_HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
-_HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-
-
-def seed_words(seeds) -> np.ndarray:
-    """SeedSequence(s).generate_state(4, np.uint64) for each seed s in
-    [0, 2**32), as one (T, 4) array from vectorised uint32 arithmetic.
-
-    Such a seed is a single entropy word, so every step of SeedSequence's
-    hash is the same for all seeds and runs over the whole stack at once.
-    """
-    entropy = np.asarray(seeds, dtype=np.uint32)
-    xa, ma = _HASH_A[:, :, None]
-    pool = np.empty((_POOL_SIZE, entropy.size), dtype=np.uint32)
-    # Hash the entropy word into pool[0], then run the hash on 0s.
-    pool[0] = _hashmix(entropy, xa[0], ma[0])
-    pool[1:] = _hashmix(np.uint32(0), xa[1:_POOL_SIZE], ma[1:_POOL_SIZE])
-    # Mix each source word into the other three, in SeedSequence's order.
-    call = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        hashed = _hashmix(pool[src], xa[call:call + 3], ma[call:call + 3])
-        call += 3
-        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
-        pool[dst] = mixed ^ (mixed >> 16)
-    xb, mb = _HASH_B[:, :, None]
-    state = _hashmix(pool[np.arange(2 * _POOL_SIZE) % _POOL_SIZE], xb, mb)
-    # Little-endian word pairs, as generate_state packs uint64 output.
-    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8") \
-        .astype(np.uint64)
-
-
-@functools.cache
-def _precomputed_seed_sequence() -> type:
-    """ISeedSequence that hands PCG64 seed words computed in advance, so
-    PCG64 still seeds itself. Built on first use: importing numpy.random
-    at module load would add ~12 ms to every CLI start."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class PrecomputedSeedSequence(ISeedSequence):
-        __slots__ = ("words",)
-
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if (n_words, dtype) != (4, np.uint64):
-                raise ValueError("only PCG64's 4 uint64 seed words are held")
-            return self.words
-
-    return PrecomputedSeedSequence
-
-
-def _single_word(seed) -> bool:
-    return isinstance(seed, (int, np.integer)) and 0 <= seed < 2**32
-
-
-def standard_normal_rows(seeds: list, k: int) -> np.ndarray:
-    """(T, k) array whose row t is default_rng(seeds[t]).standard_normal(k),
-    bit for bit. Stacks of BATCH_SEED_MIN_ROWS or more seeds, all in
-    [0, 2**32), hash their seeds in one seed_words pass; others, and any
-    seed needing more entropy words, go through default_rng per row."""
-    if len(seeds) < BATCH_SEED_MIN_ROWS or \
-            not all(_single_word(s) for s in seeds):
-        return np.array([np.random.default_rng(s).standard_normal(k)
-                         for s in seeds])
-    rows = np.empty((len(seeds), k))
-    sequence = _precomputed_seed_sequence()
-    generator, pcg64 = np.random.Generator, np.random.PCG64
-    for row, words in zip(rows, seed_words(seeds)):
-        generator(pcg64(sequence(words))).standard_normal(out=row)
-    return rows
+def standard_normal_rows(seeds, k: int) -> np.ndarray:
+    """(T, k) array whose row t is the noise row of seeds[t] (see
+    NOISE_BLOCK_ROWS), each block drawn once up to the last row its seeds
+    need. Seeds are nonnegative ints of any size (default_rng rejects the
+    negative block of a negative one); a nonempty range of consecutive
+    seeds is sliced from its blocks with no per-seed work."""
+    n = NOISE_BLOCK_ROWS
+    if isinstance(seeds, range) and seeds.step == 1 and seeds:
+        first, last = seeds.start, seeds.stop - 1
+        return np.concatenate([
+            _block_rows(q, min(last - q * n + 1, n), k)[max(first - q * n, 0):]
+            for q in range(first // n, last // n + 1)])
+    seeds = [operator.index(s) for s in seeds]
+    rows: dict[int, int] = {}
+    for s in seeds:
+        rows[s // n] = max(rows.get(s // n, 0), s % n + 1)
+    blocks = {q: _block_rows(q, r, k) for q, r in rows.items()}
+    return np.array([blocks[s // n][s % n] for s in seeds]).reshape(-1, k)
 
 
 def add_noise(measurement: MeasurementVector, snr_db: float,
@@ -443,18 +368,18 @@ def add_noise(measurement: MeasurementVector, snr_db: float,
     """Add i.i.d. Gaussian noise at the given per-sample SNR (dB).
 
     SNR is defined against the variance of the noiseless vector across
-    channels. seed is one int, or a sequence of T ints for a (T, K) stack
-    of noisy copies whose row t is exactly the single-seed draw of
-    seed[t] (see standard_normal_rows). Deterministic for a fixed
-    (input, snr_db, seed) triple. Only +inf dB is noiseless. The input is
-    one noiseless vector; a stack is rejected.
+    channels. seed is one nonnegative int, or a sequence of T of them for a
+    (T, K) stack of noisy copies whose row t is exactly the single-seed
+    draw of seed[t]; each seed's noise is its row of standard_normal_rows.
+    Deterministic for a fixed (input, snr_db, seed) triple. Only +inf dB is
+    noiseless. The input is one noiseless vector; a stack is rejected.
     """
     if measurement.noise_sigma != 0:
         raise ValueError("input measurement already carries noise")
     if np.ndim(measurement.values) != 1:
         raise ValueError("add_noise takes one vector, not a stack")
     single = np.ndim(seed) == 0
-    seeds = [seed] if single else list(seed)
+    seeds = (seed,) if single else seed
     k = measurement.values.shape[-1]
     if snr_db == np.inf:
         sigma, noise = 0.0, np.zeros((len(seeds), k))

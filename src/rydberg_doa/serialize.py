@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -28,16 +27,30 @@ def _fmt(values) -> list[str]:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write text (UTF-8) to a new file in path's directory, then rename it
+    over path. The file gets mode 0o666 less the umask, as open() gives a
+    new file; a missing parent directory is created."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC
+    while True:
+        tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
+        try:
+            fd = os.open(tmp, flags, 0o666)
+            break
+        except FileExistsError:
+            continue
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+        try:
+            data = memoryview(text.encode())
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import cumulative_trapezoid, quad
 
 from rydberg_doa import physics, scenarios, sensing
@@ -34,6 +35,14 @@ from oracles import (
 
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def noise_row(seed: int, k: int) -> np.ndarray:
+    """The noise rule from numpy alone: row seed % 32 of the 32-row block
+    that default_rng(seed // 32) draws."""
+    block = np.random.default_rng(seed // 32).standard_normal((32, k))
+    return block[seed % 32]
+
 
 # Largest gap between the log-difference readout and the gradient-and-
 # trapezoid readout it replaced (oracles.fluorescence_readout_per_scene),
@@ -736,48 +745,93 @@ class TestAddNoise:
             np.testing.assert_array_equal(row, single.values)
             assert single.noise_sigma == stack.noise_sigma
 
-    def assert_rows_are_single_seed_draws(self, mv, seeds, snr_db=20.0):
+    def assert_rows_follow_the_rule(self, mv, seeds, snr_db=20.0):
         stack = sensing.add_noise(mv, snr_db, seeds)
         assert stack.values.shape == (len(seeds), mv.geometry.channel_count)
         k = mv.geometry.channel_count
-        expected = [mv.values + stack.noise_sigma
-                    * np.random.default_rng(s).standard_normal(k)
+        expected = [mv.values + stack.noise_sigma * noise_row(int(s), k)
                     for s in seeds]
-        np.testing.assert_array_equal(stack.values, np.array(expected))
+        np.testing.assert_array_equal(stack.values,
+                                      np.array(expected).reshape(-1, k))
+        return stack
 
-    def test_seed_words_match_seed_sequence(self):
-        rng = np.random.default_rng(2024)
-        seeds = [0, 1, 2**32 - 1] + \
-            [int(s) for s in rng.integers(0, 2**32, 10_000)]
-        expected = [np.random.SeedSequence(s).generate_state(4, np.uint64)
-                    for s in seeds]
-        words = sensing.seed_words(seeds)
-        assert words.dtype == np.uint64
-        np.testing.assert_array_equal(words, np.array(expected))
-
-    @pytest.mark.parametrize("rows", [
-        1, sensing.BATCH_SEED_MIN_ROWS - 1, sensing.BATCH_SEED_MIN_ROWS,
-        1000])
+    @pytest.mark.parametrize("rows", [1, 15, 16, 1000])
     @pytest.mark.parametrize("cell", [0, 1, 37, 4294])
     def test_stack_rows_are_single_seed_draws(self, geometry, rows, cell):
-        # Cell seeds cell_seed + t, as the Monte Carlo sweeps use them;
-        # cell 4294 sits just below 2**32.
+        # Cell seeds cell_seed + t as a range, as the Monte Carlo sweeps
+        # pass them (the first starts mid-block, at row 11), and as a list.
+        mv = self.make_measurement(geometry)
         cell_seed = 11 + CELL_SEED_STRIDE * cell
-        self.assert_rows_are_single_seed_draws(
-            self.make_measurement(geometry),
-            list(range(cell_seed, cell_seed + rows)))
+        seeds = range(cell_seed, cell_seed + rows)
+        stack = self.assert_rows_follow_the_rule(mv, seeds)
+        np.testing.assert_array_equal(
+            sensing.add_noise(mv, 20.0, list(seeds)).values, stack.values)
+        for t in {0, rows // 2, rows - 1}:
+            single = sensing.add_noise(mv, 20.0, cell_seed + t)
+            np.testing.assert_array_equal(stack.values[t], single.values)
+
+    @pytest.mark.parametrize("start, rows", [
+        (0, 1), (31, 1), (0, 32), (31, 2), (5, 60), (20, 80), (40, 100)])
+    def test_consecutive_seeds_straddle_blocks(self, geometry, start, rows):
+        # Rows 0 and 31 alone, whole and partial blocks, 2 to 4 blocks.
+        self.assert_rows_follow_the_rule(self.make_measurement(geometry),
+                                         range(start, start + rows))
 
     @pytest.mark.parametrize("seeds", [
         list(range(100)) + [2**32, 2**32 - 1],
         list(range(100)) + [2**64 + 5, 2**32 - 1],
         list(range(2**32 - 50, 2**32 + 50))])
     def test_multi_word_seeds_fall_back(self, geometry, seeds):
-        self.assert_rows_are_single_seed_draws(
-            self.make_measurement(geometry), seeds)
+        # Seeds wider than 32 bits, in sequences that are not a range,
+        # take the grouped path and still follow the rule.
+        self.assert_rows_follow_the_rule(self.make_measurement(geometry),
+                                         seeds)
 
-    @pytest.mark.parametrize("seed", [-1, [-1], list(range(99)) + [-1]])
+    @pytest.mark.parametrize("seeds", [
+        [40, 3, 3, 40, 95, 0, 31, 32],
+        range(99, 60, -3),
+        np.array([7, 2**40 + 1, 7, 63, 64]),
+        [2**32], [2**64 + 5]])
+    def test_unordered_and_duplicate_seeds(self, geometry, seeds):
+        mv = self.make_measurement(geometry)
+        stack = self.assert_rows_follow_the_rule(mv, seeds)
+        for row, seed in zip(stack.values, seeds):
+            np.testing.assert_array_equal(
+                row, sensing.add_noise(mv, 20.0, int(seed)).values)
+
+    @pytest.mark.parametrize("seeds", [[], (), range(5, 5), np.array([], int)])
+    def test_empty_seed_sequence(self, geometry, seeds):
+        mv = self.make_measurement(geometry)
+        stack = sensing.add_noise(mv, 20.0, seeds)
+        assert stack.values.shape == (0, geometry.channel_count)
+        assert stack.noise_sigma == sensing.add_noise(mv, 20.0, 0).noise_sigma
+
+    def test_noise_statistics_across_block_boundaries(self):
+        # 4,096 consecutive seeds from row 11 of a block cross 128 block
+        # boundaries; all bounds are 4 standard errors, on fixed seeds.
+        k, start = 16, 11 + CELL_SEED_STRIDE
+        rows = sensing.standard_normal_rows(range(start, start + 4096), k)
+        x = rows.ravel()
+        n = x.size
+        assert abs(x.mean()) < 4 / np.sqrt(n)
+        assert abs(x.var() - 1) < 4 * np.sqrt(2 / n)
+        assert abs(stats.skew(x)) < 4 * np.sqrt(6 / n)
+        assert abs(stats.kurtosis(x)) < 4 * np.sqrt(24 / n)
+        assert stats.kstest(x, "norm").pvalue > 1e-3
+        last = (np.arange(start, start + 4096) % 32 == 31)[:-1]
+        pairs = np.stack([rows[:-1][last].ravel(), rows[1:][last].ravel()])
+        assert last.sum() == 128
+        assert abs(np.corrcoef(pairs)[0, 1]) < 4 / np.sqrt(pairs.shape[1])
+
+    @pytest.mark.parametrize("seed", [
+        -1, [-1], list(range(99)) + [-1], range(-3, 40)])
     def test_negative_seed_rejected(self, geometry, seed):
         with pytest.raises(ValueError):
+            sensing.add_noise(self.make_measurement(geometry), 20.0, seed)
+
+    @pytest.mark.parametrize("seed", [1.5, [0, 2.0], np.array([0.0, 1.0])])
+    def test_non_integer_seed_rejected(self, geometry, seed):
+        with pytest.raises(TypeError):
             sensing.add_noise(self.make_measurement(geometry), 20.0, seed)
 
     def test_constant_vector_rejected(self, geometry):

@@ -1,5 +1,9 @@
 """The CSV writers against the row-by-row renderers in oracles, and the
-column formatter against formatting each value on its own."""
+column formatter against formatting each value on its own, and the
+atomic write's file mode and clean-up."""
+
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -143,3 +147,44 @@ def test_sampling_demo_csv_bytes(tmp_path):
     path = tmp_path / "sampling_demo.csv"
     serialize.write_sampling_demo_csv(result, path)
     assert path.read_bytes() == sampling_demo_csv_rowwise(result).encode()
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_mode_follows_umask(self, tmp_path, umask):
+        path = tmp_path / "out.csv"
+        old = os.umask(umask)
+        try:
+            serialize.atomic_write_text(path, "a,b\n")
+            serialize.atomic_write_text(tmp_path / "new.csv", "x\n")
+            serialize.atomic_write_text(path, "c,d\n")  # over a file
+        finally:
+            os.umask(old)
+        for written in (path, tmp_path / "new.csv"):
+            assert stat.S_IMODE(written.stat().st_mode) == 0o666 & ~umask
+        assert path.read_bytes() == b"c,d\n"
+
+    def test_creates_missing_parent(self, tmp_path):
+        path = tmp_path / "a" / "b" / "out.json"
+        serialize.atomic_write_text(path, "{}\n")
+        assert path.read_bytes() == b"{}\n"
+        assert sorted(p.name for p in path.parent.iterdir()) == ["out.json"]
+
+    def test_failed_replace_leaves_no_temporary_file(self, tmp_path,
+                                                     monkeypatch):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(serialize.os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            serialize.atomic_write_text(path, "new\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert path.read_text() == "old\n"
+
+    def test_text_is_written_as_utf8(self, tmp_path):
+        path = tmp_path / "out.txt"
+        serialize.atomic_write_text(path, "θ,λ\r\n" * 5000)
+        assert path.read_bytes() == "θ,λ\r\n".encode() * 5000
