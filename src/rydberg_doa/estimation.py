@@ -5,7 +5,7 @@ map from spatial frequency to bearing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,6 +21,9 @@ DC_GUARD_CYCLES = 0.25
 
 ROOT_RESIDUAL_TOL = 1e-8
 CLAMP_TOL = 1e-6
+
+# Failure codes of an estimate row (EstimationResult.failure).
+OK, NOT_FINITE, ROOT_RESIDUAL, TOO_FEW_ROOTS = np.arange(4, dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -49,28 +52,55 @@ class PronyConfig:
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """Recovered spatial frequencies and bearings plus solver diagnostics.
+    """Prony estimates of one measurement vector, or of a stack of T with a
+    leading axis of T rows on every field.
 
-    roots holds the selected near-unit-circle representatives (one per
-    conjugate pair, positive angle), aligned with spatial_frequencies.
+    The per-target fields hold the config's target_count N columns:
+    representative roots (one per conjugate pair, positive angle), their
+    spatial frequencies and bearings. A failed row holds NaN there (clamped
+    flags False), so an RMSE over the successful rows scores all N targets.
+    failure holds each row's code: OK, NOT_FINITE (prediction coefficients
+    overflowed), ROOT_RESIDUAL (root_residual above the gate) or
+    TOO_FEW_ROOTS (usable_pairs below N).
     """
 
     spatial_frequencies: np.ndarray
     doas: np.ndarray
     roots: np.ndarray
     lpc_coefficients: np.ndarray
-    lpc_residual_norm: float
+    lpc_residual_norm: np.ndarray
     clamped_flags: np.ndarray
-    rank_deficient: bool = False
+    rank_deficient: np.ndarray
+    root_residual: np.ndarray
+    usable_pairs: np.ndarray
+    failure: np.ndarray
 
     def __post_init__(self):
-        for name in ("spatial_frequencies", "doas", "roots",
-                     "lpc_coefficients", "clamped_flags"):
-            arr = np.asarray(getattr(self, name))
+        for field in fields(self):
+            arr = np.asarray(getattr(self, field.name))
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if len(self.spatial_frequencies) != len(self.doas):
+            object.__setattr__(self, field.name, arr)
+        if self.spatial_frequencies.shape != self.doas.shape:
             raise ValueError("frequency and DoA counts must agree")
+
+    @property
+    def failed(self) -> np.ndarray:
+        return self.failure != OK
+
+    def row(self, t: int) -> EstimationResult:
+        """Row t of a stack as one estimate; raises the row's failure."""
+        code = self.failure[t]
+        if code == NOT_FINITE:
+            raise RootfindingFailure("prediction coefficients are not finite")
+        if code == ROOT_RESIDUAL:
+            raise RootfindingFailure(
+                f"root residual {self.root_residual[t]:.3e} above tolerance")
+        if code == TOO_FEW_ROOTS:
+            raise InsufficientSignalRoots(
+                f"found {self.usable_pairs[t]} usable root pairs, "
+                f"need {self.doas.shape[-1]}")
+        return EstimationResult(*(getattr(self, field.name)[t]
+                                  for field in fields(self)))
 
 
 def build_hankel(values: np.ndarray, order: int
@@ -320,54 +350,20 @@ def doa_from_frequency(delta_k, wavenumber: float, lo_angle: float
     return np.arcsin(np.clip(arg, -1.0, 1.0)), clamped
 
 
-@dataclass(frozen=True)
-class BatchEstimate:
-    """Prony results for a stack of T measurement vectors, row by row.
-
-    Arrays have T rows, and the per-target ones the config's target_count
-    N columns: a successful row holds all N bearings, a failed row NaN
-    (clamped flags False), so an RMSE over the successful rows scores all
-    N targets. errors[t] is the exception row t raised, or None when it
-    succeeded; failed[t] is True exactly where errors[t] is not None.
-    """
-
-    spatial_frequencies: np.ndarray
-    doas: np.ndarray
-    roots: np.ndarray
-    lpc_coefficients: np.ndarray
-    lpc_residual_norm: np.ndarray
-    clamped_flags: np.ndarray
-    rank_deficient: np.ndarray
-    errors: tuple
-    failed: np.ndarray
-
-    def result(self, row: int) -> EstimationResult:
-        """Row as an EstimationResult; raises the row's failure."""
-        if self.errors[row] is not None:
-            raise self.errors[row]
-        return EstimationResult(
-            spatial_frequencies=self.spatial_frequencies[row],
-            doas=self.doas[row], roots=self.roots[row],
-            lpc_coefficients=self.lpc_coefficients[row],
-            lpc_residual_norm=float(self.lpc_residual_norm[row]),
-            clamped_flags=self.clamped_flags[row],
-            rank_deficient=bool(self.rank_deficient[row]))
-
-
 def estimate_doa_batch(measurements, scene_meta: tuple[float, float],
-                       config: PronyConfig) -> BatchEstimate:
+                       config: PronyConfig) -> EstimationResult:
     """Full Prony pipeline on a stack of calibrated measurement vectors.
 
-    measurements.values is (T, K), or (K,) for one vector. Each stage runs
-    once over the whole stack, and row t equals the pipeline on row t
+    measurements.values is (T, K), or (K,) for a stack of one. Each stage
+    runs once over the whole stack, and row t equals the pipeline on row t
     alone. A row whose prediction coefficients are not finite, whose roots
     fail the residual check or that has too few signal roots records its
-    exception instead of raising.
+    failure code instead of raising.
     """
     wavenumber, lo_angle = scene_meta
     values = np.atleast_2d(measurements.values)
     spacing = measurements.geometry.spacing
-    n_rows, k_samples = values.shape
+    k_samples = values.shape[-1]
     matrix, rhs = build_hankel(values, config.model_order)
     # A row whose coefficients overflowed has no polynomial to root: it
     # roots zeros in their place and fails alone as a RootfindingFailure,
@@ -392,21 +388,15 @@ def estimate_doa_batch(measurements, scene_meta: tuple[float, float],
     freqs = np.take_along_axis(freqs, order, axis=-1)
     reps = np.take_along_axis(reps, order, axis=-1)
     doas, clamped = doa_from_frequency(freqs, wavenumber, lo_angle)
-    failed = root_failed | (found < n_targets)
-    errors = [None] * n_rows
-    # Python ints format far faster than numpy scalars in an f-string.
-    counts = found.tolist()
-    for t in np.flatnonzero(failed).tolist():
-        errors[t] = RootfindingFailure(
-            f"root residual {root_residual[t]:.3e} above tolerance"
-            if finite[t] else "prediction coefficients are not finite"
-        ) if root_failed[t] else InsufficientSignalRoots(
-            f"found {counts[t]} usable root pairs, need {n_targets}")
-    return BatchEstimate(
+    # The first failure of the pipeline names the row's code.
+    failure = np.where(found < n_targets, TOO_FEW_ROOTS, OK)
+    failure[root_failed] = ROOT_RESIDUAL
+    failure[~finite] = NOT_FINITE
+    return EstimationResult(
         spatial_frequencies=freqs, doas=doas, roots=reps,
         lpc_coefficients=coeffs, lpc_residual_norm=residual,
         clamped_flags=clamped, rank_deficient=rank_deficient,
-        errors=tuple(errors), failed=failed)
+        root_residual=root_residual, usable_pairs=found, failure=failure)
 
 
 def estimate_doa(measurement, scene_meta: tuple[float, float],
@@ -420,4 +410,4 @@ def estimate_doa(measurement, scene_meta: tuple[float, float],
     if np.ndim(measurement.values) != 1:
         raise ValueError("estimate_doa takes one measurement vector; "
                          "use estimate_doa_batch for a stack")
-    return estimate_doa_batch(measurement, scene_meta, config).result(0)
+    return estimate_doa_batch(measurement, scene_meta, config).row(0)

@@ -22,8 +22,8 @@ row, make a sweep's cells share work:
   and LO bearing) run as one batched estimate of at most MC_STACK_ROWS
   rows, never splitting a cell.
 Each row equals the readout or solve of its cell alone, so every cell's
-result does too. Trial failures (estimation errors) are counted per
-cell, never silently dropped.
+result does too. Trial failures (rows of the estimate whose failure code
+is not OK) are counted per cell, never silently dropped.
 """
 
 from __future__ import annotations

@@ -58,12 +58,6 @@ class AtomicParams:
     def probe_wavenumber(self) -> float:
         return 2 * np.pi / self.probe_wavelength
 
-    @property
-    def susceptibility_prefactor(self) -> float:
-        """2*pi*N_a*mu_p^2 / (eps0*hbar), the scale of the susceptibility."""
-        return (2 * np.pi * self.atom_density * self.probe_dipole**2
-                / (self.vacuum_permittivity * self.reduced_planck))
-
 
 @dataclass(frozen=True)
 class PlaneWave:

@@ -380,16 +380,16 @@ def add_noise(measurement: MeasurementVector, snr_db: float,
         raise ValueError("add_noise takes one vector, not a stack")
     single = np.ndim(seed) == 0
     seeds = (seed,) if single else seed
-    k = measurement.values.shape[-1]
     if snr_db == np.inf:
-        sigma, noise = 0.0, np.zeros((len(seeds), k))
+        sigma = 0.0
     else:
         sigma2 = noise_variance(measurement.values, snr_db)
         if sigma2 == 0:
             raise ZeroSignalPower(
                 "constant measurement vector has no signal power")
         sigma = float(np.sqrt(sigma2))
-        noise = sigma * standard_normal_rows(seeds, k)
+    # Drawn at +inf dB too, so that every SNR checks its seeds alike.
+    noise = sigma * standard_normal_rows(seeds, measurement.values.shape[-1])
     noisy = measurement.values + noise
     return MeasurementVector(values=noisy[0] if single else noisy,
                              geometry=measurement.geometry,

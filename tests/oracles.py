@@ -161,6 +161,12 @@ def scattering_rate(gamma: float, intensity_ratio,
     return out if out.ndim else float(out)
 
 
+def susceptibility_prefactor(params: AtomicParams) -> float:
+    """2*pi*N_a*mu_p^2 / (eps0*hbar), the scale of the susceptibility."""
+    return (2 * np.pi * params.atom_density * params.probe_dipole**2
+            / (params.vacuum_permittivity * params.reduced_planck))
+
+
 def susceptibility_full(params: AtomicParams, rf_rabi,
                         gamma_31: float = 0.0,
                         gamma_41: float = 0.0) -> np.ndarray | complex:
@@ -183,7 +189,7 @@ def susceptibility_full(params: AtomicParams, rf_rabi,
     outer = params.decay_21 - 1j * d_p + (params.coupling_rabi**2 / 4) / mid
     if np.any(outer == 0):
         raise DegenerateDetuning("outer denominator vanishes")
-    chi = 1j * params.susceptibility_prefactor / outer
+    chi = 1j * susceptibility_prefactor(params) / outer
     return chi if chi.ndim else complex(chi)
 
 
@@ -208,7 +214,7 @@ def susceptibility_simplified(params: AtomicParams,
     outer = params.decay_21 + (params.coupling_rabi**2 / 4) / mid
     if np.any(outer == 0):
         raise DegenerateDetuning("outer denominator vanishes")
-    chi = 1j * params.susceptibility_prefactor / outer
+    chi = 1j * susceptibility_prefactor(params) / outer
     return chi if chi.ndim else complex(chi)
 
 

@@ -409,6 +409,25 @@ class TestEstimate:
             "error: prediction coefficients are not finite\n"
         assert not (tmp_path / "est" / "estimation.json").exists()
 
+    def test_target_at_lo_bearing_exit_3(self, tmp_path, capsys):
+        # Zero beat frequency: the target's pair sits inside the DC guard.
+        # The analytic model keeps that pair; a fluorescence readout of
+        # this scene is rounding residue, whose roots fall anywhere.
+        doc = base_doc(tmp_path / "out",
+                       prony={"model_order": 2, "target_count": 1})
+        doc["scene"]["signals"] = [{"amplitude_v_per_m": 1e-6,
+                                    "phase_deg": 0, "angle_deg": 90}]
+        cfg = write_config(tmp_path, doc)
+        sc = load_config(cfg).scenario
+        measured = tmp_path / "measurement.csv"
+        serialize.write_measurement_csv(sensing.predicted_measurements(
+            sc.scene, sc.geometry, sc.params), measured)
+        assert cli.main(["estimate", str(measured), "--config", cfg,
+                         "--out", str(tmp_path / "est")]) == 3
+        assert capsys.readouterr().err == \
+            "error: found 0 usable root pairs, need 1\n"
+        assert not (tmp_path / "est" / "estimation.json").exists()
+
     def test_order_flag_overrides(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, base_doc(out))

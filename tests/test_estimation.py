@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import time
 from unittest import mock
 
@@ -486,6 +488,13 @@ class TestEstimateDoa:
             estimate_doa(mv, (scene.wavenumber, scene.lo.angle), cfg)
 
 
+# The failure codes each exception class of reference_doas stands for.
+REFERENCE_CODES = {
+    RootfindingFailure: (estimation.NOT_FINITE, estimation.ROOT_RESIDUAL),
+    InsufficientSignalRoots: (estimation.TOO_FEW_ROOTS,),
+}
+
+
 def reference_doas(values, spacing, scene_meta, cfg):
     """Serial Prony estimate through np.linalg.lstsq, np.roots, an
     np.polyval residual gate and the one-at-a-time greedy root selection,
@@ -527,10 +536,12 @@ class TestBatchKernel:
                         want = reference_doas(values, geometry.spacing,
                                               meta, cfg)
                     except RydbergDoaError as exc:
-                        assert type(batch.errors[t]) is type(exc)
+                        assert batch.failure[t] in REFERENCE_CODES[type(exc)]
+                        with pytest.raises(type(exc)):
+                            batch.row(t)
                         outcomes.add(type(exc))
                         continue
-                    assert batch.errors[t] is None
+                    assert batch.failure[t] == estimation.OK
                     np.testing.assert_allclose(batch.doas[t], want,
                                                rtol=0, atol=1e-9)
                     outcomes.add(None)
@@ -550,19 +561,31 @@ class TestBatchKernel:
         tol = float(np.median(ratio))
         monkeypatch.setattr(estimation, "ROOT_RESIDUAL_TOL", tol)
         batch = estimate_doa_batch(stack, meta, cfg)
+        assert batch.failure.dtype == np.int8
         assert batch.failed.dtype == bool
+        np.testing.assert_array_equal(batch.failed,
+                                      batch.failure != estimation.OK)
         np.testing.assert_array_equal(
-            batch.failed, [e is not None for e in batch.errors])
-        np.testing.assert_array_equal(
-            [isinstance(e, RootfindingFailure) for e in batch.errors],
-            ratio > tol)
+            batch.failure == estimation.ROOT_RESIDUAL, ratio > tol)
+        np.testing.assert_array_equal(batch.root_residual,
+                                      char_poly_roots(coeffs)[1])
         assert np.isnan(batch.doas[batch.failed]).all()
         assert np.isfinite(batch.doas[~batch.failed]).all()
-        assert {type(e) for e in batch.errors} == {
-            type(None), RootfindingFailure, InsufficientSignalRoots}
-        for t in np.flatnonzero(batch.failed)[:5]:
-            with pytest.raises(type(batch.errors[t])):
-                batch.result(t)
+        assert set(batch.failure.tolist()) == {
+            estimation.OK, estimation.ROOT_RESIDUAL, estimation.TOO_FEW_ROOTS}
+        for t in np.flatnonzero(batch.failure == estimation.ROOT_RESIDUAL)[:5]:
+            with pytest.raises(RootfindingFailure) as info:
+                batch.row(t)
+            text = re.fullmatch(r"root residual (\d\.\d{3}e[+-]\d{2}) above "
+                                r"tolerance", str(info.value))
+            assert text is not None, str(info.value)
+            assert float(text[1]) == pytest.approx(batch.root_residual[t],
+                                                   rel=5e-4)
+        for t in np.flatnonzero(batch.failure == estimation.TOO_FEW_ROOTS)[:5]:
+            with pytest.raises(InsufficientSignalRoots, match=(
+                    f"^found {batch.usable_pairs[t]} usable root pairs, "
+                    "need 2$")):
+                batch.row(t)
 
     def test_overflowing_row_fails_alone(self, params, geometry):
         scene = scenarios.scene_from_angles((20.0,))
@@ -575,14 +598,17 @@ class TestBatchKernel:
         with np.errstate(all="ignore"):
             batch = estimate_doa_batch(stack, meta, cfg)
         assert not np.isfinite(batch.lpc_coefficients[0]).all()
-        assert isinstance(batch.errors[0], RootfindingFailure)
-        assert "not finite" in str(batch.errors[0])
+        np.testing.assert_array_equal(
+            batch.failure, [estimation.NOT_FINITE, estimation.OK])
+        with pytest.raises(RootfindingFailure,
+                           match="^prediction coefficients are not finite$"):
+            batch.row(0)
         np.testing.assert_array_equal(batch.failed, [True, False])
         assert np.isnan(batch.doas[0]).all()
         alone = estimate_doa(MeasurementVector(values=good,
                                                geometry=geometry), meta, cfg)
-        np.testing.assert_array_equal(batch.result(1).doas, alone.doas)
-        np.testing.assert_array_equal(batch.result(1).roots, alone.roots)
+        np.testing.assert_array_equal(batch.row(1).doas, alone.doas)
+        np.testing.assert_array_equal(batch.row(1).roots, alone.roots)
 
     def test_short_row_records_insufficient_roots(self, params, geometry):
         # zero beat frequency: the target's pair sits inside the DC guard
@@ -591,9 +617,34 @@ class TestBatchKernel:
         batch = estimate_doa_batch(
             clean, (scene.wavenumber, scene.lo.angle),
             PronyConfig(model_order=2, target_count=1))
-        assert isinstance(batch.errors[0], InsufficientSignalRoots)
-        assert str(batch.errors[0]) == "found 0 usable root pairs, need 1"
+        np.testing.assert_array_equal(batch.failure,
+                                      [estimation.TOO_FEW_ROOTS])
+        np.testing.assert_array_equal(batch.usable_pairs, [0])
+        with pytest.raises(InsufficientSignalRoots,
+                           match="^found 0 usable root pairs, need 1$"):
+            batch.row(0)
         assert np.isnan(batch.roots[0]).all()
+
+    def test_row_is_the_stack_row_of_every_field(self, params, two_target,
+                                                 geometry):
+        clean = sensing.predicted_measurements(two_target, geometry, params)
+        meta = (two_target.wavenumber, two_target.lo.angle)
+        cfg = PronyConfig(model_order=4, target_count=2)
+        batch = estimate_doa_batch(sensing.add_noise(clean, 30.0, range(4)),
+                                   meta, cfg)
+        assert batch.doas.shape == (4, 2) and batch.failure.shape == (4,)
+        for t in range(4):
+            one = batch.row(t)
+            assert isinstance(one, EstimationResult)
+            for field in dataclasses.fields(EstimationResult):
+                got = getattr(one, field.name)
+                assert not got.flags.writeable
+                np.testing.assert_array_equal(
+                    got, getattr(batch, field.name)[t])
+            assert not one.failed
+        alone = estimate_doa(sensing.add_noise(clean, 30.0, 2), meta, cfg)
+        assert alone.doas.shape == (2,) and alone.failure.shape == ()
+        np.testing.assert_array_equal(alone.doas, batch.doas[2])
 
     def test_each_stage_runs_once_per_batch(self, params, two_target,
                                             geometry, monkeypatch):

@@ -15,6 +15,7 @@ from oracles import (
     rf_field,
     scattering_rate,
     susceptibility_full,
+    susceptibility_prefactor,
     susceptibility_simplified,
 )
 
@@ -175,7 +176,7 @@ class TestSusceptibility:
             [0, -1j * rabi / 2, d41],
         ])
         rho = np.linalg.solve(system, [1j * probe_rabi / 2, 0, 0])
-        chi_oracle = 1j * p.susceptibility_prefactor \
+        chi_oracle = 1j * susceptibility_prefactor(p) \
             / (1j * probe_rabi / 2 / rho[0])
         got = susceptibility_full(p, rabi, gamma_31=g31,
                                           gamma_41=g41)

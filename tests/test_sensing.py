@@ -704,6 +704,15 @@ class TestAddNoise:
         out = sensing.add_noise(mv, np.inf, 3)
         np.testing.assert_array_equal(out.values, mv.values)
 
+    @pytest.mark.parametrize("snr_db", [30.0, np.inf])
+    def test_bad_seeds_rejected_at_any_snr(self, geometry, snr_db):
+        # A noiseless run checks its seeds as a noisy one does.
+        mv = self.make_measurement(geometry)
+        with pytest.raises(ValueError):
+            sensing.add_noise(mv, snr_db, -5)
+        with pytest.raises(TypeError):
+            sensing.add_noise(mv, snr_db, [1.5, -2])
+
     def test_deterministic_per_seed(self, geometry):
         mv = self.make_measurement(geometry)
         a = sensing.add_noise(mv, 20.0, 42)
