@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
-"""End-to-end library demo: exact absorption -> fluorescence -> virtual
-channels -> Prony -> bearings, with the CRLB for context."""
+"""End-to-end library demo on configs/default.json: exact absorption ->
+fluorescence -> virtual channels -> Prony -> bearings, with the CRLB for
+context."""
+from pathlib import Path
+
 import numpy as np
 
-from rydberg_doa import physics, scenarios, sensing
-from rydberg_doa.estimation import PronyConfig, estimate_doa
+from rydberg_doa import config, scenarios, sensing
+from rydberg_doa.estimation import estimate_doa
 from rydberg_doa.experiments import crlb_std_for
+
+DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / \
+    "default.json"
 
 
 def main():
-    params = scenarios.default_params()
-    scene = scenarios.two_target_scene(lo_ratio=20.0)
-    geometry = scenarios.default_geometry(scene.rf_wavelength)
+    sc = config.load_config(DEFAULT_CONFIG).scenario
+    scene, geometry, params = sc.scene, sc.geometry, sc.params
     print(f"carrier {scene.carrier_freq / 1e9:.2f} GHz, "
           f"lambda {scene.rf_wavelength * 100:.2f} cm, "
           f"{geometry.channel_count} virtual channels over "
@@ -23,8 +28,8 @@ def main():
     measurement = sensing.simulate_measurements(scene, geometry, params)
     noisy = sensing.add_noise(measurement, snr_db=30.0, seed=0)
 
-    config = PronyConfig(model_order=4, target_count=2)
-    result = estimate_doa(noisy, (scene.wavenumber, scene.lo.angle), config)
+    result = estimate_doa(noisy, (scene.wavenumber, scene.lo.angle),
+                          sc.prony)
     truth = np.rad2deg(scenarios.true_doas(scene))
     estimated = np.rad2deg(np.sort(result.doas))
     print(f"true bearings:      {truth[0]:8.3f}  {truth[1]:8.3f} deg")

@@ -124,17 +124,6 @@ def cmd_crlb(cfg: RunConfig) -> int:
     report = bound_report(sc.scene, sc.geometry, sc.params,
                           required_snr(sc))
     thetas = np.array([s.angle for s in sc.scene.signals])
-    if sc.scene.n_signals == 1:
-        # closed-form single-target cross-check
-        geom_factor = 1.0 / (sc.scene.wavenumber**2 * np.cos(thetas[0])**2)
-        closed = np.sqrt(geom_factor / report.effective_fim_dk[0, 0])
-        rel = abs(closed - report.per_target_std[0]) / closed
-        print(f"single-target closed form: {np.rad2deg(closed):.6g} deg "
-              f"(matrix path {np.rad2deg(report.per_target_std[0]):.6g} "
-              f"deg, rel diff {rel:.2e})")
-        if rel > 1e-10:
-            raise RydbergDoaError(
-                "matrix bound disagrees with the closed form")
     out = Path(cfg.output_dir)
     serialize.write_crlb_json(report, out / "crlb.json")
     serialize.write_crlb_csv(report, thetas, out / "crlb.csv")

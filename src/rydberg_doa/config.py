@@ -126,7 +126,6 @@ _ATOM_KEYS = {
     "rf_dipole_c_m": ("rf_dipole", 1.0),
     "decay_21_hz": ("decay_21", 2 * np.pi),
     "coupling_rabi_hz": ("coupling_rabi", 2 * np.pi),
-    "probe_detuning_hz": ("probe_detuning", 2 * np.pi),
     "coupling_detuning_hz": ("coupling_detuning", 2 * np.pi),
     "rf_detuning_hz": ("rf_detuning", 2 * np.pi),
     "probe_wavelength_m": ("probe_wavelength", 1.0),

@@ -141,17 +141,16 @@ class LinearizationCheck:
     linear_weak: np.ndarray
     exact_strong: np.ndarray
     linear_strong: np.ndarray
-    rms_weak: float
-    rms_strong: float
-    normalized_rms_weak: float
-    normalized_rms_strong: float
+    # RMS residual over the regime's total modulation amplitude
+    residual_weak: float
+    residual_strong: float
 
     @property
     def residual_ratio(self) -> float:
         """Weak-to-strong ratio of modulation-normalized RMS residuals."""
-        if self.normalized_rms_strong == 0:
+        if self.residual_strong == 0:
             return np.nan
-        return self.normalized_rms_weak / self.normalized_rms_strong
+        return self.residual_weak / self.residual_strong
 
 
 @dataclass(frozen=True)
@@ -223,9 +222,9 @@ def run_linearization_check(params: AtomicParams, scene_weak: RfScene,
     """Exact vs linearized absorption profiles for a weak/strong LO pair.
 
     The scenes must share their signals and differ only in LO amplitude.
-    Residual RMS values are reported both raw and normalized by each
-    regime's total modulation amplitude, the scale on which the
-    1/ratio error model is comparable across LO levels.
+    Residual RMS values are normalized by each regime's total modulation
+    amplitude, the scale on which the 1/ratio error model is comparable
+    across LO levels.
     """
     grid = np.asarray(grid, dtype=float)
     ew, es = physics.absorption_exact(params, [scene_weak, scene_strong],
@@ -236,15 +235,14 @@ def run_linearization_check(params: AtomicParams, scene_weak: RfScene,
         rms = float(np.sqrt(np.mean((exact - linear) ** 2)))
         mods = float(np.abs(physics.modulation_amplitudes(params,
                                                           scene)).sum())
-        return linear, rms, (rms / mods if mods > 0 else 0.0)
+        return linear, (rms / mods if mods > 0 else 0.0)
 
-    lw, rms_w, norm_w = profiles(scene_weak, ew)
-    ls, rms_s, norm_s = profiles(scene_strong, es)
+    lw, norm_w = profiles(scene_weak, ew)
+    ls, norm_s = profiles(scene_strong, es)
     return LinearizationCheck(
         positions=grid, exact_weak=ew, linear_weak=lw,
         exact_strong=es, linear_strong=ls,
-        rms_weak=rms_w, rms_strong=rms_s,
-        normalized_rms_weak=norm_w, normalized_rms_strong=norm_s)
+        residual_weak=norm_w, residual_strong=norm_s)
 
 
 def _mc_sweep(config: ScenarioConfig, cells,

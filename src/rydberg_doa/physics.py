@@ -30,7 +30,8 @@ class AtomicParams:
 
     Angular rates (decay, Rabi, detunings) are in rad/s; dipole moments in
     C*m; density in 1/m^3. Defaults correspond to a warm Rb vapor probed on
-    the 780 nm line with a 480 nm coupling beam.
+    the 780 nm line with a 480 nm coupling beam. The probe is resonant:
+    the EIT model has no probe detuning.
     """
 
     atom_density: float = 4.13e13
@@ -38,12 +39,9 @@ class AtomicParams:
     rf_dipole: float = 7.85e-26
     decay_21: float = 2 * np.pi * 6.066e6
     coupling_rabi: float = 2 * np.pi * 40e6
-    probe_detuning: float = 0.0
     coupling_detuning: float = 2 * np.pi * 10e3
     rf_detuning: float = 0.0
     probe_wavelength: float = 780.24e-9
-    vacuum_permittivity: float = VACUUM_PERMITTIVITY
-    reduced_planck: float = REDUCED_PLANCK
 
     def __post_init__(self):
         for name in ("atom_density", "probe_dipole", "rf_dipole", "decay_21",
@@ -129,18 +127,13 @@ class RfScene:
         field_intensity."""
         return (self.signals, self.carrier_freq, self.lo.phase, self.lo.angle)
 
-    def is_identifiable(self, rtol: float = 1e-9) -> bool:
-        """True when all beat wavenumbers are distinct and nonzero."""
-        dks = self.delta_ks
-        scale = max(self.wavenumber, 1.0)
-        if np.any(np.abs(dks) <= rtol * scale):
-            return False
-        if len(dks) > 1:
-            diffs = np.abs(dks[:, None] - dks[None, :])
-            np.fill_diagonal(diffs, np.inf)
-            if diffs.min() <= rtol * scale:
-                return False
-        return True
+    def is_identifiable(self) -> bool:
+        """True when all beat wavenumbers are distinct and nonzero: more
+        than 1e-9 of the wavenumber from zero and from each other."""
+        dks = np.append(self.delta_ks, 0.0)
+        diffs = np.abs(dks[:, None] - dks[None, :])
+        np.fill_diagonal(diffs, np.inf)
+        return bool(diffs.min() > 1e-9 * max(self.wavenumber, 1.0))
 
 
 def scene_stack(scene) -> tuple[RfScene, ...]:
@@ -203,8 +196,8 @@ def linearization_constants(params: AtomicParams) -> tuple[float, float]:
     d_cr = params.coupling_detuning + params.rf_detuning
     c_scale = (2 * np.pi * params.atom_density * params.probe_dipole**2
                * params.probe_wavenumber * params.decay_21
-               / (params.vacuum_permittivity * params.reduced_planck))
-    beta = params.rf_dipole**2 / (4 * params.reduced_planck**2 * d_cr)
+               / (VACUUM_PERMITTIVITY * REDUCED_PLANCK))
+    beta = params.rf_dipole**2 / (4 * REDUCED_PLANCK**2 * d_cr)
     return c_scale, beta
 
 

@@ -1,6 +1,7 @@
-"""Canonical scenes and geometries used by the experiment sweeps and CLI.
+"""Scene builders used by the experiment sweeps: targets at given
+bearings, and a scene with its LO rescaled to a new ratio.
 
-The default operating point keeps field intensities in the linear-response
+The default amplitudes keep field intensities in the linear-response
 region of the vapor (well below the two-photon resonance crossing), where
 the LO-dominant model error scales cleanly as 1/ratio.
 """
@@ -9,22 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .physics import AtomicParams, PlaneWave, RfScene
-from .sensing import SensorGeometry
+from .physics import PlaneWave, RfScene
 
 DEFAULT_CARRIER_HZ = 2.03e9
 DEFAULT_LO_ANGLE = np.pi / 2
 DEFAULT_LO_RATIO = 20.0
 DEFAULT_SIGNAL_AMPLITUDE = 1e-6  # V/m
-DEFAULT_TWO_TARGET_DEG = (-30.0, 45.0)
-# Relative phases of the two default targets; the anti-phase choice makes
-# the weak-LO cross-term distortion representative rather than accidentally
-# self-cancelling.
+# Relative phases of the targets of a two-target scene; the anti-phase
+# choice makes the weak-LO cross-term distortion representative rather
+# than accidentally self-cancelling.
 DEFAULT_TWO_TARGET_PHASES = (0.0, np.pi)
-
-
-def default_params() -> AtomicParams:
-    return AtomicParams()
 
 
 def scene_from_angles(angles_deg, lo_ratio: float = DEFAULT_LO_RATIO,
@@ -44,13 +39,6 @@ def scene_from_angles(angles_deg, lo_ratio: float = DEFAULT_LO_RATIO,
     return RfScene(lo=lo, signals=signals, carrier_freq=carrier_freq)
 
 
-def two_target_scene(lo_ratio: float = DEFAULT_LO_RATIO,
-                     carrier_freq: float = DEFAULT_CARRIER_HZ) -> RfScene:
-    """The canonical two-target demo scene (-30 and 45 degrees)."""
-    return scene_from_angles(DEFAULT_TWO_TARGET_DEG, lo_ratio,
-                             carrier_freq=carrier_freq)
-
-
 def with_lo_ratio(scene: RfScene, lo_ratio: float) -> RfScene:
     """Same signals, LO amplitude rescaled to the requested ratio."""
     total = scene.total_signal_amplitude
@@ -59,18 +47,6 @@ def with_lo_ratio(scene: RfScene, lo_ratio: float) -> RfScene:
     lo = PlaneWave(lo_ratio * total, scene.lo.phase, scene.lo.angle)
     return RfScene(lo=lo, signals=scene.signals,
                    carrier_freq=scene.carrier_freq)
-
-
-def default_geometry(rf_wavelength: float, cell_wavelengths: float = 4.0,
-                     window_wavelengths: float = 0.25,
-                     spacing_wavelengths: float = 0.25,
-                     grid_points_per_rf_wavelength: int = 256
-                     ) -> SensorGeometry:
-    """Compliant geometry: quarter-wave windows on a quarter-wave pitch."""
-    return SensorGeometry(cell_wavelengths * rf_wavelength,
-                          window_wavelengths * rf_wavelength,
-                          spacing_wavelengths * rf_wavelength,
-                          grid_points_per_rf_wavelength)
 
 
 def true_doas(scene: RfScene) -> np.ndarray:

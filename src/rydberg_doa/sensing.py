@@ -12,7 +12,6 @@ its scene alone.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -209,9 +208,6 @@ def calibrate(values: np.ndarray, geometry: SensorGeometry,
               alpha_dc) -> MeasurementVector:
     """Subtract the LO-only background alpha_dc * window area per channel;
     a stack (..., K) of values takes one alpha_dc per row."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[-1:] != (geometry.channel_count,):
-        raise ValueError("values length must equal channel_count")
     background = np.asarray(alpha_dc)[..., None] * geometry.window_width
     return MeasurementVector(values=values - background, geometry=geometry)
 
@@ -343,24 +339,21 @@ def _block_rows(block: int, rows: int, k: int) -> np.ndarray:
     return np.random.default_rng(block).standard_normal((rows, k))
 
 
-def standard_normal_rows(seeds, k: int) -> np.ndarray:
-    """(T, k) array whose row t is the noise row of seeds[t] (see
-    NOISE_BLOCK_ROWS), each block drawn once up to the last row its seeds
-    need. Seeds are nonnegative ints of any size (default_rng rejects the
-    negative block of a negative one); a nonempty range of consecutive
-    seeds is sliced from its blocks with no per-seed work."""
+def standard_normal_rows(seeds: range, k: int) -> np.ndarray:
+    """(T, k) array whose row t is the noise row of seed seeds[t] (see
+    NOISE_BLOCK_ROWS), for a range of T consecutive seeds: each block is
+    drawn once, up to the last row the range needs, and sliced. Seeds are
+    nonnegative ints of any size (default_rng rejects the negative block
+    of a negative one); an empty range gives (0, k)."""
+    if seeds.step != 1:
+        raise ValueError("seeds must be consecutive: a range of step 1")
+    if not seeds:
+        return np.empty((0, k))
     n = NOISE_BLOCK_ROWS
-    if isinstance(seeds, range) and seeds.step == 1 and seeds:
-        first, last = seeds.start, seeds.stop - 1
-        return np.concatenate([
-            _block_rows(q, min(last - q * n + 1, n), k)[max(first - q * n, 0):]
-            for q in range(first // n, last // n + 1)])
-    seeds = [operator.index(s) for s in seeds]
-    rows: dict[int, int] = {}
-    for s in seeds:
-        rows[s // n] = max(rows.get(s // n, 0), s % n + 1)
-    blocks = {q: _block_rows(q, r, k) for q, r in rows.items()}
-    return np.array([blocks[s // n][s % n] for s in seeds]).reshape(-1, k)
+    first, last = seeds.start, seeds.stop - 1
+    return np.concatenate([
+        _block_rows(q, min(last - q * n + 1, n), k)[max(first - q * n, 0):]
+        for q in range(first // n, last // n + 1)])
 
 
 def add_noise(measurement: MeasurementVector, snr_db: float,
@@ -368,18 +361,23 @@ def add_noise(measurement: MeasurementVector, snr_db: float,
     """Add i.i.d. Gaussian noise at the given per-sample SNR (dB).
 
     SNR is defined against the variance of the noiseless vector across
-    channels. seed is one nonnegative int, or a sequence of T of them for a
-    (T, K) stack of noisy copies whose row t is exactly the single-seed
-    draw of seed[t]; each seed's noise is its row of standard_normal_rows.
-    Deterministic for a fixed (input, snr_db, seed) triple. Only +inf dB is
-    noiseless. The input is one noiseless vector; a stack is rejected.
+    channels. seed is one nonnegative int, drawn as the range of one seed,
+    or a range of T consecutive seeds for a (T, K) stack of noisy copies
+    whose row t is exactly the single-seed draw of seed[t]; each seed's
+    noise is its row of standard_normal_rows. Deterministic for a fixed
+    (input, snr_db, seed) triple. Only +inf dB is noiseless. The input is
+    one noiseless vector; a stack is rejected.
     """
     if measurement.noise_sigma != 0:
         raise ValueError("input measurement already carries noise")
     if np.ndim(measurement.values) != 1:
         raise ValueError("add_noise takes one vector, not a stack")
-    single = np.ndim(seed) == 0
-    seeds = (seed,) if single else seed
+    single = not isinstance(seed, range)
+    try:
+        seeds = range(seed, seed + 1) if single else seed
+    except TypeError:
+        raise TypeError("seed must be an int or a range of ints, not "
+                        f"{type(seed).__name__}") from None
     if snr_db == np.inf:
         sigma = 0.0
     else:

@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 from rydberg_doa import scenarios
+from rydberg_doa.physics import AtomicParams
+from rydberg_doa.sensing import SensorGeometry
 
 hypothesis.settings.register_profile(
     "default", max_examples=50, deadline=None)
@@ -11,22 +13,25 @@ hypothesis.settings.load_profile("default")
 
 @pytest.fixture(scope="session")
 def params():
-    return scenarios.default_params()
-
-
-@pytest.fixture(scope="session")
-def rf_wavelength():
-    return scenarios.two_target_scene().rf_wavelength
+    return AtomicParams()
 
 
 @pytest.fixture(scope="session")
 def two_target():
-    return scenarios.two_target_scene()
+    # configs/default.json's scene: targets at -30 and 45 deg, LO ratio 20
+    return scenarios.scene_from_angles((-30.0, 45.0))
+
+
+@pytest.fixture(scope="session")
+def rf_wavelength(two_target):
+    return two_target.rf_wavelength
 
 
 @pytest.fixture(scope="session")
 def geometry(rf_wavelength):
-    return scenarios.default_geometry(rf_wavelength)
+    # quarter-wave windows on a quarter-wave pitch over a 4-wavelength cell
+    lam = rf_wavelength
+    return SensorGeometry(4 * lam, lam / 4, lam / 4)
 
 
 @pytest.fixture(autouse=True)

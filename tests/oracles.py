@@ -20,6 +20,7 @@ import io
 from typing import Callable
 
 import numpy as np
+from scipy import constants
 from scipy.linalg import cho_factor, cho_solve
 
 from rydberg_doa import physics
@@ -134,7 +135,7 @@ def rabi_frequency(params: AtomicParams, field_magnitude) -> np.ndarray | float:
     field_magnitude = np.asarray(field_magnitude, dtype=float)
     if np.any(field_magnitude < 0):
         raise ValueError("field magnitude must be nonnegative")
-    out = params.rf_dipole * field_magnitude / params.reduced_planck
+    out = params.rf_dipole * field_magnitude / constants.hbar
     return out if out.ndim else float(out)
 
 
@@ -164,21 +165,23 @@ def scattering_rate(gamma: float, intensity_ratio,
 def susceptibility_prefactor(params: AtomicParams) -> float:
     """2*pi*N_a*mu_p^2 / (eps0*hbar), the scale of the susceptibility."""
     return (2 * np.pi * params.atom_density * params.probe_dipole**2
-            / (params.vacuum_permittivity * params.reduced_planck))
+            / (constants.epsilon_0 * constants.hbar))
 
 
 def susceptibility_full(params: AtomicParams, rf_rabi,
-                        gamma_31: float = 0.0,
-                        gamma_41: float = 0.0) -> np.ndarray | complex:
+                        gamma_31: float = 0.0, gamma_41: float = 0.0,
+                        probe_detuning: float = 0.0) -> np.ndarray | complex:
     """Complex susceptibility of the four-level ladder system.
 
     Evaluates the nested continued-fraction response for a local RF Rabi
     frequency (rad/s). Rydberg-state decay rates default to zero, the limit
-    in which they are negligible against the intermediate-state decay.
+    in which they are negligible against the intermediate-state decay; the
+    probe detuning (rad/s) defaults to zero, the resonant probe that the
+    runtime model assumes.
     """
     rf_rabi = np.asarray(rf_rabi, dtype=float)
-    d_p = params.probe_detuning
-    d_pc = params.probe_detuning + params.coupling_detuning
+    d_p = probe_detuning
+    d_pc = probe_detuning + params.coupling_detuning
     d_pcr = d_pc + params.rf_detuning
     inner = gamma_41 - 1j * d_pcr
     if inner == 0:
@@ -195,13 +198,9 @@ def susceptibility_full(params: AtomicParams, rf_rabi,
 
 def susceptibility_simplified(params: AtomicParams,
                               rf_rabi) -> np.ndarray | complex:
-    """Susceptibility for an on-resonance probe with negligible Rydberg decay.
-
-    Requires probe_detuning == 0; this is the branch the linearized
-    absorption model is built on.
+    """Susceptibility for an on-resonance probe with negligible Rydberg decay:
+    the branch the linearized absorption model is built on.
     """
-    if params.probe_detuning != 0:
-        raise ValueError("simplified susceptibility assumes probe_detuning=0")
     rf_rabi = np.asarray(rf_rabi, dtype=float)
     d_c = params.coupling_detuning
     d_cr = d_c + params.rf_detuning

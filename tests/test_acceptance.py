@@ -35,7 +35,7 @@ from rydberg_doa.experiments import (
     run_sampling_demo,
     run_snr_sweep,
 )
-from rydberg_doa.sensing import window_integrals
+from rydberg_doa.sensing import SensorGeometry, window_integrals
 
 from oracles import (
     integrated_power_transmission,
@@ -67,10 +67,8 @@ class Criterion:
 
 
 @pytest.fixture(scope="module")
-def setup(params):
-    scene = scenarios.two_target_scene()
-    geometry = scenarios.default_geometry(scene.rf_wavelength)
-    return params, scene, geometry
+def setup(params, two_target, geometry):
+    return params, two_target, geometry
 
 
 def test_criterion_1_noiseless_exactness(setup):
@@ -173,7 +171,7 @@ def test_criterion_6_sampling_demos(setup):
     with Criterion(6, "half-wave pitch aliases to -60 deg; full-wave "
                       "window blinds 0 deg", 30.0):
         lam = scene.rf_wavelength
-        demo_geom = scenarios.default_geometry(lam, cell_wavelengths=16.0)
+        demo_geom = SensorGeometry(16 * lam, lam / 4, lam / 4)
         alias_cfg = ScenarioConfig(
             scene=scenarios.scene_from_angles((60.0,)), geometry=demo_geom,
             prony=PronyConfig(model_order=2, target_count=1),

@@ -13,9 +13,15 @@ import numpy as np
 import pytest
 
 from rydberg_doa import cli, experiments, sensing, serialize
-from rydberg_doa.config import FLAG_KEYS, load_config, parse_config
+from rydberg_doa.config import (
+    _ATOM_KEYS,
+    FLAG_KEYS,
+    load_config,
+    parse_config,
+)
 from rydberg_doa.errors import ConfigParseError, SchemaError
 from rydberg_doa.estimation import PronyConfig, estimate_doa
+from rydberg_doa.physics import AtomicParams
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -61,6 +67,15 @@ class TestConfigErrors:
                          write_config(tmp_path, doc)])
         assert code == 2
         assert "cell_len_m" in capsys.readouterr().err
+
+    def test_probe_detuning_is_an_unknown_key(self, tmp_path, capsys):
+        # The resonant-probe model has no probe detuning to set.
+        doc = base_doc(tmp_path / "out", atoms={"probe_detuning_hz": 1e6})
+        assert cli.main(["simulate", "--config",
+                         write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown key 'atoms.probe_detuning_hz' (allowed: ")
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -466,18 +481,28 @@ class TestEstimate:
 
 class TestCrlbCommand:
     def test_single_target_cross_check(self, tmp_path, capsys):
+        # One bound line per target, then both files, which carry the same
+        # bound; test_crlb holds the single-target closed form.
         out = tmp_path / "out"
         doc = base_doc(out)
         doc["scene"]["signals"] = [
             {"amplitude_v_per_m": 1e-6, "phase_deg": 0, "angle_deg": 15}]
         doc["prony"] = {"model_order": 2, "target_count": 1}
         doc["noise"]["snr_db"] = 40
-        code = cli.main(["crlb", "--config", write_config(tmp_path, doc)])
-        assert code == 0
-        captured = capsys.readouterr().out
-        assert "closed form" in captured
-        assert (out / "crlb.json").exists()
-        assert (out / "crlb.csv").exists()
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["crlb", "--config", cfg]) == 0
+        sc = load_config(cfg).scenario
+        std_deg = np.rad2deg(experiments.crlb_std_for(
+            sc.scene, sc.geometry, sc.params, snr_db=40.0))
+        assert capsys.readouterr().out == (
+            f"theta   15.000 deg: bound std {std_deg[0]:.6g} deg\n"
+            f"wrote {out / 'crlb.json'} and {out / 'crlb.csv'}\n")
+        assert json.loads((out / "crlb.json").read_text())[
+            "per_target_std_deg"] == [std_deg[0]]
+        rows = (out / "crlb.csv").read_text().splitlines()
+        assert rows[0] == "target,theta_deg,crlb_std_deg"
+        assert len(rows) == 2
+        assert float(rows[1].split(",")[2]) == std_deg[0]
 
     def test_requires_snr(self, tmp_path):
         doc = base_doc(tmp_path / "out")
@@ -788,6 +813,29 @@ def test_every_prony_field_is_a_config_key():
         f.name for f in dataclasses.fields(PronyConfig)}
 
 
+def test_every_atomic_field_is_a_config_key():
+    # An AtomicParams field that no config can set is dead.
+    assert {name for name, _ in _ATOM_KEYS.values()} == {
+        f.name for f in dataclasses.fields(AtomicParams)}
+
+
+@pytest.mark.parametrize("key", sorted(_ATOM_KEYS))
+def test_no_atoms_key_is_dead(tmp_path, key):
+    # Each atoms key, set away from its default in configs/default.json,
+    # changes the measurement vector that simulate writes.
+    name, scale = _ATOM_KEYS[key]
+    default = getattr(AtomicParams(), name) / scale
+    doc = json.loads((REPO_CONFIGS / "default.json").read_text())
+    written = []
+    for atoms in ({}, {key: 1.5 * default if default else 5e3}):
+        out = tmp_path / str(len(written))
+        doc["atoms"] = atoms
+        assert cli.main(["simulate", "--config", write_config(tmp_path, doc),
+                         "--out", str(out)]) == 0
+        written.append((out / "measurement.csv").read_bytes())
+    assert written[0] != written[1]
+
+
 def _run_captured(capsys, run, argv):
     """(exit code, stdout, stderr) of run(argv); a SystemExit is a code."""
     capsys.readouterr()
@@ -879,6 +927,21 @@ def test_readme_config_example_parses():
     readme = (REPO_CONFIGS.parent / "README.md").read_text()
     block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
     parse_config(json.loads(re.sub(r"//.*", "", block)))
+
+
+def test_readme_python_quick_start_runs():
+    # README's library quick start runs as written from the repository
+    # root and finds the default scene's two bearings.
+    root = REPO_CONFIGS.parent
+    block = re.search(r"```python\n(.*?)```", (root / "README.md").read_text(),
+                      re.S).group(1)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", block], capture_output=True,
+                          text=True, env=env, cwd=root, timeout=120)
+    assert done.returncode == 0, done.stderr
+    doas = sorted(float(v) for v in re.findall(r"-?\d+\.\d*", done.stdout))
+    np.testing.assert_allclose(doas, [-30.0, 45.0], atol=0.5)
 
 
 def test_demo_pipeline_script_runs():

@@ -669,7 +669,7 @@ class TestBatchKernel:
     def test_estimate_doa_rejects_a_stack(self, params, two_target,
                                           geometry):
         clean = sensing.predicted_measurements(two_target, geometry, params)
-        stack = sensing.add_noise(clean, 30.0, [1, 2])
+        stack = sensing.add_noise(clean, 30.0, range(1, 3))
         with pytest.raises(ValueError):
             estimate_doa(stack, (two_target.wavenumber, two_target.lo.angle),
                          PronyConfig(model_order=4, target_count=2))

@@ -27,6 +27,7 @@ from rydberg_doa.experiments import (
     run_snr_sweep,
 )
 from rydberg_doa.physics import PlaneWave, RfScene
+from rydberg_doa.sensing import SensorGeometry
 
 from oracles import greedy_signal_roots
 
@@ -177,8 +178,12 @@ class TestLinearizationCheck:
         grid = geometry.grid(rf_wavelength)
         check = run_linearization_check(params, lo_only_weak,
                                         lo_only_strong, grid)
-        assert check.rms_weak == 0.0
-        assert check.rms_strong == 0.0
+        # zero raw residual: the profiles agree sample for sample
+        np.testing.assert_array_equal(check.exact_weak, check.linear_weak)
+        np.testing.assert_array_equal(check.exact_strong,
+                                      check.linear_strong)
+        assert check.residual_weak == 0.0
+        assert check.residual_strong == 0.0
 
     def test_rejects_mismatched_signals(self, params, two_target, geometry):
         other = scenarios.scene_from_angles((10.0, 20.0))
@@ -415,9 +420,9 @@ class TestLengthSweep:
             experiments.crlb_std_for(scene, geometry, params, sigma2=sigma2))
 
     def test_channel_count_tracks_length(self, rf_wavelength):
+        lam = rf_wavelength
         for length_wl in (1.0, 2.0, 4.0, 8.0):
-            geom = scenarios.default_geometry(rf_wavelength,
-                                              cell_wavelengths=length_wl)
+            geom = SensorGeometry(length_wl * lam, lam / 4, lam / 4)
             expected = int(np.floor(
                 (geom.cell_length - geom.window_width) / geom.spacing + 1e-9
             )) + 1
@@ -431,8 +436,7 @@ class TestSamplingDemo:
         return ScenarioConfig(
             scene=scenarios.scene_from_angles(
                 (target_deg,), lo_angle=base_config.scene.lo.angle),
-            geometry=scenarios.default_geometry(lam,
-                                                cell_wavelengths=cell_wl),
+            geometry=SensorGeometry(cell_wl * lam, lam / 4, lam / 4),
             prony=base_config.prony, params=base_config.params,
             snr_db=None, trials=1, base_seed=0,
             sweep=SweepSpec(axis=axis, values=values))

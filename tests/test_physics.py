@@ -38,8 +38,8 @@ def scenes(draw, max_signals=4):
 
 def test_constants_equal_scipy():
     assert physics.SPEED_OF_LIGHT == constants.c
-    assert AtomicParams().vacuum_permittivity == constants.epsilon_0
-    assert AtomicParams().reduced_planck == constants.hbar
+    assert physics.VACUUM_PERMITTIVITY == constants.epsilon_0
+    assert physics.REDUCED_PLANCK == constants.hbar
 
 
 class TestRabiFrequency:
@@ -100,7 +100,7 @@ class TestSusceptibility:
     def test_zero_field_hand_evaluated(self, params):
         # nested fraction collapses when the RF term vanishes
         prefactor = (2 * np.pi * params.atom_density * params.probe_dipole**2
-                     / (params.vacuum_permittivity * params.reduced_planck))
+                     / (constants.epsilon_0 * constants.hbar))
         expected = 1j * prefactor / (
             params.decay_21
             + (params.coupling_rabi**2 / 4) / (-1j * params.coupling_detuning))
@@ -137,10 +137,16 @@ class TestSusceptibility:
         with pytest.raises(DegenerateDetuning):
             susceptibility_simplified(bad, rabi)
 
-    def test_simplified_requires_resonant_probe(self):
-        detuned = AtomicParams(probe_detuning=2 * np.pi * 1e6)
-        with pytest.raises(ValueError):
-            susceptibility_simplified(detuned, 0.0)
+    def test_simplified_requires_resonant_probe(self, params):
+        # The simplified form is the full one at zero probe detuning only:
+        # a probe 1 MHz off resonance leaves the transparency window and
+        # absorbs far more.
+        simple = susceptibility_simplified(params, 0.0)
+        assert susceptibility_full(params, 0.0, probe_detuning=0.0) == \
+            pytest.approx(simple, rel=1e-12)
+        detuned = susceptibility_full(params, 0.0,
+                                      probe_detuning=2 * np.pi * 1e6)
+        assert detuned.imag > 100 * simple.imag
 
     def test_rydberg_decay_broadens_response(self, params):
         rabi = 2 * np.pi * 10e6
@@ -158,18 +164,17 @@ class TestSusceptibility:
         # independent oracle: steady-state ladder coherences from the
         # weak-probe linear system instead of the nested fraction
         rng = np.random.default_rng(seed)
+        d_p = rng.uniform(-1, 1) * 2 * np.pi * 1e6
         p = AtomicParams(
-            probe_detuning=rng.uniform(-1, 1) * 2 * np.pi * 1e6,
             coupling_detuning=rng.uniform(0.1, 2) * 2 * np.pi * 1e6,
             rf_detuning=rng.uniform(0.1, 2) * 2 * np.pi * 1e6)
         g31 = rng.uniform(0, 1) * 2 * np.pi * 1e5
         g41 = rng.uniform(0, 1) * 2 * np.pi * 1e5
         rabi = rng.uniform(0, 3) * 2 * np.pi * 1e7
         probe_rabi = 2 * np.pi * 1e3  # arbitrary; cancels
-        d21 = p.decay_21 - 1j * p.probe_detuning
-        d31 = g31 - 1j * (p.probe_detuning + p.coupling_detuning)
-        d41 = g41 - 1j * (p.probe_detuning + p.coupling_detuning
-                          + p.rf_detuning)
+        d21 = p.decay_21 - 1j * d_p
+        d31 = g31 - 1j * (d_p + p.coupling_detuning)
+        d41 = g41 - 1j * (d_p + p.coupling_detuning + p.rf_detuning)
         system = np.array([
             [d21, -1j * p.coupling_rabi / 2, 0],
             [-1j * p.coupling_rabi / 2, d31, -1j * rabi / 2],
@@ -178,8 +183,8 @@ class TestSusceptibility:
         rho = np.linalg.solve(system, [1j * probe_rabi / 2, 0, 0])
         chi_oracle = 1j * susceptibility_prefactor(p) \
             / (1j * probe_rabi / 2 / rho[0])
-        got = susceptibility_full(p, rabi, gamma_31=g31,
-                                          gamma_41=g41)
+        got = susceptibility_full(p, rabi, gamma_31=g31, gamma_41=g41,
+                                  probe_detuning=d_p)
         assert got == pytest.approx(chi_oracle, rel=1e-12)
 
 
@@ -235,7 +240,7 @@ class TestIntensityResponse:
         s = 10.0 ** rng.uniform(-7, -1, 20)
         c_scale, _ = physics.linearization_constants(params)
         lhs = c_scale * physics.intensity_response(params, s)
-        rabi = np.sqrt(s) * params.rf_dipole / params.reduced_planck
+        rabi = np.sqrt(s) * params.rf_dipole / constants.hbar
         rhs = params.probe_wavenumber * np.imag(
             susceptibility_simplified(params, rabi))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-9)

@@ -63,8 +63,8 @@ def panel_means(alpha):
 
 
 class TestGeometry:
-    def test_derived_channel_count(self, rf_wavelength):
-        geom = scenarios.default_geometry(rf_wavelength)
+    def test_derived_channel_count(self, geometry, rf_wavelength):
+        geom = geometry
         assert geom.channel_count == 16
         assert geom.centers[0] == pytest.approx(rf_wavelength / 8)
         assert geom.centers[-1] + geom.window_width / 2 == \
@@ -108,8 +108,9 @@ class TestGeometry:
         # cell edge, up to rounding.
         for cells, width, pitch in itertools.product(
                 (1.5, 4.0, 16.0), (0.25, 0.1, 1.0, 0.15), (0.25, 0.15, 0.2)):
-            geom = scenarios.default_geometry(rf_wavelength, cells, width,
-                                              pitch)
+            geom = SensorGeometry(cells * rf_wavelength,
+                                  width * rf_wavelength,
+                                  pitch * rf_wavelength)
             lo, hi = geom.window_edges
             assert lo[0] == 0.0
             assert hi[-1] <= geom.cell_length * (1 + 1e-12)
@@ -263,9 +264,9 @@ class TestChannelMeasurements:
                                    rtol=1e-12)
 
     def test_contiguous_windows_match_log_power_ratio(self, params,
-                                                      two_target):
+                                                      two_target, geometry):
         lam = two_target.rf_wavelength
-        geom = scenarios.default_geometry(lam)  # contiguous: width == pitch
+        geom = geometry  # contiguous: width == pitch
 
         def alpha(x):
             return physics.absorption_exact(params, two_target, x)
@@ -350,8 +351,8 @@ class TestChannelMeasurements:
         # of the linearized absorption of three targets, a closed form
         scene = scenarios.scene_from_angles((-30.0, 5.0, 40.0),
                                             lo_ratio=7.0)
-        geom = scenarios.default_geometry(scene.rf_wavelength,
-                                          cell_wavelengths)
+        lam = scene.rf_wavelength
+        geom = SensorGeometry(cell_wavelengths * lam, lam / 4, lam / 4)
         dc = physics.absorption_dc(params, scene)
         mods = physics.modulation_amplitudes(params, scene)
         dks, dphis = scene.delta_ks, scene.delta_phis
@@ -369,10 +370,9 @@ class TestChannelMeasurements:
                                             points_per_wavelength):
         # at 2-5 points per lambda a quarter-wave window holds 0 or 1
         # interior samples, and edges can fall on grid points
-        geom = scenarios.default_geometry(
-            rf_wavelength, cell_wavelengths=6.0, window_wavelengths=0.3,
-            spacing_wavelengths=0.2,
-            grid_points_per_rf_wavelength=points_per_wavelength)
+        lam = rf_wavelength
+        geom = SensorGeometry(6 * lam, 0.3 * lam, 0.2 * lam,
+                              points_per_wavelength)
         self.assert_stack_reads_tau_difference(
             geom.grid(rf_wavelength), geom, tau_test, TAU_TEST_CURVATURE)
 
@@ -428,6 +428,14 @@ class TestCalibrate:
         once = sensing.calibrate(values, geometry, 0.0)
         twice = sensing.calibrate(once.values, geometry, 0.0)
         np.testing.assert_array_equal(once.values, twice.values)
+
+    @pytest.mark.parametrize("alpha_dc", [0.0, np.zeros(3)])
+    def test_rejects_wrong_channel_count(self, geometry, alpha_dc):
+        # MeasurementVector owns the rule, for one vector and for a stack.
+        values = np.zeros(np.shape(alpha_dc) + (geometry.channel_count + 1,))
+        with pytest.raises(ValueError,
+                           match="^values length must equal channel_count$"):
+            sensing.calibrate(values, geometry, alpha_dc)
 
     def test_pipeline_matches_prediction(self, params, two_target, geometry):
         simulated = sensing.simulate_measurements(two_target, geometry,
@@ -486,9 +494,9 @@ class TestStackedReadout:
                                           cell_wavelengths,
                                           points_per_wavelength):
         scenes = self.stack(n_targets, self.RATIOS)
-        geom = scenarios.default_geometry(
-            scenes[0].rf_wavelength, cell_wavelengths,
-            grid_points_per_rf_wavelength=points_per_wavelength)
+        lam = scenes[0].rf_wavelength
+        geom = SensorGeometry(cell_wavelengths * lam, lam / 4, lam / 4,
+                              points_per_wavelength)
         self.assert_rows_match(scenes, geom, params)
 
     @pytest.mark.parametrize("n_targets", [1, 2, 3])
@@ -525,8 +533,9 @@ class TestStackedReadout:
     @pytest.mark.parametrize("points_per_wavelength", [2, 3, 5, 257])
     def test_channel_rows_equal_per_scene(self, rf_wavelength,
                                           points_per_wavelength):
-        geom = scenarios.default_geometry(
-            rf_wavelength, grid_points_per_rf_wavelength=points_per_wavelength)
+        lam = rf_wavelength
+        geom = SensorGeometry(4 * lam, lam / 4, lam / 4,
+                              points_per_wavelength)
         x = geom.grid(rf_wavelength)
         rng = np.random.default_rng(points_per_wavelength)
         values = rng.standard_normal((3, x.size - 1)) * 10.0 ** rng.uniform(
@@ -588,8 +597,8 @@ class TestStackedReadout:
 class TestPredictedMeasurements:
     def test_window_null_hides_target(self, params, rf_wavelength):
         # window width lambda puts a transform null exactly at dk = k
-        geom = scenarios.default_geometry(rf_wavelength,
-                                          window_wavelengths=1.0)
+        lam = rf_wavelength
+        geom = SensorGeometry(4 * lam, lam, lam / 4)
         scene = scenarios.scene_from_angles((0.0,))
         mv = sensing.predicted_measurements(scene, geom, params)
         mods = physics.modulation_amplitudes(params, scene)
@@ -597,8 +606,7 @@ class TestPredictedMeasurements:
 
     def test_matches_integrated_linearized_profile(self, params, two_target):
         lam = two_target.rf_wavelength
-        fine = scenarios.default_geometry(
-            lam, grid_points_per_rf_wavelength=65536)
+        fine = SensorGeometry(4 * lam, lam / 4, lam / 4, 65536)
         x = fine.grid(lam)
         panels = sensing.PanelAbsorption(x, panel_means(
             physics.absorption_linearized(params, two_target, x)))
@@ -674,21 +682,20 @@ class TestWindowTransform:
 
 
 class TestCheckSampling:
-    def test_quarter_wave_boundary_inclusive(self, rf_wavelength):
-        geom = scenarios.default_geometry(rf_wavelength)
-        report = sensing.check_sampling(geom, rf_wavelength)
+    def test_quarter_wave_boundary_inclusive(self, geometry, rf_wavelength):
+        report = sensing.check_sampling(geometry, rf_wavelength)
         assert report.spacing_ok and report.width_ok and report.compliant
 
     def test_half_wave_spacing_flagged(self, rf_wavelength):
-        geom = scenarios.default_geometry(rf_wavelength,
-                                          spacing_wavelengths=0.5)
+        lam = rf_wavelength
+        geom = SensorGeometry(4 * lam, lam / 4, lam / 2)
         report = sensing.check_sampling(geom, rf_wavelength)
         assert not report.spacing_ok
         assert report.width_ok
 
     def test_full_wave_window_flagged(self, rf_wavelength):
-        geom = scenarios.default_geometry(rf_wavelength,
-                                          window_wavelengths=1.0)
+        lam = rf_wavelength
+        geom = SensorGeometry(4 * lam, lam, lam / 4)
         report = sensing.check_sampling(geom, rf_wavelength)
         assert not report.width_ok
         assert report.spacing_ok
@@ -747,7 +754,7 @@ class TestAddNoise:
 
     def test_seed_sequence_stacks_single_seed_draws(self, geometry):
         mv = self.make_measurement(geometry)
-        stack = sensing.add_noise(mv, 20.0, [5, 6, 7])
+        stack = sensing.add_noise(mv, 20.0, range(5, 8))
         assert stack.values.shape == (3, geometry.channel_count)
         for row, seed in zip(stack.values, (5, 6, 7)):
             single = sensing.add_noise(mv, 20.0, seed)
@@ -768,13 +775,11 @@ class TestAddNoise:
     @pytest.mark.parametrize("cell", [0, 1, 37, 4294])
     def test_stack_rows_are_single_seed_draws(self, geometry, rows, cell):
         # Cell seeds cell_seed + t as a range, as the Monte Carlo sweeps
-        # pass them (the first starts mid-block, at row 11), and as a list.
+        # pass them (the first starts mid-block, at row 11).
         mv = self.make_measurement(geometry)
         cell_seed = 11 + CELL_SEED_STRIDE * cell
         seeds = range(cell_seed, cell_seed + rows)
         stack = self.assert_rows_follow_the_rule(mv, seeds)
-        np.testing.assert_array_equal(
-            sensing.add_noise(mv, 20.0, list(seeds)).values, stack.values)
         for t in {0, rows // 2, rows - 1}:
             single = sensing.add_noise(mv, 20.0, cell_seed + t)
             np.testing.assert_array_equal(stack.values[t], single.values)
@@ -787,14 +792,18 @@ class TestAddNoise:
                                          range(start, start + rows))
 
     @pytest.mark.parametrize("seeds", [
-        list(range(100)) + [2**32, 2**32 - 1],
-        list(range(100)) + [2**64 + 5, 2**32 - 1],
-        list(range(2**32 - 50, 2**32 + 50))])
-    def test_multi_word_seeds_fall_back(self, geometry, seeds):
-        # Seeds wider than 32 bits, in sequences that are not a range,
-        # take the grouped path and still follow the rule.
-        self.assert_rows_follow_the_rule(self.make_measurement(geometry),
-                                         seeds)
+        range(2**32 - 100, 2**32 + 1),
+        range(2**64 - 30, 2**64 + 6),
+        range(2**32 - 50, 2**32 + 50)])
+    def test_multi_word_seed_ranges(self, geometry, seeds):
+        # Ranges of seeds wider than 32 bits, across the 2**32 and 2**64
+        # boundaries of default_rng's seed words, follow the rule.
+        mv = self.make_measurement(geometry)
+        stack = self.assert_rows_follow_the_rule(mv, seeds)
+        for t in (0, len(seeds) - 1):
+            np.testing.assert_array_equal(
+                stack.values[t], sensing.add_noise(mv, 20.0,
+                                                   seeds[t]).values)
 
     @pytest.mark.parametrize("seeds", [
         [40, 3, 3, 40, 95, 0, 31, 32],
@@ -802,13 +811,19 @@ class TestAddNoise:
         np.array([7, 2**40 + 1, 7, 63, 64]),
         [2**32], [2**64 + 5]])
     def test_unordered_and_duplicate_seeds(self, geometry, seeds):
+        # Seeds come as one int or a range of consecutive ones: a list or
+        # an array of seeds is a TypeError naming both forms, and a range
+        # with another step is a ValueError.
         mv = self.make_measurement(geometry)
-        stack = self.assert_rows_follow_the_rule(mv, seeds)
-        for row, seed in zip(stack.values, seeds):
-            np.testing.assert_array_equal(
-                row, sensing.add_noise(mv, 20.0, int(seed)).values)
+        if isinstance(seeds, range):
+            with pytest.raises(ValueError, match="range of step 1"):
+                sensing.add_noise(mv, 20.0, seeds)
+        else:
+            with pytest.raises(TypeError, match="an int or a range"):
+                sensing.add_noise(mv, 20.0, seeds)
 
-    @pytest.mark.parametrize("seeds", [[], (), range(5, 5), np.array([], int)])
+    @pytest.mark.parametrize("seeds", [
+        range(0), range(5, 5), range(2**64, 2**64), range(7, 3)])
     def test_empty_seed_sequence(self, geometry, seeds):
         mv = self.make_measurement(geometry)
         stack = sensing.add_noise(mv, 20.0, seeds)
@@ -833,14 +848,14 @@ class TestAddNoise:
         assert abs(np.corrcoef(pairs)[0, 1]) < 4 / np.sqrt(pairs.shape[1])
 
     @pytest.mark.parametrize("seed", [
-        -1, [-1], list(range(99)) + [-1], range(-3, 40)])
+        -1, range(-1, 0), range(-64, -31), range(-3, 40)])
     def test_negative_seed_rejected(self, geometry, seed):
         with pytest.raises(ValueError):
             sensing.add_noise(self.make_measurement(geometry), 20.0, seed)
 
     @pytest.mark.parametrize("seed", [1.5, [0, 2.0], np.array([0.0, 1.0])])
     def test_non_integer_seed_rejected(self, geometry, seed):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="an int or a range"):
             sensing.add_noise(self.make_measurement(geometry), 20.0, seed)
 
     def test_constant_vector_rejected(self, geometry):
