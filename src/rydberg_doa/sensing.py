@@ -3,17 +3,17 @@
 Simulates probe attenuation through the cell (Beer-Lambert), reads K
 virtual-channel measurements from the fluorescence image through shifted
 rectangular windows, calibrates away the LO-only background, and injects
-measurement noise. As alpha = -d/dx log F, the absorption integral over
-a window is a log-difference of the image, read with no numerical
-derivative. The readout stages take one profile, or a stack of profiles
-with leading axes, one row per scene; every row equals the readout of
-its scene alone.
+measurement noise. As alpha = -d/dx log F, each window's absorption
+integral is the image's optical depth log F(0) - log F read at its edges,
+with no numerical derivative. The readout stages take one profile, or a
+stack of profiles with leading axes, one row per scene; every row equals
+the readout of its scene alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -112,14 +112,6 @@ class MeasurementVector:
             raise ValueError("noise_sigma must be nonnegative")
 
 
-class PanelAbsorption(NamedTuple):
-    """Mean absorption on each grid panel: values[..., i] is the mean over
-    [positions[i], positions[i + 1]], one fewer column than positions."""
-
-    positions: np.ndarray
-    values: np.ndarray
-
-
 @dataclass(frozen=True)
 class SamplingReport:
     """Compliance of a geometry with the unambiguous-sampling constraints
@@ -139,9 +131,9 @@ class SamplingReport:
 
 
 def running_integral(panel_values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Running integral along the last axis of a function that is constant
-    on each panel [x[i], x[i + 1]], starting at 0 at x[0]: one more column
-    than panel_values."""
+    """The probe's optical depth: running integral along the last axis of
+    absorption panel means, constant on each panel [x[i], x[i + 1]], from 0
+    at x[0]; one more column than panel_values."""
     out = np.zeros(panel_values.shape[:-1] + x.shape)
     np.cumsum(np.diff(x) * panel_values, axis=-1, out=out[..., 1:])
     return out
@@ -166,30 +158,24 @@ def propagate_probe(alpha_profile: Callable[[np.ndarray], np.ndarray],
                                fluorescence=power)
 
 
-def recover_alpha(profile: FluorescenceProfile) -> PanelAbsorption:
-    """Mean absorption on each grid panel, read from the image exactly.
-
-    alpha = -d/dx log F, so its mean over [x_i, x_i+1] is
-    -(log F_i+1 - log F_i) / (x_i+1 - x_i): no derivative estimate, and
-    the fluorescence proportionality constant cancels in the difference.
-    """
+def recover_alpha(profile: FluorescenceProfile) -> np.ndarray:
+    """Optical depth log F(0) - log F on the grid, the image's shape: as
+    alpha = -d/dx log F, it is read exactly with no derivative estimate,
+    and the fluorescence proportionality constant cancels."""
     if np.any(profile.fluorescence <= 0):
         raise NonPositiveFluorescence("fluorescence must be strictly positive")
-    x = profile.positions
-    return PanelAbsorption(
-        x, -np.diff(np.log(profile.fluorescence), axis=-1) / np.diff(x))
+    log_f = np.log(profile.fluorescence)
+    return log_f[..., :1] - log_f
 
 
-def channel_measurements(alpha_sampled: PanelAbsorption,
-                         geometry: SensorGeometry) -> np.ndarray:
-    """Integral of the panel-constant absorption over each window: the
-    running integral C, linear between grid points, read at the window
-    edges as C(b) - C(a).
-
-    The values may be a stack (..., n - 1) over the positions (n,); the
-    result is (..., K).
-    """
-    x, v = alpha_sampled
+def channel_measurements(depth: np.ndarray, geometry: SensorGeometry,
+                         positions: np.ndarray) -> np.ndarray:
+    """Absorption integral over each window: the optical depth C, one row
+    (..., n) over the positions (n,) at a time and linear between them,
+    read at the window edges as C(b) - C(a); the result is (..., K)."""
+    x = positions
+    if depth.shape[-1] != x.size:
+        raise ValueError("depth must have one column per position")
     tol = 1e-9 * geometry.cell_length
     lo, hi = geometry.window_edges
     bad = np.flatnonzero((lo < x[0] - tol) | (hi > x[-1] + tol))
@@ -198,9 +184,9 @@ def channel_measurements(alpha_sampled: PanelAbsorption,
         raise WindowOutOfCell(
             f"window {j + 1} [{lo[j]:g}, {hi[j]:g}] outside sampled domain")
     edges = np.concatenate((np.maximum(lo, x[0]), np.minimum(hi, x[-1])))
-    ends = np.array([np.interp(edges, x, row) for row in
-                     running_integral(v, x).reshape(-1, len(x))])
-    ends = ends.reshape(v.shape[:-1] + (2, -1))
+    ends = np.array([np.interp(edges, x, row)
+                     for row in depth.reshape(-1, x.size)])
+    ends = ends.reshape(depth.shape[:-1] + (2, -1))
     return ends[..., 1, :] - ends[..., 0, :]
 
 
@@ -279,7 +265,8 @@ def fluorescence_readout(scene, geometry: SensorGeometry,
     scenes = physics.scene_stack(scene)
     profile = propagate_probe(lambda x: physics.absorption_exact(
         params, scene, x), geometry, scenes[0].rf_wavelength)
-    raw = channel_measurements(recover_alpha(profile), geometry)
+    raw = channel_measurements(recover_alpha(profile), geometry,
+                               profile.positions)
     alpha_dc = [physics.absorption_dc(params, s) for s in scenes]
     return profile, calibrate(raw, geometry,
                               np.reshape(alpha_dc, raw.shape[:-1]))

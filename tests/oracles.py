@@ -8,7 +8,10 @@ only the tests evaluate. The per-scene readout reads one scene at a time,
 as the fluorescence pipeline did before it read stacks of scenes and
 before it read each window as a log-difference of the image: it
 differentiates log F with np.gradient and integrates the samples back
-over each window with a trapezoid. The greedy signal-root selection
+over each window with a trapezoid. The panel readout reads windows as
+the pipeline did before it read the optical depth straight off the
+image's log: panel means of the absorption, their running integral, then
+the window edges. The greedy signal-root selection
 picks one root set's representatives one at a time in Python, as the
 estimator did before it selected over whole stacks. The CSV renderers
 at the end build each output file row by row, one f-string .17g per
@@ -40,6 +43,7 @@ from rydberg_doa.sensing import (
     FluorescenceProfile,
     MeasurementVector,
     SensorGeometry,
+    running_integral,
     window_integrals,
 )
 
@@ -89,6 +93,23 @@ def channel_measurements_per_window(x: np.ndarray, v: np.ndarray,
                 f"window {j + 1} [{a:g}, {b:g}] outside sampled domain")
         out[j] = _window_integral(x, v, max(a, x[0]), min(b, x[-1]))
     return out
+
+
+def panel_readout(profile: FluorescenceProfile,
+                  geometry: SensorGeometry) -> np.ndarray:
+    """Raw windows of one image or a stack (..., n), (..., K): the exact
+    panel means -diff(log F) / diff(x), their running integral, linear
+    between grid points, read by np.interp at the clipped window edges one
+    row at a time."""
+    x = profile.positions
+    panels = -np.diff(np.log(profile.fluorescence), axis=-1) / np.diff(x)
+    depth = running_integral(panels, x)
+    lo, hi = geometry.window_edges
+    edges = np.concatenate((np.maximum(lo, x[0]), np.minimum(hi, x[-1])))
+    ends = np.array([np.interp(edges, x, row)
+                     for row in depth.reshape(-1, x.size)])
+    ends = ends.reshape(depth.shape[:-1] + (2, -1))
+    return ends[..., 1, :] - ends[..., 0, :]
 
 
 def fisher_information_blocks(inputs: FimInputs) -> np.ndarray:

@@ -30,6 +30,7 @@ from oracles import (
     fluorescence_readout_per_scene,
     integrated_power_transmission,
     monotonic_length_bound,
+    panel_readout,
     sinc_response,
 )
 
@@ -196,9 +197,9 @@ class TestRecoverAlpha:
         profile = FluorescenceProfile(positions=x,
                                       probe_power=np.full(101, 0.8),
                                       fluorescence=np.full(101, 0.8))
-        recovered = sensing.recover_alpha(profile)
-        assert recovered.values.shape == (100,)
-        np.testing.assert_allclose(recovered.values, 0.0, atol=1e-12)
+        depth = sensing.recover_alpha(profile)
+        assert depth.shape == (101,)
+        np.testing.assert_allclose(depth, 0.0, atol=1e-12)
 
     def test_roundtrip_recovers_exact_absorption(self, params, two_target,
                                                  geometry):
@@ -207,12 +208,13 @@ class TestRecoverAlpha:
 
         profile = sensing.propagate_probe(alpha, geometry,
                                           two_target.rf_wavelength)
-        recovered = sensing.recover_alpha(profile)
-        x = recovered.positions
-        # a panel mean sits within the midpoint rule's error of the
-        # absorption at the panel midpoint, on every panel
+        depth = sensing.recover_alpha(profile)
+        x = profile.positions
+        # a panel mean, the depth's increment over the panel's width, sits
+        # within the midpoint rule's error of the absorption at the panel
+        # midpoint, on every panel
         truth = alpha((x[1:] + x[:-1]) / 2)
-        err = np.abs(recovered.values - truth)
+        err = np.abs(np.diff(depth) / np.diff(x) - truth)
         assert err.max() / np.abs(truth).max() < 1e-3
         scale = np.abs(
             physics.modulation_amplitudes(params, two_target)).sum()
@@ -229,8 +231,9 @@ class TestRecoverAlpha:
             scaled = FluorescenceProfile(
                 positions=profile.positions, probe_power=profile.probe_power,
                 fluorescence=kappa * profile.fluorescence)
-            outs.append(sensing.recover_alpha(scaled).values)
-        # log(kappa*P) - log(P) leaves only rounding noise in the difference
+            outs.append(sensing.recover_alpha(scaled))
+        # log(kappa*P(0)) - log(kappa*P) leaves only rounding noise against
+        # -log(P)
         tol = 1e-5 * np.abs(outs[1]).max()
         np.testing.assert_allclose(outs[0], outs[1], atol=tol, rtol=0)
         np.testing.assert_allclose(outs[2], outs[1], atol=tol, rtol=0)
@@ -257,8 +260,7 @@ class TestChannelMeasurements:
     def test_constant_absorption_window_area(self, geometry):
         x = np.linspace(0, geometry.cell_length, 2001)
         alpha_dc = 3.7
-        panels = sensing.PanelAbsorption(x, np.full(x.size - 1, alpha_dc))
-        values = sensing.channel_measurements(panels, geometry)
+        values = sensing.channel_measurements(alpha_dc * x, geometry, x)
         np.testing.assert_allclose(values,
                                    alpha_dc * geometry.window_width,
                                    rtol=1e-12)
@@ -272,9 +274,9 @@ class TestChannelMeasurements:
             return physics.absorption_exact(params, two_target, x)
 
         profile = sensing.propagate_probe(alpha, geom, lam)
-        panels = sensing.PanelAbsorption(
-            profile.positions, panel_means(alpha(profile.positions)))
-        values = sensing.channel_measurements(panels, geom)
+        x = profile.positions
+        depth = sensing.running_integral(panel_means(alpha(x)), x)
+        values = sensing.channel_measurements(depth, geom, x)
         for j, (a, b) in enumerate(zip(*geom.window_edges)):
             p_in = np.interp(a, profile.positions, profile.probe_power)
             p_out = np.interp(b, profile.positions, profile.probe_power)
@@ -285,9 +287,9 @@ class TestChannelMeasurements:
         dk, dphi, amp = 40.0, 0.6, 2.0
         x = np.linspace(0, geometry.cell_length, 300_001)
         midpoints = (x[1:] + x[:-1]) / 2
-        panels = sensing.PanelAbsorption(
-            x, amp * np.cos(dk * midpoints - dphi))
-        values = sensing.channel_measurements(panels, geometry)
+        depth = sensing.running_integral(
+            amp * np.cos(dk * midpoints - dphi), x)
+        values = sensing.channel_measurements(depth, geometry, x)
         for j, (a, b) in enumerate(zip(*geometry.window_edges)):
             exact = amp * (np.sin(dk * b - dphi) - np.sin(dk * a - dphi)) / dk
             assert values[j] == pytest.approx(exact, rel=1e-8)
@@ -297,15 +299,24 @@ class TestChannelMeasurements:
         # missing the start puts windows 1-3 outside, the end windows 14-16
         for start, stop, first_bad in ((0.1, 0.0, 0), (0.0, 0.1, 13)):
             x = np.linspace(start, geometry.cell_length - stop, 101)
-            panels = sensing.PanelAbsorption(x, np.ones(x.size - 1))
             with pytest.raises(WindowOutOfCell) as batched:
-                sensing.channel_measurements(panels, geometry)
+                sensing.channel_measurements(x - x[0], geometry, x)
             assert str(batched.value).startswith(
                 f"window {first_bad + 1} [{lo[first_bad]:g}, "
                 f"{hi[first_bad]:g}]")
             with pytest.raises(WindowOutOfCell) as per_window:
                 channel_measurements_per_window(x, np.ones_like(x), geometry)
             assert str(batched.value) == str(per_window.value)
+
+    def test_rejects_depth_not_on_positions(self):
+        # a (2, 6) depth over 4 positions would otherwise be reshaped into
+        # rows that are not its scenes'
+        geom = SensorGeometry(cell_length=1.0, window_width=0.25,
+                              spacing=0.25)
+        assert geom.channel_count == 4
+        x = np.linspace(0.0, 1.0, 4)
+        with pytest.raises(ValueError, match="one column per position"):
+            sensing.channel_measurements(np.ones((2, 6)), geom, x)
 
     @staticmethod
     def assert_stack_reads_tau_difference(x, geometry, tau, curvature):
@@ -321,12 +332,12 @@ class TestChannelMeasurements:
         stack = FluorescenceProfile(positions=x, probe_power=images,
                                     fluorescence=images)
         values = sensing.channel_measurements(sensing.recover_alpha(stack),
-                                              geometry)
+                                              geometry, x)
         for row, image in zip(values, images):
             one = FluorescenceProfile(positions=x, probe_power=image,
                                       fluorescence=image)
             assert np.array_equal(row, sensing.channel_measurements(
-                sensing.recover_alpha(one), geometry))
+                sensing.recover_alpha(one), geometry, x))
         lo, hi = geometry.window_edges
         a, b = np.maximum(lo, x[0]), np.minimum(hi, x[-1])
 
@@ -334,9 +345,8 @@ class TestChannelMeasurements:
             i = np.clip(np.searchsorted(x, edge) - 1, 0, x.size - 2)
             return np.abs((edge - x[i]) * (x[i + 1] - edge)) / 2 * curvature
 
-        # the panel differences telescope; each one rounds in the log, the
-        # division and the multiplication, and the running sum adds one
-        # rounding a panel
+        # the depth rounds in two logs and one subtraction, and each edge
+        # read in the interpolation: well inside 8 n eps of its scale
         rounding = 8 * x.size * np.finfo(float).eps * \
             max(1.0, np.abs(scales * tau(x)).max())
         err = np.abs(values - scales * (tau(b) - tau(a)))
@@ -415,6 +425,62 @@ class TestReadoutAccuracy:
                  a, b, epsabs=0, epsrel=1e-10, limit=200)[0]
             for a, b in zip(*geom.window_edges)])
         assert np.abs(got - truth).max() <= bound * truth.std()
+
+
+class TestPanelReadoutEquivalence:
+    """The depth read straight off the image's log against the panel route
+    it replaced (oracles.panel_readout): panel means -diff(log F) / diff(x),
+    their running integral, then the window edges."""
+
+    @staticmethod
+    def readout(profile, geometry):
+        return sensing.channel_measurements(sensing.recover_alpha(profile),
+                                            geometry, profile.positions)
+
+    def test_random_stacks_match_within_1e_10(self, params):
+        # 1-3 targets, three LO ratios in 0.5-60, cells of 1-19 lambda
+        # and 16-1024 points per lambda. F[0] = 1 makes the new depth
+        # exactly -log F; the panel route rounds wherever (a / b) * b != a.
+        rng = np.random.default_rng(29)
+        for _ in range(400):
+            n = int(rng.integers(1, 4))
+            base = scenarios.scene_from_angles(
+                rng.uniform(-70.0, 70.0, n), phases=rng.uniform(0, 6.3, n))
+            scenes = [scenarios.with_lo_ratio(base, r)
+                      for r in np.exp(rng.uniform(np.log(0.5), np.log(60),
+                                                  3))]
+            lam = base.rf_wavelength
+            geom = SensorGeometry(int(rng.integers(1, 20)) * lam, lam / 4,
+                                  lam / 4, int(rng.choice([16, 64, 256,
+                                                           1024])))
+            profile = sensing.propagate_probe(
+                lambda x: physics.absorption_exact(params, scenes, x), geom,
+                lam)
+            got = self.readout(profile, geom)
+            want = panel_readout(profile, geom)
+            scale = np.abs(want).max(axis=-1, keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-10 * scale)
+
+    @pytest.mark.parametrize("name", sorted(
+        p.stem for p in (ROOT / "configs").glob("*.json")))
+    def test_bundled_configs_bit_exact(self, name):
+        scenario = load_config(ROOT / "configs" / f"{name}.json").scenario
+        scene, geom = scenario.scene, scenario.geometry
+        profile = sensing.propagate_probe(
+            lambda x: physics.absorption_exact(scenario.params, scene, x),
+            geom, scene.rf_wavelength)
+        assert np.array_equal(self.readout(profile, geom),
+                              panel_readout(profile, geom))
+
+    def test_depth_is_minus_log_probe_power(self, params, two_target,
+                                            geometry):
+        scenes = [scenarios.with_lo_ratio(two_target, r) for r in (2, 50)]
+        for scene in (two_target, scenes):
+            profile = sensing.propagate_probe(
+                lambda x: physics.absorption_exact(params, scene, x),
+                geometry, two_target.rf_wavelength)
+            assert np.array_equal(sensing.recover_alpha(profile),
+                                  -np.log(profile.probe_power))
 
 
 class TestCalibrate:
@@ -538,23 +604,20 @@ class TestStackedReadout:
                               points_per_wavelength)
         x = geom.grid(rf_wavelength)
         rng = np.random.default_rng(points_per_wavelength)
-        values = rng.standard_normal((3, x.size - 1)) * 10.0 ** rng.uniform(
+        values = rng.standard_normal((3, x.size)) * 10.0 ** rng.uniform(
             -6, 6, (3, 1))
-        got = sensing.channel_measurements(
-            sensing.PanelAbsorption(x, values), geom)
+        got = sensing.channel_measurements(values, geom, x)
         for row, want in zip(got, values):
             assert np.array_equal(row, sensing.channel_measurements(
-                sensing.PanelAbsorption(x, want), geom))
+                want, geom, x))
 
     def test_window_out_of_cell_names_first_bad_window(self, geometry):
         x = np.linspace(0.0, geometry.cell_length - 0.1, 101)
-        values = np.ones((3, x.size - 1))
+        values = np.ones((3, x.size))
         with pytest.raises(WindowOutOfCell) as stacked:
-            sensing.channel_measurements(
-                sensing.PanelAbsorption(x, values), geometry)
+            sensing.channel_measurements(values, geometry, x)
         with pytest.raises(WindowOutOfCell) as single:
-            sensing.channel_measurements(
-                sensing.PanelAbsorption(x, values[0]), geometry)
+            sensing.channel_measurements(values[0], geometry, x)
         assert str(stacked.value) == str(single.value)
         assert str(stacked.value).startswith("window 14 ")
 
@@ -608,10 +671,10 @@ class TestPredictedMeasurements:
         lam = two_target.rf_wavelength
         fine = SensorGeometry(4 * lam, lam / 4, lam / 4, 65536)
         x = fine.grid(lam)
-        panels = sensing.PanelAbsorption(x, panel_means(
-            physics.absorption_linearized(params, two_target, x)))
+        depth = sensing.running_integral(panel_means(
+            physics.absorption_linearized(params, two_target, x)), x)
         integrated = sensing.calibrate(
-            sensing.channel_measurements(panels, fine), fine,
+            sensing.channel_measurements(depth, fine, x), fine,
             physics.absorption_dc(params, two_target))
         predicted = sensing.predicted_measurements(two_target, fine, params)
         scale = np.max(np.abs(predicted.values))
