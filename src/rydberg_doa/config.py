@@ -18,7 +18,12 @@ import numpy as np
 
 from .errors import ConfigParseError, RydbergDoaError
 from .estimation import PronyConfig
-from .experiments import CELL_SEED_STRIDE, ScenarioConfig, SweepSpec
+from .experiments import (
+    CELL_SEED_STRIDE,
+    SWEEP_KINDS,
+    ScenarioConfig,
+    SweepSpec,
+)
 from .physics import AtomicParams, PlaneWave, RfScene
 from .sensing import SensorGeometry, snr_ratio
 
@@ -64,16 +69,22 @@ def _integer(value, path: str) -> int:
     return value
 
 
-def _parse_wave(doc: dict, path: str, amplitude: float) -> PlaneWave:
+def _build(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs) with its ValueError or domain error a config
+    error naming path; config errors in the arguments stay unwrapped."""
     try:
-        return PlaneWave(
-            amplitude=amplitude,
-            phase=np.deg2rad(_number(doc.get("phase_deg", 0.0),
-                                     path + "phase_deg")),
-            angle=np.deg2rad(_number(_require(doc, "angle_deg", path),
-                                     path + "angle_deg")))
-    except ValueError as exc:
-        raise ConfigParseError(f"'{path.rstrip('.')}': {exc}") from exc
+        return make(*args, **kwargs)
+    except (ValueError, RydbergDoaError) as exc:
+        raise ConfigParseError(f"'{path}': {exc}") from exc
+
+
+def _parse_wave(doc: dict, path: str, amplitude: float) -> PlaneWave:
+    return _build(
+        path.rstrip("."), PlaneWave, amplitude=amplitude,
+        phase=np.deg2rad(_number(doc.get("phase_deg", 0.0),
+                                 path + "phase_deg")),
+        angle=np.deg2rad(_number(_require(doc, "angle_deg", path),
+                                 path + "angle_deg")))
 
 
 def _parse_scene(doc: dict) -> RfScene:
@@ -114,10 +125,8 @@ def _parse_scene(doc: dict) -> RfScene:
             "missing required key 'scene.lo.amplitude_v_per_m' (or "
             "'scene.lo.ratio_to_signals')")
     lo = _parse_wave(lo_doc, "scene.lo.", lo_amp)
-    try:
-        return RfScene(lo=lo, signals=tuple(signals), carrier_freq=carrier)
-    except ValueError as exc:
-        raise ConfigParseError(f"'scene': {exc}") from exc
+    return _build("scene", RfScene, lo=lo, signals=tuple(signals),
+                  carrier_freq=carrier)
 
 
 _ATOM_KEYS = {
@@ -138,10 +147,7 @@ def _parse_atoms(doc: dict) -> AtomicParams:
     for key, (fieldname, scale) in _ATOM_KEYS.items():
         if key in doc:
             overrides[fieldname] = scale * _number(doc[key], f"atoms.{key}")
-    try:
-        return AtomicParams(**overrides)
-    except (ValueError, RydbergDoaError) as exc:
-        raise ConfigParseError(f"'atoms': {exc}") from exc
+    return _build("atoms", AtomicParams, **overrides)
 
 
 def _length(doc: dict, stem: str, rf_wavelength: float, path: str,
@@ -171,12 +177,10 @@ def _parse_geometry(doc: dict, rf_wavelength: float) -> SensorGeometry:
                     default=rf_wavelength / 4)
     spacing = _length(doc, "spacing", rf_wavelength, "geometry.",
                       default=rf_wavelength / 4)
-    grid = doc.get("grid_points_per_rf_wavelength", 256)
-    grid = _integer(grid, "geometry.grid_points_per_rf_wavelength")
-    try:
-        return SensorGeometry(cell, width, spacing, grid)
-    except ValueError as exc:
-        raise ConfigParseError(f"'geometry': {exc}") from exc
+    grid = _integer(doc.get("grid_points_per_rf_wavelength",
+                            SensorGeometry.grid_points_per_rf_wavelength),
+                    "geometry.grid_points_per_rf_wavelength")
+    return _build("geometry", SensorGeometry, cell, width, spacing, grid)
 
 
 def _parse_prony(doc: dict, n_signals: int) -> PronyConfig:
@@ -191,19 +195,18 @@ def _parse_prony(doc: dict, n_signals: int) -> PronyConfig:
     order = doc.get("model_order")
     order = max(2 * target, 2) if order is None else _integer(
         order, "prony.model_order")
-    try:
-        return PronyConfig(
-            model_order=order,
-            target_count=target,
-            unit_circle_tolerance=_number(
-                doc.get("unit_circle_tolerance", 0.2),
-                "prony.unit_circle_tolerance"))
-    except ValueError as exc:
-        raise ConfigParseError(f"'prony': {exc}") from exc
+    return _build(
+        "prony", PronyConfig, model_order=order, target_count=target,
+        unit_circle_tolerance=_number(
+            doc.get("unit_circle_tolerance",
+                    PronyConfig.unit_circle_tolerance),
+            "prony.unit_circle_tolerance"))
 
 
-def _parse_sweep(doc: dict) -> SweepSpec:
-    """Types only: SweepSpec checks the axis, kind and value ranges."""
+def _parse_sweep(doc: dict, scene: RfScene) -> SweepSpec:
+    """Checks the values' types, the axis, the kind (null: the axis's
+    default), each value's range, then that lo_ratio has signal to scale.
+    Room for two windows is checked as the swept geometries are built."""
     _check_keys(doc, {"axis", "values", "kind"}, "sweep.")
     axis = _require(doc, "axis", "sweep.")
     values = _require(doc, "values", "sweep.")
@@ -211,7 +214,24 @@ def _parse_sweep(doc: dict) -> SweepSpec:
         raise ConfigParseError("'sweep.values' must be a nonempty list")
     values = tuple(_number(v, f"sweep.values[{i}]")
                    for i, v in enumerate(values))
-    return SweepSpec(axis=axis, values=values, kind=doc.get("kind"))
+    if not isinstance(axis, str) or axis not in SWEEP_KINDS:
+        raise ConfigParseError(
+            f"'sweep.axis' must be one of {', '.join(SWEEP_KINDS)}")
+    sweep = SweepSpec(axis=axis, values=values, kind=doc.get("kind"))
+    if sweep.kind not in SWEEP_KINDS[axis]:
+        raise ConfigParseError(
+            f"'sweep.kind' {sweep.kind!r} does not apply to axis {axis!r} "
+            f"(allowed: {', '.join(SWEEP_KINDS[axis])})")
+    for i, value in enumerate(values):
+        if axis == "snr_db":
+            _build(f"sweep.values[{i}]", snr_ratio, value)
+        elif not value > 0:
+            raise ConfigParseError(f"'sweep.values[{i}]' must be positive")
+    if axis == "lo_ratio" and scene.total_signal_amplitude == 0:
+        raise ConfigParseError(
+            "'sweep.axis' lo_ratio needs at least one signal with nonzero "
+            "amplitude")
+    return sweep
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -227,23 +247,25 @@ def parse_config(doc: dict) -> RunConfig:
 
     noise_doc = doc.get("noise", {})
     _check_keys(noise_doc, {"snr_db"}, "noise.")
+    # Absent means noiseless: ScenarioConfig's 30 dB serves library callers.
     snr_db = noise_doc.get("snr_db")
     if snr_db is not None:
         snr_db = _number(snr_db, "noise.snr_db")
-        try:
-            snr_ratio(snr_db)
-        except ValueError as exc:
-            raise ConfigParseError(f"'noise.snr_db': {exc}") from exc
+        _build("noise.snr_db", snr_ratio, snr_db)
 
     run_doc = doc.get("run", {})
     _check_keys(run_doc, {"trials", "base_seed", "output_dir", "verbosity"},
                 "run.")
-    trials = _integer(run_doc.get("trials", 100), "run.trials")
+    trials = _integer(run_doc.get("trials", ScenarioConfig.trials),
+                      "run.trials")
+    if trials < 1:
+        raise ConfigParseError("'run.trials' must be at least 1")
     if trials >= CELL_SEED_STRIDE:
         raise ConfigParseError(
             f"'run.trials' must be below {CELL_SEED_STRIDE}: the noise "
             "seeds of neighbouring sweep cells would overlap")
-    base_seed = _integer(run_doc.get("base_seed", 0), "run.base_seed")
+    base_seed = _integer(run_doc.get("base_seed", ScenarioConfig.base_seed),
+                         "run.base_seed")
     if base_seed < 0:
         raise ConfigParseError("'run.base_seed' must be nonnegative")
     verbosity = _integer(run_doc.get("verbosity", 1), "run.verbosity")
@@ -251,18 +273,10 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigParseError("'run.output_dir' must be a nonempty string")
 
-    try:
-        sweep = _parse_sweep(doc["sweep"]) if "sweep" in doc else None
-        scenario = ScenarioConfig(
-            scene=scene, geometry=geometry, prony=prony, params=params,
-            snr_db=snr_db, trials=trials, base_seed=base_seed, sweep=sweep)
-    except ValueError as exc:
-        raise ConfigParseError(str(exc)) from exc
-    if sweep is not None and sweep.axis == "lo_ratio" and \
-            scene.total_signal_amplitude == 0:
-        raise ConfigParseError(
-            "'sweep.axis' lo_ratio needs at least one signal with nonzero "
-            "amplitude")
+    sweep = _parse_sweep(doc["sweep"], scene) if "sweep" in doc else None
+    scenario = ScenarioConfig(
+        scene=scene, geometry=geometry, prony=prony, params=params,
+        snr_db=snr_db, trials=trials, base_seed=base_seed, sweep=sweep)
     return RunConfig(scenario=scenario, output_dir=output_dir,
                      verbosity=verbosity, echo=doc)
 

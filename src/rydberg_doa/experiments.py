@@ -1,18 +1,19 @@
 """Monte Carlo harness and the desk-scale simulation studies.
 
-SWEEP_KINDS lists the studies of each sweep axis; run_sweep runs the
-configured one, and every bound comes from bound_report. A length or
-sampling sweep runs the configured geometry with the swept length
-replaced. Each runner is deterministic for a fixed (config, base_seed):
-trial t of a cell draws its noise with seed cell_seed + t, and cell c of
-a sweep has cell_seed = base_seed + CELL_SEED_STRIDE * c, counting the
-cells of run_snr_sweep preset by preset. _mc_sweep, the Monte Carlo
-engine of mc_rmse, run_lo_ratio_sweep and run_snr_sweep, is the only
-code that applies this rule. Seed streams stay apart while a cell has
-fewer than CELL_SEED_STRIDE trials, which config parsing enforces. All
-trials of a cell draw their noise as one stack, from about one generator
-per 32 consecutive seeds, each row bit-identical to the single-seed draw
-(see sensing.NOISE_BLOCK_ROWS). Two stacking rules, both exact row by
+SWEEP_KINDS lists the studies of each sweep axis, the table that config
+parsing checks a sweep against; run_sweep runs the configured one, and
+every bound comes from bound_report. A length or sampling sweep runs the
+configured geometry with the swept length replaced. Each runner is
+deterministic for a fixed (config, base_seed): trial t of a cell draws
+its noise with seed cell_seed + t, and cell c of a sweep has cell_seed =
+base_seed + CELL_SEED_STRIDE * c, counting the cells of run_snr_sweep
+preset by preset. _mc_sweep, the Monte Carlo engine of mc_rmse,
+run_lo_ratio_sweep and run_snr_sweep, is the only code that applies this
+rule. Seed streams stay apart while a cell has fewer than
+CELL_SEED_STRIDE trials, which config parsing enforces. All trials of a
+cell draw their noise as one stack, from about one generator per 32
+consecutive seeds, each row bit-identical to the single-seed draw (see
+sensing.NOISE_BLOCK_ROWS). Two stacking rules, both exact row by
 row, make a sweep's cells share work:
 - synthesis: the analytic model per cell or, for the cells of an
   LO-ratio sweep (which differ only in LO amplitude), one fluorescence
@@ -68,32 +69,16 @@ LENGTH_SWEEP_ANGLES_DEG = (0.0, 30.0, 60.0)
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Axis, values and study (None: the axis's default) of a sweep."""
+    """Axis, values and kind (None: the axis's default); config checks them."""
 
     axis: str
     values: tuple
     kind: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.axis, str) or self.axis not in SWEEP_KINDS:
-            raise ValueError(
-                f"'sweep.axis' must be one of {', '.join(SWEEP_KINDS)}")
-        kinds = SWEEP_KINDS[self.axis]
-        kind = kinds[0] if self.kind is None else self.kind
-        if kind not in kinds:
-            raise ValueError(f"'sweep.kind' {kind!r} does not apply to axis "
-                             f"{self.axis!r} (allowed: {', '.join(kinds)})")
-        values = tuple(self.values)
-        for i, value in enumerate(values):
-            if self.axis == "snr_db":
-                try:
-                    sensing.snr_ratio(value)
-                except ValueError as exc:
-                    raise ValueError(f"'sweep.values[{i}]': {exc}") from None
-            elif not value > 0:
-                raise ValueError(f"'sweep.values[{i}]' must be positive")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", tuple(self.values))
+        if self.kind is None:
+            object.__setattr__(self, "kind", SWEEP_KINDS[self.axis][0])
 
 
 @dataclass(frozen=True)
@@ -439,14 +424,14 @@ def bound_report(scene: RfScene, geometry: SensorGeometry,
                               "the LO bearing: the bound is undefined")
     if sigma2 is None:
         sensing.require_signal(scene)
-        clean = sensing.predicted_measurements(scene, geometry, params)
-        sigma2 = sensing.noise_variance(clean.values, snr_db)
+    amplitudes = physics.modulation_amplitudes(params, scene)
+    if sigma2 is None:
+        sigma2 = sensing.noise_variance(sensing.sinusoid_measurements(
+            geometry, scene.delta_ks, scene.delta_phis, amplitudes), snr_db)
     try:
-        inputs = FimInputs(
-            geometry=geometry, delta_ks=scene.delta_ks,
-            delta_phis=scene.delta_phis,
-            amplitudes=physics.modulation_amplitudes(params, scene),
-            sigma2=sigma2)
+        inputs = FimInputs(geometry=geometry, delta_ks=scene.delta_ks,
+                           delta_phis=scene.delta_phis,
+                           amplitudes=amplitudes, sigma2=sigma2)
     except ValueError as exc:
         raise RydbergDoaError(str(exc)) from exc
     thetas = np.array([s.angle for s in scene.signals])

@@ -186,7 +186,7 @@ def channel_measurements(depth: np.ndarray, geometry: SensorGeometry,
     edges = np.concatenate((np.maximum(lo, x[0]), np.minimum(hi, x[-1])))
     ends = np.array([np.interp(edges, x, row)
                      for row in depth.reshape(-1, x.size)])
-    ends = ends.reshape(depth.shape[:-1] + (2, -1))
+    ends = ends.reshape(depth.shape[:-1] + (2, lo.size))
     return ends[..., 1, :] - ends[..., 0, :]
 
 

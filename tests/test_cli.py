@@ -24,6 +24,10 @@ from rydberg_doa.estimation import PronyConfig, estimate_doa
 from rydberg_doa.physics import AtomicParams
 
 
+# An edit that drops its key from a config document.
+DELETE = object()
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -271,6 +275,105 @@ class TestConfigErrors:
             "error: 'sweep.axis' lo_ratio needs at least one signal with "
             "nonzero amplitude\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("edits, code, err", [
+        ({"scene.signals.0.angle_deg": "x"}, 2,
+         "'scene.signals[0].angle_deg' must be a number"),
+        ({"scene.signals.0.angle_deg": float("inf")}, 2,
+         "'scene.signals[0].angle_deg' must be finite"),
+        ({"scene.signals.0.angle_deg": 95}, 2,
+         "'scene.signals[0]': angle must lie in [-pi/2, pi/2]"),
+        ({"scene.signals.0.amplitude_v_per_m": -1e-6}, 2,
+         "'scene.signals[0]': amplitude must be nonnegative"),
+        ({"scene.lo.angle_deg": 120}, 2,
+         "'scene.lo': angle must lie in [-pi/2, pi/2]"),
+        ({"scene.signals": {"amplitude_v_per_m": 1e-6, "angle_deg": 0}}, 2,
+         "'scene.signals' must be a list"),
+        ({"scene.lo.amplitude_v_per_m": 2e-5}, 2,
+         "'scene.lo' must set exactly one of amplitude_v_per_m and "
+         "ratio_to_signals"),
+        ({"scene.signals.0.amplitude_v_per_m": 0,
+          "scene.signals.1.amplitude_v_per_m": 0}, 2,
+         "'scene.lo.ratio_to_signals' needs at least one signal with "
+         "nonzero amplitude"),
+        ({"scene.lo.ratio_to_signals": DELETE}, 2,
+         "missing required key 'scene.lo.amplitude_v_per_m' (or "
+         "'scene.lo.ratio_to_signals')"),
+        ({"scene.lo.ratio_to_signals": DELETE,
+          "scene.lo.amplitude_v_per_m": 0}, 2,
+         "'scene': LO amplitude must be strictly positive"),
+        ({"scene.carrier_freq_hz": 0}, 2,
+         "'scene': carrier_freq must be strictly positive"),
+        ({"atoms": {"coupling_detuning_hz": 1e6, "rf_detuning_hz": -1e6}}, 2,
+         "'atoms': coupling_detuning + rf_detuning must be nonzero"),
+        ({"atoms": {"atom_density_per_m3": -1}}, 2,
+         "'atoms': atom_density must be strictly positive"),
+        ({"geometry.cell_length_m": 0.5}, 2,
+         "'geometry.cell_length' must be given in exactly one unit"),
+        ({"geometry.cell_length_wavelengths": DELETE}, 2,
+         "missing required key 'geometry.cell_length_m' (or "
+         "'geometry.cell_length_wavelengths')"),
+        ({"geometry": {"cell_length_m": 1e-3}}, 2,
+         "'geometry': need at least two channels"),
+        ({"geometry.grid_points_per_rf_wavelength": 1}, 2,
+         "'geometry': grid density must be at least 2 points"),
+        ({"scene.lo": {"amplitude_v_per_m": 2e-5, "angle_deg": 90},
+          "scene.signals": [], "prony.target_count": DELETE}, 2,
+         "missing required key 'prony.target_count' (no scene signals to "
+         "infer it from)"),
+        ({"prony.unit_circle_tolerance": 1.5}, 2,
+         "'prony': unit_circle_tolerance must lie in (0, 1)"),
+        ({"prony.target_count": 0}, 2,
+         "'prony': target_count must be at least 1"),
+        ({"sweep.values": []}, 2, "'sweep.values' must be a nonempty list"),
+        ({"sweep.values": True}, 2, "'sweep.values' must be a nonempty list"),
+        ({"sweep.axis": ["lo_ratio"]}, 2,
+         "'sweep.axis' must be one of lo_ratio, snr_db, cell_length, "
+         "sampling_interval, window_width"),
+        ({"sweep.axis": "frequency", "sweep.values": []}, 2,
+         "'sweep.values' must be a nonempty list"),
+        ({"sweep.kind": 5}, 2,
+         "'sweep.kind' 5 does not apply to axis 'lo_ratio' (allowed: rmse, "
+         "linearization_check)"),
+        ({"sweep.kind": "crlb_length"}, 2,
+         "'sweep.kind' 'crlb_length' does not apply to axis 'lo_ratio' "
+         "(allowed: rmse, linearization_check)"),
+        ({"sweep.values": [-1, 2]}, 2, "'sweep.values[0]' must be positive"),
+        ({"sweep": {"axis": "snr_db", "values": [10, 4000]}}, 2,
+         "'sweep.values[1]': 4000 dB has no finite positive linear power "
+         "ratio"),
+        ({"sweep": {"axis": "cell_length", "values": [0.3]}}, 2,
+         "'sweep.values[0]': need at least two channels"),
+        ({"run.trials": 0}, 2, "'run.trials' must be at least 1"),
+        ({"run.trials": -3}, 2, "'run.trials' must be at least 1"),
+        ({"run.trials": 1_000_000}, 2,
+         "'run.trials' must be below 1000000: the noise seeds of "
+         "neighbouring sweep cells would overlap"),
+        ({"noise.snr_db": 4000}, 2,
+         "'noise.snr_db': 4000 dB has no finite positive linear power "
+         "ratio"),
+        ({"sweep.kind": None}, 0, None),
+    ])
+    def test_config_error_message(self, tmp_path, capsys, edits, code, err):
+        # Each edit of configs/fig3c.json (a dotted path, DELETE to drop
+        # the key) gives this exit code and this one stderr line.
+        doc = json.loads((REPO_CONFIGS / "fig3c.json").read_text())
+        for path, value in edits.items():
+            *parents, key = [int(p) if p.isdigit() else p
+                             for p in path.split(".")]
+            node = doc
+            for parent in parents:
+                node = node[parent]
+            if value is DELETE:
+                del node[key]
+            else:
+                node[key] = value
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", write_config(tmp_path, doc),
+                         "--out", str(out)]) == code
+        assert capsys.readouterr().err == ("" if err is None
+                                           else f"error: {err}\n")
+        assert out.exists() == (code == 0)
 
 
 class TestSimulate:

@@ -1,5 +1,6 @@
 import itertools
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,11 @@ from rydberg_doa import (
     sensing,
     serialize,
 )
-from rydberg_doa.errors import ConfigParseError, RydbergDoaError
+from rydberg_doa.errors import (
+    ConfigParseError,
+    LoDominanceWarning,
+    RydbergDoaError,
+)
 from rydberg_doa.estimation import PronyConfig, estimate_doa
 from rydberg_doa.experiments import (
     ScenarioConfig,
@@ -418,6 +423,15 @@ class TestLengthSweep:
         np.testing.assert_array_equal(
             experiments.crlb_std_for(scene, geometry, params, snr_db=10.0),
             experiments.crlb_std_for(scene, geometry, params, sigma2=sigma2))
+
+    def test_one_weak_lo_warning_per_bound(self, params, geometry):
+        # the bound's noise reference and its FIM share one evaluation of
+        # the modulation amplitudes, so a weak LO warns once
+        scene = scenarios.scene_from_angles((-30.0, 45.0), lo_ratio=2.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            experiments.bound_report(scene, geometry, params, snr_db=30.0)
+        assert [w.category for w in caught] == [LoDominanceWarning]
 
     def test_channel_count_tracks_length(self, rf_wavelength):
         lam = rf_wavelength

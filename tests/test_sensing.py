@@ -318,6 +318,14 @@ class TestChannelMeasurements:
         with pytest.raises(ValueError, match="one column per position"):
             sensing.channel_measurements(np.ones((2, 6)), geom, x)
 
+    @pytest.mark.parametrize("lead", [(0,), (2, 0)])
+    def test_empty_stack(self, geometry, lead):
+        # a stack with no rows reads to no rows of K channels
+        x = np.linspace(0, geometry.cell_length, 101)
+        values = sensing.channel_measurements(np.ones(lead + x.shape),
+                                              geometry, x)
+        assert values.shape == lead + (geometry.channel_count,)
+
     @staticmethod
     def assert_stack_reads_tau_difference(x, geometry, tau, curvature):
         """Read the images F = exp(-s * tau), s = 0.5, 1 and 2, as one
