@@ -522,6 +522,8 @@ def run_sweep(config: ScenarioConfig) -> dict:
     """Run the configured sweep study: {output file stem: result}, in the
     order the files are written."""
     sweep = config.sweep
+    if sweep.kind not in SWEEP_KINDS.get(sweep.axis, ()):
+        raise ValueError(f"no {sweep.kind!r} sweep on axis {sweep.axis!r}")
     if sweep.kind == "linearization_check":
         ratios = sorted(sweep.values)
         return {"linearization_check": run_linearization_check(
@@ -534,7 +536,7 @@ def run_sweep(config: ScenarioConfig) -> dict:
     if sweep.kind == "sampling_demo":
         result = run_sampling_demo(config)
         return {f"sampling_demo_{result.case}": result}
-    if sweep.axis == "lo_ratio":
-        return {"lo_ratio_sweep": run_lo_ratio_sweep(config)}
-    return {f"snr_sweep_{name}": result
-            for name, result in run_snr_sweep(config).items()}
+    if sweep.axis == "snr_db":
+        return {f"snr_sweep_{name}": result
+                for name, result in run_snr_sweep(config).items()}
+    return {"lo_ratio_sweep": run_lo_ratio_sweep(config)}

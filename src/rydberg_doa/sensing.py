@@ -1,13 +1,13 @@
 """Fluorescence readout and virtual-array sampling.
 
 Simulates probe attenuation through the cell (Beer-Lambert), reads K
-virtual-channel measurements from the fluorescence image through shifted
-rectangular windows, calibrates away the LO-only background, and injects
-measurement noise. As alpha = -d/dx log F, each window's absorption
-integral is the image's optical depth log F(0) - log F read at its edges,
-with no numerical derivative. The readout stages take one profile, or a
-stack of profiles with leading axes, one row per scene; every row equals
-the readout of its scene alone.
+virtual-channel measurements through shifted rectangular windows,
+calibrates away the LO-only background, and injects measurement noise.
+Each window's absorption integral is the probe's optical depth read at
+its edges, with no numerical derivative; the fluorescence image
+exp(-optical depth) is derived from it only for fluorescence.csv. The
+readout stages take one profile, or a stack of profiles with leading
+axes, one row per scene; every row equals the readout of its scene alone.
 """
 
 from __future__ import annotations
@@ -73,21 +73,25 @@ class SensorGeometry:
 
 @dataclass(frozen=True)
 class FluorescenceProfile:
-    """Probe power and side fluorescence sampled on a uniform grid: one
-    profile (n,), or a stack (..., n) of profiles over the same positions."""
+    """The probe's optical depth sampled on a uniform grid: one profile
+    (n,), or a stack (..., n) of profiles over the same positions."""
 
     positions: np.ndarray
-    probe_power: np.ndarray
-    fluorescence: np.ndarray
+    optical_depth: np.ndarray
 
     def __post_init__(self):
-        for name in ("positions", "probe_power", "fluorescence"):
+        for name in ("positions", "optical_depth"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if self.probe_power.shape[-1:] != self.positions.shape or \
-                self.probe_power.shape != self.fluorescence.shape:
-            raise ValueError("profile arrays must share a shape")
+        if self.optical_depth.shape[-1:] != self.positions.shape:
+            raise ValueError("optical_depth needs one column per position")
+
+    @property
+    def fluorescence(self) -> np.ndarray:
+        """The image exp(-optical_depth): the weak-probe fluorescence,
+        taken equal to the unit-power probe's power."""
+        return np.exp(-self.optical_depth)
 
 
 @dataclass(frozen=True)
@@ -142,29 +146,23 @@ def running_integral(panel_values: np.ndarray, x: np.ndarray) -> np.ndarray:
 def propagate_probe(alpha_profile: Callable[[np.ndarray], np.ndarray],
                     geometry: SensorGeometry,
                     rf_wavelength: float) -> FluorescenceProfile:
-    """Attenuate a unit-power probe through the cell and emit the image.
-
-    P(x) = exp(-integral_0^x alpha), trapezoid rule on the geometry grid.
-    The fluorescence is proportional to P(x) (weak probe); its scale
-    cancels in recover_alpha, so it is taken equal to P(x).
-    alpha_profile may return a stack (..., n) of profiles on the grid.
-    """
+    """The optical depth integral_0^x alpha of a probe through the cell,
+    trapezoid rule on the geometry grid. alpha_profile may return a stack
+    (..., n) of profiles on the grid."""
     x = geometry.grid(rf_wavelength)
     alpha = np.asarray(alpha_profile(x), dtype=float)
-    optical_depth = running_integral((alpha[..., 1:] + alpha[..., :-1]) / 2,
-                                     x)
-    power = np.exp(-optical_depth)
-    return FluorescenceProfile(positions=x, probe_power=power,
-                               fluorescence=power)
+    return FluorescenceProfile(positions=x, optical_depth=running_integral(
+        (alpha[..., 1:] + alpha[..., :-1]) / 2, x))
 
 
-def recover_alpha(profile: FluorescenceProfile) -> np.ndarray:
-    """Optical depth log F(0) - log F on the grid, the image's shape: as
+def recover_alpha(fluorescence: np.ndarray) -> np.ndarray:
+    """Optical depth log F(0) - log F of a measured image (..., n): as
     alpha = -d/dx log F, it is read exactly with no derivative estimate,
     and the fluorescence proportionality constant cancels."""
-    if np.any(profile.fluorescence <= 0):
+    fluorescence = np.asarray(fluorescence, dtype=float)
+    if np.any(fluorescence <= 0):
         raise NonPositiveFluorescence("fluorescence must be strictly positive")
-    log_f = np.log(profile.fluorescence)
+    log_f = np.log(fluorescence)
     return log_f[..., :1] - log_f
 
 
@@ -255,17 +253,17 @@ def predicted_measurements(scene: physics.RfScene, geometry: SensorGeometry,
 def fluorescence_readout(scene, geometry: SensorGeometry,
                          params: physics.AtomicParams
                          ) -> tuple[FluorescenceProfile, MeasurementVector]:
-    """Propagate, recover, window, calibrate; returns (image, measurements).
+    """Propagate, window, calibrate; returns (profile, measurements).
 
     scene is one RfScene, or a stack of scenes that differ only in LO
-    amplitude (physics.scene_stack): the profile arrays and measurement
+    amplitude (physics.scene_stack): the optical depth and measurement
     values then gain a leading axis, and row c equals the readout of scene
     c alone bit for bit.
     """
     scenes = physics.scene_stack(scene)
     profile = propagate_probe(lambda x: physics.absorption_exact(
         params, scene, x), geometry, scenes[0].rf_wavelength)
-    raw = channel_measurements(recover_alpha(profile), geometry,
+    raw = channel_measurements(profile.optical_depth, geometry,
                                profile.positions)
     alpha_dc = [physics.absorption_dc(params, s) for s in scenes]
     return profile, calibrate(raw, geometry,

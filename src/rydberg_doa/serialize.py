@@ -72,9 +72,10 @@ def _csv_text(header: str, *columns) -> str:
 
 def write_fluorescence_csv(profile: FluorescenceProfile,
                            path: str | Path) -> None:
+    """Both columns hold the image (FluorescenceProfile.fluorescence)."""
+    image = profile.fluorescence
     atomic_write_text(path, _csv_text(
-        "x_m,probe_power,fluorescence", profile.positions,
-        profile.probe_power, profile.fluorescence))
+        "x_m,probe_power,fluorescence", profile.positions, image, image))
 
 
 def write_measurement_csv(measurement: MeasurementVector,

@@ -319,17 +319,14 @@ def propagate_probe_per_scene(
         alpha_profile: Callable[[np.ndarray], np.ndarray],
         geometry: SensorGeometry, rf_wavelength: float
 ) -> FluorescenceProfile:
-    """Attenuate a unit-power probe through the cell and emit the image.
-
-    P(x) = exp(-integral_0^x alpha), cumulative trapezoid on the geometry
-    grid; the fluorescence equals P(x) (weak-probe proportionality).
+    """The optical depth integral_0^x alpha of a probe through the cell,
+    cumulative trapezoid on the geometry grid; its image exp(-depth) is
+    the fluorescence (weak-probe proportionality).
     """
     x = geometry.grid(rf_wavelength)
     alpha = np.asarray(alpha_profile(x), dtype=float)
-    optical_depth = cumulative_trapezoid_per_scene(alpha, x)
-    power = np.exp(-optical_depth)
-    return FluorescenceProfile(positions=x, probe_power=power,
-                               fluorescence=power)
+    return FluorescenceProfile(
+        positions=x, optical_depth=cumulative_trapezoid_per_scene(alpha, x))
 
 
 def recover_alpha_gradient(profile: FluorescenceProfile) -> np.ndarray:
@@ -418,12 +415,11 @@ def _csv_text(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
-def fluorescence_csv_rowwise(profile) -> str:
-    """serialize.write_fluorescence_csv's text, one row at a time."""
+def fluorescence_csv_rowwise(positions, probe_power, fluorescence) -> str:
+    """The fluorescence CSV text of three columns, one row at a time."""
     rows = "".join(
         f"{x:.17g},{p:.17g},{f:.17g}\n" for x, p, f in
-        zip(profile.positions.tolist(), profile.probe_power.tolist(),
-            profile.fluorescence.tolist()))
+        zip(positions.tolist(), probe_power.tolist(), fluorescence.tolist()))
     return "x_m,probe_power,fluorescence\n" + rows
 
 

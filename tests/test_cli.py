@@ -527,24 +527,38 @@ class TestEstimate:
             "error: prediction coefficients are not finite\n"
         assert not (tmp_path / "est" / "estimation.json").exists()
 
-    def test_target_at_lo_bearing_exit_3(self, tmp_path, capsys):
+    @staticmethod
+    def lo_bearing_config(tmp_path):
         # Zero beat frequency: the target's pair sits inside the DC guard.
-        # The analytic model keeps that pair; a fluorescence readout of
-        # this scene is rounding residue, whose roots fall anywhere.
         doc = base_doc(tmp_path / "out",
                        prony={"model_order": 2, "target_count": 1})
         doc["scene"]["signals"] = [{"amplitude_v_per_m": 1e-6,
                                     "phase_deg": 0, "angle_deg": 90}]
-        cfg = write_config(tmp_path, doc)
-        sc = load_config(cfg).scenario
-        measured = tmp_path / "measurement.csv"
-        serialize.write_measurement_csv(sensing.predicted_measurements(
-            sc.scene, sc.geometry, sc.params), measured)
+        return write_config(tmp_path, doc)
+
+    @staticmethod
+    def assert_lo_bearing_exit_3(tmp_path, capsys, cfg, measured):
         assert cli.main(["estimate", str(measured), "--config", cfg,
                          "--out", str(tmp_path / "est")]) == 3
         assert capsys.readouterr().err == \
             "error: found 0 usable root pairs, need 1\n"
         assert not (tmp_path / "est" / "estimation.json").exists()
+
+    def test_target_at_lo_bearing_exit_3(self, tmp_path, capsys):
+        cfg = self.lo_bearing_config(tmp_path)
+        sc = load_config(cfg).scenario
+        measured = tmp_path / "measurement.csv"
+        serialize.write_measurement_csv(sensing.predicted_measurements(
+            sc.scene, sc.geometry, sc.params), measured)
+        self.assert_lo_bearing_exit_3(tmp_path, capsys, cfg, measured)
+
+    def test_simulated_target_at_lo_bearing_exit_3(self, tmp_path, capsys):
+        # the fluorescence readout of the same scene: no bearing either
+        cfg = self.lo_bearing_config(tmp_path)
+        assert cli.main(["simulate", "--config", cfg]) == 0
+        capsys.readouterr()
+        self.assert_lo_bearing_exit_3(tmp_path, capsys, cfg,
+                                      tmp_path / "out" / "measurement.csv")
 
     def test_order_flag_overrides(self, tmp_path):
         out = tmp_path / "out"

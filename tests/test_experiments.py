@@ -267,6 +267,21 @@ class TestSnrSweep:
         assert single.failures == tuple(r.failures for r in cells)
 
 
+
+@pytest.mark.parametrize("axis, kind", [("bogus", "rmse"),
+                                        ("bogus", "crlb_length"),
+                                        ("snr_db", "sampling_demo")])
+def test_run_sweep_rejects_a_pair_outside_sweep_kinds(base_config, axis,
+                                                      kind):
+    # config parsing rejects these; a SweepSpec built in code used to run
+    # the SNR presets, or the kind's runner, for them
+    cfg = replace(base_config, sweep=SweepSpec(axis=axis, values=(1.0,),
+                                                kind=kind))
+    with pytest.raises(ValueError,
+                       match=f"^no '{kind}' sweep on axis '{axis}'$"):
+        experiments.run_sweep(cfg)
+
+
 def seeded_cell(config, c, **overrides):
     """Cell c of a sweep of config, seeded explicitly."""
     return replace(config, sweep=None, **overrides,

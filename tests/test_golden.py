@@ -14,15 +14,21 @@ kernel. RECOMPUTE_RTOL does not extend it to other kernels: with
 OpenBLAS told to use another kernel (OPENBLAS_CORETYPE=Prescott on an
 x86-64 DYNAMIC_ARCH build), fig7b fails, because its fields at the
 window-width null are rounding noise that moves by far more than
-RECOMPUTE_RTOL.
+RECOMPUTE_RTOL. numpy's CPU dispatch does stay within it: fig3c, the
+fluorescence pipeline's sweep, is also compared with numpy's AVX-512
+kernels turned off.
 """
 
 import csv
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from rydberg_doa import cli
 from rydberg_doa.config import load_config
@@ -78,15 +84,11 @@ def test_every_figure_output_has_a_golden_file():
     assert named == {path.name for path in GOLDEN.glob("*.csv")}
 
 
-@pytest.mark.parametrize("figure", sorted(CASES))
-def test_sweep_matches_golden(tmp_path, figure):
-    assert cli.main(["sweep", "--config",
-                     str(ROOT / "configs" / f"{figure}.json"),
-                     "--out", str(tmp_path)]) == 0
-    assert sorted(p.name for p in tmp_path.glob("*.csv")) == \
-        sorted(CASES[figure])
+def assert_matches_golden(out, figure):
+    """The sweep CSVs that `sweep` wrote to out against the goldens."""
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(CASES[figure])
     for name in CASES[figure]:
-        got = read_rows(tmp_path / name)
+        got = read_rows(out / name)
         want = read_rows(GOLDEN / f"{figure}_{name}")
         assert got[0] == want[0], f"{name} header"
         assert len(got) == len(want), name
@@ -97,6 +99,36 @@ def test_sweep_matches_golden(tmp_path, figure):
                                                      w[1:]):
                 assert_field(got_field, want_field,
                              f"{figure}/{name} {column} at {w[0]}")
+
+
+@pytest.mark.parametrize("figure", sorted(CASES))
+def test_sweep_matches_golden(tmp_path, figure):
+    assert cli.main(["sweep", "--config",
+                     str(ROOT / "configs" / f"{figure}.json"),
+                     "--out", str(tmp_path)]) == 0
+    assert_matches_golden(tmp_path, figure)
+
+
+@pytest.mark.skipif(not __cpu_features__.get("AVX512_SKX"),
+                    reason="numpy dispatches no AVX-512 kernels on this "
+                    "CPU, so there are none to turn off")
+def test_fluorescence_golden_without_avx512(tmp_path):
+    # numpy's AVX-512 and AVX2 kernels round some ufuncs (exp among them)
+    # differently; fig3c's fluorescence readout must not depend on which
+    # one runs. The setting applies to the child process only.
+    code = ("import sys\n"
+            "from numpy._core._multiarray_umath import __cpu_features__\n"
+            "from rydberg_doa import cli\n"
+            "assert not __cpu_features__['AVX512_SKX'], 'AVX-512 is on'\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+           "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    done = subprocess.run(
+        [sys.executable, "-c", code, "sweep", "--config",
+         str(ROOT / "configs" / "fig3c.json"), "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert_matches_golden(tmp_path, "fig3c")
 
 
 def load_run_figures():

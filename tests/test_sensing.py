@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +17,7 @@ from rydberg_doa.errors import (
 )
 from rydberg_doa.experiments import CELL_SEED_STRIDE
 from rydberg_doa.physics import PlaneWave, RfScene
-from rydberg_doa.sensing import (
-    FluorescenceProfile,
-    MeasurementVector,
-    SensorGeometry,
-)
+from rydberg_doa.sensing import MeasurementVector, SensorGeometry
 
 from oracles import (
     absorption_exact_per_scene,
@@ -143,14 +139,15 @@ class TestPropagateProbe:
     def test_transparent_cell(self, geometry, rf_wavelength):
         profile = sensing.propagate_probe(lambda x: np.zeros_like(x),
                                           geometry, rf_wavelength)
-        np.testing.assert_array_equal(profile.probe_power, 1.0)
+        np.testing.assert_array_equal(profile.optical_depth, 0.0)
+        np.testing.assert_array_equal(profile.fluorescence, 1.0)
 
     def test_uniform_absorber_closed_form(self, geometry, rf_wavelength):
         alpha = 2.5
         profile = sensing.propagate_probe(
             lambda x: np.full_like(x, alpha), geometry, rf_wavelength)
         expected = np.exp(-alpha * geometry.cell_length)
-        assert profile.probe_power[-1] == pytest.approx(expected, rel=1e-8)
+        assert profile.fluorescence[-1] == pytest.approx(expected, rel=1e-8)
 
     def test_transmission_matches_quadrature(self, params, two_target,
                                              geometry):
@@ -161,15 +158,18 @@ class TestPropagateProbe:
                                           two_target.rf_wavelength)
         depth, _ = quad(lambda x: float(alpha(x)), 0.0,
                         geometry.cell_length, limit=400)
-        assert profile.probe_power[-1] == pytest.approx(np.exp(-depth),
-                                                        rel=1e-6)
+        assert profile.fluorescence[-1] == pytest.approx(np.exp(-depth),
+                                                         rel=1e-6)
 
     def test_fluorescence_proportional(self, geometry, rf_wavelength):
-        # the image's scale cancels in recover_alpha, so it is taken as 1
+        # the profile holds the optical depth alone; its image, the
+        # unit-power probe's, is derived
         profile = sensing.propagate_probe(
             lambda x: np.full_like(x, 1.0), geometry, rf_wavelength)
+        assert [f.name for f in fields(profile)] == ["positions",
+                                                     "optical_depth"]
         np.testing.assert_array_equal(profile.fluorescence,
-                                      profile.probe_power)
+                                      np.exp(-profile.optical_depth))
 
     def test_profile_matches_ode_solver(self, params, two_target, geometry):
         from scipy.integrate import solve_ivp
@@ -184,7 +184,7 @@ class TestPropagateProbe:
         sol = solve_ivp(lambda x, p: -alpha(np.array([x]))[0] * p,
                         (0.0, geometry.cell_length), [1.0], method="DOP853",
                         t_eval=profile.positions, rtol=1e-12, atol=1e-16)
-        depth = 1.0 - profile.probe_power
+        depth = 1.0 - profile.fluorescence
         depth_oracle = 1.0 - sol.y[0]
         np.testing.assert_allclose(depth[1:], depth_oracle[1:],
                                    rtol=1e-4, atol=1e-12)
@@ -193,11 +193,7 @@ class TestPropagateProbe:
 
 class TestRecoverAlpha:
     def test_constant_profile_gives_zero(self):
-        x = np.linspace(0, 1, 101)
-        profile = FluorescenceProfile(positions=x,
-                                      probe_power=np.full(101, 0.8),
-                                      fluorescence=np.full(101, 0.8))
-        depth = sensing.recover_alpha(profile)
+        depth = sensing.recover_alpha(np.full(101, 0.8))
         assert depth.shape == (101,)
         np.testing.assert_allclose(depth, 0.0, atol=1e-12)
 
@@ -208,7 +204,7 @@ class TestRecoverAlpha:
 
         profile = sensing.propagate_probe(alpha, geometry,
                                           two_target.rf_wavelength)
-        depth = sensing.recover_alpha(profile)
+        depth = sensing.recover_alpha(profile.fluorescence)
         x = profile.positions
         # a panel mean, the depth's increment over the panel's width, sits
         # within the midpoint rule's error of the absorption at the panel
@@ -228,10 +224,7 @@ class TestRecoverAlpha:
                                           two_target.rf_wavelength)
         outs = []
         for kappa in (0.1, 1.0, 10.0):
-            scaled = FluorescenceProfile(
-                positions=profile.positions, probe_power=profile.probe_power,
-                fluorescence=kappa * profile.fluorescence)
-            outs.append(sensing.recover_alpha(scaled))
+            outs.append(sensing.recover_alpha(kappa * profile.fluorescence))
         # log(kappa*P(0)) - log(kappa*P) leaves only rounding noise against
         # -log(P)
         tol = 1e-5 * np.abs(outs[1]).max()
@@ -239,12 +232,9 @@ class TestRecoverAlpha:
         np.testing.assert_allclose(outs[2], outs[1], atol=tol, rtol=0)
 
     def test_rejects_nonpositive(self):
-        x = np.linspace(0, 1, 11)
         power = np.linspace(1, 0, 11)  # hits zero at the end
-        profile = FluorescenceProfile(positions=x, probe_power=power,
-                                      fluorescence=power)
         with pytest.raises(NonPositiveFluorescence):
-            sensing.recover_alpha(profile)
+            sensing.recover_alpha(power)
 
 
 def tau_test(x):
@@ -277,9 +267,10 @@ class TestChannelMeasurements:
         x = profile.positions
         depth = sensing.running_integral(panel_means(alpha(x)), x)
         values = sensing.channel_measurements(depth, geom, x)
+        image = profile.fluorescence
         for j, (a, b) in enumerate(zip(*geom.window_edges)):
-            p_in = np.interp(a, profile.positions, profile.probe_power)
-            p_out = np.interp(b, profile.positions, profile.probe_power)
+            p_in = np.interp(a, x, image)
+            p_out = np.interp(b, x, image)
             assert values[j] == pytest.approx(-np.log(p_out / p_in),
                                               rel=1e-6)
 
@@ -328,24 +319,19 @@ class TestChannelMeasurements:
 
     @staticmethod
     def assert_stack_reads_tau_difference(x, geometry, tau, curvature):
-        """Read the images F = exp(-s * tau), s = 0.5, 1 and 2, as one
-        stack. Each row equals the call on its image alone, bit for bit.
+        """Read the optical depths s * tau, s = 0.5, 1 and 2, as one
+        stack. Each row equals the call on its depth alone, bit for bit.
         Channel j of a row is s * (tau(b) - tau(a)) over its window [a, b]
         clipped to the positions: within rounding when both edges fall on
         grid points, and otherwise within the linear-interpolation error
         of s * tau at an edge e inside panel i, |(e - x_i)(x_i+1 - e)| / 2
         times a bound on |s * tau''|."""
         scales = np.array([[0.5], [1.0], [2.0]])
-        images = np.exp(-scales * tau(x))
-        stack = FluorescenceProfile(positions=x, probe_power=images,
-                                    fluorescence=images)
-        values = sensing.channel_measurements(sensing.recover_alpha(stack),
-                                              geometry, x)
-        for row, image in zip(values, images):
-            one = FluorescenceProfile(positions=x, probe_power=image,
-                                      fluorescence=image)
+        depths = scales * tau(x)
+        values = sensing.channel_measurements(depths, geometry, x)
+        for row, depth in zip(values, depths):
             assert np.array_equal(row, sensing.channel_measurements(
-                sensing.recover_alpha(one), geometry, x))
+                depth, geometry, x))
         lo, hi = geometry.window_edges
         a, b = np.maximum(lo, x[0]), np.minimum(hi, x[-1])
 
@@ -353,7 +339,7 @@ class TestChannelMeasurements:
             i = np.clip(np.searchsorted(x, edge) - 1, 0, x.size - 2)
             return np.abs((edge - x[i]) * (x[i + 1] - edge)) / 2 * curvature
 
-        # the depth rounds in two logs and one subtraction, and each edge
+        # the depth s * tau rounds where it is evaluated, and each edge
         # read in the interpolation: well inside 8 n eps of its scale
         rounding = 8 * x.size * np.finfo(float).eps * \
             max(1.0, np.abs(scales * tau(x)).max())
@@ -417,7 +403,7 @@ class TestReadoutAccuracy:
     absorption above its LO-only background, on fig3c's scene."""
 
     @pytest.mark.parametrize("points_per_wavelength, bound",
-                             [(256, 2e-4), (16, 5e-2)])
+                             [(4096, 1e-6), (256, 2e-4), (16, 5e-2)])
     @pytest.mark.parametrize("ratio", [2.0, 20.0])
     def test_windows_match_quadrature(self, ratio, points_per_wavelength,
                                       bound):
@@ -442,8 +428,9 @@ class TestPanelReadoutEquivalence:
 
     @staticmethod
     def readout(profile, geometry):
-        return sensing.channel_measurements(sensing.recover_alpha(profile),
-                                            geometry, profile.positions)
+        return sensing.channel_measurements(
+            sensing.recover_alpha(profile.fluorescence), geometry,
+            profile.positions)
 
     def test_random_stacks_match_within_1e_10(self, params):
         # 1-3 targets, three LO ratios in 0.5-60, cells of 1-19 lambda
@@ -487,8 +474,8 @@ class TestPanelReadoutEquivalence:
             profile = sensing.propagate_probe(
                 lambda x: physics.absorption_exact(params, scene, x),
                 geometry, two_target.rf_wavelength)
-            assert np.array_equal(sensing.recover_alpha(profile),
-                                  -np.log(profile.probe_power))
+            assert np.array_equal(sensing.recover_alpha(
+                profile.fluorescence), -np.log(profile.fluorescence))
 
 
 class TestCalibrate:
@@ -554,8 +541,8 @@ class TestStackedReadout:
             want_profile, _ = fluorescence_readout_per_scene(
                 scene, geometry, params)
             assert np.array_equal(profile.positions, want_profile.positions)
-            assert np.array_equal(profile.probe_power[c],
-                                  want_profile.probe_power)
+            assert np.array_equal(profile.optical_depth[c],
+                                  want_profile.optical_depth)
             assert np.array_equal(profile.fluorescence[c],
                                   want_profile.fluorescence)
             _, want = sensing.fluorescence_readout(scene, geometry, params)
@@ -595,7 +582,8 @@ class TestStackedReadout:
                                                     params)
         want_profile, want = fluorescence_readout_per_scene(
             two_target, geometry, params)
-        assert profile.probe_power.shape == want_profile.probe_power.shape
+        assert profile.optical_depth.shape == \
+            want_profile.optical_depth.shape
         assert np.array_equal(profile.fluorescence, want_profile.fluorescence)
         assert np.abs(got.values - want.values).max() <= \
             GRADIENT_READOUT_TOL * want.values.std()
@@ -630,14 +618,11 @@ class TestStackedReadout:
         assert str(stacked.value).startswith("window 14 ")
 
     def test_nonpositive_row_rejects_the_stack(self):
-        x = np.linspace(0, 1, 11)
         power = np.ones((3, 11))
         power[1, -1] = 0.0
-        profile = FluorescenceProfile(positions=x, probe_power=power,
-                                      fluorescence=power)
         with pytest.raises(NonPositiveFluorescence,
                            match="fluorescence must be strictly positive"):
-            sensing.recover_alpha(profile)
+            sensing.recover_alpha(power)
 
     def test_singular_row_rejects_the_stack(self, params, geometry):
         _, beta = physics.linearization_constants(params)

@@ -55,35 +55,58 @@ def _power(n=257, seed=0):
     return power
 
 
-def _profile(kappa):
+FLUORESCENCE_HEADER = "x_m,probe_power,fluorescence"
+
+
+def _columns(kappa):
     power = _power()
-    return FluorescenceProfile(positions=_grid(), probe_power=power,
-                               fluorescence=kappa * power)
+    return _grid(), power, kappa * power
 
 
-def _signed_zero_profile():
+def _signed_zero_columns():
     # equal by value, not by bytes: a value-keyed reuse would print "0"
     # where the fluorescence column holds -0.0
-    power = np.array([0.0, 1.5, 0.0, -2.0])
-    return FluorescenceProfile(positions=np.arange(4.0), probe_power=power,
-                               fluorescence=np.array([-0.0, 1.5, 0.0, -2.0]))
+    return (np.arange(4.0), np.array([0.0, 1.5, 0.0, -2.0]),
+            np.array([-0.0, 1.5, 0.0, -2.0]))
 
 
-def _small_profile():
+def _small_columns():
     power = np.array([1.0, -0.25, 1.2345678901234567e-36, -1e-36, 0.1,
                       2.0**60])
-    return FluorescenceProfile(
-        positions=np.array([0.0, 1.0, 2.5e-3, 7.0, 1e-36, 3.0]),
-        probe_power=power, fluorescence=-3.0 * power)
+    return (np.array([0.0, 1.0, 2.5e-3, 7.0, 1e-36, 3.0]), power,
+            -3.0 * power)
 
 
-@pytest.mark.parametrize("profile", [
-    _profile(1.0), _profile(0.5), _signed_zero_profile(), _small_profile(),
+@pytest.mark.parametrize("columns", [
+    _columns(1.0), _columns(0.5), _signed_zero_columns(), _small_columns(),
 ], ids=["kappa_1", "kappa_0.5", "signed_zero", "kappa_-3"])
-def test_fluorescence_csv_bytes(tmp_path, profile):
+def test_fluorescence_csv_bytes(columns):
+    # distinct probe-power and fluorescence columns, which no profile
+    # holds: the column formatter reuses text only for equal bytes
+    assert serialize._csv_text(FLUORESCENCE_HEADER, *columns) == \
+        fluorescence_csv_rowwise(*columns)
+
+
+def _depth(n=257):
+    # images about 1, 0, subnormal and near overflow: exp(-745) is the
+    # least subnormal, exp(709.7) is near the largest double
+    rng = np.random.default_rng(0)
+    depth = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 3, n)
+    depth[:8] = (0.0, -0.0, 745.0, 800.0, -709.7, np.inf, -np.inf, np.nan)
+    return depth
+
+
+@pytest.mark.parametrize("depth", [_depth(), np.zeros(5)],
+                         ids=["mixed", "transparent"])
+def test_write_fluorescence_csv_bytes(tmp_path, depth):
+    # both columns hold the profile's image exp(-optical_depth)
+    profile = FluorescenceProfile(positions=_grid(depth.size),
+                                  optical_depth=depth)
     path = tmp_path / "fluorescence.csv"
     serialize.write_fluorescence_csv(profile, path)
-    assert path.read_bytes() == fluorescence_csv_rowwise(profile).encode()
+    image = np.exp(-depth)
+    assert path.read_bytes() == fluorescence_csv_rowwise(
+        profile.positions, image, image).encode()
 
 
 @pytest.mark.parametrize("values", ["sine", "centers", "signed_zero"])
