@@ -80,31 +80,24 @@ def mean_jacobian(inputs: FimInputs) -> np.ndarray:
 
 
 def fisher_information(jacobian: np.ndarray, sigma2: float) -> np.ndarray:
-    """J^T J / sigma2: the FIM of the mean under white noise."""
+    """J^T J / sigma2, the FIM of the mean under white noise: the channels'
+    outer products summed in order, so no BLAS kernel touches its bits."""
     jacobian = np.asarray(jacobian, dtype=float)
-    # Weighting J by w twice rounds as the Cholesky solve of sigma2 * I
-    # (factor sqrt(sigma2) * I) that it replaces, so every bound keeps its
-    # bits; J.T @ J / sigma2 would move their last digits.
-    w = 1 / np.sqrt(sigma2)
-    fim = jacobian.T @ (jacobian * w * w)
-    return (fim + fim.T) / 2
+    return np.add.reduce(jacobian[:, :, None] * jacobian[:, None, :],
+                         axis=0) / sigma2
 
 
 def effective_fim(fim: np.ndarray, n_interest: int) -> np.ndarray:
     """Schur complement of the nuisance block: information left about the
-    first n_interest parameters after jointly estimating the rest."""
-    fim = np.asarray(fim, dtype=float)
-    head = fim[:n_interest, :n_interest]
-    coupling = fim[:n_interest, n_interest:]
-    nuisance = fim[n_interest:, n_interest:]
-    if nuisance.size == 0:
-        return head.copy()
-    try:
-        solved = np.linalg.solve(nuisance, coupling.T)
-    except np.linalg.LinAlgError as exc:
-        raise SingularNuisanceBlock("nuisance block is singular") from exc
-    eff = head - coupling @ solved
-    return (eff + eff.T) / 2
+    first n_interest parameters after jointly estimating the rest, which
+    are eliminated one at a time, last first, by elementwise steps."""
+    eff = np.array(fim, dtype=float)
+    for k in range(len(eff) - 1, n_interest - 1, -1):
+        pivot = eff[k, k]
+        if not pivot > 0:
+            raise SingularNuisanceBlock("nuisance block is singular")
+        eff = eff[:k, :k] - np.multiply.outer(eff[:k, k], eff[k, :k]) / pivot
+    return eff
 
 
 def angle_crlb(effective_fim_dk: np.ndarray, thetas: np.ndarray,

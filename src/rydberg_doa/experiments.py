@@ -78,6 +78,9 @@ class SweepSpec:
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
         if self.kind is None:
+            if self.axis not in SWEEP_KINDS:
+                raise ValueError(f"unknown sweep axis {self.axis!r} "
+                                 f"(allowed: {', '.join(SWEEP_KINDS)})")
             object.__setattr__(self, "kind", SWEEP_KINDS[self.axis][0])
 
 
@@ -485,7 +488,7 @@ def spectral_power(measurement: MeasurementVector, scene_meta,
     dks = wavenumber * (np.sin(lo_angle)
                         - np.sin(np.deg2rad(np.asarray(angles_deg))))
     steering = np.exp(-1j * dks[:, None] * centers[None, :])
-    return np.abs(steering @ measurement.values) ** 2
+    return np.abs((steering * measurement.values).sum(axis=-1)) ** 2
 
 
 def run_sampling_demo(config: ScenarioConfig) -> SamplingDemoResult:

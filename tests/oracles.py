@@ -1,11 +1,13 @@
 """Independent reference computations that the tests check the runtime
 paths against. They are deliberately slower or built on other libraries
 (scipy's Cholesky solve, trapezoid quadrature, csv.writer) so that they
-share no code path with what they check. The closed forms (Rabi
-frequency, phasor field sum, two-level scattering rate, four-level
-susceptibility, whole-cell integrated power) are textbook formulas that
-only the tests evaluate. The per-scene readout reads one scene at a time,
-as the fluorescence pipeline did before it read stacks of scenes and
+share no code path with what they check. The channel-by-channel FIM adds
+one channel's outer product at a time, in the order the runtime's
+reduction must add them. The closed forms (Rabi frequency, phasor field
+sum, two-level scattering rate, four-level susceptibility, whole-cell
+integrated power) are textbook formulas that only the tests evaluate.
+The per-scene readout reads one scene at a time, as the fluorescence
+pipeline did before it read stacks of scenes and
 before it read each window as a log-difference of the image: it
 differentiates log F with np.gradient and integrates the samples back
 over each window with a trapezoid. The panel readout reads windows as
@@ -145,10 +147,19 @@ def fisher_information_blocks(inputs: FimInputs) -> np.ndarray:
 
 def fisher_information_scipy(jacobian: np.ndarray,
                              noise_cov: np.ndarray) -> np.ndarray:
-    """J^T Sigma^-1 J through scipy's cho_factor/cho_solve, symmetrized as
-    crlb.fisher_information does."""
-    fim = jacobian.T @ cho_solve(cho_factor(noise_cov, lower=True), jacobian)
-    return (fim + fim.T) / 2
+    """J^T Sigma^-1 J through scipy's cho_factor/cho_solve and a BLAS
+    product; equal to the runtime FIM to rounding only."""
+    return jacobian.T @ cho_solve(cho_factor(noise_cov, lower=True), jacobian)
+
+
+def fisher_information_by_channel(jacobian: np.ndarray,
+                                  sigma2: float) -> np.ndarray:
+    """J^T J / sigma2 as a running sum of each channel's outer product, one
+    channel at a time in a Python loop, then one division."""
+    fim = np.zeros((jacobian.shape[1], jacobian.shape[1]))
+    for row in jacobian:
+        fim = fim + np.multiply.outer(row, row)
+    return fim / sigma2
 
 
 def rabi_frequency(params: AtomicParams, field_magnitude) -> np.ndarray | float:

@@ -282,6 +282,13 @@ def test_run_sweep_rejects_a_pair_outside_sweep_kinds(base_config, axis,
         experiments.run_sweep(cfg)
 
 
+def test_sweep_spec_rejects_an_unknown_axis_with_no_kind():
+    with pytest.raises(ValueError, match="^unknown sweep axis 'bogus' "
+                       r"\(allowed: lo_ratio, snr_db, cell_length, "
+                       r"sampling_interval, window_width\)$"):
+        SweepSpec(axis="bogus", values=(1.0,))
+
+
 def seeded_cell(config, c, **overrides):
     """Cell c of a sweep of config, seeded explicitly."""
     return replace(config, sweep=None, **overrides,

@@ -9,14 +9,12 @@ output. Headers, the first (key) column, empty fields and
 integer fields such as trial and failure counts must match exactly; every
 other numeric field within RECOMPUTE_RTOL.
 
-The determinism contract is byte-exact output for a fixed numpy and BLAS
-kernel. RECOMPUTE_RTOL does not extend it to other kernels: with
-OpenBLAS told to use another kernel (OPENBLAS_CORETYPE=Prescott on an
-x86-64 DYNAMIC_ARCH build), fig7b fails, because its fields at the
-window-width null are rounding noise that moves by far more than
-RECOMPUTE_RTOL. numpy's CPU dispatch does stay within it: fig3c, the
-fluorescence pipeline's sweep, is also compared with numpy's AVX-512
-kernels turned off.
+The determinism contract is byte-exact output for a fixed numpy and CPU
+dispatch, whatever OpenBLAS kernel runs: tests/test_output_bytes.py
+checks every command's output byte for byte under
+OPENBLAS_CORETYPE=Prescott. numpy's CPU dispatch moves only the last
+digits, within RECOMPUTE_RTOL: fig3c, the fluorescence pipeline's sweep,
+is also compared with numpy's AVX-512 kernels turned off.
 """
 
 import csv
