@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigParseError, RydbergDoaError
+from .errors import ConfigParseError, build_at
 from .estimation import PronyConfig
 from .experiments import (
     CELL_SEED_STRIDE,
@@ -69,17 +69,8 @@ def _integer(value, path: str) -> int:
     return value
 
 
-def _build(path: str, make, *args, **kwargs):
-    """make(*args, **kwargs) with its ValueError or domain error a config
-    error naming path; config errors in the arguments stay unwrapped."""
-    try:
-        return make(*args, **kwargs)
-    except (ValueError, RydbergDoaError) as exc:
-        raise ConfigParseError(f"'{path}': {exc}") from exc
-
-
 def _parse_wave(doc: dict, path: str, amplitude: float) -> PlaneWave:
-    return _build(
+    return build_at(
         path.rstrip("."), PlaneWave, amplitude=amplitude,
         phase=np.deg2rad(_number(doc.get("phase_deg", 0.0),
                                  path + "phase_deg")),
@@ -125,8 +116,8 @@ def _parse_scene(doc: dict) -> RfScene:
             "missing required key 'scene.lo.amplitude_v_per_m' (or "
             "'scene.lo.ratio_to_signals')")
     lo = _parse_wave(lo_doc, "scene.lo.", lo_amp)
-    return _build("scene", RfScene, lo=lo, signals=tuple(signals),
-                  carrier_freq=carrier)
+    return build_at("scene", RfScene, lo=lo, signals=tuple(signals),
+                    carrier_freq=carrier)
 
 
 _ATOM_KEYS = {
@@ -147,7 +138,7 @@ def _parse_atoms(doc: dict) -> AtomicParams:
     for key, (fieldname, scale) in _ATOM_KEYS.items():
         if key in doc:
             overrides[fieldname] = scale * _number(doc[key], f"atoms.{key}")
-    return _build("atoms", AtomicParams, **overrides)
+    return build_at("atoms", AtomicParams, **overrides)
 
 
 def _length(doc: dict, stem: str, rf_wavelength: float, path: str,
@@ -180,7 +171,7 @@ def _parse_geometry(doc: dict, rf_wavelength: float) -> SensorGeometry:
     grid = _integer(doc.get("grid_points_per_rf_wavelength",
                             SensorGeometry.grid_points_per_rf_wavelength),
                     "geometry.grid_points_per_rf_wavelength")
-    return _build("geometry", SensorGeometry, cell, width, spacing, grid)
+    return build_at("geometry", SensorGeometry, cell, width, spacing, grid)
 
 
 def _parse_prony(doc: dict, n_signals: int) -> PronyConfig:
@@ -195,7 +186,7 @@ def _parse_prony(doc: dict, n_signals: int) -> PronyConfig:
     order = doc.get("model_order")
     order = max(2 * target, 2) if order is None else _integer(
         order, "prony.model_order")
-    return _build(
+    return build_at(
         "prony", PronyConfig, model_order=order, target_count=target,
         unit_circle_tolerance=_number(
             doc.get("unit_circle_tolerance",
@@ -224,7 +215,7 @@ def _parse_sweep(doc: dict, scene: RfScene) -> SweepSpec:
             f"(allowed: {', '.join(SWEEP_KINDS[axis])})")
     for i, value in enumerate(values):
         if axis == "snr_db":
-            _build(f"sweep.values[{i}]", snr_ratio, value)
+            build_at(f"sweep.values[{i}]", snr_ratio, value)
         elif not value > 0:
             raise ConfigParseError(f"'sweep.values[{i}]' must be positive")
     if axis == "lo_ratio" and scene.total_signal_amplitude == 0:
@@ -251,7 +242,7 @@ def parse_config(doc: dict) -> RunConfig:
     snr_db = noise_doc.get("snr_db")
     if snr_db is not None:
         snr_db = _number(snr_db, "noise.snr_db")
-        _build("noise.snr_db", snr_ratio, snr_db)
+        build_at("noise.snr_db", snr_ratio, snr_db)
 
     run_doc = doc.get("run", {})
     _check_keys(run_doc, {"trials", "base_seed", "output_dir", "verbosity"},

@@ -1,7 +1,8 @@
 """Exception types raised by the toolkit.
 
 All domain errors derive from :class:`RydbergDoaError` so callers (and the
-CLI) can distinguish physics/estimation failures from programming errors.
+CLI) can distinguish physics/estimation failures from programming errors;
+build_at turns a record's error into a config error naming its key.
 """
 
 
@@ -59,3 +60,12 @@ class SchemaError(RydbergDoaError):
 
 class LoDominanceWarning(UserWarning):
     """Linearized model used outside the LO-dominant regime."""
+
+
+def build_at(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs) with its ValueError or domain error a config
+    error naming path; config errors in the arguments stay unwrapped."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, RydbergDoaError) as exc:
+        raise ConfigParseError(f"'{path}': {exc}") from exc

@@ -17,11 +17,11 @@ sensing.NOISE_BLOCK_ROWS). Two stacking rules, both exact row by
 row, make a sweep's cells share work:
 - synthesis: the analytic model per cell or, for the cells of an
   LO-ratio sweep (which differ only in LO amplitude), one fluorescence
-  readout of all of them as a stack (synthesize);
-- estimation: the noise stacks of all cells that share a prediction
-  system (Prony config, channel count, window pitch, carrier wavenumber
-  and LO bearing) run as one batched estimate of at most MC_STACK_ROWS
-  rows, never splitting a cell.
+  readout of all of them as a stack;
+- estimation: the noise stacks of consecutive cells that share a
+  prediction system (Prony config, channel count, window pitch, carrier
+  wavenumber and LO bearing) run as one batched estimate of at most
+  MC_STACK_ROWS rows, never splitting a cell.
 Each row equals the readout or solve of its cell alone, so every cell's
 result does too. Trial failures (rows of the estimate whose failure code
 is not OK) are counted per cell, never silently dropped.
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import physics, scenarios, sensing
 from .crlb import CrlbReport, FimInputs, crlb_report
-from .errors import ConfigParseError, RydbergDoaError
+from .errors import ConfigParseError, RydbergDoaError, build_at
 # estimate_doa stays bound here: perfbench's tracer wraps it at every
 # binding and its self-test expects this one.
 from .estimation import (  # noqa: F401
@@ -154,22 +154,6 @@ class SamplingDemoResult:
     curves: tuple
 
 
-def synthesize(cells: list[ScenarioConfig],
-               fluorescence: bool) -> list[MeasurementVector]:
-    """Noiseless measurement vector of each cell: the analytic model per
-    cell or, with fluorescence, one readout of all cells as a stack on the
-    first cell's geometry and atomic parameters; their scenes must differ
-    only in LO amplitude (physics.scene_stack). Each row equals the
-    readout of its cell alone."""
-    if not fluorescence:
-        return [sensing.predicted_measurements(c.scene, c.geometry, c.params)
-                for c in cells]
-    first = cells[0]
-    stack = sensing.simulate_measurements([c.scene for c in cells],
-                                          first.geometry, first.params)
-    return [replace(stack, values=values) for values in stack.values]
-
-
 def match_errors(estimated: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """Per-target absolute angle errors under minimum-total-error pairing.
 
@@ -239,17 +223,19 @@ def _mc_sweep(config: ScenarioConfig, cells,
     fields each cell overrides, and cell c runs at base_seed +
     CELL_SEED_STRIDE * c.
 
-    Each cell is synthesized once (the scene is deterministic), by the
-    analytic model or, with fluorescence, in one fluorescence stack
-    (synthesize), and draws its (trials, K) noise stack. The stacks of
-    cells that share a prediction system (Prony config, channel count,
-    window pitch, carrier wavenumber and LO bearing) run as one batched
-    Prony solve of at most MC_STACK_ROWS rows; a cell is never split,
-    and a larger one runs alone. Rows are
-    independent, so each cell gets the result of its own solve. A cell
-    whose noise draw raises a domain error fails whole. A cell whose
-    prony.target_count differs from its scene's signal count is a config
-    error before any synthesis: its RMSE would not score every target.
+    One pass over the cells, in order. Each cell is synthesized once (the
+    scene is deterministic), by the analytic model or, with fluorescence,
+    as its row of one fluorescence readout of all cells stacked on the
+    first cell's geometry and atomic parameters (their scenes must differ
+    only in LO amplitude, physics.scene_stack), and draws its (trials, K)
+    noise stack; a cell whose noise draw raises a domain error fails
+    whole. Consecutive cells that share a prediction system (Prony config,
+    channel count, window pitch, carrier wavenumber and LO bearing) run as
+    one batched Prony solve of at most MC_STACK_ROWS rows; a cell is never
+    split, and a larger one runs alone. Rows are independent, so each cell
+    gets the result of its own solve. A cell whose prony.target_count
+    differs from its scene's signal count is a config error before any
+    synthesis: its RMSE would not score every target.
     """
     seeded = [replace(config, sweep=None,
                       base_seed=config.base_seed + CELL_SEED_STRIDE * c,
@@ -259,72 +245,64 @@ def _mc_sweep(config: ScenarioConfig, cells,
             raise ConfigParseError(
                 f"'prony.target_count' must equal the scene's signal count "
                 f"{cell.scene.n_signals}, got {cell.prony.target_count}")
-    clean = synthesize(seeded, fluorescence)
-    # Cells grouped by everything estimate_doa_batch reads besides values.
-    groups: dict[tuple, list[int]] = {}
+    if fluorescence:
+        readout = sensing.simulate_measurements(
+            [c.scene for c in seeded], seeded[0].geometry, seeded[0].params)
+    results, stack, rows, system = [], [], 0, None
     for i, cell in enumerate(seeded):
-        groups.setdefault((cell.prony, cell.geometry.channel_count,
-                           cell.geometry.spacing, cell.scene.wavenumber,
-                           cell.scene.lo.angle), []).append(i)
-    results: list = [None] * len(seeded)
-    for members in groups.values():
-        stack, rows = [], 0
-        for i in members:
-            if stack and rows + seeded[i].trials > MC_STACK_ROWS:
-                _solve_stack(seeded, stack, results)
-                stack, rows = [], 0
-            values = _trial_values(seeded[i], clean[i])
-            if values is None:
-                results[i] = McResult(rmse_rad=np.inf,
-                                      failures=seeded[i].trials)
-            else:
-                stack.append((i, values))
-                rows += len(values)
-        if stack:
-            _solve_stack(seeded, stack, results)
-    return results
+        clean = (replace(readout, values=readout.values[i]) if fluorescence
+                 else sensing.predicted_measurements(
+                     cell.scene, cell.geometry, cell.params))
+        values = np.broadcast_to(clean.values,
+                                 (cell.trials, len(clean.values)))
+        if cell.snr_db is not None:
+            try:
+                values = sensing.add_noise(clean, cell.snr_db, range(
+                    cell.base_seed, cell.base_seed + cell.trials)).values
+            except RydbergDoaError:  # a scene without signal power
+                values = None
+        # Everything estimate_doa_batch reads besides the values.
+        key = (cell.prony, cell.geometry.channel_count, cell.geometry.spacing,
+               cell.scene.wavenumber, cell.scene.lo.angle)
+        if key != system or rows + cell.trials > MC_STACK_ROWS:
+            results += _solve_stack(stack)
+            stack, rows, system = [], 0, key
+        stack.append((cell, values))
+        rows += 0 if values is None else cell.trials
+    return results + _solve_stack(stack)
 
 
-def _trial_values(cell: ScenarioConfig,
-                  clean: MeasurementVector) -> np.ndarray | None:
-    """The cell's (trials, K) noisy samples of its clean vector; None when
-    the noise draw raises a domain error (a scene without signal power)."""
-    if cell.snr_db is None:
-        return np.broadcast_to(clean.values, (cell.trials, len(clean.values)))
-    try:
-        return sensing.add_noise(clean, cell.snr_db, range(
-            cell.base_seed, cell.base_seed + cell.trials)).values
-    except RydbergDoaError:
-        return None
-
-
-def _solve_stack(cells: list, stack: list, results: list) -> None:
-    """One batched estimate of the (cell index, values) stack, whose cells
-    share a prediction system; each cell's rows give its results entry."""
-    first = cells[stack[0][0]]
-    values = stack[0][1] if len(stack) == 1 else \
-        np.concatenate([v for _, v in stack])
-    try:
-        batch = estimate_doa_batch(
-            MeasurementVector(values=values, geometry=first.geometry),
-            (first.scene.wavenumber, first.scene.lo.angle), first.prony)
-    except RydbergDoaError:
-        # Only an order K cannot support, which every cell here shares.
-        for i, v in stack:
-            results[i] = McResult(rmse_rad=np.inf, failures=len(v))
-        return
-    ok = ~batch.failed
-    start = 0
-    for i, v in stack:
-        rows = slice(start, start + len(v))
+def _solve_stack(stack: list) -> list[McResult]:
+    """Each McResult of the (cell, values) stack, whose cells share a
+    prediction system, from one batched estimate. A cell without values
+    fails every trial, as does every cell of a stack the estimate rejects
+    whole."""
+    drawn = [values for _, values in stack if values is not None]
+    batch = None
+    if drawn:
+        first = stack[0][0]
+        try:
+            batch = estimate_doa_batch(
+                MeasurementVector(values=np.concatenate(drawn),
+                                  geometry=first.geometry),
+                (first.scene.wavenumber, first.scene.lo.angle), first.prony)
+        except RydbergDoaError:
+            pass  # only an order K cannot support, which every cell shares
+    results, start = [], 0
+    for cell, values in stack:
+        if batch is None or values is None:
+            results.append(McResult(rmse_rad=np.inf, failures=cell.trials))
+            continue
+        rows = slice(start, start + cell.trials)
         start = rows.stop
-        kept = ok[rows]
+        kept = ~batch.failed[rows]
         # Raveled: the mean of the 2-D array would sum in another order.
         errors = match_errors(batch.doas[rows][kept],
-                              scenarios.true_doas(cells[i].scene)).ravel()
+                              scenarios.true_doas(cell.scene)).ravel()
         rmse = float(np.sqrt((errors ** 2).mean())) if errors.size else np.inf
-        results[i] = McResult(rmse_rad=rmse,
-                              failures=len(v) - int(kept.sum()))
+        results.append(McResult(rmse_rad=rmse,
+                                failures=cell.trials - int(kept.sum())))
+    return results
 
 
 def _sweep_result(config: ScenarioConfig, results: list) -> SweepResult:
@@ -347,15 +325,9 @@ def _axis_geometries(config: ScenarioConfig, field: str) -> list:
     """The configured geometry with field set to each sweep value, in RF
     wavelengths; a value that leaves no room for two windows is a config
     error naming it."""
-    geometries = []
-    for i, value in enumerate(config.sweep.values):
-        try:
-            geometries.append(replace(
-                config.geometry,
-                **{field: value * config.scene.rf_wavelength}))
-        except ValueError as exc:
-            raise ConfigParseError(f"'sweep.values[{i}]': {exc}") from exc
-    return geometries
+    return [build_at(f"sweep.values[{i}]", replace, config.geometry,
+                     **{field: value * config.scene.rf_wavelength})
+            for i, value in enumerate(config.sweep.values)]
 
 
 def run_lo_ratio_sweep(config: ScenarioConfig) -> SweepResult:

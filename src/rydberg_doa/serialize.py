@@ -1,7 +1,7 @@
 """File formats: CSV/JSON writers, all atomic (write-then-rename), for
 profiles, measurements, estimation results, bound reports and sweeps.
-One column formatter, _fmt, writes CSV floats with 17 significant digits,
-once per bit-identical column of a file; identical runs give equal bytes.
+One column formatter, _fmt, writes CSV floats with 17 significant digits;
+identical runs give equal bytes.
 """
 
 from __future__ import annotations
@@ -56,24 +56,15 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 def _csv_text(header: str, *columns) -> str:
     """The header line, then one line per row of the columns. A list column
-    holds field text; any other holds numbers for _fmt, formatted once per
-    byte pattern (not per value: 0.0 and -0.0 print apart)."""
-    done: dict[bytes, list[str]] = {}
-    texts = []
-    for col in columns:
-        if not isinstance(col, list):
-            key = np.asarray(col, dtype=float).tobytes()
-            if key not in done:
-                done[key] = _fmt(col)
-            col = done[key]
-        texts.append(col)
+    holds field text; any other holds numbers for _fmt."""
+    texts = [col if isinstance(col, list) else _fmt(col) for col in columns]
     return "\n".join([header, *map(",".join, zip(*texts))]) + "\n"
 
 
 def write_fluorescence_csv(profile: FluorescenceProfile,
                            path: str | Path) -> None:
     """Both columns hold the image (FluorescenceProfile.fluorescence)."""
-    image = profile.fluorescence
+    image = _fmt(profile.fluorescence)
     atomic_write_text(path, _csv_text(
         "x_m,probe_power,fluorescence", profile.positions, image, image))
 

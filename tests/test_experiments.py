@@ -397,6 +397,27 @@ class TestMcSweepStacking:
         assert results == [mc_rmse(seeded_cell(base_config, c, **o))
                            for c, o in enumerate(cells)]
 
+    @pytest.mark.parametrize("other", [
+        lambda cfg: {"prony": replace(cfg.prony, model_order=6)},
+        lambda cfg: {"scene": replace(
+            cfg.scene, carrier_freq=1.1 * cfg.scene.carrier_freq)},
+        lambda cfg: {"scene": replace(cfg.scene, lo=replace(
+            cfg.scene.lo, angle=cfg.scene.lo.angle - 0.1))},
+    ], ids=["prony", "carrier", "lo_bearing"])
+    def test_only_consecutive_cells_share_a_solve(self, base_config,
+                                                  solve_rows, other):
+        # Cells A, B, A: the two A cells share a system but are not
+        # neighbours, so each cell runs in its own solve.
+        cells = ({}, other(base_config), {})
+        results = experiments._mc_sweep(base_config, cells)
+        assert solve_rows == [base_config.trials] * 3
+        assert results == [mc_rmse(seeded_cell(base_config, c, **o))
+                           for c, o in enumerate(cells)]
+
+    def test_no_cells_give_no_results(self, base_config, solve_rows):
+        assert experiments._mc_sweep(base_config, ()) == []
+        assert solve_rows == []
+
     @staticmethod
     def assert_matches_cells(cfg, results):
         c = 0
