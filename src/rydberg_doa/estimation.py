@@ -188,15 +188,6 @@ def solve_lpc(matrix: np.ndarray, rhs: np.ndarray
             deficient.reshape(lead))
 
 
-def _polyval(poly: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """np.polyval lane by lane: poly (n, T) at x (m, T), by Horner's rule
-    in np.polyval's operation order."""
-    y = np.zeros_like(x)
-    for coeff in poly:
-        y = y * x + coeff
-    return y
-
-
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     """Eigenvalues of each polynomial's companion matrix."""
     order = coeffs.shape[-1]
@@ -285,7 +276,8 @@ def char_poly_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     else:
         roots = _companion_roots(flat).T
     monic = np.concatenate((np.ones((1, len(flat))), lanes))
-    residual = np.abs(_polyval(monic, roots)) / (1.0 + np.abs(roots) ** order)
+    residual = (np.abs(np.polyval(monic, roots))
+                / (1.0 + np.abs(roots) ** order))
     return (np.ascontiguousarray(roots.T).reshape(coeffs.shape),
             residual.max(axis=0, initial=0.0).reshape(coeffs.shape[:-1]))
 

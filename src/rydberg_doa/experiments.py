@@ -142,16 +142,10 @@ class LinearizationCheck:
 
 
 @dataclass(frozen=True)
-class SamplingDemoCurve:
-    label: str
-    power: np.ndarray  # normalized to the common max across the case
-
-
-@dataclass(frozen=True)
 class SamplingDemoResult:
-    case: str
     angles_deg: np.ndarray
-    curves: tuple
+    labels: tuple
+    power: np.ndarray  # (curves, angles), over the common max of the case
 
 
 def match_errors(estimated: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -245,7 +239,7 @@ def _mc_sweep(config: ScenarioConfig, cells,
             raise ConfigParseError(
                 f"'prony.target_count' must equal the scene's signal count "
                 f"{cell.scene.n_signals}, got {cell.prony.target_count}")
-    if fluorescence:
+    if fluorescence and seeded:
         readout = sensing.simulate_measurements(
             [c.scene for c in seeded], seeded[0].geometry, seeded[0].params)
     results, stack, rows, system = [], [], 0, None
@@ -357,23 +351,18 @@ def run_snr_sweep(config: ScenarioConfig) -> dict[str, SweepResult]:
     CRLB overlay.
     """
     values = config.sweep.values
-    scenes, cells = {}, []
-    for name, angles in SNR_PRESETS.items():
-        scenes[name] = scene = _preset_scene(config, angles)
-        n = len(angles)
-        prony = replace(config.prony, model_order=2 * n, target_count=n)
-        cells += [{"scene": scene, "prony": prony, "snr_db": float(snr)}
-                  for snr in values]
-    mc = _mc_sweep(config, cells)
-    results: dict[str, SweepResult] = {}
-    for preset_idx, (name, scene) in enumerate(scenes.items()):
-        result = _sweep_result(config, mc[preset_idx * len(values):
-                                          (preset_idx + 1) * len(values)])
-        if name == "single_15":
-            result = replace(result, crlb_std_rad=tuple(
-                crlb_std_for(scene, config.geometry, config.params,
-                             float(snr))[0] for snr in values))
-        results[name] = result
+    scenes = {name: _preset_scene(config, angles)
+              for name, angles in SNR_PRESETS.items()}
+    mc = iter(_mc_sweep(config, (
+        {"scene": scene, "snr_db": float(snr), "prony": replace(
+            config.prony, model_order=2 * scene.n_signals,
+            target_count=scene.n_signals)}
+        for scene in scenes.values() for snr in values)))
+    results = {name: _sweep_result(config, [next(mc) for _ in values])
+               for name in scenes}
+    results["single_15"] = replace(results["single_15"], crlb_std_rad=tuple(
+        crlb_std_for(scenes["single_15"], config.geometry, config.params,
+                     float(snr))[0] for snr in values))
     return results
 
 
@@ -475,22 +464,19 @@ def run_sampling_demo(config: ScenarioConfig) -> SamplingDemoResult:
     """
     scene = config.scene
     sensing.require_signal(scene, "the demo has no response to normalize")
-    axis = config.sweep.axis
-    label, field = (("dx", "spacing") if axis == "sampling_interval"
+    label, field = (("dx", "spacing")
+                    if config.sweep.axis == "sampling_interval"
                     else ("width", "window_width"))
     geometries = _axis_geometries(config, field)
     angles_deg = np.arange(-90.0, 90.0 + DEMO_ANGLE_STEP_DEG / 2,
                            DEMO_ANGLE_STEP_DEG)
     meta = (scene.wavenumber, scene.lo.angle)
-    raw = [spectral_power(sensing.predicted_measurements(
+    power = np.array([spectral_power(sensing.predicted_measurements(
         scene, geometry, config.params), meta, angles_deg)
-        for geometry in geometries]
-    common_max = max(float(p.max()) for p in raw)
-    curves = tuple(
-        SamplingDemoCurve(label=f"{label}_{v:g}wl", power=p / common_max)
-        for v, p in zip(config.sweep.values, raw))
-    return SamplingDemoResult(case=axis, angles_deg=angles_deg,
-                              curves=curves)
+        for geometry in geometries])
+    return SamplingDemoResult(
+        angles_deg=angles_deg, power=power / power.max(),
+        labels=tuple(f"{label}_{v:g}wl" for v in config.sweep.values))
 
 
 def run_sweep(config: ScenarioConfig) -> dict:
@@ -509,8 +495,7 @@ def run_sweep(config: ScenarioConfig) -> dict:
         return {f"length_sweep_theta{angle:g}": result
                 for angle, result in run_length_sweep(config).items()}
     if sweep.kind == "sampling_demo":
-        result = run_sampling_demo(config)
-        return {f"sampling_demo_{result.case}": result}
+        return {f"sampling_demo_{sweep.axis}": run_sampling_demo(config)}
     if sweep.axis == "snr_db":
         return {f"snr_sweep_{name}": result
                 for name, result in run_snr_sweep(config).items()}

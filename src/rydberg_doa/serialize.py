@@ -196,8 +196,8 @@ def write_linearization_csv(check: LinearizationCheck,
 def write_sampling_demo_csv(result: SamplingDemoResult,
                             path: str | Path) -> None:
     atomic_write_text(path, _csv_text(
-        ",".join(["angle_deg"] + [f"power_{c.label}" for c in result.curves]),
-        result.angles_deg, *(c.power for c in result.curves)))
+        ",".join(["angle_deg"] + [f"power_{lab}" for lab in result.labels]),
+        result.angles_deg, *result.power))
 
 
 def write_result(result, path: str | Path) -> None:

@@ -470,8 +470,8 @@ def linearization_csv_rowwise(check) -> str:
 
 
 def sampling_demo_csv_rowwise(result) -> str:
-    header = ["angle_deg"] + [f"power_{c.label}" for c in result.curves]
-    columns = [c.power for c in result.curves]
+    header = ["angle_deg"] + [f"power_{label}" for label in result.labels]
+    columns = list(result.power)
     rows = ([_fmt(a)] + [_fmt(col[i]) for col in columns]
             for i, a in enumerate(result.angles_deg))
     return _csv_text(header, rows)

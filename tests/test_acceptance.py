@@ -179,11 +179,11 @@ def test_criterion_6_sampling_demos(setup):
             sweep=SweepSpec(axis="sampling_interval", values=(0.25, 0.5)))
         alias = run_sampling_demo(alias_cfg)
         angles = alias.angles_deg
-        violated = alias.curves[1].power
+        violated = alias.power[1]
         near_mirror = (angles >= -63.0) & (angles <= -57.0)
         assert violated[near_mirror].max() >= 0.8 * violated.max(), (
             "no spurious peak near -60 deg")
-        compliant = alias.curves[0].power
+        compliant = alias.power[0]
         peak = angles[np.argmax(compliant)]
         assert abs(peak - 60.0) <= 1.0, f"compliant peak at {peak} deg"
 
@@ -194,7 +194,7 @@ def test_criterion_6_sampling_demos(setup):
             sweep=SweepSpec(axis="window_width", values=(0.25, 1.0)))
         null_demo = run_sampling_demo(null_cfg)
         at_zero = np.argmin(np.abs(null_demo.angles_deg))
-        assert null_demo.curves[1].power[at_zero] < 0.01, (
+        assert null_demo.power[1][at_zero] < 0.01, (
             "full-wave window did not suppress the broadside target")
 
 

@@ -22,6 +22,7 @@ from rydberg_doa.errors import (
 from rydberg_doa.estimation import PronyConfig, estimate_doa
 from rydberg_doa.experiments import (
     ScenarioConfig,
+    SweepResult,
     SweepSpec,
     match_errors,
     mc_rmse,
@@ -414,9 +415,23 @@ class TestMcSweepStacking:
         assert results == [mc_rmse(seeded_cell(base_config, c, **o))
                            for c, o in enumerate(cells)]
 
-    def test_no_cells_give_no_results(self, base_config, solve_rows):
-        assert experiments._mc_sweep(base_config, ()) == []
+    def test_no_cells_give_no_results(self, base_config, solve_rows,
+                                      readout_stacks):
+        for fluorescence in (False, True):
+            assert experiments._mc_sweep(base_config, (),
+                                         fluorescence=fluorescence) == []
         assert solve_rows == []
+        assert readout_stacks == []
+
+    def test_no_sweep_values_give_empty_results(self, base_config):
+        results = [run_lo_ratio_sweep(replace(
+            base_config, sweep=SweepSpec("lo_ratio", ())))]
+        results += run_snr_sweep(replace(
+            base_config, sweep=SweepSpec("snr_db", ()))).values()
+        for result in results:
+            assert isinstance(result, SweepResult)
+            assert (result.values, result.rmse_rad, result.failures) \
+                == ((), (), ())
 
     @staticmethod
     def assert_matches_cells(cfg, results):
@@ -503,23 +518,23 @@ class TestSamplingDemo:
                                60.0)
         result = run_sampling_demo(cfg)
         angles = result.angles_deg
-        compliant, violated = result.curves
-        peak = angles[np.argmax(compliant.power)]
+        compliant, violated = result.power
+        peak = angles[np.argmax(compliant)]
         assert abs(peak - 60.0) <= 1.0
         near_mirror = (angles >= -63.0) & (angles <= -57.0)
-        assert violated.power[near_mirror].max() >= \
-            0.8 * violated.power.max()
+        assert violated[near_mirror].max() >= \
+            0.8 * violated.max()
         # the compliant curve has no comparable mirror peak
-        assert compliant.power[near_mirror].max() < 0.1
+        assert compliant[near_mirror].max() < 0.1
 
     def test_window_null_case(self, base_config):
         cfg = self.demo_config(base_config, "window_width", (0.25, 1.0), 0.0)
         result = run_sampling_demo(cfg)
         angles = result.angles_deg
-        compliant, violated = result.curves
+        compliant, violated = result.power
         at_zero = np.argmin(np.abs(angles))
-        assert compliant.power[at_zero] == pytest.approx(1.0, abs=0.05)
-        assert violated.power[at_zero] < 0.01
+        assert compliant[at_zero] == pytest.approx(1.0, abs=0.05)
+        assert violated[at_zero] < 0.01
 
     @pytest.mark.parametrize("axis", ["sampling_interval", "window_width"])
     @pytest.mark.parametrize("target_deg", [20.0, -35.0])
@@ -527,13 +542,17 @@ class TestSamplingDemo:
                                                      target_deg):
         cfg = self.demo_config(base_config, axis, (0.25, 0.5), target_deg)
         result = run_sampling_demo(cfg)
-        compliant = result.curves[0].power
+        compliant = result.power[0]
         assert abs(result.angles_deg[np.argmax(compliant)] - target_deg) \
             <= experiments.DEMO_ANGLE_STEP_DEG
 
     def test_demo_csv_schema(self, base_config, tmp_path):
         cfg = self.demo_config(base_config, "window_width", (0.25, 1.0), 0.0)
         result = run_sampling_demo(cfg)
+        assert result.power.shape == (2, len(result.angles_deg))
+        # every curve over the case's common max, not its own
+        assert result.power.max() == 1.0
+        assert result.labels == ("width_0.25wl", "width_1wl")
         path = tmp_path / "demo.csv"
         serialize.write_sampling_demo_csv(result, path)
         header = path.read_text().splitlines()[0].split(",")

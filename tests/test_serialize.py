@@ -21,7 +21,6 @@ from rydberg_doa import serialize
 from rydberg_doa.crlb import CrlbReport
 from rydberg_doa.experiments import (
     LinearizationCheck,
-    SamplingDemoCurve,
     SamplingDemoResult,
     SweepResult,
 )
@@ -162,10 +161,9 @@ def test_linearization_csv_bytes(tmp_path):
 def test_sampling_demo_csv_bytes(tmp_path):
     angles = np.arange(-90.0, 90.25, 0.5)
     power = np.cos(np.deg2rad(angles)) ** 2
-    result = SamplingDemoResult(case="window_width", angles_deg=angles,
-                                curves=(SamplingDemoCurve("width_1wl", power),
-                                        SamplingDemoCurve("width_2wl",
-                                                          power.copy())))
+    result = SamplingDemoResult(angles_deg=angles,
+                                labels=("width_1wl", "width_2wl"),
+                                power=np.array([power, power.copy()]))
     path = tmp_path / "sampling_demo.csv"
     serialize.write_sampling_demo_csv(result, path)
     assert path.read_bytes() == sampling_demo_csv_rowwise(result).encode()
