@@ -46,8 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required,
+    def common(p):
+        p.add_argument("--config", required=True,
                        help="JSON run configuration")
         p.add_argument("--out", help="output directory (run.output_dir)")
         p.add_argument("--seed", type=int, help="base seed (run.base_seed)")
@@ -66,10 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("check-sampling",
                           help="report sampling-constraint compliance"))
     return parser
-
-
-def _resolve(args) -> RunConfig:
-    return load_config(args.config, vars(args))
 
 
 def _print_compliance(report) -> None:
@@ -179,7 +175,7 @@ def cmd_check_sampling(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve(args)
+        cfg = load_config(args.config, vars(args))
         if args.command == "simulate":
             return cmd_simulate(cfg)
         if args.command == "estimate":

@@ -13,7 +13,6 @@ axes, one row per scene; every row equals the readout of its scene alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -134,25 +133,14 @@ class SamplingReport:
         return self.spacing_ok and self.width_ok
 
 
-def running_integral(panel_values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The probe's optical depth: running integral along the last axis of
-    absorption panel means, constant on each panel [x[i], x[i + 1]], from 0
-    at x[0]; one more column than panel_values."""
-    out = np.zeros(panel_values.shape[:-1] + x.shape)
-    np.cumsum(np.diff(x) * panel_values, axis=-1, out=out[..., 1:])
-    return out
-
-
-def propagate_probe(alpha_profile: Callable[[np.ndarray], np.ndarray],
-                    geometry: SensorGeometry,
-                    rf_wavelength: float) -> FluorescenceProfile:
-    """The optical depth integral_0^x alpha of a probe through the cell,
-    trapezoid rule on the geometry grid. alpha_profile may return a stack
-    (..., n) of profiles on the grid."""
-    x = geometry.grid(rf_wavelength)
-    alpha = np.asarray(alpha_profile(x), dtype=float)
-    return FluorescenceProfile(positions=x, optical_depth=running_integral(
-        (alpha[..., 1:] + alpha[..., :-1]) / 2, x))
+def propagate_probe(alpha: np.ndarray, x: np.ndarray) -> FluorescenceProfile:
+    """The optical depth integral_0^x alpha of a probe through the cell:
+    the trapezoid running integral of absorption samples alpha, one
+    profile (n,) or a stack (..., n), on the grid x (n,), from 0 at x[0]."""
+    depth = np.zeros(alpha.shape)
+    np.cumsum(np.diff(x) * ((alpha[..., 1:] + alpha[..., :-1]) / 2),
+              axis=-1, out=depth[..., 1:])
+    return FluorescenceProfile(positions=x, optical_depth=depth)
 
 
 def recover_alpha(fluorescence: np.ndarray) -> np.ndarray:
@@ -261,10 +249,9 @@ def fluorescence_readout(scene, geometry: SensorGeometry,
     c alone bit for bit.
     """
     scenes = physics.scene_stack(scene)
-    profile = propagate_probe(lambda x: physics.absorption_exact(
-        params, scene, x), geometry, scenes[0].rf_wavelength)
-    raw = channel_measurements(profile.optical_depth, geometry,
-                               profile.positions)
+    x = geometry.grid(scenes[0].rf_wavelength)
+    profile = propagate_probe(physics.absorption_exact(params, scene, x), x)
+    raw = channel_measurements(profile.optical_depth, geometry, x)
     alpha_dc = [physics.absorption_dc(params, s) for s in scenes]
     return profile, calibrate(raw, geometry,
                               np.reshape(alpha_dc, raw.shape[:-1]))
@@ -319,11 +306,6 @@ def require_signal(scene: physics.RfScene,
 NOISE_BLOCK_ROWS = 32
 
 
-def _block_rows(block: int, rows: int, k: int) -> np.ndarray:
-    """The first rows of noise block block, (rows, k)."""
-    return np.random.default_rng(block).standard_normal((rows, k))
-
-
 def standard_normal_rows(seeds: range, k: int) -> np.ndarray:
     """(T, k) array whose row t is the noise row of seed seeds[t] (see
     NOISE_BLOCK_ROWS), for a range of T consecutive seeds: each block is
@@ -337,7 +319,8 @@ def standard_normal_rows(seeds: range, k: int) -> np.ndarray:
     n = NOISE_BLOCK_ROWS
     first, last = seeds.start, seeds.stop - 1
     return np.concatenate([
-        _block_rows(q, min(last - q * n + 1, n), k)[max(first - q * n, 0):]
+        np.random.default_rng(q).standard_normal(
+            (min(last - q * n + 1, n), k))[max(first - q * n, 0):]
         for q in range(first // n, last // n + 1)])
 
 

@@ -45,7 +45,6 @@ from rydberg_doa.sensing import (
     FluorescenceProfile,
     MeasurementVector,
     SensorGeometry,
-    running_integral,
     window_integrals,
 )
 
@@ -94,6 +93,15 @@ def channel_measurements_per_window(x: np.ndarray, v: np.ndarray,
             raise WindowOutOfCell(
                 f"window {j + 1} [{a:g}, {b:g}] outside sampled domain")
         out[j] = _window_integral(x, v, max(a, x[0]), min(b, x[-1]))
+    return out
+
+
+def running_integral(panel_values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running integral along the last axis of panel values, constant on
+    each panel [x[i], x[i + 1]], from 0 at x[0]; one more column than
+    panel_values."""
+    out = np.zeros(panel_values.shape[:-1] + x.shape)
+    np.cumsum(np.diff(x) * panel_values, axis=-1, out=out[..., 1:])
     return out
 
 

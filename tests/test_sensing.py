@@ -27,6 +27,7 @@ from oracles import (
     integrated_power_transmission,
     monotonic_length_bound,
     panel_readout,
+    running_integral,
     sinc_response,
 )
 
@@ -132,20 +133,20 @@ class TestPropagateProbe:
         rng = np.random.default_rng(3)
         x = np.cumsum(rng.uniform(1e-4, 2e-3, 513))
         y = rng.standard_normal(513) * np.exp(rng.uniform(-30, 5, 513))
-        got = sensing.running_integral(panel_means(y), x)
+        got = sensing.propagate_probe(y, x).optical_depth
         np.testing.assert_array_equal(
             got, cumulative_trapezoid(y, x, initial=0.0))
 
     def test_transparent_cell(self, geometry, rf_wavelength):
-        profile = sensing.propagate_probe(lambda x: np.zeros_like(x),
-                                          geometry, rf_wavelength)
+        x = geometry.grid(rf_wavelength)
+        profile = sensing.propagate_probe(np.zeros_like(x), x)
         np.testing.assert_array_equal(profile.optical_depth, 0.0)
         np.testing.assert_array_equal(profile.fluorescence, 1.0)
 
     def test_uniform_absorber_closed_form(self, geometry, rf_wavelength):
         alpha = 2.5
-        profile = sensing.propagate_probe(
-            lambda x: np.full_like(x, alpha), geometry, rf_wavelength)
+        x = geometry.grid(rf_wavelength)
+        profile = sensing.propagate_probe(np.full_like(x, alpha), x)
         expected = np.exp(-alpha * geometry.cell_length)
         assert profile.fluorescence[-1] == pytest.approx(expected, rel=1e-8)
 
@@ -154,8 +155,8 @@ class TestPropagateProbe:
         def alpha(x):
             return physics.absorption_exact(params, two_target, x)
 
-        profile = sensing.propagate_probe(alpha, geometry,
-                                          two_target.rf_wavelength)
+        x = geometry.grid(two_target.rf_wavelength)
+        profile = sensing.propagate_probe(alpha(x), x)
         depth, _ = quad(lambda x: float(alpha(x)), 0.0,
                         geometry.cell_length, limit=400)
         assert profile.fluorescence[-1] == pytest.approx(np.exp(-depth),
@@ -164,8 +165,8 @@ class TestPropagateProbe:
     def test_fluorescence_proportional(self, geometry, rf_wavelength):
         # the profile holds the optical depth alone; its image, the
         # unit-power probe's, is derived
-        profile = sensing.propagate_probe(
-            lambda x: np.full_like(x, 1.0), geometry, rf_wavelength)
+        x = geometry.grid(rf_wavelength)
+        profile = sensing.propagate_probe(np.full_like(x, 1.0), x)
         assert [f.name for f in fields(profile)] == ["positions",
                                                      "optical_depth"]
         np.testing.assert_array_equal(profile.fluorescence,
@@ -177,8 +178,8 @@ class TestPropagateProbe:
         def alpha(x):
             return physics.absorption_exact(params, two_target, x)
 
-        profile = sensing.propagate_probe(alpha, geometry,
-                                          two_target.rf_wavelength)
+        x = geometry.grid(two_target.rf_wavelength)
+        profile = sensing.propagate_probe(alpha(x), x)
         # high-order method: the oracle's dense-output noise must sit well
         # below the ~1e-7 attenuation scale being compared
         sol = solve_ivp(lambda x, p: -alpha(np.array([x]))[0] * p,
@@ -202,10 +203,9 @@ class TestRecoverAlpha:
         def alpha(x):
             return physics.absorption_exact(params, two_target, x)
 
-        profile = sensing.propagate_probe(alpha, geometry,
-                                          two_target.rf_wavelength)
+        x = geometry.grid(two_target.rf_wavelength)
+        profile = sensing.propagate_probe(alpha(x), x)
         depth = sensing.recover_alpha(profile.fluorescence)
-        x = profile.positions
         # a panel mean, the depth's increment over the panel's width, sits
         # within the midpoint rule's error of the absorption at the panel
         # midpoint, on every panel
@@ -220,8 +220,8 @@ class TestRecoverAlpha:
         def alpha(x):
             return physics.absorption_exact(params, two_target, x)
 
-        profile = sensing.propagate_probe(alpha, geometry,
-                                          two_target.rf_wavelength)
+        x = geometry.grid(two_target.rf_wavelength)
+        profile = sensing.propagate_probe(alpha(x), x)
         outs = []
         for kappa in (0.1, 1.0, 10.0):
             outs.append(sensing.recover_alpha(kappa * profile.fluorescence))
@@ -263,9 +263,9 @@ class TestChannelMeasurements:
         def alpha(x):
             return physics.absorption_exact(params, two_target, x)
 
-        profile = sensing.propagate_probe(alpha, geom, lam)
-        x = profile.positions
-        depth = sensing.running_integral(panel_means(alpha(x)), x)
+        x = geom.grid(lam)
+        profile = sensing.propagate_probe(alpha(x), x)
+        depth = running_integral(panel_means(alpha(x)), x)
         values = sensing.channel_measurements(depth, geom, x)
         image = profile.fluorescence
         for j, (a, b) in enumerate(zip(*geom.window_edges)):
@@ -278,8 +278,7 @@ class TestChannelMeasurements:
         dk, dphi, amp = 40.0, 0.6, 2.0
         x = np.linspace(0, geometry.cell_length, 300_001)
         midpoints = (x[1:] + x[:-1]) / 2
-        depth = sensing.running_integral(
-            amp * np.cos(dk * midpoints - dphi), x)
+        depth = running_integral(amp * np.cos(dk * midpoints - dphi), x)
         values = sensing.channel_measurements(depth, geometry, x)
         for j, (a, b) in enumerate(zip(*geometry.window_edges)):
             exact = amp * (np.sin(dk * b - dphi) - np.sin(dk * a - dphi)) / dk
@@ -448,9 +447,9 @@ class TestPanelReadoutEquivalence:
             geom = SensorGeometry(int(rng.integers(1, 20)) * lam, lam / 4,
                                   lam / 4, int(rng.choice([16, 64, 256,
                                                            1024])))
+            x = geom.grid(lam)
             profile = sensing.propagate_probe(
-                lambda x: physics.absorption_exact(params, scenes, x), geom,
-                lam)
+                physics.absorption_exact(params, scenes, x), x)
             got = self.readout(profile, geom)
             want = panel_readout(profile, geom)
             scale = np.abs(want).max(axis=-1, keepdims=True)
@@ -461,9 +460,9 @@ class TestPanelReadoutEquivalence:
     def test_bundled_configs_bit_exact(self, name):
         scenario = load_config(ROOT / "configs" / f"{name}.json").scenario
         scene, geom = scenario.scene, scenario.geometry
+        x = geom.grid(scene.rf_wavelength)
         profile = sensing.propagate_probe(
-            lambda x: physics.absorption_exact(scenario.params, scene, x),
-            geom, scene.rf_wavelength)
+            physics.absorption_exact(scenario.params, scene, x), x)
         assert np.array_equal(self.readout(profile, geom),
                               panel_readout(profile, geom))
 
@@ -471,9 +470,9 @@ class TestPanelReadoutEquivalence:
                                             geometry):
         scenes = [scenarios.with_lo_ratio(two_target, r) for r in (2, 50)]
         for scene in (two_target, scenes):
+            x = geometry.grid(two_target.rf_wavelength)
             profile = sensing.propagate_probe(
-                lambda x: physics.absorption_exact(params, scene, x),
-                geometry, two_target.rf_wavelength)
+                physics.absorption_exact(params, scene, x), x)
             assert np.array_equal(sensing.recover_alpha(
                 profile.fluorescence), -np.log(profile.fluorescence))
 
@@ -664,7 +663,7 @@ class TestPredictedMeasurements:
         lam = two_target.rf_wavelength
         fine = SensorGeometry(4 * lam, lam / 4, lam / 4, 65536)
         x = fine.grid(lam)
-        depth = sensing.running_integral(panel_means(
+        depth = running_integral(panel_means(
             physics.absorption_linearized(params, two_target, x)), x)
         integrated = sensing.calibrate(
             sensing.channel_measurements(depth, fine, x), fine,
