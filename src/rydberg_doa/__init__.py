@@ -10,22 +10,3 @@ the Cramer-Rao lower bound.
 """
 
 __version__ = "0.1.0"
-
-from .physics import AtomicParams, PlaneWave, RfScene
-from .sensing import FluorescenceProfile, MeasurementVector, SensorGeometry
-from .estimation import EstimationResult, PronyConfig
-from .crlb import CrlbReport, FimInputs
-
-__all__ = [
-    "AtomicParams",
-    "PlaneWave",
-    "RfScene",
-    "FluorescenceProfile",
-    "MeasurementVector",
-    "SensorGeometry",
-    "EstimationResult",
-    "PronyConfig",
-    "CrlbReport",
-    "FimInputs",
-    "__version__",
-]

@@ -162,17 +162,10 @@ def match_errors(estimated: np.ndarray, truth: np.ndarray) -> np.ndarray:
     if cost.shape[-2] != n:
         raise ValueError(f"need one estimate per truth, got "
                          f"{cost.shape[-2]} for {n}")
-    best = best_total = None
-    for perm in itertools.permutations(range(n)):
-        errors = cost[..., np.arange(n), perm]
-        total = errors.sum(axis=-1)
-        if best is None:
-            best, best_total = errors, total
-            continue
-        better = total < best_total
-        best = np.where(better[..., None], errors, best)
-        best_total = np.where(better, total, best_total)
-    return best
+    errors = np.stack([cost[..., np.arange(n), perm]
+                       for perm in itertools.permutations(range(n))])
+    best = errors.sum(axis=-1).argmin(axis=0)
+    return np.take_along_axis(errors, best[None, ..., None], axis=0)[0]
 
 
 def mc_rmse(scenario: ScenarioConfig) -> McResult:

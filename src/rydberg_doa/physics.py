@@ -180,10 +180,7 @@ def field_intensity(scene, x) -> np.ndarray | float:
             beat_phi = sigs[i].phase - sigs[m].phase
             out += 2 * sigs[i].amplitude * sigs[m].amplitude * np.cos(
                 beat_k * x + beat_phi)
-    if isinstance(scene, RfScene):
-        out = out[0]
-        return out if out.ndim else float(out)
-    return out
+    return out[0] if isinstance(scene, RfScene) else out
 
 
 def linearization_constants(params: AtomicParams) -> tuple[float, float]:
@@ -213,8 +210,7 @@ def intensity_response(params: AtomicParams, s) -> np.ndarray | float:
     if np.any(shifted == 0):
         raise SingularPoint("coupling detuning equals the intensity shift")
     q = params.coupling_rabi**2 / 4
-    out = 1.0 / (params.decay_21**2 + q**2 / shifted**2)
-    return out if out.ndim else float(out)
+    return 1.0 / (params.decay_21**2 + q**2 / shifted**2)
 
 
 def intensity_response_derivative(params: AtomicParams,
@@ -227,8 +223,7 @@ def intensity_response_derivative(params: AtomicParams,
         raise SingularPoint("coupling detuning equals the intensity shift")
     q = params.coupling_rabi**2 / 4
     denom = (params.decay_21**2 + q**2 / shifted**2) ** 2
-    out = -2 * beta * q**2 / shifted**3 / denom
-    return out if out.ndim else float(out)
+    return -2 * beta * q**2 / shifted**3 / denom
 
 
 def absorption_dc(params: AtomicParams, scene: RfScene) -> float:
@@ -262,11 +257,11 @@ def absorption_linearized(params: AtomicParams, scene: RfScene,
                           x) -> np.ndarray | float:
     """LO-dominant linearization: alpha_DC plus one cosine per target."""
     x = np.asarray(x, dtype=float)
-    out = np.full(x.shape, absorption_dc(params, scene))
+    out = absorption_dc(params, scene) + np.zeros(x.shape)
     mods = modulation_amplitudes(params, scene)
     for a_mod, dk, dphi in zip(mods, scene.delta_ks, scene.delta_phis):
         out = out + a_mod * np.cos(dk * x - dphi)
-    return out if out.ndim else float(out)
+    return out
 
 
 def _warn_if_weak_lo(scene: RfScene) -> None:

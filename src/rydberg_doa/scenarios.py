@@ -12,7 +12,6 @@ import numpy as np
 
 from .physics import PlaneWave, RfScene
 
-DEFAULT_CARRIER_HZ = 2.03e9
 DEFAULT_LO_ANGLE = np.pi / 2
 DEFAULT_LO_RATIO = 20.0
 DEFAULT_SIGNAL_AMPLITUDE = 1e-6  # V/m
@@ -23,9 +22,8 @@ DEFAULT_TWO_TARGET_PHASES = (0.0, np.pi)
 
 
 def scene_from_angles(angles_deg, lo_ratio: float = DEFAULT_LO_RATIO,
-                      amplitude: float = DEFAULT_SIGNAL_AMPLITUDE,
                       phases=None,
-                      carrier_freq: float = DEFAULT_CARRIER_HZ,
+                      carrier_freq: float = RfScene.carrier_freq,
                       lo_angle: float = DEFAULT_LO_ANGLE) -> RfScene:
     """Equal-amplitude targets at the given bearings with the LO amplitude
     set to lo_ratio times the summed signal amplitude."""
@@ -33,9 +31,10 @@ def scene_from_angles(angles_deg, lo_ratio: float = DEFAULT_LO_RATIO,
     if phases is None:
         phases = (DEFAULT_TWO_TARGET_PHASES[:len(angles_deg)]
                   if len(angles_deg) <= 2 else (0.0,) * len(angles_deg))
-    signals = tuple(PlaneWave(amplitude, ph, np.deg2rad(a))
+    signals = tuple(PlaneWave(DEFAULT_SIGNAL_AMPLITUDE, ph, np.deg2rad(a))
                     for a, ph in zip(angles_deg, phases))
-    lo = PlaneWave(lo_ratio * amplitude * len(angles_deg), 0.0, lo_angle)
+    lo = PlaneWave(lo_ratio * DEFAULT_SIGNAL_AMPLITUDE * len(angles_deg),
+                   0.0, lo_angle)
     return RfScene(lo=lo, signals=signals, carrier_freq=carrier_freq)
 
 

@@ -875,6 +875,20 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def test_physics_import_loads_no_later_stage():
+    # The package root holds only __version__: importing a module loads
+    # that module and its own imports, not the rest of the pipeline.
+    code = ("import sys, rydberg_doa.physics; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'rydberg_doa'))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True, env=env)
+    assert done.stdout.strip() == str(
+        ["rydberg_doa", "rydberg_doa.errors", "rydberg_doa.physics"])
+
+
 def test_parser_built_on_first_main_call_only():
     # Counts top-level parsers in a fresh interpreter: none at import, one
     # after any number of main calls.

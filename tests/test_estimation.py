@@ -708,6 +708,23 @@ class TestProperties:
         expected = np.sort(np.asarray(omegas)) / spacing
         np.testing.assert_allclose(got, expected, rtol=1e-8)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ill-conditioned square prediction system: the weakest tone is "
+        "about 1.08e-8 relative off (ROADMAP item 4)"))
+    def test_noiseless_exactness_square_system(self):
+        # A draw sinusoid_scenarios allows: K = 16 samples for p = 8, so the
+        # prediction system is square and the 0.125 tone is swamped by the 9.
+        omegas = np.linspace(0.2, np.pi - 0.1, 8)[:4]
+        spacing = 0.01
+        y = sinusoid_samples(omegas, (0, 0, 0, 1), (0.125, 1, 1, 9), 16)
+        mv = measurement_from_samples(y, spacing=spacing)
+        matrix, rhs = build_hankel(mv.values, 8)
+        coeffs, _, _ = solve_lpc(matrix, rhs)
+        roots, _ = char_poly_roots(coeffs)
+        reps, _ = select_signal_roots(roots, 4, 0.5)
+        got = np.sort(frequencies_from_roots(reps, spacing))
+        np.testing.assert_allclose(got, omegas / spacing, rtol=1e-8)
+
     def test_shift_invariance(self):
         y = sinusoid_samples([0.7, 1.9], [0.2, -1.0], [1.0, 0.8], 20)
         freqs = []

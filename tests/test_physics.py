@@ -258,6 +258,9 @@ class TestAbsorption:
         expected = physics.absorption_dc(params, scene)
         np.testing.assert_allclose(physics.absorption_exact(params, scene, x),
                                    expected)
+        # A scalar position gives a scalar even with no cosine to add.
+        assert isinstance(physics.absorption_linearized(params, scene, 0.25),
+                          float)
 
     def test_single_target_linearization_error_small(self, params):
         scene = scenarios.scene_from_angles((30.0,), lo_ratio=10.0)
