@@ -1,7 +1,7 @@
 """Fisher information and Cramer-Rao bounds for the sum-of-sinusoids
 channel model, with amplitudes and phases treated as nuisance parameters.
 
-Parameter ordering throughout is (dk_1..dk_N, dphi_1..dphi_N, A_1..A_N).
+mean_jacobian's parameter ordering is (dk_1..dk_N, dphi_1..dphi_N, A_1..A_N).
 """
 
 from __future__ import annotations
@@ -14,35 +14,6 @@ from .errors import EndFireSingularity, RydbergDoaError, SingularNuisanceBlock
 from .sensing import SensorGeometry, window_integrals
 
 END_FIRE_GUARD = 1e-9
-
-
-@dataclass(frozen=True)
-class FimInputs:
-    """Geometry, sinusoid parameters, and the variance sigma2 of the white
-    noise on every channel."""
-
-    geometry: SensorGeometry
-    delta_ks: np.ndarray
-    delta_phis: np.ndarray
-    amplitudes: np.ndarray
-    sigma2: float = 1.0
-
-    def __post_init__(self):
-        for name in ("delta_ks", "delta_phis", "amplitudes"):
-            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        n = len(self.delta_ks)
-        if len(self.delta_phis) != n or len(self.amplitudes) != n:
-            raise ValueError("parameter lists must share a length")
-        if np.any(self.amplitudes == 0):
-            raise ValueError("zero-amplitude targets make the FIM singular")
-        if not 0 < self.sigma2 < np.inf:
-            raise ValueError("noise variance must be positive and finite")
-
-    @property
-    def n_targets(self) -> int:
-        return len(self.delta_ks)
 
 
 @dataclass(frozen=True)
@@ -63,16 +34,17 @@ class CrlbReport:
             object.__setattr__(self, name, arr)
 
 
-def mean_jacobian(inputs: FimInputs) -> np.ndarray:
+def mean_jacobian(geometry: SensorGeometry, delta_ks: np.ndarray,
+                  delta_phis: np.ndarray,
+                  amplitudes: np.ndarray) -> np.ndarray:
     """K x 3N Jacobian of the mean vector: columns are A_i*t_i for the
     frequencies, A_i*s_i for the phases, and c_i for the amplitudes."""
-    n = inputs.n_targets
-    k = inputs.geometry.channel_count
-    jac = np.zeros((k, 3 * n))
+    n = len(delta_ks)
+    jac = np.zeros((geometry.channel_count, 3 * n))
     for i in range(n):
-        c_vec, s_vec, t_vec = window_integrals(
-            inputs.geometry, inputs.delta_ks[i], inputs.delta_phis[i])
-        amp = inputs.amplitudes[i]
+        c_vec, s_vec, t_vec = window_integrals(geometry, delta_ks[i],
+                                               delta_phis[i])
+        amp = amplitudes[i]
         jac[:, i] = amp * t_vec
         jac[:, n + i] = amp * s_vec
         jac[:, 2 * n + i] = c_vec
@@ -123,14 +95,18 @@ def _finite(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def crlb_report(inputs: FimInputs, thetas: np.ndarray,
+def crlb_report(jacobian: np.ndarray, sigma2: float, thetas: np.ndarray,
                 wavenumber: float) -> CrlbReport:
-    """Full bound pipeline: FIM, Schur marginalization, angle bound. An
-    FIM, effective FIM, bound or bound std that is not finite (a negative
-    variance makes a NaN std) is a domain error."""
+    """Full bound pipeline for any mean-vector Jacobian under white noise
+    of variance sigma2: FIM, Schur marginalization, angle bound. The first
+    len(thetas) columns are the targets' frequencies; every later column
+    is a nuisance. An FIM, effective FIM, bound or bound std that is not
+    finite (a negative variance makes a NaN std) is a domain error."""
+    if not 0 < sigma2 < np.inf:
+        raise RydbergDoaError("noise variance must be positive and finite")
     with np.errstate(over="ignore", invalid="ignore"):
-        fim = _finite(fisher_information(mean_jacobian(inputs), inputs.sigma2))
-        eff = _finite(effective_fim(fim, inputs.n_targets))
+        fim = _finite(fisher_information(jacobian, sigma2))
+        eff = _finite(effective_fim(fim, len(thetas)))
         bound, stds = angle_crlb(eff, thetas, wavenumber)
     return CrlbReport(fim=fim, effective_fim_dk=eff, crlb_theta=_finite(bound),
                       per_target_std=_finite(stds),

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import physics, scenarios, sensing
-from .crlb import CrlbReport, FimInputs, crlb_report
+from .crlb import CrlbReport, crlb_report, mean_jacobian
 from .errors import ConfigParseError, RydbergDoaError, build_at
 # estimate_doa stays bound here: perfbench's tracer wraps it at every
 # binding and its self-test expects this one.
@@ -164,8 +164,9 @@ def match_errors(estimated: np.ndarray, truth: np.ndarray) -> np.ndarray:
                          f"{cost.shape[-2]} for {n}")
     errors = np.stack([cost[..., np.arange(n), perm]
                        for perm in itertools.permutations(range(n))])
-    best = errors.sum(axis=-1).argmin(axis=0)
-    return np.take_along_axis(errors, best[None, ..., None], axis=0)[0]
+    flat = errors.reshape(len(errors), -1, n)
+    best = flat.sum(axis=-1).argmin(axis=0)
+    return flat[best, np.arange(flat.shape[1])].reshape(errors.shape[1:])
 
 
 def mc_rmse(scenario: ScenarioConfig) -> McResult:
@@ -385,14 +386,12 @@ def bound_report(scene: RfScene, geometry: SensorGeometry,
     if sigma2 is None:
         sigma2 = sensing.noise_variance(sensing.sinusoid_measurements(
             geometry, scene.delta_ks, scene.delta_phis, amplitudes), snr_db)
-    try:
-        inputs = FimInputs(geometry=geometry, delta_ks=scene.delta_ks,
-                           delta_phis=scene.delta_phis,
-                           amplitudes=amplitudes, sigma2=sigma2)
-    except ValueError as exc:
-        raise RydbergDoaError(str(exc)) from exc
+    if np.any(amplitudes == 0):
+        raise RydbergDoaError("zero-amplitude targets make the FIM singular")
     thetas = np.array([s.angle for s in scene.signals])
-    return crlb_report(inputs, thetas, scene.wavenumber)
+    return crlb_report(mean_jacobian(geometry, scene.delta_ks,
+                                     scene.delta_phis, amplitudes),
+                       sigma2, thetas, scene.wavenumber)
 
 
 def crlb_std_for(scene: RfScene, geometry: SensorGeometry,

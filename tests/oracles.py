@@ -29,7 +29,6 @@ from scipy import constants
 from scipy.linalg import cho_factor, cho_solve
 
 from rydberg_doa import physics
-from rydberg_doa.crlb import FimInputs
 from rydberg_doa.errors import (
     DegenerateDetuning,
     NonPositiveFluorescence,
@@ -122,22 +121,24 @@ def panel_readout(profile: FluorescenceProfile,
     return ends[..., 1, :] - ends[..., 0, :]
 
 
-def fisher_information_blocks(inputs: FimInputs) -> np.ndarray:
+def fisher_information_blocks(geometry: SensorGeometry, delta_ks: np.ndarray,
+                              delta_phis: np.ndarray, amplitudes: np.ndarray,
+                              sigma2: float) -> np.ndarray:
     """Assemble the FIM from its 3x3 block structure of weighted inner
     products; independent of the Jacobian path, used for cross-checking."""
-    n = inputs.n_targets
+    n = len(delta_ks)
     cs, ss, ts = [], [], []
     for i in range(n):
-        c_vec, s_vec, t_vec = window_integrals(
-            inputs.geometry, inputs.delta_ks[i], inputs.delta_phis[i])
+        c_vec, s_vec, t_vec = window_integrals(geometry, delta_ks[i],
+                                               delta_phis[i])
         cs.append(c_vec)
         ss.append(s_vec)
         ts.append(t_vec)
 
     def inner(a, b):
-        return float(a @ b) / inputs.sigma2
+        return float(a @ b) / sigma2
 
-    amp = inputs.amplitudes
+    amp = amplitudes
     fim = np.zeros((3 * n, 3 * n))
     for i in range(n):
         for m in range(n):

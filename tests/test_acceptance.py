@@ -10,7 +10,6 @@ import pytest
 
 from rydberg_doa import physics, scenarios, sensing
 from rydberg_doa.crlb import (
-    FimInputs,
     angle_crlb,
     crlb_report,
     effective_fim,
@@ -238,23 +237,19 @@ def test_criterion_8_numerical_integrity(setup):
                 assert np.max(np.abs(c_vec - q_vec)) < 1e-8 * scale
 
         # Jacobian columns vs central finite differences
-        inputs = FimInputs(
-            geometry=geometry, delta_ks=scene.delta_ks,
-            delta_phis=scene.delta_phis,
-            amplitudes=physics.modulation_amplitudes(params, scene))
-        jac = mean_jacobian(inputs)
-        n = inputs.n_targets
+        targets = (scene.delta_ks, scene.delta_phis,
+                   physics.modulation_amplitudes(params, scene))
+        jac = mean_jacobian(geometry, *targets)
+        n = scene.n_signals
 
         def mean_vec(dks, dphis, amps):
             return sensing.sinusoid_measurements(geometry, dks, dphis, amps)
 
         for i in range(n):
-            for block, idx, step in ((0, 0, 1e-6 * inputs.delta_ks[i]),
+            for block, idx, step in ((0, 0, 1e-6 * targets[0][i]),
                                      (n, 1, 1e-6),
-                                     (2 * n, 2, 1e-6 * abs(
-                                         inputs.amplitudes[i]))):
-                hi = [inputs.delta_ks.copy(), inputs.delta_phis.copy(),
-                      inputs.amplitudes.copy()]
+                                     (2 * n, 2, 1e-6 * abs(targets[2][i]))):
+                hi = [a.copy() for a in targets]
                 lo = [a.copy() for a in hi]
                 hi[idx][i] += step
                 lo[idx][i] -= step
@@ -264,7 +259,7 @@ def test_criterion_8_numerical_integrity(setup):
                 assert np.max(np.abs(col - fd)) < 1e-6 * scale
 
         # Schur complement vs inverse-of-inverse
-        fim = fisher_information(jac, inputs.sigma2)
+        fim = fisher_information(jac, 1.0)
         eff = effective_fim(fim, n)
         via_inverse = np.linalg.inv(np.linalg.inv(fim)[:n, :n])
         assert np.max(np.abs(eff - via_inverse)) < 1e-8 * np.abs(eff).max()
@@ -272,11 +267,9 @@ def test_criterion_8_numerical_integrity(setup):
         # single-target matrix bound vs the closed form
         single = scenarios.scene_from_angles((15.0,))
         report = crlb_report(
-            FimInputs(geometry=geometry, delta_ks=single.delta_ks,
-                      delta_phis=single.delta_phis,
-                      amplitudes=physics.modulation_amplitudes(params,
-                                                               single)),
-            [single.signals[0].angle], single.wavenumber)
+            mean_jacobian(geometry, single.delta_ks, single.delta_phis,
+                          physics.modulation_amplitudes(params, single)),
+            1.0, [single.signals[0].angle], single.wavenumber)
         theta = single.signals[0].angle
         closed = np.sqrt(
             1.0 / (single.wavenumber**2 * np.cos(theta)**2)

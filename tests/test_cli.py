@@ -560,6 +560,34 @@ class TestEstimate:
         self.assert_lo_bearing_exit_3(tmp_path, capsys, cfg,
                                       tmp_path / "out" / "measurement.csv")
 
+    def test_frequency_past_the_visible_region_is_clamped(self, tmp_path,
+                                                           capsys):
+        # With the LO at broadside, a beat of 1.5 k lies past every
+        # bearing: the estimate is clamped to end-fire and says so.
+        doc = base_doc(tmp_path / "out",
+                       prony={"model_order": 2, "target_count": 1})
+        doc["scene"]["lo"]["angle_deg"] = 0
+        doc["scene"]["signals"] = [{"amplitude_v_per_m": 1e-6,
+                                    "phase_deg": 0, "angle_deg": -30}]
+        cfg = write_config(tmp_path, doc)
+        scene = load_config(cfg).scenario.scene
+        lam, k = scene.rf_wavelength, scene.wavenumber
+        centers = lam / 8 + np.arange(16) * lam / 4
+        values = np.cos(1.5 * k * centers + 0.3)
+        measured = tmp_path / "measurement.csv"
+        measured.write_text("j,x_j_m,y_tilde\n" + "".join(
+            f"{j},{x!r},{y!r}\n" for j, (x, y) in enumerate(
+                zip(centers.tolist(), values.tolist()), start=1)))
+        capsys.readouterr()
+        assert cli.main(["estimate", str(measured), "--config", cfg]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        i = lines.index("estimated DoAs (deg): -90.0000")
+        assert lines[i + 1] == ("warning: some frequencies mapped outside "
+                                "the visible region and were clamped")
+        result = json.loads(
+            (tmp_path / "out" / "estimation.json").read_text())
+        assert result["clamped_flags"] == [True]
+
     def test_order_flag_overrides(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, base_doc(out))

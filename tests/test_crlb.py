@@ -1,16 +1,22 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from rydberg_doa import crlb, physics, scenarios, sensing
+from rydberg_doa.config import load_config
 from rydberg_doa.crlb import (
-    FimInputs,
     angle_crlb,
     crlb_report,
     effective_fim,
     fisher_information,
     mean_jacobian,
 )
-from rydberg_doa.errors import EndFireSingularity, SingularNuisanceBlock
+from rydberg_doa.errors import (
+    EndFireSingularity,
+    RydbergDoaError,
+    SingularNuisanceBlock,
+)
 from rydberg_doa.sensing import window_integrals
 
 from oracles import (
@@ -21,19 +27,24 @@ from oracles import (
 )
 
 
-def random_inputs(n_targets, geometry, seed=0, sigma=1.0):
+FIG4 = Path(__file__).resolve().parent.parent / "configs" / "fig4.json"
+
+
+def random_targets(n_targets, geometry, seed=0):
+    """(delta_ks, delta_phis, amplitudes) of n_targets random targets."""
     # well-separated frequencies so the FIM stays sanely conditioned
     rng = np.random.default_rng(seed)
     k = 2 * np.pi / (geometry.cell_length / 4)
     slots = np.linspace(0.2, 1.8, 6) * k
     dks = np.sort(rng.choice(slots, n_targets, replace=False))
     dks = dks * rng.uniform(0.97, 1.03, n_targets)
-    return FimInputs(
-        geometry=geometry,
-        delta_ks=dks,
-        delta_phis=rng.uniform(-np.pi, np.pi, n_targets),
-        amplitudes=rng.uniform(0.5, 2.0, n_targets),
-        sigma2=sigma**2)
+    return (dks, rng.uniform(-np.pi, np.pi, n_targets),
+            rng.uniform(0.5, 2.0, n_targets))
+
+
+def scene_jacobian(params, geometry, scene):
+    return mean_jacobian(geometry, scene.delta_ks, scene.delta_phis,
+                         physics.modulation_amplitudes(params, scene))
 
 
 class TestWindowIntegrals:
@@ -71,21 +82,21 @@ class TestWindowIntegrals:
 class TestMeanJacobian:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_finite_differences(self, geometry, seed):
-        inputs = random_inputs(1 + seed % 3, geometry, seed=seed)
-        jac = mean_jacobian(inputs)
+        targets = random_targets(1 + seed % 3, geometry, seed=seed)
+        jac = mean_jacobian(geometry, *targets)
+        dks, _, amps = targets
 
         def mean_vector(dks, dphis, amps):
             return sensing.sinusoid_measurements(geometry, dks, dphis, amps)
 
-        n = inputs.n_targets
+        n = len(dks)
         for i in range(n):
             for block, arg_index, step in (
-                    (0, 0, 1e-6 * inputs.delta_ks[i]),
+                    (0, 0, 1e-6 * dks[i]),
                     (n, 1, 1e-6),
-                    (2 * n, 2, 1e-6 * inputs.amplitudes[i])):
-                args_hi = [inputs.delta_ks.copy(), inputs.delta_phis.copy(),
-                           inputs.amplitudes.copy()]
-                args_lo = [a.copy() for a in args_hi]
+                    (2 * n, 2, 1e-6 * amps[i])):
+                args_hi = [a.copy() for a in targets]
+                args_lo = [a.copy() for a in targets]
                 args_hi[arg_index][i] += step
                 args_lo[arg_index][i] -= step
                 fd = (mean_vector(*args_hi) - mean_vector(*args_lo)) \
@@ -95,13 +106,10 @@ class TestMeanJacobian:
                     col, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
 
     def test_amplitude_scaling_structure(self, geometry):
-        base = random_inputs(2, geometry, seed=5)
-        scaled = FimInputs(geometry=geometry, delta_ks=base.delta_ks,
-                           delta_phis=base.delta_phis,
-                           amplitudes=2 * base.amplitudes,
-                           sigma2=base.sigma2)
-        jac0, jac1 = mean_jacobian(base), mean_jacobian(scaled)
-        n = base.n_targets
+        dks, dphis, amps = random_targets(2, geometry, seed=5)
+        jac0 = mean_jacobian(geometry, dks, dphis, amps)
+        jac1 = mean_jacobian(geometry, dks, dphis, 2 * amps)
+        n = len(dks)
         np.testing.assert_allclose(jac1[:, :n], 2 * jac0[:, :n], rtol=1e-12)
         np.testing.assert_allclose(jac1[:, n:2 * n], 2 * jac0[:, n:2 * n],
                                    rtol=1e-12)
@@ -109,16 +117,14 @@ class TestMeanJacobian:
                                    rtol=1e-12)
 
     def test_no_targets_empty(self, geometry):
-        inputs = FimInputs(geometry=geometry, delta_ks=[], delta_phis=[],
-                           amplitudes=[])
-        assert mean_jacobian(inputs).shape == (geometry.channel_count, 0)
+        assert mean_jacobian(geometry, [], [], []).shape == (
+            geometry.channel_count, 0)
 
 
 class TestFisherInformation:
     def test_white_noise_reduces_to_gram(self, geometry):
-        inputs = random_inputs(2, geometry, seed=1, sigma=0.3)
-        jac = mean_jacobian(inputs)
-        fim = fisher_information(jac, inputs.sigma2)
+        jac = mean_jacobian(geometry, *random_targets(2, geometry, seed=1))
+        fim = fisher_information(jac, 0.3**2)
         np.testing.assert_allclose(fim, jac.T @ jac / 0.3**2, rtol=1e-10)
 
     @pytest.mark.parametrize("sigma", [1.0, 0.3, 2.5e-3])
@@ -126,44 +132,40 @@ class TestFisherInformation:
                                                          sigma):
         # Bit-equal to the channel-order running sum; scipy's Cholesky
         # route goes through a BLAS product, so it agrees to rounding only.
-        inputs = random_inputs(3, geometry, seed=5, sigma=sigma)
-        jac = mean_jacobian(inputs)
-        fim = fisher_information(jac, inputs.sigma2)
+        jac = mean_jacobian(geometry, *random_targets(3, geometry, seed=5))
+        fim = fisher_information(jac, sigma**2)
         np.testing.assert_array_equal(
-            fim, fisher_information_by_channel(jac, inputs.sigma2))
+            fim, fisher_information_by_channel(jac, sigma**2))
         np.testing.assert_allclose(
             fim, fisher_information_scipy(
-                jac, inputs.sigma2 * np.eye(geometry.channel_count)),
+                jac, sigma**2 * np.eye(geometry.channel_count)),
             rtol=0, atol=1e-14 * np.abs(fim).max())
 
     def test_block_assembly_agrees(self, geometry):
-        inputs = random_inputs(3, geometry, seed=2)
-        fim = fisher_information(mean_jacobian(inputs), inputs.sigma2)
-        blocks = fisher_information_blocks(inputs)
+        targets = random_targets(3, geometry, seed=2)
+        fim = fisher_information(mean_jacobian(geometry, *targets), 1.0)
+        blocks = fisher_information_blocks(geometry, *targets, 1.0)
         np.testing.assert_allclose(fim, blocks, rtol=1e-10,
                                    atol=1e-12 * np.abs(fim).max())
 
     def test_quarter_scaling_with_doubled_sigma(self, geometry):
-        inputs = random_inputs(1, geometry, seed=4, sigma=1.0)
-        doubled = FimInputs(geometry=geometry, delta_ks=inputs.delta_ks,
-                            delta_phis=inputs.delta_phis,
-                            amplitudes=inputs.amplitudes, sigma2=4.0)
-        jac = mean_jacobian(inputs)
+        jac = mean_jacobian(geometry, *random_targets(1, geometry, seed=4))
         np.testing.assert_allclose(
-            fisher_information(jac, doubled.sigma2),
-            fisher_information(jac, inputs.sigma2) / 4, rtol=1e-12)
+            fisher_information(jac, 4.0),
+            fisher_information(jac, 1.0) / 4, rtol=1e-12)
 
     @pytest.mark.parametrize("sigma2", [0.0, -1.0, np.nan, np.inf])
     def test_noise_variance_must_be_positive_and_finite(self, geometry,
                                                         sigma2):
-        with pytest.raises(ValueError, match="positive and finite"):
-            FimInputs(geometry=geometry, delta_ks=[1.0], delta_phis=[0.0],
-                      amplitudes=[1.0], sigma2=sigma2)
+        jac = mean_jacobian(geometry, [1.0], [0.0], [1.0])
+        with pytest.raises(RydbergDoaError, match="positive and finite"):
+            crlb_report(jac, sigma2, [0.3], 10.0)
 
     @pytest.mark.parametrize("n_targets", [1, 2, 3])
     def test_symmetric_positive_semidefinite(self, geometry, n_targets):
-        inputs = random_inputs(n_targets, geometry, seed=n_targets)
-        fim = fisher_information(mean_jacobian(inputs), inputs.sigma2)
+        jac = mean_jacobian(geometry, *random_targets(
+            n_targets, geometry, seed=n_targets))
+        fim = fisher_information(jac, 1.0)
         np.testing.assert_array_equal(fim, fim.T)
         eigs = np.linalg.eigvalsh(fim)
         assert eigs.min() >= -1e-10 * np.trace(fim)
@@ -177,8 +179,9 @@ class TestEffectiveFim:
 
     @pytest.mark.parametrize("n_targets", [1, 2, 3])
     def test_schur_matches_full_inverse(self, geometry, n_targets):
-        inputs = random_inputs(n_targets, geometry, seed=10 + n_targets)
-        fim = fisher_information(mean_jacobian(inputs), inputs.sigma2)
+        jac = mean_jacobian(geometry, *random_targets(
+            n_targets, geometry, seed=10 + n_targets))
+        fim = fisher_information(jac, 1.0)
         eff = effective_fim(fim, n_targets)
         via_inverse = np.linalg.inv(
             np.linalg.inv(fim)[:n_targets, :n_targets])
@@ -186,8 +189,8 @@ class TestEffectiveFim:
         np.testing.assert_array_equal(eff, eff.T)
 
     def test_information_loss_is_psd(self, geometry):
-        inputs = random_inputs(2, geometry, seed=8)
-        fim = fisher_information(mean_jacobian(inputs), inputs.sigma2)
+        jac = mean_jacobian(geometry, *random_targets(2, geometry, seed=8))
+        fim = fisher_information(jac, 1.0)
         loss = fim[:2, :2] - effective_fim(fim, 2)
         assert np.linalg.eigvalsh(loss).min() >= -1e-10 * np.trace(fim)
 
@@ -200,8 +203,8 @@ class TestEffectiveFim:
 
 class TestAngleBound:
     def test_single_target_closed_form(self, geometry):
-        inputs = random_inputs(1, geometry, seed=6, sigma=0.2)
-        fim = fisher_information(mean_jacobian(inputs), inputs.sigma2)
+        jac = mean_jacobian(geometry, *random_targets(1, geometry, seed=6))
+        fim = fisher_information(jac, 0.2**2)
         eff = effective_fim(fim, 1)
         theta = np.deg2rad(25.0)
         k = 42.5
@@ -230,8 +233,8 @@ class TestAngleBound:
 
 class TestReportAndConditioning:
     def test_report_shapes(self, geometry):
-        inputs = random_inputs(2, geometry, seed=11)
-        report = crlb_report(inputs, np.deg2rad([10.0, -20.0]), 42.5)
+        jac = mean_jacobian(geometry, *random_targets(2, geometry, seed=11))
+        report = crlb_report(jac, 1.0, np.deg2rad([10.0, -20.0]), 42.5)
         assert report.fim.shape == (6, 6)
         assert report.effective_fim_dk.shape == (2, 2)
         assert report.crlb_theta.shape == (2, 2)
@@ -246,12 +249,9 @@ class TestReportAndConditioning:
         conds = []
         for sep_deg in (5.0, 4.0, 3.0, 2.0, 1.0):
             scene = scenarios.scene_from_angles((-sep_deg / 2, sep_deg / 2))
-            inputs = FimInputs(
-                geometry=geometry, delta_ks=scene.delta_ks,
-                delta_phis=scene.delta_phis,
-                amplitudes=physics.modulation_amplitudes(params, scene))
             report = crlb_report(
-                inputs, [s.angle for s in scene.signals], k)
+                scene_jacobian(params, geometry, scene), 1.0,
+                [s.angle for s in scene.signals], k)
             conds.append(report.condition_number)
         assert all(np.diff(conds) > 0)
 
@@ -262,12 +262,8 @@ class TestReportAndConditioning:
         mv = sensing.predicted_measurements(scene, geometry, params)
         snr_db = 40.0
         sigma2 = sensing.signal_power(mv.values) / 10 ** (snr_db / 10)
-        inputs = FimInputs(
-            geometry=geometry, delta_ks=scene.delta_ks,
-            delta_phis=scene.delta_phis,
-            amplitudes=physics.modulation_amplitudes(params, scene),
-            sigma2=sigma2)
-        report = crlb_report(inputs, [scene.signals[0].angle],
+        report = crlb_report(scene_jacobian(params, geometry, scene),
+                             sigma2, [scene.signals[0].angle],
                              scene.wavenumber)
         cfg = PronyConfig(model_order=2, target_count=1)
         errors = []
@@ -278,3 +274,45 @@ class TestReportAndConditioning:
             errors.append(result.doas[0] - scene.signals[0].angle)
         rmse = np.sqrt(np.mean(np.square(errors)))
         assert 0.9 <= rmse / report.per_target_std[0] <= 3.0
+
+
+class TestNuisanceColumns:
+    """crlb_report bounds any Jacobian whose columns after the targets'
+    frequencies are nuisances: here a DC offset appended to fig4's
+    single-target Jacobian at 35 dB."""
+
+    @staticmethod
+    def reports(angle_deg):
+        sc = load_config(FIG4).scenario
+        geometry = sc.geometry
+        scene = scenarios.scene_from_angles((angle_deg,))
+        amps = physics.modulation_amplitudes(sc.params, scene)
+        sigma2 = sensing.noise_variance(sensing.sinusoid_measurements(
+            geometry, scene.delta_ks, scene.delta_phis, amps), 35.0)
+        jac = mean_jacobian(geometry, scene.delta_ks, scene.delta_phis, amps)
+        offset = np.full(geometry.channel_count, geometry.window_width)
+        thetas = [scene.signals[0].angle]
+        return (crlb_report(jac, sigma2, thetas, scene.wavenumber),
+                crlb_report(np.column_stack([jac, offset]), sigma2, thetas,
+                            scene.wavenumber))
+
+    @pytest.mark.parametrize("angle_deg", [15.0, 60.0])
+    def test_offset_is_marginalized_by_the_schur_complement(self,
+                                                            angle_deg):
+        plain, with_offset = self.reports(angle_deg)
+        assert with_offset.fim.shape == (4, 4)
+        assert with_offset.per_target_std[0] >= plain.per_target_std[0]
+        np.testing.assert_allclose(
+            with_offset.effective_fim_dk,
+            np.linalg.inv(np.linalg.inv(with_offset.fim)[:1, :1]),
+            rtol=1e-8)
+
+    @pytest.mark.parametrize("angle_deg, least_ratio",
+                             [(70.0, 8.0), (80.0, 150.0)])
+    def test_offset_dominates_the_bound_near_end_fire(self, angle_deg,
+                                                      least_ratio):
+        # the beat frequency slows toward the LO and its windowed cosine
+        # approaches the constant column
+        plain, with_offset = self.reports(angle_deg)
+        assert (with_offset.per_target_std[0] / plain.per_target_std[0]
+                >= least_ratio)

@@ -190,6 +190,7 @@ class TestLinearizationCheck:
                                       check.linear_strong)
         assert check.residual_weak == 0.0
         assert check.residual_strong == 0.0
+        assert np.isnan(check.residual_ratio)
 
     def test_rejects_mismatched_signals(self, params, two_target, geometry):
         other = scenarios.scene_from_angles((10.0, 20.0))
