@@ -139,8 +139,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     report = sensing.check_sampling(sc.geometry, sc.scene.rf_wavelength)
     if not report.compliant:
         _print_compliance(report)
-        print("warning: geometry violates sampling constraints; "
-              "proceeding (demo configs do this on purpose)")
+        print("warning: the configured geometry violates sampling "
+              "constraints; proceeding")
     written: list[Path] = []
     for stem, result in run_sweep(sc).items():
         path = out / f"{stem}.csv"

@@ -208,10 +208,10 @@ def _parse_sweep(doc: dict, scene: RfScene) -> SweepSpec:
     if not isinstance(axis, str) or axis not in SWEEP_KINDS:
         raise ConfigParseError(
             f"'sweep.axis' must be one of {', '.join(SWEEP_KINDS)}")
-    sweep = SweepSpec(axis=axis, values=values, kind=doc.get("kind"))
-    if sweep.kind not in SWEEP_KINDS[axis]:
+    kind = doc.get("kind")
+    if kind is not None and kind not in SWEEP_KINDS[axis]:
         raise ConfigParseError(
-            f"'sweep.kind' {sweep.kind!r} does not apply to axis {axis!r} "
+            f"'sweep.kind' {kind!r} does not apply to axis {axis!r} "
             f"(allowed: {', '.join(SWEEP_KINDS[axis])})")
     for i, value in enumerate(values):
         if axis == "snr_db":
@@ -222,7 +222,7 @@ def _parse_sweep(doc: dict, scene: RfScene) -> SweepSpec:
         raise ConfigParseError(
             "'sweep.axis' lo_ratio needs at least one signal with nonzero "
             "amplitude")
-    return sweep
+    return SweepSpec(axis=axis, values=values, kind=kind)
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -238,7 +238,6 @@ def parse_config(doc: dict) -> RunConfig:
 
     noise_doc = doc.get("noise", {})
     _check_keys(noise_doc, {"snr_db"}, "noise.")
-    # Absent means noiseless: ScenarioConfig's 30 dB serves library callers.
     snr_db = noise_doc.get("snr_db")
     if snr_db is not None:
         snr_db = _number(snr_db, "noise.snr_db")

@@ -53,8 +53,9 @@ def mean_jacobian(geometry: SensorGeometry, delta_ks: np.ndarray,
 
 def fisher_information(jacobian: np.ndarray, sigma2: float) -> np.ndarray:
     """J^T J / sigma2, the FIM of the mean under white noise: the channels'
-    outer products summed in order, so no BLAS kernel touches its bits."""
-    jacobian = np.asarray(jacobian, dtype=float)
+    outer products summed in order, on a C-ordered copy whatever the
+    Jacobian's layout, so no BLAS kernel touches its bits."""
+    jacobian = np.ascontiguousarray(jacobian, dtype=float)
     return np.add.reduce(jacobian[:, :, None] * jacobian[:, None, :],
                          axis=0) / sigma2
 

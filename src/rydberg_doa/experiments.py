@@ -1,7 +1,7 @@
 """Monte Carlo harness and the desk-scale simulation studies.
 
-SWEEP_KINDS lists the studies of each sweep axis, the table that config
-parsing checks a sweep against; run_sweep runs the configured one, and
+SWEEP_KINDS lists the studies of each sweep axis, the table every
+SweepSpec is checked against; run_sweep runs the configured one, and
 every bound comes from bound_report. A length or sampling sweep runs the
 configured geometry with the swept length replaced. Each runner is
 deterministic for a fixed (config, base_seed): trial t of a cell draws
@@ -69,7 +69,7 @@ LENGTH_SWEEP_ANGLES_DEG = (0.0, 30.0, 60.0)
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Axis, values and kind (None: the axis's default); config checks them."""
+    """Axis, values and kind (None: the axis's default), per SWEEP_KINDS."""
 
     axis: str
     values: tuple
@@ -77,11 +77,13 @@ class SweepSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
+        if self.axis not in SWEEP_KINDS:
+            raise ValueError(f"unknown sweep axis {self.axis!r} "
+                             f"(allowed: {', '.join(SWEEP_KINDS)})")
         if self.kind is None:
-            if self.axis not in SWEEP_KINDS:
-                raise ValueError(f"unknown sweep axis {self.axis!r} "
-                                 f"(allowed: {', '.join(SWEEP_KINDS)})")
             object.__setattr__(self, "kind", SWEEP_KINDS[self.axis][0])
+        elif self.kind not in SWEEP_KINDS[self.axis]:
+            raise ValueError(f"no {self.kind!r} sweep on axis {self.axis!r}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,7 @@ class ScenarioConfig:
     geometry: SensorGeometry
     prony: PronyConfig
     params: AtomicParams
-    snr_db: float | None = 30.0
+    snr_db: float | None
     trials: int = 100
     base_seed: int = 0
     sweep: SweepSpec | None = None
@@ -104,20 +106,21 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class McResult:
-    """Per-cell Monte Carlo outcome: the RMSE is over all N targets of the
-    successful trials, N the scene's signal count."""
+    """Per-cell Monte Carlo outcome of its trials: the RMSE is over all N
+    targets of the successful ones, N the scene's signal count."""
 
     rmse_rad: float
     failures: int
+    trials: int
 
 
 @dataclass(frozen=True)
 class SweepResult:
+    """One McResult per axis value, and the bound's std at each (or None)."""
+
     values: tuple
-    rmse_rad: tuple
+    cells: tuple
     crlb_std_rad: tuple | None
-    trials: int
-    failures: tuple
 
 
 @dataclass(frozen=True)
@@ -279,7 +282,7 @@ def _solve_stack(stack: list) -> list[McResult]:
     results, start = [], 0
     for cell, values in stack:
         if batch is None or values is None:
-            results.append(McResult(rmse_rad=np.inf, failures=cell.trials))
+            results.append(McResult(np.inf, cell.trials, cell.trials))
             continue
         rows = slice(start, start + cell.trials)
         start = rows.stop
@@ -288,16 +291,9 @@ def _solve_stack(stack: list) -> list[McResult]:
         errors = match_errors(batch.doas[rows][kept],
                               scenarios.true_doas(cell.scene)).ravel()
         rmse = float(np.sqrt((errors ** 2).mean())) if errors.size else np.inf
-        results.append(McResult(rmse_rad=rmse,
-                                failures=cell.trials - int(kept.sum())))
+        results.append(McResult(rmse, cell.trials - int(kept.sum()),
+                                cell.trials))
     return results
-
-
-def _sweep_result(config: ScenarioConfig, results: list) -> SweepResult:
-    return SweepResult(
-        values=config.sweep.values, crlb_std_rad=None, trials=config.trials,
-        rmse_rad=tuple(r.rmse_rad for r in results),
-        failures=tuple(r.failures for r in results))
 
 
 def _preset_scene(config: ScenarioConfig, angles_deg) -> RfScene:
@@ -325,9 +321,9 @@ def run_lo_ratio_sweep(config: ScenarioConfig) -> SweepResult:
     analytic path is linearization-exact by construction and cannot show
     the weak-LO breakdown this sweep demonstrates.
     """
-    return _sweep_result(config, _mc_sweep(config, (
+    return SweepResult(config.sweep.values, tuple(_mc_sweep(config, (
         {"scene": scenarios.with_lo_ratio(config.scene, float(ratio))}
-        for ratio in config.sweep.values), fluorescence=True))
+        for ratio in config.sweep.values), fluorescence=True)), None)
 
 
 SNR_PRESETS = {
@@ -352,8 +348,8 @@ def run_snr_sweep(config: ScenarioConfig) -> dict[str, SweepResult]:
             config.prony, model_order=2 * scene.n_signals,
             target_count=scene.n_signals)}
         for scene in scenes.values() for snr in values)))
-    results = {name: _sweep_result(config, [next(mc) for _ in values])
-               for name in scenes}
+    results = {name: SweepResult(values, tuple(next(mc) for _ in values),
+                                 None) for name in scenes}
     results["single_15"] = replace(results["single_15"], crlb_std_rad=tuple(
         crlb_std_for(scenes["single_15"], config.geometry, config.params,
                      float(snr))[0] for snr in values))
@@ -423,12 +419,11 @@ def run_length_sweep(config: ScenarioConfig) -> dict[float, SweepResult]:
     for angle in LENGTH_SWEEP_ANGLES_DEG:
         scene = _preset_scene(config, (angle,))
         out[angle] = SweepResult(
-            values=values, rmse_rad=tuple(np.full(len(values), np.nan)),
+            values=values, cells=(McResult(np.nan, 0, 0),) * len(values),
             crlb_std_rad=tuple(
                 crlb_std_for(scene, geometry, config.params,
                              sigma2=sigma2)[0]
-                for geometry, sigma2 in zip(geometries, sigma2s)),
-            trials=0, failures=(0,) * len(values))
+                for geometry, sigma2 in zip(geometries, sigma2s)))
     return out
 
 
@@ -475,8 +470,6 @@ def run_sweep(config: ScenarioConfig) -> dict:
     """Run the configured sweep study: {output file stem: result}, in the
     order the files are written."""
     sweep = config.sweep
-    if sweep.kind not in SWEEP_KINDS.get(sweep.axis, ()):
-        raise ValueError(f"no {sweep.kind!r} sweep on axis {sweep.axis!r}")
     if sweep.kind == "linearization_check":
         ratios = sorted(sweep.values)
         return {"linearization_check": run_linearization_check(

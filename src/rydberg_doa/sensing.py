@@ -264,12 +264,6 @@ def simulate_measurements(scene, geometry: SensorGeometry,
     return fluorescence_readout(scene, geometry, params)[1]
 
 
-def signal_power(values: np.ndarray) -> float:
-    """Per-sample power of the deviations of a vector from its mean."""
-    values = np.asarray(values, dtype=float)
-    return float(np.mean((values - values.mean()) ** 2))
-
-
 def snr_ratio(snr_db: float) -> float:
     """Linear power ratio of an SNR in dB; a ValueError unless it is a
     finite positive float (roughly -3,233 dB to 3,082 dB)."""
@@ -285,8 +279,10 @@ def snr_ratio(snr_db: float) -> float:
 
 def noise_variance(values: np.ndarray, snr_db: float) -> float:
     """Noise variance at the given per-sample SNR (dB) against the signal
-    power of values: the one SNR rule of noise draws and bounds."""
-    return signal_power(values) / snr_ratio(snr_db)
+    power of values, the mean square of their deviations from their mean:
+    the one SNR rule of noise draws and bounds."""
+    values = np.asarray(values, dtype=float)
+    return float(np.mean((values - values.mean()) ** 2)) / snr_ratio(snr_db)
 
 
 def require_signal(scene: physics.RfScene,

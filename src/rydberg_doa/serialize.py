@@ -177,12 +177,13 @@ def write_crlb_csv(report: CrlbReport, thetas_rad: np.ndarray,
 
 def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
     n = len(result.values)
-    rmse = np.rad2deg(result.rmse_rad)
+    rmse = np.rad2deg([cell.rmse_rad for cell in result.cells])
     atomic_write_text(path, _csv_text(
         "axis_value,rmse_deg,crlb_deg,trials,failures", result.values,
         ["" if nan else t for t, nan in zip(_fmt(rmse), np.isnan(rmse))],
         np.rad2deg(result.crlb_std_rad) if result.crlb_std_rad else [""] * n,
-        [str(result.trials)] * n, [str(f) for f in result.failures]))
+        [str(cell.trials) for cell in result.cells],
+        [str(cell.failures) for cell in result.cells]))
 
 
 def write_linearization_csv(check: LinearizationCheck,

@@ -459,12 +459,12 @@ def crlb_csv_rowwise(report, thetas_rad) -> str:
 def sweep_csv_rowwise(result) -> str:
     rows = []
     bounds = result.crlb_std_rad or (None,) * len(result.values)
-    for value, rmse, bound, fails in zip(result.values, result.rmse_rad,
-                                         bounds, result.failures):
+    for value, cell, bound in zip(result.values, result.cells, bounds):
+        rmse = cell.rmse_rad
         rmse_txt = "" if np.isnan(rmse) else _fmt(np.rad2deg(rmse))
         bound_txt = "" if bound is None else _fmt(np.rad2deg(bound))
         rows.append((_fmt(value), rmse_txt, bound_txt,
-                     str(result.trials), str(fails)))
+                     str(cell.trials), str(cell.failures)))
     return _csv_text(
         ["axis_value", "rmse_deg", "crlb_deg", "trials", "failures"], rows)
 

@@ -102,8 +102,8 @@ def test_criterion_3_lo_ratio_sweep(setup):
             sweep=SweepSpec(axis="lo_ratio",
                             values=(0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0)))
         result = run_lo_ratio_sweep(config)
-        rmse = dict(zip(result.values, result.rmse_rad))
-        fails = dict(zip(result.values, result.failures))
+        rmse = {v: c.rmse_rad for v, c in zip(result.values, result.cells)}
+        fails = {v: c.failures for v, c in zip(result.values, result.cells)}
         assert rmse[20.0] <= rmse[1.0] / 10.0, (
             f"ratio-1 {np.rad2deg(rmse[1.0]):.3f} deg vs ratio-20 "
             f"{np.rad2deg(rmse[20.0]):.3f} deg")
@@ -137,10 +137,11 @@ def test_criterion_4_crlb_tracking(setup):
                             values=(20.0, 25.0, 30.0, 35.0, 40.0, 45.0,
                                     50.0)))
         results = run_snr_sweep(sweep_cfg)
-        close = np.array(results["close_pair"].rmse_rad)
-        wide = np.array(results["wide_pair"].rmse_rad)
+        rmse = {name: np.array([c.rmse_rad for c in result.cells])
+                for name, result in results.items()}
+        close, wide = rmse["close_pair"], rmse["wide_pair"]
         assert np.all(close >= wide), "close pair easier than wide pair"
-        single_rmse = np.array(results["single_15"].rmse_rad)
+        single_rmse = rmse["single_15"]
         single_bound = np.array(results["single_15"].crlb_std_rad)
         assert np.all(single_rmse >= 0.7 * single_bound), (
             "estimator beat the bound: broken noise scaling")

@@ -768,7 +768,8 @@ class TestSweepCommand:
         doc["geometry"]["cell_length_wavelengths"] = 16
         assert cli.main(["sweep", "--config",
                          write_config(tmp_path, doc)]) == 0
-        assert "proceeding" in capsys.readouterr().out
+        assert ("warning: the configured geometry violates sampling "
+                "constraints; proceeding\n") in capsys.readouterr().out
 
     def test_length_sweep_runs_the_configured_geometry(self, tmp_path):
         doc = json.loads((REPO_CONFIGS / "fig6.json").read_text())

@@ -28,6 +28,7 @@ from oracles import (
 
 
 FIG4 = Path(__file__).resolve().parent.parent / "configs" / "fig4.json"
+FIG3C = FIG4.with_name("fig3c.json")
 
 
 def random_targets(n_targets, geometry, seed=0):
@@ -140,6 +141,17 @@ class TestFisherInformation:
             fim, fisher_information_scipy(
                 jac, sigma**2 * np.eye(geometry.channel_count)),
             rtol=0, atol=1e-14 * np.abs(fim).max())
+
+    def test_any_jacobian_layout_sums_in_channel_order(self):
+        # numpy sums a contiguous axis 0 pairwise, so an F-ordered
+        # Jacobian would move the FIM's last digits
+        sc = load_config(FIG3C).scenario
+        jac = scene_jacobian(sc.params, sc.geometry, sc.scene)
+        sigma2 = sensing.noise_variance(sensing.predicted_measurements(
+            sc.scene, sc.geometry, sc.params).values, sc.snr_db)
+        assert np.array_equal(
+            fisher_information(np.asfortranarray(jac), sigma2),
+            fisher_information(jac, sigma2))
 
     def test_block_assembly_agrees(self, geometry):
         targets = random_targets(3, geometry, seed=2)
@@ -261,7 +273,7 @@ class TestReportAndConditioning:
         scene = scenarios.scene_from_angles((15.0,))
         mv = sensing.predicted_measurements(scene, geometry, params)
         snr_db = 40.0
-        sigma2 = sensing.signal_power(mv.values) / 10 ** (snr_db / 10)
+        sigma2 = np.var(mv.values) / 10 ** (snr_db / 10)
         report = crlb_report(scene_jacobian(params, geometry, scene),
                              sigma2, [scene.signals[0].angle],
                              scene.wavenumber)

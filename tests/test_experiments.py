@@ -219,8 +219,8 @@ class TestLoRatioSweep:
             sweep=SweepSpec(axis="lo_ratio", values=(1.0, 20.0)))
         result = run_lo_ratio_sweep(cfg)
         assert result.values == (1.0, 20.0)
-        assert len(result.rmse_rad) == 2
-        assert result.rmse_rad[0] > result.rmse_rad[1]
+        assert len(result.cells) == 2
+        assert result.cells[0].rmse_rad > result.cells[1].rmse_rad
         paths = []
         for run in range(2):
             path = tmp_path / f"sweep{run}.csv"
@@ -242,11 +242,11 @@ class TestSnrSweep:
         assert single.crlb_std_rad is not None
         assert len(single.crlb_std_rad) == 3
         # monotone non-increasing with one inversion allowed
-        rmse = np.array(single.rmse_rad)
+        rmse = np.array([cell.rmse_rad for cell in single.cells])
         assert np.sum(np.diff(rmse) > 0) <= 1
         # close pair at least as hard as the wide pair
-        close = np.array(results["close_pair"].rmse_rad)
-        wide = np.array(results["wide_pair"].rmse_rad)
+        close = np.array([c.rmse_rad for c in results["close_pair"].cells])
+        wide = np.array([c.rmse_rad for c in results["wide_pair"].cells])
         assert np.all(close >= wide)
         # estimator never beats the bound meaningfully
         finite = np.isfinite(rmse)
@@ -265,23 +265,29 @@ class TestSnrSweep:
         cells = [mc_rmse(seeded_cell(cfg, c, scene=scene, prony=prony,
                                      snr_db=snr))
                  for c, snr in enumerate(values)]
-        assert single.rmse_rad == tuple(r.rmse_rad for r in cells)
-        assert single.failures == tuple(r.failures for r in cells)
+        assert single.cells == tuple(cells)
 
 
 
-@pytest.mark.parametrize("axis, kind", [("bogus", "rmse"),
-                                        ("bogus", "crlb_length"),
-                                        ("snr_db", "sampling_demo")])
-def test_run_sweep_rejects_a_pair_outside_sweep_kinds(base_config, axis,
-                                                      kind):
-    # config parsing rejects these; a SweepSpec built in code used to run
-    # the SNR presets, or the kind's runner, for them
-    cfg = replace(base_config, sweep=SweepSpec(axis=axis, values=(1.0,),
-                                                kind=kind))
-    with pytest.raises(ValueError,
-                       match=f"^no '{kind}' sweep on axis '{axis}'$"):
-        experiments.run_sweep(cfg)
+@pytest.mark.parametrize("axis, kind, message", [
+    ("bogus", "rmse", "^unknown sweep axis 'bogus' "),
+    ("bogus", "crlb_length", "^unknown sweep axis 'bogus' "),
+    ("snr_db", "sampling_demo", "^no 'sampling_demo' sweep on axis "
+                                "'snr_db'$"),
+], ids=["bogus-rmse", "bogus-crlb_length", "snr_db-sampling_demo"])
+def test_sweep_spec_rejects_a_pair_outside_sweep_kinds(axis, kind, message):
+    # built or replaced in code, a spec no runner can run never exists
+    with pytest.raises(ValueError, match=message):
+        SweepSpec(axis=axis, values=(1.0,), kind=kind)
+    with pytest.raises(ValueError, match=message):
+        replace(SweepSpec(axis="snr_db", values=(1.0,)), axis=axis,
+                kind=kind)
+
+
+def test_scenario_config_has_no_default_noise(base_config):
+    with pytest.raises(TypeError, match="snr_db"):
+        ScenarioConfig(base_config.scene, base_config.geometry,
+                       base_config.prony, base_config.params)
 
 
 def test_sweep_spec_rejects_an_unknown_axis_with_no_kind():
@@ -342,9 +348,8 @@ class TestMcSweepStacking:
         cells = [experiments._mc_sweep(seeded_cell(
             cfg, c, scene=scenarios.with_lo_ratio(cfg.scene, ratio)), ({},),
             fluorescence=True)[0] for c, ratio in enumerate(ratios)]
-        assert len(set(result.rmse_rad)) == len(ratios)
-        assert result.rmse_rad == tuple(r.rmse_rad for r in cells)
-        assert result.failures == tuple(r.failures for r in cells)
+        assert len({cell.rmse_rad for cell in result.cells}) == len(ratios)
+        assert result.cells == tuple(cells)
 
     def test_snr_presets_share_solves_by_order(self, base_config,
                                                solve_rows):
@@ -356,8 +361,8 @@ class TestMcSweepStacking:
         # (p = 4) in another.
         assert solve_rows == [3 * 40, 6 * 40]
         self.assert_matches_cells(cfg, results)
-        failures = results["close_pair"].failures
-        assert any(0 < f < cfg.trials for f in failures)
+        assert any(0 < cell.failures < cfg.trials
+                   for cell in results["close_pair"].cells)
 
     def test_whole_cell_failure_inside_a_stack(self, base_config,
                                                solve_rows):
@@ -371,7 +376,8 @@ class TestMcSweepStacking:
         results = experiments._mc_sweep(base_config, cells)
         assert solve_rows == [3 * base_config.trials]
         assert results[1] == experiments.McResult(
-            rmse_rad=np.inf, failures=base_config.trials)
+            rmse_rad=np.inf, failures=base_config.trials,
+            trials=base_config.trials)
         assert 0 < results[2].failures < base_config.trials
         assert results == [mc_rmse(seeded_cell(base_config, c, **o))
                            for c, o in enumerate(cells)]
@@ -431,8 +437,7 @@ class TestMcSweepStacking:
             base_config, sweep=SweepSpec("snr_db", ()))).values()
         for result in results:
             assert isinstance(result, SweepResult)
-            assert (result.values, result.rmse_rad, result.failures) \
-                == ((), (), ())
+            assert (result.values, result.cells) == ((), ())
 
     @staticmethod
     def assert_matches_cells(cfg, results):
@@ -447,10 +452,7 @@ class TestMcSweepStacking:
                     prony=replace(cfg.prony, model_order=2 * n,
                                   target_count=n))))
                 c += 1
-            assert results[name].rmse_rad == tuple(
-                r.rmse_rad for r in cells), name
-            assert results[name].failures == tuple(
-                r.failures for r in cells), name
+            assert results[name].cells == tuple(cells), name
 
 
 class TestLengthSweep:

@@ -786,7 +786,7 @@ class TestAddNoise:
     def test_noise_variance_calibrated(self, geometry):
         mv = self.make_measurement(geometry)
         snr_db = 17.0
-        sigma2 = sensing.signal_power(mv.values) / 10 ** (snr_db / 10)
+        sigma2 = np.var(mv.values) / 10 ** (snr_db / 10)
         # One stack of seeds 0..99,999: row t is the single-seed draw of t.
         draws = sensing.add_noise(mv, snr_db, range(100_000)).values \
             - mv.values

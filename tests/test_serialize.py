@@ -21,6 +21,7 @@ from rydberg_doa import serialize
 from rydberg_doa.crlb import CrlbReport
 from rydberg_doa.experiments import (
     LinearizationCheck,
+    McResult,
     SamplingDemoResult,
     SweepResult,
 )
@@ -134,15 +135,24 @@ def test_crlb_csv_bytes(tmp_path, thetas):
 @pytest.mark.parametrize("bounds", [None, (0.001, 0.002, -0.0, np.nan, 0.5)],
                          ids=["no_bounds", "bounds"])
 def test_sweep_csv_bytes(tmp_path, bounds):
-    result = SweepResult(values=(10, 20.5, 1e-3, -0.0, 40.0),
-                         rmse_rad=(0.01, np.nan, np.inf, 0.0, -0.0),
-                         crlb_std_rad=bounds, trials=100,
-                         failures=(0, 100, 3, 0, 7))
+    cells = tuple(McResult(rmse, fails, 100) for rmse, fails in zip(
+        (0.01, np.nan, np.inf, 0.0, -0.0), (0, 100, 3, 0, 7)))
+    result = SweepResult(values=(10, 20.5, 1e-3, -0.0, 40.0), cells=cells,
+                         crlb_std_rad=bounds)
     path = tmp_path / "sweep.csv"
     serialize.write_sweep_csv(result, path)
     text = path.read_text()
     assert text == sweep_csv_rowwise(result)
     assert text.splitlines()[2].startswith("20.5,,")
+
+
+def test_sweep_csv_trials_are_each_cells_own(tmp_path):
+    result = SweepResult(values=(1.0, 2.0), cells=(
+        McResult(0.1, 0, 3), McResult(0.2, 1, 5)), crlb_std_rad=None)
+    path = tmp_path / "sweep.csv"
+    serialize.write_sweep_csv(result, path)
+    rows = path.read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["3", "5"]
 
 
 def test_linearization_csv_bytes(tmp_path):
