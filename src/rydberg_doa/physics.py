@@ -8,6 +8,7 @@ inputs and vectorizes over position / field arguments via numpy.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -148,6 +149,26 @@ def scene_stack(scene) -> tuple[RfScene, ...]:
     return scenes
 
 
+def _cosine_terms(scene, x) -> tuple[tuple, np.ndarray, list]:
+    """(scenes, x, terms): the scene stack, the checked positions and the
+    x-dependent terms of |E_RF(x)|^2 in order, as (coefficient, wavenumber,
+    phase) of coefficient*cos(wavenumber*x - phase). The beats with the LO
+    come first; their coefficients are columns of one row per scene."""
+    scenes = scene_stack(scene)
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
+    first, sigs = scenes[0], scenes[0].signals
+    twice_lo = 2 * np.array([s.lo.amplitude for s in scenes])
+    twice_lo = twice_lo.reshape((-1,) + (1,) * x.ndim)
+    terms = [(twice_lo * s.amplitude, dk, dphi) for s, dk, dphi in
+             zip(sigs, first.delta_ks, first.delta_phis)]
+    for a, b in itertools.combinations(sigs, 2):
+        terms.append((2 * a.amplitude * b.amplitude, first.wavenumber * (
+            np.sin(a.angle) - np.sin(b.angle)), b.phase - a.phase))
+    return scenes, x, terms
+
+
 def field_intensity(scene, x) -> np.ndarray | float:
     """|E_RF(x)|^2 expanded term by term: LO self-term, signal self-terms,
     signal-LO beats, and all signal-signal cross-terms.
@@ -158,28 +179,23 @@ def field_intensity(scene, x) -> np.ndarray | float:
     the order of a one-scene call, so row c equals the result for scene c
     alone bit for bit.
     """
-    scenes = scene_stack(scene)
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-    first = scenes[0]
-    k = first.wavenumber
-    amps = np.array([s.amplitude for s in first.signals])
-    power = np.sum(amps**2)
-    column = (-1,) + (1,) * x.ndim
-    twice_lo = (2 * np.array([s.lo.amplitude for s in scenes])).reshape(column)
+    scenes, x, terms = _cosine_terms(scene, x)
+    power = np.sum(np.array([s.amplitude for s in scenes[0].signals])**2)
     out = np.empty((len(scenes),) + x.shape)
-    out[...] = np.array([s.lo.amplitude**2 + power
-                         for s in scenes]).reshape(column)
-    for a_i, dk, dphi in zip(amps, first.delta_ks, first.delta_phis):
-        out += twice_lo * a_i * np.cos(dk * x - dphi)
-    sigs = first.signals
-    for i in range(len(sigs)):
-        for m in range(i + 1, len(sigs)):
-            beat_k = k * (np.sin(sigs[i].angle) - np.sin(sigs[m].angle))
-            beat_phi = sigs[i].phase - sigs[m].phase
-            out += 2 * sigs[i].amplitude * sigs[m].amplitude * np.cos(
-                beat_k * x + beat_phi)
+    out[...] = np.reshape([s.lo.amplitude**2 + power for s in scenes],
+                          (-1,) + (1,) * x.ndim)
+    for coef, wavenumber, phase in terms:
+        out += coef * np.cos(wavenumber * x - phase)
+    return out[0] if isinstance(scene, RfScene) else out
+
+
+def field_intensity_slope(scene, x) -> np.ndarray | float:
+    """d|E_RF(x)|^2/dx: the sine counterpart of each cosine term of
+    field_intensity, in the same term order, for one scene or a stack."""
+    scenes, x, terms = _cosine_terms(scene, x)
+    out = np.zeros((len(scenes),) + x.shape)
+    for coef, wavenumber, phase in terms:
+        out -= coef * wavenumber * np.sin(wavenumber * x - phase)
     return out[0] if isinstance(scene, RfScene) else out
 
 
@@ -238,6 +254,15 @@ def absorption_exact(params: AtomicParams, scene,
     one scene or, row by row, of a stack of scenes (see field_intensity)."""
     c_scale, _ = linearization_constants(params)
     return c_scale * intensity_response(params, field_intensity(scene, x))
+
+
+def absorption_slope(params: AtomicParams, scene,
+                     x) -> np.ndarray | float:
+    """Slope d(alpha)/dx = C*f'(|E_RF|^2)*d|E_RF|^2/dx of absorption_exact,
+    of one scene or, row by row, of a stack of scenes."""
+    c_scale, _ = linearization_constants(params)
+    return c_scale * intensity_response_derivative(
+        params, field_intensity(scene, x)) * field_intensity_slope(scene, x)
 
 
 def modulation_amplitudes(params: AtomicParams, scene: RfScene) -> np.ndarray:

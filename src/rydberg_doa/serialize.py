@@ -63,10 +63,9 @@ def _csv_text(header: str, *columns) -> str:
 
 def write_fluorescence_csv(profile: FluorescenceProfile,
                            path: str | Path) -> None:
-    """Both columns hold the image (FluorescenceProfile.fluorescence)."""
-    image = _fmt(profile.fluorescence)
-    atomic_write_text(path, _csv_text(
-        "x_m,probe_power,fluorescence", profile.positions, image, image))
+    """The image (FluorescenceProfile.fluorescence) at each position."""
+    atomic_write_text(path, _csv_text("x_m,fluorescence", profile.positions,
+                                      profile.fluorescence))
 
 
 def write_measurement_csv(measurement: MeasurementVector,

@@ -6,14 +6,13 @@ one channel's outer product at a time, in the order the runtime's
 reduction must add them. The closed forms (Rabi frequency, phasor field
 sum, two-level scattering rate, four-level susceptibility, whole-cell
 integrated power) are textbook formulas that only the tests evaluate.
-The per-scene readout reads one scene at a time, as the fluorescence
-pipeline did before it read stacks of scenes and
-before it read each window as a log-difference of the image: it
-differentiates log F with np.gradient and integrates the samples back
-over each window with a trapezoid. The panel readout reads windows as
-the pipeline did before it read the optical depth straight off the
-image's log: panel means of the absorption, their running integral, then
-the window edges. The greedy signal-root selection
+The per-scene readout reads one scene at a time through scipy: the
+slope of |E|^2 from the phasor field, the optical depth as the
+antiderivative of the absorption's CubicHermiteSpline, and each window
+edge off the CubicHermiteSpline of (depth, absorption), one window at a
+time. The panel depth is the optical depth as the pipeline read it before
+it read the depth straight off the image's log: panel means of the
+absorption and their running integral. The greedy signal-root selection
 picks one root set's representatives one at a time in Python, as the
 estimator did before it selected over whole stacks. The CSV renderers
 at the end build each output file row by row, one f-string .17g per
@@ -22,22 +21,22 @@ value, as the writers did before they formatted whole columns at once.
 
 import csv
 import io
-from typing import Callable
 
 import numpy as np
 from scipy import constants
+from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import cho_factor, cho_solve
 
 from rydberg_doa import physics
 from rydberg_doa.errors import (
     DegenerateDetuning,
-    NonPositiveFluorescence,
     WindowOutOfCell,
 )
 from rydberg_doa.physics import (
     AtomicParams,
     RfScene,
     intensity_response,
+    intensity_response_derivative,
     linearization_constants,
 )
 from rydberg_doa.sensing import (
@@ -70,19 +69,13 @@ def window_integrals_quadrature(geometry: SensorGeometry, dk: float,
     return cos_vec, sin_vec, pos_sin_vec
 
 
-def _window_integral(x: np.ndarray, v: np.ndarray, a: float, b: float) -> float:
-    """Trapezoid of samples (x, v) over [a, b], interpolating the edges."""
-    inside = (x > a) & (x < b)
-    xs = np.concatenate(([a], x[inside], [b]))
-    vs = np.concatenate(([np.interp(a, x, v)], v[inside], [np.interp(b, x, v)]))
-    return float(np.trapezoid(vs, xs))
-
-
-def channel_measurements_per_window(x: np.ndarray, v: np.ndarray,
+def channel_measurements_per_window(profile: FluorescenceProfile,
                                     geometry: SensorGeometry) -> np.ndarray:
-    """Trapezoid of point samples v of the absorption over each window, one
-    window at a time: scalar edges, a boolean interior mask and a 1-D
-    np.trapezoid per window, interpolating v at the window edges."""
+    """Absorption integral over each window of one profile, one window at
+    a time: scalar edges clipped to the positions, each read off scipy's
+    CubicHermiteSpline of (depth, absorption)."""
+    x = profile.positions
+    spline = CubicHermiteSpline(x, profile.optical_depth, profile.absorption)
     tol = 1e-9 * geometry.cell_length
     half = geometry.window_width / 2
     out = np.empty(geometry.channel_count)
@@ -91,7 +84,7 @@ def channel_measurements_per_window(x: np.ndarray, v: np.ndarray,
         if a < x[0] - tol or b > x[-1] + tol:
             raise WindowOutOfCell(
                 f"window {j + 1} [{a:g}, {b:g}] outside sampled domain")
-        out[j] = _window_integral(x, v, max(a, x[0]), min(b, x[-1]))
+        out[j] = spline(min(b, x[-1])) - spline(max(a, x[0]))
     return out
 
 
@@ -104,21 +97,13 @@ def running_integral(panel_values: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def panel_readout(profile: FluorescenceProfile,
-                  geometry: SensorGeometry) -> np.ndarray:
-    """Raw windows of one image or a stack (..., n), (..., K): the exact
-    panel means -diff(log F) / diff(x), their running integral, linear
-    between grid points, read by np.interp at the clipped window edges one
-    row at a time."""
+def panel_depth(profile: FluorescenceProfile) -> np.ndarray:
+    """The optical depth of one image or a stack (..., n) by the panel
+    route: the exact panel means -diff(log F) / diff(x) and their running
+    integral."""
     x = profile.positions
     panels = -np.diff(np.log(profile.fluorescence), axis=-1) / np.diff(x)
-    depth = running_integral(panels, x)
-    lo, hi = geometry.window_edges
-    edges = np.concatenate((np.maximum(lo, x[0]), np.minimum(hi, x[-1])))
-    ends = np.array([np.interp(edges, x, row)
-                     for row in depth.reshape(-1, x.size)])
-    ends = ends.reshape(depth.shape[:-1] + (2, -1))
-    return ends[..., 1, :] - ends[..., 0, :]
+    return running_integral(panels, x)
 
 
 def fisher_information_blocks(geometry: SensorGeometry, delta_ks: np.ndarray,
@@ -328,33 +313,23 @@ def absorption_exact_per_scene(params: AtomicParams, scene: RfScene,
                                         field_intensity_per_scene(scene, x))
 
 
-def cumulative_trapezoid_per_scene(y: np.ndarray,
-                                   x: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral of y over x, starting at 0 at x[0]."""
-    steps = np.diff(x) * (y[1:] + y[:-1]) / 2.0
-    return np.concatenate(([0.0], np.cumsum(steps)))
+def field_intensity_slope_phasor(scene: RfScene, x) -> np.ndarray:
+    """d|E_RF(x)|^2/dx = 2 Re(conj(E) dE/dx) from the direct phasor sum."""
+    x = np.asarray(x, dtype=float)
+    k = scene.wavenumber
+    d_field = sum(1j * k * np.sin(w.angle) * w.amplitude
+                  * np.exp(1j * (k * x * np.sin(w.angle) + w.phase))
+                  for w in (scene.lo,) + scene.signals)
+    return 2 * np.real(np.conj(rf_field(scene, x)) * d_field)
 
 
-def propagate_probe_per_scene(
-        alpha_profile: Callable[[np.ndarray], np.ndarray],
-        geometry: SensorGeometry, rf_wavelength: float
-) -> FluorescenceProfile:
-    """The optical depth integral_0^x alpha of a probe through the cell,
-    cumulative trapezoid on the geometry grid; its image exp(-depth) is
-    the fluorescence (weak-probe proportionality).
-    """
-    x = geometry.grid(rf_wavelength)
-    alpha = np.asarray(alpha_profile(x), dtype=float)
-    return FluorescenceProfile(
-        positions=x, optical_depth=cumulative_trapezoid_per_scene(alpha, x))
-
-
-def recover_alpha_gradient(profile: FluorescenceProfile) -> np.ndarray:
-    """Point samples of the absorption coefficient, -d/dx log F by
-    second-order central differences, one-sided at the cell ends."""
-    if np.any(profile.fluorescence <= 0):
-        raise NonPositiveFluorescence("fluorescence must be strictly positive")
-    return -np.gradient(np.log(profile.fluorescence), profile.positions)
+def absorption_slope_per_scene(params: AtomicParams, scene: RfScene,
+                               x) -> np.ndarray:
+    """d(alpha)/dx = C*f'(|E|^2)*d|E|^2/dx, the slope from the phasor sum."""
+    c_scale, _ = linearization_constants(params)
+    return c_scale * intensity_response_derivative(
+        params, field_intensity_per_scene(scene, x)) \
+        * field_intensity_slope_phasor(scene, x)
 
 
 def calibrate_per_scene(values: np.ndarray, geometry: SensorGeometry,
@@ -371,15 +346,17 @@ def calibrate_per_scene(values: np.ndarray, geometry: SensorGeometry,
 def fluorescence_readout_per_scene(
         scene: RfScene, geometry: SensorGeometry, params: AtomicParams
 ) -> tuple[FluorescenceProfile, MeasurementVector]:
-    """Propagate, recover, window, calibrate; returns (image, measurements).
-    The fluorescence readout of one scene as it was before readouts took
-    stacks and read windows as log-differences: point samples of alpha
-    from np.gradient, then a trapezoid over each window."""
-    profile = propagate_probe_per_scene(
-        lambda x: absorption_exact_per_scene(params, scene, x), geometry,
-        scene.rf_wavelength)
-    raw = channel_measurements_per_window(
-        profile.positions, recover_alpha_gradient(profile), geometry)
+    """Propagate, window, calibrate one scene through scipy; returns
+    (profile, measurements). The depth is the antiderivative of the
+    CubicHermiteSpline of the absorption and its phasor-sum slope, and the
+    windows are read one at a time (channel_measurements_per_window)."""
+    x = geometry.grid(scene.rf_wavelength)
+    alpha = absorption_exact_per_scene(params, scene, x)
+    slope = absorption_slope_per_scene(params, scene, x)
+    depth = CubicHermiteSpline(x, alpha, slope).antiderivative()(x)
+    profile = FluorescenceProfile(positions=x, optical_depth=depth,
+                                  absorption=alpha)
+    raw = channel_measurements_per_window(profile, geometry)
     return profile, calibrate_per_scene(raw, geometry,
                                         physics.absorption_dc(params, scene))
 
@@ -435,12 +412,11 @@ def _csv_text(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
-def fluorescence_csv_rowwise(positions, probe_power, fluorescence) -> str:
-    """The fluorescence CSV text of three columns, one row at a time."""
-    rows = "".join(
-        f"{x:.17g},{p:.17g},{f:.17g}\n" for x, p, f in
-        zip(positions.tolist(), probe_power.tolist(), fluorescence.tolist()))
-    return "x_m,probe_power,fluorescence\n" + rows
+def fluorescence_csv_rowwise(positions, fluorescence) -> str:
+    """The fluorescence CSV text of two columns, one row at a time."""
+    rows = "".join(f"{x:.17g},{f:.17g}\n" for x, f in
+                   zip(positions.tolist(), fluorescence.tolist()))
+    return "x_m,fluorescence\n" + rows
 
 
 def measurement_csv_rowwise(measurement) -> str:

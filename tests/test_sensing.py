@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.integrate import cumulative_trapezoid, quad
+from scipy.integrate import quad
+from scipy.interpolate import CubicHermiteSpline
 
 from rydberg_doa import physics, scenarios, sensing
 from rydberg_doa.config import load_config
@@ -17,7 +18,11 @@ from rydberg_doa.errors import (
 )
 from rydberg_doa.experiments import CELL_SEED_STRIDE
 from rydberg_doa.physics import PlaneWave, RfScene
-from rydberg_doa.sensing import MeasurementVector, SensorGeometry
+from rydberg_doa.sensing import (
+    FluorescenceProfile,
+    MeasurementVector,
+    SensorGeometry,
+)
 
 from oracles import (
     absorption_exact_per_scene,
@@ -26,8 +31,7 @@ from oracles import (
     fluorescence_readout_per_scene,
     integrated_power_transmission,
     monotonic_length_bound,
-    panel_readout,
-    running_integral,
+    panel_depth,
     sinc_response,
 )
 
@@ -42,22 +46,25 @@ def noise_row(seed: int, k: int) -> np.ndarray:
     return block[seed % 32]
 
 
-# Largest gap between the log-difference readout and the gradient-and-
-# trapezoid readout it replaced (oracles.fluorescence_readout_per_scene),
-# as a share of the channel std, at 256-257 points per lambda: measured
-# 2.8e-4 on the two-target scene and at most 4.5e-4 over 1-3 targets, LO
-# ratios 2-50 and 8-16 lambda cells. Most of it is the old readout's own
-# error against quadrature (see TestReadoutAccuracy).
-GRADIENT_READOUT_TOL = 5e-4
+# Largest gap between the readout and scipy's Hermite-spline readout of
+# one scene (oracles.fluorescence_readout_per_scene), relative to the
+# largest optical depth for the windows and to each depth for the depth.
+# The two build the same interpolants, so they differ by rounding alone:
+# measured 2.4e-15 and 8.4e-15 over 1-3 targets, LO ratios 2-50, cells of
+# 4-16 lambda and 3, 32 and 257 points per lambda.
+SCIPY_READOUT_TOL = 2e-14
+SCIPY_DEPTH_RTOL = 1e-13
 
 
 def lo_only_scene(amplitude=4e-5):
     return RfScene(lo=PlaneWave(amplitude, 0.0, np.pi / 2))
 
 
-def panel_means(alpha):
-    """Trapezoid mean of point samples over each grid panel."""
-    return (alpha[..., 1:] + alpha[..., :-1]) / 2
+def exact_profile(params, scene, x):
+    """The probe's profile of the exact absorption of a scene or a stack."""
+    return sensing.propagate_probe(physics.absorption_exact(params, scene, x),
+                                   physics.absorption_slope(params, scene, x),
+                                   x)
 
 
 class TestGeometry:
@@ -127,26 +134,45 @@ class TestGeometry:
 
 
 class TestPropagateProbe:
-    def test_cumulative_trapezoid_equals_scipy(self):
-        # the probe's optical depth: the running integral of trapezoid
-        # panel means is scipy's cumulative trapezoid, bit for bit
+    def test_depth_is_scipy_hermite_antiderivative(self):
+        # the probe's optical depth integrates the cubic Hermite
+        # interpolant of (alpha, slope): scipy's antiderivative of its
+        # CubicHermiteSpline at the nodes, on a uniform and a non-uniform
+        # grid, with slopes up to 1/h, so that the end correction is as
+        # large as the depth's rise allows
         rng = np.random.default_rng(3)
-        x = np.cumsum(rng.uniform(1e-4, 2e-3, 513))
-        y = rng.standard_normal(513) * np.exp(rng.uniform(-30, 5, 513))
-        got = sensing.propagate_probe(y, x).optical_depth
-        np.testing.assert_array_equal(
-            got, cumulative_trapezoid(y, x, initial=0.0))
+        for x in (np.linspace(0.0, 0.5, 513),
+                  np.cumsum(rng.uniform(1e-4, 2e-3, 513))):
+            alpha = rng.uniform(1.0, 2.0, x.size)
+            slope = rng.uniform(-1.0, 1.0, x.size) / np.diff(x).max()
+            got = sensing.propagate_probe(alpha, slope, x).optical_depth
+            want = CubicHermiteSpline(x, alpha, slope).antiderivative()(x)
+            assert got[0] == want[0] == 0.0
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_exact_for_cubics(self):
+        # alpha = 1 + 2x - 3x^2 + 4x^3 on an uneven grid: the depth is its
+        # antiderivative x + x^2 - x^3 + x^4 at every node, to rounding
+        rng = np.random.default_rng(5)
+        x = np.sort(np.concatenate(([0.0, 1.0], rng.uniform(0, 1, 40))))
+        alpha = 1 + 2 * x - 3 * x**2 + 4 * x**3
+        slope = 2 - 6 * x + 12 * x**2
+        depth = sensing.propagate_probe(alpha, slope, x).optical_depth
+        np.testing.assert_allclose(depth, x + x**2 - x**3 + x**4,
+                                   rtol=1e-14, atol=1e-16)
 
     def test_transparent_cell(self, geometry, rf_wavelength):
         x = geometry.grid(rf_wavelength)
-        profile = sensing.propagate_probe(np.zeros_like(x), x)
+        profile = sensing.propagate_probe(np.zeros_like(x), np.zeros_like(x),
+                                          x)
         np.testing.assert_array_equal(profile.optical_depth, 0.0)
         np.testing.assert_array_equal(profile.fluorescence, 1.0)
 
     def test_uniform_absorber_closed_form(self, geometry, rf_wavelength):
         alpha = 2.5
         x = geometry.grid(rf_wavelength)
-        profile = sensing.propagate_probe(np.full_like(x, alpha), x)
+        profile = sensing.propagate_probe(np.full_like(x, alpha),
+                                          np.zeros_like(x), x)
         expected = np.exp(-alpha * geometry.cell_length)
         assert profile.fluorescence[-1] == pytest.approx(expected, rel=1e-8)
 
@@ -156,19 +182,21 @@ class TestPropagateProbe:
             return physics.absorption_exact(params, two_target, x)
 
         x = geometry.grid(two_target.rf_wavelength)
-        profile = sensing.propagate_probe(alpha(x), x)
+        profile = exact_profile(params, two_target, x)
         depth, _ = quad(lambda x: float(alpha(x)), 0.0,
                         geometry.cell_length, limit=400)
         assert profile.fluorescence[-1] == pytest.approx(np.exp(-depth),
                                                          rel=1e-6)
 
     def test_fluorescence_proportional(self, geometry, rf_wavelength):
-        # the profile holds the optical depth alone; its image, the
-        # unit-power probe's, is derived
+        # the profile holds the optical depth and its slope, the
+        # absorption; its image, the unit-power probe's, is derived
         x = geometry.grid(rf_wavelength)
-        profile = sensing.propagate_probe(np.full_like(x, 1.0), x)
-        assert [f.name for f in fields(profile)] == ["positions",
-                                                     "optical_depth"]
+        alpha = np.full_like(x, 1.0)
+        profile = sensing.propagate_probe(alpha, np.zeros_like(x), x)
+        assert [f.name for f in fields(profile)] == [
+            "positions", "optical_depth", "absorption"]
+        np.testing.assert_array_equal(profile.absorption, alpha)
         np.testing.assert_array_equal(profile.fluorescence,
                                       np.exp(-profile.optical_depth))
 
@@ -179,7 +207,7 @@ class TestPropagateProbe:
             return physics.absorption_exact(params, two_target, x)
 
         x = geometry.grid(two_target.rf_wavelength)
-        profile = sensing.propagate_probe(alpha(x), x)
+        profile = exact_profile(params, two_target, x)
         # high-order method: the oracle's dense-output noise must sit well
         # below the ~1e-7 attenuation scale being compared
         sol = solve_ivp(lambda x, p: -alpha(np.array([x]))[0] * p,
@@ -204,12 +232,13 @@ class TestRecoverAlpha:
             return physics.absorption_exact(params, two_target, x)
 
         x = geometry.grid(two_target.rf_wavelength)
-        profile = sensing.propagate_probe(alpha(x), x)
+        profile = exact_profile(params, two_target, x)
         depth = sensing.recover_alpha(profile.fluorescence)
         # a panel mean, the depth's increment over the panel's width, sits
-        # within the midpoint rule's error of the absorption at the panel
-        # midpoint, on every panel
-        truth = alpha((x[1:] + x[:-1]) / 2)
+        # within the readout's error of the absorption's mean over the
+        # panel by quadrature, on every panel
+        truth = np.array([quad(lambda u: float(alpha(u)), a, b)[0] / (b - a)
+                          for a, b in zip(x[:-1], x[1:])])
         err = np.abs(np.diff(depth) / np.diff(x) - truth)
         assert err.max() / np.abs(truth).max() < 1e-3
         scale = np.abs(
@@ -217,11 +246,8 @@ class TestRecoverAlpha:
         assert err.max() / scale < 5e-4
 
     def test_kappa_cancels(self, params, two_target, geometry):
-        def alpha(x):
-            return physics.absorption_exact(params, two_target, x)
-
         x = geometry.grid(two_target.rf_wavelength)
-        profile = sensing.propagate_probe(alpha(x), x)
+        profile = exact_profile(params, two_target, x)
         outs = []
         for kappa in (0.1, 1.0, 10.0):
             outs.append(sensing.recover_alpha(kappa * profile.fluorescence))
@@ -238,19 +264,26 @@ class TestRecoverAlpha:
 
 
 def tau_test(x):
-    """Analytic optical depth of alpha = 2 + cos(37x - 0.4) + 0.1 sin(91x)."""
+    """Analytic optical depth of alpha_test."""
     return 2.0 * x + np.sin(37.0 * x - 0.4) / 37.0 \
         - 0.1 * np.cos(91.0 * x) / 91.0
 
 
-TAU_TEST_CURVATURE = 37.0 + 9.1  # bound on |tau''| = |alpha'|
+def alpha_test(x):
+    return 2.0 + np.cos(37.0 * x - 0.4) + 0.1 * np.sin(91.0 * x)
+
+
+# A bound on the fourth derivative of tau_test, the third of alpha_test.
+TAU_TEST_FOURTH = 37.0**3 + 0.1 * 91.0**3
 
 
 class TestChannelMeasurements:
     def test_constant_absorption_window_area(self, geometry):
         x = np.linspace(0, geometry.cell_length, 2001)
         alpha_dc = 3.7
-        values = sensing.channel_measurements(alpha_dc * x, geometry, x)
+        profile = FluorescenceProfile(positions=x, optical_depth=alpha_dc * x,
+                                      absorption=np.full_like(x, alpha_dc))
+        values = sensing.channel_measurements(profile, geometry)
         np.testing.assert_allclose(values,
                                    alpha_dc * geometry.window_width,
                                    rtol=1e-12)
@@ -259,14 +292,9 @@ class TestChannelMeasurements:
                                                       two_target, geometry):
         lam = two_target.rf_wavelength
         geom = geometry  # contiguous: width == pitch
-
-        def alpha(x):
-            return physics.absorption_exact(params, two_target, x)
-
         x = geom.grid(lam)
-        profile = sensing.propagate_probe(alpha(x), x)
-        depth = running_integral(panel_means(alpha(x)), x)
-        values = sensing.channel_measurements(depth, geom, x)
+        profile = exact_profile(params, two_target, x)
+        values = sensing.channel_measurements(profile, geom)
         image = profile.fluorescence
         for j, (a, b) in enumerate(zip(*geom.window_edges)):
             p_in = np.interp(a, x, image)
@@ -277,9 +305,9 @@ class TestChannelMeasurements:
     def test_single_cosine_matches_antiderivative(self, geometry):
         dk, dphi, amp = 40.0, 0.6, 2.0
         x = np.linspace(0, geometry.cell_length, 300_001)
-        midpoints = (x[1:] + x[:-1]) / 2
-        depth = running_integral(amp * np.cos(dk * midpoints - dphi), x)
-        values = sensing.channel_measurements(depth, geometry, x)
+        profile = sensing.propagate_probe(
+            amp * np.cos(dk * x - dphi), -amp * dk * np.sin(dk * x - dphi), x)
+        values = sensing.channel_measurements(profile, geometry)
         for j, (a, b) in enumerate(zip(*geometry.window_edges)):
             exact = amp * (np.sin(dk * b - dphi) - np.sin(dk * a - dphi)) / dk
             assert values[j] == pytest.approx(exact, rel=1e-8)
@@ -289,54 +317,65 @@ class TestChannelMeasurements:
         # missing the start puts windows 1-3 outside, the end windows 14-16
         for start, stop, first_bad in ((0.1, 0.0, 0), (0.0, 0.1, 13)):
             x = np.linspace(start, geometry.cell_length - stop, 101)
+            profile = FluorescenceProfile(positions=x, optical_depth=x - x[0],
+                                          absorption=np.ones_like(x))
             with pytest.raises(WindowOutOfCell) as batched:
-                sensing.channel_measurements(x - x[0], geometry, x)
+                sensing.channel_measurements(profile, geometry)
             assert str(batched.value).startswith(
                 f"window {first_bad + 1} [{lo[first_bad]:g}, "
                 f"{hi[first_bad]:g}]")
             with pytest.raises(WindowOutOfCell) as per_window:
-                channel_measurements_per_window(x, np.ones_like(x), geometry)
+                channel_measurements_per_window(profile, geometry)
             assert str(batched.value) == str(per_window.value)
 
     def test_rejects_depth_not_on_positions(self):
-        # a (2, 6) depth over 4 positions would otherwise be reshaped into
-        # rows that are not its scenes'
-        geom = SensorGeometry(cell_length=1.0, window_width=0.25,
-                              spacing=0.25)
-        assert geom.channel_count == 4
+        # a (2, 6) depth over 4 positions, or an absorption of another
+        # shape than the depth, would otherwise be read at points it does
+        # not hold or broadcast into rows that are not its scenes'
         x = np.linspace(0.0, 1.0, 4)
-        with pytest.raises(ValueError, match="one column per position"):
-            sensing.channel_measurements(np.ones((2, 6)), geom, x)
+        for depth, absorption in ((np.ones((2, 6)), np.ones((2, 6))),
+                                  (np.ones((2, 4)), np.ones((1, 4))),
+                                  (np.ones(4), np.ones(3))):
+            with pytest.raises(ValueError, match="one column per position"):
+                FluorescenceProfile(positions=x, optical_depth=depth,
+                                    absorption=absorption)
 
     @pytest.mark.parametrize("lead", [(0,), (2, 0)])
     def test_empty_stack(self, geometry, lead):
         # a stack with no rows reads to no rows of K channels
         x = np.linspace(0, geometry.cell_length, 101)
-        values = sensing.channel_measurements(np.ones(lead + x.shape),
-                                              geometry, x)
+        profile = FluorescenceProfile(positions=x,
+                                      optical_depth=np.ones(lead + x.shape),
+                                      absorption=np.ones(lead + x.shape))
+        values = sensing.channel_measurements(profile, geometry)
         assert values.shape == lead + (geometry.channel_count,)
 
     @staticmethod
-    def assert_stack_reads_tau_difference(x, geometry, tau, curvature):
-        """Read the optical depths s * tau, s = 0.5, 1 and 2, as one
-        stack. Each row equals the call on its depth alone, bit for bit.
-        Channel j of a row is s * (tau(b) - tau(a)) over its window [a, b]
-        clipped to the positions: within rounding when both edges fall on
-        grid points, and otherwise within the linear-interpolation error
-        of s * tau at an edge e inside panel i, |(e - x_i)(x_i+1 - e)| / 2
-        times a bound on |s * tau''|."""
+    def assert_stack_reads_tau_difference(x, geometry, tau, alpha, fourth):
+        """Read the optical depths s * tau, with their slopes s * alpha,
+        s = 0.5, 1 and 2, as one stack. Each row equals the call on its
+        profile alone, bit for bit. Channel j of a row is
+        s * (tau(b) - tau(a)) over its window [a, b] clipped to the
+        positions: within rounding when both edges fall on grid points,
+        and otherwise within the cubic Hermite interpolation error of
+        s * tau at an edge e inside panel i,
+        (e - x_i)^2 (x_i+1 - e)^2 / 24 times a bound on |s * tau''''|."""
         scales = np.array([[0.5], [1.0], [2.0]])
-        depths = scales * tau(x)
-        values = sensing.channel_measurements(depths, geometry, x)
-        for row, depth in zip(values, depths):
+        profile = FluorescenceProfile(positions=x,
+                                      optical_depth=scales * tau(x),
+                                      absorption=scales * alpha(x))
+        values = sensing.channel_measurements(profile, geometry)
+        for row, depth, slope in zip(values, profile.optical_depth,
+                                     profile.absorption):
             assert np.array_equal(row, sensing.channel_measurements(
-                depth, geometry, x))
+                FluorescenceProfile(positions=x, optical_depth=depth,
+                                    absorption=slope), geometry))
         lo, hi = geometry.window_edges
         a, b = np.maximum(lo, x[0]), np.minimum(hi, x[-1])
 
         def interpolation_error(edge):
             i = np.clip(np.searchsorted(x, edge) - 1, 0, x.size - 2)
-            return np.abs((edge - x[i]) * (x[i + 1] - edge)) / 2 * curvature
+            return ((edge - x[i]) * (x[i + 1] - edge))**2 / 24 * fourth
 
         # the depth s * tau rounds where it is evaluated, and each edge
         # read in the interpolation: well inside 8 n eps of its scale
@@ -349,7 +388,7 @@ class TestChannelMeasurements:
 
     @pytest.mark.parametrize("cell_wavelengths", [8, 11, 16])
     def test_fluorescence_scene_bit_exact(self, params, cell_wavelengths):
-        # the grid of an LO-ratio sweep cell, 256 points per lambda, where
+        # the grid of an LO-ratio sweep cell at the default density, where
         # every window edge falls on a grid point; tau is the optical depth
         # of the linearized absorption of three targets, a closed form
         scene = scenarios.scene_from_angles((-30.0, 5.0, 40.0),
@@ -364,9 +403,12 @@ class TestChannelMeasurements:
             return dc * x + sum(m * np.sin(dk * x - dphi) / dk
                                 for m, dk, dphi in zip(mods, dks, dphis))
 
+        def alpha(x):
+            return physics.absorption_linearized(params, scene, x)
+
         self.assert_stack_reads_tau_difference(
-            geom.grid(scene.rf_wavelength), geom, tau,
-            np.abs(mods * dks).sum())
+            geom.grid(scene.rf_wavelength), geom, tau, alpha,
+            np.abs(mods * dks**3).sum())
 
     @pytest.mark.parametrize("points_per_wavelength", [2, 3, 5, 16, 257])
     def test_coarse_and_odd_grids_bit_exact(self, rf_wavelength,
@@ -377,14 +419,15 @@ class TestChannelMeasurements:
         geom = SensorGeometry(6 * lam, 0.3 * lam, 0.2 * lam,
                               points_per_wavelength)
         self.assert_stack_reads_tau_difference(
-            geom.grid(rf_wavelength), geom, tau_test, TAU_TEST_CURVATURE)
+            geom.grid(rf_wavelength), geom, tau_test, alpha_test,
+            TAU_TEST_FOURTH)
 
     def test_non_uniform_positions_bit_exact(self, geometry):
         rng = np.random.default_rng(11)
         inner = rng.uniform(0.0, geometry.cell_length, 700)
         x = np.sort(np.concatenate(([0.0, geometry.cell_length], inner)))
         self.assert_stack_reads_tau_difference(x, geometry, tau_test,
-                                               TAU_TEST_CURVATURE)
+                                               alpha_test, TAU_TEST_FOURTH)
 
     def test_windows_clipped_at_domain_ends_bit_exact(self, geometry):
         # the first and last windows overhang the samples by less than
@@ -394,42 +437,103 @@ class TestChannelMeasurements:
         lo, hi = geometry.window_edges
         assert lo[0] < x[0] and hi[-1] > x[-1]
         self.assert_stack_reads_tau_difference(x, geometry, tau_test,
-                                               TAU_TEST_CURVATURE)
+                                               alpha_test, TAU_TEST_FOURTH)
+
+    def test_edges_read_scipy_hermite_spline(self, rf_wavelength):
+        # on uniform grids, window edges between grid points read scipy's
+        # CubicHermiteSpline of (depth, absorption); on a non-uniform grid
+        # through every edge, the windows are node differences, bit for bit
+        lam = rf_wavelength
+        rng = np.random.default_rng(17)
+        for geom in (SensorGeometry(6 * lam, 0.3 * lam, 0.2 * lam, 7),
+                     SensorGeometry(6 * lam, 0.137 * lam, 0.25 * lam, 32)):
+            x = geom.grid(lam)
+            depth = np.cumsum(rng.uniform(0.5, 2.0, x.size))
+            slope = rng.uniform(-3.0, 3.0, x.size)
+            profile = FluorescenceProfile(positions=x, optical_depth=depth,
+                                          absorption=slope)
+            lo, hi = geom.window_edges
+            spline = CubicHermiteSpline(x, depth, slope)
+            np.testing.assert_allclose(
+                sensing.channel_measurements(profile, geom),
+                spline(np.minimum(hi, x[-1])) - spline(lo),
+                rtol=1e-13, atol=1e-13 * depth.max())
+            on_nodes = np.sort(np.concatenate((lo, np.minimum(hi, x[-1]),
+                                               rng.uniform(0, x[-1], 50))))
+            profile = FluorescenceProfile(
+                positions=on_nodes, optical_depth=spline(on_nodes),
+                absorption=spline(on_nodes, 1))
+            ends = dict(zip(on_nodes, profile.optical_depth))
+            assert np.array_equal(
+                sensing.channel_measurements(profile, geom),
+                [ends[b] - ends[a] for a, b in zip(lo, np.minimum(
+                    hi, on_nodes[-1]))])
 
 
 class TestReadoutAccuracy:
     """The full readout against scipy.quad window integrals of the exact
     absorption above its LO-only background, on fig3c's scene."""
 
-    @pytest.mark.parametrize("points_per_wavelength, bound",
-                             [(4096, 1e-6), (256, 2e-4), (16, 5e-2)])
-    @pytest.mark.parametrize("ratio", [2.0, 20.0])
-    def test_windows_match_quadrature(self, ratio, points_per_wavelength,
-                                      bound):
+    @staticmethod
+    def errors(ratio, points_per_wavelength, width_wavelengths=0.25):
+        """Largest error over the windows as a share of the channel std,
+        at each grid density in the sequence points_per_wavelength."""
         scenario = load_config(ROOT / "configs" / "fig3c.json").scenario
         params = scenario.params
         scene = scenarios.with_lo_ratio(scenario.scene, ratio)
-        geom = replace(scenario.geometry,
-                       grid_points_per_rf_wavelength=points_per_wavelength)
-        got = sensing.simulate_measurements(scene, geom, params).values
+        geom = replace(scenario.geometry, window_width=width_wavelengths
+                       * scene.rf_wavelength)
         dc = physics.absorption_dc(params, scene)
         truth = np.array([
             quad(lambda x: physics.absorption_exact(params, scene, x) - dc,
                  a, b, epsabs=0, epsrel=1e-10, limit=200)[0]
             for a, b in zip(*geom.window_edges)])
-        assert np.abs(got - truth).max() <= bound * truth.std()
+        return [np.abs(sensing.simulate_measurements(scene, replace(
+            geom, grid_points_per_rf_wavelength=n), params).values
+            - truth).max() / truth.std() for n in points_per_wavelength]
+
+    @pytest.mark.parametrize("points_per_wavelength, bound",
+                             [(4096, 1e-6), (256, 2e-4), (32, 3e-5),
+                              (16, 5e-2)])
+    @pytest.mark.parametrize("ratio", [2.0, 20.0])
+    def test_windows_match_quadrature(self, ratio, points_per_wavelength,
+                                      bound):
+        assert self.errors(ratio, [points_per_wavelength])[0] <= bound
+
+    @pytest.mark.parametrize("width_wavelengths", [0.3, 0.137])
+    @pytest.mark.parametrize("ratio", [2.0, 20.0])
+    def test_default_density_with_edges_between_grid_points(
+            self, ratio, width_wavelengths):
+        # 0.3 lambda and 0.137 lambda windows put their edges between grid
+        # points, where they are read off the Hermite interpolant
+        assert SensorGeometry.grid_points_per_rf_wavelength == 32
+        assert self.errors(ratio, [32], width_wavelengths)[0] <= 3e-5
+
+    @pytest.mark.parametrize("ratio", [2.0, 20.0])
+    def test_error_falls_as_h_to_the_fourth(self, ratio):
+        # fourth order: at least 12x less error per halving of h, where a
+        # second-order rule would give 4x
+        errors = self.errors(ratio, [16, 32, 64, 128])
+        assert all(e >= 12 * f for e, f in zip(errors, errors[1:])), errors
 
 
 class TestPanelReadoutEquivalence:
     """The depth read straight off the image's log against the panel route
-    it replaced (oracles.panel_readout): panel means -diff(log F) / diff(x),
-    their running integral, then the window edges."""
+    it replaced (oracles.panel_depth): panel means -diff(log F) / diff(x)
+    and their running integral; each is read at the window edges with the
+    profile's absorption."""
 
     @staticmethod
-    def readout(profile, geometry):
+    def readout(profile, geometry, depth):
         return sensing.channel_measurements(
-            sensing.recover_alpha(profile.fluorescence), geometry,
-            profile.positions)
+            replace(profile, optical_depth=depth), geometry)
+
+    def assert_routes_match(self, profile, geometry, rtol):
+        got = self.readout(profile, geometry,
+                           sensing.recover_alpha(profile.fluorescence))
+        want = self.readout(profile, geometry, panel_depth(profile))
+        scale = np.abs(want).max(axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want) <= rtol * scale)
 
     def test_random_stacks_match_within_1e_10(self, params):
         # 1-3 targets, three LO ratios in 0.5-60, cells of 1-19 lambda
@@ -447,32 +551,23 @@ class TestPanelReadoutEquivalence:
             geom = SensorGeometry(int(rng.integers(1, 20)) * lam, lam / 4,
                                   lam / 4, int(rng.choice([16, 64, 256,
                                                            1024])))
-            x = geom.grid(lam)
-            profile = sensing.propagate_probe(
-                physics.absorption_exact(params, scenes, x), x)
-            got = self.readout(profile, geom)
-            want = panel_readout(profile, geom)
-            scale = np.abs(want).max(axis=-1, keepdims=True)
-            assert np.all(np.abs(got - want) <= 1e-10 * scale)
+            self.assert_routes_match(
+                exact_profile(params, scenes, geom.grid(lam)), geom, 1e-10)
 
     @pytest.mark.parametrize("name", sorted(
         p.stem for p in (ROOT / "configs").glob("*.json")))
     def test_bundled_configs_bit_exact(self, name):
         scenario = load_config(ROOT / "configs" / f"{name}.json").scenario
         scene, geom = scenario.scene, scenario.geometry
-        x = geom.grid(scene.rf_wavelength)
-        profile = sensing.propagate_probe(
-            physics.absorption_exact(scenario.params, scene, x), x)
-        assert np.array_equal(self.readout(profile, geom),
-                              panel_readout(profile, geom))
+        self.assert_routes_match(exact_profile(
+            scenario.params, scene, geom.grid(scene.rf_wavelength)), geom, 0)
 
     def test_depth_is_minus_log_probe_power(self, params, two_target,
                                             geometry):
         scenes = [scenarios.with_lo_ratio(two_target, r) for r in (2, 50)]
         for scene in (two_target, scenes):
             x = geometry.grid(two_target.rf_wavelength)
-            profile = sensing.propagate_probe(
-                physics.absorption_exact(params, scene, x), x)
+            profile = exact_profile(params, scene, x)
             assert np.array_equal(sensing.recover_alpha(
                 profile.fluorescence), -np.log(profile.fluorescence))
 
@@ -517,8 +612,8 @@ class TestCalibrate:
 class TestStackedReadout:
     """A stack of scenes that differ only in LO amplitude reads out in one
     call, and every row equals the readout of its scene alone bit for bit:
-    the image equals the per-scene oracle's, and the measurements equal a
-    one-scene call."""
+    its profile and measurements equal a one-scene call, and agree with
+    the per-scene scipy oracle to rounding."""
 
     RATIOS = (2.0, 4.7, 13.0, 50.0)
     BEARINGS = {1: (-35.0,), 2: (-20.0, 25.0), 3: (-50.0, 5.0, 40.0)}
@@ -537,15 +632,28 @@ class TestStackedReadout:
         assert measurement.values.shape == (len(scenes),
                                             geometry.channel_count)
         for c, scene in enumerate(scenes):
-            want_profile, _ = fluorescence_readout_per_scene(
+            want_profile, want = sensing.fluorescence_readout(
                 scene, geometry, params)
             assert np.array_equal(profile.positions, want_profile.positions)
-            assert np.array_equal(profile.optical_depth[c],
-                                  want_profile.optical_depth)
-            assert np.array_equal(profile.fluorescence[c],
-                                  want_profile.fluorescence)
-            _, want = sensing.fluorescence_readout(scene, geometry, params)
+            for name in ("optical_depth", "absorption", "fluorescence"):
+                assert np.array_equal(getattr(profile, name)[c],
+                                      getattr(want_profile, name))
             assert np.array_equal(measurement.values[c], want.values)
+            TestStackedReadout.assert_matches_oracle(
+                want_profile, want, scene, geometry, params)
+
+    @staticmethod
+    def assert_matches_oracle(profile, measurement, scene, geometry, params):
+        want_profile, want = fluorescence_readout_per_scene(
+            scene, geometry, params)
+        assert np.array_equal(profile.positions, want_profile.positions)
+        assert np.array_equal(profile.absorption, want_profile.absorption)
+        np.testing.assert_allclose(profile.optical_depth,
+                                   want_profile.optical_depth,
+                                   rtol=SCIPY_DEPTH_RTOL, atol=0)
+        assert measurement.values.shape == want.values.shape
+        assert np.abs(measurement.values - want.values).max() <= \
+            SCIPY_READOUT_TOL * np.abs(want_profile.optical_depth).max()
 
     @pytest.mark.parametrize("points_per_wavelength", [3, 257])
     @pytest.mark.parametrize("cell_wavelengths", [8, 11, 16])
@@ -565,28 +673,30 @@ class TestStackedReadout:
         x = np.linspace(-0.3, 0.9, 1001)
         field = physics.field_intensity(scenes, x)
         alpha = physics.absorption_exact(params, scenes, x)
+        field_slope = physics.field_intensity_slope(scenes, x)
+        slope = physics.absorption_slope(params, scenes, x)
         assert field.shape == alpha.shape == (len(scenes), x.size)
+        assert field_slope.shape == slope.shape == field.shape
         for c, scene in enumerate(scenes):
             assert np.array_equal(field[c],
                                   field_intensity_per_scene(scene, x))
             assert np.array_equal(alpha[c], absorption_exact_per_scene(
                 params, scene, x))
-        assert physics.field_intensity(scenes[:1], 0.25).shape == (1,)
-        assert isinstance(physics.field_intensity(scenes[0], 0.25), float)
+            assert np.array_equal(field_slope[c],
+                                  physics.field_intensity_slope(scene, x))
+            assert np.array_equal(slope[c],
+                                  physics.absorption_slope(params, scene, x))
+        for fn in (physics.field_intensity, physics.field_intensity_slope):
+            assert fn(scenes[:1], 0.25).shape == (1,)
+            assert isinstance(fn(scenes[0], 0.25), float)
 
     @pytest.mark.parametrize("model", ["exact"])
     def test_single_scene_is_the_per_scene_readout(self, params, geometry,
                                                    two_target, model):
         profile, got = sensing.fluorescence_readout(two_target, geometry,
                                                     params)
-        want_profile, want = fluorescence_readout_per_scene(
-            two_target, geometry, params)
-        assert profile.optical_depth.shape == \
-            want_profile.optical_depth.shape
-        assert np.array_equal(profile.fluorescence, want_profile.fluorescence)
-        assert np.abs(got.values - want.values).max() <= \
-            GRADIENT_READOUT_TOL * want.values.std()
-        assert got.values.shape == want.values.shape
+        self.assert_matches_oracle(profile, got, two_target, geometry,
+                                   params)
 
     def test_stack_of_one(self, params, geometry, two_target):
         self.assert_rows_match([two_target], geometry, params)
@@ -599,20 +709,26 @@ class TestStackedReadout:
                               points_per_wavelength)
         x = geom.grid(rf_wavelength)
         rng = np.random.default_rng(points_per_wavelength)
-        values = rng.standard_normal((3, x.size)) * 10.0 ** rng.uniform(
-            -6, 6, (3, 1))
-        got = sensing.channel_measurements(values, geom, x)
-        for row, want in zip(got, values):
+        depth, slope = rng.standard_normal((2, 3, x.size)) * 10.0 ** \
+            rng.uniform(-6, 6, (2, 3, 1))
+        got = sensing.channel_measurements(FluorescenceProfile(
+            positions=x, optical_depth=depth, absorption=slope), geom)
+        for row, want, want_slope in zip(got, depth, slope):
             assert np.array_equal(row, sensing.channel_measurements(
-                want, geom, x))
+                FluorescenceProfile(positions=x, optical_depth=want,
+                                    absorption=want_slope), geom))
 
     def test_window_out_of_cell_names_first_bad_window(self, geometry):
         x = np.linspace(0.0, geometry.cell_length - 0.1, 101)
         values = np.ones((3, x.size))
+        stack = FluorescenceProfile(positions=x, optical_depth=values,
+                                    absorption=values)
         with pytest.raises(WindowOutOfCell) as stacked:
-            sensing.channel_measurements(values, geometry, x)
+            sensing.channel_measurements(stack, geometry)
         with pytest.raises(WindowOutOfCell) as single:
-            sensing.channel_measurements(values[0], geometry, x)
+            sensing.channel_measurements(FluorescenceProfile(
+                positions=x, optical_depth=values[0],
+                absorption=values[0]), geometry)
         assert str(stacked.value) == str(single.value)
         assert str(stacked.value).startswith("window 14 ")
 
@@ -663,10 +779,13 @@ class TestPredictedMeasurements:
         lam = two_target.rf_wavelength
         fine = SensorGeometry(4 * lam, lam / 4, lam / 4, 65536)
         x = fine.grid(lam)
-        depth = running_integral(panel_means(
-            physics.absorption_linearized(params, two_target, x)), x)
+        mods = physics.modulation_amplitudes(params, two_target)
+        slope = -sum(m * dk * np.sin(dk * x - dphi) for m, dk, dphi in zip(
+            mods, two_target.delta_ks, two_target.delta_phis))
+        profile = sensing.propagate_probe(
+            physics.absorption_linearized(params, two_target, x), slope, x)
         integrated = sensing.calibrate(
-            sensing.channel_measurements(depth, fine, x), fine,
+            sensing.channel_measurements(profile, fine), fine,
             physics.absorption_dc(params, two_target))
         predicted = sensing.predicted_measurements(two_target, fine, params)
         scale = np.max(np.abs(predicted.values))

@@ -55,34 +55,32 @@ def _power(n=257, seed=0):
     return power
 
 
-FLUORESCENCE_HEADER = "x_m,probe_power,fluorescence"
+FLUORESCENCE_HEADER = "x_m,fluorescence"
 
 
 def _columns(kappa):
-    power = _power()
-    return _grid(), power, kappa * power
+    return _grid(), kappa * _power()
 
 
 def _signed_zero_columns():
     # equal by value, not by bytes: a value-keyed reuse would print "0"
-    # where the fluorescence column holds -0.0
-    return (np.arange(4.0), np.array([0.0, 1.5, 0.0, -2.0]),
-            np.array([-0.0, 1.5, 0.0, -2.0]))
+    # where a column holds -0.0
+    return (np.array([0.0, -0.0, 1.5, -0.0]),
+            np.array([-0.0, 0.0, 1.5, -2.0]))
 
 
 def _small_columns():
     power = np.array([1.0, -0.25, 1.2345678901234567e-36, -1e-36, 0.1,
                       2.0**60])
-    return (np.array([0.0, 1.0, 2.5e-3, 7.0, 1e-36, 3.0]), power,
-            -3.0 * power)
+    return np.array([0.0, 1.0, 2.5e-3, 7.0, 1e-36, 3.0]), -3.0 * power
 
 
 @pytest.mark.parametrize("columns", [
     _columns(1.0), _columns(0.5), _signed_zero_columns(), _small_columns(),
 ], ids=["kappa_1", "kappa_0.5", "signed_zero", "kappa_-3"])
 def test_fluorescence_csv_bytes(columns):
-    # distinct probe-power and fluorescence columns, which no profile
-    # holds: the column formatter reuses text only for equal bytes
+    # positions and images beyond any profile's: zeros of both signs,
+    # subnormals and values near overflow
     assert serialize._csv_text(FLUORESCENCE_HEADER, *columns) == \
         fluorescence_csv_rowwise(*columns)
 
@@ -99,14 +97,15 @@ def _depth(n=257):
 @pytest.mark.parametrize("depth", [_depth(), np.zeros(5)],
                          ids=["mixed", "transparent"])
 def test_write_fluorescence_csv_bytes(tmp_path, depth):
-    # both columns hold the profile's image exp(-optical_depth)
+    # one column beside the positions: the profile's image
+    # exp(-optical_depth)
     profile = FluorescenceProfile(positions=_grid(depth.size),
-                                  optical_depth=depth)
+                                  optical_depth=depth,
+                                  absorption=np.zeros_like(depth))
     path = tmp_path / "fluorescence.csv"
     serialize.write_fluorescence_csv(profile, path)
-    image = np.exp(-depth)
     assert path.read_bytes() == fluorescence_csv_rowwise(
-        profile.positions, image, image).encode()
+        profile.positions, np.exp(-depth)).encode()
 
 
 @pytest.mark.parametrize("values", ["sine", "centers", "signed_zero"])

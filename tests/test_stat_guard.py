@@ -1,0 +1,64 @@
+"""scripts/stat_guard.py: its arithmetic, and one tree against itself."""
+
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_guard():
+    spec = importlib.util.spec_from_file_location(
+        "stat_guard", ROOT / "scripts" / "stat_guard.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_two_proportion_z_and_threshold():
+    guard = load_guard()
+    # pooled rate 0.2: se = sqrt(0.2 * 0.8 * 2 / 100)
+    assert guard.two_proportion_z(10, 100, 30, 100) == pytest.approx(
+        0.2 / math.sqrt(0.0032), rel=1e-12)
+    assert guard.two_proportion_z(30, 100, 10, 100) < 0
+    for f in (0, 100):
+        assert guard.two_proportion_z(f, 100, f, 100) == 0.0
+    assert guard.two_proportion_z(0, 0, 0, 0) == 0.0
+    assert guard.threshold(1) == pytest.approx(2.5758, abs=1e-4)
+    assert guard.threshold(140) > guard.threshold(7) > guard.threshold(1)
+    assert guard.base_seeds(3) == [7, 1007, 2007]
+
+
+def test_one_tree_against_itself_flags_no_cell(tmp_path, capsys):
+    guard = load_guard()
+    doc = json.loads((ROOT / "configs" / "fig4.json").read_text())
+    doc["run"]["trials"] = 10
+    config = tmp_path / "fig4.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert guard.guard({"parent": ROOT, "change": ROOT}, config, 2, out) == 0
+    seeds = guard.base_seeds(2)
+    parent = guard.read_cells(out / "parent-runs", seeds)
+    change = guard.read_cells(out / "change-runs", seeds)
+    assert len(parent) == 3 * len(doc["sweep"]["values"])
+    for key, runs in parent.items():
+        assert [r[1:] for r in runs] == [r[1:] for r in change[key]]
+        assert all(r[1] == 10 for r in runs)
+    table = capsys.readouterr().out
+    assert "FLAGGED" not in table
+    rows = guard.compare(parent, change)
+    assert all(r["z"] == 0 and r["flips"] == 0 for r in rows)
+
+
+def test_help_exits_0_and_builds_nothing(tmp_path, monkeypatch, capsys):
+    guard = load_guard()
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        guard.main(["HEAD", "--config", "configs/fig4.json", "--seeds", "2",
+                    "--out", str(tmp_path / "out"), "--help"])
+    assert exc.value.code == 0
+    assert "--seeds" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
