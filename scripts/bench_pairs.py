@@ -17,6 +17,7 @@ import argparse
 import io
 import json
 import shutil
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -24,6 +25,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+from compare import load, spread  # noqa: E402
 
 
 def seed_range(text: str) -> range:
@@ -74,6 +78,43 @@ def run(copy: Path, workload: str, seed: int, seconds: float,
                  f"{done.returncode}\n{done.stderr}")
 
 
+def tally(parent, change, better: str) -> tuple[int, int, int]:
+    """(won, lost, tied): the pairs (parent[i], change[i]) in which the
+    change is better, worse, or equal, better being "lower" or
+    "higher"."""
+    sign = 1 if better == "lower" else -1
+    gaps = [sign * (p - c) for p, c in zip(parent, change, strict=True)]
+    return (sum(g > 0 for g in gaps), sum(g < 0 for g in gaps),
+            sum(g == 0 for g in gaps))
+
+
+def claim_holds(parent, change, better: str) -> bool:
+    """The claim rule: the change won at least 9 in 10 pairs, and its
+    median is better than the parent's by more than the parent's quartile
+    spread."""
+    won, _, _ = tally(parent, change, better)
+    sign = 1 if better == "lower" else -1
+    gap = sign * (statistics.median(parent) - statistics.median(change))
+    return 10 * won >= 9 * len(parent) and gap > spread(parent)
+
+
+def claim_table(parent_runs, change_runs) -> str:
+    """Per end-to-end metric, the pairs won, lost and tied and whether the
+    claim rule holds, for run files listed in pair order."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parent, change = load(parent_runs), load(change_runs)
+    lines = [f"{'metric':24s} {'won':>4s} {'lost':>4s} {'tied':>4s}  claim"]
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        if name in parent and name in change:
+            won, lost, tied = tally(parent[name], change[name],
+                                    metric["better"])
+            holds = claim_holds(parent[name], change[name], metric["better"])
+            lines.append(f"{name:24s} {won:4d} {lost:4d} {tied:4d}  "
+                         f"{'holds' if holds else 'not met'}")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__,
@@ -93,9 +134,11 @@ def main(argv=None) -> int:
             print(f"pair {i} seed {seed}: {side} done", flush=True)
     runs = {side: [str(args.out / f"{side}-{seed}.txt")
                    for seed in args.seeds] for side in SIDES}
-    return subprocess.run(
+    status = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "compare.py"),
          "--base", *runs["parent"], "--new", *runs["change"]]).returncode
+    print(claim_table(runs["parent"], runs["change"]))
+    return status
 
 
 if __name__ == "__main__":

@@ -22,10 +22,6 @@ class NonPositiveFluorescence(RydbergDoaError):
     """Fluorescence samples must be strictly positive to take a log."""
 
 
-class WindowOutOfCell(RydbergDoaError):
-    """A virtual window extends outside the sampled cell."""
-
-
 class ZeroSignalPower(RydbergDoaError):
     """SNR-relative noise is undefined for a constant measurement vector."""
 

@@ -149,26 +149,6 @@ def scene_stack(scene) -> tuple[RfScene, ...]:
     return scenes
 
 
-def _cosine_terms(scene, x) -> tuple[tuple, np.ndarray, list]:
-    """(scenes, x, terms): the scene stack, the checked positions and the
-    x-dependent terms of |E_RF(x)|^2 in order, as (coefficient, wavenumber,
-    phase) of coefficient*cos(wavenumber*x - phase). The beats with the LO
-    come first; their coefficients are columns of one row per scene."""
-    scenes = scene_stack(scene)
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-    first, sigs = scenes[0], scenes[0].signals
-    twice_lo = 2 * np.array([s.lo.amplitude for s in scenes])
-    twice_lo = twice_lo.reshape((-1,) + (1,) * x.ndim)
-    terms = [(twice_lo * s.amplitude, dk, dphi) for s, dk, dphi in
-             zip(sigs, first.delta_ks, first.delta_phis)]
-    for a, b in itertools.combinations(sigs, 2):
-        terms.append((2 * a.amplitude * b.amplitude, first.wavenumber * (
-            np.sin(a.angle) - np.sin(b.angle)), b.phase - a.phase))
-    return scenes, x, terms
-
-
 def field_intensity(scene, x) -> np.ndarray | float:
     """|E_RF(x)|^2 expanded term by term: LO self-term, signal self-terms,
     signal-LO beats, and all signal-signal cross-terms.
@@ -179,23 +159,21 @@ def field_intensity(scene, x) -> np.ndarray | float:
     the order of a one-scene call, so row c equals the result for scene c
     alone bit for bit.
     """
-    scenes, x, terms = _cosine_terms(scene, x)
-    power = np.sum(np.array([s.amplitude for s in scenes[0].signals])**2)
+    scenes = scene_stack(scene)
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
+    first, sigs = scenes[0], scenes[0].signals
+    column = (-1,) + (1,) * x.ndim
+    twice_lo = (2 * np.array([s.lo.amplitude for s in scenes])).reshape(column)
+    power = np.sum(np.array([s.amplitude for s in sigs])**2)
     out = np.empty((len(scenes),) + x.shape)
-    out[...] = np.reshape([s.lo.amplitude**2 + power for s in scenes],
-                          (-1,) + (1,) * x.ndim)
-    for coef, wavenumber, phase in terms:
-        out += coef * np.cos(wavenumber * x - phase)
-    return out[0] if isinstance(scene, RfScene) else out
-
-
-def field_intensity_slope(scene, x) -> np.ndarray | float:
-    """d|E_RF(x)|^2/dx: the sine counterpart of each cosine term of
-    field_intensity, in the same term order, for one scene or a stack."""
-    scenes, x, terms = _cosine_terms(scene, x)
-    out = np.zeros((len(scenes),) + x.shape)
-    for coef, wavenumber, phase in terms:
-        out -= coef * wavenumber * np.sin(wavenumber * x - phase)
+    out[...] = np.reshape([s.lo.amplitude**2 + power for s in scenes], column)
+    for s, dk, dphi in zip(sigs, first.delta_ks, first.delta_phis):
+        out += twice_lo * s.amplitude * np.cos(dk * x - dphi)
+    for a, b in itertools.combinations(sigs, 2):
+        out += 2 * a.amplitude * b.amplitude * np.cos(first.wavenumber * (
+            np.sin(a.angle) - np.sin(b.angle)) * x - (b.phase - a.phase))
     return out[0] if isinstance(scene, RfScene) else out
 
 
@@ -254,15 +232,6 @@ def absorption_exact(params: AtomicParams, scene,
     one scene or, row by row, of a stack of scenes (see field_intensity)."""
     c_scale, _ = linearization_constants(params)
     return c_scale * intensity_response(params, field_intensity(scene, x))
-
-
-def absorption_slope(params: AtomicParams, scene,
-                     x) -> np.ndarray | float:
-    """Slope d(alpha)/dx = C*f'(|E_RF|^2)*d|E_RF|^2/dx of absorption_exact,
-    of one scene or, row by row, of a stack of scenes."""
-    c_scale, _ = linearization_constants(params)
-    return c_scale * intensity_response_derivative(
-        params, field_intensity(scene, x)) * field_intensity_slope(scene, x)
 
 
 def modulation_amplitudes(params: AtomicParams, scene: RfScene) -> np.ndarray:

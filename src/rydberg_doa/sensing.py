@@ -1,15 +1,15 @@
 """Fluorescence readout and virtual-array sampling.
 
-Simulates probe attenuation through the cell (Beer-Lambert), reads K
-virtual-channel measurements through shifted rectangular windows,
-calibrates away the LO-only background, and injects measurement noise.
-The probe's optical depth integrates the absorption's cubic Hermite
-interpolant, and each window's absorption integral is that depth read at
-its edges off the Hermite interpolant of (depth, absorption): fourth
-order in the grid step, with no numerical derivative. The fluorescence
-image exp(-optical depth) is derived only for fluorescence.csv. The
-readout stages take one profile, or a stack of profiles with leading
-axes, one row per scene; every row equals the readout of its scene alone.
+Every number the readout produces is an integral of the exact absorption
+alpha: a virtual channel is its integral over one window, and the
+probe's optical depth at x (Beer-Lambert) its integral from 0 to x. One
+rule computes them all, composite 4-node Gauss-Legendre on equal panels
+of at most lambda/4, so the Monte Carlo path reads the windows with no
+simulation grid, and the grid only samples the fluorescence image
+exp(-optical depth) for fluorescence.csv. The readout then calibrates
+away the LO-only background and injects measurement noise. It takes one
+scene, or a stack of scenes with a leading axis, one row per scene;
+every row equals the readout of its scene alone.
 """
 
 from __future__ import annotations
@@ -19,11 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import physics
-from .errors import (
-    NonPositiveFluorescence,
-    WindowOutOfCell,
-    ZeroSignalPower,
-)
+from .errors import NonPositiveFluorescence, ZeroSignalPower
 
 
 @dataclass(frozen=True)
@@ -34,8 +30,8 @@ class SensorGeometry:
     channel_count K is derived: as many windows as fit in the cell, so
     every window lies inside [0, cell_length] (to 1e-9 of a pitch).
     Window j (0-based) is centered at window_width/2 + j*spacing.
-    grid_points_per_rf_wavelength sets the simulation grid density used
-    by the fluorescence pipeline.
+    grid_points_per_rf_wavelength sets how densely the simulation grid
+    samples the fluorescence image; the window values do not depend on it.
     """
 
     cell_length: float
@@ -74,23 +70,19 @@ class SensorGeometry:
 
 @dataclass(frozen=True)
 class FluorescenceProfile:
-    """The probe's optical depth and the absorption, its slope, sampled on
-    a grid: one profile (n,), or a stack (..., n) of profiles over the
-    same positions."""
+    """The probe's optical depth sampled on a grid: one profile (n,), or a
+    stack (..., n) of profiles over the same positions."""
 
     positions: np.ndarray
     optical_depth: np.ndarray
-    absorption: np.ndarray
 
     def __post_init__(self):
-        for name in ("positions", "optical_depth", "absorption"):
+        for name in ("positions", "optical_depth"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if self.optical_depth.shape[-1:] != self.positions.shape or \
-                self.absorption.shape != self.optical_depth.shape:
-            raise ValueError("optical_depth and absorption need one column "
-                             "per position")
+        if self.optical_depth.shape[-1:] != self.positions.shape:
+            raise ValueError("optical_depth needs one column per position")
 
     @property
     def fluorescence(self) -> np.ndarray:
@@ -139,20 +131,56 @@ class SamplingReport:
         return self.spacing_ok and self.width_ok
 
 
-def propagate_probe(alpha: np.ndarray, slope: np.ndarray,
-                    x: np.ndarray) -> FluorescenceProfile:
-    """The optical depth integral_0^x alpha of a probe through the cell,
-    from absorption samples alpha and their slope, one profile (n,) or a
-    stack (..., n), on the grid x (n,), from 0 at x[0]. Each interval of
-    width h adds h*(alpha_l + alpha_r)/2 - h**2/12*(slope_r - slope_l), the
-    end-corrected trapezoid: the integral of alpha's cubic Hermite
-    interpolant, exact for cubics on any spacing."""
-    h = np.diff(x)
-    depth = np.zeros(alpha.shape)
-    np.cumsum(h * ((alpha[..., 1:] + alpha[..., :-1]) / 2
-                   - h * np.diff(slope) / 12), axis=-1, out=depth[..., 1:])
-    return FluorescenceProfile(positions=x, optical_depth=depth,
-                               absorption=alpha)
+# The 4-node Gauss-Legendre rule on [-1, 1]: nodes in ascending order and
+# their weights (Davis & Rabinowitz, Methods of Numerical Integration,
+# 1984). It is exact for polynomials of degree 7.
+GAUSS_NODES = (-0.86113631159405257522, -0.33998104358485626480,
+               0.33998104358485626480, 0.86113631159405257522)
+GAUSS_WEIGHTS = (0.34785484513745385737, 0.65214515486254614263,
+                 0.65214515486254614263, 0.34785484513745385737)
+
+
+def gauss_legendre(f, lo: np.ndarray, hi: np.ndarray,
+                   max_panel: float) -> np.ndarray:
+    """Integral of f over each interval [lo_i, hi_i] of the edge arrays
+    (m,): composite 4-node Gauss-Legendre on equal panels, as many in every
+    interval, the fewest that keep each panel at most max_panel wide (to
+    1e-9 of it). f maps an array of positions to its values there, with
+    any leading axes; the result is (..., m). Nodes and panels are summed
+    elementwise in a fixed order, with no reduction kernel, so each row
+    equals the integral of that row of f alone bit for bit."""
+    width = hi - lo
+    panels = max(1, int(np.ceil(width.max() / max_panel - 1e-9)))
+    half = width / (2 * panels)
+    mids = lo + half * np.arange(1, 2 * panels, 2)[:, None]
+    values = f(mids + half * np.reshape(GAUSS_NODES, (-1, 1, 1)))
+    total = 0.0
+    for p in range(panels):
+        for node, weight in enumerate(GAUSS_WEIGHTS):
+            total = total + weight * values[..., node, p, :]
+    return half * total
+
+
+def _absorption_integrals(scene, params: physics.AtomicParams,
+                          lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Integral of the exact absorption of a scene or a stack over each
+    interval [lo_i, hi_i], on panels of at most lambda/4: (..., m)."""
+    return gauss_legendre(
+        lambda x: physics.absorption_exact(params, scene, x), lo, hi,
+        physics.scene_stack(scene)[0].rf_wavelength / 4)
+
+
+def propagate_probe(scene, geometry: SensorGeometry,
+                    params: physics.AtomicParams) -> FluorescenceProfile:
+    """The probe's optical depth through the cell on the simulation grid,
+    one profile (n,) or, for a stack of scenes, (C, n): from 0 at x = 0,
+    the running sum of the absorption's integral over each grid
+    interval."""
+    x = geometry.grid(physics.scene_stack(scene)[0].rf_wavelength)
+    steps = _absorption_integrals(scene, params, x[:-1], x[1:])
+    depth = np.zeros(steps.shape[:-1] + x.shape)
+    np.cumsum(steps, axis=-1, out=depth[..., 1:])
+    return FluorescenceProfile(positions=x, optical_depth=depth)
 
 
 def recover_alpha(fluorescence: np.ndarray) -> np.ndarray:
@@ -166,32 +194,13 @@ def recover_alpha(fluorescence: np.ndarray) -> np.ndarray:
     return log_f[..., :1] - log_f
 
 
-def channel_measurements(profile: FluorescenceProfile,
-                         geometry: SensorGeometry) -> np.ndarray:
-    """Absorption integral over each window, C(b) - C(a), read off the
-    cubic Hermite interpolant C of the profile's optical depth and its
-    slope, the absorption; the result is (..., K). An edge on a grid point
-    reads that point's depth exactly, and between points the error is
-    fourth order in the grid step."""
-    x, depth = profile.positions, profile.optical_depth
-    tol = 1e-9 * geometry.cell_length
+def channel_measurements(scene, geometry: SensorGeometry,
+                         params: physics.AtomicParams) -> np.ndarray:
+    """Integral of the exact absorption over each window, its edges
+    clipped to [0, cell_length]: (K,) for one scene, (C, K) for a stack."""
     lo, hi = geometry.window_edges
-    bad = np.flatnonzero((lo < x[0] - tol) | (hi > x[-1] + tol))
-    if bad.size:
-        j = bad[0]
-        raise WindowOutOfCell(
-            f"window {j + 1} [{lo[j]:g}, {hi[j]:g}] outside sampled domain")
-    edges = np.concatenate((np.maximum(lo, x[0]), np.minimum(hi, x[-1])))
-    i = np.clip(np.searchsorted(x, edges, side="right") - 1, 0, x.size - 2)
-    h = x[i + 1] - x[i]
-    t = (edges - x[i]) / h
-    s = 1 - t
-    ends = (s * s * (1 + 2 * t) * depth[..., i]
-            + t * t * (3 - 2 * t) * depth[..., i + 1]
-            + h * t * s * (s * profile.absorption[..., i]
-                           - t * profile.absorption[..., i + 1]))
-    ends = ends.reshape(depth.shape[:-1] + (2, lo.size))
-    return ends[..., 1, :] - ends[..., 0, :]
+    return _absorption_integrals(scene, params, np.maximum(lo, 0.0),
+                                 np.minimum(hi, geometry.cell_length))
 
 
 def calibrate(values: np.ndarray, geometry: SensorGeometry,
@@ -256,31 +265,27 @@ def predicted_measurements(scene: physics.RfScene, geometry: SensorGeometry,
     return MeasurementVector(values=values, geometry=geometry)
 
 
+def simulate_measurements(scene, geometry: SensorGeometry,
+                          params: physics.AtomicParams) -> MeasurementVector:
+    """Calibrated window integrals of the exact nonlinear absorption.
+
+    scene is one RfScene, or a stack of scenes that differ only in LO
+    amplitude (physics.scene_stack): the values then gain a leading axis,
+    and row c equals the measurements of scene c alone bit for bit.
+    """
+    raw = channel_measurements(scene, geometry, params)
+    alpha_dc = [physics.absorption_dc(params, s)
+                for s in physics.scene_stack(scene)]
+    return calibrate(raw, geometry, np.reshape(alpha_dc, raw.shape[:-1]))
+
+
 def fluorescence_readout(scene, geometry: SensorGeometry,
                          params: physics.AtomicParams
                          ) -> tuple[FluorescenceProfile, MeasurementVector]:
-    """Propagate, window, calibrate; returns (profile, measurements).
-
-    scene is one RfScene, or a stack of scenes that differ only in LO
-    amplitude (physics.scene_stack): the optical depth and measurement
-    values then gain a leading axis, and row c equals the readout of scene
-    c alone bit for bit.
-    """
-    scenes = physics.scene_stack(scene)
-    x = geometry.grid(scenes[0].rf_wavelength)
-    profile = propagate_probe(physics.absorption_exact(params, scene, x),
-                              physics.absorption_slope(params, scene, x), x)
-    raw = channel_measurements(profile, geometry)
-    alpha_dc = [physics.absorption_dc(params, s) for s in scenes]
-    return profile, calibrate(raw, geometry,
-                              np.reshape(alpha_dc, raw.shape[:-1]))
-
-
-def simulate_measurements(scene, geometry: SensorGeometry,
-                          params: physics.AtomicParams) -> MeasurementVector:
-    """Full-pipeline measurements from the exact nonlinear absorption, of
-    one scene or of a stack (see fluorescence_readout)."""
-    return fluorescence_readout(scene, geometry, params)[1]
+    """The probe's profile on the grid and the calibrated measurements,
+    of one scene or of a stack (see simulate_measurements)."""
+    return (propagate_probe(scene, geometry, params),
+            simulate_measurements(scene, geometry, params))
 
 
 def snr_ratio(snr_db: float) -> float:

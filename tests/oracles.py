@@ -6,13 +6,12 @@ one channel's outer product at a time, in the order the runtime's
 reduction must add them. The closed forms (Rabi frequency, phasor field
 sum, two-level scattering rate, four-level susceptibility, whole-cell
 integrated power) are textbook formulas that only the tests evaluate.
-The per-scene readout reads one scene at a time through scipy: the
-slope of |E|^2 from the phasor field, the optical depth as the
-antiderivative of the absorption's CubicHermiteSpline, and each window
-edge off the CubicHermiteSpline of (depth, absorption), one window at a
-time. The panel depth is the optical depth as the pipeline read it before
-it read the depth straight off the image's log: panel means of the
-absorption and their running integral. The greedy signal-root selection
+The per-scene readout integrates one scene's absorption with scipy's
+adaptive quad_vec, over all grid intervals at once for the optical depth
+and over all windows at once for the measurements. The panel depth is
+the optical depth as the pipeline read it before it read the depth
+straight off the image's log: panel means of the absorption and their
+running integral. The greedy signal-root selection
 picks one root set's representatives one at a time in Python, as the
 estimator did before it selected over whole stacks. The CSV renderers
 at the end build each output file row by row, one f-string .17g per
@@ -24,19 +23,15 @@ import io
 
 import numpy as np
 from scipy import constants
-from scipy.interpolate import CubicHermiteSpline
+from scipy.integrate import quad_vec
 from scipy.linalg import cho_factor, cho_solve
 
 from rydberg_doa import physics
-from rydberg_doa.errors import (
-    DegenerateDetuning,
-    WindowOutOfCell,
-)
+from rydberg_doa.errors import DegenerateDetuning
 from rydberg_doa.physics import (
     AtomicParams,
     RfScene,
     intensity_response,
-    intensity_response_derivative,
     linearization_constants,
 )
 from rydberg_doa.sensing import (
@@ -67,25 +62,6 @@ def window_integrals_quadrature(geometry: SensorGeometry, dk: float,
         sin_vec[j] = np.trapezoid(np.sin(phase), x)
         pos_sin_vec[j] = -np.trapezoid(x * np.sin(phase), x)
     return cos_vec, sin_vec, pos_sin_vec
-
-
-def channel_measurements_per_window(profile: FluorescenceProfile,
-                                    geometry: SensorGeometry) -> np.ndarray:
-    """Absorption integral over each window of one profile, one window at
-    a time: scalar edges clipped to the positions, each read off scipy's
-    CubicHermiteSpline of (depth, absorption)."""
-    x = profile.positions
-    spline = CubicHermiteSpline(x, profile.optical_depth, profile.absorption)
-    tol = 1e-9 * geometry.cell_length
-    half = geometry.window_width / 2
-    out = np.empty(geometry.channel_count)
-    for j, c in enumerate(geometry.centers):
-        a, b = c - half, c + half
-        if a < x[0] - tol or b > x[-1] + tol:
-            raise WindowOutOfCell(
-                f"window {j + 1} [{a:g}, {b:g}] outside sampled domain")
-        out[j] = spline(min(b, x[-1])) - spline(max(a, x[0]))
-    return out
 
 
 def running_integral(panel_values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -313,52 +289,33 @@ def absorption_exact_per_scene(params: AtomicParams, scene: RfScene,
                                         field_intensity_per_scene(scene, x))
 
 
-def field_intensity_slope_phasor(scene: RfScene, x) -> np.ndarray:
-    """d|E_RF(x)|^2/dx = 2 Re(conj(E) dE/dx) from the direct phasor sum."""
-    x = np.asarray(x, dtype=float)
-    k = scene.wavenumber
-    d_field = sum(1j * k * np.sin(w.angle) * w.amplitude
-                  * np.exp(1j * (k * x * np.sin(w.angle) + w.phase))
-                  for w in (scene.lo,) + scene.signals)
-    return 2 * np.real(np.conj(rf_field(scene, x)) * d_field)
-
-
-def absorption_slope_per_scene(params: AtomicParams, scene: RfScene,
-                               x) -> np.ndarray:
-    """d(alpha)/dx = C*f'(|E|^2)*d|E|^2/dx, the slope from the phasor sum."""
-    c_scale, _ = linearization_constants(params)
-    return c_scale * intensity_response_derivative(
-        params, field_intensity_per_scene(scene, x)) \
-        * field_intensity_slope_phasor(scene, x)
-
-
-def calibrate_per_scene(values: np.ndarray, geometry: SensorGeometry,
-                        alpha_dc: float) -> MeasurementVector:
-    """Subtract the LO-only background alpha_dc * window area per channel."""
-    values = np.asarray(values, dtype=float)
-    if len(values) != geometry.channel_count:
-        raise ValueError("values length must equal channel_count")
-    return MeasurementVector(
-        values=values - alpha_dc * geometry.window_width,
-        geometry=geometry, noise_sigma=0.0)
+def integrals_quad_vec(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Integral of f over each interval [lo_i, hi_i], all at once by
+    scipy's adaptive quad_vec, to 1e-13 of the vector's norm."""
+    width = hi - lo
+    return quad_vec(lambda t: width * f(lo + t * width), 0.0, 1.0,
+                    epsabs=0.0, epsrel=1e-13, limit=400)[0]
 
 
 def fluorescence_readout_per_scene(
         scene: RfScene, geometry: SensorGeometry, params: AtomicParams
 ) -> tuple[FluorescenceProfile, MeasurementVector]:
-    """Propagate, window, calibrate one scene through scipy; returns
-    (profile, measurements). The depth is the antiderivative of the
-    CubicHermiteSpline of the absorption and its phasor-sum slope, and the
-    windows are read one at a time (channel_measurements_per_window)."""
+    """Propagate, window, calibrate one scene through scipy's quadrature;
+    returns (profile, measurements). The depth is the running sum of the
+    absorption's integral over each grid interval, and each measurement
+    the integral of the absorption less its LO-only background over a
+    window clipped to the cell."""
     x = geometry.grid(scene.rf_wavelength)
-    alpha = absorption_exact_per_scene(params, scene, x)
-    slope = absorption_slope_per_scene(params, scene, x)
-    depth = CubicHermiteSpline(x, alpha, slope).antiderivative()(x)
-    profile = FluorescenceProfile(positions=x, optical_depth=depth,
-                                  absorption=alpha)
-    raw = channel_measurements_per_window(profile, geometry)
-    return profile, calibrate_per_scene(raw, geometry,
-                                        physics.absorption_dc(params, scene))
+    dc = physics.absorption_dc(params, scene)
+    steps = integrals_quad_vec(
+        lambda u: absorption_exact_per_scene(params, scene, u), x[:-1], x[1:])
+    profile = FluorescenceProfile(positions=x, optical_depth=np.concatenate(
+        ([0.0], np.cumsum(steps))))
+    lo, hi = geometry.window_edges
+    values = integrals_quad_vec(
+        lambda u: absorption_exact_per_scene(params, scene, u) - dc,
+        lo, np.minimum(hi, geometry.cell_length))
+    return profile, MeasurementVector(values=values, geometry=geometry)
 
 
 def greedy_signal_roots(roots: np.ndarray, n_targets: int, delta: float,

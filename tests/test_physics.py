@@ -11,8 +11,6 @@ from rydberg_doa.errors import (
 )
 from rydberg_doa.physics import AtomicParams, PlaneWave, RfScene
 from oracles import (
-    absorption_slope_per_scene,
-    field_intensity_slope_phasor,
     rabi_frequency,
     rf_field,
     scattering_rate,
@@ -96,26 +94,6 @@ class TestFieldIntensity:
                  + sum(s.amplitude for s in scene.signals)) ** 2
         assert got >= -1e-12 * scale
         assert abs(got - oracle) <= 1e-12 * max(scale, abs(oracle))
-
-    @given(scene=scenes(), x=st.floats(-10.0, 10.0))
-    def test_slope_matches_phasor_oracle(self, scene, x):
-        # d|E|^2/dx = 2 Re(conj(E) dE/dx) of the direct phasor sum
-        got = physics.field_intensity_slope(scene, x)
-        oracle = field_intensity_slope_phasor(scene, x)
-        scale = 2 * scene.wavenumber * (
-            scene.lo.amplitude + sum(s.amplitude for s in scene.signals))**2
-        assert abs(got - oracle) <= 1e-12 * scale
-
-    def test_slope_is_the_derivative(self, two_target):
-        # central differences of field_intensity: their error, h^2/6 times
-        # the third derivative, is about 1e-9 of the largest slope here
-        x = np.linspace(0, 0.6, 257)
-        h = 1e-6
-        fd = (physics.field_intensity(two_target, x + h)
-              - physics.field_intensity(two_target, x - h)) / (2 * h)
-        got = physics.field_intensity_slope(two_target, x)
-        np.testing.assert_allclose(got, fd, rtol=0,
-                                   atol=1e-8 * np.abs(got).max())
 
 
 class TestSusceptibility:
@@ -274,24 +252,6 @@ class TestIntensityResponse:
 
 
 class TestAbsorption:
-    def test_slope_matches_phasor_oracle(self, params, two_target):
-        x = np.linspace(-0.3, 0.9, 1001)
-        got = physics.absorption_slope(params, two_target, x)
-        np.testing.assert_allclose(
-            got, absorption_slope_per_scene(params, two_target, x),
-            rtol=0, atol=1e-12 * np.abs(got).max())
-        lo_only = RfScene(lo=two_target.lo)
-        assert np.all(physics.absorption_slope(params, lo_only, x) == 0)
-
-    def test_slope_is_the_derivative(self, params, two_target):
-        x = np.linspace(0, 0.6, 257)
-        h = 1e-6
-        fd = (physics.absorption_exact(params, two_target, x + h)
-              - physics.absorption_exact(params, two_target, x - h)) / (2 * h)
-        got = physics.absorption_slope(params, two_target, x)
-        np.testing.assert_allclose(got, fd, rtol=0,
-                                   atol=1e-8 * np.abs(got).max())
-
     def test_lo_only_uniform(self, params):
         scene = RfScene(lo=PlaneWave(4e-5, 0.0, np.pi / 2))
         x = np.linspace(0, 0.6, 33)

@@ -100,8 +100,7 @@ def test_write_fluorescence_csv_bytes(tmp_path, depth):
     # one column beside the positions: the profile's image
     # exp(-optical_depth)
     profile = FluorescenceProfile(positions=_grid(depth.size),
-                                  optical_depth=depth,
-                                  absorption=np.zeros_like(depth))
+                                  optical_depth=depth)
     path = tmp_path / "fluorescence.csv"
     serialize.write_fluorescence_csv(profile, path)
     assert path.read_bytes() == fluorescence_csv_rowwise(
