@@ -8,7 +8,9 @@ PARENT_REV`, and `change/` from the files `git ls-files` lists (tracked,
 and untracked but not ignored), as they are in the working tree. Pair i
 runs perfbench/run.py on seed A + i in each copy, the parent first when
 i is even, and saves each run's stdout as DIR/<side>-<seed>.txt. Then it
-prints perfbench/compare.py's table of all the runs. Every run lasts
+prints perfbench/compare.py's table of all the runs, the claim rule per
+end-to-end metric, and each side's median latency per call kind, so that
+a percentile claim can name the kind of call it lands on. Every run lasts
 BENCHMARK.json's run_seconds. Both sides run from copies because runs
 from the checkout itself have read about 14% faster than runs from a
 copy of the same tree.
@@ -115,6 +117,34 @@ def claim_table(parent_runs, change_runs) -> str:
     return "\n".join(lines)
 
 
+def kind_latencies(paths) -> dict[str, list[float]]:
+    """Each call kind's median latency in ms, one per run file that has
+    it, read from the call_p50_ms_by_kind of the file's record line."""
+    kinds: dict[str, list[float]] = {}
+    for path in paths:
+        records = [json.loads(line)["record"] for line in
+                   Path(path).read_text().splitlines()
+                   if line.startswith('{"record"')]
+        for record in records[-1:]:
+            for kind, ms in record.get("call_p50_ms_by_kind", {}).items():
+                kinds.setdefault(kind, []).append(ms)
+    return kinds
+
+
+def kind_table(parent_runs, change_runs) -> str:
+    """Per call kind of both sides, the median over runs of its median
+    latency on each side and the change as a share of the parent's."""
+    parent, change = kind_latencies(parent_runs), kind_latencies(change_runs)
+    lines = [f"{'call kind':24s} {'parent ms':>10s} {'change ms':>10s} "
+             f"{'change':>8s}"]
+    for kind in (k for k in parent if k in change):
+        old = statistics.median(parent[kind])
+        new = statistics.median(change[kind])
+        lines.append(f"{kind:24s} {old:10.4g} {new:10.4g} "
+                     f"{(new - old) / old:+8.2%}")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__,
@@ -138,6 +168,7 @@ def main(argv=None) -> int:
         [sys.executable, str(ROOT / "perfbench" / "compare.py"),
          "--base", *runs["parent"], "--new", *runs["change"]]).returncode
     print(claim_table(runs["parent"], runs["change"]))
+    print(kind_table(runs["parent"], runs["change"]))
     return status
 
 

@@ -2,10 +2,12 @@
 channel model, with amplitudes and phases treated as nuisance parameters.
 
 mean_jacobian's parameter ordering is (dk_1..dk_N, dphi_1..dphi_N, A_1..A_N).
+Inputs may carry leading axes, each row equal to its one-row call bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +26,7 @@ class CrlbReport:
     effective_fim_dk: np.ndarray
     crlb_theta: np.ndarray
     per_target_std: np.ndarray
-    condition_number: float
+    condition_number: float | np.ndarray
 
     def __post_init__(self):
         for name in ("fim", "effective_fim_dk", "crlb_theta",
@@ -37,27 +39,30 @@ class CrlbReport:
 def mean_jacobian(geometry: SensorGeometry, delta_ks: np.ndarray,
                   delta_phis: np.ndarray,
                   amplitudes: np.ndarray) -> np.ndarray:
-    """K x 3N Jacobian of the mean vector: columns are A_i*t_i for the
-    frequencies, A_i*s_i for the phases, and c_i for the amplitudes."""
-    n = len(delta_ks)
-    jac = np.zeros((geometry.channel_count, 3 * n))
-    for i in range(n):
-        c_vec, s_vec, t_vec = window_integrals(geometry, delta_ks[i],
-                                               delta_phis[i])
-        amp = amplitudes[i]
-        jac[:, i] = amp * t_vec
-        jac[:, n + i] = amp * s_vec
-        jac[:, 2 * n + i] = c_vec
+    """(..., K, 3N) Jacobian of the mean vector for (..., N) parameters,
+    target by target: columns are A_i*t_i for the frequencies, A_i*s_i for
+    the phases, and c_i for the amplitudes."""
+    dks, dphis, amps = map(np.asarray, (delta_ks, delta_phis, amplitudes))
+    n = dks.shape[-1]
+    jac = np.zeros(dks.shape[:-1] + (geometry.channel_count, 3 * n))
+    for row in itertools.product(*map(range, dks.shape[:-1])):
+        out, dk, dphi, amp = jac[row], dks[row], dphis[row], amps[row]
+        for i in range(n):
+            c_vec, s_vec, t_vec = window_integrals(geometry, dk[i], dphi[i])
+            out[:, i] = amp[i] * t_vec
+            out[:, n + i] = amp[i] * s_vec
+            out[:, 2 * n + i] = c_vec
     return jac
 
 
-def fisher_information(jacobian: np.ndarray, sigma2: float) -> np.ndarray:
-    """J^T J / sigma2, the FIM of the mean under white noise: the channels'
-    outer products summed in order, on a C-ordered copy whatever the
-    Jacobian's layout, so no BLAS kernel touches its bits."""
+def fisher_information(jacobian: np.ndarray, sigma2) -> np.ndarray:
+    """J^T J / sigma2, the FIM of the mean under white noise. For P > 1
+    the channels' outer products are summed in order on a C-ordered copy,
+    so no BLAS kernel or layout moves the bits, and a channel of zeros
+    adds +0.0 (numpy sums P = 1 pairwise)."""
     jacobian = np.ascontiguousarray(jacobian, dtype=float)
-    return np.add.reduce(jacobian[:, :, None] * jacobian[:, None, :],
-                         axis=0) / sigma2
+    return np.add.reduce(jacobian[..., None] * jacobian[..., None, :],
+                         axis=-3) / np.asarray(sigma2)[..., None, None]
 
 
 def effective_fim(fim: np.ndarray, n_interest: int) -> np.ndarray:
@@ -65,11 +70,12 @@ def effective_fim(fim: np.ndarray, n_interest: int) -> np.ndarray:
     first n_interest parameters after jointly estimating the rest, which
     are eliminated one at a time, last first, by elementwise steps."""
     eff = np.array(fim, dtype=float)
-    for k in range(len(eff) - 1, n_interest - 1, -1):
-        pivot = eff[k, k]
-        if not pivot > 0:
+    for k in range(eff.shape[-1] - 1, n_interest - 1, -1):
+        pivot = eff[..., k:k + 1, k:k + 1]
+        if not pivot.min() > 0:  # a NaN pivot makes the minimum NaN
             raise SingularNuisanceBlock("nuisance block is singular")
-        eff = eff[:k, :k] - np.multiply.outer(eff[:k, k], eff[k, :k]) / pivot
+        eff = (eff[..., :k, :k]
+               - eff[..., :k, k:k + 1] * eff[..., k:k + 1, :k] / pivot)
     return eff
 
 
@@ -78,15 +84,19 @@ def angle_crlb(effective_fim_dk: np.ndarray, thetas: np.ndarray,
     """Angle-domain covariance bound and per-target standard deviations.
 
     The frequency-to-angle Jacobian is diag(-k cos(theta)); the bound
-    diverges at end-fire, guarded at pi/2 - 1e-9.
+    diverges at end-fire, guarded at pi/2 - 1e-9, and at a singular FIM.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    if np.any(np.abs(thetas) >= np.pi / 2 - END_FIRE_GUARD):
+    if (np.abs(thetas) >= np.pi / 2 - END_FIRE_GUARD).any():
         raise EndFireSingularity("bound diverges at end-fire bearings")
     inv_jac = 1.0 / (-wavenumber * np.cos(thetas))
-    inv_eff = np.linalg.inv(np.asarray(effective_fim_dk, dtype=float))
-    bound = inv_jac[:, None] * inv_eff * inv_jac[None, :]
-    return bound, np.sqrt(np.diag(bound))
+    try:
+        inv_eff = np.linalg.inv(np.asarray(effective_fim_dk, dtype=float))
+    except np.linalg.LinAlgError:
+        raise RydbergDoaError("the effective Fisher information is "
+                              "singular: the bound is undefined") from None
+    bound = inv_jac[..., :, None] * inv_eff * inv_jac[..., None, :]
+    return bound, np.sqrt(np.diagonal(bound, axis1=-2, axis2=-1))
 
 
 def _finite(matrix: np.ndarray) -> np.ndarray:
@@ -96,19 +106,32 @@ def _finite(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def crlb_report(jacobian: np.ndarray, sigma2: float, thetas: np.ndarray,
-                wavenumber: float) -> CrlbReport:
-    """Full bound pipeline for any mean-vector Jacobian under white noise
-    of variance sigma2: FIM, Schur marginalization, angle bound. The first
-    len(thetas) columns are the targets' frequencies; every later column
-    is a nuisance. An FIM, effective FIM, bound or bound std that is not
-    finite (a negative variance makes a NaN std) is a domain error."""
-    if not 0 < sigma2 < np.inf:
+def crlb_report_batch(jacobian: np.ndarray, sigma2, thetas: np.ndarray,
+                      wavenumber: float) -> CrlbReport:
+    """FIM, Schur marginalization and angle bound of mean-vector Jacobians
+    (..., K, P) under white noise of variance sigma2; every field keeps the
+    leading axes. The first N columns are the frequencies of targets at
+    thetas (..., N), the rest nuisances. Domain errors, checked over the
+    stack in turn: a variance outside (0, inf); K < P, which makes the FIM
+    singular; an FIM, effective FIM, bound or std that is not finite."""
+    if not all(0 < s < np.inf for s in np.ravel(sigma2).tolist()):
         raise RydbergDoaError("noise variance must be positive and finite")
-    with np.errstate(over="ignore", invalid="ignore"):
+    if np.shape(jacobian)[-2] < np.shape(jacobian)[-1]:
+        raise RydbergDoaError("the bound needs a channel per parameter: K = "
+                              "%d channels for %d parameters"
+                              % np.shape(jacobian)[-2:])
+    with np.errstate(all="ignore"):
         fim = _finite(fisher_information(jacobian, sigma2))
-        eff = _finite(effective_fim(fim, len(thetas)))
+        eff = _finite(effective_fim(fim, np.shape(thetas)[-1]))
         bound, stds = angle_crlb(eff, thetas, wavenumber)
+        singular = np.linalg.svd(eff, compute_uv=False)  # np.linalg.cond
+        cond = singular[..., 0] / singular[..., -1]
     return CrlbReport(fim=fim, effective_fim_dk=eff, crlb_theta=_finite(bound),
                       per_target_std=_finite(stds),
-                      condition_number=float(np.linalg.cond(eff)))
+                      condition_number=cond if cond.ndim else float(cond))
+
+
+def crlb_report(jacobian: np.ndarray, sigma2: float, thetas: np.ndarray,
+                wavenumber: float) -> CrlbReport:
+    """crlb_report_batch of one K x P Jacobian, without leading axes."""
+    return crlb_report_batch(jacobian, sigma2, thetas, wavenumber)

@@ -1,9 +1,11 @@
 """Monte Carlo harness and the desk-scale simulation studies.
 
 SWEEP_KINDS lists the studies of each sweep axis, the table every
-SweepSpec is checked against; run_sweep runs the configured one, and
-every bound comes from bound_report. A length or sampling sweep runs the
-configured geometry with the swept length replaced. Each runner is
+SweepSpec is checked against; run_sweep runs the configured one. Every
+bound comes from crlb.crlb_report_batch: one cell's through bound_report,
+and all cells of a length sweep in one call, which each equal
+crlb_std_for on their cell bit for bit. A length or sampling sweep runs
+the configured geometry with the swept length replaced. Each runner is
 deterministic for a fixed (config, base_seed): trial t of a cell draws
 its noise with seed cell_seed + t, and cell c of a sweep has cell_seed =
 base_seed + CELL_SEED_STRIDE * c, counting the cells of run_snr_sweep
@@ -35,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import physics, scenarios, sensing
-from .crlb import CrlbReport, crlb_report, mean_jacobian
+from .crlb import CrlbReport, crlb_report, crlb_report_batch, mean_jacobian
 from .errors import ConfigParseError, RydbergDoaError, build_at
 # estimate_doa stays bound here: perfbench's tracer wraps it at every
 # binding and its self-test expects this one.
@@ -364,6 +366,20 @@ def required_snr(config: ScenarioConfig) -> float:
     return config.snr_db
 
 
+def _bound_amplitudes(scene: RfScene, params: AtomicParams,
+                      referenced: bool) -> np.ndarray:
+    """The targets' modulation amplitudes; raises bound_report's errors."""
+    if not scene.is_identifiable():
+        raise RydbergDoaError("targets share a beat wavenumber or sit at "
+                              "the LO bearing: the bound is undefined")
+    if referenced:
+        sensing.require_signal(scene)
+    amplitudes = physics.modulation_amplitudes(params, scene)
+    if (amplitudes == 0).any():
+        raise RydbergDoaError("zero-amplitude targets make the FIM singular")
+    return amplitudes
+
+
 def bound_report(scene: RfScene, geometry: SensorGeometry,
                  params: AtomicParams, snr_db: float | None = None,
                  sigma2: float | None = None) -> CrlbReport:
@@ -373,17 +389,10 @@ def bound_report(scene: RfScene, geometry: SensorGeometry,
     the LO bearing, zero-amplitude targets) raise a domain error."""
     if (snr_db is None) == (sigma2 is None):
         raise ValueError("give exactly one of snr_db and sigma2")
-    if not scene.is_identifiable():
-        raise RydbergDoaError("targets share a beat wavenumber or sit at "
-                              "the LO bearing: the bound is undefined")
-    if sigma2 is None:
-        sensing.require_signal(scene)
-    amplitudes = physics.modulation_amplitudes(params, scene)
+    amplitudes = _bound_amplitudes(scene, params, sigma2 is None)
     if sigma2 is None:
         sigma2 = sensing.noise_variance(sensing.sinusoid_measurements(
             geometry, scene.delta_ks, scene.delta_phis, amplitudes), snr_db)
-    if np.any(amplitudes == 0):
-        raise RydbergDoaError("zero-amplitude targets make the FIM singular")
     thetas = np.array([s.angle for s in scene.signals])
     return crlb_report(mean_jacobian(geometry, scene.delta_ks,
                                      scene.delta_phis, amplitudes),
@@ -407,24 +416,37 @@ def run_length_sweep(config: ScenarioConfig) -> dict[float, SweepResult]:
     at the configured SNR and shared by all bearings, so the angle
     ordering reflects the estimation geometry rather than per-scene noise
     renormalization.
+
+    One crlb_report_batch call gives each cell crlb_std_for's bits: its K
+    windows are the longest cell's first K, so its Jacobian is that one's
+    with later channels zeroed. On an error the cells replay in order.
     """
-    values = config.sweep.values
     snr = required_snr(config)
     geometries = _axis_geometries(config, "cell_length")
-    broadside = _preset_scene(config, (0.0,))
-    sigma2s = [sensing.noise_variance(sensing.predicted_measurements(
-        broadside, geometry, config.params).values, snr)
-        for geometry in geometries]
-    out: dict[float, SweepResult] = {}
-    for angle in LENGTH_SWEEP_ANGLES_DEG:
-        scene = _preset_scene(config, (angle,))
-        out[angle] = SweepResult(
-            values=values, cells=(McResult(np.nan, 0, 0),) * len(values),
-            crlb_std_rad=tuple(
-                crlb_std_for(scene, geometry, config.params,
-                             sigma2=sigma2)[0]
-                for geometry, sigma2 in zip(geometries, sigma2s)))
-    return out
+    counts = np.array([geometry.channel_count for geometry in geometries])
+    longest = geometries[int(counts.argmax())]
+    broadside = sensing.predicted_measurements(
+        _preset_scene(config, (0.0,)), longest, config.params).values
+    sigma2s = [sensing.noise_variance(broadside[:k], snr) for k in counts]
+    scenes = [_preset_scene(config, (a,)) for a in LENGTH_SWEEP_ANGLES_DEG]
+    try:
+        if counts.min() < 3:  # zeroed channels would hide K < 3N: replay
+            raise RydbergDoaError("a cell has fewer channels than unknowns")
+        rows = [(s.delta_ks, s.delta_phis,
+                 _bound_amplitudes(s, config.params, False)) for s in scenes]
+        kept = np.arange(counts.max())[:, None] < counts[:, None, None]
+        stds = crlb_report_batch(
+            np.where(kept, mean_jacobian(longest, *zip(*rows))[:, None], 0.0),
+            sigma2s, [[[s.signals[0].angle]] for s in scenes],
+            scenes[0].wavenumber).per_target_std[..., 0]
+    except RydbergDoaError:
+        for scene in scenes:
+            for geometry, sigma2 in zip(geometries, sigma2s):
+                crlb_std_for(scene, geometry, config.params, sigma2=sigma2)
+        raise
+    cells = (McResult(np.nan, 0, 0),) * len(counts)
+    return {angle: SweepResult(config.sweep.values, cells, tuple(row))
+            for angle, row in zip(LENGTH_SWEEP_ANGLES_DEG, stds)}
 
 
 def spectral_power(measurement: MeasurementVector, scene_meta,

@@ -235,9 +235,9 @@ def window_integrals(geometry: SensorGeometry, dk: float, dphi: float
     centers = geometry.centers
     even, odd = _window_kernels(dk, geometry.window_width / 2)
     psi = dk * centers - dphi
-    cos_vec = even * np.cos(psi)
-    sin_vec = even * np.sin(psi)
-    pos_sin_vec = -(centers * even * np.sin(psi) + odd * np.cos(psi))
+    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+    cos_vec, sin_vec = even * cos_psi, even * sin_psi
+    pos_sin_vec = -(centers * even * sin_psi + odd * cos_psi)
     return cos_vec, sin_vec, pos_sin_vec
 
 

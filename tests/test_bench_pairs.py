@@ -83,3 +83,30 @@ def test_claim_table_reads_run_files(tmp_path):
     rows = {line.split()[0]: line.split()[1:] for line in lines[1:]}
     assert rows == {"wall_s": ["10", "0", "0", "holds"],
                     "call_p50_ms": ["0", "0", "10", "not", "met"]}
+
+
+def test_kind_table_reads_each_side_per_call_kind(tmp_path):
+    # sweep_length is faster in every change run, simulate unchanged; a
+    # kind only one side ran, or a run without a record, is left out
+    bench = load_module()
+    paths = {"parent": [], "change": []}
+    for i in range(3):
+        for side, sweep in (("parent", 2.0 + i), ("change", 1.0 + i)):
+            kinds = {"simulate": 1.5, "sweep_length": sweep}
+            if side == "parent":
+                kinds["check-sampling"] = 0.25
+            path = tmp_path / f"{side}-{i}.txt"
+            path.write_text("log line\n"
+                            + json.dumps({"record": {
+                                "call_p50_ms_by_kind": kinds}}) + "\n"
+                            + json.dumps({"metrics": {}}) + "\n")
+            paths[side].append(path)
+    bare = tmp_path / "bare.txt"
+    bare.write_text(json.dumps({"metrics": {}}))
+    lines = bench.kind_table(paths["parent"] + [bare],
+                             paths["change"]).splitlines()
+    assert lines[0].split() == ["call", "kind", "parent", "ms", "change",
+                                "ms", "change"]
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:]}
+    assert rows == {"simulate": ["1.5", "1.5", "+0.00%"],
+                    "sweep_length": ["3", "2", "-33.33%"]}

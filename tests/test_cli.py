@@ -705,6 +705,25 @@ class TestCrlbCommand:
         assert "Fisher information or its bound is not finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("angle_deg", [10, -80])
+    def test_fewer_channels_than_unknowns_exit_3(self, tmp_path, capsys,
+                                                 angle_deg):
+        # A 0.6-wavelength cell holds two quarter-wave windows, fewer than
+        # the target's three unknowns: the FIM is singular, so no bound.
+        out = tmp_path / "out"
+        doc = base_doc(out)
+        doc["scene"]["signals"] = [{"amplitude_v_per_m": 1e-6,
+                                    "phase_deg": 0, "angle_deg": angle_deg}]
+        doc["prony"] = {"model_order": 2, "target_count": 1}
+        doc["geometry"]["cell_length_wavelengths"] = 0.6
+        doc["noise"]["snr_db"] = 30
+        assert cli.main(["crlb", "--config",
+                         write_config(tmp_path, doc)]) == 3
+        assert capsys.readouterr().err == (
+            "error: the bound needs a channel per parameter: K = 2 "
+            "channels for 3 parameters\n")
+        assert not out.exists()
+
     def test_two_target_fim_dimensions(self, tmp_path):
         out = tmp_path / "out"
         doc = base_doc(out)
@@ -770,6 +789,17 @@ class TestSweepCommand:
                          write_config(tmp_path, doc)]) == 0
         assert ("warning: the configured geometry violates sampling "
                 "constraints; proceeding\n") in capsys.readouterr().out
+
+    def test_length_sweep_with_too_short_a_cell_exit_3(self, tmp_path,
+                                                       capsys):
+        out = tmp_path / "out"
+        doc = self.sweep_doc(out, "cell_length", [4, 0.6, 2])
+        assert cli.main(["sweep", "--config",
+                         write_config(tmp_path, doc)]) == 3
+        assert capsys.readouterr().err == (
+            "error: the bound needs a channel per parameter: K = 2 "
+            "channels for 3 parameters\n")
+        assert not out.exists()
 
     def test_length_sweep_runs_the_configured_geometry(self, tmp_path):
         doc = json.loads((REPO_CONFIGS / "fig6.json").read_text())

@@ -8,6 +8,7 @@ from rydberg_doa.config import load_config
 from rydberg_doa.crlb import (
     angle_crlb,
     crlb_report,
+    crlb_report_batch,
     effective_fim,
     fisher_information,
     mean_jacobian,
@@ -328,3 +329,144 @@ class TestNuisanceColumns:
         plain, with_offset = self.reports(angle_deg)
         assert (with_offset.per_target_std[0] / plain.per_target_std[0]
                 >= least_ratio)
+
+
+def parameter_rows(geometry, lead, n_targets, seed):
+    """(dks, dphis, amps) of shape lead + (n_targets,): every row holds
+    well-separated targets, and about one in three rows swaps its first
+    target for one slow enough (|dk * w / 2| < 0.03) to take the window
+    kernel's series branch."""
+    rng = np.random.default_rng(seed)
+    rows = [random_targets(n_targets, geometry, seed=int(s))
+            for s in rng.integers(0, 2**31, int(np.prod(lead, dtype=int)))]
+    dks, dphis, amps = (np.reshape([row[j] for row in rows],
+                                   lead + (n_targets,)) for j in range(3))
+    slow = rng.random(lead) < 1 / 3
+    dks[..., 0] = np.where(slow, rng.uniform(0.1, 0.5, lead) * 0.06
+                           / geometry.window_width, dks[..., 0])
+    return dks, dphis, amps
+
+
+class TestRowContract:
+    """Each row of a stack of parameter rows equals its one-row call bit
+    for bit: the Jacobian and every field of crlb_report_batch."""
+
+    LEADS = [(5,), (2, 3)]
+
+    @pytest.mark.parametrize("lead", LEADS)
+    @pytest.mark.parametrize("n_targets", [1, 2, 3])
+    def test_mean_jacobian_rows(self, geometry, lead, n_targets):
+        dks, dphis, amps = parameter_rows(geometry, lead, n_targets,
+                                          seed=n_targets)
+        kernel_args = np.abs(dks * geometry.window_width / 2)
+        assert (kernel_args < 0.03).any() and (kernel_args > 0.03).any()
+        jac = mean_jacobian(geometry, dks, dphis, amps)
+        assert jac.shape == lead + (geometry.channel_count, 3 * n_targets)
+        n = n_targets
+        for row in np.ndindex(lead):
+            np.testing.assert_array_equal(
+                jac[row], mean_jacobian(geometry, dks[row], dphis[row],
+                                        amps[row]))
+            for i in range(n):  # per-target columns, in today's order
+                c_vec, s_vec, t_vec = window_integrals(
+                    geometry, dks[row][i], dphis[row][i])
+                np.testing.assert_array_equal(jac[row][:, i],
+                                              amps[row][i] * t_vec)
+                np.testing.assert_array_equal(jac[row][:, n + i],
+                                              amps[row][i] * s_vec)
+                np.testing.assert_array_equal(jac[row][:, 2 * n + i], c_vec)
+
+    @pytest.mark.parametrize("lead", LEADS)
+    @pytest.mark.parametrize("n_targets", [1, 2, 3])
+    def test_crlb_report_batch_rows(self, geometry, lead, n_targets):
+        rng = np.random.default_rng(10 + n_targets)
+        jac = mean_jacobian(geometry, *parameter_rows(
+            geometry, lead, n_targets, seed=20 + n_targets))
+        sigma2 = rng.uniform(0.5, 2.0, lead)
+        thetas = rng.uniform(-1.4, 1.4, lead + (n_targets,))
+        batch = crlb_report_batch(jac, sigma2, thetas, 42.5)
+        p = 3 * n_targets
+        assert batch.fim.shape == lead + (p, p)
+        assert batch.effective_fim_dk.shape == lead + (n_targets,) * 2
+        assert batch.crlb_theta.shape == lead + (n_targets,) * 2
+        assert batch.per_target_std.shape == lead + (n_targets,)
+        assert batch.condition_number.shape == lead
+        for row in np.ndindex(lead):
+            one = crlb_report(jac[row], float(sigma2[row]), thetas[row],
+                              42.5)
+            for name in ("fim", "effective_fim_dk", "crlb_theta",
+                         "per_target_std"):
+                np.testing.assert_array_equal(getattr(batch, name)[row],
+                                              getattr(one, name), name)
+            assert type(one.condition_number) is float
+            assert batch.condition_number[row] == one.condition_number
+
+    def test_stages_take_leading_axes(self, geometry):
+        # fisher_information, effective_fim and angle_crlb row by row
+        dks, dphis, amps = parameter_rows(geometry, (2, 3), 2, seed=3)
+        jac = mean_jacobian(geometry, dks, dphis, amps)
+        fim = fisher_information(jac, 0.5)
+        eff = effective_fim(fim, 2)
+        thetas = np.deg2rad([[10.0, -20.0]])
+        bound, stds = angle_crlb(eff, thetas, 42.5)
+        for row in np.ndindex(2, 3):
+            one_fim = fisher_information(jac[row], 0.5)
+            np.testing.assert_array_equal(fim[row], one_fim)
+            one_eff = effective_fim(one_fim, 2)
+            np.testing.assert_array_equal(eff[row], one_eff)
+            one_bound, one_stds = angle_crlb(one_eff, thetas[0], 42.5)
+            np.testing.assert_array_equal(bound[row], one_bound)
+            np.testing.assert_array_equal(stds[row], one_stds)
+
+    def test_zeroed_channels_add_nothing_to_the_fim(self, geometry):
+        # the length sweep bounds a shorter cell as a longer cell's
+        # Jacobian with its later channels zeroed
+        jac = mean_jacobian(geometry, *random_targets(2, geometry, seed=9))
+        counts = np.arange(6, geometry.channel_count + 1)
+        kept = np.arange(geometry.channel_count)[:, None] \
+            < counts[:, None, None]
+        fims = fisher_information(np.where(kept, jac, 0.0), 0.3)
+        for fim, count in zip(fims, counts):
+            np.testing.assert_array_equal(
+                fim, fisher_information(jac[:count], 0.3))
+
+    def test_a_stack_raises_the_first_failing_check(self, geometry):
+        jac = mean_jacobian(geometry, *parameter_rows(geometry, (3,), 1,
+                                                      seed=4))
+        with pytest.raises(RydbergDoaError, match="positive and finite"):
+            crlb_report_batch(jac, [1.0, 0.0, 1.0], [[0.1]] * 3, 42.5)
+        with pytest.raises(EndFireSingularity):
+            crlb_report_batch(jac, 1.0, [[0.1], [np.pi / 2], [0.2]], 42.5)
+
+
+class TestTooFewChannels:
+    """A Jacobian with fewer rows (channels) than columns (parameters) has
+    a singular FIM: its bound is a domain error naming both counts."""
+
+    @pytest.mark.parametrize("theta_deg", [10.0, -80.0])
+    def test_two_windows_cannot_bound_three_parameters(self, rf_wavelength,
+                                                       theta_deg):
+        lam = rf_wavelength
+        geometry = sensing.SensorGeometry(0.6 * lam, lam / 4, lam / 4)
+        assert geometry.channel_count == 2
+        scene = scenarios.scene_from_angles((theta_deg,))
+        jac = mean_jacobian(geometry, scene.delta_ks, scene.delta_phis,
+                            [1.0])
+        with pytest.raises(RydbergDoaError,
+                           match="K = 2 channels for 3 parameters"):
+            crlb_report(jac, 1e-3, [np.deg2rad(theta_deg)],
+                        scene.wavenumber)
+
+    def test_nuisance_columns_count(self, rf_wavelength):
+        lam = rf_wavelength
+        geometry = sensing.SensorGeometry(0.8 * lam, lam / 4, lam / 4)
+        jac = mean_jacobian(geometry, [30.0], [0.2], [1.0])
+        offset = np.full(geometry.channel_count, geometry.window_width)
+        crlb_report(jac, 1e-3, [0.3], 42.5)  # K = 3 bounds 3 parameters
+        with pytest.raises(RydbergDoaError,
+                           match="K = 3 channels for 4 parameters"):
+            crlb_report(np.column_stack([jac, offset]), 1e-3, [0.3], 42.5)
+
+    def test_singular_inverse_is_a_domain_error(self):
+        with pytest.raises(RydbergDoaError, match="singular"):
+            angle_crlb(np.zeros((1, 1)), [0.3], 10.0)

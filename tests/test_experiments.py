@@ -494,6 +494,90 @@ class TestLengthSweep:
             experiments.bound_report(scene, geometry, params, snr_db=30.0)
         assert [w.category for w in caught] == [LoDominanceWarning]
 
+    @staticmethod
+    def length_config(base_config, values, snr_db=30.0, lo_deg=90.0,
+                      **lengths_wl):
+        lam = base_config.scene.rf_wavelength
+        scene = scenarios.scene_from_angles((-30.0, 45.0),
+                                            lo_angle=np.deg2rad(lo_deg))
+        return ScenarioConfig(
+            scene=scene, geometry=replace(base_config.geometry, **{
+                k: v * lam for k, v in lengths_wl.items()}),
+            prony=base_config.prony, params=base_config.params,
+            snr_db=snr_db, trials=1, base_seed=0,
+            sweep=SweepSpec(axis="cell_length", values=values))
+
+    @staticmethod
+    def cell_by_cell(config):
+        """The bound of every cell on its own geometry, bearing by bearing
+        and each in sweep order, the noise variance from the broadside
+        scene on that geometry: {angle: stds}, or the first cell's error."""
+        lam = config.scene.rf_wavelength
+        broadside = experiments._preset_scene(config, (0.0,))
+        geometries = [replace(config.geometry, cell_length=v * lam)
+                      for v in config.sweep.values]
+        sigma2s = [sensing.noise_variance(sensing.predicted_measurements(
+            broadside, g, config.params).values, config.snr_db)
+            for g in geometries]
+        out = {}
+        try:
+            for angle in experiments.LENGTH_SWEEP_ANGLES_DEG:
+                scene = experiments._preset_scene(config, (angle,))
+                out[angle] = [experiments.crlb_std_for(
+                    scene, g, config.params, sigma2=s2)[0]
+                    for g, s2 in zip(geometries, sigma2s)]
+        except RydbergDoaError as exc:
+            return exc
+        return out
+
+    @pytest.mark.parametrize("values, lo_deg, lengths_wl", [
+        ((1.0, 2.0, 4.0, 8.0), 90.0, {}),
+        ((4.0, 1.0, 2.5, 1.0, 8.0, 2.5), 90.0, {}),
+        ((3.0, 0.9, 6.0, 3.0), -40.0,
+         {"window_width": 0.1, "spacing": 0.15}),
+        ((12.0, 1.0, 5.5), 75.0, {"window_width": 0.3, "spacing": 0.2}),
+    ], ids=["sorted", "unsorted-repeated", "narrow-windows", "wide-windows"])
+    def test_every_cell_is_its_own_bound_bit_for_bit(
+            self, base_config, values, lo_deg, lengths_wl):
+        config = self.length_config(base_config, values, lo_deg=lo_deg,
+                                    **lengths_wl)
+        expected = self.cell_by_cell(config)
+        results = run_length_sweep(config)
+        assert list(results) == list(experiments.LENGTH_SWEEP_ANGLES_DEG)
+        for angle, result in results.items():
+            assert result.values == values
+            assert result.crlb_std_rad == tuple(expected[angle])
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"lo_deg": 30.0}, "sit at the LO bearing"),
+        ({"lo_deg": 0.0}, "sit at the LO bearing"),
+        ({"snr_db": 2900.0}, "Fisher information or its bound is not finite"),
+        ({"snr_db": -3200.0}, "not finite"),
+        # the 0-degree cells fail before the 30-degree scene check
+        ({"lo_deg": 30.0, "snr_db": 2900.0}, "not finite"),
+    ], ids=["lo-at-30", "lo-at-broadside", "fim-overflow", "schur-overflow",
+            "fim-overflow-before-lo-at-30"])
+    def test_error_of_the_first_failing_cell(self, base_config, kwargs,
+                                             message):
+        config = self.length_config(base_config, (1.0, 4.0, 2.0), **kwargs)
+        expected = self.cell_by_cell(config)
+        assert isinstance(expected, RydbergDoaError)
+        with pytest.raises(type(expected), match=message) as caught:
+            run_length_sweep(config)
+        assert str(caught.value) == str(expected)
+
+    @pytest.mark.parametrize("values, lo_deg", [
+        ((0.6,), 90.0), ((4.0, 0.6, 2.0), 90.0), ((4.0, 0.6), 30.0)])
+    def test_cell_with_fewer_channels_than_unknowns(self, base_config,
+                                                    values, lo_deg):
+        # a 0.6-wavelength cell holds 2 quarter-wave windows, fewer than
+        # the 3 parameters of its target; its 0-degree cell fails first
+        config = self.length_config(base_config, values, lo_deg=lo_deg)
+        with pytest.raises(RydbergDoaError,
+                           match="^the bound needs a channel per parameter: "
+                                 "K = 2 channels for 3 parameters$"):
+            run_length_sweep(config)
+
     def test_channel_count_tracks_length(self, rf_wavelength):
         lam = rf_wavelength
         for length_wl in (1.0, 2.0, 4.0, 8.0):
