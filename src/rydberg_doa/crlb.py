@@ -83,8 +83,8 @@ def angle_crlb(effective_fim_dk: np.ndarray, thetas: np.ndarray,
                wavenumber: float) -> tuple[np.ndarray, np.ndarray]:
     """Angle-domain covariance bound and per-target standard deviations.
 
-    The frequency-to-angle Jacobian is diag(-k cos(theta)); the bound
-    diverges at end-fire, guarded at pi/2 - 1e-9, and at a singular FIM.
+    The frequency-to-angle Jacobian is diag(-k cos(theta)). The bound
+    diverges at end-fire (guarded at pi/2 - 1e-9) and at a singular FIM.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if (np.abs(thetas) >= np.pi / 2 - END_FIRE_GUARD).any():
