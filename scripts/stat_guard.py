@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
-"""Compare the Monte Carlo sweep of a parent revision and the working tree.
+"""Compare the Monte Carlo sweep of a parent revision and the working tree,
+or of two configs on the working tree.
 
     python scripts/stat_guard.py PARENT_REV --config CFG --seeds N --out DIR
+    python scripts/stat_guard.py --config A --versus B --seeds N --out DIR
 
-Builds the sibling copies DIR/parent and DIR/change as
-scripts/bench_pairs.py does, then runs CFG's sweep in each copy at the
-base seeds 1000*j + 7, j = 0..N-1; with fewer than 1000 trials a cell,
-no two runs share a trial seed. Per cell (sweep file and axis value) it
-prints the failures on each side summed over the seeds, the
-two-proportion z of the failure rates, the median over seeds of the
+Given PARENT_REV, builds the sibling copies DIR/parent and DIR/change as
+scripts/bench_pairs.py does, then runs CFG's sweep in each copy. Given
+--versus, runs A's sweep (the parent column) and B's (the change column)
+in the working tree itself; their sweeps must have the same cells. Each
+side runs at the base seeds 1000*j + 7, j = 0..N-1; with fewer than 1000
+trials a cell, no two runs share a trial seed. Per cell (sweep file and
+axis value) it prints the failures on each side summed over the seeds,
+the two-proportion z of the failure rates, the median over seeds of the
 RMSE ratio change/parent, the seeds whose failure counts differ and the
 largest relative RMSE move. It exits 1 when any |z| exceeds the
 two-sided threshold at a family-wise level of ALPHA, Bonferroni-corrected
@@ -25,7 +29,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_pairs import SIDES, build_copies  # noqa: E402
+from bench_pairs import ROOT, SIDES, build_copies  # noqa: E402
 
 ALPHA = 0.01
 
@@ -83,7 +87,11 @@ def two_proportion_z(f1: int, n1: int, f2: int, n2: int) -> float:
 
 
 def compare(parent: dict, change: dict) -> list[dict]:
-    """One summary per cell of the parent, in its order."""
+    """One summary per cell of the parent, in its order; both sides must
+    have run the same cells equally often."""
+    extra = change.keys() - parent.keys()
+    if extra:
+        raise SystemExit(f"cells {sorted(extra)} ran on the change only")
     rows = []
     for key, runs in parent.items():
         other = change.get(key, [])
@@ -124,12 +132,13 @@ def report(rows: list[dict], limit: float) -> str:
     return "\n".join(lines)
 
 
-def guard(trees: dict, config: Path, n_seeds: int, out: Path) -> int:
-    """Run both sides, print the table; 1 when a cell is flagged."""
+def guard(trees: dict, configs: dict, n_seeds: int, out: Path) -> int:
+    """Run each side's config in its tree, print the table; 1 when a cell
+    is flagged."""
     seeds = base_seeds(n_seeds)
     cells = {}
     for side in SIDES:
-        run_side(trees[side], config, seeds, out / f"{side}-runs")
+        run_side(trees[side], configs[side], seeds, out / f"{side}-runs")
         cells[side] = read_cells(out / f"{side}-runs", seeds)
     rows = compare(cells["parent"], cells["change"])
     limit = threshold(len(rows))
@@ -141,20 +150,31 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("parent_rev", help="git revision to compare against")
+    parser.add_argument("parent_rev", nargs="?",
+                        help="git revision to compare against")
     parser.add_argument("--config", type=Path, required=True,
-                        help="config whose sweep both sides run")
+                        help="config whose sweep both sides run, or the "
+                             "parent column's with --versus")
+    parser.add_argument("--versus", type=Path,
+                        help="the change column's config, run with "
+                             "--config on the working tree")
     parser.add_argument("--seeds", type=int, required=True,
                         help="number of base seeds 1000*j + 7")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
-    config = args.config.resolve()
-    if "sweep" not in json.loads(config.read_text()):
-        parser.error(f"{config} has no sweep")
+    if (args.parent_rev is None) == (args.versus is None):
+        parser.error("give either PARENT_REV or --versus")
+    configs = {side: path.resolve() for side, path in
+               zip(SIDES, (args.config, args.versus or args.config))}
+    for config in configs.values():
+        if "sweep" not in json.loads(config.read_text()):
+            parser.error(f"{config} has no sweep")
     out = args.out.resolve()
-    return guard(build_copies(args.parent_rev, out), config, args.seeds, out)
+    trees = (dict.fromkeys(SIDES, ROOT) if args.parent_rev is None
+             else build_copies(args.parent_rev, out))
+    return guard(trees, configs, args.seeds, out)
 
 
 if __name__ == "__main__":

@@ -83,8 +83,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
     out = Path(cfg.output_dir)
     report = sensing.check_sampling(sc.geometry, sc.scene.rf_wavelength)
     _print_compliance(report)
-    profile, measurement = sensing.fluorescence_readout(
-        sc.scene, sc.geometry, sc.params)
+    profile = sensing.propagate_probe(sc.scene, sc.geometry, sc.params)
+    measurement = sensing.simulate_measurements(sc.scene, sc.geometry,
+                                                sc.params)
     if sc.snr_db is not None:
         sensing.require_signal(sc.scene)
         measurement = sensing.add_noise(measurement, sc.snr_db, sc.base_seed)

@@ -15,23 +15,23 @@ rule. Seed streams stay apart while a cell has fewer than
 CELL_SEED_STRIDE trials, which config parsing enforces. All trials of a
 cell draw their noise as one stack, from about one generator per 32
 consecutive seeds, each row bit-identical to the single-seed draw (see
-sensing.NOISE_BLOCK_ROWS). Two stacking rules, both exact row by
-row, make a sweep's cells share work:
-- synthesis: the analytic model per cell or, for the cells of an
-  LO-ratio sweep (which differ only in LO amplitude), one fluorescence
-  readout of all of them as a stack;
-- estimation: the noise stacks of consecutive cells that share a
-  prediction system (Prony config, channel count, window pitch, carrier
-  wavenumber and LO bearing) run as one batched estimate of at most
-  MC_STACK_ROWS rows, never splitting a cell.
-Each row equals the readout or solve of its cell alone, so every cell's
-result does too. Trial failures (rows of the estimate whose failure code
-is not OK) are counted per cell, never silently dropped.
+sensing.NOISE_BLOCK_ROWS). Each runner makes one synthesis call:
+mc_rmse and each preset of run_snr_sweep one analytic vector,
+run_lo_ratio_sweep one fluorescence readout with a row per LO amplitude.
+One stacking rule makes a sweep's cells share the solve: the noise
+stacks of consecutive cells that share a prediction system (Prony
+config, channel count, window pitch, carrier wavenumber and LO bearing)
+run as one batched estimate of at most MC_STACK_ROWS rows, never
+splitting a cell. Each row of a readout or a solve equals that of its
+cell alone, so every cell's result does too. Trial failures (rows of the
+estimate whose failure code is not OK) are counted per cell, never
+silently dropped.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -127,7 +127,7 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class LinearizationCheck:
-    """Exact vs linearized absorption for a weak/strong LO pair."""
+    """Exact vs linearized absorption at a weak and a strong LO."""
 
     positions: np.ndarray
     exact_weak: np.ndarray
@@ -153,13 +153,19 @@ class SamplingDemoResult:
     power: np.ndarray  # (curves, angles), over the common max of the case
 
 
+# Pairings match_errors scores at once: 6! = 720, so up to six targets
+# take one chunk, and the costs held stay (MATCH_CHUNK, T, N) at any N.
+MATCH_CHUNK = 720
+
+
 def match_errors(estimated: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """Per-target absolute angle errors under minimum-total-error pairing.
 
     estimated is one (N,) row or a (T, N) stack, paired row by row with
     the N truths, so every target is scored; N errors per row, in
-    estimate order. Pairings are tried in itertools.permutations order and
-    a tie keeps the first.
+    estimate order. All N! pairings are tried, in itertools.permutations
+    order and MATCH_CHUNK at a time, and a tie keeps the first: a later
+    chunk replaces a row's best only with a strictly smaller total.
     """
     cost = np.abs(np.asarray(estimated, dtype=float)[..., :, None]
                   - np.asarray(truth, dtype=float))
@@ -167,85 +173,84 @@ def match_errors(estimated: np.ndarray, truth: np.ndarray) -> np.ndarray:
     if cost.shape[-2] != n:
         raise ValueError(f"need one estimate per truth, got "
                          f"{cost.shape[-2]} for {n}")
-    errors = np.stack([cost[..., np.arange(n), perm]
-                       for perm in itertools.permutations(range(n))])
-    flat = errors.reshape(len(errors), -1, n)
-    best = flat.sum(axis=-1).argmin(axis=0)
-    return flat[best, np.arange(flat.shape[1])].reshape(errors.shape[1:])
+    flat = cost.reshape(math.prod(cost.shape[:-2]), n, n)
+    rows, perms = np.arange(len(flat)), itertools.permutations(range(n))
+    best = total = None
+    while chunk := list(itertools.islice(perms, MATCH_CHUNK)):
+        # (pairings, rows, n), C-ordered, so each total sums as one row
+        errors = flat[rows[:, None], np.arange(n), np.array(chunk)[:, None]]
+        sums = errors.sum(axis=-1)
+        pick = sums.argmin(axis=0)
+        errors, sums = errors[pick, rows], sums[pick, rows]
+        if total is not None:
+            kept = ~(sums < total)
+            errors[kept], sums[kept] = best[kept], total[kept]
+        best, total = errors, sums
+    return best.reshape(cost.shape[:-1])
 
 
 def mc_rmse(scenario: ScenarioConfig) -> McResult:
-    """Monte Carlo RMSE of the DoA estimate for one scenario cell: the
-    one-cell case of _mc_sweep, so trial t draws its noise with seed
-    base_seed + t."""
-    return _mc_sweep(scenario, ({},))[0]
+    """Monte Carlo RMSE of the DoA estimate for one scenario cell from one
+    analytic vector: the one-cell case of _mc_sweep, so trial t draws its
+    noise with seed base_seed + t."""
+    clean = sensing.predicted_measurements(
+        scenario.scene, scenario.geometry, scenario.params).values
+    return _mc_sweep(scenario, [({}, clean)])[0]
 
 
-def run_linearization_check(params: AtomicParams, scene_weak: RfScene,
-                            scene_strong: RfScene,
-                            grid: np.ndarray) -> LinearizationCheck:
-    """Exact vs linearized absorption profiles for a weak/strong LO pair.
-
-    The scenes must share their signals and differ only in LO amplitude.
-    Residual RMS values are normalized by each regime's total modulation
-    amplitude, the scale on which the 1/ratio error model is comparable
-    across LO levels.
+def run_linearization_check(params: AtomicParams, scene: RfScene,
+                            lo_amplitudes, grid: np.ndarray
+                            ) -> LinearizationCheck:
+    """Exact vs linearized absorption profiles of the scene at the LO
+    amplitudes (weak, strong), V/m; the exact ones are the rows of one
+    call. Residual RMS values are normalized by each regime's total
+    modulation amplitude, the scale on which the 1/ratio error model is
+    comparable across LO levels.
     """
     grid = np.asarray(grid, dtype=float)
-    ew, es = physics.absorption_exact(params, [scene_weak, scene_strong],
-                                      grid)
+    ew, es = physics.absorption_exact(params, scene, grid, lo_amplitudes)
 
-    def profiles(scene, exact):
-        linear = physics.absorption_linearized(params, scene, grid)
+    def profiles(amplitude, exact):
+        at = replace(scene, lo=replace(scene.lo, amplitude=amplitude))
+        linear = physics.absorption_linearized(params, at, grid)
         rms = float(np.sqrt(np.mean((exact - linear) ** 2)))
         mods = float(np.abs(physics.modulation_amplitudes(params,
-                                                          scene)).sum())
+                                                          at)).sum())
         return linear, (rms / mods if mods > 0 else 0.0)
 
-    lw, norm_w = profiles(scene_weak, ew)
-    ls, norm_s = profiles(scene_strong, es)
+    lw, norm_w = profiles(lo_amplitudes[0], ew)
+    ls, norm_s = profiles(lo_amplitudes[1], es)
     return LinearizationCheck(
         positions=grid, exact_weak=ew, linear_weak=lw,
         exact_strong=es, linear_strong=ls,
         residual_weak=norm_w, residual_strong=norm_s)
 
 
-def _mc_sweep(config: ScenarioConfig, cells,
-              fluorescence: bool = False) -> list[McResult]:
-    """Monte Carlo outcome of each cell: cells yields the ScenarioConfig
-    fields each cell overrides, and cell c runs at base_seed +
-    CELL_SEED_STRIDE * c.
+def _mc_sweep(config: ScenarioConfig, cells) -> list[McResult]:
+    """Monte Carlo outcome of each cell: cells yields (overrides, clean)
+    pairs, the ScenarioConfig fields the cell overrides and its noiseless
+    values (K,), and cell c runs at base_seed + CELL_SEED_STRIDE * c.
 
-    One pass over the cells, in order. Each cell is synthesized once (the
-    scene is deterministic), by the analytic model or, with fluorescence,
-    as its row of one fluorescence readout of all cells stacked on the
-    first cell's geometry and atomic parameters (their scenes must differ
-    only in LO amplitude, physics.scene_stack), and draws its (trials, K)
-    noise stack; a cell whose noise draw raises a domain error fails
-    whole. Consecutive cells that share a prediction system (Prony config,
-    channel count, window pitch, carrier wavenumber and LO bearing) run as
-    one batched Prony solve of at most MC_STACK_ROWS rows; a cell is never
-    split, and a larger one runs alone. Rows are independent, so each cell
-    gets the result of its own solve. A cell whose prony.target_count
+    One pass over the cells, in order: each draws its (trials, K) noise
+    stack, and fails whole if the draw raises a domain error. Consecutive
+    cells that share a prediction system run as one batched Prony solve
+    (see the module docstring); a cell is never split, and one of more
+    than MC_STACK_ROWS trials runs alone. A cell whose prony.target_count
     differs from its scene's signal count is a config error before any
-    synthesis: its RMSE would not score every target.
+    noise draw: its RMSE would not score every target.
     """
+    cells = list(cells)
     seeded = [replace(config, sweep=None,
                       base_seed=config.base_seed + CELL_SEED_STRIDE * c,
-                      **overrides) for c, overrides in enumerate(cells)]
+                      **overrides) for c, (overrides, _) in enumerate(cells)]
     for cell in seeded:
         if cell.prony.target_count != cell.scene.n_signals:
             raise ConfigParseError(
                 f"'prony.target_count' must equal the scene's signal count "
                 f"{cell.scene.n_signals}, got {cell.prony.target_count}")
-    if fluorescence and seeded:
-        readout = sensing.simulate_measurements(
-            [c.scene for c in seeded], seeded[0].geometry, seeded[0].params)
     results, stack, rows, system = [], [], 0, None
-    for i, cell in enumerate(seeded):
-        clean = (replace(readout, values=readout.values[i]) if fluorescence
-                 else sensing.predicted_measurements(
-                     cell.scene, cell.geometry, cell.params))
+    for cell, (_, clean) in zip(seeded, cells):
+        clean = MeasurementVector(values=clean, geometry=cell.geometry)
         values = np.broadcast_to(clean.values,
                                  (cell.trials, len(clean.values)))
         if cell.snr_db is not None:
@@ -319,13 +324,17 @@ def _axis_geometries(config: ScenarioConfig, field: str) -> list:
 def run_lo_ratio_sweep(config: ScenarioConfig) -> SweepResult:
     """DoA RMSE versus LO-to-signal amplitude ratio.
 
-    Every cell synthesizes through the full fluorescence pipeline: the
-    analytic path is linearization-exact by construction and cannot show
-    the weak-LO breakdown this sweep demonstrates.
+    The cells are the rows of one fluorescence readout over their LO
+    amplitudes: the analytic path is linearization-exact by construction
+    and cannot show the weak-LO breakdown this sweep demonstrates.
     """
-    return SweepResult(config.sweep.values, tuple(_mc_sweep(config, (
-        {"scene": scenarios.with_lo_ratio(config.scene, float(ratio))}
-        for ratio in config.sweep.values), fluorescence=True)), None)
+    scenes = [scenarios.with_lo_ratio(config.scene, float(ratio))
+              for ratio in config.sweep.values]
+    readout = sensing.simulate_measurements(
+        config.scene, config.geometry, config.params,
+        [scene.lo.amplitude for scene in scenes])
+    return SweepResult(config.sweep.values, tuple(_mc_sweep(config, zip(
+        ({"scene": scene} for scene in scenes), readout.values))), None)
 
 
 SNR_PRESETS = {
@@ -345,11 +354,15 @@ def run_snr_sweep(config: ScenarioConfig) -> dict[str, SweepResult]:
     values = config.sweep.values
     scenes = {name: _preset_scene(config, angles)
               for name, angles in SNR_PRESETS.items()}
-    mc = iter(_mc_sweep(config, (
-        {"scene": scene, "snr_db": float(snr), "prony": replace(
-            config.prony, model_order=2 * scene.n_signals,
-            target_count=scene.n_signals)}
-        for scene in scenes.values() for snr in values)))
+    cells = []
+    for scene in scenes.values():
+        clean = sensing.predicted_measurements(scene, config.geometry,
+                                               config.params).values
+        prony = replace(config.prony, model_order=2 * scene.n_signals,
+                        target_count=scene.n_signals)
+        cells += [({"scene": scene, "snr_db": float(snr), "prony": prony},
+                   clean) for snr in values]
+    mc = iter(_mc_sweep(config, cells))
     results = {name: SweepResult(values, tuple(next(mc) for _ in values),
                                  None) for name in scenes}
     results["single_15"] = replace(results["single_15"], crlb_std_rad=tuple(
@@ -493,10 +506,10 @@ def run_sweep(config: ScenarioConfig) -> dict:
     order the files are written."""
     sweep = config.sweep
     if sweep.kind == "linearization_check":
-        ratios = sorted(sweep.values)
         return {"linearization_check": run_linearization_check(
-            config.params, scenarios.with_lo_ratio(config.scene, ratios[0]),
-            scenarios.with_lo_ratio(config.scene, ratios[-1]),
+            config.params, config.scene,
+            [scenarios.with_lo_ratio(config.scene, r).lo.amplitude
+             for r in (min(sweep.values), max(sweep.values))],
             config.geometry.grid(config.scene.rf_wavelength))}
     if sweep.kind == "crlb_length":
         return {f"length_sweep_theta{angle:g}": result

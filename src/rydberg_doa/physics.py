@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -122,12 +122,6 @@ class RfScene:
         """Signal phases relative to the LO phase."""
         return np.array([s.phase - self.lo.phase for s in self.signals])
 
-    @property
-    def stack_key(self) -> tuple:
-        """Everything but the LO amplitude: scenes with equal keys stack in
-        field_intensity."""
-        return (self.signals, self.carrier_freq, self.lo.phase, self.lo.angle)
-
     def is_identifiable(self) -> bool:
         """True when all beat wavenumbers are distinct and nonzero: more
         than 1e-9 of the wavenumber from zero and from each other."""
@@ -137,44 +131,37 @@ class RfScene:
         return bool(diffs.min() > 1e-9 * max(self.wavenumber, 1.0))
 
 
-def scene_stack(scene) -> tuple[RfScene, ...]:
-    """One RfScene as a stack of one, or a sequence of scenes as a stack;
-    the scenes of a stack must share stack_key (they differ only in LO
-    amplitude)."""
-    scenes = (scene,) if isinstance(scene, RfScene) else tuple(scene)
-    if not scenes or any(s.stack_key != scenes[0].stack_key
-                         for s in scenes[1:]):
-        raise ValueError("a scene stack needs scenes that differ only in "
-                         "LO amplitude")
-    return scenes
-
-
-def field_intensity(scene, x) -> np.ndarray | float:
+def field_intensity(scene: RfScene, x,
+                    lo_amplitudes=None) -> np.ndarray | float:
     """|E_RF(x)|^2 expanded term by term: LO self-term, signal self-terms,
     signal-LO beats, and all signal-signal cross-terms.
 
-    scene is one RfScene, or a stack of C scenes (see scene_stack) that
-    gains the result a leading axis of C rows. The beat cosines and the
-    signal-signal terms are computed once, and each row adds its terms in
-    the order of a one-scene call, so row c equals the result for scene c
-    alone bit for bit.
+    Given lo_amplitudes, C LO amplitudes (V/m), each strictly positive as
+    RfScene's, the result gains a leading axis of C rows, row c for the
+    scene with its LO amplitude set to lo_amplitudes[c]. The beat cosines
+    and the signal-signal terms are computed once, and each row adds its
+    terms in the order of a one-scene call, so row c equals that call bit
+    for bit.
     """
-    scenes = scene_stack(scene)
+    amplitudes = ((scene.lo.amplitude,) if lo_amplitudes is None
+                  else tuple(map(float, lo_amplitudes)))
+    if not all(a > 0 for a in amplitudes):
+        raise ValueError("LO amplitude must be strictly positive")
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
-    first, sigs = scenes[0], scenes[0].signals
+    sigs = scene.signals
     column = (-1,) + (1,) * x.ndim
-    twice_lo = (2 * np.array([s.lo.amplitude for s in scenes])).reshape(column)
+    twice_lo = (2 * np.array(amplitudes)).reshape(column)
     power = np.sum(np.array([s.amplitude for s in sigs])**2)
-    out = np.empty((len(scenes),) + x.shape)
-    out[...] = np.reshape([s.lo.amplitude**2 + power for s in scenes], column)
-    for s, dk, dphi in zip(sigs, first.delta_ks, first.delta_phis):
+    out = np.empty((len(amplitudes),) + x.shape)
+    out[...] = np.reshape([a**2 + power for a in amplitudes], column)
+    for s, dk, dphi in zip(sigs, scene.delta_ks, scene.delta_phis):
         out += twice_lo * s.amplitude * np.cos(dk * x - dphi)
     for a, b in itertools.combinations(sigs, 2):
-        out += 2 * a.amplitude * b.amplitude * np.cos(first.wavenumber * (
+        out += 2 * a.amplitude * b.amplitude * np.cos(scene.wavenumber * (
             np.sin(a.angle) - np.sin(b.angle)) * x - (b.phase - a.phase))
-    return out[0] if isinstance(scene, RfScene) else out
+    return out[0] if lo_amplitudes is None else out
 
 
 def linearization_constants(params: AtomicParams) -> tuple[float, float]:
@@ -220,18 +207,22 @@ def intensity_response_derivative(params: AtomicParams,
     return -2 * beta * q**2 / shifted**3 / denom
 
 
-def absorption_dc(params: AtomicParams, scene: RfScene) -> float:
-    """Uniform absorption coefficient of the LO-only field, 1/m."""
-    c_scale, _ = linearization_constants(params)
-    return c_scale * intensity_response(params, scene.lo.amplitude**2)
+def absorption_dc(params: AtomicParams, scene: RfScene,
+                  lo_amplitudes=None) -> np.ndarray | float:
+    """Uniform absorption coefficient of the LO-only field, 1/m: the exact
+    absorption of the scene without its signals, one value per LO
+    amplitude given (see field_intensity)."""
+    return absorption_exact(params, replace(scene, signals=()), 0.0,
+                            lo_amplitudes)
 
 
-def absorption_exact(params: AtomicParams, scene,
-                     x) -> np.ndarray | float:
-    """Exact local absorption coefficient alpha(x) = C*f(|E_RF(x)|^2), of
-    one scene or, row by row, of a stack of scenes (see field_intensity)."""
+def absorption_exact(params: AtomicParams, scene: RfScene, x,
+                     lo_amplitudes=None) -> np.ndarray | float:
+    """Exact local absorption coefficient alpha(x) = C*f(|E_RF(x)|^2), one
+    row per LO amplitude given (see field_intensity)."""
     c_scale, _ = linearization_constants(params)
-    return c_scale * intensity_response(params, field_intensity(scene, x))
+    return c_scale * intensity_response(
+        params, field_intensity(scene, x, lo_amplitudes))
 
 
 def modulation_amplitudes(params: AtomicParams, scene: RfScene) -> np.ndarray:

@@ -7,9 +7,9 @@ rule computes them all, composite 4-node Gauss-Legendre on equal panels
 of at most lambda/4, so the Monte Carlo path reads the windows with no
 simulation grid, and the grid only samples the fluorescence image
 exp(-optical depth) for fluorescence.csv. The readout then calibrates
-away the LO-only background and injects measurement noise. It takes one
-scene, or a stack of scenes with a leading axis, one row per scene;
-every row equals the readout of its scene alone.
+away the LO-only background and injects measurement noise. Given LO
+amplitudes, the window readout of a scene has a row per amplitude, each
+equal to the readout of the scene at that amplitude alone.
 """
 
 from __future__ import annotations
@@ -70,8 +70,7 @@ class SensorGeometry:
 
 @dataclass(frozen=True)
 class FluorescenceProfile:
-    """The probe's optical depth sampled on a grid: one profile (n,), or a
-    stack (..., n) of profiles over the same positions."""
+    """The probe's optical depth sampled on a grid of positions."""
 
     positions: np.ndarray
     optical_depth: np.ndarray
@@ -81,8 +80,8 @@ class FluorescenceProfile:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if self.optical_depth.shape[-1:] != self.positions.shape:
-            raise ValueError("optical_depth needs one column per position")
+        if self.optical_depth.shape != self.positions.shape:
+            raise ValueError("optical_depth needs one value per position")
 
     @property
     def fluorescence(self) -> np.ndarray:
@@ -161,25 +160,25 @@ def gauss_legendre(f, lo: np.ndarray, hi: np.ndarray,
     return half * total
 
 
-def _absorption_integrals(scene, params: physics.AtomicParams,
-                          lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Integral of the exact absorption of a scene or a stack over each
-    interval [lo_i, hi_i], on panels of at most lambda/4: (..., m)."""
+def _absorption_integrals(scene: physics.RfScene,
+                          params: physics.AtomicParams, lo: np.ndarray,
+                          hi: np.ndarray, lo_amplitudes=None) -> np.ndarray:
+    """Integral of the exact absorption over each interval [lo_i, hi_i],
+    on panels of at most lambda/4: (m,), or (C, m) for C LO amplitudes."""
     return gauss_legendre(
-        lambda x: physics.absorption_exact(params, scene, x), lo, hi,
-        physics.scene_stack(scene)[0].rf_wavelength / 4)
+        lambda x: physics.absorption_exact(params, scene, x, lo_amplitudes),
+        lo, hi, scene.rf_wavelength / 4)
 
 
-def propagate_probe(scene, geometry: SensorGeometry,
+def propagate_probe(scene: physics.RfScene, geometry: SensorGeometry,
                     params: physics.AtomicParams) -> FluorescenceProfile:
-    """The probe's optical depth through the cell on the simulation grid,
-    one profile (n,) or, for a stack of scenes, (C, n): from 0 at x = 0,
-    the running sum of the absorption's integral over each grid
-    interval."""
-    x = geometry.grid(physics.scene_stack(scene)[0].rf_wavelength)
-    steps = _absorption_integrals(scene, params, x[:-1], x[1:])
-    depth = np.zeros(steps.shape[:-1] + x.shape)
-    np.cumsum(steps, axis=-1, out=depth[..., 1:])
+    """The probe's optical depth through the cell on the simulation grid:
+    from 0 at x = 0, the running sum of the absorption's integral over
+    each grid interval."""
+    x = geometry.grid(scene.rf_wavelength)
+    depth = np.zeros(x.shape)
+    np.cumsum(_absorption_integrals(scene, params, x[:-1], x[1:]),
+              out=depth[1:])
     return FluorescenceProfile(positions=x, optical_depth=depth)
 
 
@@ -194,13 +193,15 @@ def recover_alpha(fluorescence: np.ndarray) -> np.ndarray:
     return log_f[..., :1] - log_f
 
 
-def channel_measurements(scene, geometry: SensorGeometry,
-                         params: physics.AtomicParams) -> np.ndarray:
+def channel_measurements(scene: physics.RfScene, geometry: SensorGeometry,
+                         params: physics.AtomicParams,
+                         lo_amplitudes=None) -> np.ndarray:
     """Integral of the exact absorption over each window, its edges
-    clipped to [0, cell_length]: (K,) for one scene, (C, K) for a stack."""
+    clipped to [0, cell_length]: (K,), or (C, K) for C LO amplitudes."""
     lo, hi = geometry.window_edges
     return _absorption_integrals(scene, params, np.maximum(lo, 0.0),
-                                 np.minimum(hi, geometry.cell_length))
+                                 np.minimum(hi, geometry.cell_length),
+                                 lo_amplitudes)
 
 
 def calibrate(values: np.ndarray, geometry: SensorGeometry,
@@ -265,27 +266,18 @@ def predicted_measurements(scene: physics.RfScene, geometry: SensorGeometry,
     return MeasurementVector(values=values, geometry=geometry)
 
 
-def simulate_measurements(scene, geometry: SensorGeometry,
-                          params: physics.AtomicParams) -> MeasurementVector:
+def simulate_measurements(scene: physics.RfScene, geometry: SensorGeometry,
+                          params: physics.AtomicParams,
+                          lo_amplitudes=None) -> MeasurementVector:
     """Calibrated window integrals of the exact nonlinear absorption.
 
-    scene is one RfScene, or a stack of scenes that differ only in LO
-    amplitude (physics.scene_stack): the values then gain a leading axis,
-    and row c equals the measurements of scene c alone bit for bit.
+    Given lo_amplitudes, C LO amplitudes (V/m), the values gain a leading
+    axis, and row c equals the measurements of the scene with its LO
+    amplitude set to lo_amplitudes[c] bit for bit.
     """
-    raw = channel_measurements(scene, geometry, params)
-    alpha_dc = [physics.absorption_dc(params, s)
-                for s in physics.scene_stack(scene)]
-    return calibrate(raw, geometry, np.reshape(alpha_dc, raw.shape[:-1]))
-
-
-def fluorescence_readout(scene, geometry: SensorGeometry,
-                         params: physics.AtomicParams
-                         ) -> tuple[FluorescenceProfile, MeasurementVector]:
-    """The probe's profile on the grid and the calibrated measurements,
-    of one scene or of a stack (see simulate_measurements)."""
-    return (propagate_probe(scene, geometry, params),
-            simulate_measurements(scene, geometry, params))
+    return calibrate(
+        channel_measurements(scene, geometry, params, lo_amplitudes),
+        geometry, physics.absorption_dc(params, scene, lo_amplitudes))
 
 
 def snr_ratio(snr_db: float) -> float:

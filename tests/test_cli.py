@@ -396,8 +396,8 @@ class TestSimulate:
                          "--config", cfg, "--out", str(out)]) == 0
         result = json.loads((out / "estimation.json").read_text())
         sc = load_config(cfg).scenario
-        _, measurement = sensing.fluorescence_readout(sc.scene, sc.geometry,
-                                                      sc.params)
+        measurement = sensing.simulate_measurements(sc.scene, sc.geometry,
+                                                    sc.params)
         want = estimate_doa(measurement, (sc.scene.wavenumber,
                                           sc.scene.lo.angle), sc.prony)
         assert result["doas_rad"] == want.doas.tolist()
@@ -408,8 +408,8 @@ class TestSimulate:
         cfg = write_config(tmp_path, base_doc(out))
         assert cli.main(["simulate", "--config", cfg]) == 0
         sc = load_config(cfg).scenario
-        _, want = sensing.fluorescence_readout(sc.scene, sc.geometry,
-                                               sc.params)
+        want = sensing.simulate_measurements(sc.scene, sc.geometry,
+                                             sc.params)
         _, got = serialize.read_measurement_csv(out / "measurement.csv")
         np.testing.assert_array_equal(got, want.values)
 

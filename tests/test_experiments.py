@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -92,6 +93,54 @@ class TestMcRmse:
         got = match_errors(np.array([[1.0, 2.0]]), np.array([0.25, 0.5]))
         np.testing.assert_array_equal(got, [[0.75, 1.5]])
 
+    @staticmethod
+    def brute_force_matching(row, truth):
+        """The errors of the first pairing, in permutations order, whose
+        total is smallest."""
+        best = None
+        for perm in itertools.permutations(range(len(truth))):
+            cand = np.abs(row - truth[list(perm)])
+            if best is None or cand.sum() < best.sum():
+                best = cand
+        return best
+
+    @pytest.mark.parametrize("chunk", [720, 5])
+    @pytest.mark.parametrize("n, rows, values", [
+        (4, 200, "integers"), (5, 40, "integers"), (7, 4, "uniform")])
+    def test_chunked_matching_is_the_brute_force(self, monkeypatch, chunk,
+                                                 n, rows, values):
+        # integer angles tie exactly and often, across chunk boundaries
+        monkeypatch.setattr(experiments, "MATCH_CHUNK", chunk)
+        rng = np.random.default_rng(n)
+        draw = ((lambda size: rng.integers(0, 3, size).astype(float))
+                if values == "integers" else
+                (lambda size: rng.uniform(-1.0, 1.0, size)))
+        truth, est = draw(n), draw((rows, n))
+        got = match_errors(est, truth)
+        for row, errors in zip(est, got):
+            np.testing.assert_array_equal(
+                errors, self.brute_force_matching(row, truth))
+
+    def test_all_pairings_tie_and_the_identity_wins(self):
+        # every estimate beyond every truth: all 5,040 pairings total 70,
+        # over seven chunks
+        np.testing.assert_array_equal(
+            match_errors(np.arange(10.0, 17.0), np.arange(7.0)),
+            np.full(7, 10.0))
+
+    def test_matching_memory_is_bounded(self):
+        # the costs of 720 pairings at a time, not of all 5,040
+        rng = np.random.default_rng(7)
+        truth, est = rng.uniform(-1.0, 1.0, 7), rng.uniform(-1.0, 1.0,
+                                                            (20, 7))
+        tracemalloc.start()
+        try:
+            match_errors(est, truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
+
     @pytest.mark.parametrize("estimated", [[0.42], [[0.1, 0.2, 0.3]]])
     def test_matching_needs_one_estimate_per_truth(self, estimated):
         with pytest.raises(ValueError, match="one estimate per truth"):
@@ -168,22 +217,40 @@ def assert_rows_match(stack, meta, prony) -> set:
 
 
 class TestLinearizationCheck:
+    @staticmethod
+    def lo_amplitudes(scene, ratios=(1.0, 10.0)):
+        return [scenarios.with_lo_ratio(scene, r).lo.amplitude
+                for r in ratios]
+
     def test_residual_ratio_bracket(self, params, two_target, geometry):
         grid = geometry.grid(two_target.rf_wavelength)
         check = run_linearization_check(
-            params, scenarios.with_lo_ratio(two_target, 1.0),
-            scenarios.with_lo_ratio(two_target, 10.0), grid)
+            params, two_target, self.lo_amplitudes(two_target), grid)
         assert 4.0 <= check.residual_ratio <= 30.0
+
+    def test_rows_are_the_one_scene_profiles(self, params, two_target,
+                                             geometry):
+        # each LO level's exact profile is the one-scene call, bit for bit
+        grid = geometry.grid(two_target.rf_wavelength)
+        weak, strong = (scenarios.with_lo_ratio(two_target, r)
+                        for r in (1.0, 10.0))
+        check = run_linearization_check(
+            params, two_target, self.lo_amplitudes(two_target), grid)
+        for exact, linear, scene in ((check.exact_weak, check.linear_weak,
+                                      weak),
+                                     (check.exact_strong,
+                                      check.linear_strong, strong)):
+            assert np.array_equal(exact, physics.absorption_exact(
+                params, scene, grid))
+            assert np.array_equal(linear, physics.absorption_linearized(
+                params, scene, grid))
 
     def test_zero_signal_scene_no_residual(self, params, geometry,
                                            rf_wavelength):
-        lo_only_weak = RfScene(lo=PlaneWave(1e-5, 0.0, np.pi / 2),
-                               carrier_freq=2.03e9)
-        lo_only_strong = RfScene(lo=PlaneWave(1e-4, 0.0, np.pi / 2),
-                                 carrier_freq=2.03e9)
+        lo_only = RfScene(lo=PlaneWave(1e-5, 0.0, np.pi / 2),
+                          carrier_freq=2.03e9)
         grid = geometry.grid(rf_wavelength)
-        check = run_linearization_check(params, lo_only_weak,
-                                        lo_only_strong, grid)
+        check = run_linearization_check(params, lo_only, (1e-5, 1e-4), grid)
         # zero raw residual: the profiles agree sample for sample
         np.testing.assert_array_equal(check.exact_weak, check.linear_weak)
         np.testing.assert_array_equal(check.exact_strong,
@@ -192,18 +259,11 @@ class TestLinearizationCheck:
         assert check.residual_strong == 0.0
         assert np.isnan(check.residual_ratio)
 
-    def test_rejects_mismatched_signals(self, params, two_target, geometry):
-        other = scenarios.scene_from_angles((10.0, 20.0))
-        with pytest.raises(ValueError):
-            run_linearization_check(params, two_target, other,
-                                    geometry.grid(two_target.rf_wavelength))
-
     def test_csv_row_count_matches_grid(self, params, two_target, geometry,
                                         tmp_path):
         grid = geometry.grid(two_target.rf_wavelength)
         check = run_linearization_check(
-            params, scenarios.with_lo_ratio(two_target, 1.0),
-            scenarios.with_lo_ratio(two_target, 10.0), grid)
+            params, two_target, self.lo_amplitudes(two_target), grid)
         path = tmp_path / "check.csv"
         serialize.write_linearization_csv(check, path)
         lines = path.read_text().strip().splitlines()
@@ -320,22 +380,30 @@ def solve_rows(monkeypatch):
 
 @pytest.fixture()
 def readout_stacks(monkeypatch):
-    """Scene counts of every fluorescence readout the engine makes."""
+    """LO row counts of every fluorescence readout the engine makes."""
     stacks = []
     readout = sensing.simulate_measurements
 
-    def recording(scenes, *args):
-        stacks.append(len(scenes))
-        return readout(scenes, *args)
+    def recording(scene, geometry, params, lo_amplitudes=None):
+        stacks.append(1 if lo_amplitudes is None else len(lo_amplitudes))
+        return readout(scene, geometry, params, lo_amplitudes)
 
     monkeypatch.setattr(sensing, "simulate_measurements", recording)
     return stacks
 
 
+def analytic_cells(config, overrides):
+    """(overrides, clean) pairs of the engine, each cell's clean values
+    the analytic vector of its scene."""
+    return [(o, sensing.predicted_measurements(
+        o.get("scene", config.scene), config.geometry,
+        config.params).values) for o in overrides]
+
+
 class TestMcSweepStacking:
     """Cells that share a prediction system run as one solve, the cells of
-    an LO-ratio sweep as one fluorescence readout, and every cell keeps
-    exactly the result of its own one-cell run."""
+    an LO-ratio sweep from one fluorescence readout of its LO rows, and
+    every cell keeps exactly the result of its own one-cell run."""
 
     def test_fluorescence_cells_share_one_solve(self, base_config,
                                                 solve_rows, readout_stacks):
@@ -345,9 +413,13 @@ class TestMcSweepStacking:
         result = run_lo_ratio_sweep(cfg)
         assert solve_rows == [len(ratios)]
         assert readout_stacks == [len(ratios)]
-        cells = [experiments._mc_sweep(seeded_cell(
-            cfg, c, scene=scenarios.with_lo_ratio(cfg.scene, ratio)), ({},),
-            fluorescence=True)[0] for c, ratio in enumerate(ratios)]
+        cells = []
+        for c, ratio in enumerate(ratios):
+            scene = scenarios.with_lo_ratio(cfg.scene, ratio)
+            clean = sensing.simulate_measurements(scene, cfg.geometry,
+                                                  cfg.params).values
+            cells += experiments._mc_sweep(
+                seeded_cell(cfg, c, scene=scene), [({}, clean)])
         assert len({cell.rmse_rad for cell in result.cells}) == len(ratios)
         assert result.cells == tuple(cells)
 
@@ -373,7 +445,8 @@ class TestMcSweepStacking:
             "close_pair"], lo_angle=scene.lo.angle)
         cells = ({"scene": scene}, {"scene": silent},
                  {"scene": close, "snr_db": 35.0}, {"scene": scene})
-        results = experiments._mc_sweep(base_config, cells)
+        results = experiments._mc_sweep(
+            base_config, analytic_cells(base_config, cells))
         assert solve_rows == [3 * base_config.trials]
         assert results[1] == experiments.McResult(
             rmse_rad=np.inf, failures=base_config.trials,
@@ -400,7 +473,8 @@ class TestMcSweepStacking:
         monkeypatch.setattr(experiments, "MC_STACK_ROWS", 100)
         sizes = (30, 50, 40, 150, 10, 60)
         cells = tuple({"trials": n, "snr_db": 15.0} for n in sizes)
-        results = experiments._mc_sweep(base_config, cells)
+        results = experiments._mc_sweep(
+            base_config, analytic_cells(base_config, cells))
         assert solve_rows == [80, 40, 150, 70]
         assert results == [mc_rmse(seeded_cell(base_config, c, **o))
                            for c, o in enumerate(cells)]
@@ -417,16 +491,15 @@ class TestMcSweepStacking:
         # Cells A, B, A: the two A cells share a system but are not
         # neighbours, so each cell runs in its own solve.
         cells = ({}, other(base_config), {})
-        results = experiments._mc_sweep(base_config, cells)
+        results = experiments._mc_sweep(
+            base_config, analytic_cells(base_config, cells))
         assert solve_rows == [base_config.trials] * 3
         assert results == [mc_rmse(seeded_cell(base_config, c, **o))
                            for c, o in enumerate(cells)]
 
     def test_no_cells_give_no_results(self, base_config, solve_rows,
                                       readout_stacks):
-        for fluorescence in (False, True):
-            assert experiments._mc_sweep(base_config, (),
-                                         fluorescence=fluorescence) == []
+        assert experiments._mc_sweep(base_config, ()) == []
         assert solve_rows == []
         assert readout_stacks == []
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.integrate import fixed_quad, quad
 
@@ -316,10 +317,10 @@ class TestChannelMeasurements:
 
     def test_rejects_depth_not_on_positions(self):
         # a (2, 6) depth over 4 positions would otherwise be written at
-        # positions it does not hold
+        # positions it does not hold, and a profile holds one depth row
         x = np.linspace(0.0, 1.0, 4)
-        for depth in (np.ones((2, 6)), np.ones(3)):
-            with pytest.raises(ValueError, match="one column per position"):
+        for depth in (np.ones((2, 6)), np.ones(3), np.ones((2, 4))):
+            with pytest.raises(ValueError, match="one value per position"):
                 FluorescenceProfile(positions=x, optical_depth=depth)
 
     @pytest.mark.parametrize("lead", [(0,), (2, 0)])
@@ -401,13 +402,14 @@ class TestChannelMeasurements:
                                                       two_target):
         # the last window overhangs the cell by less than the 1e-9 of a
         # pitch that SensorGeometry allows: it is integrated up to the
-        # cell's end, in a stack as alone
+        # cell's end, in an LO row as alone
         lam = two_target.rf_wavelength
         geom = SensorGeometry(4 * lam * (1 - 1e-11), lam / 4, lam / 4)
         lo, hi = geom.window_edges
         assert geom.channel_count == 16 and hi[-1] > geom.cell_length
         scenes = [scenarios.with_lo_ratio(two_target, r) for r in (2, 20)]
-        values = sensing.channel_measurements(scenes, geom, params)
+        values = sensing.channel_measurements(
+            two_target, geom, params, [s.lo.amplitude for s in scenes])
         for row, scene in zip(values, scenes):
             assert np.array_equal(row, sensing.channel_measurements(
                 scene, geom, params))
@@ -455,6 +457,11 @@ class TestReadoutAccuracy:
         if points_per_wavelength is not None:
             geom = replace(geom, grid_points_per_rf_wavelength=(
                 points_per_wavelength))
+        return TestReadoutAccuracy.scene_error(scene, geom, params)
+
+    @staticmethod
+    def scene_error(scene, geom, params):
+        """Largest error over the windows of the scene's readout on geom."""
         dc = physics.absorption_dc(params, scene)
         lo, hi = geom.window_edges
         truth = np.array([
@@ -475,6 +482,24 @@ class TestReadoutAccuracy:
         # one panel a window at 0.137 lambda, two at 0.3 and 0.5, four at 1
         errors = [self.error("fig3c", ratio, width_wavelengths)
                   for ratio in self.RATIOS]
+        assert max(errors) <= READOUT_TOL, errors
+
+    # Measured 1.3e-5, 1.8e-5 and 2.6e-5 at -85 deg, and 6.3e-6, 6.7e-6
+    # and 7.6e-6 at -60 deg, at LO ratios 1, 20 and 50.
+    @pytest.mark.xfail(strict=True, reason=(
+        "the FOUND line in CHANGES.md on sensing._absorption_integrals: "
+        "panels are capped at lambda/4 whatever the fastest beat, which "
+        "nears 2k for a target near -90 deg with the LO at +90 deg"))
+    @pytest.mark.parametrize("bearing_deg", [-85.0, -60.0])
+    def test_bearings_far_from_the_lo_match_quadrature(self, params,
+                                                       bearing_deg):
+        # one target, LO at 90 deg, lambda/4 windows on an 8 lambda cell
+        scene = scenarios.scene_from_angles((bearing_deg,))
+        lam = scene.rf_wavelength
+        geom = SensorGeometry(8 * lam, lam / 4, lam / 4)
+        errors = [self.scene_error(scenarios.with_lo_ratio(scene, ratio),
+                                   geom, params)
+                  for ratio in (1.0, 20.0, 50.0)]
         assert max(errors) <= READOUT_TOL, errors
 
     @pytest.mark.parametrize("points_per_wavelength, bound",
@@ -502,14 +527,18 @@ class TestReadoutAccuracy:
     def test_windows_do_not_depend_on_the_grid(self, width_wavelengths):
         # the grid density sets only how finely the image is sampled
         scenario = load_config(ROOT / "configs" / "fig3c.json").scenario
-        scenes = [scenarios.with_lo_ratio(scenario.scene, r) for r in (2, 20)]
+        scene = scenario.scene
+        rows = [scenarios.with_lo_ratio(scene, r).lo.amplitude
+                for r in (2, 20)]
         geom = replace(scenario.geometry, window_width=width_wavelengths
-                       * scenario.scene.rf_wavelength)
-        for scene in (scenes[0], scenes):
-            want = sensing.simulate_measurements(scene, geom, scenario.params)
+                       * scene.rf_wavelength)
+        for lo_amplitudes in (None, rows):
+            want = sensing.simulate_measurements(scene, geom, scenario.params,
+                                                 lo_amplitudes)
             for n in (2, 32, 256):
                 got = sensing.simulate_measurements(scene, replace(
-                    geom, grid_points_per_rf_wavelength=n), scenario.params)
+                    geom, grid_points_per_rf_wavelength=n), scenario.params,
+                    lo_amplitudes)
                 assert np.array_equal(got.values, want.values)
 
     @pytest.mark.parametrize("ratio", [2.0, 20.0])
@@ -566,15 +595,15 @@ class TestPanelReadoutEquivalence:
             n = int(rng.integers(1, 4))
             base = scenarios.scene_from_angles(
                 rng.uniform(-70.0, 70.0, n), phases=rng.uniform(0, 6.3, n))
-            scenes = [scenarios.with_lo_ratio(base, r)
-                      for r in np.exp(rng.uniform(np.log(0.5), np.log(60),
-                                                  3))]
+            ratios = np.exp(rng.uniform(np.log(0.5), np.log(60), 3))
             lam = base.rf_wavelength
             geom = SensorGeometry(int(rng.integers(1, 20)) * lam, lam / 4,
                                   lam / 4, int(rng.choice([16, 64, 256,
                                                            1024])))
-            self.assert_routes_match(
-                sensing.propagate_probe(scenes, geom, params), geom, 1e-10)
+            for ratio in ratios:
+                self.assert_routes_match(sensing.propagate_probe(
+                    scenarios.with_lo_ratio(base, ratio), geom, params),
+                    geom, 1e-10)
 
     @pytest.mark.parametrize("name", sorted(
         p.stem for p in (ROOT / "configs").glob("*.json")))
@@ -586,8 +615,8 @@ class TestPanelReadoutEquivalence:
 
     def test_depth_is_minus_log_probe_power(self, params, two_target,
                                             geometry):
-        scenes = [scenarios.with_lo_ratio(two_target, r) for r in (2, 50)]
-        for scene in (two_target, scenes):
+        for scene in [two_target] + [scenarios.with_lo_ratio(two_target, r)
+                                     for r in (2, 50)]:
             profile = sensing.propagate_probe(scene, geometry, params)
             assert np.array_equal(sensing.recover_alpha(
                 profile.fluorescence), -np.log(profile.fluorescence))
@@ -631,37 +660,39 @@ class TestCalibrate:
 
 
 class TestStackedReadout:
-    """A stack of scenes that differ only in LO amplitude reads out in one
-    call, and every row equals the readout of its scene alone bit for bit:
-    its profile and measurements equal a one-scene call, and agree with
-    the per-scene quadrature oracle."""
+    """A scene's exact readout at several LO amplitudes, as the rows of one
+    call: every row equals the one-scene call at its amplitude bit for bit
+    (test_every_lo_row_is_its_one_scene_call draws the general case), and
+    every one-scene readout agrees with the per-scene quadrature oracle."""
 
     RATIOS = (2.0, 4.7, 13.0, 50.0)
     BEARINGS = {1: (-35.0,), 2: (-20.0, 25.0), 3: (-50.0, 5.0, 40.0)}
 
     @staticmethod
-    def stack(n_targets, ratios):
-        base = scenarios.scene_from_angles(
+    def base(n_targets):
+        return scenarios.scene_from_angles(
             TestStackedReadout.BEARINGS[n_targets],
             phases=(0.3, 3.5, 5.4)[:n_targets])
-        return [scenarios.with_lo_ratio(base, r) for r in ratios]
 
     @staticmethod
-    def assert_rows_match(scenes, geometry, params):
-        profile, measurement = sensing.fluorescence_readout(
-            scenes, geometry, params)
+    def rows(scene, ratios):
+        """The scene at each LO ratio, and those scenes' LO amplitudes."""
+        scenes = [scenarios.with_lo_ratio(scene, r) for r in ratios]
+        return scenes, [s.lo.amplitude for s in scenes]
+
+    @staticmethod
+    def assert_rows_match(scene, ratios, geometry, params):
+        scenes, amplitudes = TestStackedReadout.rows(scene, ratios)
+        measurement = sensing.simulate_measurements(scene, geometry, params,
+                                                    amplitudes)
         assert measurement.values.shape == (len(scenes),
                                             geometry.channel_count)
-        for c, scene in enumerate(scenes):
-            want_profile, want = sensing.fluorescence_readout(
-                scene, geometry, params)
-            assert np.array_equal(profile.positions, want_profile.positions)
-            for name in ("optical_depth", "fluorescence"):
-                assert np.array_equal(getattr(profile, name)[c],
-                                      getattr(want_profile, name))
-            assert np.array_equal(measurement.values[c], want.values)
+        for row, at in zip(measurement.values, scenes):
+            want = sensing.simulate_measurements(at, geometry, params)
+            assert np.array_equal(row, want.values)
             TestStackedReadout.assert_matches_oracle(
-                want_profile, want, scene, geometry, params)
+                sensing.propagate_probe(at, geometry, params), want, at,
+                geometry, params)
 
     @staticmethod
     def assert_matches_oracle(profile, measurement, scene, geometry, params):
@@ -681,59 +712,66 @@ class TestStackedReadout:
     def test_rows_equal_per_scene_readout(self, params, n_targets,
                                           cell_wavelengths,
                                           points_per_wavelength):
-        scenes = self.stack(n_targets, self.RATIOS)
-        lam = scenes[0].rf_wavelength
+        scene = self.base(n_targets)
+        lam = scene.rf_wavelength
         geom = SensorGeometry(cell_wavelengths * lam, lam / 4, lam / 4,
                               points_per_wavelength)
-        self.assert_rows_match(scenes, geom, params)
+        self.assert_rows_match(scene, self.RATIOS, geom, params)
 
     @pytest.mark.parametrize("width_wavelengths", [0.3, 1.0])
     @pytest.mark.parametrize("n_targets", [1, 2, 3])
     def test_split_windows_rows_equal_per_scene(self, params, n_targets,
                                                 width_wavelengths):
         # windows of two and of four lambda/4 panels
-        scenes = self.stack(n_targets, self.RATIOS)
-        lam = scenes[0].rf_wavelength
+        scene = self.base(n_targets)
+        lam = scene.rf_wavelength
         geom = SensorGeometry(8 * lam, width_wavelengths * lam, lam / 4, 3)
-        self.assert_rows_match(scenes, geom, params)
+        self.assert_rows_match(scene, self.RATIOS, geom, params)
 
     @pytest.mark.parametrize("n_targets", [1, 2, 3])
     def test_physics_rows_equal_per_scene(self, params, n_targets):
-        scenes = self.stack(n_targets, self.RATIOS)
+        scenes, amplitudes = self.rows(self.base(n_targets), self.RATIOS)
         x = np.linspace(-0.3, 0.9, 1001)
-        field = physics.field_intensity(scenes, x)
-        alpha = physics.absorption_exact(params, scenes, x)
+        field = physics.field_intensity(scenes[0], x, amplitudes)
+        alpha = physics.absorption_exact(params, scenes[0], x, amplitudes)
         assert field.shape == alpha.shape == (len(scenes), x.size)
         for c, scene in enumerate(scenes):
             assert np.array_equal(field[c],
                                   field_intensity_per_scene(scene, x))
             assert np.array_equal(alpha[c], absorption_exact_per_scene(
                 params, scene, x))
-        assert physics.field_intensity(scenes[:1], 0.25).shape == (1,)
+        assert physics.field_intensity(scenes[0], 0.25,
+                                       amplitudes[:1]).shape == (1,)
         assert isinstance(physics.field_intensity(scenes[0], 0.25), float)
 
     @pytest.mark.parametrize("model", ["exact"])
     def test_single_scene_is_the_per_scene_readout(self, params, geometry,
                                                    two_target, model):
-        profile, got = sensing.fluorescence_readout(two_target, geometry,
-                                                    params)
-        self.assert_matches_oracle(profile, got, two_target, geometry,
-                                   params)
+        self.assert_matches_oracle(
+            sensing.propagate_probe(two_target, geometry, params),
+            sensing.simulate_measurements(two_target, geometry, params),
+            two_target, geometry, params)
 
     def test_stack_of_one(self, params, geometry, two_target):
-        self.assert_rows_match([two_target], geometry, params)
+        # one row at the scene's own LO amplitude is the one-scene call
+        got = sensing.simulate_measurements(two_target, geometry, params,
+                                            [two_target.lo.amplitude])
+        want = sensing.simulate_measurements(two_target, geometry, params)
+        assert got.values.shape == (1, geometry.channel_count)
+        assert np.array_equal(got.values[0], want.values)
 
     @pytest.mark.parametrize("points_per_wavelength", [2, 3, 5, 257])
     def test_channel_rows_equal_per_scene(self, params,
                                           points_per_wavelength):
         # windows of one, two and four panels, at any grid density: each
         # row equals its scene alone, and the default density's values
-        scenes = self.stack(2, self.RATIOS)
+        scenes, amplitudes = self.rows(self.base(2), self.RATIOS)
         lam = scenes[0].rf_wavelength
         for width in (0.25, 0.3, 1.0):
             geom = SensorGeometry(4 * lam, width * lam, lam / 4,
                                   points_per_wavelength)
-            got = sensing.channel_measurements(scenes, geom, params)
+            got = sensing.channel_measurements(scenes[0], geom, params,
+                                               amplitudes)
             for row, scene in zip(got, scenes):
                 assert np.array_equal(row, sensing.channel_measurements(
                     scene, geom, params))
@@ -757,21 +795,65 @@ class TestStackedReadout:
         with pytest.raises(SingularPoint) as single:
             fluorescence_readout_per_scene(singular, geometry, params)
         with pytest.raises(SingularPoint) as stacked:
-            sensing.fluorescence_readout(
-                [lo_only_scene(), singular], geometry, params)
+            sensing.simulate_measurements(lo_only_scene(), geometry, params,
+                                          [4e-5, float(amplitude)])
         assert str(stacked.value) == str(single.value)
 
-    def test_scenes_must_differ_only_in_lo_amplitude(self, params, geometry,
-                                                     two_target):
-        other = scenarios.with_lo_ratio(two_target, 7.0)
-        lo = two_target.lo
-        for bad in (replace(other, signals=other.signals[:1]),
-                    replace(other, carrier_freq=2.1e9),
-                    replace(other, lo=replace(lo, phase=0.5)),
-                    replace(other, lo=replace(lo, angle=0.5))):
-            with pytest.raises(ValueError, match="only in LO amplitude"):
-                sensing.fluorescence_readout([two_target, bad], geometry,
-                                             params)
+    @pytest.mark.parametrize("lo_amplitudes", [[4e-5, 0.0], [-1e-5],
+                                               [np.nan, 4e-5]])
+    def test_rejects_a_nonpositive_lo_amplitude(self, params, geometry,
+                                                lo_amplitudes):
+        # RfScene's own rule for its LO amplitude, row by row
+        with pytest.raises(ValueError,
+                           match="^LO amplitude must be strictly positive$"):
+            sensing.simulate_measurements(lo_only_scene(), geometry, params,
+                                          lo_amplitudes)
+
+
+@st.composite
+def lo_row_cases(draw):
+    """A scene of 1-3 targets, 1-5 LO amplitudes at ratios 0.5-1000 of
+    its summed signal amplitude, and a geometry of windows of 1-4
+    lambda/4 panels on a 2-6 lambda cell."""
+    n = draw(st.integers(1, 3))
+    scene = scenarios.scene_from_angles(
+        draw(st.lists(st.floats(-85.0, 85.0), min_size=n, max_size=n)),
+        phases=draw(st.lists(st.floats(0.0, 6.3), min_size=n, max_size=n)))
+    ratios = draw(st.lists(st.floats(0.5, 1000.0), min_size=1, max_size=5))
+    lam = scene.rf_wavelength
+    width = draw(st.floats(0.05, 1.0)) * lam
+    geometry = SensorGeometry(draw(st.integers(2, 6)) * lam, width, lam / 4)
+    return scene, ratios, geometry
+
+
+@settings(max_examples=60)
+@given(case=lo_row_cases())
+def test_every_lo_row_is_its_one_scene_call(params, case):
+    # Every row of the exact model's five entry points equals the
+    # one-scene call at its LO amplitude bit for bit, and a one-row call
+    # equals the scalar call.
+    scene, ratios, geometry = case
+    scenes = [scenarios.with_lo_ratio(scene, r) for r in ratios]
+    amplitudes = [s.lo.amplitude for s in scenes]
+    x = np.linspace(0.0, geometry.cell_length, 97)
+    calls = {
+        "field_intensity": lambda at, lo: physics.field_intensity(at, x, lo),
+        "absorption_exact": lambda at, lo: physics.absorption_exact(
+            params, at, x, lo),
+        "absorption_dc": lambda at, lo: physics.absorption_dc(params, at,
+                                                              lo),
+        "channel_measurements": lambda at, lo: sensing.channel_measurements(
+            at, geometry, params, lo),
+        "simulate_measurements": lambda at, lo: sensing.simulate_measurements(
+            at, geometry, params, lo).values,
+    }
+    for name, call in calls.items():
+        rows = call(scene, amplitudes)
+        assert np.shape(rows)[0] == len(scenes), name
+        for row, at in zip(rows, scenes):
+            assert np.array_equal(row, call(at, None)), name
+        assert np.array_equal(call(scene, [scene.lo.amplitude])[0],
+                              call(scene, None)), name
 
 
 class TestPredictedMeasurements:

@@ -32,14 +32,35 @@ def test_two_proportion_z_and_threshold():
     assert guard.base_seeds(3) == [7, 1007, 2007]
 
 
-def test_one_tree_against_itself_flags_no_cell(tmp_path, capsys):
-    guard = load_guard()
+def fig4_config(tmp_path, name="fig4.json", **geometry):
+    """configs/fig4.json at 10 trials a cell, with these geometry keys."""
     doc = json.loads((ROOT / "configs" / "fig4.json").read_text())
     doc["run"]["trials"] = 10
-    config = tmp_path / "fig4.json"
+    doc["geometry"].update(geometry)
+    config = tmp_path / name
     config.write_text(json.dumps(doc))
+    return config, doc
+
+
+def test_both_sides_must_run_the_same_cells():
+    guard = load_guard()
+    run = [(0.01, 10, 0)]
+    one, two = {("a.csv", "1"): run}, {("a.csv", "1"): run,
+                                       ("a.csv", "2"): run}
+    for parent, change, message in ((one, two, "on the change only"),
+                                    (two, one, "ran 1 times on the parent "
+                                               "and 0 on the change")):
+        with pytest.raises(SystemExit, match=message):
+            guard.compare(parent, change)
+
+
+def test_one_tree_against_itself_flags_no_cell(tmp_path, capsys):
+    # the two-config mode, one config against itself on this tree
+    guard = load_guard()
+    config, doc = fig4_config(tmp_path)
     out = tmp_path / "out"
-    assert guard.guard({"parent": ROOT, "change": ROOT}, config, 2, out) == 0
+    assert guard.main(["--config", str(config), "--versus", str(config),
+                       "--seeds", "2", "--out", str(out)]) == 0
     seeds = guard.base_seeds(2)
     parent = guard.read_cells(out / "parent-runs", seeds)
     change = guard.read_cells(out / "change-runs", seeds)
@@ -61,4 +82,36 @@ def test_help_exits_0_and_builds_nothing(tmp_path, monkeypatch, capsys):
                     "--out", str(tmp_path / "out"), "--help"])
     assert exc.value.code == 0
     assert "--seeds" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_config_that_moves_the_failure_rate_is_flagged(tmp_path, capsys):
+    # a one-wavelength cell has 4 channels, too few for the pairs' order
+    # 4, so every pair trial fails; the wide pair fails at most 2 of 20
+    # on the bundled cell
+    guard = load_guard()
+    config, doc = fig4_config(tmp_path)
+    moved, _ = fig4_config(tmp_path, "moved.json",
+                           cell_length_wavelengths=1)
+    out = tmp_path / "out"
+    assert guard.main(["--config", str(config), "--versus", str(moved),
+                       "--seeds", "2", "--out", str(out)]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    wide = [line for line in rows if "snr_sweep_wide_pair.csv" in line]
+    assert len(wide) == len(doc["sweep"]["values"])
+    assert all("| 20/20 |" in line and "FLAGGED" in line for line in wide)
+    assert not any("FLAGGED" in line for line in rows
+                   if "single_15" in line)
+
+
+@pytest.mark.parametrize("argv", [
+    ["HEAD", "--versus", "configs/fig4.json"], []],
+    ids=["both", "neither"])
+def test_needs_a_revision_or_a_second_config(tmp_path, capsys, argv):
+    guard = load_guard()
+    with pytest.raises(SystemExit) as exc:
+        guard.main(argv + ["--config", "configs/fig4.json", "--seeds", "2",
+                           "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "give either PARENT_REV or --versus" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
