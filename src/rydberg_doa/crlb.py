@@ -1,19 +1,16 @@
-"""Fisher information and Cramer-Rao bounds for the sum-of-sinusoids
-channel model, with amplitudes and phases treated as nuisance parameters.
-
-mean_jacobian's parameter ordering is (dk_1..dk_N, dphi_1..dphi_N, A_1..A_N).
-Inputs may carry leading axes, each row equal to its one-row call bit for bit.
+"""Fisher information and Cramer-Rao bounds of a mean-vector Jacobian
+under white noise: its first N columns are the targets' frequencies, and
+every later column is a nuisance parameter, marginalized out. Inputs may
+carry leading axes, each row equal to its one-row call bit for bit.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EndFireSingularity, RydbergDoaError, SingularNuisanceBlock
-from .sensing import SensorGeometry, window_integrals
 
 END_FIRE_GUARD = 1e-9
 
@@ -34,25 +31,6 @@ class CrlbReport:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-
-def mean_jacobian(geometry: SensorGeometry, delta_ks: np.ndarray,
-                  delta_phis: np.ndarray,
-                  amplitudes: np.ndarray) -> np.ndarray:
-    """(..., K, 3N) Jacobian of the mean vector for (..., N) parameters,
-    target by target: columns are A_i*t_i for the frequencies, A_i*s_i for
-    the phases, and c_i for the amplitudes."""
-    dks, dphis, amps = map(np.asarray, (delta_ks, delta_phis, amplitudes))
-    n = dks.shape[-1]
-    jac = np.zeros(dks.shape[:-1] + (geometry.channel_count, 3 * n))
-    for row in itertools.product(*map(range, dks.shape[:-1])):
-        out, dk, dphi, amp = jac[row], dks[row], dphis[row], amps[row]
-        for i in range(n):
-            c_vec, s_vec, t_vec = window_integrals(geometry, dk[i], dphi[i])
-            out[:, i] = amp[i] * t_vec
-            out[:, n + i] = amp[i] * s_vec
-            out[:, 2 * n + i] = c_vec
-    return jac
 
 
 def fisher_information(jacobian: np.ndarray, sigma2) -> np.ndarray:

@@ -26,6 +26,9 @@ splitting a cell. Each row of a readout or a solve equals that of its
 cell alone, so every cell's result does too. Trial failures (rows of the
 estimate whose failure code is not OK) are counted per cell, never
 silently dropped.
+
+A bound's Jacobian comes from sensing.analytic_model, whose one call in
+bound_report also gives the values an SNR is referenced to.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import physics, scenarios, sensing
-from .crlb import CrlbReport, crlb_report, crlb_report_batch, mean_jacobian
+from .crlb import CrlbReport, crlb_report, crlb_report_batch
 from .errors import ConfigParseError, RydbergDoaError, build_at
 # estimate_doa stays bound here: perfbench's tracer wraps it at every
 # binding and its self-test expects this one.
@@ -402,14 +405,13 @@ def bound_report(scene: RfScene, geometry: SensorGeometry,
     the LO bearing, zero-amplitude targets) raise a domain error."""
     if (snr_db is None) == (sigma2 is None):
         raise ValueError("give exactly one of snr_db and sigma2")
-    amplitudes = _bound_amplitudes(scene, params, sigma2 is None)
+    values, jacobian = sensing.analytic_model(
+        geometry, scene.delta_ks, scene.delta_phis,
+        _bound_amplitudes(scene, params, sigma2 is None))
     if sigma2 is None:
-        sigma2 = sensing.noise_variance(sensing.sinusoid_measurements(
-            geometry, scene.delta_ks, scene.delta_phis, amplitudes), snr_db)
+        sigma2 = sensing.noise_variance(values, snr_db)
     thetas = np.array([s.angle for s in scene.signals])
-    return crlb_report(mean_jacobian(geometry, scene.delta_ks,
-                                     scene.delta_phis, amplitudes),
-                       sigma2, thetas, scene.wavenumber)
+    return crlb_report(jacobian, sigma2, thetas, scene.wavenumber)
 
 
 def crlb_std_for(scene: RfScene, geometry: SensorGeometry,
@@ -449,7 +451,8 @@ def run_length_sweep(config: ScenarioConfig) -> dict[float, SweepResult]:
                  _bound_amplitudes(s, config.params, False)) for s in scenes]
         kept = np.arange(counts.max())[:, None] < counts[:, None, None]
         stds = crlb_report_batch(
-            np.where(kept, mean_jacobian(longest, *zip(*rows))[:, None], 0.0),
+            np.where(kept, sensing.analytic_model(
+                longest, *zip(*rows))[1][:, None], 0.0),
             sigma2s, [[[s.signals[0].angle]] for s in scenes],
             scenes[0].wavenumber).per_target_std[..., 0]
     except RydbergDoaError:

@@ -9,7 +9,9 @@ simulation grid, and the grid only samples the fluorescence image
 exp(-optical depth) for fluorescence.csv. The readout then calibrates
 away the LO-only background and injects measurement noise. Given LO
 amplitudes, the window readout of a scene has a row per amplitude, each
-equal to the readout of the scene at that amplitude alone.
+equal to the readout of the scene at that amplitude alone. Its
+LO-dominant limit, a sum of windowed sinusoids, is analytic_model, which
+gives the values of parameter rows and their Jacobian in one call.
 """
 
 from __future__ import annotations
@@ -70,14 +72,15 @@ class SensorGeometry:
 
 @dataclass(frozen=True)
 class FluorescenceProfile:
-    """The probe's optical depth sampled on a grid of positions."""
+    """The probe's optical depth sampled on a grid of positions, each held
+    as a read-only copy of the array given."""
 
     positions: np.ndarray
     optical_depth: np.ndarray
 
     def __post_init__(self):
         for name in ("positions", "optical_depth"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if self.optical_depth.shape != self.positions.shape:
@@ -94,7 +97,8 @@ class FluorescenceProfile:
 class MeasurementVector:
     """Calibrated virtual-channel samples with their noise metadata.
 
-    values is one vector (K,) or a (T, K) stack of T Monte Carlo trials.
+    values is one vector (K,) or a (T, K) stack of T Monte Carlo trials,
+    held as a read-only copy of the array given.
     """
 
     values: np.ndarray
@@ -102,7 +106,7 @@ class MeasurementVector:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if values.ndim not in (1, 2) or \
@@ -228,41 +232,40 @@ def _window_kernels(dk: float, half_width: float) -> tuple[float, float]:
     return even, odd
 
 
-def window_integrals(geometry: SensorGeometry, dk: float, dphi: float
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form per-window integrals of cos(dk*x - dphi),
-    sin(dk*x - dphi), and -x*sin(dk*x - dphi): the building blocks of the
-    bound's mean-vector Jacobian."""
-    centers = geometry.centers
-    even, odd = _window_kernels(dk, geometry.window_width / 2)
-    psi = dk * centers - dphi
+def analytic_model(geometry: SensorGeometry, delta_ks, delta_phis,
+                   amplitudes) -> tuple[np.ndarray, np.ndarray]:
+    """The linearized channel model and its Jacobian for (..., N) parameter
+    rows: (..., K) values y_j = sum_i A_i w_i cos(dk_i x_j - dphi_i), with
+    w_i the even moment, summed target by target from zeros, and the
+    (..., K, 3N) Jacobian, columns (dk_1..dk_N, dphi_1..dphi_N, A_1..A_N):
+    A_i times the window integrals of -x sin(dk_i x - dphi_i) and of
+    sin(dk_i x - dphi_i), then that of cos(dk_i x - dphi_i). The kernel
+    runs once per (row, target); each row equals its one-row call bit for
+    bit."""
+    dks, dphis, amps = (np.asarray(a, dtype=float)[..., None, :]
+                        for a in (delta_ks, delta_phis, amplitudes))
+    centers = geometry.centers[:, None]
+    kernels = np.reshape([_window_kernels(dk, geometry.window_width / 2)
+                          for dk in dks.flat], dks.shape + (2,))
+    even, odd = kernels[..., 0], kernels[..., 1]
+    psi = dks * centers - dphis
     cos_psi, sin_psi = np.cos(psi), np.sin(psi)
-    cos_vec, sin_vec = even * cos_psi, even * sin_psi
-    pos_sin_vec = -(centers * even * sin_psi + odd * cos_psi)
-    return cos_vec, sin_vec, pos_sin_vec
-
-
-def sinusoid_measurements(geometry: SensorGeometry, delta_ks, delta_phis,
-                          amplitudes) -> np.ndarray:
-    """Noiseless channel model: y_j = sum_i Re[b_i exp(i dk_i x_j)] with
-    b_i = A_i * w0_hat(dk_i) * exp(-i dphi_i), w0_hat the even moment."""
-    delta_ks = np.atleast_1d(np.asarray(delta_ks, dtype=float))
-    delta_phis = np.atleast_1d(np.asarray(delta_phis, dtype=float))
-    amplitudes = np.atleast_1d(np.asarray(amplitudes, dtype=float))
-    centers = geometry.centers
-    out = np.zeros(geometry.channel_count)
-    for dk, dphi, amp in zip(delta_ks, delta_phis, amplitudes):
-        even, _ = _window_kernels(dk, geometry.window_width / 2)
-        out = out + amp * even * np.cos(dk * centers - dphi)
-    return out
+    # Each product's grouping fixes its last bits, and so the bytes of the
+    # analytic outputs: the values take (A w) cos, the phase column A (w sin).
+    weighted = amps * even * cos_psi
+    values = np.zeros(weighted.shape[:-1])
+    for i in range(weighted.shape[-1]):
+        values = values + weighted[..., i]
+    pos_sin = -(centers * even * sin_psi + odd * cos_psi)
+    return values, np.concatenate(
+        [amps * pos_sin, amps * (even * sin_psi), even * cos_psi], axis=-1)
 
 
 def predicted_measurements(scene: physics.RfScene, geometry: SensorGeometry,
                            params: physics.AtomicParams) -> MeasurementVector:
     """Calibrated measurements predicted by the linearized model."""
-    mods = physics.modulation_amplitudes(params, scene)
-    values = sinusoid_measurements(geometry, scene.delta_ks,
-                                   scene.delta_phis, mods)
+    values, _ = analytic_model(geometry, scene.delta_ks, scene.delta_phis,
+                               physics.modulation_amplitudes(params, scene))
     return MeasurementVector(values=values, geometry=geometry)
 
 

@@ -38,7 +38,7 @@ from rydberg_doa.sensing import (
     FluorescenceProfile,
     MeasurementVector,
     SensorGeometry,
-    window_integrals,
+    analytic_model,
 )
 
 # First positive root of u = tan(u); edge of the monotone main lobe of
@@ -49,8 +49,9 @@ SINC_MONOTONE_ROOT = 4.493
 def window_integrals_quadrature(geometry: SensorGeometry, dk: float,
                                 dphi: float, points: int = 10_001
                                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trapezoid-rule evaluation of sensing.window_integrals, for testing
-    the closed forms."""
+    """Trapezoid-rule window integrals of cos(dk*x - dphi),
+    sin(dk*x - dphi) and -x*sin(dk*x - dphi), for testing the closed forms
+    of sensing.analytic_model's Jacobian columns at unit amplitude."""
     k = geometry.channel_count
     cos_vec = np.empty(k)
     sin_vec = np.empty(k)
@@ -86,15 +87,12 @@ def fisher_information_blocks(geometry: SensorGeometry, delta_ks: np.ndarray,
                               delta_phis: np.ndarray, amplitudes: np.ndarray,
                               sigma2: float) -> np.ndarray:
     """Assemble the FIM from its 3x3 block structure of weighted inner
-    products; independent of the Jacobian path, used for cross-checking."""
+    products of the window integrals, read off the analytic model's
+    Jacobian at unit amplitudes; independent of the Jacobian's assembly,
+    used for cross-checking."""
     n = len(delta_ks)
-    cs, ss, ts = [], [], []
-    for i in range(n):
-        c_vec, s_vec, t_vec = window_integrals(geometry, delta_ks[i],
-                                               delta_phis[i])
-        cs.append(c_vec)
-        ss.append(s_vec)
-        ts.append(t_vec)
+    _, unit = analytic_model(geometry, delta_ks, delta_phis, np.ones(n))
+    ts, ss, cs = unit[:, :n].T, unit[:, n:2 * n].T, unit[:, 2 * n:].T
 
     def inner(a, b):
         return float(a @ b) / sigma2

@@ -14,7 +14,6 @@ from rydberg_doa.crlb import (
     crlb_report,
     effective_fim,
     fisher_information,
-    mean_jacobian,
 )
 from rydberg_doa.estimation import (
     PronyConfig,
@@ -34,7 +33,7 @@ from rydberg_doa.experiments import (
     run_sampling_demo,
     run_snr_sweep,
 )
-from rydberg_doa.sensing import SensorGeometry, window_integrals
+from rydberg_doa.sensing import SensorGeometry, analytic_model
 
 from oracles import (
     integrated_power_transmission,
@@ -231,7 +230,9 @@ def test_criterion_8_numerical_integrity(setup):
         for _ in range(5):
             dk = rng.uniform(0.1, 2.0) * scene.wavenumber
             dphi = rng.uniform(-np.pi, np.pi)
-            closed = window_integrals(geometry, dk, dphi)
+            # cos, sin and -x sin: the unit amplitude's A, phi, k columns
+            unit = analytic_model(geometry, [dk], [dphi], [1.0])[1]
+            closed = unit[:, 2], unit[:, 1], unit[:, 0]
             quad = window_integrals_quadrature(geometry, dk, dphi)
             for c_vec, q_vec in zip(closed, quad):
                 scale = max(np.abs(q_vec).max(), 1e-30)
@@ -240,11 +241,11 @@ def test_criterion_8_numerical_integrity(setup):
         # Jacobian columns vs central finite differences
         targets = (scene.delta_ks, scene.delta_phis,
                    physics.modulation_amplitudes(params, scene))
-        jac = mean_jacobian(geometry, *targets)
+        jac = analytic_model(geometry, *targets)[1]
         n = scene.n_signals
 
         def mean_vec(dks, dphis, amps):
-            return sensing.sinusoid_measurements(geometry, dks, dphis, amps)
+            return analytic_model(geometry, dks, dphis, amps)[0]
 
         for i in range(n):
             for block, idx, step in ((0, 0, 1e-6 * targets[0][i]),
@@ -268,8 +269,8 @@ def test_criterion_8_numerical_integrity(setup):
         # single-target matrix bound vs the closed form
         single = scenarios.scene_from_angles((15.0,))
         report = crlb_report(
-            mean_jacobian(geometry, single.delta_ks, single.delta_phis,
-                          physics.modulation_amplitudes(params, single)),
+            analytic_model(geometry, single.delta_ks, single.delta_phis,
+                           physics.modulation_amplitudes(params, single))[1],
             1.0, [single.signals[0].angle], single.wavenumber)
         theta = single.signals[0].angle
         closed = np.sqrt(

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,15 +14,12 @@ from rydberg_doa.crlb import (
     crlb_report_batch,
     effective_fim,
     fisher_information,
-    mean_jacobian,
 )
 from rydberg_doa.errors import (
     EndFireSingularity,
     RydbergDoaError,
     SingularNuisanceBlock,
 )
-from rydberg_doa.sensing import window_integrals
-
 from oracles import (
     fisher_information_blocks,
     fisher_information_by_channel,
@@ -44,9 +44,23 @@ def random_targets(n_targets, geometry, seed=0):
             rng.uniform(0.5, 2.0, n_targets))
 
 
+def jacobian(geometry, delta_ks, delta_phis, amplitudes):
+    """The analytic model's Jacobian."""
+    return sensing.analytic_model(geometry, delta_ks, delta_phis,
+                                  amplitudes)[1]
+
+
+def unit_columns(geometry, dk, dphi):
+    """Window integrals of cos(dk*x - dphi), sin(dk*x - dphi) and
+    -x*sin(dk*x - dphi): a unit-amplitude target's amplitude, phase and
+    frequency columns."""
+    jac = jacobian(geometry, [dk], [dphi], [1.0])
+    return jac[:, 2], jac[:, 1], jac[:, 0]
+
+
 def scene_jacobian(params, geometry, scene):
-    return mean_jacobian(geometry, scene.delta_ks, scene.delta_phis,
-                         physics.modulation_amplitudes(params, scene))
+    return jacobian(geometry, scene.delta_ks, scene.delta_phis,
+                    physics.modulation_amplitudes(params, scene))
 
 
 class TestWindowIntegrals:
@@ -55,7 +69,7 @@ class TestWindowIntegrals:
         rng = np.random.default_rng(seed)
         dk = rng.uniform(0.05, 2.0) * 2 * np.pi / geometry.cell_length * 4
         dphi = rng.uniform(-np.pi, np.pi)
-        closed = window_integrals(geometry, dk, dphi)
+        closed = unit_columns(geometry, dk, dphi)
         quad = window_integrals_quadrature(geometry, dk, dphi)
         for c_vec, q_vec in zip(closed, quad):
             scale = np.abs(q_vec).max()
@@ -64,53 +78,70 @@ class TestWindowIntegrals:
 
     def test_phase_flip_negates_cos_sin(self, geometry):
         dk, dphi = 30.0, 0.7
-        c0, s0, _ = window_integrals(geometry, dk, dphi)
-        c1, s1, _ = window_integrals(geometry, dk, dphi + np.pi)
+        c0, s0, _ = unit_columns(geometry, dk, dphi)
+        c1, s1, _ = unit_columns(geometry, dk, dphi + np.pi)
         np.testing.assert_allclose(c1, -c0, rtol=1e-12)
         np.testing.assert_allclose(s1, -s0, rtol=1e-12)
 
     def test_dc_limit(self, geometry):
-        c_vec, s_vec, _ = window_integrals(geometry, 0.0, 0.0)
+        c_vec, s_vec, _ = unit_columns(geometry, 0.0, 0.0)
         np.testing.assert_allclose(c_vec, geometry.window_width, rtol=1e-12)
         np.testing.assert_allclose(s_vec, 0.0, atol=1e-15)
 
     def test_small_dk_continuity(self, geometry):
-        tiny = window_integrals(geometry, 1e-10, 0.3)
-        small = window_integrals(geometry, 1e-4, 0.3)
+        tiny = unit_columns(geometry, 1e-10, 0.3)
+        small = unit_columns(geometry, 1e-4, 0.3)
         for t_vec, s_vec in zip(tiny, small):
             np.testing.assert_allclose(t_vec, s_vec, rtol=1e-3)
 
 
 class TestMeanJacobian:
+    """The contract of sensing.analytic_model, values and the Jacobian of
+    the mean vector, on N = 1-3 targets and both branches of the window
+    kernel."""
+
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_finite_differences(self, geometry, seed):
-        targets = random_targets(1 + seed % 3, geometry, seed=seed)
-        jac = mean_jacobian(geometry, *targets)
+        # Every column against central differences of the model's own
+        # values, and every row of a (5,) or (2, 3) stack equal to its
+        # one-row call bit for bit.
+        n = 1 + seed % 3
+        lead = TestRowContract.LEADS[seed % 2]
+        targets = parameter_rows(geometry, lead, n, seed=seed)
+        # the first row's first target takes the kernel's series branch
+        targets[0][(0,) * len(lead) + (0,)] = 0.018 / geometry.window_width
+        kernel_args = np.abs(targets[0] * geometry.window_width / 2)
+        assert (kernel_args < 0.03).any() and (kernel_args > 0.03).any()
+        values, jac = sensing.analytic_model(geometry, *targets)
+        assert values.shape == lead + (geometry.channel_count,)
+        assert jac.shape == lead + (geometry.channel_count, 3 * n)
+        for row in np.ndindex(lead):
+            one_values, one_jac = sensing.analytic_model(
+                geometry, *(a[row] for a in targets))
+            np.testing.assert_array_equal(values[row], one_values)
+            np.testing.assert_array_equal(jac[row], one_jac)
         dks, _, amps = targets
-
-        def mean_vector(dks, dphis, amps):
-            return sensing.sinusoid_measurements(geometry, dks, dphis, amps)
-
-        n = len(dks)
         for i in range(n):
             for block, arg_index, step in (
-                    (0, 0, 1e-6 * dks[i]),
+                    (0, 0, 1e-6 * dks[..., i]),
                     (n, 1, 1e-6),
-                    (2 * n, 2, 1e-6 * amps[i])):
+                    (2 * n, 2, 1e-6 * amps[..., i])):
                 args_hi = [a.copy() for a in targets]
                 args_lo = [a.copy() for a in targets]
-                args_hi[arg_index][i] += step
-                args_lo[arg_index][i] -= step
-                fd = (mean_vector(*args_hi) - mean_vector(*args_lo)) \
-                    / (2 * step)
-                col = jac[:, block + i]
-                np.testing.assert_allclose(
-                    col, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
+                args_hi[arg_index][..., i] += step
+                args_lo[arg_index][..., i] -= step
+                fd = (sensing.analytic_model(geometry, *args_hi)[0]
+                      - sensing.analytic_model(geometry, *args_lo)[0]) \
+                    / (2 * np.asarray(step)[..., None])
+                for row in np.ndindex(lead):
+                    np.testing.assert_allclose(
+                        jac[row][:, block + i], fd[row], rtol=1e-6,
+                        atol=1e-6 * np.abs(fd[row]).max())
 
     def test_amplitude_scaling_structure(self, geometry):
         dks, dphis, amps = random_targets(2, geometry, seed=5)
-        jac0 = mean_jacobian(geometry, dks, dphis, amps)
-        jac1 = mean_jacobian(geometry, dks, dphis, 2 * amps)
+        jac0 = jacobian(geometry, dks, dphis, amps)
+        jac1 = jacobian(geometry, dks, dphis, 2 * amps)
         n = len(dks)
         np.testing.assert_allclose(jac1[:, :n], 2 * jac0[:, :n], rtol=1e-12)
         np.testing.assert_allclose(jac1[:, n:2 * n], 2 * jac0[:, n:2 * n],
@@ -119,13 +150,15 @@ class TestMeanJacobian:
                                    rtol=1e-12)
 
     def test_no_targets_empty(self, geometry):
-        assert mean_jacobian(geometry, [], [], []).shape == (
-            geometry.channel_count, 0)
+        values, jac = sensing.analytic_model(geometry, [], [], [])
+        np.testing.assert_array_equal(values,
+                                      np.zeros(geometry.channel_count))
+        assert jac.shape == (geometry.channel_count, 0)
 
 
 class TestFisherInformation:
     def test_white_noise_reduces_to_gram(self, geometry):
-        jac = mean_jacobian(geometry, *random_targets(2, geometry, seed=1))
+        jac = jacobian(geometry, *random_targets(2, geometry, seed=1))
         fim = fisher_information(jac, 0.3**2)
         np.testing.assert_allclose(fim, jac.T @ jac / 0.3**2, rtol=1e-10)
 
@@ -134,7 +167,7 @@ class TestFisherInformation:
                                                          sigma):
         # Bit-equal to the channel-order running sum; scipy's Cholesky
         # route goes through a BLAS product, so it agrees to rounding only.
-        jac = mean_jacobian(geometry, *random_targets(3, geometry, seed=5))
+        jac = jacobian(geometry, *random_targets(3, geometry, seed=5))
         fim = fisher_information(jac, sigma**2)
         np.testing.assert_array_equal(
             fim, fisher_information_by_channel(jac, sigma**2))
@@ -156,13 +189,13 @@ class TestFisherInformation:
 
     def test_block_assembly_agrees(self, geometry):
         targets = random_targets(3, geometry, seed=2)
-        fim = fisher_information(mean_jacobian(geometry, *targets), 1.0)
+        fim = fisher_information(jacobian(geometry, *targets), 1.0)
         blocks = fisher_information_blocks(geometry, *targets, 1.0)
         np.testing.assert_allclose(fim, blocks, rtol=1e-10,
                                    atol=1e-12 * np.abs(fim).max())
 
     def test_quarter_scaling_with_doubled_sigma(self, geometry):
-        jac = mean_jacobian(geometry, *random_targets(1, geometry, seed=4))
+        jac = jacobian(geometry, *random_targets(1, geometry, seed=4))
         np.testing.assert_allclose(
             fisher_information(jac, 4.0),
             fisher_information(jac, 1.0) / 4, rtol=1e-12)
@@ -170,13 +203,13 @@ class TestFisherInformation:
     @pytest.mark.parametrize("sigma2", [0.0, -1.0, np.nan, np.inf])
     def test_noise_variance_must_be_positive_and_finite(self, geometry,
                                                         sigma2):
-        jac = mean_jacobian(geometry, [1.0], [0.0], [1.0])
+        jac = jacobian(geometry, [1.0], [0.0], [1.0])
         with pytest.raises(RydbergDoaError, match="positive and finite"):
             crlb_report(jac, sigma2, [0.3], 10.0)
 
     @pytest.mark.parametrize("n_targets", [1, 2, 3])
     def test_symmetric_positive_semidefinite(self, geometry, n_targets):
-        jac = mean_jacobian(geometry, *random_targets(
+        jac = jacobian(geometry, *random_targets(
             n_targets, geometry, seed=n_targets))
         fim = fisher_information(jac, 1.0)
         np.testing.assert_array_equal(fim, fim.T)
@@ -192,7 +225,7 @@ class TestEffectiveFim:
 
     @pytest.mark.parametrize("n_targets", [1, 2, 3])
     def test_schur_matches_full_inverse(self, geometry, n_targets):
-        jac = mean_jacobian(geometry, *random_targets(
+        jac = jacobian(geometry, *random_targets(
             n_targets, geometry, seed=10 + n_targets))
         fim = fisher_information(jac, 1.0)
         eff = effective_fim(fim, n_targets)
@@ -202,7 +235,7 @@ class TestEffectiveFim:
         np.testing.assert_array_equal(eff, eff.T)
 
     def test_information_loss_is_psd(self, geometry):
-        jac = mean_jacobian(geometry, *random_targets(2, geometry, seed=8))
+        jac = jacobian(geometry, *random_targets(2, geometry, seed=8))
         fim = fisher_information(jac, 1.0)
         loss = fim[:2, :2] - effective_fim(fim, 2)
         assert np.linalg.eigvalsh(loss).min() >= -1e-10 * np.trace(fim)
@@ -216,7 +249,7 @@ class TestEffectiveFim:
 
 class TestAngleBound:
     def test_single_target_closed_form(self, geometry):
-        jac = mean_jacobian(geometry, *random_targets(1, geometry, seed=6))
+        jac = jacobian(geometry, *random_targets(1, geometry, seed=6))
         fim = fisher_information(jac, 0.2**2)
         eff = effective_fim(fim, 1)
         theta = np.deg2rad(25.0)
@@ -246,7 +279,7 @@ class TestAngleBound:
 
 class TestReportAndConditioning:
     def test_report_shapes(self, geometry):
-        jac = mean_jacobian(geometry, *random_targets(2, geometry, seed=11))
+        jac = jacobian(geometry, *random_targets(2, geometry, seed=11))
         report = crlb_report(jac, 1.0, np.deg2rad([10.0, -20.0]), 42.5)
         assert report.fim.shape == (6, 6)
         assert report.effective_fim_dk.shape == (2, 2)
@@ -300,9 +333,9 @@ class TestNuisanceColumns:
         geometry = sc.geometry
         scene = scenarios.scene_from_angles((angle_deg,))
         amps = physics.modulation_amplitudes(sc.params, scene)
-        sigma2 = sensing.noise_variance(sensing.sinusoid_measurements(
-            geometry, scene.delta_ks, scene.delta_phis, amps), 35.0)
-        jac = mean_jacobian(geometry, scene.delta_ks, scene.delta_phis, amps)
+        values, jac = sensing.analytic_model(geometry, scene.delta_ks,
+                                             scene.delta_phis, amps)
+        sigma2 = sensing.noise_variance(values, 35.0)
         offset = np.full(geometry.channel_count, geometry.window_width)
         thetas = [scene.signals[0].angle]
         return (crlb_report(jac, sigma2, thetas, scene.wavenumber),
@@ -355,32 +388,9 @@ class TestRowContract:
 
     @pytest.mark.parametrize("lead", LEADS)
     @pytest.mark.parametrize("n_targets", [1, 2, 3])
-    def test_mean_jacobian_rows(self, geometry, lead, n_targets):
-        dks, dphis, amps = parameter_rows(geometry, lead, n_targets,
-                                          seed=n_targets)
-        kernel_args = np.abs(dks * geometry.window_width / 2)
-        assert (kernel_args < 0.03).any() and (kernel_args > 0.03).any()
-        jac = mean_jacobian(geometry, dks, dphis, amps)
-        assert jac.shape == lead + (geometry.channel_count, 3 * n_targets)
-        n = n_targets
-        for row in np.ndindex(lead):
-            np.testing.assert_array_equal(
-                jac[row], mean_jacobian(geometry, dks[row], dphis[row],
-                                        amps[row]))
-            for i in range(n):  # per-target columns, in today's order
-                c_vec, s_vec, t_vec = window_integrals(
-                    geometry, dks[row][i], dphis[row][i])
-                np.testing.assert_array_equal(jac[row][:, i],
-                                              amps[row][i] * t_vec)
-                np.testing.assert_array_equal(jac[row][:, n + i],
-                                              amps[row][i] * s_vec)
-                np.testing.assert_array_equal(jac[row][:, 2 * n + i], c_vec)
-
-    @pytest.mark.parametrize("lead", LEADS)
-    @pytest.mark.parametrize("n_targets", [1, 2, 3])
     def test_crlb_report_batch_rows(self, geometry, lead, n_targets):
         rng = np.random.default_rng(10 + n_targets)
-        jac = mean_jacobian(geometry, *parameter_rows(
+        jac = jacobian(geometry, *parameter_rows(
             geometry, lead, n_targets, seed=20 + n_targets))
         sigma2 = rng.uniform(0.5, 2.0, lead)
         thetas = rng.uniform(-1.4, 1.4, lead + (n_targets,))
@@ -404,7 +414,7 @@ class TestRowContract:
     def test_stages_take_leading_axes(self, geometry):
         # fisher_information, effective_fim and angle_crlb row by row
         dks, dphis, amps = parameter_rows(geometry, (2, 3), 2, seed=3)
-        jac = mean_jacobian(geometry, dks, dphis, amps)
+        jac = jacobian(geometry, dks, dphis, amps)
         fim = fisher_information(jac, 0.5)
         eff = effective_fim(fim, 2)
         thetas = np.deg2rad([[10.0, -20.0]])
@@ -421,7 +431,7 @@ class TestRowContract:
     def test_zeroed_channels_add_nothing_to_the_fim(self, geometry):
         # the length sweep bounds a shorter cell as a longer cell's
         # Jacobian with its later channels zeroed
-        jac = mean_jacobian(geometry, *random_targets(2, geometry, seed=9))
+        jac = jacobian(geometry, *random_targets(2, geometry, seed=9))
         counts = np.arange(6, geometry.channel_count + 1)
         kept = np.arange(geometry.channel_count)[:, None] \
             < counts[:, None, None]
@@ -431,7 +441,7 @@ class TestRowContract:
                 fim, fisher_information(jac[:count], 0.3))
 
     def test_a_stack_raises_the_first_failing_check(self, geometry):
-        jac = mean_jacobian(geometry, *parameter_rows(geometry, (3,), 1,
+        jac = jacobian(geometry, *parameter_rows(geometry, (3,), 1,
                                                       seed=4))
         with pytest.raises(RydbergDoaError, match="positive and finite"):
             crlb_report_batch(jac, [1.0, 0.0, 1.0], [[0.1]] * 3, 42.5)
@@ -450,7 +460,7 @@ class TestTooFewChannels:
         geometry = sensing.SensorGeometry(0.6 * lam, lam / 4, lam / 4)
         assert geometry.channel_count == 2
         scene = scenarios.scene_from_angles((theta_deg,))
-        jac = mean_jacobian(geometry, scene.delta_ks, scene.delta_phis,
+        jac = jacobian(geometry, scene.delta_ks, scene.delta_phis,
                             [1.0])
         with pytest.raises(RydbergDoaError,
                            match="K = 2 channels for 3 parameters"):
@@ -460,7 +470,7 @@ class TestTooFewChannels:
     def test_nuisance_columns_count(self, rf_wavelength):
         lam = rf_wavelength
         geometry = sensing.SensorGeometry(0.8 * lam, lam / 4, lam / 4)
-        jac = mean_jacobian(geometry, [30.0], [0.2], [1.0])
+        jac = jacobian(geometry, [30.0], [0.2], [1.0])
         offset = np.full(geometry.channel_count, geometry.window_width)
         crlb_report(jac, 1e-3, [0.3], 42.5)  # K = 3 bounds 3 parameters
         with pytest.raises(RydbergDoaError,
@@ -470,3 +480,17 @@ class TestTooFewChannels:
     def test_singular_inverse_is_a_domain_error(self):
         with pytest.raises(RydbergDoaError, match="singular"):
             angle_crlb(np.zeros((1, 1)), [0.3], 10.0)
+
+
+def test_crlb_import_loads_no_window_model():
+    # The bound takes any Jacobian: importing crlb loads neither sensing
+    # nor physics, only the errors it raises.
+    code = ("import sys, rydberg_doa.crlb; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'rydberg_doa'))")
+    src = str(Path(crlb.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True, env=env)
+    assert done.stdout.strip() == str(
+        ["rydberg_doa", "rydberg_doa.crlb", "rydberg_doa.errors"])

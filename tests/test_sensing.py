@@ -891,12 +891,12 @@ class TestPredictedMeasurements:
             cell_length=5 * rf_wavelength,
             window_width=1e-7 * rf_wavelength, spacing=rf_wavelength / 4)
         dk = 0.4 * 2 * np.pi / rf_wavelength
-        base = sensing.sinusoid_measurements(geom, [dk], [0.3], [1.0])
+        base, _ = sensing.analytic_model(geom, [dk], [0.3], [1.0])
         for q in (1, 2):
             shifted = dk + q * 2 * np.pi / geom.spacing
             phase = 0.3 + (shifted - dk) * geom.window_width / 2
-            alias = sensing.sinusoid_measurements(geom, [shifted], [phase],
-                                                  [1.0])
+            alias, _ = sensing.analytic_model(geom, [shifted], [phase],
+                                              [1.0])
             np.testing.assert_allclose(alias, base, rtol=1e-7)
 
 
@@ -1200,3 +1200,19 @@ class TestSerializationRoundtrip:
                                geometry=geometry)
         with pytest.raises(ValueError):
             mv.values[0] = 1.0
+
+    def test_the_callers_arrays_stay_writable_and_apart(self, geometry):
+        # each class holds a read-only copy: a later write to the array
+        # it was given neither raises nor reaches it
+        values = np.zeros(geometry.channel_count)
+        mv = MeasurementVector(values=values, geometry=geometry)
+        positions, depth = np.linspace(0.0, 1.0, 5), np.zeros(5)
+        profile = FluorescenceProfile(positions=positions,
+                                      optical_depth=depth)
+        pairs = [(values, mv.values), (positions, profile.positions),
+                 (depth, profile.optical_depth)]
+        for given, held in pairs:
+            before = held.copy()
+            given[0] = 7.0
+            np.testing.assert_array_equal(held, before)
+            assert not held.flags.writeable
