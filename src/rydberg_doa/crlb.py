@@ -6,11 +6,12 @@ carry leading axes, each row equal to its one-row call bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import EndFireSingularity, RydbergDoaError, SingularNuisanceBlock
+from .errors import (EndFireSingularity, RydbergDoaError,
+                     SingularNuisanceBlock, read_only_copy)
 
 END_FIRE_GUARD = 1e-9
 
@@ -26,11 +27,10 @@ class CrlbReport:
     condition_number: float | np.ndarray
 
     def __post_init__(self):
-        for name in ("fim", "effective_fim_dk", "crlb_theta",
-                     "per_target_std"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        for field in fields(self):
+            value = getattr(self, field.name)
+            object.__setattr__(self, field.name, read_only_copy(value, float)
+                               if np.ndim(value) else float(value))
 
 
 def fisher_information(jacobian: np.ndarray, sigma2) -> np.ndarray:
@@ -105,8 +105,7 @@ def crlb_report_batch(jacobian: np.ndarray, sigma2, thetas: np.ndarray,
         singular = np.linalg.svd(eff, compute_uv=False)  # np.linalg.cond
         cond = singular[..., 0] / singular[..., -1]
     return CrlbReport(fim=fim, effective_fim_dk=eff, crlb_theta=_finite(bound),
-                      per_target_std=_finite(stds),
-                      condition_number=cond if cond.ndim else float(cond))
+                      per_target_std=_finite(stds), condition_number=cond)
 
 
 def crlb_report(jacobian: np.ndarray, sigma2: float, thetas: np.ndarray,

@@ -5,6 +5,8 @@ CLI) can distinguish physics/estimation failures from programming errors;
 build_at turns a record's error into a config error naming its key.
 """
 
+import numpy as np
+
 
 class RydbergDoaError(Exception):
     """Base class for all domain errors."""
@@ -65,3 +67,10 @@ def build_at(path: str, make, *args, **kwargs):
         return make(*args, **kwargs)
     except (ValueError, RydbergDoaError) as exc:
         raise ConfigParseError(f"'{path}': {exc}") from exc
+
+
+def read_only_copy(array, dtype=None) -> np.ndarray:
+    """A read-only copy of array (cast to dtype if given), never a view."""
+    copy = np.array(array, dtype=dtype)
+    copy.flags.writeable = False
+    return copy

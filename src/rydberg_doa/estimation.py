@@ -13,6 +13,7 @@ from .errors import (
     InsufficientSamples,
     InsufficientSignalRoots,
     RootfindingFailure,
+    read_only_copy,
 )
 
 # Roots within this |arg z| band of DC are calibration-residual leakage,
@@ -77,9 +78,8 @@ class EstimationResult:
 
     def __post_init__(self):
         for field in fields(self):
-            arr = np.asarray(getattr(self, field.name))
-            arr.flags.writeable = False
-            object.__setattr__(self, field.name, arr)
+            object.__setattr__(self, field.name,
+                               read_only_copy(getattr(self, field.name)))
         if self.spatial_frequencies.shape != self.doas.shape:
             raise ValueError("frequency and DoA counts must agree")
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import physics, scenarios, sensing
 from .crlb import CrlbReport, crlb_report, crlb_report_batch
-from .errors import ConfigParseError, RydbergDoaError, build_at
+from .errors import ConfigParseError, RydbergDoaError, build_at, read_only_copy
 # estimate_doa stays bound here: perfbench's tracer wraps it at every
 # binding and its self-test expects this one.
 from .estimation import (  # noqa: F401
@@ -141,6 +141,12 @@ class LinearizationCheck:
     residual_weak: float
     residual_strong: float
 
+    def __post_init__(self):
+        for name in ("positions", "exact_weak", "linear_weak",
+                     "exact_strong", "linear_strong"):
+            object.__setattr__(self, name,
+                               read_only_copy(getattr(self, name), float))
+
     @property
     def residual_ratio(self) -> float:
         """Weak-to-strong ratio of modulation-normalized RMS residuals."""
@@ -154,6 +160,11 @@ class SamplingDemoResult:
     angles_deg: np.ndarray
     labels: tuple
     power: np.ndarray  # (curves, angles), over the common max of the case
+
+    def __post_init__(self):
+        for name in ("angles_deg", "power"):
+            object.__setattr__(self, name,
+                               read_only_copy(getattr(self, name), float))
 
 
 # Pairings match_errors scores at once: 6! = 720, so up to six targets
@@ -470,10 +481,9 @@ def spectral_power(measurement: MeasurementVector, scene_meta,
     """Matched-filter spectrum: |sum_j y_j exp(-i dk(theta) x_j)|^2 over a
     candidate bearing grid."""
     wavenumber, lo_angle = scene_meta
-    centers = measurement.geometry.centers
     dks = wavenumber * (np.sin(lo_angle)
                         - np.sin(np.deg2rad(np.asarray(angles_deg))))
-    steering = np.exp(-1j * dks[:, None] * centers[None, :])
+    steering = np.exp(-1j * dks[:, None] * measurement.geometry.centers)
     return np.abs((steering * measurement.values).sum(axis=-1)) ** 2
 
 

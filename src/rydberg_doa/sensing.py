@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import physics
-from .errors import NonPositiveFluorescence, ZeroSignalPower
+from .errors import NonPositiveFluorescence, ZeroSignalPower, read_only_copy
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,8 @@ class SensorGeometry:
     spacing: float
     grid_points_per_rf_wavelength: int = 32
     channel_count: int = field(init=False)
+    centers: np.ndarray = field(init=False, compare=False, repr=False)
+    window_edges: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.cell_length <= 0 or self.window_width <= 0 or self.spacing <= 0:
@@ -51,17 +53,12 @@ class SensorGeometry:
                              / self.spacing + 1e-9)) + 1
         if count < 2:
             raise ValueError("need at least two channels")
+        half = self.window_width / 2
+        centers = half + self.spacing * np.arange(count)
         object.__setattr__(self, "channel_count", count)
-
-    @property
-    def centers(self) -> np.ndarray:
-        return self.window_width / 2 + self.spacing * np.arange(
-            self.channel_count)
-
-    @property
-    def window_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        centers, half = self.centers, self.window_width / 2
-        return centers - half, centers + half
+        object.__setattr__(self, "centers", read_only_copy(centers))
+        object.__setattr__(self, "window_edges", (
+            read_only_copy(centers - half), read_only_copy(centers + half)))
 
     def grid(self, rf_wavelength: float) -> np.ndarray:
         """Uniform simulation grid over [0, cell_length]."""
@@ -72,17 +69,15 @@ class SensorGeometry:
 
 @dataclass(frozen=True)
 class FluorescenceProfile:
-    """The probe's optical depth sampled on a grid of positions, each held
-    as a read-only copy of the array given."""
+    """The probe's optical depth sampled on a grid of positions."""
 
     positions: np.ndarray
     optical_depth: np.ndarray
 
     def __post_init__(self):
         for name in ("positions", "optical_depth"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name,
+                               read_only_copy(getattr(self, name), float))
         if self.optical_depth.shape != self.positions.shape:
             raise ValueError("optical_depth needs one value per position")
 
@@ -97,8 +92,7 @@ class FluorescenceProfile:
 class MeasurementVector:
     """Calibrated virtual-channel samples with their noise metadata.
 
-    values is one vector (K,) or a (T, K) stack of T Monte Carlo trials,
-    held as a read-only copy of the array given.
+    values is one vector (K,) or a (T, K) stack of T Monte Carlo trials.
     """
 
     values: np.ndarray
@@ -106,11 +100,9 @@ class MeasurementVector:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        if values.ndim not in (1, 2) or \
-                values.shape[-1] != self.geometry.channel_count:
+        object.__setattr__(self, "values", read_only_copy(self.values, float))
+        if self.values.ndim not in (1, 2) or \
+                self.values.shape[-1] != self.geometry.channel_count:
             raise ValueError("values length must equal channel_count")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")

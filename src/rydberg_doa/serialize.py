@@ -126,14 +126,13 @@ def geometry_from_centers(centers: np.ndarray) -> SensorGeometry:
 
 def estimation_to_dict(result: EstimationResult) -> dict:
     return {
-        "spatial_frequencies_rad_per_m": [float(v) for v in
-                                          result.spatial_frequencies],
-        "doas_rad": [float(v) for v in result.doas],
-        "doas_deg": [float(np.rad2deg(v)) for v in result.doas],
+        "spatial_frequencies_rad_per_m": result.spatial_frequencies.tolist(),
+        "doas_rad": result.doas.tolist(),
+        "doas_deg": np.rad2deg(result.doas).tolist(),
         "roots": [[float(z.real), float(z.imag)] for z in result.roots],
-        "lpc_coefficients": [float(v) for v in result.lpc_coefficients],
+        "lpc_coefficients": result.lpc_coefficients.tolist(),
         "lpc_residual_norm": float(result.lpc_residual_norm),
-        "clamped_flags": [bool(v) for v in result.clamped_flags],
+        "clamped_flags": result.clamped_flags.tolist(),
         "rank_deficient": bool(result.rank_deficient),
     }
 
@@ -145,9 +144,8 @@ def write_estimation_json(result: EstimationResult,
 
 
 def _matrix_to_dict(matrix: np.ndarray) -> dict:
-    matrix = np.asarray(matrix, dtype=float)
     return {"rows": matrix.shape[0], "cols": matrix.shape[1],
-            "data_row_major": [float(v) for v in matrix.ravel()]}
+            "data_row_major": matrix.ravel().tolist()}
 
 
 def crlb_to_dict(report: CrlbReport) -> dict:
@@ -155,9 +153,8 @@ def crlb_to_dict(report: CrlbReport) -> dict:
         "fim": _matrix_to_dict(report.fim),
         "effective_fim_dk": _matrix_to_dict(report.effective_fim_dk),
         "crlb_theta": _matrix_to_dict(report.crlb_theta),
-        "per_target_std_rad": [float(v) for v in report.per_target_std],
-        "per_target_std_deg": [float(np.rad2deg(v)) for v in
-                               report.per_target_std],
+        "per_target_std_rad": report.per_target_std.tolist(),
+        "per_target_std_deg": np.rad2deg(report.per_target_std).tolist(),
         "condition_number": float(report.condition_number),
     }
 

@@ -1200,19 +1200,3 @@ class TestSerializationRoundtrip:
                                geometry=geometry)
         with pytest.raises(ValueError):
             mv.values[0] = 1.0
-
-    def test_the_callers_arrays_stay_writable_and_apart(self, geometry):
-        # each class holds a read-only copy: a later write to the array
-        # it was given neither raises nor reaches it
-        values = np.zeros(geometry.channel_count)
-        mv = MeasurementVector(values=values, geometry=geometry)
-        positions, depth = np.linspace(0.0, 1.0, 5), np.zeros(5)
-        profile = FluorescenceProfile(positions=positions,
-                                      optical_depth=depth)
-        pairs = [(values, mv.values), (positions, profile.positions),
-                 (depth, profile.optical_depth)]
-        for given, held in pairs:
-            before = held.copy()
-            given[0] = 7.0
-            np.testing.assert_array_equal(held, before)
-            assert not held.flags.writeable
