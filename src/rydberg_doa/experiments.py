@@ -13,9 +13,9 @@ preset by preset. _mc_sweep, the Monte Carlo engine of mc_rmse,
 run_lo_ratio_sweep and run_snr_sweep, is the only code that applies this
 rule. Seed streams stay apart while a cell has fewer than
 CELL_SEED_STRIDE trials, which config parsing enforces. All trials of a
-cell draw their noise as one stack, from about one generator per 32
-consecutive seeds, each row bit-identical to the single-seed draw (see
-sensing.NOISE_BLOCK_ROWS). Each runner makes one synthesis call:
+cell draw their noise as one stack through sensing.add_noise, a noiseless
+cell (snr_db None) at +inf dB, each row bit-identical to the single-seed
+draw (see sensing.NOISE_BLOCK_ROWS). Each runner makes one synthesis call:
 mc_rmse and each preset of run_snr_sweep one analytic vector,
 run_lo_ratio_sweep one fluorescence readout with a row per LO amplitude.
 One stacking rule makes a sweep's cells share the solve: the noise
@@ -246,12 +246,13 @@ def _mc_sweep(config: ScenarioConfig, cells) -> list[McResult]:
     values (K,), and cell c runs at base_seed + CELL_SEED_STRIDE * c.
 
     One pass over the cells, in order: each draws its (trials, K) noise
-    stack, and fails whole if the draw raises a domain error. Consecutive
-    cells that share a prediction system run as one batched Prony solve
-    (see the module docstring); a cell is never split, and one of more
-    than MC_STACK_ROWS trials runs alone. A cell whose prony.target_count
-    differs from its scene's signal count is a config error before any
-    noise draw: its RMSE would not score every target.
+    stack by sensing.add_noise, at +inf dB when snr_db is None, and fails
+    whole if the draw raises a domain error. Consecutive cells that share
+    a prediction system run as one batched Prony solve (see the module
+    docstring); a cell is never split, and one of more than MC_STACK_ROWS
+    trials runs alone. A cell whose prony.target_count differs from its
+    scene's signal count is a config error before any noise draw: its RMSE
+    would not score every target.
     """
     cells = list(cells)
     seeded = [replace(config, sweep=None,
@@ -265,14 +266,12 @@ def _mc_sweep(config: ScenarioConfig, cells) -> list[McResult]:
     results, stack, rows, system = [], [], 0, None
     for cell, (_, clean) in zip(seeded, cells):
         clean = MeasurementVector(values=clean, geometry=cell.geometry)
-        values = np.broadcast_to(clean.values,
-                                 (cell.trials, len(clean.values)))
-        if cell.snr_db is not None:
-            try:
-                values = sensing.add_noise(clean, cell.snr_db, range(
-                    cell.base_seed, cell.base_seed + cell.trials)).values
-            except RydbergDoaError:  # a scene without signal power
-                values = None
+        try:
+            values = sensing.add_noise(
+                clean, np.inf if cell.snr_db is None else cell.snr_db,
+                range(cell.base_seed, cell.base_seed + cell.trials)).values
+        except RydbergDoaError:  # a scene without signal power
+            values = None
         # Everything estimate_doa_batch reads besides the values.
         key = (cell.prony, cell.geometry.channel_count, cell.geometry.spacing,
                cell.scene.wavenumber, cell.scene.lo.angle)
@@ -321,8 +320,7 @@ def _preset_scene(config: ScenarioConfig, angles_deg) -> RfScene:
     """Targets at the given bearings at the default LO ratio, on the
     configured carrier and LO bearing."""
     return scenarios.scene_from_angles(
-        angles_deg, lo_ratio=scenarios.DEFAULT_LO_RATIO,
-        carrier_freq=config.scene.carrier_freq,
+        angles_deg, carrier_freq=config.scene.carrier_freq,
         lo_angle=config.scene.lo.angle)
 
 

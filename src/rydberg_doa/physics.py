@@ -138,10 +138,10 @@ def field_intensity(scene: RfScene, x,
 
     Given lo_amplitudes, C LO amplitudes (V/m), each strictly positive as
     RfScene's, the result gains a leading axis of C rows, row c for the
-    scene with its LO amplitude set to lo_amplitudes[c]. The beat cosines
-    and the signal-signal terms are computed once, and each row adds its
-    terms in the order of a one-scene call, so row c equals that call bit
-    for bit.
+    scene with its LO amplitude set to lo_amplitudes[c]: a column of LO
+    amplitudes broadcast against x, the beat cosines and signal-signal
+    terms computed once, each element taking a one-scene call's operations
+    in order, so row c equals that call bit for bit.
     """
     amplitudes = ((scene.lo.amplitude,) if lo_amplitudes is None
                   else tuple(map(float, lo_amplitudes)))
@@ -151,13 +151,13 @@ def field_intensity(scene: RfScene, x,
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
     sigs = scene.signals
-    column = (-1,) + (1,) * x.ndim
-    twice_lo = (2 * np.array(amplitudes)).reshape(column)
+    lo = np.reshape(amplitudes, (-1,) + (1,) * x.ndim)
     power = np.sum(np.array([s.amplitude for s in sigs])**2)
-    out = np.empty((len(amplitudes),) + x.shape)
-    out[...] = np.reshape([a**2 + power for a in amplitudes], column)
+    # Python's a**2: numpy's lo**2 rounds ~1 amplitude in 900 otherwise.
+    out = np.reshape([a**2 + power for a in amplitudes],
+                     lo.shape) + np.zeros(x.shape)
     for s, dk, dphi in zip(sigs, scene.delta_ks, scene.delta_phis):
-        out += twice_lo * s.amplitude * np.cos(dk * x - dphi)
+        out += 2 * lo * s.amplitude * np.cos(dk * x - dphi)
     for a, b in itertools.combinations(sigs, 2):
         out += 2 * a.amplitude * b.amplitude * np.cos(scene.wavenumber * (
             np.sin(a.angle) - np.sin(b.angle)) * x - (b.phase - a.phase))
@@ -231,7 +231,10 @@ def modulation_amplitudes(params: AtomicParams, scene: RfScene) -> np.ndarray:
     Warns when the scene is outside the LO-dominant regime; the linear
     model degrades gracefully but its error grows like 1/ratio.
     """
-    _warn_if_weak_lo(scene)
+    if scene.lo_dominance_ratio < LO_RATIO_WARN_THRESHOLD:
+        warnings.warn(
+            "LO-to-signal amplitude ratio below 10; linearized absorption "
+            "model may be inaccurate", LoDominanceWarning, stacklevel=2)
     c_scale, _ = linearization_constants(params)
     fprime = intensity_response_derivative(params, scene.lo.amplitude**2)
     amps = np.array([s.amplitude for s in scene.signals])
@@ -247,10 +250,3 @@ def absorption_linearized(params: AtomicParams, scene: RfScene,
     for a_mod, dk, dphi in zip(mods, scene.delta_ks, scene.delta_phis):
         out = out + a_mod * np.cos(dk * x - dphi)
     return out
-
-
-def _warn_if_weak_lo(scene: RfScene) -> None:
-    if scene.lo_dominance_ratio < LO_RATIO_WARN_THRESHOLD:
-        warnings.warn(
-            "LO-to-signal amplitude ratio below 10; linearized absorption "
-            "model may be inaccurate", LoDominanceWarning, stacklevel=3)

@@ -192,12 +192,11 @@ def recover_alpha(fluorescence: np.ndarray) -> np.ndarray:
 def channel_measurements(scene: physics.RfScene, geometry: SensorGeometry,
                          params: physics.AtomicParams,
                          lo_amplitudes=None) -> np.ndarray:
-    """Integral of the exact absorption over each window, its edges
-    clipped to [0, cell_length]: (K,), or (C, K) for C LO amplitudes."""
+    """Integral of the exact absorption over each window, its upper edges
+    clipped to cell_length: (K,), or (C, K) for C LO amplitudes."""
     lo, hi = geometry.window_edges
-    return _absorption_integrals(scene, params, np.maximum(lo, 0.0),
-                                 np.minimum(hi, geometry.cell_length),
-                                 lo_amplitudes)
+    return _absorption_integrals(scene, params, lo, np.minimum(
+        hi, geometry.cell_length), lo_amplitudes)
 
 
 def calibrate(values: np.ndarray, geometry: SensorGeometry,
@@ -315,14 +314,13 @@ NOISE_BLOCK_ROWS = 32
 
 def standard_normal_rows(seeds: range, k: int) -> np.ndarray:
     """(T, k) array whose row t is the noise row of seed seeds[t] (see
-    NOISE_BLOCK_ROWS), for a range of T consecutive seeds: each block is
-    drawn once, up to the last row the range needs, and sliced. Seeds are
-    nonnegative ints of any size (default_rng rejects the negative block
-    of a negative one); an empty range gives (0, k)."""
-    if seeds.step != 1:
-        raise ValueError("seeds must be consecutive: a range of step 1")
-    if not seeds:
-        return np.empty((0, k))
+    NOISE_BLOCK_ROWS), for a range of T consecutive nonnegative seeds of
+    any size: each block is drawn once, up to the last row the range
+    needs, and sliced. An empty range or k = 0 checks the seeds only."""
+    if seeds.step != 1 or (seeds and seeds.start < 0):
+        raise ValueError("seeds must be a range of step 1 of nonnegative ints")
+    if not seeds or k == 0:
+        return np.empty((len(seeds), k))
     n = NOISE_BLOCK_ROWS
     first, last = seeds.start, seeds.stop - 1
     return np.concatenate([
@@ -340,8 +338,10 @@ def add_noise(measurement: MeasurementVector, snr_db: float,
     or a range of T consecutive seeds for a (T, K) stack of noisy copies
     whose row t is exactly the single-seed draw of seed[t]; each seed's
     noise is its row of standard_normal_rows. Deterministic for a fixed
-    (input, snr_db, seed) triple. Only +inf dB is noiseless. The input is
-    one noiseless vector; a stack is rejected.
+    (input, snr_db, seed) triple. Only +inf dB is noiseless: it checks the
+    seeds, draws none and repeats the input bit for bit (the Monte Carlo
+    engine's noiseless cells). The input is one noiseless vector; a stack
+    is rejected.
     """
     if measurement.noise_sigma != 0:
         raise ValueError("input measurement already carries noise")
@@ -353,17 +353,17 @@ def add_noise(measurement: MeasurementVector, snr_db: float,
     except TypeError:
         raise TypeError("seed must be an int or a range of ints, not "
                         f"{type(seed).__name__}") from None
-    if snr_db == np.inf:
-        sigma = 0.0
+    if snr_db == np.inf:  # checks its seeds as a draw does, draws none
+        standard_normal_rows(seeds, 0)
+        sigma, noisy = 0.0, np.tile(measurement.values, (len(seeds), 1))
     else:
         sigma2 = noise_variance(measurement.values, snr_db)
         if sigma2 == 0:
             raise ZeroSignalPower(
                 "constant measurement vector has no signal power")
         sigma = float(np.sqrt(sigma2))
-    # Drawn at +inf dB too, so that every SNR checks its seeds alike.
-    noise = sigma * standard_normal_rows(seeds, measurement.values.shape[-1])
-    noisy = measurement.values + noise
+        noisy = measurement.values + sigma * standard_normal_rows(
+            seeds, measurement.values.shape[-1])
     return MeasurementVector(values=noisy[0] if single else noisy,
                              geometry=measurement.geometry,
                              noise_sigma=sigma)

@@ -124,8 +124,9 @@ def geometry_from_centers(centers: np.ndarray) -> SensorGeometry:
     return SensorGeometry(spacing * len(centers), spacing / 2, spacing)
 
 
-def estimation_to_dict(result: EstimationResult) -> dict:
-    return {
+def write_estimation_json(result: EstimationResult,
+                          path: str | Path) -> None:
+    atomic_write_text(path, json.dumps({
         "spatial_frequencies_rad_per_m": result.spatial_frequencies.tolist(),
         "doas_rad": result.doas.tolist(),
         "doas_deg": np.rad2deg(result.doas).tolist(),
@@ -134,13 +135,7 @@ def estimation_to_dict(result: EstimationResult) -> dict:
         "lpc_residual_norm": float(result.lpc_residual_norm),
         "clamped_flags": result.clamped_flags.tolist(),
         "rank_deficient": bool(result.rank_deficient),
-    }
-
-
-def write_estimation_json(result: EstimationResult,
-                          path: str | Path) -> None:
-    atomic_write_text(path, json.dumps(estimation_to_dict(result),
-                                       indent=2) + "\n")
+    }, indent=2) + "\n")
 
 
 def _matrix_to_dict(matrix: np.ndarray) -> dict:
@@ -148,19 +143,15 @@ def _matrix_to_dict(matrix: np.ndarray) -> dict:
             "data_row_major": matrix.ravel().tolist()}
 
 
-def crlb_to_dict(report: CrlbReport) -> dict:
-    return {
+def write_crlb_json(report: CrlbReport, path: str | Path) -> None:
+    atomic_write_text(path, json.dumps({
         "fim": _matrix_to_dict(report.fim),
         "effective_fim_dk": _matrix_to_dict(report.effective_fim_dk),
         "crlb_theta": _matrix_to_dict(report.crlb_theta),
         "per_target_std_rad": report.per_target_std.tolist(),
         "per_target_std_deg": np.rad2deg(report.per_target_std).tolist(),
         "condition_number": float(report.condition_number),
-    }
-
-
-def write_crlb_json(report: CrlbReport, path: str | Path) -> None:
-    atomic_write_text(path, json.dumps(crlb_to_dict(report), indent=2) + "\n")
+    }, indent=2) + "\n")
 
 
 def write_crlb_csv(report: CrlbReport, thetas_rad: np.ndarray,

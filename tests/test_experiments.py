@@ -48,14 +48,37 @@ def base_config(params, two_target, geometry):
 
 
 class TestMcRmse:
-    def test_zero_noise_is_exact(self, base_config):
+    def test_zero_noise_is_exact(self, base_config, monkeypatch):
+        # A noiseless cell (snr_db None), alone or in an LO-ratio sweep,
+        # fails no trial, and every row of the stack the solve reads is its
+        # cell's clean vector bit for bit.
+        stacks, solve = [], experiments.estimate_doa_batch
+
+        def solving(measurements, *args):
+            stacks.append(measurements.values.tobytes())
+            return solve(measurements, *args)
+
+        monkeypatch.setattr(experiments, "estimate_doa_batch", solving)
         noiseless = ScenarioConfig(
             scene=base_config.scene, geometry=base_config.geometry,
             prony=base_config.prony, params=base_config.params,
-            snr_db=None, trials=1, base_seed=0)
+            snr_db=None, trials=3, base_seed=0)
         result = mc_rmse(noiseless)
         assert result.failures == 0
         assert result.rmse_rad < 1e-6
+        clean = sensing.predicted_measurements(
+            noiseless.scene, noiseless.geometry, noiseless.params).values
+        assert stacks == [np.tile(clean, (3, 1)).tobytes()]
+
+        ratios = (5.0, 20.0, 50.0)
+        sweep = run_lo_ratio_sweep(replace(noiseless, sweep=SweepSpec(
+            axis="lo_ratio", values=ratios)))
+        assert [c.failures for c in sweep.cells] == [0, 0, 0]
+        readout = sensing.simulate_measurements(
+            noiseless.scene, noiseless.geometry, noiseless.params,
+            [scenarios.with_lo_ratio(noiseless.scene, r).lo.amplitude
+             for r in ratios]).values
+        assert stacks[1:] == [np.repeat(readout, 3, axis=0).tobytes()]
 
     def test_single_trial_reproducible(self, base_config):
         one = ScenarioConfig(
@@ -120,6 +143,19 @@ class TestMcRmse:
         for row, errors in zip(est, got):
             np.testing.assert_array_equal(
                 errors, self.brute_force_matching(row, truth))
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "match_errors keeps the first of the pairings tied on total "
+        "|error|, so the squared error of estimates on one side of both "
+        "truths depends on their order; perfbench/checks.py::matched_errors "
+        "holds the same rule, so both change together"))
+    def test_squared_error_does_not_depend_on_estimate_order(self):
+        # Both pairings total 6.8 deg, but score 39.94 deg^2 and 31.94
+        # deg^2. Pairing in sorted order would score 31.94 either way.
+        truth = np.array([15.0, 20.0])
+        scores = [float((match_errors(np.array(est), truth) ** 2).sum())
+                  for est in ([21.3, 20.5], [20.5, 21.3])]
+        assert scores[0] == pytest.approx(scores[1])
 
     def test_all_pairings_tie_and_the_identity_wins(self):
         # every estimate beyond every truth: all 5,040 pairings total 70,

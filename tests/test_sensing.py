@@ -112,14 +112,18 @@ class TestGeometry:
 
     def test_windows_must_fit(self, rf_wavelength):
         # Every window lies inside the cell; contiguous windows end on the
-        # cell edge, up to rounding.
+        # cell edge, up to rounding. Lower edge j is fl(fl(w/2 + s*j) - w/2)
+        # and rounding is monotone, so no lower edge falls below 0 exactly:
+        # channel_measurements clips only the upper edges.
         for cells, width, pitch in itertools.product(
-                (1.5, 4.0, 16.0), (0.25, 0.1, 1.0, 0.15), (0.25, 0.15, 0.2)):
+                (1.5, 4.0, 16.0, 250.0), (0.25, 0.1, 1.0, 0.15),
+                (0.25, 0.15, 0.2, 0.01, 1 / 3)):
             geom = SensorGeometry(cells * rf_wavelength,
                                   width * rf_wavelength,
                                   pitch * rf_wavelength)
             lo, hi = geom.window_edges
             assert lo[0] == 0.0
+            assert (lo >= 0.0).all()
             assert hi[-1] <= geom.cell_length * (1 + 1e-12)
 
     def test_needs_two_channels(self):
