@@ -3,8 +3,8 @@
 Subcommands: simulate, estimate, crlb, sweep, check-sampling. All runs are
 driven by a JSON config (see config.py for the schema); flags set their
 config.FLAG_KEYS keys before parsing. Exit codes: 0 success, 2 config
-error, 3 domain error, 4 I/O error. main may be called any number of times
-in one process: the first call builds the parser and later calls reuse it.
+error, 3 domain error or arithmetic overflow, 4 I/O error. Calls of main
+in one process share the parser the first call builds.
 """
 
 from __future__ import annotations
@@ -177,22 +177,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, vars(args))
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
         if args.command == "estimate":
             return cmd_estimate(cfg, args.measurement)
-        if args.command == "crlb":
-            return cmd_crlb(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "check-sampling":
-            return cmd_check_sampling(cfg)
-        raise AssertionError(f"unhandled command {args.command}")
+        # Built per call, so a cmd_* rebound after import is the one run.
+        return {"simulate": cmd_simulate, "crlb": cmd_crlb, "sweep": cmd_sweep,
+                "check-sampling": cmd_check_sampling}[args.command](cfg)
     except (ConfigParseError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RydbergDoaError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except OverflowError:
+        print("error: a result overflowed the float range", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

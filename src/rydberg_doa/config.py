@@ -25,6 +25,7 @@ from .experiments import (
     SweepSpec,
 )
 from .physics import AtomicParams, PlaneWave, RfScene
+from .scenarios import with_lo_ratio
 from .sensing import SensorGeometry, snr_ratio
 
 
@@ -196,8 +197,8 @@ def _parse_prony(doc: dict, n_signals: int) -> PronyConfig:
 
 def _parse_sweep(doc: dict, scene: RfScene) -> SweepSpec:
     """Checks the values' types, the axis, the kind (null: the axis's
-    default), each value's range, then that lo_ratio has signal to scale.
-    Room for two windows is checked as the swept geometries are built."""
+    default), each value's range, then that lo_ratio has signal and each
+    ratio's LO amplitude; room for two windows as geometries are built."""
     _check_keys(doc, {"axis", "values", "kind"}, "sweep.")
     axis = _require(doc, "axis", "sweep.")
     values = _require(doc, "values", "sweep.")
@@ -222,6 +223,8 @@ def _parse_sweep(doc: dict, scene: RfScene) -> SweepSpec:
         raise ConfigParseError(
             "'sweep.axis' lo_ratio needs at least one signal with nonzero "
             "amplitude")
+    for i, value in enumerate(values if axis == "lo_ratio" else ()):
+        build_at(f"sweep.values[{i}]", with_lo_ratio, scene, value)
     return SweepSpec(axis=axis, values=values, kind=kind)
 
 

@@ -4,8 +4,8 @@ SWEEP_KINDS lists the studies of each sweep axis, the table every
 SweepSpec is checked against; run_sweep runs the configured one. Every
 bound comes from crlb.crlb_report_batch: one cell's through bound_report,
 and all cells of a length sweep in one call, which each equal
-crlb_std_for on their cell bit for bit. A length or sampling sweep runs
-the configured geometry with the swept length replaced. Each runner is
+crlb_report of their own Jacobian bit for bit. A length or sampling sweep
+runs the configured geometry with the swept length replaced. Each runner is
 deterministic for a fixed (config, base_seed): trial t of a cell draws
 its noise with seed cell_seed + t, and cell c of a sweep has cell_seed =
 base_seed + CELL_SEED_STRIDE * c, counting the cells of run_snr_sweep
@@ -270,7 +270,7 @@ def _mc_sweep(config: ScenarioConfig, cells) -> list[McResult]:
             values = sensing.add_noise(
                 clean, np.inf if cell.snr_db is None else cell.snr_db,
                 range(cell.base_seed, cell.base_seed + cell.trials)).values
-        except RydbergDoaError:  # a scene without signal power
+        except RydbergDoaError:  # no signal power, or infinite noise
             values = None
         # Everything estimate_doa_batch reads besides the values.
         key = (cell.prony, cell.geometry.channel_count, cell.geometry.spacing,
@@ -391,14 +391,12 @@ def required_snr(config: ScenarioConfig) -> float:
     return config.snr_db
 
 
-def _bound_amplitudes(scene: RfScene, params: AtomicParams,
-                      referenced: bool) -> np.ndarray:
+def _bound_amplitudes(scene: RfScene, params: AtomicParams) -> np.ndarray:
     """The targets' modulation amplitudes; raises bound_report's errors."""
     if not scene.is_identifiable():
         raise RydbergDoaError("targets share a beat wavenumber or sit at "
                               "the LO bearing: the bound is undefined")
-    if referenced:
-        sensing.require_signal(scene)
+    sensing.require_signal(scene)
     amplitudes = physics.modulation_amplitudes(params, scene)
     if (amplitudes == 0).any():
         raise RydbergDoaError("zero-amplitude targets make the FIM singular")
@@ -406,29 +404,22 @@ def _bound_amplitudes(scene: RfScene, params: AtomicParams,
 
 
 def bound_report(scene: RfScene, geometry: SensorGeometry,
-                 params: AtomicParams, snr_db: float | None = None,
-                 sigma2: float | None = None) -> CrlbReport:
-    """Angle-domain CRLB report at noise variance sigma2 or, given snr_db
-    instead, sensing.noise_variance of the noiseless analytic measurement.
-    Scenes whose FIM is singular (targets sharing a beat wavenumber or at
-    the LO bearing, zero-amplitude targets) raise a domain error."""
-    if (snr_db is None) == (sigma2 is None):
-        raise ValueError("give exactly one of snr_db and sigma2")
+                 params: AtomicParams, snr_db: float) -> CrlbReport:
+    """Angle-domain CRLB report at the noise variance sensing.noise_variance
+    gives the noiseless analytic measurement at snr_db. A scene without
+    signal, or whose FIM is singular (targets sharing a beat wavenumber or
+    at the LO bearing, zero-amplitude targets), raises a domain error."""
     values, jacobian = sensing.analytic_model(
         geometry, scene.delta_ks, scene.delta_phis,
-        _bound_amplitudes(scene, params, sigma2 is None))
-    if sigma2 is None:
-        sigma2 = sensing.noise_variance(values, snr_db)
-    thetas = np.array([s.angle for s in scene.signals])
-    return crlb_report(jacobian, sigma2, thetas, scene.wavenumber)
+        _bound_amplitudes(scene, params))
+    return crlb_report(jacobian, sensing.noise_variance(values, snr_db),
+                       [s.angle for s in scene.signals], scene.wavenumber)
 
 
 def crlb_std_for(scene: RfScene, geometry: SensorGeometry,
-                 params: AtomicParams, snr_db: float | None = None,
-                 sigma2: float | None = None) -> np.ndarray:
+                 params: AtomicParams, snr_db: float) -> np.ndarray:
     """Per-target angle-bound standard deviations of bound_report."""
-    return bound_report(scene, geometry, params, snr_db,
-                        sigma2).per_target_std
+    return bound_report(scene, geometry, params, snr_db).per_target_std
 
 
 def run_length_sweep(config: ScenarioConfig) -> dict[float, SweepResult]:
@@ -441,9 +432,10 @@ def run_length_sweep(config: ScenarioConfig) -> dict[float, SweepResult]:
     ordering reflects the estimation geometry rather than per-scene noise
     renormalization.
 
-    One crlb_report_batch call gives each cell crlb_std_for's bits: its K
-    windows are the longest cell's first K, so its Jacobian is that one's
-    with later channels zeroed. On an error the cells replay in order.
+    A cell's K windows are the longest cell's first K, so one batched
+    call, later channels zeroed, gives each cell crlb_report's bits on its
+    own Jacobian. On a domain error the cells of the scenes checked so far
+    replay in order, so the first failing cell raises its own error.
     """
     snr = required_snr(config)
     geometries = _axis_geometries(config, "cell_length")
@@ -453,11 +445,13 @@ def run_length_sweep(config: ScenarioConfig) -> dict[float, SweepResult]:
         _preset_scene(config, (0.0,)), longest, config.params).values
     sigma2s = [sensing.noise_variance(broadside[:k], snr) for k in counts]
     scenes = [_preset_scene(config, (a,)) for a in LENGTH_SWEEP_ANGLES_DEG]
+    rows = []
     try:
+        for s in scenes:
+            rows.append((s.delta_ks, s.delta_phis,
+                         _bound_amplitudes(s, config.params)))
         if counts.min() < 3:  # zeroed channels would hide K < 3N: replay
             raise RydbergDoaError("a cell has fewer channels than unknowns")
-        rows = [(s.delta_ks, s.delta_phis,
-                 _bound_amplitudes(s, config.params, False)) for s in scenes]
         kept = np.arange(counts.max())[:, None] < counts[:, None, None]
         stds = crlb_report_batch(
             np.where(kept, sensing.analytic_model(
@@ -465,29 +459,21 @@ def run_length_sweep(config: ScenarioConfig) -> dict[float, SweepResult]:
             sigma2s, [[[s.signals[0].angle]] for s in scenes],
             scenes[0].wavenumber).per_target_std[..., 0]
     except RydbergDoaError:
-        for scene in scenes:
-            for geometry, sigma2 in zip(geometries, sigma2s):
-                crlb_std_for(scene, geometry, config.params, sigma2=sigma2)
+        for scene, row in zip(scenes, rows):
+            jacobian = sensing.analytic_model(longest, *row)[1]
+            for k, sigma2 in zip(counts, sigma2s):
+                crlb_report(jacobian[:k], sigma2, [scene.signals[0].angle],
+                            scene.wavenumber)
         raise
     cells = (McResult(np.nan, 0, 0),) * len(counts)
     return {angle: SweepResult(config.sweep.values, cells, tuple(row))
             for angle, row in zip(LENGTH_SWEEP_ANGLES_DEG, stds)}
 
 
-def spectral_power(measurement: MeasurementVector, scene_meta,
-                   angles_deg: np.ndarray) -> np.ndarray:
-    """Matched-filter spectrum: |sum_j y_j exp(-i dk(theta) x_j)|^2 over a
-    candidate bearing grid."""
-    wavenumber, lo_angle = scene_meta
-    dks = wavenumber * (np.sin(lo_angle)
-                        - np.sin(np.deg2rad(np.asarray(angles_deg))))
-    steering = np.exp(-1j * dks[:, None] * measurement.geometry.centers)
-    return np.abs((steering * measurement.values).sum(axis=-1)) ** 2
-
-
 def run_sampling_demo(config: ScenarioConfig) -> SamplingDemoResult:
     """Aliasing and window-null demonstrations on the configured scene's
-    noiseless analytic measurements.
+    noiseless analytic measurements y: matched-filter spectra
+    |sum_j y_j exp(-i dk(theta) x_j)|^2 over a bearing grid.
 
     sampling_interval case: the configured geometry with its window pitch
     swept; window_width case: with its window width swept. Curves are
@@ -500,13 +486,15 @@ def run_sampling_demo(config: ScenarioConfig) -> SamplingDemoResult:
     label, field = (("dx", "spacing")
                     if config.sweep.axis == "sampling_interval"
                     else ("width", "window_width"))
-    geometries = _axis_geometries(config, field)
     angles_deg = np.arange(-90.0, 90.0 + DEMO_ANGLE_STEP_DEG / 2,
                            DEMO_ANGLE_STEP_DEG)
-    meta = (scene.wavenumber, scene.lo.angle)
-    power = np.array([spectral_power(sensing.predicted_measurements(
-        scene, geometry, config.params), meta, angles_deg)
-        for geometry in geometries])
+    dks = scene.wavenumber * (np.sin(scene.lo.angle)
+                              - np.sin(np.deg2rad(angles_deg)))
+    power = np.array([np.abs((np.exp(-1j * dks[:, None] * g.centers)
+                              * sensing.predicted_measurements(
+                                  scene, g, config.params).values
+                              ).sum(axis=-1)) ** 2
+                      for g in _axis_geometries(config, field)])
     return SamplingDemoResult(
         angles_deg=angles_deg, power=power / power.max(),
         labels=tuple(f"{label}_{v:g}wl" for v in config.sweep.values))

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import physics
-from .errors import NonPositiveFluorescence, ZeroSignalPower, read_only_copy
+from .errors import (NonPositiveFluorescence, RydbergDoaError,
+                     ZeroSignalPower, read_only_copy)
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,8 @@ class MeasurementVector:
         if self.values.ndim not in (1, 2) or \
                 self.values.shape[-1] != self.geometry.channel_count:
             raise ValueError("values length must equal channel_count")
+        if not np.isfinite(self.values).all():
+            raise RydbergDoaError("measurement values must be finite")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
 
@@ -289,10 +292,12 @@ def snr_ratio(snr_db: float) -> float:
 
 def noise_variance(values: np.ndarray, snr_db: float) -> float:
     """Noise variance at the given per-sample SNR (dB) against the signal
-    power of values, the mean square of their deviations from their mean:
-    the one SNR rule of noise draws and bounds."""
+    power of values, their mean-square deviation, which overflowing
+    raises OverflowError: the one SNR rule of noise draws and bounds."""
     values = np.asarray(values, dtype=float)
-    return float(np.mean((values - values.mean()) ** 2)) / snr_ratio(snr_db)
+    if (power := float(np.mean((values - values.mean()) ** 2))) == np.inf:
+        raise OverflowError("the signal power is out of the float range")
+    return power / snr_ratio(snr_db)
 
 
 def require_signal(scene: physics.RfScene,

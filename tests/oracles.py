@@ -13,7 +13,9 @@ the optical depth as the pipeline read it before it read the depth
 straight off the image's log: panel means of the absorption and their
 running integral. The greedy signal-root selection
 picks one root set's representatives one at a time in Python, as the
-estimator did before it selected over whole stacks. The CSV renderers
+estimator did before it selected over whole stacks. A length-sweep cell's
+bound is taken on its own geometry, one cell at a time, where the sweep
+batches every cell on its longest one. The CSV renderers
 at the end build each output file row by row, one f-string .17g per
 value, as the writers did before they formatted whole columns at once.
 """
@@ -26,7 +28,7 @@ from scipy import constants
 from scipy.integrate import quad_vec
 from scipy.linalg import cho_factor, cho_solve
 
-from rydberg_doa import physics
+from rydberg_doa import crlb, experiments, physics, sensing
 from rydberg_doa.errors import DegenerateDetuning
 from rydberg_doa.physics import (
     AtomicParams,
@@ -128,6 +130,23 @@ def fisher_information_by_channel(jacobian: np.ndarray,
     for row in jacobian:
         fim = fim + np.multiply.outer(row, row)
     return fim / sigma2
+
+
+def length_cell_std(config, angle_deg: float,
+                    geometry: SensorGeometry) -> float:
+    """The bound std of one length-sweep cell: crlb_report of the analytic
+    Jacobian of the target at angle_deg on the cell's own geometry, at the
+    noise variance of the broadside scene's values there. Raises the
+    cell's domain error."""
+    broadside = experiments._preset_scene(config, (0.0,))
+    sigma2 = sensing.noise_variance(sensing.predicted_measurements(
+        broadside, geometry, config.params).values, config.snr_db)
+    scene = experiments._preset_scene(config, (angle_deg,))
+    _, jacobian = analytic_model(
+        geometry, scene.delta_ks, scene.delta_phis,
+        experiments._bound_amplitudes(scene, config.params))
+    return crlb.crlb_report(jacobian, sigma2, [scene.signals[0].angle],
+                            scene.wavenumber).per_target_std[0]
 
 
 def rabi_frequency(params: AtomicParams, field_magnitude) -> np.ndarray | float:

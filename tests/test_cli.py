@@ -23,9 +23,27 @@ from rydberg_doa.errors import ConfigParseError, SchemaError
 from rydberg_doa.estimation import PronyConfig, estimate_doa
 from rydberg_doa.physics import AtomicParams
 
+from oracles import length_cell_std
+
 
 # An edit that drops its key from a config document.
 DELETE = object()
+
+
+def edit_doc(doc, edits):
+    """doc with each edit applied in place: a dotted path (list indexes
+    as digits) and its new value, or DELETE to drop the key."""
+    for path, value in edits.items():
+        *parents, key = [int(p) if p.isdigit() else p
+                         for p in path.split(".")]
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        if value is DELETE:
+            del node[key]
+        else:
+            node[key] = value
+    return doc
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -355,19 +373,10 @@ class TestConfigErrors:
         ({"sweep.kind": None}, 0, None),
     ])
     def test_config_error_message(self, tmp_path, capsys, edits, code, err):
-        # Each edit of configs/fig3c.json (a dotted path, DELETE to drop
-        # the key) gives this exit code and this one stderr line.
-        doc = json.loads((REPO_CONFIGS / "fig3c.json").read_text())
-        for path, value in edits.items():
-            *parents, key = [int(p) if p.isdigit() else p
-                             for p in path.split(".")]
-            node = doc
-            for parent in parents:
-                node = node[parent]
-            if value is DELETE:
-                del node[key]
-            else:
-                node[key] = value
+        # Each edit of configs/fig3c.json (see edit_doc) gives this exit
+        # code and this one stderr line.
+        doc = edit_doc(json.loads((REPO_CONFIGS / "fig3c.json").read_text()),
+                       edits)
         out = tmp_path / "out"
         assert cli.main(["sweep", "--config", write_config(tmp_path, doc),
                          "--out", str(out)]) == code
@@ -453,6 +462,57 @@ def test_snr_without_signal_amplitude_exit_3(tmp_path, capsys, command,
         "error: no target has a nonzero amplitude_v_per_m: the SNR has no "
         "signal to reference\n")
     assert not out.exists()
+
+
+OVERFLOW = "a result overflowed the float range"
+NOT_FINITE = "measurement values must be finite"
+
+
+@pytest.mark.parametrize("name, edits, commands, code, err", [
+    ("fig3c", {"sweep": DELETE, "atoms": {"probe_wavelength_m": 1e-300}},
+     ["simulate"], 3, NOT_FINITE),
+    ("fig3c", {"sweep": DELETE, "atoms": {"atom_density_per_m3": 1e300}},
+     ["simulate"], 3, OVERFLOW),
+    ("fig3c", {"atoms": {"probe_wavelength_m": 1e-300}}, ["sweep"], 3,
+     NOT_FINITE),
+    ("fig3c", {"atoms": {"atom_density_per_m3": 1e300}}, ["sweep"], 3,
+     OVERFLOW),
+    ("fig3c", {"sweep": DELETE, "scene.lo": {"amplitude_v_per_m": 1e200,
+                                             "angle_deg": 90}},
+     ["simulate", "crlb"], 3, OVERFLOW),
+    ("fig3c", {"sweep": DELETE, "scene.lo.ratio_to_signals": 1e300},
+     ["simulate", "crlb"], 3, OVERFLOW),
+    ("fig3c", {"scene.signals.0.amplitude_v_per_m": 1e200},
+     ["sweep", "crlb", "simulate"], 3, OVERFLOW),
+    *[("fig3c", {"sweep": DELETE, "atoms": {key: 1e200}},
+       ["simulate", "crlb"], 3, OVERFLOW)
+      for key in ("probe_dipole_c_m", "rf_dipole_c_m", "coupling_rabi_hz",
+                  "decay_21_hz")],
+    ("fig3c", {"sweep.values": [1e300]}, ["sweep"], 3, OVERFLOW),
+    ("fig3c", {"sweep.values": [5e-324]}, ["sweep"], 2,
+     "'sweep.values[0]': LO amplitude must be strictly positive"),
+    ("fig2", {"sweep.values": [5e-324]}, ["sweep"], 2,
+     "'sweep.values[0]': LO amplitude must be strictly positive"),
+], ids=["probe-wavelength", "density", "probe-wavelength-sweep",
+        "density-sweep", "lo-amplitude", "lo-ratio", "signal-amplitude",
+        "probe-dipole", "rf-dipole", "coupling-rabi", "decay",
+        "swept-lo-ratio-overflow", "swept-lo-ratio-underflow",
+        "fig2-swept-lo-ratio-underflow"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_out_of_range_config_exits_with_one_error_line(
+        tmp_path, capsys, name, edits, commands, code, err):
+    # Configs that parse but whose numbers leave the float range: each
+    # command exits 2 or 3 with one error line and writes no file, so no
+    # NaN or inf reaches an output. numpy may warn on the way (a warning,
+    # not an error line), so its RuntimeWarnings are not raised here.
+    doc = edit_doc(json.loads((REPO_CONFIGS / f"{name}.json").read_text()),
+                   edits)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, doc)
+    for command in commands:
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == code
+        assert capsys.readouterr().err == f"error: {err}\n", command
+        assert not out.exists()
 
 
 class TestEstimate:
@@ -812,20 +872,16 @@ class TestSweepCommand:
                          "--out", str(tmp_path / "edited")]) == 0
         sc = load_config(cfg).scenario
         lam = sc.scene.rf_wavelength
-        broadside = experiments._preset_scene(sc, (0.0,))
         for angle in experiments.LENGTH_SWEEP_ANGLES_DEG:
             name = f"length_sweep_theta{angle:g}.csv"
             text = (tmp_path / "edited" / name).read_text()
             assert text != (tmp_path / "default" / name).read_text()
-            scene = experiments._preset_scene(sc, (angle,))
             for row in text.splitlines()[1:]:
                 value, _, bound = row.split(",")[:3]
                 geometry = dataclasses.replace(
                     sc.geometry, cell_length=float(value) * lam)
-                sigma2 = sensing.noise_variance(sensing.predicted_measurements(
-                    broadside, geometry, sc.params).values, sc.snr_db)
-                assert float(bound) == np.rad2deg(experiments.crlb_std_for(
-                    scene, geometry, sc.params, sigma2=sigma2)[0])
+                assert float(bound) == np.rad2deg(
+                    length_cell_std(sc, angle, geometry))
 
     @pytest.mark.parametrize("axis", ["sampling_interval", "window_width"])
     def test_sampling_demo_without_signal_amplitude_exit_3(self, tmp_path,

@@ -36,7 +36,7 @@ from rydberg_doa.experiments import (
 from rydberg_doa.physics import PlaneWave, RfScene
 from rydberg_doa.sensing import SensorGeometry
 
-from oracles import greedy_signal_roots
+from oracles import greedy_signal_roots, length_cell_std
 
 
 @pytest.fixture()
@@ -582,17 +582,10 @@ class TestLengthSweep:
 
     def test_bound_needs_exactly_one_noise_argument(self, params,
                                                     geometry):
+        # The SNR is the bound's one noise input, and it has no default.
         scene = scenarios.scene_from_angles((15.0,))
-        with pytest.raises(ValueError, match="exactly one of snr_db"):
+        with pytest.raises(TypeError, match="'snr_db'"):
             experiments.crlb_std_for(scene, geometry, params)
-        with pytest.raises(ValueError, match="exactly one of snr_db"):
-            experiments.bound_report(scene, geometry, params, snr_db=10.0,
-                                     sigma2=1e-40)
-        sigma2 = sensing.noise_variance(sensing.predicted_measurements(
-            scene, geometry, params).values, 10.0)
-        np.testing.assert_array_equal(
-            experiments.crlb_std_for(scene, geometry, params, snr_db=10.0),
-            experiments.crlb_std_for(scene, geometry, params, sigma2=sigma2))
 
     def test_one_weak_lo_warning_per_bound(self, params, geometry):
         # the bound's noise reference and its FIM share one evaluation of
@@ -618,26 +611,18 @@ class TestLengthSweep:
 
     @staticmethod
     def cell_by_cell(config):
-        """The bound of every cell on its own geometry, bearing by bearing
-        and each in sweep order, the noise variance from the broadside
-        scene on that geometry: {angle: stds}, or the first cell's error."""
+        """The bound of every cell on its own geometry (see
+        oracles.length_cell_std), bearing by bearing and each in sweep
+        order: {angle: stds}, or the first cell's error."""
         lam = config.scene.rf_wavelength
-        broadside = experiments._preset_scene(config, (0.0,))
         geometries = [replace(config.geometry, cell_length=v * lam)
                       for v in config.sweep.values]
-        sigma2s = [sensing.noise_variance(sensing.predicted_measurements(
-            broadside, g, config.params).values, config.snr_db)
-            for g in geometries]
-        out = {}
         try:
-            for angle in experiments.LENGTH_SWEEP_ANGLES_DEG:
-                scene = experiments._preset_scene(config, (angle,))
-                out[angle] = [experiments.crlb_std_for(
-                    scene, g, config.params, sigma2=s2)[0]
-                    for g, s2 in zip(geometries, sigma2s)]
+            return {angle: [length_cell_std(config, angle, g)
+                            for g in geometries]
+                    for angle in experiments.LENGTH_SWEEP_ANGLES_DEG}
         except RydbergDoaError as exc:
             return exc
-        return out
 
     @pytest.mark.parametrize("values, lo_deg, lengths_wl", [
         ((1.0, 2.0, 4.0, 8.0), 90.0, {}),

@@ -1,6 +1,7 @@
 """Every result record holds a read-only copy of each array it is given,
 so the caller's arrays stay writable and apart from the record; a
-geometry computes its window centers and edges once, read-only.
+geometry computes its window centers and edges once, read-only; a
+measurement holds finite values only.
 """
 import ast
 import re
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from rydberg_doa.crlb import CrlbReport
+from rydberg_doa.errors import RydbergDoaError
 from rydberg_doa.estimation import EstimationResult
 from rydberg_doa.experiments import LinearizationCheck, SamplingDemoResult
 from rydberg_doa.sensing import (
@@ -120,6 +122,17 @@ def test_a_geometry_computes_its_windows_once_outside_eq_hash_repr():
     longer = replace(geometry, cell_length=1.5)
     assert longer.channel_count == 6 and len(longer.centers) == 6
     np.testing.assert_array_equal(longer.centers[:4], geometry.centers)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("shape", [(4,), (3, 4)], ids=["vector", "stack"])
+def test_a_measurement_rejects_a_non_finite_value(bad, shape):
+    values = _ramp(*shape)
+    values.flat[-2] = bad
+    with pytest.raises(RydbergDoaError,
+                       match="^measurement values must be finite$"):
+        MeasurementVector(values=values, geometry=GEOMETRY)
 
 
 def test_only_read_only_copy_sets_an_arrays_writeable_flag():
