@@ -251,20 +251,17 @@ def _mc_sweep(config: ScenarioConfig, cells) -> list[McResult]:
     a prediction system run as one batched Prony solve (see the module
     docstring); a cell is never split, and one of more than MC_STACK_ROWS
     trials runs alone. A cell whose prony.target_count differs from its
-    scene's signal count is a config error before any noise draw: its RMSE
-    would not score every target.
+    scene's signal count is a config error before the cell's own draw: its
+    RMSE would not score every target.
     """
-    cells = list(cells)
-    seeded = [replace(config, sweep=None,
-                      base_seed=config.base_seed + CELL_SEED_STRIDE * c,
-                      **overrides) for c, (overrides, _) in enumerate(cells)]
-    for cell in seeded:
+    results, stack, rows, system = [], [], 0, None
+    for c, (overrides, clean) in enumerate(cells):
+        cell = replace(config, sweep=None, **overrides,
+                       base_seed=config.base_seed + CELL_SEED_STRIDE * c)
         if cell.prony.target_count != cell.scene.n_signals:
             raise ConfigParseError(
                 f"'prony.target_count' must equal the scene's signal count "
                 f"{cell.scene.n_signals}, got {cell.prony.target_count}")
-    results, stack, rows, system = [], [], 0, None
-    for cell, (_, clean) in zip(seeded, cells):
         clean = MeasurementVector(values=clean, geometry=cell.geometry)
         try:
             values = sensing.add_noise(
@@ -336,17 +333,16 @@ def _axis_geometries(config: ScenarioConfig, field: str) -> list:
 def run_lo_ratio_sweep(config: ScenarioConfig) -> SweepResult:
     """DoA RMSE versus LO-to-signal amplitude ratio.
 
-    The cells are the rows of one fluorescence readout over their LO
-    amplitudes: the analytic path is linearization-exact by construction
-    and cannot show the weak-LO breakdown this sweep demonstrates.
+    Each cell is a row of one fluorescence readout over the LO amplitudes,
+    on the configured scene: the analytic path is linearization-exact by
+    construction and cannot show the weak-LO breakdown this sweep shows.
     """
-    scenes = [scenarios.with_lo_ratio(config.scene, float(ratio))
-              for ratio in config.sweep.values]
     readout = sensing.simulate_measurements(
         config.scene, config.geometry, config.params,
-        [scene.lo.amplitude for scene in scenes])
-    return SweepResult(config.sweep.values, tuple(_mc_sweep(config, zip(
-        ({"scene": scene} for scene in scenes), readout.values))), None)
+        [scenarios.with_lo_ratio(config.scene, float(ratio)).lo.amplitude
+         for ratio in config.sweep.values])
+    return SweepResult(config.sweep.values, tuple(_mc_sweep(
+        config, (({}, row) for row in readout.values))), None)
 
 
 SNR_PRESETS = {
@@ -375,12 +371,11 @@ def run_snr_sweep(config: ScenarioConfig) -> dict[str, SweepResult]:
         cells += [({"scene": scene, "snr_db": float(snr), "prony": prony},
                    clean) for snr in values]
     mc = iter(_mc_sweep(config, cells))
-    results = {name: SweepResult(values, tuple(next(mc) for _ in values),
-                                 None) for name in scenes}
-    results["single_15"] = replace(results["single_15"], crlb_std_rad=tuple(
-        crlb_std_for(scenes["single_15"], config.geometry, config.params,
-                     float(snr))[0] for snr in values))
-    return results
+    return {name: SweepResult(
+        values, tuple(next(mc) for _ in values),
+        tuple(crlb_std_for(scene, config.geometry, config.params,
+                           float(snr))[0] for snr in values)
+        if name == "single_15" else None) for name, scene in scenes.items()}
 
 
 def required_snr(config: ScenarioConfig) -> float:

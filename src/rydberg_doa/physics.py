@@ -133,8 +133,8 @@ class RfScene:
 
 def field_intensity(scene: RfScene, x,
                     lo_amplitudes=None) -> np.ndarray | float:
-    """|E_RF(x)|^2 expanded term by term: LO self-term, signal self-terms,
-    signal-LO beats, and all signal-signal cross-terms.
+    """|E_RF(x)|^2 expanded term by term: the self-terms, then the beat of
+    every pair of waves, LO first, so the LO-signal beats come first.
 
     Given lo_amplitudes, C LO amplitudes (V/m), each strictly positive as
     RfScene's, the result gains a leading axis of C rows, row c for the
@@ -147,6 +147,9 @@ def field_intensity(scene: RfScene, x,
                   else tuple(map(float, lo_amplitudes)))
     if not all(a > 0 for a in amplitudes):
         raise ValueError("LO amplitude must be strictly positive")
+    peak = max(amplitudes, default=0.0) + scene.total_signal_amplitude
+    if peak ** 2 == np.inf:  # |E|^2 <= peak^2; a finite peak's ** raises
+        raise OverflowError("|E|^2 is out of the float range")
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
@@ -156,10 +159,9 @@ def field_intensity(scene: RfScene, x,
     # Python's a**2: numpy's lo**2 rounds ~1 amplitude in 900 otherwise.
     out = np.reshape([a**2 + power for a in amplitudes],
                      lo.shape) + np.zeros(x.shape)
-    for s, dk, dphi in zip(sigs, scene.delta_ks, scene.delta_phis):
-        out += 2 * lo * s.amplitude * np.cos(dk * x - dphi)
-    for a, b in itertools.combinations(sigs, 2):
-        out += 2 * a.amplitude * b.amplitude * np.cos(scene.wavenumber * (
+    for (e, a), (f, b) in itertools.combinations(
+            [(lo, scene.lo)] + [(s.amplitude, s) for s in sigs], 2):
+        out += 2 * e * f * np.cos(scene.wavenumber * (
             np.sin(a.angle) - np.sin(b.angle)) * x - (b.phase - a.phase))
     return out[0] if lo_amplitudes is None else out
 

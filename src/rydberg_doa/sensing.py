@@ -207,7 +207,8 @@ def calibrate(values: np.ndarray, geometry: SensorGeometry,
     """Subtract the LO-only background alpha_dc * window area per channel;
     a stack (..., K) of values takes one alpha_dc per row."""
     background = np.asarray(alpha_dc)[..., None] * geometry.window_width
-    return MeasurementVector(values=values - background, geometry=geometry)
+    with np.errstate(invalid="ignore"):  # MeasurementVector rejects a NaN
+        return MeasurementVector(values=values - background, geometry=geometry)
 
 
 def _window_kernels(dk: float, half_width: float) -> tuple[float, float]:
@@ -248,8 +249,9 @@ def analytic_model(geometry: SensorGeometry, delta_ks, delta_phis,
     # analytic outputs: the values take (A w) cos, the phase column A (w sin).
     weighted = amps * even * cos_psi
     values = np.zeros(weighted.shape[:-1])
-    for i in range(weighted.shape[-1]):
-        values = values + weighted[..., i]
+    with np.errstate(invalid="ignore"):  # the values' readers reject a NaN
+        for i in range(weighted.shape[-1]):
+            values = values + weighted[..., i]
     pos_sin = -(centers * even * sin_psi + odd * cos_psi)
     return values, np.concatenate(
         [amps * pos_sin, amps * (even * sin_psi), even * cos_psi], axis=-1)
@@ -295,7 +297,9 @@ def noise_variance(values: np.ndarray, snr_db: float) -> float:
     power of values, their mean-square deviation, which overflowing
     raises OverflowError: the one SNR rule of noise draws and bounds."""
     values = np.asarray(values, dtype=float)
-    if (power := float(np.mean((values - values.mean()) ** 2))) == np.inf:
+    with np.errstate(over="ignore"):  # raised as OverflowError below
+        power = float(np.mean((values - values.mean()) ** 2))
+    if power == np.inf:
         raise OverflowError("the signal power is out of the float range")
     return power / snr_ratio(snr_db)
 

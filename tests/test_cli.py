@@ -266,6 +266,15 @@ class TestConfigErrors:
             "linear power ratio\n")
         assert not out.exists()
 
+    def test_sweep_without_a_sweep_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config",
+                         str(REPO_CONFIGS / "default.json"),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: missing required key 'sweep'\n")
+        assert not out.exists()
+
     def test_length_sweep_requires_snr(self, tmp_path, capsys):
         out = tmp_path / "out"
         doc = json.loads((REPO_CONFIGS / "fig6.json").read_text())
@@ -371,6 +380,12 @@ class TestConfigErrors:
          "'noise.snr_db': 4000 dB has no finite positive linear power "
          "ratio"),
         ({"sweep.kind": None}, 0, None),
+        ({"prony": {"model_order": 2, "target_count": 2}}, 2,
+         "'prony': model_order must be at least 2*target_count"),
+        ({"geometry.spacing_wavelengths": 0}, 2,
+         "'geometry': lengths and spacing must be strictly positive"),
+        ({"geometry.cell_length_wavelengths": -1}, 2,
+         "'geometry': lengths and spacing must be strictly positive"),
     ])
     def test_config_error_message(self, tmp_path, capsys, edits, code, err):
         # Each edit of configs/fig3c.json (see edit_doc) gives this exit
@@ -471,8 +486,10 @@ NOT_FINITE = "measurement values must be finite"
 @pytest.mark.parametrize("name, edits, commands, code, err", [
     ("fig3c", {"sweep": DELETE, "atoms": {"probe_wavelength_m": 1e-300}},
      ["simulate"], 3, NOT_FINITE),
+    ("fig3c", {"sweep": DELETE, "atoms": {"probe_wavelength_m": 1e-300}},
+     ["crlb"], 3, "noise variance must be positive and finite"),
     ("fig3c", {"sweep": DELETE, "atoms": {"atom_density_per_m3": 1e300}},
-     ["simulate"], 3, OVERFLOW),
+     ["simulate", "crlb"], 3, OVERFLOW),
     ("fig3c", {"atoms": {"probe_wavelength_m": 1e-300}}, ["sweep"], 3,
      NOT_FINITE),
     ("fig3c", {"atoms": {"atom_density_per_m3": 1e300}}, ["sweep"], 3,
@@ -484,6 +501,15 @@ NOT_FINITE = "measurement values must be finite"
      ["simulate", "crlb"], 3, OVERFLOW),
     ("fig3c", {"scene.signals.0.amplitude_v_per_m": 1e200},
      ["sweep", "crlb", "simulate"], 3, OVERFLOW),
+    ("fig3c", {"sweep": DELETE, "scene.lo": {"amplitude_v_per_m": 1e-5,
+                                             "angle_deg": 90},
+               "scene.signals.0.amplitude_v_per_m": 1e200},
+     ["simulate"], 3, OVERFLOW),
+    ("fig3c", {"sweep": DELETE, "scene.lo": {"amplitude_v_per_m": 1e-5,
+                                             "angle_deg": 90},
+               "scene.signals.0.amplitude_v_per_m": 1e308,
+               "scene.signals.1.amplitude_v_per_m": 1e308},
+     ["simulate"], 3, OVERFLOW),
     *[("fig3c", {"sweep": DELETE, "atoms": {key: 1e200}},
        ["simulate", "crlb"], 3, OVERFLOW)
       for key in ("probe_dipole_c_m", "rf_dipole_c_m", "coupling_rabi_hz",
@@ -493,18 +519,16 @@ NOT_FINITE = "measurement values must be finite"
      "'sweep.values[0]': LO amplitude must be strictly positive"),
     ("fig2", {"sweep.values": [5e-324]}, ["sweep"], 2,
      "'sweep.values[0]': LO amplitude must be strictly positive"),
-], ids=["probe-wavelength", "density", "probe-wavelength-sweep",
-        "density-sweep", "lo-amplitude", "lo-ratio", "signal-amplitude",
-        "probe-dipole", "rf-dipole", "coupling-rabi", "decay",
-        "swept-lo-ratio-overflow", "swept-lo-ratio-underflow",
-        "fig2-swept-lo-ratio-underflow"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+], ids=["probe-wavelength", "probe-wavelength-crlb", "density",
+        "probe-wavelength-sweep", "density-sweep", "lo-amplitude", "lo-ratio",
+        "signal-amplitude", "small-lo", "signal-sum", "probe-dipole",
+        "rf-dipole", "coupling-rabi", "decay", "swept-lo-ratio-overflow",
+        "swept-lo-ratio-underflow", "fig2-swept-lo-ratio-underflow"])
 def test_out_of_range_config_exits_with_one_error_line(
         tmp_path, capsys, name, edits, commands, code, err):
     # Configs that parse but whose numbers leave the float range: each
     # command exits 2 or 3 with one error line and writes no file, so no
-    # NaN or inf reaches an output. numpy may warn on the way (a warning,
-    # not an error line), so its RuntimeWarnings are not raised here.
+    # NaN or inf reaches an output.
     doc = edit_doc(json.loads((REPO_CONFIGS / f"{name}.json").read_text()),
                    edits)
     out = tmp_path / "out"
@@ -524,6 +548,23 @@ class TestEstimate:
         code = cli.main(["estimate", str(bad), "--config", cfg])
         assert code == 2
         assert "row 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, err", [
+        ("", "empty file"),
+        ("j,x,y\n1,0.01,0.5\n2,0.02,0.4\n",
+         "expected header j,x_j_m,y_tilde"),
+        ("j,x_j_m,y_tilde\n1,0.01\n2,0.02,0.4\n",
+         "row 2 has 2 fields, expected 3"),
+        ("j,x_j_m,y_tilde\n1,0.01,0.5\n", "need at least two channels"),
+    ], ids=["empty", "header", "short-row", "one-channel"])
+    def test_malformed_csv_exit_2(self, tmp_path, capsys, text, err):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_doc(out))
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert cli.main(["estimate", str(bad), "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {err}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("row", ["2,0.02,nan", "2,0.02,inf",
                                      "2,-inf,0.4", "2,NaN,-Infinity"])
@@ -678,6 +719,19 @@ class TestEstimate:
         centers, read_values = serialize.read_measurement_csv(path)
         np.testing.assert_allclose(centers, geometry.centers, rtol=1e-15)
         np.testing.assert_allclose(read_values, values, rtol=1e-15)
+
+    def test_blank_line_between_rows_is_skipped(self, tmp_path, geometry):
+        mv = sensing.MeasurementVector(
+            values=np.sin(0.7 * np.arange(geometry.channel_count)),
+            geometry=geometry)
+        path = tmp_path / "mv.csv"
+        serialize.write_measurement_csv(mv, path)
+        header, first, *rest = path.read_text().splitlines()
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("\n".join([header, first, "", *rest]) + "\n")
+        for got, want in zip(serialize.read_measurement_csv(spaced),
+                             serialize.read_measurement_csv(path)):
+            np.testing.assert_array_equal(got, want)
 
     def test_nonuniform_centers_rejected(self):
         with pytest.raises(SchemaError):
@@ -938,6 +992,21 @@ class TestSweepCommand:
             "error: 'prony.target_count' must equal the scene's signal "
             f"count 2, got {count}\n")
         assert not out.exists()
+
+    def test_order_of_every_channel_fails_every_trial(self, tmp_path):
+        # fig3c has K = 16 channels and an order-p prediction needs K > p:
+        # the estimate rejects each stack whole, so every trial of every
+        # cell fails and no RMSE is finite.
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config",
+                         str(REPO_CONFIGS / "fig3c.json"), "--out", str(out),
+                         "--order", "16"]) == 0
+        header, *rows = (out / "lo_ratio_sweep.csv").read_text().splitlines()
+        assert header == "axis_value,rmse_deg,crlb_deg,trials,failures"
+        assert len(rows) == 7
+        for row in rows:
+            _, rmse, crlb, trials, failures = row.split(",")
+            assert (rmse, crlb, failures) == ("inf", "", trials)
 
     def test_removed_parallel_flag_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path,

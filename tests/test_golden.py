@@ -14,7 +14,8 @@ dispatch, whatever OpenBLAS kernel runs: tests/test_output_bytes.py
 checks every command's output byte for byte under
 OPENBLAS_CORETYPE=Prescott. numpy's CPU dispatch moves only the last
 digits, within RECOMPUTE_RTOL: fig3c, the fluorescence pipeline's sweep,
-is also compared with numpy's AVX-512 kernels turned off.
+is also compared with numpy's AVX-512 kernels turned off, and
+tests/test_output_bytes.py compares every command's output so.
 """
 
 import csv
