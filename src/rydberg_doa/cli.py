@@ -17,16 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, sensing, serialize
+from . import __version__, experiments, scenarios, sensing, serialize
 from .config import RunConfig, load_config
 from .errors import ConfigParseError, RydbergDoaError, SchemaError
 from .estimation import estimate_doa
-from .experiments import (
-    LinearizationCheck,
-    bound_report,
-    required_snr,
-    run_sweep,
-)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -118,8 +112,8 @@ def cmd_estimate(cfg: RunConfig, measurement_path: str) -> int:
 
 def cmd_crlb(cfg: RunConfig) -> int:
     sc = cfg.scenario
-    report = bound_report(sc.scene, sc.geometry, sc.params,
-                          required_snr(sc))
+    report = experiments.bound_report(sc.scene, sc.geometry, sc.params,
+                                      experiments.required_snr(sc))
     thetas = np.array([s.angle for s in sc.scene.signals])
     out = Path(cfg.output_dir)
     serialize.write_crlb_json(report, out / "crlb.json")
@@ -129,6 +123,31 @@ def cmd_crlb(cfg: RunConfig) -> int:
               f"{np.rad2deg(std):.6g} deg")
     print(f"wrote {out / 'crlb.json'} and {out / 'crlb.csv'}")
     return EXIT_OK
+
+
+def _sweep_study(sc: experiments.ScenarioConfig):
+    """Run the configured study: its results by output file stem, in writing
+    order, and their CSV writer, each looked up per call as main's are."""
+    if sc.sweep.kind == "linearization_check":
+        return {"linearization_check": experiments.run_linearization_check(
+            sc.params, sc.scene,
+            [scenarios.with_lo_ratio(sc.scene, r).lo.amplitude
+             for r in (min(sc.sweep.values), max(sc.sweep.values))],
+            sc.geometry.grid(sc.scene.rf_wavelength))
+        }, serialize.write_linearization_csv
+    if sc.sweep.kind == "sampling_demo":
+        demo = experiments.run_sampling_demo(sc)
+        return ({f"sampling_demo_{sc.sweep.axis}": demo},
+                serialize.write_sampling_demo_csv)
+    if sc.sweep.kind == "crlb_length":
+        results = {f"length_sweep_theta{angle:g}": result for angle, result
+                   in experiments.run_length_sweep(sc).items()}
+    elif sc.sweep.axis == "snr_db":
+        results = {f"snr_sweep_{name}": result for name, result
+                   in experiments.run_snr_sweep(sc).items()}
+    else:
+        results = {"lo_ratio_sweep": experiments.run_lo_ratio_sweep(sc)}
+    return results, serialize.write_sweep_csv
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -142,15 +161,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
         _print_compliance(report)
         print("warning: the configured geometry violates sampling "
               "constraints; proceeding")
-    written: list[Path] = []
-    for stem, result in run_sweep(sc).items():
-        path = out / f"{stem}.csv"
-        serialize.write_result(result, path)
-        written.append(path)
-        if isinstance(result, LinearizationCheck):
-            ratios = sorted(sc.sweep.values)
-            print(f"normalized RMS residual ratio (weak {ratios[0]:g} / "
-                  f"strong {ratios[-1]:g}): {result.residual_ratio:.3f}")
+    results, write = _sweep_study(sc)
+    written = [out / f"{stem}.csv" for stem in results]
+    for path, result in zip(written, results.values()):
+        write(result, path)
+    if sc.sweep.kind == "linearization_check":
+        print(f"normalized RMS residual ratio (weak {min(sc.sweep.values):g}"
+              f" / strong {max(sc.sweep.values):g}): "
+              f"{results['linearization_check'].residual_ratio:.3f}")
     wall = time.perf_counter() - started
     manifest = {
         "config": cfg.echo,

@@ -193,7 +193,7 @@ def intensity_response(params: AtomicParams, s) -> np.ndarray | float:
     if np.any(shifted == 0):
         raise SingularPoint("coupling detuning equals the intensity shift")
     q = params.coupling_rabi**2 / 4
-    return 1.0 / (params.decay_21**2 + q**2 / shifted**2)
+    return 1.0 / (params.decay_21**2 + q**2 / (shifted * shifted))
 
 
 def intensity_response_derivative(params: AtomicParams,

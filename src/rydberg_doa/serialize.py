@@ -188,16 +188,6 @@ def write_sampling_demo_csv(result: SamplingDemoResult,
         result.angles_deg, *result.power))
 
 
-def write_result(result, path: str | Path) -> None:
-    """Write a sweep study's result with the CSV writer for its type."""
-    if isinstance(result, SweepResult):
-        write_sweep_csv(result, path)
-    elif isinstance(result, LinearizationCheck):
-        write_linearization_csv(result, path)
-    else:
-        write_sampling_demo_csv(result, path)
-
-
 def write_manifest_json(payload: dict, path: str | Path) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True)
                       + "\n")

@@ -519,11 +519,21 @@ NOT_FINITE = "measurement values must be finite"
      "'sweep.values[0]': LO amplitude must be strictly positive"),
     ("fig2", {"sweep.values": [5e-324]}, ["sweep"], 2,
      "'sweep.values[0]': LO amplitude must be strictly positive"),
+    ("fig3c", {"sweep": DELETE, "scene.lo": {"amplitude_v_per_m": 1e-5,
+                                             "angle_deg": 90},
+               "scene.signals.0.amplitude_v_per_m": 1e308,
+               "scene.signals.1.amplitude_v_per_m": 1e308},
+     ["crlb"], 3, "noise variance must be positive and finite"),
+    ("fig2", {"atoms": {"probe_wavelength_m": 1e-300}}, ["sweep"], 3,
+     "exact absorption values must be finite"),
+    ("fig2", {"atoms": {"atom_density_per_m3": 1e300}}, ["sweep"], 3,
+     OVERFLOW),
 ], ids=["probe-wavelength", "probe-wavelength-crlb", "density",
         "probe-wavelength-sweep", "density-sweep", "lo-amplitude", "lo-ratio",
         "signal-amplitude", "small-lo", "signal-sum", "probe-dipole",
         "rf-dipole", "coupling-rabi", "decay", "swept-lo-ratio-overflow",
-        "swept-lo-ratio-underflow", "fig2-swept-lo-ratio-underflow"])
+        "swept-lo-ratio-underflow", "fig2-swept-lo-ratio-underflow",
+        "signal-sum-crlb", "fig2-probe-wavelength", "fig2-density"])
 def test_out_of_range_config_exits_with_one_error_line(
         tmp_path, capsys, name, edits, commands, code, err):
     # Configs that parse but whose numbers leave the float range: each

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 from scipy.integrate import fixed_quad, quad
 
@@ -830,8 +830,18 @@ def lo_row_cases(draw):
     return scene, ratios, geometry
 
 
+def _one_ulp_case():
+    # At this ratio, numpy's scalar ** 2 (C pow) and the array's x * x
+    # differ by one ULP on the LO-only intensity response.
+    scene = scenarios.scene_from_angles((0.0,), phases=(0.0,))
+    lam = scene.rf_wavelength
+    return scene, [193.2650243163149], SensorGeometry(2 * lam, lam / 4,
+                                                      lam / 4)
+
+
 @settings(max_examples=60)
 @given(case=lo_row_cases())
+@example(case=_one_ulp_case())
 def test_every_lo_row_is_its_one_scene_call(params, case):
     # Every row of the exact model's five entry points equals the
     # one-scene call at its LO amplitude bit for bit, and a one-row call
