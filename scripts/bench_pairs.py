@@ -14,6 +14,14 @@ a percentile claim can name the kind of call it lands on. Every run lasts
 BENCHMARK.json's run_seconds. Both sides run from copies because runs
 from the checkout itself have read about 14% faster than runs from a
 copy of the same tree.
+
+With --record FILE it also writes what it prints as JSON, in the layout
+of the committed BENCH_*.json files: what, command, parent_commit,
+claimed (the workload and the metric given by --claim, or null), limits,
+and workloads. The workload's entry holds a summary per end-to-end metric
+(both sides' quartiles and medians, the pairs won and the claim rule's
+verdict), the printed tables, and each pair's seed and order with each
+side's record line (host, library versions) and result (metrics).
 """
 import argparse
 import io
@@ -117,17 +125,23 @@ def claim_table(parent_runs, change_runs) -> str:
     return "\n".join(lines)
 
 
+def read_run(path) -> dict:
+    """A run file's last record line and its result line."""
+    lines = Path(path).read_text().strip().splitlines()
+    records = [json.loads(line)["record"] for line in lines
+               if line.startswith('{"record"')]
+    return {"record": records[-1] if records else None,
+            "result": json.loads(lines[-1])}
+
+
 def kind_latencies(paths) -> dict[str, list[float]]:
     """Each call kind's median latency in ms, one per run file that has
     it, read from the call_p50_ms_by_kind of the file's record line."""
     kinds: dict[str, list[float]] = {}
     for path in paths:
-        records = [json.loads(line)["record"] for line in
-                   Path(path).read_text().splitlines()
-                   if line.startswith('{"record"')]
-        for record in records[-1:]:
-            for kind, ms in record.get("call_p50_ms_by_kind", {}).items():
-                kinds.setdefault(kind, []).append(ms)
+        record = read_run(path)["record"] or {}
+        for kind, ms in record.get("call_p50_ms_by_kind", {}).items():
+            kinds.setdefault(kind, []).append(ms)
     return kinds
 
 
@@ -145,7 +159,75 @@ def kind_table(parent_runs, change_runs) -> str:
     return "\n".join(lines)
 
 
+def summary(parent, change, better: str) -> dict:
+    """One end-to-end metric's entry of a record: the runs of each side,
+    in pair order, summarized as the committed BENCH_*.json files do."""
+    won, _, tied = tally(parent, change, better)
+    return {
+        "better": better,
+        "parent_q1_median_q3": quartiles(parent),
+        "change_q1_median_q3": quartiles(change),
+        "median_change": relative(statistics.median(parent),
+                                  statistics.median(change)),
+        "pair_change_median": statistics.median(
+            relative(p, c) for p, c in zip(parent, change)),
+        "parent_iqr": spread(parent),
+        "change_wins": won, "ties": tied, "pairs": len(parent),
+        "claim_holds": claim_holds(parent, change, better),
+    }
+
+
+def relative(old: float, new: float) -> float:
+    """new - old as a share of old, 0 when old is 0, as compare.py reads
+    a change."""
+    return (new - old) / abs(old) if old else 0.0
+
+
+def quartiles(values) -> list[float]:
+    """[q1, median, q3] by compare.spread's rule; one run gives it thrice."""
+    if len(values) < 2:
+        return [values[0]] * 3
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return [q1, median, q3]
+
+
+def bench_record(args, argv, runs, tables, spec) -> dict:
+    """The record --record writes: the printed tables and every run, in
+    the committed BENCH_*.json files' layout (see the module docstring)."""
+    values = {side: load(runs[side]) for side in SIDES}
+    pairs = [{"pair": i, "seed": seed, "first": SIDES[i % 2],
+              **{side: read_run(runs[side][i]) for side in SIDES}}
+             for i, seed in enumerate(args.seeds)]
+    return {
+        "what": f"perfbench/run.py end-to-end runs of {args.parent_rev} "
+                "and of the working tree, in alternating pairs made by "
+                "scripts/bench_pairs.py (pair i runs the parent first when "
+                "i is even), each pair on its own seed; each side ran from "
+                "a fresh sibling copy (git archive of the parent, git "
+                "ls-files of the change)",
+        "command": "python3 scripts/bench_pairs.py " + " ".join(argv),
+        "parent_commit": git("rev-parse", args.parent_rev).decode().strip(),
+        "claimed": args.claim and {"workload": args.workload,
+                                   "metric": args.claim},
+        "limits": next((pair[side]["record"]["limits"] for pair in pairs
+                        for side in SIDES if pair[side]["record"]), None),
+        "workloads": {args.workload: {
+            "summary": {
+                metric["name"]: summary(values["parent"][metric["name"]],
+                                        values["change"][metric["name"]],
+                                        metric["better"])
+                for metric in spec["end_to_end"]
+                if all(metric["name"] in v for v in values.values())},
+            **tables,
+            "correct": all(pair[side]["result"]["correct"]
+                           for pair in pairs for side in SIDES),
+            "pairs": pairs,
+        }},
+    }
+
+
 def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -154,8 +236,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=seed_range, required=True,
                         help="inclusive seed range A-B, one pair per seed")
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--record", type=Path,
+                        help="also write what is printed, as JSON, here")
+    parser.add_argument("--claim", metavar="METRIC",
+                        choices=[m["name"] for m in spec["end_to_end"]],
+                        help="the end-to-end metric the change claims, "
+                             "named in the record")
+    argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    seconds = spec["run_seconds"]
     copies = build_copies(args.parent_rev, args.out)
     for i, seed in enumerate(args.seeds):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
@@ -164,12 +253,21 @@ def main(argv=None) -> int:
             print(f"pair {i} seed {seed}: {side} done", flush=True)
     runs = {side: [str(args.out / f"{side}-{seed}.txt")
                    for seed in args.seeds] for side in SIDES}
-    status = subprocess.run(
+    compared = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "compare.py"),
-         "--base", *runs["parent"], "--new", *runs["change"]]).returncode
-    print(claim_table(runs["parent"], runs["change"]))
-    print(kind_table(runs["parent"], runs["change"]))
-    return status
+         "--base", *runs["parent"], "--new", *runs["change"]],
+        capture_output=True, text=True)
+    tables = {"compare": compared.stdout,
+              "claim": claim_table(runs["parent"], runs["change"]),
+              "kinds": kind_table(runs["parent"], runs["change"])}
+    for table in tables.values():
+        print(table.rstrip("\n"))
+    print(compared.stderr, end="", file=sys.stderr)
+    if args.record:
+        tables = {name: table.splitlines() for name, table in tables.items()}
+        args.record.write_text(json.dumps(
+            bench_record(args, argv, runs, tables, spec), indent=1) + "\n")
+    return compared.returncode
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, experiments, scenarios, sensing, serialize
+from . import __version__, experiments, sensing, serialize
 from .config import RunConfig, load_config
 from .errors import ConfigParseError, RydbergDoaError, SchemaError
 from .estimation import estimate_doa
@@ -129,12 +129,9 @@ def _sweep_study(sc: experiments.ScenarioConfig):
     """Run the configured study: its results by output file stem, in writing
     order, and their CSV writer, each looked up per call as main's are."""
     if sc.sweep.kind == "linearization_check":
-        return {"linearization_check": experiments.run_linearization_check(
-            sc.params, sc.scene,
-            [scenarios.with_lo_ratio(sc.scene, r).lo.amplitude
-             for r in (min(sc.sweep.values), max(sc.sweep.values))],
-            sc.geometry.grid(sc.scene.rf_wavelength))
-        }, serialize.write_linearization_csv
+        return ({"linearization_check":
+                 experiments.run_linearization_check(sc)},
+                serialize.write_linearization_csv)
     if sc.sweep.kind == "sampling_demo":
         demo = experiments.run_sampling_demo(sc)
         return ({f"sampling_demo_{sc.sweep.axis}": demo},
@@ -166,9 +163,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     for path, result in zip(written, results.values()):
         write(result, path)
     if sc.sweep.kind == "linearization_check":
-        print(f"normalized RMS residual ratio (weak {min(sc.sweep.values):g}"
-              f" / strong {max(sc.sweep.values):g}): "
-              f"{results['linearization_check'].residual_ratio:.3f}")
+        check = results["linearization_check"]
+        print(f"normalized RMS residual ratio (weak {check.ratio_weak:g} / "
+              f"strong {check.ratio_strong:g}): {check.residual_ratio:.3f}")
     wall = time.perf_counter() - started
     manifest = {
         "config": cfg.echo,

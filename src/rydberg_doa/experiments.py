@@ -130,7 +130,7 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class LinearizationCheck:
-    """Exact vs linearized absorption at a weak and a strong LO."""
+    """Exact vs linearized absorption at a weak and a strong LO ratio."""
 
     positions: np.ndarray
     exact_weak: np.ndarray
@@ -140,6 +140,8 @@ class LinearizationCheck:
     # RMS residual over the regime's total modulation amplitude
     residual_weak: float
     residual_strong: float
+    ratio_weak: float
+    ratio_strong: float
 
     def __post_init__(self):
         for name in ("positions", "exact_weak", "linear_weak",
@@ -212,37 +214,36 @@ def mc_rmse(scenario: ScenarioConfig) -> McResult:
     return _mc_sweep(scenario, [({}, clean)])[0]
 
 
-def run_linearization_check(params: AtomicParams, scene: RfScene,
-                            lo_amplitudes, grid: np.ndarray
-                            ) -> LinearizationCheck:
-    """Exact vs linearized absorption profiles of the scene at the LO
-    amplitudes (weak, strong), V/m; the exact ones are the rows of one
-    call. Residual RMS values are normalized by each regime's total
-    modulation amplitude, the scale on which the 1/ratio error model is
-    comparable across LO levels.
+def run_linearization_check(config: ScenarioConfig) -> LinearizationCheck:
+    """Exact vs linearized absorption profiles of the configured scene on
+    its geometry's grid, the LO at the smallest (weak) and the largest
+    (strong) swept ratio; the exact ones are the rows of one call. Each
+    residual RMS is over its regime's total modulation amplitude, the scale
+    on which the 1/ratio error model is comparable across LO levels.
     """
-    grid = np.asarray(grid, dtype=float)
-    ew, es = physics.absorption_exact(params, scene, grid, lo_amplitudes)
-
-    def profiles(amplitude, exact):
-        if not np.isfinite(exact).all():
+    ratios = (min(config.sweep.values), max(config.sweep.values))
+    regimes = [scenarios.with_lo_ratio(config.scene, r) for r in ratios]
+    grid = config.geometry.grid(config.scene.rf_wavelength)
+    exact = physics.absorption_exact(config.params, config.scene, grid,
+                                     [at.lo.amplitude for at in regimes])
+    profiles = []
+    for at, row in zip(regimes, exact):
+        if not np.isfinite(row).all():
             raise RydbergDoaError("exact absorption values must be finite")
-        at = replace(scene, lo=replace(scene.lo, amplitude=amplitude))
-        linear = physics.absorption_linearized(params, at, grid)
+        mods = physics.modulation_amplitudes(config.params, at)
+        linear = physics.absorption_linearized(config.params, at, grid, mods)
         with np.errstate(over="ignore"):  # raised as OverflowError below
-            rms = float(np.sqrt(np.mean((exact - linear) ** 2)))
+            rms = float(np.sqrt(np.mean((row - linear) ** 2)))
         if rms == np.inf:
             raise OverflowError("the residual is out of the float range")
-        mods = float(np.abs(physics.modulation_amplitudes(params,
-                                                          at)).sum())
-        return linear, (rms / mods if mods > 0 else 0.0)
-
-    lw, norm_w = profiles(lo_amplitudes[0], ew)
-    ls, norm_s = profiles(lo_amplitudes[1], es)
+        total = float(np.abs(mods).sum())
+        profiles.append((linear, rms / total if total > 0 else 0.0))
+    (linear_weak, residual_weak), (linear_strong, residual_strong) = profiles
     return LinearizationCheck(
-        positions=grid, exact_weak=ew, linear_weak=lw,
-        exact_strong=es, linear_strong=ls,
-        residual_weak=norm_w, residual_strong=norm_s)
+        positions=grid, exact_weak=exact[0], linear_weak=linear_weak,
+        exact_strong=exact[1], linear_strong=linear_strong,
+        residual_weak=residual_weak, residual_strong=residual_strong,
+        ratio_weak=ratios[0], ratio_strong=ratios[1])
 
 
 def _mc_sweep(config: ScenarioConfig, cells) -> list[McResult]:
@@ -442,10 +443,10 @@ def run_length_sweep(config: ScenarioConfig) -> dict[float, SweepResult]:
     geometries = _axis_geometries(config, "cell_length")
     counts = np.array([geometry.channel_count for geometry in geometries])
     longest = geometries[int(counts.argmax())]
-    broadside = sensing.predicted_measurements(
-        _preset_scene(config, (0.0,)), longest, config.params).values
-    sigma2s = [sensing.noise_variance(broadside[:k], snr) for k in counts]
     scenes = [_preset_scene(config, (a,)) for a in LENGTH_SWEEP_ANGLES_DEG]
+    broadside = sensing.predicted_measurements(  # the first bearing is 0
+        scenes[0], longest, config.params).values
+    sigma2s = [sensing.noise_variance(broadside[:k], snr) for k in counts]
     rows = []
     try:
         for s in scenes:

@@ -243,12 +243,12 @@ def modulation_amplitudes(params: AtomicParams, scene: RfScene) -> np.ndarray:
     return 2 * c_scale * scene.lo.amplitude * amps * fprime
 
 
-def absorption_linearized(params: AtomicParams, scene: RfScene,
-                          x) -> np.ndarray | float:
-    """LO-dominant linearization: alpha_DC plus one cosine per target."""
+def absorption_linearized(params: AtomicParams, scene: RfScene, x,
+                          amplitudes) -> np.ndarray | float:
+    """LO-dominant linearization: alpha_DC plus one cosine per target, of
+    the given modulation amplitudes (1/m; see modulation_amplitudes)."""
     x = np.asarray(x, dtype=float)
     out = absorption_dc(params, scene) + np.zeros(x.shape)
-    mods = modulation_amplitudes(params, scene)
-    for a_mod, dk, dphi in zip(mods, scene.delta_ks, scene.delta_phis):
+    for a_mod, dk, dphi in zip(amplitudes, scene.delta_ks, scene.delta_phis):
         out = out + a_mod * np.cos(dk * x - dphi)
     return out

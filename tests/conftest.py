@@ -6,9 +6,11 @@ from rydberg_doa import scenarios
 from rydberg_doa.physics import AtomicParams
 from rydberg_doa.sensing import SensorGeometry
 
-hypothesis.settings.register_profile(
-    "default", max_examples=50, deadline=None)
-hypothesis.settings.load_profile("default")
+import hypothesis_profiles  # noqa: F401  (registers tier1 and explore)
+
+# Loaded before pytest's --hypothesis-profile option is read, so that
+# option still selects another profile.
+hypothesis.settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -83,10 +83,12 @@ def test_criterion_1_noiseless_exactness(setup):
 def test_criterion_2_linearization_scaling(setup):
     params, scene, geometry = setup
     with Criterion(2, "weak/strong LO residual ratio in [4, 30]", 10.0):
-        grid = geometry.grid(scene.rf_wavelength)
-        check = run_linearization_check(
-            params, scene, [scenarios.with_lo_ratio(scene, r).lo.amplitude
-                            for r in (1.0, 10.0)], grid)
+        check = run_linearization_check(ScenarioConfig(
+            scene=scene, geometry=geometry,
+            prony=PronyConfig(model_order=4, target_count=2),
+            params=params, snr_db=None, sweep=SweepSpec(
+                axis="lo_ratio", values=(1.0, 10.0),
+                kind="linearization_check")))
         assert 4.0 <= check.residual_ratio <= 30.0, (
             f"residual ratio {check.residual_ratio:.2f}")
 

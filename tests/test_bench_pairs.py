@@ -110,3 +110,118 @@ def test_kind_table_reads_each_side_per_call_kind(tmp_path):
     rows = {line.split()[0]: line.split()[1:] for line in lines[1:]}
     assert rows == {"simulate": ["1.5", "1.5", "+0.00%"],
                     "sweep_length": ["3", "2", "-33.33%"]}
+
+
+# The layout of a committed BENCH_*.json file, as --record writes it: a
+# dict per level, "*" standing for every workload, metric or pair, None
+# for a leaf.
+SIDE = {"record": dict.fromkeys(("seed", "src_sha256", "nproc", "python",
+                                 "numpy", "scipy", "blas", "blas_version")),
+        "result": dict.fromkeys(("correct", "metrics"))}
+LAYOUT = {
+    **dict.fromkeys(("what", "command", "parent_commit", "claimed",
+                     "limits")),
+    "workloads": {"*": {
+        "summary": {"*": dict.fromkeys((
+            "better", "parent_q1_median_q3", "change_q1_median_q3",
+            "median_change", "pair_change_median", "parent_iqr",
+            "change_wins", "ties", "pairs", "claim_holds"))},
+        "compare": None, "correct": None,
+        "pairs": {"*": {"pair": None, "seed": None, "first": None,
+                        "parent": SIDE, "change": SIDE}},
+    }},
+}
+
+# What each committed file lacks of LAYOUT: the older files were written
+# by hand, before --record.
+LACKS = {
+    "BENCH_11.json": {"workloads.*.summary.*.pair_change_median",
+                      "workloads.*.summary.*.claim_holds"},
+    "BENCH_12.json": {"workloads.*.summary.*.pair_change_median",
+                      "workloads.*.summary.*.claim_holds"},
+    "BENCH_23.json": {"workloads.*.summary.*.pair_change_median",
+                      "workloads.*.summary.*.claim_holds"},
+    "BENCH_24.json": {"workloads.*.summary.*.claim_holds"},
+}
+
+
+def layout_gaps(value, layout=LAYOUT, path="") -> set[str]:
+    """The dotted paths of layout's fields that value lacks."""
+    gaps = set()
+    for key, inner in layout.items():
+        if key == "*":
+            children = value.values() if isinstance(value, dict) else value
+            here = f"{path}*"
+        elif key in value:
+            children, here = [value[key]], f"{path}{key}"
+        else:
+            gaps.add(f"{path}{key}")
+            continue
+        for child in children if inner is not None else ():
+            gaps |= layout_gaps(child, inner, f"{here}.")
+    return gaps
+
+
+def stored_runs(workload, metric) -> tuple[list, list]:
+    return tuple([pair[side]["result"]["metrics"][metric]["value"]
+                  for pair in workload["pairs"]]
+                 for side in ("parent", "change"))
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")),
+                         ids=lambda path: path.name)
+def test_committed_bench_file_layout(path):
+    # Every committed file has the layout but the fields LACKS names, and
+    # the claim rule holds on its claimed metric's stored runs.
+    bench, module = json.loads(path.read_text()), load_module()
+    assert layout_gaps(bench) == LACKS.get(path.name, set())
+    claimed = bench["claimed"]
+    workload = bench["workloads"][claimed["workload"]]
+    better = workload["summary"][claimed["metric"]]["better"]
+    holds = module.claim_holds(*stored_runs(workload, claimed["metric"]),
+                               better)
+    assert holds is workload["summary"][claimed["metric"]].get(
+        "claim_holds", True)
+
+
+def test_record_has_the_committed_layout(tmp_path, monkeypatch):
+    # A record of three pairs on seeds 5-7 in which the change quarters
+    # wall_s: the full layout, the runs in pair order and the verdicts.
+    bench = load_module()
+    monkeypatch.setattr(bench, "git", lambda *args: b"0123abc\n")
+    runs = {"parent": [], "change": []}
+    for i, seed in enumerate(range(5, 8)):
+        for side, wall in (("parent", 2.0 + i), ("change", 0.5 + i / 4)):
+            record = {"seed": seed, "src_sha256": side, "nproc": 2,
+                      "python": "3", "numpy": "2", "scipy": "1",
+                      "blas": "b", "blas_version": "0", "limits": "none"}
+            result = {"correct": True, "metrics": {
+                "wall_s": {"value": wall}, "setup_s": {"value": 0.5}}}
+            path = tmp_path / f"{side}-{seed}.txt"
+            path.write_text("log line\n" + json.dumps({"record": record})
+                            + "\n" + json.dumps(result) + "\n")
+            runs[side].append(str(path))
+    args = bench.argparse.Namespace(
+        parent_rev="HEAD~1", workload="cli_short", seeds=range(5, 8),
+        claim="wall_s")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    record = json.loads(json.dumps(bench.bench_record(
+        args, ["HEAD~1", "--seeds", "5-7"], runs,
+        {"compare": ["a table"]}, spec)))
+    assert layout_gaps(record) == set()
+    assert record["parent_commit"] == "0123abc"
+    assert record["claimed"] == {"workload": "cli_short", "metric": "wall_s"}
+    assert record["limits"] == "none"
+    workload = record["workloads"]["cli_short"]
+    assert list(workload["summary"]) == ["setup_s", "wall_s"]
+    assert stored_runs(workload, "wall_s") == ([2.0, 3.0, 4.0],
+                                               [0.5, 0.75, 1.0])
+    assert [(p["seed"], p["first"]) for p in workload["pairs"]] == [
+        (5, "parent"), (6, "change"), (7, "parent")]
+    wall = workload["summary"]["wall_s"]
+    assert wall["parent_q1_median_q3"][1] == 3.0
+    assert wall["median_change"] == -0.75
+    assert (wall["change_wins"], wall["ties"], wall["pairs"]) == (3, 0, 3)
+    assert wall["claim_holds"] is True
+    assert workload["summary"]["setup_s"]["claim_holds"] is False
+    assert workload["compare"] == ["a table"] and workload["correct"]

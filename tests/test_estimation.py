@@ -28,6 +28,7 @@ from rydberg_doa.estimation import (
 )
 from rydberg_doa.sensing import MeasurementVector, SensorGeometry
 
+from hypothesis_profiles import examples
 from oracles import greedy_signal_roots
 
 
@@ -202,7 +203,7 @@ class TestStackedKernels:
 
     @given(seed=st.integers(0, 2**32 - 1), order=st.integers(2, 8),
            extra=st.integers(0, 20))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_certified_rows_are_full_rank(self, seed, order, extra):
         # Eight systems with condition numbers from 1e2 to 1e16.
         rng = np.random.default_rng(seed)
@@ -366,7 +367,7 @@ def tied_root_stacks(draw):
 
 class TestSelectionMatchesGreedy:
     @given(case=tied_root_stacks())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_stage_equals_serial_greedy(self, case):
         roots, n_targets, delta, angle_floor = case
         reps, found = select_signal_roots(roots, n_targets, delta,
@@ -691,7 +692,7 @@ def sinusoid_scenarios(draw):
 
 class TestProperties:
     @given(case=sinusoid_scenarios())
-    @settings(max_examples=40)
+    @settings(max_examples=examples(40))
     def test_noiseless_exactness(self, case):
         omegas, phis, amps, k_samples = case
         n = len(omegas)
@@ -737,7 +738,7 @@ class TestProperties:
         np.testing.assert_allclose(freqs[2], freqs[0], rtol=1e-10)
 
     @given(scale=st.floats(-1e3, 1e3).filter(lambda c: abs(c) > 1e-6))
-    @settings(max_examples=30)
+    @settings(max_examples=examples(30))
     def test_amplitude_scale_invariance(self, scale):
         y = sinusoid_samples([0.7, 1.9], [0.2, -1.0], [1.0, 0.8], 20)
         cfg = PronyConfig(model_order=4, target_count=2)

@@ -3,11 +3,13 @@ import re
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rydberg_doa import (
+    cli,
     estimation,
     experiments,
     physics,
@@ -33,10 +35,11 @@ from rydberg_doa.experiments import (
     run_sampling_demo,
     run_snr_sweep,
 )
-from rydberg_doa.physics import PlaneWave, RfScene
 from rydberg_doa.sensing import SensorGeometry
 
 from oracles import greedy_signal_roots, length_cell_std
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -254,52 +257,61 @@ def assert_rows_match(stack, meta, prony) -> set:
 
 class TestLinearizationCheck:
     @staticmethod
-    def lo_amplitudes(scene, ratios=(1.0, 10.0)):
-        return [scenarios.with_lo_ratio(scene, r).lo.amplitude
-                for r in ratios]
+    def check_config(base_config, ratios=(1.0, 10.0)):
+        return replace(base_config, sweep=SweepSpec(
+            axis="lo_ratio", values=ratios, kind="linearization_check"))
 
-    def test_residual_ratio_bracket(self, params, two_target, geometry):
-        grid = geometry.grid(two_target.rf_wavelength)
-        check = run_linearization_check(
-            params, two_target, self.lo_amplitudes(two_target), grid)
+    def test_residual_ratio_bracket(self, base_config):
+        check = run_linearization_check(self.check_config(base_config))
         assert 4.0 <= check.residual_ratio <= 30.0
 
-    def test_rows_are_the_one_scene_profiles(self, params, two_target,
-                                             geometry):
-        # each LO level's exact profile is the one-scene call, bit for bit
-        grid = geometry.grid(two_target.rf_wavelength)
-        weak, strong = (scenarios.with_lo_ratio(two_target, r)
-                        for r in (1.0, 10.0))
+    def test_rows_are_the_one_scene_profiles(self, base_config):
+        # the weak and strong regimes are the smallest and largest swept
+        # ratios, on the geometry's grid; each LO level's exact profile is
+        # the one-scene call, bit for bit, and its linear one the one-scene
+        # call on that scene's modulation amplitudes
+        params, scene = base_config.params, base_config.scene
+        grid = base_config.geometry.grid(scene.rf_wavelength)
         check = run_linearization_check(
-            params, two_target, self.lo_amplitudes(two_target), grid)
-        for exact, linear, scene in ((check.exact_weak, check.linear_weak,
-                                      weak),
+            self.check_config(base_config, (10.0, 4.0, 1.0)))
+        assert (check.ratio_weak, check.ratio_strong) == (1.0, 10.0)
+        np.testing.assert_array_equal(check.positions, grid)
+        for exact, linear, ratio in ((check.exact_weak, check.linear_weak,
+                                      1.0),
                                      (check.exact_strong,
-                                      check.linear_strong, strong)):
+                                      check.linear_strong, 10.0)):
+            at = scenarios.with_lo_ratio(scene, ratio)
             assert np.array_equal(exact, physics.absorption_exact(
-                params, scene, grid))
+                params, at, grid))
             assert np.array_equal(linear, physics.absorption_linearized(
-                params, scene, grid))
+                params, at, grid, physics.modulation_amplitudes(params, at)))
 
-    def test_zero_signal_scene_no_residual(self, params, geometry,
-                                           rf_wavelength):
-        lo_only = RfScene(lo=PlaneWave(1e-5, 0.0, np.pi / 2),
-                          carrier_freq=2.03e9)
-        grid = geometry.grid(rf_wavelength)
-        check = run_linearization_check(params, lo_only, (1e-5, 1e-4), grid)
-        # zero raw residual: the profiles agree sample for sample
-        np.testing.assert_array_equal(check.exact_weak, check.linear_weak)
-        np.testing.assert_array_equal(check.exact_strong,
-                                      check.linear_strong)
-        assert check.residual_weak == 0.0
-        assert check.residual_strong == 0.0
+    def test_zero_signal_scene_no_residual(self):
+        # No sweep runs an LO-only scene (config rejects an lo_ratio sweep
+        # without signal), whose profiles agree sample for sample: both
+        # residuals read 0, and their ratio is NaN.
+        profile = np.ones(3)
+        check = experiments.LinearizationCheck(
+            positions=np.arange(3.0), exact_weak=profile,
+            linear_weak=profile, exact_strong=profile, linear_strong=profile,
+            residual_weak=0.0, residual_strong=0.0, ratio_weak=1.0,
+            ratio_strong=10.0)
         assert np.isnan(check.residual_ratio)
 
-    def test_csv_row_count_matches_grid(self, params, two_target, geometry,
-                                        tmp_path):
-        grid = geometry.grid(two_target.rf_wavelength)
-        check = run_linearization_check(
-            params, two_target, self.lo_amplitudes(two_target), grid)
+    def test_one_weak_lo_warning_per_check(self, tmp_path):
+        # each regime's modulation amplitudes are evaluated once, for its
+        # linear profile and its residual's normalization, so fig2's weak
+        # LO (ratio 1) warns once
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["sweep", "--config",
+                             str(ROOT / "configs" / "fig2.json"),
+                             "--out", str(tmp_path)]) == 0
+        assert [w.category for w in caught] == [LoDominanceWarning]
+
+    def test_csv_row_count_matches_grid(self, base_config, tmp_path):
+        grid = base_config.geometry.grid(base_config.scene.rf_wavelength)
+        check = run_linearization_check(self.check_config(base_config))
         path = tmp_path / "check.csv"
         serialize.write_linearization_csv(check, path)
         lines = path.read_text().strip().splitlines()

@@ -259,15 +259,17 @@ class TestAbsorption:
         np.testing.assert_allclose(physics.absorption_exact(params, scene, x),
                                    expected)
         # A scalar position gives a scalar even with no cosine to add.
-        assert isinstance(physics.absorption_linearized(params, scene, 0.25),
-                          float)
+        assert isinstance(physics.absorption_linearized(
+            params, scene, 0.25, physics.modulation_amplitudes(params, scene)),
+            float)
 
     def test_single_target_linearization_error_small(self, params):
         scene = scenarios.scene_from_angles((30.0,), lo_ratio=10.0)
         lam = scene.rf_wavelength
         x = np.linspace(0, 4 * lam, 4097)
         exact = physics.absorption_exact(params, scene, x)
-        linear = physics.absorption_linearized(params, scene, x)
+        linear = physics.absorption_linearized(
+            params, scene, x, physics.modulation_amplitudes(params, scene))
         dc = physics.absorption_dc(params, scene)
         ratio = np.max(np.abs(exact - linear)) / np.max(np.abs(linear - dc))
         assert ratio < 0.15
@@ -289,7 +291,8 @@ class TestAbsorption:
                         signals=(PlaneWave(0.0, 0.0, 0.3),))
         x = np.linspace(0, 0.3, 11)
         np.testing.assert_allclose(
-            physics.absorption_linearized(params, scene, x),
+            physics.absorption_linearized(
+                params, scene, x, physics.modulation_amplitudes(params, scene)),
             physics.absorption_dc(params, scene))
 
     def test_modulation_amplitude_linear_in_signal(self, params):
@@ -309,10 +312,10 @@ class TestAbsorption:
 
         def normalized_rms(ratio):
             scene = scenarios.with_lo_ratio(two_target, ratio)
+            mods = physics.modulation_amplitudes(params, scene)
             resid = (physics.absorption_exact(params, scene, x)
-                     - physics.absorption_linearized(params, scene, x))
-            mods = np.abs(physics.modulation_amplitudes(params, scene)).sum()
-            return np.sqrt(np.mean(resid**2)) / mods
+                     - physics.absorption_linearized(params, scene, x, mods))
+            return np.sqrt(np.mean(resid**2)) / np.abs(mods).sum()
 
         factor = normalized_rms(1.0) / normalized_rms(10.0)
         assert 4.0 <= factor <= 30.0
@@ -323,10 +326,10 @@ class TestAbsorption:
         sups = []
         for ratio in (1, 2, 5, 10, 20, 50):
             scene = scenarios.with_lo_ratio(two_target, ratio)
+            mods = physics.modulation_amplitudes(params, scene)
             resid = (physics.absorption_exact(params, scene, x)
-                     - physics.absorption_linearized(params, scene, x))
-            mods = np.abs(physics.modulation_amplitudes(params, scene)).sum()
-            sups.append(np.max(np.abs(resid)) / mods)
+                     - physics.absorption_linearized(params, scene, x, mods))
+            sups.append(np.max(np.abs(resid)) / np.abs(mods).sum())
         for lo, hi in zip(sups[1:], sups[:-1]):
             assert lo <= 1.10 * hi
 

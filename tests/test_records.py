@@ -55,7 +55,8 @@ def _inputs(record) -> tuple[dict, dict]:
         names = ("positions", "exact_weak", "linear_weak", "exact_strong",
                  "linear_strong")
         return {name: _ramp(6) for name in names}, \
-            {"residual_weak": 0.5, "residual_strong": 0.25}
+            {"residual_weak": 0.5, "residual_strong": 0.25,
+             "ratio_weak": 1.0, "ratio_strong": 10.0}
     return {"angles_deg": _ramp(4), "power": _ramp(2, 4)}, \
         {"labels": ("a", "b")}
 

@@ -23,6 +23,7 @@ from rydberg_doa.sensing import (
     SensorGeometry,
 )
 
+from hypothesis_profiles import examples
 from oracles import (
     absorption_exact_per_scene,
     field_intensity_per_scene,
@@ -378,7 +379,7 @@ class TestChannelMeasurements:
                                 for m, dk, dphi in zip(mods, dks, dphis))
 
         def alpha(x):
-            return physics.absorption_linearized(params, scene, x)
+            return physics.absorption_linearized(params, scene, x, mods)
 
         self.assert_stack_integrates(*geom.window_edges, lam / 4, tau, alpha,
                                      np.abs(mods * dks**8).sum())
@@ -653,11 +654,11 @@ class TestCalibrate:
                                                    params)
         scale = np.max(np.abs(predicted.values))
         # full pipeline carries linearization + numerical error
+        grid = simulated.geometry.grid(two_target.rf_wavelength)
         resid = physics.absorption_exact(
-            params, two_target, simulated.geometry.grid(
-                two_target.rf_wavelength)) - physics.absorption_linearized(
-            params, two_target, simulated.geometry.grid(
-                two_target.rf_wavelength))
+            params, two_target, grid) - physics.absorption_linearized(
+            params, two_target, grid,
+            physics.modulation_amplitudes(params, two_target))
         eps_lin = np.max(np.abs(resid)) * geometry.window_width
         assert np.max(np.abs(simulated.values - predicted.values)) <= \
             eps_lin + 1e-3 * scale
@@ -839,7 +840,7 @@ def _one_ulp_case():
                                                       lam / 4)
 
 
-@settings(max_examples=60)
+@settings(max_examples=examples(60))
 @given(case=lo_row_cases())
 @example(case=_one_ulp_case())
 def test_every_lo_row_is_its_one_scene_call(params, case):
@@ -887,7 +888,9 @@ class TestPredictedMeasurements:
         geom = SensorGeometry(4 * lam, lam / 4, lam / 4)
         integrated = sensing.calibrate(
             sensing.gauss_legendre(
-                lambda x: physics.absorption_linearized(params, two_target, x),
+                lambda x: physics.absorption_linearized(
+                    params, two_target, x,
+                    physics.modulation_amplitudes(params, two_target)),
                 *geom.window_edges, lam / 16),
             geom, physics.absorption_dc(params, two_target))
         predicted = sensing.predicted_measurements(two_target, geom, params)

@@ -160,7 +160,8 @@ def test_linearization_csv_bytes(tmp_path):
         positions=_grid(), exact_weak=weak, linear_weak=weak.copy(),
         exact_strong=strong, linear_strong=np.where(strong == 0, -0.0,
                                                     strong),
-        residual_weak=0.0, residual_strong=0.0)
+        residual_weak=0.0, residual_strong=0.0, ratio_weak=1.0,
+        ratio_strong=10.0)
     path = tmp_path / "linearization_check.csv"
     serialize.write_linearization_csv(check, path)
     assert path.read_bytes() == linearization_csv_rowwise(check).encode()
