@@ -153,19 +153,23 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigParseError("missing required key 'sweep'")
     out = Path(cfg.output_dir)
     started = time.perf_counter()
-    report = sensing.check_sampling(sc.geometry, sc.scene.rf_wavelength)
-    if not report.compliant:
-        _print_compliance(report)
-        print("warning: the configured geometry violates sampling "
-              "constraints; proceeding")
+    checked = [("the configured geometry", sc.geometry)] + [
+        (f"the geometry at {sc.sweep.axis} {value:g} lambda", geometry)
+        for value, geometry in zip(sc.sweep.values,
+                                   experiments.swept_geometries(sc))]
+    for name, geometry in checked:
+        report = sensing.check_sampling(geometry, sc.scene.rf_wavelength)
+        if not report.compliant:
+            _print_compliance(report)
+            print(f"warning: {name} violates sampling constraints; proceeding")
     results, write = _sweep_study(sc)
     written = [out / f"{stem}.csv" for stem in results]
     for path, result in zip(written, results.values()):
         write(result, path)
     if sc.sweep.kind == "linearization_check":
         check = results["linearization_check"]
-        print(f"normalized RMS residual ratio (weak {check.ratio_weak:g} / "
-              f"strong {check.ratio_strong:g}): {check.residual_ratio:.3f}")
+        print("normalized RMS residual ratio (weak {:g} / strong {:g}): "
+              "{:.3f}".format(*check.ratios, check.residual_ratio))
     wall = time.perf_counter() - started
     manifest = {
         "config": cfg.echo,

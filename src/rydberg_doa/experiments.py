@@ -130,31 +130,25 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class LinearizationCheck:
-    """Exact vs linearized absorption at a weak and a strong LO ratio."""
+    """Exact vs linearized absorption, one row per LO regime, weak first."""
 
-    positions: np.ndarray
-    exact_weak: np.ndarray
-    linear_weak: np.ndarray
-    exact_strong: np.ndarray
-    linear_strong: np.ndarray
-    # RMS residual over the regime's total modulation amplitude
-    residual_weak: float
-    residual_strong: float
-    ratio_weak: float
-    ratio_strong: float
+    positions: np.ndarray  # (2, n)
+    exact: np.ndarray  # (2, n)
+    linear: np.ndarray  # (2, n)
+    # RMS residual over the regime's total modulation amplitude, (2,)
+    residuals: np.ndarray
+    ratios: tuple  # (weak, strong) LO ratios
 
     def __post_init__(self):
-        for name in ("positions", "exact_weak", "linear_weak",
-                     "exact_strong", "linear_strong"):
+        for name in ("positions", "exact", "linear", "residuals"):
             object.__setattr__(self, name,
                                read_only_copy(getattr(self, name), float))
 
     @property
     def residual_ratio(self) -> float:
         """Weak-to-strong ratio of modulation-normalized RMS residuals."""
-        if self.residual_strong == 0:
-            return np.nan
-        return self.residual_weak / self.residual_strong
+        weak, strong = self.residuals
+        return np.nan if strong == 0 else float(weak / strong)
 
 
 @dataclass(frozen=True)
@@ -216,8 +210,8 @@ def mc_rmse(scenario: ScenarioConfig) -> McResult:
 
 def run_linearization_check(config: ScenarioConfig) -> LinearizationCheck:
     """Exact vs linearized absorption profiles of the configured scene on
-    its geometry's grid, the LO at the smallest (weak) and the largest
-    (strong) swept ratio; the exact ones are the rows of one call. Each
+    its geometry's grid, one row per LO regime: the smallest (weak) and the
+    largest (strong) swept ratio; the exact rows are those of one call. Each
     residual RMS is over its regime's total modulation amplitude, the scale
     on which the 1/ratio error model is comparable across LO levels.
     """
@@ -237,13 +231,9 @@ def run_linearization_check(config: ScenarioConfig) -> LinearizationCheck:
         if rms == np.inf:
             raise OverflowError("the residual is out of the float range")
         total = float(np.abs(mods).sum())
-        profiles.append((linear, rms / total if total > 0 else 0.0))
-    (linear_weak, residual_weak), (linear_strong, residual_strong) = profiles
-    return LinearizationCheck(
-        positions=grid, exact_weak=exact[0], linear_weak=linear_weak,
-        exact_strong=exact[1], linear_strong=linear_strong,
-        residual_weak=residual_weak, residual_strong=residual_strong,
-        ratio_weak=ratios[0], ratio_strong=ratios[1])
+        profiles.append((grid, row, linear,
+                         rms / total if total > 0 else 0.0))
+    return LinearizationCheck(*zip(*profiles), ratios=ratios)
 
 
 def _mc_sweep(config: ScenarioConfig, cells) -> list[McResult]:
@@ -327,13 +317,16 @@ def _preset_scene(config: ScenarioConfig, angles_deg) -> RfScene:
         lo_angle=config.scene.lo.angle)
 
 
-def _axis_geometries(config: ScenarioConfig, field: str) -> list:
-    """The configured geometry with field set to each sweep value, in RF
-    wavelengths; a value that leaves no room for two windows is a config
-    error naming it."""
-    return [build_at(f"sweep.values[{i}]", replace, config.geometry,
-                     **{field: value * config.scene.rf_wavelength})
-            for i, value in enumerate(config.sweep.values)]
+def swept_geometries(config: ScenarioConfig) -> list:
+    """The configured geometry with the swept field set to each sweep value,
+    in RF wavelengths; none on an axis that sets no field. A value that
+    leaves no room for two windows is a config error naming it."""
+    field = {"cell_length": "cell_length", "sampling_interval": "spacing",
+             "window_width": "window_width"}.get(config.sweep.axis)
+    return [] if field is None else [
+        build_at(f"sweep.values[{i}]", replace, config.geometry,
+                 **{field: value * config.scene.rf_wavelength})
+        for i, value in enumerate(config.sweep.values)]
 
 
 def run_lo_ratio_sweep(config: ScenarioConfig) -> SweepResult:
@@ -440,7 +433,7 @@ def run_length_sweep(config: ScenarioConfig) -> dict[float, SweepResult]:
     replay in order, so the first failing cell raises its own error.
     """
     snr = required_snr(config)
-    geometries = _axis_geometries(config, "cell_length")
+    geometries = swept_geometries(config)
     counts = np.array([geometry.channel_count for geometry in geometries])
     longest = geometries[int(counts.argmax())]
     scenes = [_preset_scene(config, (a,)) for a in LENGTH_SWEEP_ANGLES_DEG]
@@ -485,9 +478,7 @@ def run_sampling_demo(config: ScenarioConfig) -> SamplingDemoResult:
     """
     scene = config.scene
     sensing.require_signal(scene, "the demo has no response to normalize")
-    label, field = (("dx", "spacing")
-                    if config.sweep.axis == "sampling_interval"
-                    else ("width", "window_width"))
+    label = "dx" if config.sweep.axis == "sampling_interval" else "width"
     angles_deg = np.arange(-90.0, 90.0 + DEMO_ANGLE_STEP_DEG / 2,
                            DEMO_ANGLE_STEP_DEG)
     dks = scene.wavenumber * (np.sin(scene.lo.angle)
@@ -496,7 +487,7 @@ def run_sampling_demo(config: ScenarioConfig) -> SamplingDemoResult:
                               * sensing.predicted_measurements(
                                   scene, g, config.params).values
                               ).sum(axis=-1)) ** 2
-                      for g in _axis_geometries(config, field)])
+                      for g in swept_geometries(config)])
     return SamplingDemoResult(
         angles_deg=angles_deg, power=power / power.max(),
         labels=tuple(f"{label}_{v:g}wl" for v in config.sweep.values))

@@ -177,8 +177,8 @@ def write_linearization_csv(check: LinearizationCheck,
                             path: str | Path) -> None:
     atomic_write_text(path, _csv_text(
         "x_m,alpha_exact_weak,alpha_lin_weak,alpha_exact_strong,"
-        "alpha_lin_strong", check.positions, check.exact_weak,
-        check.linear_weak, check.exact_strong, check.linear_strong))
+        "alpha_lin_strong", check.positions[0], check.exact[0],
+        check.linear[0], check.exact[1], check.linear[1]))
 
 
 def write_sampling_demo_csv(result: SamplingDemoResult,

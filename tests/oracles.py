@@ -422,8 +422,8 @@ def sweep_csv_rowwise(result) -> str:
 def linearization_csv_rowwise(check) -> str:
     rows = ((_fmt(x), _fmt(ew), _fmt(lw), _fmt(es), _fmt(ls))
             for x, ew, lw, es, ls in zip(
-                check.positions, check.exact_weak, check.linear_weak,
-                check.exact_strong, check.linear_strong))
+                check.positions[0], check.exact[0], check.linear[0],
+                check.exact[1], check.linear[1]))
     return _csv_text(["x_m", "alpha_exact_weak", "alpha_lin_weak",
                       "alpha_exact_strong", "alpha_lin_strong"], rows)
 

@@ -914,6 +914,34 @@ class TestSweepCommand:
         assert ("warning: the configured geometry violates sampling "
                 "constraints; proceeding\n") in capsys.readouterr().out
 
+    @pytest.mark.parametrize("axis, values, violating, verdict", [
+        ("sampling_interval", [0.25, 0.5], "sampling_interval 0.5",
+         "spacing 0.0738405 m: ALIASING RISK"),
+        ("window_width", [0.25, 1.0], "window_width 1",
+         "window width 0.147681 m: NULL IN BAND"),
+        ("cell_length", [1, 2], None, None),
+    ])
+    def test_each_swept_geometry_is_checked(self, tmp_path, capsys, axis,
+                                            values, violating, verdict):
+        # the configured geometry complies; a sweep value that sets a
+        # violating one gets its own report and warning, a compliant
+        # sweep none
+        out = tmp_path / "out"
+        doc = self.sweep_doc(out, axis, values)
+        doc["geometry"]["cell_length_wavelengths"] = 16
+        assert cli.main(["sweep", "--config",
+                         write_config(tmp_path, doc)]) == 0
+        printed = capsys.readouterr().out
+        assert "configured geometry" not in printed
+        if violating is None:
+            assert "sampling compliance" not in printed
+            return
+        assert printed.count("sampling compliance") == 1
+        assert f"  {verdict} (margin " in printed
+        assert printed.count("warning: ") == 1
+        assert (f"warning: the geometry at {violating} lambda violates "
+                "sampling constraints; proceeding\n") in printed
+
     def test_length_sweep_with_too_short_a_cell_exit_3(self, tmp_path,
                                                        capsys):
         out = tmp_path / "out"

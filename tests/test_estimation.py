@@ -711,13 +711,18 @@ class TestProperties:
 
     @pytest.mark.xfail(strict=True, reason=(
         "ill-conditioned square prediction system: the weakest tone is "
-        "about 1.08e-8 relative off (ROADMAP item 4)"))
-    def test_noiseless_exactness_square_system(self):
-        # A draw sinusoid_scenarios allows: K = 16 samples for p = 8, so the
-        # prediction system is square and the 0.125 tone is swamped by the 9.
+        "1.08e-8 and 1.17e-8 relative off (ROADMAP item 4)"))
+    @pytest.mark.parametrize("phis, amps", [
+        ((0, 0, 0, 1), (0.125, 1, 1, 9)),
+        # a failing draw of test_noiseless_exactness under explore
+        ((0.0, 1.3125, 0.0, 0.0), (0.109375, 6.0, 1.0, 1.0)),
+    ], ids=["weak_0.125", "weak_0.109375"])
+    def test_noiseless_exactness_square_system(self, phis, amps):
+        # Draws sinusoid_scenarios allows: K = 16 samples for p = 8, so the
+        # prediction system is square and the weak tone is swamped.
         omegas = np.linspace(0.2, np.pi - 0.1, 8)[:4]
         spacing = 0.01
-        y = sinusoid_samples(omegas, (0, 0, 0, 1), (0.125, 1, 1, 9), 16)
+        y = sinusoid_samples(omegas, phis, amps, 16)
         mv = measurement_from_samples(y, spacing=spacing)
         matrix, rhs = build_hankel(mv.values, 8)
         coeffs, _, _ = solve_lpc(matrix, rhs)

@@ -274,12 +274,10 @@ class TestLinearizationCheck:
         grid = base_config.geometry.grid(scene.rf_wavelength)
         check = run_linearization_check(
             self.check_config(base_config, (10.0, 4.0, 1.0)))
-        assert (check.ratio_weak, check.ratio_strong) == (1.0, 10.0)
-        np.testing.assert_array_equal(check.positions, grid)
-        for exact, linear, ratio in ((check.exact_weak, check.linear_weak,
-                                      1.0),
-                                     (check.exact_strong,
-                                      check.linear_strong, 10.0)):
+        assert check.ratios == (1.0, 10.0)
+        for positions, exact, linear, ratio in zip(
+                check.positions, check.exact, check.linear, check.ratios):
+            np.testing.assert_array_equal(positions, grid)
             at = scenarios.with_lo_ratio(scene, ratio)
             assert np.array_equal(exact, physics.absorption_exact(
                 params, at, grid))
@@ -290,12 +288,10 @@ class TestLinearizationCheck:
         # No sweep runs an LO-only scene (config rejects an lo_ratio sweep
         # without signal), whose profiles agree sample for sample: both
         # residuals read 0, and their ratio is NaN.
-        profile = np.ones(3)
+        profiles = np.ones((2, 3))
         check = experiments.LinearizationCheck(
-            positions=np.arange(3.0), exact_weak=profile,
-            linear_weak=profile, exact_strong=profile, linear_strong=profile,
-            residual_weak=0.0, residual_strong=0.0, ratio_weak=1.0,
-            ratio_strong=10.0)
+            positions=np.tile(np.arange(3.0), (2, 1)), exact=profiles,
+            linear=profiles, residuals=np.zeros(2), ratios=(1.0, 10.0))
         assert np.isnan(check.residual_ratio)
 
     def test_one_weak_lo_warning_per_check(self, tmp_path):

@@ -52,11 +52,9 @@ def _inputs(record) -> tuple[dict, dict]:
                 "root_residual": _ramp(3), "usable_pairs": _ramp(3, dtype=int),
                 "failure": np.zeros(3, dtype=np.int8)}, {}
     if record is LinearizationCheck:
-        names = ("positions", "exact_weak", "linear_weak", "exact_strong",
-                 "linear_strong")
-        return {name: _ramp(6) for name in names}, \
-            {"residual_weak": 0.5, "residual_strong": 0.25,
-             "ratio_weak": 1.0, "ratio_strong": 10.0}
+        rows = {name: _ramp(2, 6) for name in ("positions", "exact", "linear")}
+        return rows | {"residuals": np.array([0.5, 0.25])}, \
+            {"ratios": (1.0, 10.0)}
     return {"angles_deg": _ramp(4), "power": _ramp(2, 4)}, \
         {"labels": ("a", "b")}
 

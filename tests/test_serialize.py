@@ -157,11 +157,9 @@ def test_linearization_csv_bytes(tmp_path):
     weak = _power(seed=1)
     strong = np.where(np.arange(257) % 3, _power(seed=2), 0.0)
     check = LinearizationCheck(
-        positions=_grid(), exact_weak=weak, linear_weak=weak.copy(),
-        exact_strong=strong, linear_strong=np.where(strong == 0, -0.0,
-                                                    strong),
-        residual_weak=0.0, residual_strong=0.0, ratio_weak=1.0,
-        ratio_strong=10.0)
+        positions=(_grid(), _grid()), exact=(weak, strong),
+        linear=(weak.copy(), np.where(strong == 0, -0.0, strong)),
+        residuals=(0.0, 0.0), ratios=(1.0, 10.0))
     path = tmp_path / "linearization_check.csv"
     serialize.write_linearization_csv(check, path)
     assert path.read_bytes() == linearization_csv_rowwise(check).encode()
@@ -192,6 +190,20 @@ class TestAtomicWrite:
         for written in (path, tmp_path / "new.csv"):
             assert stat.S_IMODE(written.stat().st_mode) == 0o666 & ~umask
         assert path.read_bytes() == b"c,d\n"
+
+    def test_a_taken_temporary_name_is_drawn_again(self, tmp_path,
+                                                   monkeypatch):
+        # the first draw names an existing file, which O_EXCL refuses
+        draws = iter([bytes(4), b"\x01" * 4])
+        monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+        taken = tmp_path / "out.csv.00000000.tmp"
+        taken.write_text("someone else's\n")
+        serialize.atomic_write_text(tmp_path / "out.csv", "a,b\n")
+        assert (tmp_path / "out.csv").read_bytes() == b"a,b\n"
+        assert taken.read_text() == "someone else's\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "out.csv", taken.name]
+        assert next(draws, None) is None
 
     def test_creates_missing_parent(self, tmp_path):
         path = tmp_path / "a" / "b" / "out.json"
