@@ -66,6 +66,16 @@ def _record_case(record, name):
     return pytest.param(build, id=f"{record.__name__}.{name}")
 
 
+def _regime_case(name, row, regime):
+    """One LO regime's row of a LinearizationCheck array: a read-only copy
+    of the caller's row on its own."""
+    def build():
+        arrays, rest = _inputs(LinearizationCheck)
+        held = getattr(LinearizationCheck(**arrays, **rest), name)[row]
+        return held, arrays[name][row]
+    return pytest.param(build, id=f"LinearizationCheck.{name}_{regime}")
+
+
 def _geometry_case(name, index=None):
     def build():
         # The caller's own arrays are those it computes from the lengths.
@@ -84,6 +94,8 @@ RECORDS = (MeasurementVector, FluorescenceProfile, CrlbReport,
            EstimationResult, LinearizationCheck, SamplingDemoResult)
 CASES = [_record_case(record, name) for record in RECORDS
          for name in _inputs(record)[0]] + [
+    _regime_case(name, row, regime) for name in ("exact", "linear")
+    for row, regime in enumerate(("weak", "strong"))] + [
     _geometry_case("centers"), _geometry_case("window_edges", 0),
     _geometry_case("window_edges", 1)]
 
