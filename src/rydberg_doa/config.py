@@ -1,10 +1,10 @@
 """Run configuration: strict JSON schema with unit-suffixed keys.
 
 Every physical quantity carries an explicit unit in its key name (_hz,
-_m, _deg, _v_per_m, or _wavelengths for lengths relative to the RF
-carrier). Frequencies named _hz are ordinary frequencies and are scaled
-by 2*pi into angular rates internally. Unknown keys are rejected with
-their dotted path.
+_m, _deg, _v_per_m, or _wavelengths: the geometry's lengths are given
+in RF carrier wavelengths only). Frequencies named _hz are ordinary
+frequencies and are scaled by 2*pi into angular rates internally.
+Unknown keys are rejected with their dotted path.
 """
 
 from __future__ import annotations
@@ -142,33 +142,16 @@ def _parse_atoms(doc: dict) -> AtomicParams:
     return build_at("atoms", AtomicParams, **overrides)
 
 
-def _length(doc: dict, stem: str, rf_wavelength: float, path: str,
-            default: float | None = None) -> float:
-    key_m, key_wl = stem + "_m", stem + "_wavelengths"
-    if key_m in doc and key_wl in doc:
-        raise ConfigParseError(
-            f"'{path}{stem}' must be given in exactly one unit")
-    if key_m in doc:
-        return _number(doc[key_m], path + key_m)
-    if key_wl in doc:
-        return _number(doc[key_wl], path + key_wl) * rf_wavelength
-    if default is None:
-        raise ConfigParseError(f"missing required key '{path}{key_m}' "
-                               f"(or '{path}{key_wl}')")
-    return default
-
-
 def _parse_geometry(doc: dict, rf_wavelength: float) -> SensorGeometry:
-    allowed = {"cell_length_m", "cell_length_wavelengths",
-               "window_width_m", "window_width_wavelengths",
-               "spacing_m", "spacing_wavelengths",
-               "grid_points_per_rf_wavelength"}
-    _check_keys(doc, allowed, "geometry.")
-    cell = _length(doc, "cell_length", rf_wavelength, "geometry.")
-    width = _length(doc, "window_width", rf_wavelength, "geometry.",
-                    default=rf_wavelength / 4)
-    spacing = _length(doc, "spacing", rf_wavelength, "geometry.",
-                      default=rf_wavelength / 4)
+    _check_keys(doc, {"cell_length_wavelengths", "window_width_wavelengths",
+                      "spacing_wavelengths",
+                      "grid_points_per_rf_wavelength"}, "geometry.")
+    # The window width and pitch default to 0.25 wavelengths, λ/4.
+    _require(doc, "cell_length_wavelengths", "geometry.")
+    cell, width, spacing = (
+        _number(doc.get(key, 0.25), "geometry." + key) * rf_wavelength
+        for key in ("cell_length_wavelengths", "window_width_wavelengths",
+                    "spacing_wavelengths"))
     grid = _integer(doc.get("grid_points_per_rf_wavelength",
                             SensorGeometry.grid_points_per_rf_wavelength),
                     "geometry.grid_points_per_rf_wavelength")
@@ -176,8 +159,7 @@ def _parse_geometry(doc: dict, rf_wavelength: float) -> SensorGeometry:
 
 
 def _parse_prony(doc: dict, n_signals: int) -> PronyConfig:
-    _check_keys(doc, {"model_order", "target_count",
-                      "unit_circle_tolerance"}, "prony.")
+    _check_keys(doc, {"model_order", "target_count"}, "prony.")
     target = doc.get("target_count", n_signals or None)
     if target is None:
         raise ConfigParseError(
@@ -187,12 +169,8 @@ def _parse_prony(doc: dict, n_signals: int) -> PronyConfig:
     order = doc.get("model_order")
     order = max(2 * target, 2) if order is None else _integer(
         order, "prony.model_order")
-    return build_at(
-        "prony", PronyConfig, model_order=order, target_count=target,
-        unit_circle_tolerance=_number(
-            doc.get("unit_circle_tolerance",
-                    PronyConfig.unit_circle_tolerance),
-            "prony.unit_circle_tolerance"))
+    return build_at("prony", PronyConfig, model_order=order,
+                    target_count=target)
 
 
 def _parse_sweep(doc: dict, scene: RfScene) -> SweepSpec:

@@ -22,6 +22,8 @@ DC_GUARD_CYCLES = 0.25
 
 ROOT_RESIDUAL_TOL = 1e-8
 CLAMP_TOL = 1e-6
+# Largest ||z| - 1| of a root counted as a signal root.
+UNIT_CIRCLE_TOL = 0.2
 
 # Failure codes of an estimate row (EstimationResult.failure).
 OK, NOT_FINITE, ROOT_RESIDUAL, TOO_FEW_ROOTS = np.arange(4, dtype=np.int8)
@@ -29,7 +31,7 @@ OK, NOT_FINITE, ROOT_RESIDUAL, TOO_FEW_ROOTS = np.arange(4, dtype=np.int8)
 
 @dataclass(frozen=True)
 class PronyConfig:
-    """Model order, target count and root-selection settings.
+    """Model order and target count.
 
     Every estimate holds target_count N bearings, so a Monte Carlo RMSE
     scores all N targets of each successful trial. model_order p must
@@ -38,13 +40,10 @@ class PronyConfig:
 
     model_order: int
     target_count: int
-    unit_circle_tolerance: float = 0.2
 
     def __post_init__(self):
         if self.model_order < 1:
             raise ValueError("model_order must be at least 1")
-        if not 0 < self.unit_circle_tolerance < 1:
-            raise ValueError("unit_circle_tolerance must lie in (0, 1)")
         if self.target_count < 1:
             raise ValueError("target_count must be at least 1")
         if self.model_order < 2 * self.target_count:
@@ -371,8 +370,7 @@ def estimate_doa_batch(measurements, scene_meta: tuple[float, float],
                                      axis=-1, initial=0.0)))
     n_targets = config.target_count
     angle_floor = 2 * np.pi * DC_GUARD_CYCLES / k_samples
-    reps, found = select_signal_roots(roots, n_targets,
-                                      config.unit_circle_tolerance,
+    reps, found = select_signal_roots(roots, n_targets, UNIT_CIRCLE_TOL,
                                       angle_floor)
     reps[root_failed] = np.nan
     freqs = frequencies_from_roots(reps, spacing)

@@ -73,6 +73,12 @@ def base_doc(out_dir, **extra):
     return doc
 
 
+# The geometry keys, as an unknown-key error lists them.
+GEOMETRY_KEYS = ("(allowed: cell_length_wavelengths, "
+                 "grid_points_per_rf_wavelength, spacing_wavelengths, "
+                 "window_width_wavelengths)")
+
+
 class TestConfigErrors:
     def test_missing_required_key_exit_2(self, tmp_path, capsys):
         doc = base_doc(tmp_path / "out")
@@ -192,12 +198,6 @@ class TestConfigErrors:
         doc["run"]["trials"] = experiments.CELL_SEED_STRIDE - 1
         assert cli.main(["check-sampling", "--config",
                          write_config(tmp_path, doc)]) == 0
-
-    def test_ambiguous_units_exit_2(self, tmp_path, capsys):
-        doc = base_doc(tmp_path / "out")
-        doc["geometry"]["cell_length_m"] = 0.5
-        assert cli.main(["simulate", "--config",
-                         write_config(tmp_path, doc)]) == 2
 
     @pytest.mark.parametrize("sweep, named", [
         ({"axis": "frequency", "values": [1]}, "'sweep.axis'"),
@@ -336,11 +336,10 @@ class TestConfigErrors:
         ({"atoms": {"atom_density_per_m3": -1}}, 2,
          "'atoms': atom_density must be strictly positive"),
         ({"geometry.cell_length_m": 0.5}, 2,
-         "'geometry.cell_length' must be given in exactly one unit"),
+         f"unknown key 'geometry.cell_length_m' {GEOMETRY_KEYS}"),
         ({"geometry.cell_length_wavelengths": DELETE}, 2,
-         "missing required key 'geometry.cell_length_m' (or "
-         "'geometry.cell_length_wavelengths')"),
-        ({"geometry": {"cell_length_m": 1e-3}}, 2,
+         "missing required key 'geometry.cell_length_wavelengths'"),
+        ({"geometry": {"cell_length_wavelengths": 0.3}}, 2,
          "'geometry': need at least two channels"),
         ({"geometry.grid_points_per_rf_wavelength": 1}, 2,
          "'geometry': grid density must be at least 2 points"),
@@ -348,8 +347,9 @@ class TestConfigErrors:
           "scene.signals": [], "prony.target_count": DELETE}, 2,
          "missing required key 'prony.target_count' (no scene signals to "
          "infer it from)"),
-        ({"prony.unit_circle_tolerance": 1.5}, 2,
-         "'prony': unit_circle_tolerance must lie in (0, 1)"),
+        ({"prony.unit_circle_tolerance": 0.2}, 2,
+         "unknown key 'prony.unit_circle_tolerance' (allowed: model_order, "
+         "target_count)"),
         ({"prony.target_count": 0}, 2,
          "'prony': target_count must be at least 1"),
         ({"sweep.values": []}, 2, "'sweep.values' must be a nonempty list"),
@@ -386,6 +386,10 @@ class TestConfigErrors:
          "'geometry': lengths and spacing must be strictly positive"),
         ({"geometry.cell_length_wavelengths": -1}, 2,
          "'geometry': lengths and spacing must be strictly positive"),
+        ({"geometry.window_width_m": 0.037}, 2,
+         f"unknown key 'geometry.window_width_m' {GEOMETRY_KEYS}"),
+        ({"geometry.spacing_m": 0.037}, 2,
+         f"unknown key 'geometry.spacing_m' {GEOMETRY_KEYS}"),
     ])
     def test_config_error_message(self, tmp_path, capsys, edits, code, err):
         # Each edit of configs/fig3c.json (see edit_doc) gives this exit
@@ -550,6 +554,27 @@ def test_out_of_range_config_exits_with_one_error_line(
 
 
 class TestEstimate:
+    @pytest.mark.parametrize("verbosity", [0, 1])
+    def test_verbosity_sets_the_doas_line(self, tmp_path, capsys,
+                                          verbosity):
+        # run.verbosity 0 prints only the path written; 1, the default,
+        # also prints the DoAs.
+        out = tmp_path / "out"
+        doc = base_doc(out)
+        doc["run"]["verbosity"] = verbosity
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["simulate", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert cli.main(["estimate", str(out / "measurement.csv"),
+                         "--config", cfg]) == 0
+        doas = json.loads((out / "estimation.json").read_text())["doas_rad"]
+        lines = [f"wrote {out / 'estimation.json'}"]
+        if verbosity:
+            lines.insert(0, "estimated DoAs (deg): " + ", ".join(
+                f"{np.rad2deg(v):.4f}" for v in doas))
+        assert capsys.readouterr().out == "".join(f"{line}\n"
+                                                  for line in lines)
+
     def test_malformed_csv_names_row(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, base_doc(out))
@@ -1276,10 +1301,13 @@ class TestParserReuse:
 
 def test_readme_config_example_parses():
     # README's schema example, less its // comments, is a config that
-    # parses: the docs name no key that the parser rejects.
+    # parses to what it shows: the docs name no key that the parser
+    # rejects.
     readme = (REPO_CONFIGS.parent / "README.md").read_text()
     block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
-    parse_config(json.loads(re.sub(r"//.*", "", block)))
+    sc = parse_config(json.loads(re.sub(r"//.*", "", block))).scenario
+    assert sc.sweep.axis == "lo_ratio"
+    assert sc.geometry.channel_count == 16
 
 
 def test_readme_python_quick_start_runs():

@@ -511,7 +511,7 @@ def reference_doas(values, spacing, scene_meta, cfg):
             1.0, np.abs(coeffs).max()):
         raise RootfindingFailure("reference root residual")
     reps, found = greedy_signal_roots(
-        roots, cfg.target_count, cfg.unit_circle_tolerance,
+        roots, cfg.target_count, estimation.UNIT_CIRCLE_TOL,
         2 * np.pi * estimation.DC_GUARD_CYCLES / k)
     if found < cfg.target_count:
         raise InsufficientSignalRoots("reference root count")
@@ -699,12 +699,10 @@ class TestProperties:
         spacing = 0.01
         y = sinusoid_samples(omegas, phis, amps, k_samples)
         mv = measurement_from_samples(y, spacing=spacing)
-        cfg = PronyConfig(model_order=2 * n, target_count=n,
-                          unit_circle_tolerance=0.5)
-        matrix, rhs = build_hankel(mv.values, cfg.model_order)
+        matrix, rhs = build_hankel(mv.values, 2 * n)
         coeffs, _, _ = solve_lpc(matrix, rhs)
         roots, _ = char_poly_roots(coeffs)
-        reps, _ = select_signal_roots(roots, n, cfg.unit_circle_tolerance)
+        reps, _ = select_signal_roots(roots, n, 0.5)
         got = np.sort(frequencies_from_roots(reps, spacing))
         expected = np.sort(np.asarray(omegas)) / spacing
         np.testing.assert_allclose(got, expected, rtol=1e-8)

@@ -17,6 +17,7 @@ from rydberg_doa import (
     sensing,
     serialize,
 )
+from rydberg_doa.config import load_config
 from rydberg_doa.errors import (
     ConfigParseError,
     LoDominanceWarning,
@@ -371,6 +372,45 @@ class TestSnrSweep:
                  for c, snr in enumerate(values)]
         assert single.cells == tuple(cells)
 
+
+def fig4_close_pair_batches():
+    """configs/fig4.json's scenario and, per SNR, the batched estimate of
+    its close-pair cell: the trials run_snr_sweep draws there, cell c =
+    preset index * len(values) + i at base_seed + CELL_SEED_STRIDE * c."""
+    sc = load_config(ROOT / "configs" / "fig4.json").scenario
+    values = sc.sweep.values
+    angles = experiments.SNR_PRESETS["close_pair"]
+    scene = experiments._preset_scene(sc, angles)
+    clean = sensing.predicted_measurements(scene, sc.geometry, sc.params)
+    first = list(experiments.SNR_PRESETS).index("close_pair") * len(values)
+    batches = []
+    for i, snr in enumerate(values):
+        seed = sc.base_seed + experiments.CELL_SEED_STRIDE * (first + i)
+        noisy = sensing.add_noise(clean, snr, range(seed, seed + sc.trials))
+        batches.append(estimation.estimate_doa_batch(
+            noisy, (scene.wavenumber, scene.lo.angle),
+            PronyConfig(model_order=2 * len(angles),
+                        target_count=len(angles))))
+    return sc, batches
+
+
+class TestFig4ClosePairEndFire:
+    def test_batches_are_the_sweep_cells(self):
+        sc, batches = fig4_close_pair_batches()
+        cells = run_snr_sweep(sc)["close_pair"].cells
+        assert [int(b.failed.sum()) for b in batches] == [
+            cell.failures for cell in cells]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "a real negative root, at the folding frequency, is selected as a "
+        "target at -90 deg: 14 of 15, 11 of 14, 6 of 6 and 1 of 4 "
+        "successes at 10, 15, 20 and 25 dB are such rows, until ROADMAP "
+        "item 16's failure rule counts them as failures"))
+    def test_no_success_reports_the_folding_root(self):
+        _, batches = fig4_close_pair_batches()
+        end_fire = [int((np.abs(np.rad2deg(b.doas[~b.failed]) + 90.0)
+                         < 1e-3).any(axis=-1).sum()) for b in batches]
+        assert end_fire == [0] * len(batches)
 
 
 @pytest.mark.parametrize("axis, kind, message", [
