@@ -189,6 +189,17 @@ class TestConfigErrors:
             f"error: unknown key '{section}.{key}' (allowed: ")
         assert not (tmp_path / "out").exists()
 
+    def test_ambiguous_units_exit_2(self, tmp_path, capsys):
+        # A length spelled in meters beside its wavelength spelling is
+        # rejected: geometry lengths have one unit, RF wavelengths.
+        doc = base_doc(tmp_path / "out")
+        doc["geometry"]["cell_length_m"] = 0.5
+        assert cli.main(["simulate", "--config",
+                         write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown key 'geometry.cell_length_m' {GEOMETRY_KEYS}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_trials_overlapping_cell_seeds_exit_2(self, tmp_path, capsys):
         doc = base_doc(tmp_path / "out")
         doc["run"]["trials"] = experiments.CELL_SEED_STRIDE
@@ -335,8 +346,11 @@ class TestConfigErrors:
          "'atoms': coupling_detuning + rf_detuning must be nonzero"),
         ({"atoms": {"atom_density_per_m3": -1}}, 2,
          "'atoms': atom_density must be strictly positive"),
-        ({"geometry.cell_length_m": 0.5}, 2,
-         f"unknown key 'geometry.cell_length_m' {GEOMETRY_KEYS}"),
+        pytest.param(
+            {"geometry.cell_length_m": 0.5}, 2,
+            f"unknown key 'geometry.cell_length_m' {GEOMETRY_KEYS}",
+            id="edits13-2-'geometry.cell_length' must be given in RF "
+               "wavelengths"),
         ({"geometry.cell_length_wavelengths": DELETE}, 2,
          "missing required key 'geometry.cell_length_wavelengths'"),
         ({"geometry": {"cell_length_wavelengths": 0.3}}, 2,
