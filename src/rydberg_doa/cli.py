@@ -45,8 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON run configuration")
         p.add_argument("--out", help="output directory (run.output_dir)")
         p.add_argument("--seed", type=int, help="base seed (run.base_seed)")
-        p.add_argument("--order", type=int,
-                       help="prediction order (prony.model_order)")
 
     common(sub.add_parser("simulate",
                           help="run the fluorescence pipeline and write "

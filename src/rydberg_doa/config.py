@@ -253,8 +253,7 @@ def parse_config(doc: dict) -> RunConfig:
 
 
 # Each CLI flag (by argparse dest) and the (section, key) it sets.
-FLAG_KEYS = {"out": ("run", "output_dir"), "seed": ("run", "base_seed"),
-             "order": ("prony", "model_order")}
+FLAG_KEYS = {"out": ("run", "output_dir"), "seed": ("run", "base_seed")}
 
 
 def load_config(path: str | Path, flags: dict | None = None) -> RunConfig:

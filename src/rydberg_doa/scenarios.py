@@ -22,15 +22,13 @@ DEFAULT_TWO_TARGET_PHASES = (0.0, np.pi)
 
 
 def scene_from_angles(angles_deg, lo_ratio: float = DEFAULT_LO_RATIO,
-                      phases=None,
                       carrier_freq: float = RfScene.carrier_freq,
                       lo_angle: float = DEFAULT_LO_ANGLE) -> RfScene:
-    """Equal-amplitude targets at the given bearings with the LO amplitude
-    set to lo_ratio times the summed signal amplitude."""
+    """Equal-amplitude targets at the given bearings (in anti-phase if two,
+    else at phase 0) with the LO at lo_ratio times their summed amplitude."""
     angles_deg = tuple(angles_deg)
-    if phases is None:
-        phases = (DEFAULT_TWO_TARGET_PHASES[:len(angles_deg)]
-                  if len(angles_deg) <= 2 else (0.0,) * len(angles_deg))
+    phases = (DEFAULT_TWO_TARGET_PHASES if len(angles_deg) == 2
+              else (0.0,) * len(angles_deg))
     signals = tuple(PlaneWave(DEFAULT_SIGNAL_AMPLITUDE, ph, np.deg2rad(a))
                     for a, ph in zip(angles_deg, phases))
     lo = PlaneWave(lo_ratio * DEFAULT_SIGNAL_AMPLITUDE * len(angles_deg),

@@ -1,9 +1,11 @@
-"""scripts/bench_pairs.py's command line and claim-rule arithmetic,
-without running a benchmark."""
+"""scripts/bench_pairs.py's command line and claim-rule arithmetic, and
+scripts/interleave_pairs.py's command line, ratio arithmetic and package
+loading, without running a benchmark."""
 
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -225,3 +227,76 @@ def test_record_has_the_committed_layout(tmp_path, monkeypatch):
     assert wall["claim_holds"] is True
     assert workload["summary"]["setup_s"]["claim_holds"] is False
     assert workload["compare"] == ["a table"] and workload["correct"]
+
+
+def load_interleave():
+    spec = importlib.util.spec_from_file_location(
+        "interleave_pairs", ROOT / "scripts" / "interleave_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_interleave_help_exits_0_and_builds_nothing(monkeypatch, capsys):
+    module = load_interleave()
+    monkeypatch.setattr(module, "build_copies",
+                        lambda *args: pytest.fail("built copies"))
+    with pytest.raises(SystemExit) as exc:
+        module.main(["HEAD", "--workload", "mc_snr", "--seed", "1",
+                     "--help"])
+    assert exc.value.code == 0
+    assert "--seed" in capsys.readouterr().out
+
+
+def test_median_interval_on_fixed_ratios():
+    module = load_interleave()
+    # every pair reads the same ratio: the interval has no width
+    assert module.median_interval([1.25] * 40, seed=3) == (1.25, 1.25, 1.25)
+    # 1.00-1.20 in equal steps: the median is the middle value, and the
+    # interval holds it, stays inside the range and repeats per seed
+    ratios = [1.0 + 0.01 * i for i in range(21)]
+    median, low, high = module.median_interval(ratios, seed=3)
+    assert median == pytest.approx(1.1)
+    assert 1.0 <= low < median < high <= 1.2
+    assert module.median_interval(ratios, seed=3) == (median, low, high)
+
+
+def test_ratio_table_per_kind_and_overall():
+    # simulate reads 10% slower on the change side in every pair and
+    # crlb the same, so "all" holds its two kinds' 1.0 and 1.1 ratios.
+    module = load_interleave()
+    kinds = ["simulate", "crlb"] * 6
+    parent = [2.0, 4.0] * 6
+    change = [2.2, 4.0] * 6
+    lines = module.ratio_table(kinds, parent, change, seed=5).splitlines()
+    assert lines[0].split() == ["call", "kind", "pairs", "change/parent",
+                                "95%", "interval"]
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:]}
+    assert list(rows) == ["simulate", "crlb", "all"]
+    assert rows["simulate"] == ["6", "1.100", "[1.100,", "1.100]"]
+    assert rows["crlb"] == ["6", "1.000", "[1.000,", "1.000]"]
+    assert rows["all"][:2] == ["12", "1.050"]
+
+
+@pytest.fixture
+def unload():
+    """Drops the packages a test imports under the names it lists."""
+    names = []
+    yield names
+    for module in [m for m in sys.modules
+                   if m.partition(".")[0] in names]:
+        del sys.modules[module]
+
+
+def test_each_copy_loads_as_its_own_package(unload):
+    # The working tree loaded twice gives two packages whose modules
+    # import each other, never the other package's, and both run.
+    module = load_interleave()
+    unload += ["rydberg_doa_a", "rydberg_doa_b"]
+    a, b = (module.load_cli(ROOT, name) for name in unload)
+    assert a.main is not b.main
+    assert a.load_config is sys.modules["rydberg_doa_a.config"].load_config
+    assert b.load_config is sys.modules["rydberg_doa_b.config"].load_config
+    config = str(ROOT / "configs" / "default.json")
+    for cli in (a, b):
+        assert cli.main(["check-sampling", "--config", config]) == 0

@@ -144,9 +144,12 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
     def test_zero_order_flag_exit_2(self, tmp_path, capsys):
+        # prony.model_order is set in the config alone; 0 is refused
+        # before anything runs.
+        doc = base_doc(tmp_path / "out")
+        doc["prony"]["model_order"] = 0
         assert cli.main(["simulate", "--config",
-                         write_config(tmp_path, base_doc(tmp_path / "out")),
-                         "--order", "0"]) == 2
+                         write_config(tmp_path, doc)]) == 2
         assert capsys.readouterr().err == (
             "error: 'prony': model_order must be at least 1\n")
         assert not (tmp_path / "out").exists()
@@ -739,22 +742,29 @@ class TestEstimate:
         assert result["clamped_flags"] == [True]
 
     def test_order_flag_overrides(self, tmp_path):
+        # The config's prony.model_order, not the 2N default of 4, is the
+        # order the estimate fits.
         out = tmp_path / "out"
-        cfg = write_config(tmp_path, base_doc(out))
+        doc = base_doc(out)
+        doc["prony"]["model_order"] = 6
+        cfg = write_config(tmp_path, doc)
         cli.main(["simulate", "--config", cfg])
         assert cli.main(["estimate", str(out / "measurement.csv"),
-                         "--config", cfg, "--out", str(out),
-                         "--order", "6"]) == 0
+                         "--config", cfg]) == 0
         result = json.loads((out / "estimation.json").read_text())
         assert len(result["lpc_coefficients"]) == 6
 
     def test_order_above_channel_count_exit_3(self, tmp_path, capsys):
+        # The config parses whatever the channel count; the estimate on
+        # K = 16 channels refuses p = 20.
         out = tmp_path / "out"
-        cfg = write_config(tmp_path, base_doc(out))
+        doc = base_doc(out)
+        doc["prony"]["model_order"] = 20
+        cfg = write_config(tmp_path, doc)
         assert cli.main(["simulate", "--config", cfg]) == 0
         capsys.readouterr()
         assert cli.main(["estimate", str(out / "measurement.csv"),
-                         "--config", cfg, "--order", "20"]) == 3
+                         "--config", cfg]) == 3
         assert capsys.readouterr().err == (
             "error: need K > p >= 1, got K=16, p=20\n")
         assert not (out / "estimation.json").exists()
@@ -933,7 +943,7 @@ class TestSweepCommand:
         monkeypatch.chdir(first)
         assert cli.main(["sweep", "--config", cfg]) == 0
         assert cli.main(["sweep", "--config", cfg, "--seed", "7",
-                         "--order", "6", "--out", "a"]) == 0
+                         "--out", "a"]) == 0
         want = (first / "a" / "lo_ratio_sweep.csv").read_bytes()
         assert want != (first / "elsewhere" / "lo_ratio_sweep.csv"
                         ).read_bytes()
@@ -1075,9 +1085,10 @@ class TestSweepCommand:
         # the estimate rejects each stack whole, so every trial of every
         # cell fails and no RMSE is finite.
         out = tmp_path / "out"
-        assert cli.main(["sweep", "--config",
-                         str(REPO_CONFIGS / "fig3c.json"), "--out", str(out),
-                         "--order", "16"]) == 0
+        doc = json.loads((REPO_CONFIGS / "fig3c.json").read_text())
+        doc["prony"]["model_order"] = 16
+        assert cli.main(["sweep", "--config", write_config(tmp_path, doc),
+                         "--out", str(out)]) == 0
         header, *rows = (out / "lo_ratio_sweep.csv").read_text().splitlines()
         assert header == "axis_value,rmse_deg,crlb_deg,trials,failures"
         assert len(rows) == 7
@@ -1193,6 +1204,33 @@ def test_every_flag_sets_a_parsed_config_key():
             parse_config(doc)
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate"], ["estimate", "measurement.csv"], ["crlb"], ["sweep"],
+    ["check-sampling"]], ids=lambda argv: argv[0])
+def test_order_is_no_flag(capsys, argv):
+    # prony.model_order has one spelling, the config key: argparse
+    # refuses --order before any config is read.
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--config", "missing.json", "--order", "4"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: unrecognized arguments: --order 4\n")
+
+
+def test_readme_flags_are_every_subcommands_options():
+    # README's Flags: line names exactly the options each subcommand has.
+    readme = (REPO_CONFIGS.parent / "README.md").read_text()
+    line = re.search(r"^Flags: (.*?)\. ", readme, re.M).group(1)
+    named = set(re.findall(r"`(--[a-z-]+)", line))
+    assert named == {"--config", "--out", "--seed"}
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command in sub.choices.values():
+        options = {option for action in command._actions
+                   for option in action.option_strings}
+        assert options - {"-h", "--help"} == named
+
+
 def test_every_prony_field_is_a_config_key():
     # A PronyConfig field that no config can set is dead.
     doc = base_doc("out")
@@ -1277,8 +1315,8 @@ class TestParserReuse:
             ["estimate", csv_path, "--config", "config.json"],
             ["crlb", "--config", "config.json"],
             ["simulate", "--config", "config.json", "--seed", "7",
-             "--order", "6", "--out", "flags"],
-            ["estimate", csv_path, "--config", "config.json", "--order", "6",
+             "--out", "flags"],
+            ["estimate", csv_path, "--config", "config.json",
              "--out", "flags"],
             ["simulate", "--config", "config.json"],
             ["estimate", csv_path, "--config", "config.json"],
@@ -1309,8 +1347,8 @@ class TestParserReuse:
             separate.append((done.returncode, done.stdout, done.stderr))
         assert one_process == separate
         assert outputs() == files
-        estimation = json.loads(files["out/estimation.json"])
-        assert len(estimation["lpc_coefficients"]) == 4
+        # The later simulate draws base_seed 0's noise again, not seed 7's.
+        assert files["out/measurement.csv"] != files["flags/measurement.csv"]
 
 
 def test_readme_config_example_parses():

@@ -45,6 +45,14 @@ def noise_row(seed: int, k: int) -> np.ndarray:
     return block[seed % 32]
 
 
+def phased_scene(angles_deg, phases):
+    """scenarios.scene_from_angles' scene with its targets at phases."""
+    scene = scenarios.scene_from_angles(angles_deg)
+    return replace(scene, signals=[
+        replace(s, phase=ph)
+        for s, ph in zip(scene.signals, phases, strict=True)])
+
+
 # Largest gap between the readout and the per-scene quadrature oracle
 # (oracles.fluorescence_readout_per_scene): for the measurements a share
 # of the oracle's channel std, for the depth a share of each depth.
@@ -598,8 +606,8 @@ class TestPanelReadoutEquivalence:
         rng = np.random.default_rng(29)
         for _ in range(400):
             n = int(rng.integers(1, 4))
-            base = scenarios.scene_from_angles(
-                rng.uniform(-70.0, 70.0, n), phases=rng.uniform(0, 6.3, n))
+            base = phased_scene(rng.uniform(-70.0, 70.0, n),
+                                rng.uniform(0, 6.3, n))
             ratios = np.exp(rng.uniform(np.log(0.5), np.log(60), 3))
             lam = base.rf_wavelength
             geom = SensorGeometry(int(rng.integers(1, 20)) * lam, lam / 4,
@@ -675,9 +683,8 @@ class TestStackedReadout:
 
     @staticmethod
     def base(n_targets):
-        return scenarios.scene_from_angles(
-            TestStackedReadout.BEARINGS[n_targets],
-            phases=(0.3, 3.5, 5.4)[:n_targets])
+        return phased_scene(TestStackedReadout.BEARINGS[n_targets],
+                            (0.3, 3.5, 5.4)[:n_targets])
 
     @staticmethod
     def rows(scene, ratios):
@@ -821,9 +828,9 @@ def lo_row_cases(draw):
     its summed signal amplitude, and a geometry of windows of 1-4
     lambda/4 panels on a 2-6 lambda cell."""
     n = draw(st.integers(1, 3))
-    scene = scenarios.scene_from_angles(
+    scene = phased_scene(
         draw(st.lists(st.floats(-85.0, 85.0), min_size=n, max_size=n)),
-        phases=draw(st.lists(st.floats(0.0, 6.3), min_size=n, max_size=n)))
+        draw(st.lists(st.floats(0.0, 6.3), min_size=n, max_size=n)))
     ratios = draw(st.lists(st.floats(0.5, 1000.0), min_size=1, max_size=5))
     lam = scene.rf_wavelength
     width = draw(st.floats(0.05, 1.0)) * lam
@@ -834,7 +841,7 @@ def lo_row_cases(draw):
 def _one_ulp_case():
     # At this ratio, numpy's scalar ** 2 (C pow) and the array's x * x
     # differ by one ULP on the LO-only intensity response.
-    scene = scenarios.scene_from_angles((0.0,), phases=(0.0,))
+    scene = scenarios.scene_from_angles((0.0,))
     lam = scene.rf_wavelength
     return scene, [193.2650243163149], SensorGeometry(2 * lam, lam / 4,
                                                       lam / 4)
